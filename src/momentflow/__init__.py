@@ -29,7 +29,6 @@ from .gradient import (
     ControlField,
     ControllerParams,
     InfeasibleStateError,
-    SignMatrix,
     barrier,
     barrier_gradient,
     control_law,
@@ -37,7 +36,6 @@ from .gradient import (
     default_epsilons,
     finite_difference_gradient,
     moment_gradient,
-    sign_matrix,
     trace_derivative,
 )
 from .network import (
@@ -83,11 +81,9 @@ __all__ = [
     "walk_weight_sum",
     # gradient
     "ControllerParams",
-    "SignMatrix",
     "ControlField",
     "InfeasibleStateError",
     "default_epsilons",
-    "sign_matrix",
     "trace_derivative",
     "moment_gradient",
     "cost",

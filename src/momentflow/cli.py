@@ -92,6 +92,9 @@ EXIT_UNREALIZABLE = 3
 EXIT_STALLED = 4
 EXIT_IO = 5
 
+# Finite positions fail to give an adjacency only when a weight underflows.
+_UNDERFLOW_HINT = " (exp(-c * dist) underflows to 0 for robots about 745/c apart)"
+
 _TOP_LEVEL_KEYS = {
     "name", "n", "d", "seed", "positions", "c", "z", "s", "epsilons",
     "dt", "max_time", "cost_tolerance", "record_every", "targets",
@@ -542,6 +545,9 @@ def _run_one(scenario: Scenario, out_dir: Path) -> int:
     except UnrealizableTargetsError as exc:
         print(f"unrealizable targets: {exc}", file=sys.stderr)
         return EXIT_UNREALIZABLE
+    except ValueError as exc:
+        print(f"invalid start: {exc}{_UNDERFLOW_HINT}", file=sys.stderr)
+        return EXIT_VALIDATION
     base = _sanitize(scenario.name)
     csv_path = out_dir / f"{base}_trajectory.csv"
     json_path = out_dir / f"{base}_report.json"
@@ -761,14 +767,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # == spectrum ==============================================================
 
-def _print_spectrum(config: RobotConfiguration, decay: float, metric: int, order: int) -> None:
-    adjacency = build_adjacency(config, decay, metric)
+def _print_spectrum(
+    config: RobotConfiguration, decay: float, metric: int, order: int, title: str = ""
+) -> int:
+    try:
+        adjacency = build_adjacency(config, decay, metric)
+    except ValueError as exc:
+        print(f"invalid positions: {exc}{_UNDERFLOW_HINT}", file=sys.stderr)
+        return EXIT_VALIDATION
     eigs = eigenvalues(adjacency)
     moments = spectral_moments(adjacency, order)
+    if title:
+        print(title)
     print(f"n = {config.n}, d = {config.d}, c = {decay:g}, z = {metric}")
     print("eigenvalues (descending): " + ", ".join(f"{v:.6g}" for v in eigs))
     for k in range(1, order + 1):
         print(f"m_{k} = {moments.values[k - 1]:.6g}")
+    return 0
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -803,10 +818,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                 print(f"invalid scenario: {problem}", file=sys.stderr)
             return EXIT_VALIDATION
         config = scenario.initial_configuration()
-        print(f"scenario {scenario.name}: initial configuration")
-        _print_spectrum(
-            config, scenario.params.decay, scenario.params.metric, scenario.params.order
-        )
+        params = scenario.params
+        title = f"scenario {scenario.name}: initial configuration"
+        if _print_spectrum(config, params.decay, params.metric, params.order, title):
+            return EXIT_VALIDATION
         goals = ", ".join(f"{v:.6g}" for v in scenario.targets.moments)
         print(f"target moments: {goals}")
         if scenario.targets.reference_eigenvalues is not None:
@@ -844,8 +859,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         for problem in problems:
             print(f"invalid positions file: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
-    _print_spectrum(config, decay, metric, order)
-    return 0
+    return _print_spectrum(config, decay, metric, order)
 
 
 # == entry point ===========================================================

@@ -11,7 +11,11 @@ inside the feasible region
 and f + b never increases.  A trial step that violates either property is
 rejected and the step size halved; five consecutive acceptances double it
 back up to its initial value.  If the step size bottoms out at its floor
-and the trial step is still rejected, the flow has stalled.
+and the trial step is still rejected, the flow has stalled; so has a state
+whose drift is exactly zero (all robots coincident, say), which no step
+moves.  Each state is evaluated once, and an accepted candidate's
+evaluation is the next state.  A start with a weight that underflows to 0
+(robots about 745/decay apart) cannot be evaluated and raises ValueError.
 
 Feasible starting points always exist whenever each target sits strictly
 below its coincident-configuration ceiling: contracting the team toward its
@@ -29,20 +33,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gradient import (
-    ControllerParams,
-    barrier,
-    barrier_gradient,
-    control_law,
-    cost,
-)
+from .gradient import ControllerParams, _Evaluation
 from .network import (
     MomentVector,
     RobotConfiguration,
-    build_adjacency,
     complete_graph_moments,
     eigenvalues,
-    spectral_moments,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
@@ -179,14 +175,7 @@ def feasibility_margin(
 
     All entries strictly positive means the state is feasible.
     """
-    goal = np.asarray(targets.moments, dtype=float)
-    if goal.shape != (params.order,):
-        raise ValueError(
-            f"targets carry {goal.size} moments but params.order is {params.order}"
-        )
-    adjacency = build_adjacency(config, params.decay, params.metric)
-    moments = spectral_moments(adjacency, params.order)
-    return moments.values[1:] - goal[1:]
+    return _Evaluation(config, targets, params).margins
 
 
 def ensure_feasible(
@@ -211,11 +200,8 @@ def ensure_feasible(
     """
     if slack_fraction < 0.0 or slack_floor < 0.0:
         raise ValueError("slack parameters must be nonnegative")
-    goal = np.asarray(targets.moments, dtype=float)
-    if goal.shape != (params.order,):
-        raise ValueError(
-            f"targets carry {goal.size} moments but params.order is {params.order}"
-        )
+    margins = feasibility_margin(config, targets, params)
+    goal = targets.moments
     ceilings = complete_graph_moments(config.n, params.order).values
     gaps = ceilings[1:] - goal[1:]
     if np.any(gaps <= 0.0):
@@ -230,25 +216,15 @@ def ensure_feasible(
     )
     current = config
     for _ in range(_MAX_COMPRESSIONS):
-        margins = feasibility_margin(current, targets, params)
         if np.all(margins >= slack):
             return current
         centroid = current.positions.mean(axis=0)
         pulled = centroid + _COMPRESSION_FACTOR * (current.positions - centroid)
         current = RobotConfiguration(pulled)
+        margins = feasibility_margin(current, targets, params)
     raise RuntimeError(
         "centroid compression failed to reach the requested slack; "
         "this indicates a numerical degeneracy in the configuration"
-    )
-
-
-def _potential(
-    config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams
-) -> tuple[float, float]:
-    """Cost and barrier at ``config`` as a pair."""
-    return (
-        cost(config, targets, params),
-        barrier(config, targets, params),
     )
 
 
@@ -268,30 +244,44 @@ def step(
     represented (weights are strictly positive) and is likewise rejected.
     Returns ``(new_config, accepted, next_dt)``: on acceptance the candidate
     and the unchanged dt; on rejection the original configuration and dt
-    halved, clamped to ``settings.min_step``.  If dt is already at the
-    floor and the trial still fails, raises :class:`FlowStalled`.
+    halved, clamped to ``settings.min_step``.  Raises :class:`FlowStalled`
+    if dt is already at the floor and the trial still fails, or if the
+    drift is exactly zero, since then no step moves the robots.
     """
     if not np.isfinite(dt) or dt <= 0.0:
         raise ValueError(f"dt must be a positive real, got {dt}")
-    drift = control_law(config, targets, params).velocities - barrier_gradient(
-        config, targets, params
+    state, accepted, next_dt = _advance(
+        _Evaluation(config, targets, params), settings, dt
     )
+    return state.config, accepted, next_dt
+
+
+def _advance(
+    state: _Evaluation, settings: SimulationSettings, dt: float
+) -> tuple[_Evaluation, bool, float]:
+    """:func:`step` from an evaluated state; the next state comes evaluated."""
+    drift = state.drift
+    if not np.any(drift):
+        raise FlowStalled("the drift is exactly zero, so no step moves the robots")
     try:
-        candidate = RobotConfiguration(config.positions + dt * drift)
-        feasible = bool(np.all(feasibility_margin(candidate, targets, params) > 0.0))
+        candidate = _Evaluation(
+            RobotConfiguration(state.config.positions + dt * drift),
+            state.targets,
+            state.params,
+        )
     except ValueError:
-        candidate = config
-        feasible = False
-    if feasible:
-        cost_now, barrier_now = _potential(config, targets, params)
-        cost_new, barrier_new = _potential(candidate, targets, params)
-        if cost_new + barrier_new <= cost_now + barrier_now:
-            return candidate, True, dt
+        candidate = None
+    if (
+        candidate is not None
+        and np.all(candidate.margins > 0.0)
+        and candidate.cost + candidate.barrier <= state.cost + state.barrier
+    ):
+        return candidate, True, dt
     if dt <= settings.min_step:
         raise FlowStalled(
             f"no acceptable step at the minimum step size {settings.min_step:g}"
         )
-    return config, False, max(dt / 2.0, settings.min_step)
+    return state, False, max(dt / 2.0, settings.min_step)
 
 
 def _ordering_signature(config: RobotConfiguration) -> list[np.ndarray]:
@@ -310,8 +300,8 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     targets surface as :class:`UnrealizableTargetsError` before any
     integration happens.  Runs until the cost reaches the tolerance
     ("converged"), simulated time reaches the horizon ("horizon"), or no
-    acceptable step exists at the minimum step size ("stalled"); a stall is
-    reported in the record rather than raised.
+    acceptable step exists at the minimum step size or the drift is exactly
+    zero ("stalled"); a stall is reported in the record rather than raised.
 
     Identical scenarios produce bitwise-identical records: every quantity
     is computed by fixed-order numpy expressions from the seeded start.
@@ -319,18 +309,17 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     params = scenario.params
     targets = scenario.targets
     settings = scenario.settings
-    config = ensure_feasible(scenario.initial_configuration(), targets, params)
-    initial_ordering = _ordering_signature(config)
+    start = ensure_feasible(scenario.initial_configuration(), targets, params)
+    initial_ordering = _ordering_signature(start)
+    state = _Evaluation(start, targets, params)
 
-    def snapshot(t: float, cfg: RobotConfiguration) -> TrajectorySample:
-        adjacency = build_adjacency(cfg, params.decay, params.metric)
-        moments = spectral_moments(adjacency, params.order)
+    def snapshot(t: float) -> TrajectorySample:
         return TrajectorySample(
             t=t,
-            configuration=cfg,
-            moments=moments,
-            cost=cost(cfg, targets, params),
-            barrier=barrier(cfg, targets, params),
+            configuration=state.config,
+            moments=state.moments,
+            cost=state.cost,
+            barrier=state.barrier,
         )
 
     t = 0.0
@@ -338,39 +327,37 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     accepted = 0
     rejected = 0
     streak = 0
-    samples = [snapshot(t, config)]
-    current_cost = samples[0].cost
+    samples = [snapshot(t)]
     reason = None
     while True:
-        if current_cost <= settings.cost_tolerance:
+        if state.cost <= settings.cost_tolerance:
             reason = "converged"
             break
         if t >= settings.max_time:
             reason = "horizon"
             break
         try:
-            config_next, ok, dt_next = step(config, targets, params, settings, dt)
+            state, ok, dt_next = _advance(state, settings, dt)
         except FlowStalled:
             reason = "stalled"
             break
         if ok:
-            config = config_next
             t += dt
             accepted += 1
             streak += 1
             if streak >= _ACCEPTS_PER_DOUBLING:
                 dt = min(2.0 * dt, settings.dt)
                 streak = 0
-            current_cost = cost(config, targets, params)
             if accepted % settings.record_every == 0:
-                samples.append(snapshot(t, config))
+                samples.append(snapshot(t))
         else:
             dt = dt_next
             rejected += 1
             streak = 0
 
+    config = state.config
     if samples[-1].configuration is not config or samples[-1].t != t:
-        samples.append(snapshot(t, config))
+        samples.append(snapshot(t))
 
     final_ordering = _ordering_signature(config)
     flipped = sum(
@@ -383,12 +370,11 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
             flipped,
         )
 
-    final_adjacency = build_adjacency(config, params.decay, params.metric)
     return TrajectoryRecord(
         samples=tuple(samples),
         final_configuration=config,
-        final_moments=spectral_moments(final_adjacency, params.order),
-        final_eigenvalues=eigenvalues(final_adjacency),
+        final_moments=state.moments,
+        final_eigenvalues=eigenvalues(state.adjacency),
         termination_reason=reason,
         accepted_steps=accepted,
         rejected_steps=rejected,

@@ -33,6 +33,7 @@ computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -40,9 +41,10 @@ import numpy as np
 from .network import (
     RobotConfiguration,
     WeightedAdjacency,
+    _moments_and_chain,
     build_adjacency,
+    pairwise_distance,
     power_chain,
-    spectral_moments,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
@@ -50,15 +52,12 @@ if TYPE_CHECKING:  # pragma: no cover - import only for annotations
 
 __all__ = [
     "ControllerParams",
-    "SignMatrix",
     "ControlField",
     "InfeasibleStateError",
     "DEFAULT_DECAY",
     "DEFAULT_EPSILON",
     "DEFAULT_FD_STEP",
     "default_epsilons",
-    "sign_matrix",
-    "coordinate_difference_matrix",
     "trace_derivative",
     "moment_gradient",
     "cost",
@@ -138,32 +137,6 @@ class ControllerParams:
 
 
 @dataclass(frozen=True, eq=False)
-class SignMatrix:
-    """Antisymmetric coordinate-ordering matrix for one axis.
-
-    entries[i, j] = sign(x_ir - x_jr) in {-1, 0, +1} for axis r.  It is the
-    exact derivative factor of |x_ir - x_jr| wherever that coordinate gap is
-    nonzero.
-    """
-
-    entries: np.ndarray
-    axis: int
-
-    def __post_init__(self) -> None:
-        ent = np.array(self.entries, dtype=float)
-        if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
-            raise ValueError(f"entries must be square, got shape {ent.shape}")
-        if not np.all(np.isin(ent, (-1.0, 0.0, 1.0))):
-            raise ValueError("sign entries must be -1, 0, or +1")
-        if not np.array_equal(ent, -ent.T):
-            raise ValueError("sign matrix must be antisymmetric")
-        if self.axis < 0:
-            raise ValueError(f"axis must be nonnegative, got {self.axis}")
-        ent.setflags(write=False)
-        object.__setattr__(self, "entries", ent)
-
-
-@dataclass(frozen=True, eq=False)
 class ControlField:
     """Commanded velocity u_ir for every robot i and coordinate r."""
 
@@ -187,38 +160,28 @@ class ControlField:
         return self.velocities.shape[1]
 
 
-def sign_matrix(config: RobotConfiguration, axis: int) -> SignMatrix:
-    """Sign matrix sign(x_ir - x_jr) for coordinate axis r.
+def _metric_factors(config: RobotConfiguration, metric: int) -> list[np.ndarray]:
+    """Derivative factors T_r of dist w.r.t. coordinate r of the row robot.
 
-    Ties produce exact zeros (sign(0) = 0), matching the subgradient
-    convention used by the taxicab-metric gradients.
+    Taxicab metric: the sign matrices sign(x_ir - x_jr), with sign(0) = 0 on
+    ties.  Euclidean metric: the unit-direction matrices
+    (x_ir - x_jr) / dist(i, j), with zeros for coincident pairs.  One (n, n)
+    matrix per axis.
     """
-    if not 0 <= axis < config.d:
-        raise ValueError(f"axis {axis} out of range for d={config.d}")
-    coords = config.positions[:, axis]
-    return SignMatrix(np.sign(coords[:, None] - coords[None, :]), axis)
+    positions = config.positions
+    diffs = [positions[:, r, None] - positions[None, :, r] for r in range(config.d)]
+    if metric == 1:
+        return [np.sign(diff) for diff in diffs]
+    dist = pairwise_distance(config, 2)
+    return [
+        np.divide(diff, dist, out=np.zeros_like(diff), where=dist > 0.0)
+        for diff in diffs
+    ]
 
 
-def coordinate_difference_matrix(config: RobotConfiguration, axis: int) -> np.ndarray:
-    """Raw coordinate gaps x_ir - x_jr for axis r as an (n, n) array."""
-    if not 0 <= axis < config.d:
-        raise ValueError(f"axis {axis} out of range for d={config.d}")
-    coords = config.positions[:, axis]
-    return coords[:, None] - coords[None, :]
-
-
-def _metric_factor(config: RobotConfiguration, params: ControllerParams, axis: int) -> np.ndarray:
-    """Derivative factor T_r of dist w.r.t. coordinate r of the row robot.
-
-    Taxicab metric: the sign matrix.  Euclidean metric: the unit-direction
-    matrix (x_ir - x_jr) / dist(i, j) with zeros for coincident pairs.
-    """
-    diffs = coordinate_difference_matrix(config, axis)
-    if params.metric == 1:
-        return np.sign(diffs)
-    full = config.positions[:, None, :] - config.positions[None, :, :]
-    dist = np.sqrt((full**2).sum(axis=-1))
-    return np.divide(diffs, dist, out=np.zeros_like(diffs), where=dist > 0.0)
+def _project(mixed: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    """The (n, d) array of row sums [(M o T_r) 1]_i for M = ``mixed``."""
+    return np.stack([np.einsum("ij,ij->i", mixed, factor) for factor in factors], axis=1)
 
 
 def trace_derivative(adjacency: WeightedAdjacency, k: int, i: int, j: int) -> float:
@@ -260,24 +223,103 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
         )
     adjacency = build_adjacency(config, params.decay, params.metric)
     prev = power_chain(adjacency, k - 1)[k - 1]
-    mixed = adjacency.weights * prev
-    grad = np.empty((config.n, config.d))
     scale = -2.0 * k * params.decay / config.n
-    for axis in range(config.d):
-        factor = _metric_factor(config, params, axis)
-        grad[:, axis] = scale * np.einsum("ij,ij->i", mixed, factor)
-    return grad
+    return scale * _project(
+        adjacency.weights * prev, _metric_factors(config, params.metric)
+    )
 
 
-def _check_targets(targets: "TargetSpectrum", params: ControllerParams) -> np.ndarray:
-    """Validate target/params order agreement and return the target array."""
-    goal = np.asarray(targets.moments, dtype=float)
-    if goal.shape != (params.order,):
-        raise ValueError(
-            f"targets carry {goal.shape[0] if goal.ndim == 1 else 'malformed'} "
-            f"moments but params.order is {params.order}"
+class _Evaluation:
+    """Everything the flow derives from one configuration, computed once.
+
+    Construction checks that the targets carry ``params.order`` moments and
+    builds the adjacency through :func:`build_adjacency`, whose validation
+    rejects a weight that underflows to 0 with a ValueError.  One power
+    chain A^0..A^s then gives the moments, the margins m_k - m_k* for
+    k = 2..s and the cost.  The barrier and the drift -grad(f + b) come from
+    the same chain on first use; the barrier and its gradient raise
+    :class:`InfeasibleStateError` on a nonpositive guarded margin.
+
+    Every sum over k runs in increasing k, so results are bitwise
+    reproducible.
+    """
+
+    def __init__(
+        self, config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams
+    ) -> None:
+        goal = np.asarray(targets.moments, dtype=float)
+        if goal.shape != (params.order,):
+            raise ValueError(
+                f"targets carry {goal.shape[0] if goal.ndim == 1 else 'malformed'} "
+                f"moments but params.order is {params.order}"
+            )
+        self.config = config
+        self.targets = targets
+        self.params = params
+        self.adjacency = build_adjacency(config, params.decay, params.metric)
+        self.moments, self.chain = _moments_and_chain(self.adjacency, params.order)
+        self.margins = self.moments.values[1:] - goal[1:]
+        total = 0.0
+        for k, margin in enumerate(self.margins, start=2):
+            total += margin * margin / (4.0 * k)
+        self.cost = total
+
+    def _guarded(self) -> list[tuple[int, float, float]]:
+        """(k, eps_k, margin_k) for every moment the barrier guards."""
+        eps = self.params.effective_epsilons()
+        guarded = []
+        for k, margin in enumerate(self.margins, start=2):
+            if eps[k - 1] == 0.0:
+                continue
+            if margin <= 0.0:
+                raise InfeasibleStateError(
+                    f"barrier-guarded margin for moment {k} is {margin:.3e}; "
+                    "the state has left the feasible region"
+                )
+            guarded.append((k, eps[k - 1], margin))
+        return guarded
+
+    @cached_property
+    def barrier(self) -> float:
+        total = 0.0
+        for k, eps, margin in self._guarded():
+            total += eps / (4.0 * k * margin * margin)
+        return total
+
+    @cached_property
+    def _factors(self) -> list[np.ndarray]:
+        return _metric_factors(self.config, self.params.metric)
+
+    def _project_powers(self, terms) -> np.ndarray:
+        """[(A o T_r) W]_ii for W = sum of coefficient * A^(k-1) over ``terms``."""
+        n = self.config.n
+        weighted = np.zeros((n, n))
+        for coefficient, power in terms:
+            weighted += coefficient * power
+        return _project(self.adjacency.weights * weighted, self._factors)
+
+    def cost_descent(self) -> np.ndarray:
+        """-grad f = (decay / n) [(A o T_r) W]_ii, W = sum_k (m_k - m_k*) A^(k-1)."""
+        terms = zip(self.margins, self.chain[1:-1])
+        return (self.params.decay / self.config.n) * self._project_powers(terms)
+
+    def barrier_gradient(self) -> np.ndarray:
+        """grad b = sum_k -(eps_k / 2k) * (m_k - m_k*)^(-3) * grad m_k."""
+        n = self.config.n
+        guarded = self._guarded()
+        if not guarded:
+            return np.zeros((n, self.config.d))
+        # -(eps/2k) margin^-3 multiplies grad m_k, whose own prefactor is
+        # -(2 k decay / n); the 2k factors cancel against each other.
+        return self._project_powers(
+            (eps * self.params.decay / (n * margin**3), self.chain[k - 1])
+            for k, eps, margin in guarded
         )
-    return goal
+
+    @cached_property
+    def drift(self) -> np.ndarray:
+        """The flow's velocity -grad(f + b) as an (n, d) array."""
+        return self.cost_descent() - self.barrier_gradient()
 
 
 def cost(config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams) -> float:
@@ -286,14 +328,7 @@ def cost(config: RobotConfiguration, targets: "TargetSpectrum", params: Controll
     The k = 1 term is omitted: m_1 is identically zero and valid targets
     pin m_1* = 0, so it would contribute exactly nothing.
     """
-    goal = _check_targets(targets, params)
-    adjacency = build_adjacency(config, params.decay, params.metric)
-    moments = spectral_moments(adjacency, params.order)
-    total = 0.0
-    for k in range(2, params.order + 1):
-        resid = moments.values[k - 1] - goal[k - 1]
-        total += resid * resid / (4.0 * k)
-    return total
+    return _Evaluation(config, targets, params).cost
 
 
 def control_law(
@@ -306,24 +341,9 @@ def control_law(
         u[i, r] = (decay / n) * [(A o T_r) W]_ii,
         W = sum_{k=2}^{s} (m_k - m_k*) A^(k-1),
 
-    evaluated with one chain A^0..A^(s-1) per call.  The summation order
-    over k is fixed, so results are bitwise reproducible.
+    evaluated with one chain A^0..A^s per call.
     """
-    goal = _check_targets(targets, params)
-    adjacency = build_adjacency(config, params.decay, params.metric)
-    chain = power_chain(adjacency, params.order)
-    n = config.n
-    weighted = np.zeros((n, n))
-    for k in range(2, params.order + 1):
-        resid = np.trace(chain[k]) / n - goal[k - 1]
-        weighted += resid * chain[k - 1]
-    mixed = adjacency.weights * weighted
-    velocities = np.empty((n, config.d))
-    scale = params.decay / n
-    for axis in range(config.d):
-        factor = _metric_factor(config, params, axis)
-        velocities[:, axis] = scale * np.einsum("ij,ij->i", mixed, factor)
-    return ControlField(velocities)
+    return ControlField(_Evaluation(config, targets, params).cost_descent())
 
 
 def barrier(config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams) -> float:
@@ -334,24 +354,7 @@ def barrier(config: RobotConfiguration, targets: "TargetSpectrum", params: Contr
     :class:`InfeasibleStateError` if any guarded margin is not strictly
     positive, since the barrier is defined only inside the feasible region.
     """
-    goal = _check_targets(targets, params)
-    eps = params.effective_epsilons()
-    if all(e == 0.0 for e in eps):
-        return 0.0
-    adjacency = build_adjacency(config, params.decay, params.metric)
-    moments = spectral_moments(adjacency, params.order)
-    total = 0.0
-    for k in range(2, params.order + 1):
-        if eps[k - 1] == 0.0:
-            continue
-        margin = moments.values[k - 1] - goal[k - 1]
-        if margin <= 0.0:
-            raise InfeasibleStateError(
-                f"barrier-guarded margin for moment {k} is {margin:.3e}; "
-                "the state has left the feasible region"
-            )
-        total += eps[k - 1] / (4.0 * k * margin * margin)
-    return total
+    return _Evaluation(config, targets, params).barrier
 
 
 def barrier_gradient(
@@ -368,32 +371,7 @@ def barrier_gradient(
     when the barrier is disabled or all constants vanish; raises
     :class:`InfeasibleStateError` on a nonpositive guarded margin.
     """
-    goal = _check_targets(targets, params)
-    eps = params.effective_epsilons()
-    grad = np.zeros((config.n, config.d))
-    if all(e == 0.0 for e in eps):
-        return grad
-    n = config.n
-    adjacency = build_adjacency(config, params.decay, params.metric)
-    chain = power_chain(adjacency, params.order)
-    weighted = np.zeros((n, n))
-    for k in range(2, params.order + 1):
-        if eps[k - 1] == 0.0:
-            continue
-        margin = np.trace(chain[k]) / n - goal[k - 1]
-        if margin <= 0.0:
-            raise InfeasibleStateError(
-                f"barrier-guarded margin for moment {k} is {margin:.3e}; "
-                "the state has left the feasible region"
-            )
-        # -(eps/2k) margin^-3 multiplies grad m_k, whose own prefactor is
-        # -(2 k decay / n); the 2k factors cancel against each other.
-        weighted += (eps[k - 1] * params.decay / (n * margin**3)) * chain[k - 1]
-    mixed = adjacency.weights * weighted
-    for axis in range(config.d):
-        factor = _metric_factor(config, params, axis)
-        grad[:, axis] = np.einsum("ij,ij->i", mixed, factor)
-    return grad
+    return _Evaluation(config, targets, params).barrier_gradient()
 
 
 def finite_difference_gradient(

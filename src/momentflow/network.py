@@ -213,12 +213,19 @@ def spectral_moments(adjacency: WeightedAdjacency, order: int) -> MomentVector:
     ``order`` must satisfy 1 <= order <= n.  m_1 is exactly zero (zero
     diagonal) and every moment of a nonnegative matrix is nonnegative.
     """
+    return _moments_and_chain(adjacency, order)[0]
+
+
+def _moments_and_chain(
+    adjacency: WeightedAdjacency, order: int
+) -> tuple[MomentVector, list[np.ndarray]]:
+    """:func:`spectral_moments` together with the chain [I, A, ..., A^order]."""
     n = adjacency.n
     if not 1 <= order <= n:
         raise ValueError(f"order must satisfy 1 <= order <= {n}, got {order}")
     chain = power_chain(adjacency, order)
     values = np.array([np.trace(chain[k]) / n for k in range(1, order + 1)])
-    return MomentVector(values)
+    return MomentVector(values), chain
 
 
 def eigenvalues(adjacency: WeightedAdjacency) -> np.ndarray:

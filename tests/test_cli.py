@@ -46,6 +46,10 @@ from momentflow.scenarios import (
 
 # -- Helpers -----------------------------------------------------------------
 
+# A pair 900 apart: exp(-900) underflows to 0 at decay 1.
+_UNDERFLOW_POSITIONS = [[0.0], [1.0], [900.0]]
+
+
 def _fast_scenario_data(seed=0, n=5):
     """Schema data for a quick order-2 run with realizable targets."""
     start = random_geometric_config(n, 2, seed)
@@ -422,6 +426,29 @@ class TestRunCommand:
         assert code == EXIT_UNREALIZABLE
         assert "unrealizable" in capsys.readouterr().err
 
+    def test_underflowing_start_exit(self, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "name": "far", "n": 3, "d": 1, "s": 2,
+            "positions": _UNDERFLOW_POSITIONS,
+            "targets": {"moments": [0.0, 0.5]},
+        }))
+        code = main(["run", str(path), "-o", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert "underflows" in err and len(err.strip().splitlines()) == 1
+
+    def test_zero_drift_start_exit(self, tmp_path, capsys):
+        path = tmp_path / "coincident.json"
+        path.write_text(json.dumps({
+            "name": "coincident", "n": 5, "d": 2, "s": 2, "max_time": 10,
+            "positions": [[0.5, 0.5]] * 5,
+            "targets": {"moments": [0.0, 1.0]},
+        }))
+        code = main(["run", str(path), "-o", str(tmp_path)])
+        assert code == EXIT_STALLED
+        assert "stalled after 0 accepted steps" in capsys.readouterr().out
+
     def test_stalled_exit(self, tmp_path, capsys, monkeypatch, quick_record):
         stalled = replace(quick_record, termination_reason="stalled")
         monkeypatch.setattr("momentflow.cli.simulate", lambda scenario: stalled)
@@ -498,3 +525,13 @@ class TestSpectrumCommand:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["spectrum", str(tmp_path / "absent.json")]) == EXIT_IO
+
+    def test_underflowing_positions_exit(self, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"positions": _UNDERFLOW_POSITIONS}))
+        code = main(["spectrum", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        assert "underflows" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1

@@ -11,6 +11,9 @@ Core claims:
     - simulate terminates with the right reason (converged, horizon,
       stalled), keeps f + b nonincreasing and margins positive along the
       recorded trajectory, and is deterministic for identical scenarios
+    - a start with exactly zero drift stalls without counting non-moves
+    - simulate evaluates each configuration once: at most one adjacency
+      build per trial step, and the presets keep their step counts
 """
 
 import dataclasses
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from momentflow import dynamics, gradient, network, scenarios
 from momentflow.dynamics import (
     FlowStalled,
     SimulationSettings,
@@ -36,7 +40,12 @@ from momentflow.network import (
     build_adjacency,
     spectral_moments,
 )
-from momentflow.scenarios import Scenario, TargetSpectrum, random_geometric_config
+from momentflow.scenarios import (
+    Scenario,
+    TargetSpectrum,
+    preset,
+    random_geometric_config,
+)
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -346,3 +355,59 @@ class TestSimulate:
         record = simulate(_reachable_scenario(seed=7))
         with pytest.raises(ValueError):
             record.final_eigenvalues[0] = 0.0
+
+    def test_zero_drift_start_stalls(self):
+        # All robots coincident: every weight is 1 and every metric factor
+        # is 0, so the drift is exactly zero and no step can move the team.
+        scenario = Scenario(
+            name="coincident",
+            n=5,
+            d=2,
+            params=_params(order=2),
+            targets=TargetSpectrum([0.0, 1.0]),
+            settings=SimulationSettings(max_time=10.0),
+            initial_positions=np.full((5, 2), 0.5),
+        )
+        record = simulate(scenario)
+        assert record.termination_reason == "stalled"
+        assert record.accepted_steps == 0
+        assert record.rejected_steps == 0
+        assert record.simulated_time == 0.0
+
+
+# == 6. One evaluation per configuration =====================================
+
+class TestEvaluationBudget:
+    @pytest.mark.parametrize(
+        "name, steps", [("hexagon7", (833, 136)), ("rgg10", (4, 7))]
+    )
+    def test_preset_step_counts(self, name, steps):
+        record = simulate(preset(name))
+        assert record.termination_reason == "converged"
+        assert (record.accepted_steps, record.rejected_steps) == steps
+
+    def test_one_adjacency_build_per_trial_step(self, monkeypatch):
+        builds = []
+        checks = []
+        build_adjacency = network.build_adjacency
+        feasibility_margin = dynamics.feasibility_margin
+
+        def counted_build(*args):
+            builds.append(args)
+            return build_adjacency(*args)
+
+        def counted_check(*args):
+            checks.append(args)
+            return feasibility_margin(*args)
+
+        for module in (network, gradient, dynamics, scenarios):
+            if getattr(module, "build_adjacency", None) is build_adjacency:
+                monkeypatch.setattr(module, "build_adjacency", counted_build)
+        monkeypatch.setattr(dynamics, "feasibility_margin", counted_check)
+        # rgg10's start needs one compression, and it rejects steps as well
+        # as accepting them.
+        record = simulate(preset("rgg10"))
+        trials = record.accepted_steps + record.rejected_steps
+        assert record.rejected_steps > 0 and len(checks) > 1
+        # Per run: the start's evaluation and at most one more.
+        assert len(builds) <= trials + len(checks) + 2

@@ -3,8 +3,6 @@ Unit tests for the cost, barrier, and analytic gradient machinery.
 
 Core claims:
     - ControllerParams validates decay, metric, order, and barrier constants
-    - sign_matrix is antisymmetric with entries in {-1, 0, +1} and exact
-      zeros on coordinate ties
     - trace_derivative matches a central finite difference of tr(A^k) under
       a symmetric entry bump
     - moment_gradient matches the finite-difference oracle for both metrics
@@ -26,16 +24,13 @@ from momentflow.gradient import (
     ControlField,
     ControllerParams,
     InfeasibleStateError,
-    SignMatrix,
     barrier,
     barrier_gradient,
     control_law,
-    coordinate_difference_matrix,
     cost,
     default_epsilons,
     finite_difference_gradient,
     moment_gradient,
-    sign_matrix,
     trace_derivative,
 )
 from momentflow.network import (
@@ -135,48 +130,7 @@ class TestControllerParams:
             _params(order=3, epsilons=(0.0, np.inf, 1e-6))
 
 
-# == 2. Sign and difference matrices =========================================
-
-class TestSignMatrix:
-    def test_values_and_antisymmetry(self):
-        config = _tie_free_config(6, 2, 0)
-        for axis in range(2):
-            signs = sign_matrix(config, axis)
-            assert signs.axis == axis
-            assert np.all(np.isin(signs.entries, (-1.0, 0.0, 1.0)))
-            assert np.array_equal(signs.entries, -signs.entries.T)
-            assert np.all(np.diag(signs.entries) == 0.0)
-
-    def test_exact_zero_on_ties(self):
-        config = RobotConfiguration([[0.5, 0.0], [0.5, 1.0], [0.2, 2.0]])
-        signs = sign_matrix(config, 0)
-        assert signs.entries[0, 1] == 0.0
-        assert signs.entries[0, 2] == 1.0
-
-    def test_axis_bounds(self):
-        config = _tie_free_config(3, 2, 1)
-        with pytest.raises(ValueError):
-            sign_matrix(config, 2)
-        with pytest.raises(ValueError):
-            coordinate_difference_matrix(config, -1)
-
-    def test_construction_validation(self):
-        with pytest.raises(ValueError):
-            SignMatrix(np.array([[0.0, 0.5], [-0.5, 0.0]]), 0)
-        with pytest.raises(ValueError):
-            SignMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), 0)
-        with pytest.raises(ValueError):
-            SignMatrix(np.zeros((2, 2)), -1)
-
-    def test_difference_matrix_hand_value(self):
-        config = RobotConfiguration([[1.0, 5.0], [4.0, 2.0]])
-        diffs = coordinate_difference_matrix(config, 0)
-        assert diffs[0, 1] == approx(-3.0)
-        assert diffs[1, 0] == approx(3.0)
-        assert np.array_equal(diffs, -diffs.T)
-
-
-# == 3. ControlField =========================================================
+# == 2. ControlField =========================================================
 
 class TestControlField:
     def test_shape_properties(self):
@@ -191,7 +145,7 @@ class TestControlField:
             ControlField(np.array([[np.nan, 0.0]]))
 
 
-# == 4. Trace derivative =====================================================
+# == 3. Trace derivative =====================================================
 
 class TestTraceDerivative:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -224,7 +178,7 @@ class TestTraceDerivative:
             trace_derivative(adjacency, 2, 1, 1)
 
 
-# == 5. Moment gradients =====================================================
+# == 4. Moment gradients =====================================================
 
 class TestMomentGradient:
     @pytest.mark.parametrize("metric", [1, 2])
@@ -260,7 +214,7 @@ class TestMomentGradient:
             moment_gradient(config, _params(order=4), 2)
 
 
-# == 6. Cost and control law =================================================
+# == 5. Cost and control law =================================================
 
 class TestCost:
     def test_hand_formula_two_robots(self):
@@ -324,7 +278,7 @@ class TestControlLaw:
         assert np.allclose(field.velocities, 0.0, atol=1e-15)
 
 
-# == 7. Barrier and its gradient =============================================
+# == 6. Barrier and its gradient =============================================
 
 class TestBarrier:
     def test_hand_formula(self):
@@ -420,7 +374,7 @@ class TestBarrierGradient:
         assert after < before
 
 
-# == 8. Finite-difference oracle =============================================
+# == 7. Finite-difference oracle =============================================
 
 class TestFiniteDifferenceGradient:
     def test_quadratic_field_exact(self):
