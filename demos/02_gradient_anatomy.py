@@ -72,7 +72,7 @@ team = random_geometric_config(6, 2, seed=1)
 goal = RobotConfiguration(random_geometric_config(6, 2, seed=2).positions * 0.6)
 targets = target_from_formation(goal, params)
 
-velocities = control_law(team, targets, params).velocities
+velocities = control_law(team, targets, params)
 numeric = finite_difference_gradient(lambda c: cost(c, targets, params), team)
 worst = np.abs(velocities + numeric).max() / np.abs(numeric).max()
 print(f"  cost at the start: {cost(team, targets, params):.6f}")

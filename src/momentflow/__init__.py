@@ -10,7 +10,7 @@ one side and the flow never crosses into infeasibility.
 Modules: :mod:`momentflow.network` (adjacency and moments),
 :mod:`momentflow.gradient` (cost, barrier, analytic gradients),
 :mod:`momentflow.dynamics` (closed-loop integration),
-:mod:`momentflow.scenarios` (targets, presets, validation),
+:mod:`momentflow.scenarios` (targets, presets, validation, the file schema),
 :mod:`momentflow.cli` (command-line front end).
 """
 
@@ -26,7 +26,6 @@ from .dynamics import (
     step,
 )
 from .gradient import (
-    ControlField,
     ControllerParams,
     InfeasibleStateError,
     barrier,
@@ -53,14 +52,12 @@ from .network import (
 )
 from .scenarios import (
     Scenario,
-    ScenarioValidationError,
     TargetSpectrum,
     hexagon_formation,
     preset,
     random_geometric_config,
     scenario_violations,
     target_from_formation,
-    validate_scenario,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +78,6 @@ __all__ = [
     "walk_weight_sum",
     # gradient
     "ControllerParams",
-    "ControlField",
     "InfeasibleStateError",
     "default_epsilons",
     "trace_derivative",
@@ -104,11 +100,9 @@ __all__ = [
     # scenarios
     "TargetSpectrum",
     "Scenario",
-    "ScenarioValidationError",
     "random_geometric_config",
     "hexagon_formation",
     "target_from_formation",
     "preset",
     "scenario_violations",
-    "validate_scenario",
 ]

@@ -23,28 +23,19 @@ import logging
 import re
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Optional
 
 import numpy as np
 
-from .dynamics import (
-    DEFAULT_COST_TOLERANCE,
-    DEFAULT_DT,
-    DEFAULT_MAX_TIME,
-    DEFAULT_RECORD_EVERY,
-    SimulationSettings,
-    TrajectoryRecord,
-    UnrealizableTargetsError,
-    simulate,
-)
+from .dynamics import TrajectoryRecord, UnrealizableTargetsError, simulate
 from .gradient import (
     ControllerParams,
     barrier,
     barrier_gradient,
     control_law,
     cost,
-    default_epsilons,
     finite_difference_gradient,
     trace_derivative,
 )
@@ -60,11 +51,11 @@ from .network import (
 from .scenarios import (
     PRESET_NAMES,
     Scenario,
-    ScenarioValidationError,
     TargetSpectrum,
-    hexagon_formation,
+    positions_from_dict,
     preset,
-    scenario_violations,
+    scenario_from_dict,
+    scenario_to_dict,
     target_from_formation,
 )
 
@@ -95,317 +86,10 @@ EXIT_IO = 5
 # Finite positions fail to give an adjacency only when a weight underflows.
 _UNDERFLOW_HINT = " (exp(-c * dist) underflows to 0 for robots about 745/c apart)"
 
-_TOP_LEVEL_KEYS = {
-    "name", "n", "d", "seed", "positions", "c", "z", "s", "epsilons",
-    "dt", "max_time", "cost_tolerance", "record_every", "targets",
-    "reference_eigenvalues",
-}
-_TARGET_KEYS = {"moments", "formation"}
-_FORMATION_KEYS = {"type", "parameters"}
-_FORMATION_TYPES = {"hexagon", "positions"}
-
 _FLOAT_FMT = "%.17g"
 
 
 # == scenario dictionaries =================================================
-
-def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
-    """JSON-ready dictionary in the scenario file schema."""
-    out: dict[str, Any] = {
-        "name": scenario.name,
-        "n": scenario.n,
-        "d": scenario.d,
-        "c": scenario.params.decay,
-        "z": scenario.params.metric,
-        "s": scenario.params.order,
-        "epsilons": list(scenario.params.epsilons),
-        "dt": scenario.settings.dt,
-        "max_time": scenario.settings.max_time,
-        "cost_tolerance": scenario.settings.cost_tolerance,
-        "record_every": scenario.settings.record_every,
-        "targets": {"moments": [float(v) for v in scenario.targets.moments]},
-    }
-    if scenario.seed is not None:
-        out["seed"] = scenario.seed
-    if scenario.initial_positions is not None:
-        out["positions"] = [list(map(float, row)) for row in scenario.initial_positions]
-    if scenario.targets.reference_eigenvalues is not None:
-        out["reference_eigenvalues"] = [
-            float(v) for v in scenario.targets.reference_eigenvalues
-        ]
-    return out
-
-
-def _want_int(data: dict, key: str, problems: list[str]) -> Optional[int]:
-    value = data.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        problems.append(f"field {key!r} must be an integer, got {value!r}")
-        return None
-    return value
-
-
-def _want_real(data: dict, key: str, problems: list[str]) -> Optional[float]:
-    value = data.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(f"field {key!r} must be a number, got {value!r}")
-        return None
-    return float(value)
-
-
-def _want_real_list(value: Any, what: str, problems: list[str]) -> Optional[list[float]]:
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        problems.append(f"{what} must be a list of numbers")
-        return None
-    return [float(v) for v in value]
-
-
-def _resolve_targets(
-    data: dict,
-    n: Optional[int],
-    order_given: Optional[int],
-    problems: list[str],
-) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[int]]:
-    """Target moments, reference eigenvalues, and the resolved order.
-
-    Moments-style targets default the order to the table length and may be
-    truncated by an explicit smaller ``s``; formation-style targets are
-    computed at the resolved order (default n) from the named formation.
-    """
-    target_block = data.get("targets")
-    if not isinstance(target_block, dict):
-        problems.append("field 'targets' must be an object")
-        return None, None, order_given
-    unknown = set(target_block) - _TARGET_KEYS
-    if unknown:
-        problems.append(f"unknown keys in targets: {sorted(unknown)}")
-    has_moments = "moments" in target_block
-    has_formation = "formation" in target_block
-    if has_moments == has_formation:
-        problems.append("targets must contain exactly one of 'moments' and 'formation'")
-        return None, None, order_given
-
-    reference = None
-    if "reference_eigenvalues" in data:
-        reference_list = _want_real_list(
-            data["reference_eigenvalues"], "reference_eigenvalues", problems
-        )
-        if reference_list is not None:
-            reference = np.array(reference_list)
-
-    if has_moments:
-        moments = _want_real_list(target_block["moments"], "targets.moments", problems)
-        if moments is None:
-            return None, None, order_given
-        if len(moments) < 2:
-            problems.append("targets.moments needs at least 2 entries")
-            return None, None, order_given
-        order = order_given if order_given is not None else len(moments)
-        if order > len(moments):
-            problems.append(
-                f"s={order} exceeds the {len(moments)} provided target moments"
-            )
-            return None, None, order
-        return np.array(moments[:order]), reference, order
-
-    if reference is not None:
-        problems.append(
-            "reference_eigenvalues cannot accompany formation targets; "
-            "the formation's own spectrum is used"
-        )
-        return None, None, order_given
-    formation = target_block["formation"]
-    if not isinstance(formation, dict):
-        problems.append("targets.formation must be an object")
-        return None, None, order_given
-    unknown = set(formation) - _FORMATION_KEYS
-    if unknown:
-        problems.append(f"unknown keys in targets.formation: {sorted(unknown)}")
-    ftype = formation.get("type")
-    if ftype not in _FORMATION_TYPES:
-        problems.append(
-            f"formation type must be one of {sorted(_FORMATION_TYPES)}, got {ftype!r}"
-        )
-        return None, None, order_given
-    parameters = formation.get("parameters", {})
-    if not isinstance(parameters, dict):
-        problems.append("formation parameters must be an object")
-        return None, None, order_given
-    try:
-        if ftype == "hexagon":
-            unknown = set(parameters) - {"side_length"}
-            if unknown:
-                problems.append(f"unknown hexagon parameters: {sorted(unknown)}")
-                return None, None, order_given
-            side = parameters.get("side_length", 1.0)
-            if isinstance(side, bool) or not isinstance(side, (int, float)):
-                problems.append("hexagon side_length must be a number")
-                return None, None, order_given
-            config = hexagon_formation(float(side))
-        else:
-            unknown = set(parameters) - {"positions"}
-            if unknown:
-                problems.append(f"unknown positions parameters: {sorted(unknown)}")
-                return None, None, order_given
-            rows = parameters.get("positions")
-            if not isinstance(rows, list) or not rows:
-                problems.append("formation positions must be a nonempty list of rows")
-                return None, None, order_given
-            config = RobotConfiguration(np.array(rows, dtype=float))
-    except (ValueError, TypeError) as exc:
-        problems.append(f"invalid formation: {exc}")
-        return None, None, order_given
-    if n is not None and config.n != n:
-        problems.append(
-            f"formation has {config.n} robots but the scenario declares n={n}"
-        )
-        return None, None, order_given
-    order = order_given if order_given is not None else (n if n is not None else config.n)
-    if order > config.n:
-        problems.append(
-            f"s={order} exceeds the formation's {config.n} robots"
-        )
-        return None, None, order
-    decay = data.get("c", 1.0)
-    metric = data.get("z", 1)
-    if metric not in (1, 2) or isinstance(decay, bool) or not isinstance(decay, (int, float)) or decay <= 0:
-        # The main resolver reports these; bail out quietly here.
-        return None, None, order
-    params = ControllerParams(decay=float(decay), metric=metric, order=max(order, 2))
-    goal = target_from_formation(config, params, order)
-    return goal.moments, goal.reference_eigenvalues, order
-
-
-def scenario_from_dict(data: dict[str, Any]) -> tuple[Optional[Scenario], list[str]]:
-    """Build a validated Scenario from schema data.
-
-    Returns ``(scenario, [])`` on success or ``(None, violations)`` listing
-    every problem found: unknown fields, type mismatches, schema rule
-    violations, and the semantic checks of
-    :func:`momentflow.scenarios.scenario_violations`.
-    """
-    problems: list[str] = []
-    if not isinstance(data, dict):
-        return None, ["scenario data must be a JSON object"]
-    unknown = set(data) - _TOP_LEVEL_KEYS
-    if unknown:
-        problems.append(f"unknown fields: {sorted(unknown)}")
-
-    name = data.get("name")
-    if not isinstance(name, str) or not name:
-        problems.append("field 'name' must be a nonempty string")
-        name = "unnamed"
-    n = _want_int(data, "n", problems)
-    if "n" not in data:
-        problems.append("field 'n' is required")
-    d = _want_int(data, "d", problems)
-    if "d" not in data:
-        problems.append("field 'd' is required")
-    if "targets" not in data:
-        problems.append("field 'targets' is required")
-
-    has_seed = "seed" in data
-    has_positions = "positions" in data
-    if has_seed == has_positions:
-        problems.append("exactly one of 'seed' and 'positions' is required")
-    seed = _want_int(data, "seed", problems) if has_seed else None
-    if has_seed and seed is not None and seed < 0:
-        problems.append(f"seed must be nonnegative, got {seed}")
-    positions = None
-    if has_positions:
-        rows = data["positions"]
-        if not isinstance(rows, list) or not rows or not all(
-            isinstance(r, list) for r in rows
-        ):
-            problems.append("field 'positions' must be a list of coordinate rows")
-        else:
-            try:
-                positions = np.array(rows, dtype=float)
-            except (TypeError, ValueError):
-                problems.append("field 'positions' must contain numeric rows")
-            if positions is not None and positions.ndim != 2:
-                problems.append("field 'positions' must be rectangular")
-                positions = None
-
-    decay = _want_real(data, "c", problems)
-    decay = 1.0 if decay is None else decay
-    if decay <= 0:
-        problems.append(f"field 'c' must be positive, got {decay}")
-    metric = _want_int(data, "z", problems)
-    metric = 1 if metric is None else metric
-    if metric not in (1, 2):
-        problems.append(f"field 'z' must be 1 or 2, got {metric}")
-    order_given = _want_int(data, "s", problems)
-    if order_given is not None and order_given < 2:
-        problems.append(f"field 's' must be at least 2, got {order_given}")
-        order_given = None
-
-    dt = _want_real(data, "dt", problems)
-    max_time = _want_real(data, "max_time", problems)
-    cost_tolerance = _want_real(data, "cost_tolerance", problems)
-    record_every = _want_int(data, "record_every", problems)
-
-    target_moments, reference, order = (None, None, order_given)
-    if "targets" in data and not problems:
-        target_moments, reference, order = _resolve_targets(
-            data, n, order_given, problems
-        )
-
-    epsilons = None
-    if "epsilons" in data:
-        eps_list = _want_real_list(data["epsilons"], "epsilons", problems)
-        if eps_list is not None and order is not None:
-            if len(eps_list) < order:
-                problems.append(
-                    f"epsilons has {len(eps_list)} entries but s={order} requires that many"
-                )
-            else:
-                epsilons = tuple(eps_list[:order])
-
-    if problems:
-        return None, problems
-
-    try:
-        params = ControllerParams(
-            decay=decay,
-            metric=metric,
-            order=order,
-            epsilons=epsilons if epsilons is not None else default_epsilons(order),
-        )
-        settings = SimulationSettings(
-            dt=DEFAULT_DT if dt is None else dt,
-            max_time=DEFAULT_MAX_TIME if max_time is None else max_time,
-            cost_tolerance=(
-                DEFAULT_COST_TOLERANCE if cost_tolerance is None else cost_tolerance
-            ),
-            record_every=(
-                DEFAULT_RECORD_EVERY if record_every is None else record_every
-            ),
-        )
-        targets = TargetSpectrum(target_moments, reference)
-        scenario = Scenario(
-            name=name,
-            n=n,
-            d=d,
-            params=params,
-            targets=targets,
-            settings=settings,
-            seed=seed,
-            initial_positions=positions,
-        )
-    except ValueError as exc:
-        return None, [str(exc)]
-
-    problems = scenario_violations(scenario)
-    if problems:
-        return None, problems
-    return scenario, []
-
 
 def apply_override(data: dict[str, Any], assignment: str) -> None:
     """Apply one ``--set path=value`` assignment to schema data in place.
@@ -486,6 +170,7 @@ def build_report(
     return {
         "scenario": scenario.name,
         "termination_reason": record.termination_reason,
+        "termination_detail": record.termination_detail,
         "converged": record.termination_reason == "converged",
         "accepted_steps": record.accepted_steps,
         "rejected_steps": record.rejected_steps,
@@ -507,10 +192,12 @@ def build_report(
 
 
 def _print_report(report: dict[str, Any]) -> None:
+    detail = report["termination_detail"]
     print(
         f"scenario {report['scenario']}: {report['termination_reason']} "
         f"after {report['accepted_steps']} accepted steps "
         f"(t = {report['simulated_time']:.4g}, {report['rejected_steps']} rejected)"
+        + (f": {detail}" if detail else "")
     )
     print(f"  {'k':>2}  {'target':>12}  {'final':>12}  {'rel err':>9}")
     for idx, (goal, got, err) in enumerate(
@@ -565,29 +252,38 @@ def _run_one(scenario: Scenario, out_dir: Path) -> int:
     return _exit_for_reason(record.termination_reason)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    if (args.scenario is None) == (args.preset is None):
-        print("run needs a scenario file or --preset, not both", file=sys.stderr)
+def _load(command: str, path: Optional[str], preset_name: Optional[str]) -> Any:
+    """Schema data from a JSON file or a preset, or the exit status on failure."""
+    if (path is None) == (preset_name is None):
+        print(f"{command} needs a JSON file or --preset, not both", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.preset is not None:
-        try:
-            data = scenario_to_dict(preset(args.preset))
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_VALIDATION
-    else:
-        try:
-            with open(args.scenario) as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            print(f"cannot read scenario: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except json.JSONDecodeError as exc:
-            print(f"scenario is not valid JSON: {exc}", file=sys.stderr)
-            return EXIT_IO
+    if preset_name is not None:
+        return scenario_to_dict(preset(preset_name))
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        print(f"cannot read file: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        print(f"file is not valid JSON: {exc}", file=sys.stderr)
+        return EXIT_IO
     if not isinstance(data, dict):
-        print("scenario data must be a JSON object", file=sys.stderr)
+        print("file must contain a JSON object", file=sys.stderr)
         return EXIT_VALIDATION
+    return data
+
+
+def _print_problems(problems: list[str], what: str) -> int:
+    for problem in problems:
+        print(f"invalid {what}: {problem}", file=sys.stderr)
+    return EXIT_VALIDATION
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    data = _load("run", args.scenario, args.preset)
+    if isinstance(data, int):
+        return data
     for assignment in args.set or []:
         try:
             apply_override(data, assignment)
@@ -617,26 +313,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     scenario, problems = scenario_from_dict(data)
     if scenario is None:
-        for problem in problems:
-            print(f"invalid scenario: {problem}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _print_problems(problems, "scenario")
 
     out_dir = Path(args.output)
     if trials is None:
         return _run_one(scenario, out_dir)
 
-    base_seed = scenario.seed
     outcomes = []
     for index in range(trials):
-        trial_data = dict(data)
-        trial_data["seed"] = base_seed + index
-        trial_scenario, problems = scenario_from_dict(trial_data)
-        if trial_scenario is None:  # pragma: no cover - same data validated above
-            for problem in problems:
-                print(f"invalid scenario: {problem}", file=sys.stderr)
-            return EXIT_VALIDATION
-        print(f"trial {index} (seed {base_seed + index}):")
-        code = _run_one(trial_scenario, out_dir / f"trial_{index:03d}")
+        seed = scenario.seed + index
+        print(f"trial {index} (seed {seed}):")
+        code = _run_one(replace(scenario, seed=seed), out_dir / f"trial_{index:03d}")
         outcomes.append(code)
     converged = sum(1 for code in outcomes if code == EXIT_CONVERGED)
     print(f"{converged}/{trials} trials converged")
@@ -667,13 +354,6 @@ def _random_adjacency(rng: np.random.Generator, n: int) -> WeightedAdjacency:
     weights = np.triu(upper, k=1)
     weights = weights + weights.T
     return WeightedAdjacency(weights)
-
-
-def _random_targets(
-    rng: np.random.Generator, n: int, d: int, params: ControllerParams
-) -> TargetSpectrum:
-    reference = _tie_free_config(rng, n, d)
-    return target_from_formation(reference, params)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -731,8 +411,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         params = ControllerParams(metric=metric, order=order)
         for _ in range(trials):
             config = _tie_free_config(rng, n, d)
-            targets = _random_targets(rng, n, d, params)
-            analytic = control_law(config, targets, params).velocities
+            targets = target_from_formation(_tie_free_config(rng, n, d), params)
+            analytic = control_law(config, targets, params)
             if args.perturb:
                 analytic = analytic * (1.0 + args.perturb)
             fd = finite_difference_gradient(
@@ -787,36 +467,14 @@ def _print_spectrum(
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    if (args.path is None) == (args.preset is None):
-        print("spectrum needs a JSON file or --preset, not both", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.preset is not None:
-        try:
-            scenario = preset(args.preset)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_VALIDATION
-        data = scenario_to_dict(scenario)
-    else:
-        try:
-            with open(args.path) as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            print(f"cannot read file: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except json.JSONDecodeError as exc:
-            print(f"file is not valid JSON: {exc}", file=sys.stderr)
-            return EXIT_IO
-    if not isinstance(data, dict):
-        print("file must contain a JSON object", file=sys.stderr)
-        return EXIT_VALIDATION
+    data = _load("spectrum", args.path, args.preset)
+    if isinstance(data, int):
+        return data
 
     if "targets" in data:
         scenario, problems = scenario_from_dict(data)
         if scenario is None:
-            for problem in problems:
-                print(f"invalid scenario: {problem}", file=sys.stderr)
-            return EXIT_VALIDATION
+            return _print_problems(problems, "scenario")
         config = scenario.initial_configuration()
         params = scenario.params
         title = f"scenario {scenario.name}: initial configuration"
@@ -831,35 +489,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             print(f"reference eigenvalues: {ref}")
         return 0
 
-    unknown = set(data) - {"positions", "c", "z", "s"}
-    if unknown:
-        print(f"unknown fields: {sorted(unknown)}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if "positions" not in data:
-        print("file needs either 'targets' (scenario) or 'positions'", file=sys.stderr)
-        return EXIT_VALIDATION
-    problems: list[str] = []
-    decay = _want_real(data, "c", problems)
-    decay = 1.0 if decay is None else decay
-    metric = _want_int(data, "z", problems)
-    metric = 1 if metric is None else metric
-    order = _want_int(data, "s", problems)
-    try:
-        config = RobotConfiguration(np.array(data["positions"], dtype=float))
-    except (TypeError, ValueError) as exc:
-        problems.append(f"invalid positions: {exc}")
-        config = None
-    if config is not None and order is None:
-        order = config.n
-    if config is not None and not 1 <= order <= config.n:
-        problems.append(f"s must be in 1..{config.n}, got {order}")
-    if config is not None and (decay <= 0 or metric not in (1, 2)):
-        problems.append("c must be positive and z must be 1 or 2")
-    if problems:
-        for problem in problems:
-            print(f"invalid positions file: {problem}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return _print_spectrum(config, decay, metric, order)
+    found, problems = positions_from_dict(data)
+    if found is None:
+        return _print_problems(problems, "positions file")
+    return _print_spectrum(*found)
 
 
 # == entry point ===========================================================

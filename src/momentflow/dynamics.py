@@ -141,9 +141,10 @@ class TrajectoryRecord:
 
     ``termination_reason`` is one of "converged" (cost reached tolerance),
     "horizon" (simulated time hit max_time first), or "stalled" (no
-    acceptable step at the minimum step size).  ``samples`` always contains
-    the initial state and the final state; intermediate samples appear
-    every ``record_every`` accepted steps.
+    acceptable step at the minimum step size, or a drift of exactly zero).
+    ``termination_detail`` says why a run stalled and is empty otherwise.
+    ``samples`` always contains the initial state and the final state;
+    intermediate samples appear every ``record_every`` accepted steps.
     """
 
     samples: tuple[TrajectorySample, ...]
@@ -154,6 +155,7 @@ class TrajectoryRecord:
     accepted_steps: int
     rejected_steps: int
     simulated_time: float
+    termination_detail: str = ""
 
     def __post_init__(self) -> None:
         if self.termination_reason not in ("converged", "horizon", "stalled"):
@@ -301,7 +303,7 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     integration happens.  Runs until the cost reaches the tolerance
     ("converged"), simulated time reaches the horizon ("horizon"), or no
     acceptable step exists at the minimum step size or the drift is exactly
-    zero ("stalled"); a stall is reported in the record rather than raised.
+    zero ("stalled"); a stall is recorded, with its reason, rather than raised.
 
     Identical scenarios produce bitwise-identical records: every quantity
     is computed by fixed-order numpy expressions from the seeded start.
@@ -329,6 +331,7 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     streak = 0
     samples = [snapshot(t)]
     reason = None
+    detail = ""
     while True:
         if state.cost <= settings.cost_tolerance:
             reason = "converged"
@@ -338,8 +341,9 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
             break
         try:
             state, ok, dt_next = _advance(state, settings, dt)
-        except FlowStalled:
+        except FlowStalled as exc:
             reason = "stalled"
+            detail = str(exc)
             break
         if ok:
             t += dt
@@ -379,4 +383,5 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
         accepted_steps=accepted,
         rejected_steps=rejected,
         simulated_time=t,
+        termination_detail=detail,
     )

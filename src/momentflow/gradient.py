@@ -52,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import only for annotations
 
 __all__ = [
     "ControllerParams",
-    "ControlField",
     "InfeasibleStateError",
     "DEFAULT_DECAY",
     "DEFAULT_EPSILON",
@@ -100,16 +99,14 @@ class ControllerParams:
     metric       1 (taxicab) or 2 (Euclidean) inter-robot distance
     order        highest controlled moment s; moments 2..s are steered
     epsilons     s barrier constants, epsilons[k-1] guarding moment k;
-                 entry 0 must be 0 and the rest nonnegative
-    barrier_enabled   when False the barrier and its gradient are treated
-                 as identically zero regardless of epsilons
+                 entry 0 must be 0 and the rest nonnegative; all zero
+                 turns the barrier off
     """
 
     decay: float = DEFAULT_DECAY
     metric: int = 1
     order: int = 2
     epsilons: tuple[float, ...] = ()
-    barrier_enabled: bool = True
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.decay) or self.decay <= 0.0:
@@ -121,43 +118,13 @@ class ControllerParams:
         eps = tuple(float(e) for e in self.epsilons) or default_epsilons(self.order)
         if len(eps) != self.order:
             raise ValueError(
-                f"need {self.order} barrier constants, got {len(eps)}"
+                f"need {self.order} epsilons (barrier constants), got {len(eps)}"
             )
         if eps[0] != 0.0:
-            raise ValueError("the k=1 barrier constant must be zero")
+            raise ValueError("epsilons[0], the k=1 barrier constant, must be zero")
         if any(not np.isfinite(e) or e < 0.0 for e in eps):
-            raise ValueError("barrier constants must be finite and nonnegative")
+            raise ValueError("epsilons (barrier constants) must be finite and nonnegative")
         object.__setattr__(self, "epsilons", eps)
-
-    def effective_epsilons(self) -> tuple[float, ...]:
-        """Barrier constants actually applied (all zero when disabled)."""
-        if self.barrier_enabled:
-            return self.epsilons
-        return (0.0,) * self.order
-
-
-@dataclass(frozen=True, eq=False)
-class ControlField:
-    """Commanded velocity u_ir for every robot i and coordinate r."""
-
-    velocities: np.ndarray
-
-    def __post_init__(self) -> None:
-        vel = np.array(self.velocities, dtype=float)
-        if vel.ndim != 2:
-            raise ValueError(f"velocities must be an (n, d) array, got shape {vel.shape}")
-        if not np.all(np.isfinite(vel)):
-            raise ValueError("velocities must be finite")
-        vel.setflags(write=False)
-        object.__setattr__(self, "velocities", vel)
-
-    @property
-    def n(self) -> int:
-        return self.velocities.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.velocities.shape[1]
 
 
 def _metric_factors(config: RobotConfiguration, metric: int) -> list[np.ndarray]:
@@ -266,7 +233,7 @@ class _Evaluation:
 
     def _guarded(self) -> list[tuple[int, float, float]]:
         """(k, eps_k, margin_k) for every moment the barrier guards."""
-        eps = self.params.effective_epsilons()
+        eps = self.params.epsilons
         guarded = []
         for k, margin in enumerate(self.margins, start=2):
             if eps[k - 1] == 0.0:
@@ -333,8 +300,8 @@ def cost(config: RobotConfiguration, targets: "TargetSpectrum", params: Controll
 
 def control_law(
     config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams
-) -> ControlField:
-    """Negative cost gradient u = -grad f as a per-robot velocity field.
+) -> np.ndarray:
+    """Negative cost gradient u = -grad f: the (n, d) array of robot velocities.
 
     Expanding the chain rule and collecting the shared power chain gives
 
@@ -343,14 +310,14 @@ def control_law(
 
     evaluated with one chain A^0..A^s per call.
     """
-    return ControlField(_Evaluation(config, targets, params).cost_descent())
+    return _Evaluation(config, targets, params).cost_descent()
 
 
 def barrier(config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams) -> float:
     """Interior barrier sum_{k} (eps_k / 4k) * (m_k - m_k*)^(-2).
 
-    Only terms with eps_k > 0 participate; with the barrier disabled or all
-    constants zero the value is exactly 0.  Raises
+    Only terms with eps_k > 0 participate; with all constants zero the
+    value is exactly 0.  Raises
     :class:`InfeasibleStateError` if any guarded margin is not strictly
     positive, since the barrier is defined only inside the feasible region.
     """
@@ -368,7 +335,7 @@ def barrier_gradient(
 
     again over guarded terms only, with the power chain shared across k
     exactly as in :func:`control_law`.  Returns an (n, d) array of zeros
-    when the barrier is disabled or all constants vanish; raises
+    when all constants vanish; raises
     :class:`InfeasibleStateError` on a nonpositive guarded margin.
     """
     return _Evaluation(config, targets, params).barrier_gradient()

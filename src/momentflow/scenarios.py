@@ -8,21 +8,35 @@ two presets carry, or derived from a reference formation whose moments and
 spectrum are computed on the spot (such targets are realizable by
 construction).
 
-Validation is centralized here: type constructors check only structure, and
-``validate_scenario`` / ``scenario_violations`` enforce the semantic rules
-(m_1* = 0, even moments nonnegative, order bounds, realizability ceilings,
+Validation is centralized here: type constructors check structure and
+ranges, and ``scenario_violations`` enforces the semantic rules (m_1* = 0,
+even moments nonnegative, order bounds, realizability ceilings,
 eigenvalue/moment consistency of reference data).
+
+This module also owns the JSON file schema.  ``SCHEMA`` lists every key of
+a scenario file with its kind and default; ``scenario_from_dict`` builds a
+validated scenario from such a file through the constructors above and
+``scenario_to_dict`` writes one back.  ``positions_from_dict`` reads the
+``{positions, c?, z?, s?}`` files of ``momentflow spectrum``, whose keys
+mean what they mean in a scenario file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import reduce
+from typing import Any, Optional
 
 import numpy as np
 
-from .dynamics import SimulationSettings
-from .gradient import ControllerParams, default_epsilons
+from .dynamics import (
+    DEFAULT_COST_TOLERANCE,
+    DEFAULT_DT,
+    DEFAULT_MAX_TIME,
+    DEFAULT_RECORD_EVERY,
+    SimulationSettings,
+)
+from .gradient import DEFAULT_DECAY, ControllerParams
 from .network import (
     RobotConfiguration,
     complete_graph_moments,
@@ -35,14 +49,16 @@ from .network import (
 __all__ = [
     "TargetSpectrum",
     "Scenario",
-    "ScenarioValidationError",
     "random_geometric_config",
     "hexagon_formation",
     "target_from_formation",
     "preset",
     "PRESET_NAMES",
     "scenario_violations",
-    "validate_scenario",
+    "SCHEMA",
+    "scenario_from_dict",
+    "scenario_to_dict",
+    "positions_from_dict",
     "EIGEN_CONSISTENCY_TOL",
 ]
 
@@ -79,9 +95,9 @@ class TargetSpectrum:
         if self.reference_eigenvalues is not None:
             eigs = np.array(self.reference_eigenvalues, dtype=float)
             if eigs.ndim != 1 or eigs.size < 2:
-                raise ValueError("reference eigenvalues must be a 1-D array of at least 2 values")
+                raise ValueError("reference_eigenvalues must be a 1-D array of at least 2 values")
             if not np.all(np.isfinite(eigs)):
-                raise ValueError("reference eigenvalues must be finite")
+                raise ValueError("reference_eigenvalues must be finite")
             eigs.setflags(write=False)
             object.__setattr__(self, "reference_eigenvalues", eigs)
 
@@ -145,16 +161,6 @@ class Scenario:
         return random_geometric_config(self.n, self.d, self.seed)
 
 
-class ScenarioValidationError(ValueError):
-    """A scenario violates one or more semantic rules; see ``violations``."""
-
-    def __init__(self, violations: list[str]):
-        self.violations = list(violations)
-        super().__init__(
-            "invalid scenario: " + "; ".join(self.violations)
-        )
-
-
 def random_geometric_config(n: int, d: int, seed: int) -> RobotConfiguration:
     """n robots placed uniformly at random in the unit d-cube.
 
@@ -177,7 +183,7 @@ def hexagon_formation(side_length: float = 1.0, d: int = 2) -> RobotConfiguratio
     With d > 2 the extra coordinates are zero.
     """
     if not np.isfinite(side_length) or side_length <= 0.0:
-        raise ValueError(f"side length must be a positive real, got {side_length}")
+        raise ValueError(f"side_length must be a positive real, got {side_length}")
     if d < 2:
         raise ValueError(f"a hexagon needs d >= 2, got d={d}")
     angles = np.arange(6) * np.pi / 3.0
@@ -275,7 +281,6 @@ def preset(name: str, order: Optional[int] = None) -> Scenario:
             decay=1.0,
             metric=2,
             order=resolved,
-            epsilons=default_epsilons(resolved),
         ),
         targets=targets,
         settings=SimulationSettings(cost_tolerance=tolerance),
@@ -342,9 +347,255 @@ def scenario_violations(scenario: Scenario) -> list[str]:
     return out
 
 
-def validate_scenario(scenario: Scenario) -> Scenario:
-    """Return the scenario unchanged or raise :class:`ScenarioValidationError`."""
-    problems = scenario_violations(scenario)
+# == file schema =============================================================
+
+def _as(kind: type, value: Any) -> Any:
+    """``value`` as a field of ``kind``: int, float, str, dict, a list of
+    numbers (list) or coordinate rows (np.ndarray).
+
+    Raises TypeError, ValueError or OverflowError on a value of another
+    JSON kind; booleans are not numbers.
+    """
+    if kind is np.ndarray:
+        if not isinstance(value, list) or not value or not all(
+            isinstance(row, list) for row in value
+        ):
+            raise TypeError(value)
+        return np.array(value, dtype=float)
+    if kind is list:
+        if not isinstance(value, list):
+            raise TypeError(value)
+        return [_as(float, v) for v in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise TypeError(value)
+    return float(value) if kind is float else value
+
+
+# What each kind of field must hold, for the message when it does not.
+_WANTED = {
+    int: "an integer",
+    float: "a number",
+    list: "a list of numbers",
+    np.ndarray: "a nonempty list of numeric coordinate rows",
+    str: "a string",
+    dict: "an object",
+}
+
+_REQUIRED = object()
+
+# Every key of a scenario file: its kind (see _as), its default (_REQUIRED
+# when the key must be given; None when the key is optional or resolved from
+# the others), and the Scenario attribute it is written from.
+SCHEMA: dict[str, tuple[type, Any, str]] = {
+    "name": (str, _REQUIRED, "name"),
+    "n": (int, _REQUIRED, "n"),
+    "d": (int, _REQUIRED, "d"),
+    "seed": (int, None, "seed"),
+    "positions": (np.ndarray, None, "initial_positions"),
+    "c": (float, DEFAULT_DECAY, "params.decay"),
+    "z": (int, 1, "params.metric"),
+    "s": (int, None, "params.order"),
+    "epsilons": (list, None, "params.epsilons"),
+    "dt": (float, DEFAULT_DT, "settings.dt"),
+    "max_time": (float, DEFAULT_MAX_TIME, "settings.max_time"),
+    "cost_tolerance": (float, DEFAULT_COST_TOLERANCE, "settings.cost_tolerance"),
+    "record_every": (int, DEFAULT_RECORD_EVERY, "settings.record_every"),
+    "targets": (dict, _REQUIRED, "targets"),
+    "reference_eigenvalues": (list, None, "targets.reference_eigenvalues"),
+}
+
+# The targets block, a formation block, and per formation type its
+# constructor and the table of its parameters.
+_TARGETS = {"moments": (list, None), "formation": (dict, None)}
+_FORMATION = {"type": (str, _REQUIRED), "parameters": (dict, {})}
+_FORMATIONS = {
+    "hexagon": (hexagon_formation, {"side_length": (float, 1.0)}),
+    "positions": (RobotConfiguration, {"positions": (np.ndarray, _REQUIRED)}),
+}
+
+# Ranges checked here, by path, so that they are reported under the file's
+# keys together with every other problem of the file.  The bounds of s
+# differ between the two file forms and are checked where each is read.
+_RANGES = {
+    "c": (lambda c: 0.0 < c < np.inf, "must be positive and finite"),
+    "z": (lambda z: z in (1, 2), "must be 1 or 2"),
+    "targets.formation.type": (
+        lambda name: name in _FORMATIONS, f"must be one of {sorted(_FORMATIONS)}"
+    ),
+}
+
+
+def _read(data: dict, table: dict, problems: list[str], prefix: str = "") -> dict[str, Any]:
+    """The fields of ``table`` in ``data``, converted, with defaults filled in.
+
+    Unknown and missing required keys, values of the wrong kind and values
+    outside ``_RANGES`` are appended to ``problems``.  A JSON null in a
+    number field stands for its default.
+    """
+    unknown = set(data) - set(table)
+    if unknown:
+        problems.append(f"unknown fields: {sorted(prefix + key for key in unknown)}")
+    values = {}
+    for key, (kind, default, *_) in table.items():
+        path = prefix + key
+        value = data.get(key)
+        if value is None and (key not in data or kind in (int, float)):
+            if default is _REQUIRED:
+                problems.append(f"field {path!r} is required")
+            values[key] = default
+            continue
+        try:
+            values[key] = _as(kind, value)
+        except (TypeError, ValueError, OverflowError):
+            problems.append(f"field {path!r} must be {_WANTED[kind]}, got {value!r:.40}")
+            continue
+        rule = _RANGES.get(path)
+        if rule is not None and not rule[0](values[key]):
+            problems.append(f"field {path!r} {rule[1]}, got {values[key]!r:.40}")
+    return values
+
+
+def _resolve_targets(
+    fields: dict[str, Any], problems: list[str]
+) -> Optional[tuple[Any, Any, int]]:
+    """Target moments, reference eigenvalues and order, or None on a problem.
+
+    Moment targets set the order to their count unless ``s`` truncates
+    them.  Formation targets are the named formation's own moments and
+    spectrum, up to order ``s``, which defaults to n.
+    """
+    block = fields["targets"]
+    targets = _read(block, _TARGETS, problems, "targets.")
+    if ("moments" in block) == ("formation" in block):
+        problems.append("targets must contain exactly one of 'moments' and 'formation'")
     if problems:
-        raise ScenarioValidationError(problems)
-    return scenario
+        return None
+    order = fields["s"]
+    moments = targets["moments"]
+    if moments is not None:
+        order = len(moments) if order is None else order
+        if order > len(moments):
+            problems.append(f"s={order} exceeds the {len(moments)} provided target moments")
+            return None
+        return moments[:order], fields["reference_eigenvalues"], order
+
+    if fields["reference_eigenvalues"] is not None:
+        problems.append(
+            "reference_eigenvalues cannot accompany formation targets; "
+            "the formation's own spectrum is used"
+        )
+    formation = _read(targets["formation"], _FORMATION, problems, "targets.formation.")
+    if problems:
+        return None
+    make, table = _FORMATIONS[formation["type"]]
+    parameters = _read(
+        formation["parameters"], table, problems, "targets.formation.parameters."
+    )
+    if problems:
+        return None
+    try:
+        config = make(**parameters)
+        if config.n != fields["n"]:
+            raise ValueError(
+                f"formation has {config.n} robots but the scenario declares n={fields['n']}"
+            )
+        order = config.n if order is None else order
+        if order > config.n:
+            raise ValueError(f"s={order} exceeds the formation's {config.n} robots")
+        params = ControllerParams(decay=fields["c"], metric=fields["z"], order=order)
+        goal = target_from_formation(config, params)
+    except ValueError as exc:
+        problems.append(f"invalid formation: {exc}")
+        return None
+    return goal.moments, goal.reference_eigenvalues, order
+
+
+def scenario_from_dict(data: Any) -> tuple[Optional[Scenario], list[str]]:
+    """Build a validated Scenario from scenario file data.
+
+    Returns ``(scenario, [])`` on success or ``(None, problems)``.  The
+    problems are every schema problem (unknown, missing or mistyped keys,
+    the ranges of c, z and s, unresolvable targets) if there are any; else
+    the first one a constructor raises; else the semantic violations of
+    :func:`scenario_violations`.
+    """
+    if not isinstance(data, dict):
+        return None, ["scenario data must be a JSON object"]
+    problems: list[str] = []
+    fields = _read(data, SCHEMA, problems)
+    if ("seed" in data) == ("positions" in data):
+        problems.append("exactly one of 'seed' and 'positions' is required")
+    if fields.get("s") is not None and fields["s"] < 2:
+        problems.append(f"field 's' must be at least 2, got {fields['s']}")
+    resolved = None if problems else _resolve_targets(fields, problems)
+    if problems:
+        return None, problems
+    moments, reference, order = resolved
+    epsilons = fields["epsilons"]
+    if epsilons is not None and len(epsilons) < order:
+        return None, [f"epsilons has {len(epsilons)} entries but s={order} requires that many"]
+
+    try:
+        scenario = Scenario(
+            name=fields["name"],
+            n=fields["n"],
+            d=fields["d"],
+            targets=TargetSpectrum(moments, reference),
+            params=ControllerParams(
+                decay=fields["c"],
+                metric=fields["z"],
+                order=order,
+                epsilons=() if epsilons is None else tuple(epsilons[:order]),
+            ),
+            settings=SimulationSettings(
+                dt=fields["dt"],
+                max_time=fields["max_time"],
+                cost_tolerance=fields["cost_tolerance"],
+                record_every=fields["record_every"],
+            ),
+            seed=fields["seed"],
+            initial_positions=fields["positions"],
+        )
+    except ValueError as exc:
+        return None, [str(exc)]
+    problems = scenario_violations(scenario)
+    return (None, problems) if problems else (scenario, [])
+
+
+def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
+    """JSON-ready dictionary in the scenario file schema, targets as moments."""
+    out: dict[str, Any] = {}
+    for key, (_, _, attribute) in SCHEMA.items():
+        value = reduce(getattr, attribute.split("."), scenario)
+        if isinstance(value, TargetSpectrum):
+            value = {"moments": value.moments.tolist()}
+        elif isinstance(value, (tuple, np.ndarray)):
+            value = np.asarray(value, dtype=float).tolist()
+        if value is not None:
+            out[key] = value
+    return out
+
+
+def positions_from_dict(
+    data: dict[str, Any],
+) -> tuple[Optional[tuple[RobotConfiguration, float, int, int]], list[str]]:
+    """Configuration, c, z and s of a positions file ``{positions, c?, z?, s?}``.
+
+    Returns ``((configuration, c, z, s), [])`` or ``(None, problems)``.  The
+    keys mean what they mean in a scenario file, except that ``s`` defaults
+    to the robot count and may be 1.
+    """
+    problems: list[str] = []
+    fields = _read(data, {key: SCHEMA[key] for key in ("positions", "c", "z", "s")}, problems)
+    if "positions" not in data:
+        problems.append("field 'positions' is required")
+    if problems:
+        return None, problems
+    try:
+        config = RobotConfiguration(fields["positions"])
+    except ValueError as exc:
+        return None, [str(exc)]
+    order = config.n if fields["s"] is None else fields["s"]
+    if not 1 <= order <= config.n:
+        return None, [f"field 's' must be in 1..{config.n}, got {order}"]
+    return (config, fields["c"], fields["z"], order), []

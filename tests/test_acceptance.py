@@ -26,6 +26,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from momentflow.cli import _random_adjacency, _tie_free_config
 from momentflow.dynamics import SimulationSettings, simulate
 from momentflow.gradient import (
     ControllerParams,
@@ -36,7 +37,6 @@ from momentflow.gradient import (
 )
 from momentflow.network import (
     RobotConfiguration,
-    WeightedAdjacency,
     build_adjacency,
     power_chain,
     spectral_moments,
@@ -83,21 +83,6 @@ def _above_targets(record, scenario, slack=0.0):
 def _top_eigenvalue_error(record, scenario):
     reference = scenario.targets.reference_eigenvalues[0]
     return abs(record.final_eigenvalues[0] - reference) / reference
-
-
-def _tie_free_config(rng, n, d):
-    """Coordinates gapped by at least 0.4/n per axis, away from ties."""
-    positions = np.empty((n, d))
-    for axis in range(d):
-        slots = (rng.permutation(n) + 0.5) / n
-        positions[:, axis] = slots + rng.uniform(-0.3 / n, 0.3 / n, size=n)
-    return RobotConfiguration(positions)
-
-
-def _random_adjacency(rng, n):
-    upper = rng.uniform(0.05, 1.0, size=(n, n))
-    weights = np.triu(upper, k=1)
-    return WeightedAdjacency(weights + weights.T)
 
 
 # -- Shared runs -------------------------------------------------------------
@@ -261,7 +246,7 @@ def test_criterion_5_gradient_oracles(capsys):
             params = ControllerParams(decay=1.0, metric=metric, order=order)
             config = _tie_free_config(rng, n, 2)
             targets = target_from_formation(_tie_free_config(rng, n, 2), params)
-            analytic = control_law(config, targets, params).velocities
+            analytic = control_law(config, targets, params)
             fd = finite_difference_gradient(
                 lambda c: cost(c, targets, params), config
             )

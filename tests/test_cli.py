@@ -9,6 +9,9 @@ Core claims:
     - run, verify, and spectrum return the documented exit statuses
       (0 converged, 1 horizon, 2 validation, 3 unrealizable, 4 stalled, 5 I/O)
     - verify's fault injection flag makes the control-law check fail
+    - a malformed value of any schema field makes run and spectrum exit 2
+      with one-line reasons that name the field
+    - a stalled run says why it stalled, in its report and summary line
 """
 
 import csv
@@ -319,6 +322,7 @@ class TestBuildReport:
             report["final_moments"][1] - report["target_moments"][1]
         ) / abs(report["target_moments"][1])
         assert report["relative_errors"][1] == approx(expected)
+        assert report["termination_detail"] == ""
         json.dumps(report)  # JSON-ready throughout
 
 
@@ -449,6 +453,36 @@ class TestRunCommand:
         assert code == EXIT_STALLED
         assert "stalled after 0 accepted steps" in capsys.readouterr().out
 
+    def test_zero_drift_stall_says_why(self, tmp_path, capsys):
+        path = tmp_path / "coincident.json"
+        path.write_text(json.dumps({
+            "name": "coincident", "n": 5, "d": 2, "s": 2, "max_time": 10,
+            "positions": [[0.5, 0.5]] * 5,
+            "targets": {"moments": [0.0, 1.0]},
+        }))
+        assert main(["run", str(path), "-o", str(tmp_path)]) == EXIT_STALLED
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert "stalled after 0 accepted steps" in summary
+        assert "drift is exactly zero" in summary
+        report = json.loads((tmp_path / "coincident_report.json").read_text())
+        assert "drift is exactly zero" in report["termination_detail"]
+
+    def test_step_floor_stall_says_why(self, tmp_path, capsys, monkeypatch):
+        # No candidate can be built, so every trial step is rejected and the
+        # step size halves down to its floor.
+        def unbuildable(positions):
+            raise ValueError("off-diagonal weights must lie in (0, 1]")
+
+        monkeypatch.setattr("momentflow.dynamics.RobotConfiguration", unbuildable)
+        path = tmp_path / "quick.json"
+        path.write_text(json.dumps(_fast_scenario_data()))
+        assert main(["run", str(path), "-o", str(tmp_path)]) == EXIT_STALLED
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert "minimum step size" in summary
+        report = json.loads((tmp_path / "quick_report.json").read_text())
+        assert report["accepted_steps"] == 0
+        assert "minimum step size" in report["termination_detail"]
+
     def test_stalled_exit(self, tmp_path, capsys, monkeypatch, quick_record):
         stalled = replace(quick_record, termination_reason="stalled")
         monkeypatch.setattr("momentflow.cli.simulate", lambda scenario: stalled)
@@ -535,3 +569,117 @@ class TestSpectrumCommand:
         assert captured.out == ""
         assert "underflows" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+
+
+# == 7. Malformed fields =====================================================
+
+# Phrases that would mean a Python or numpy error leaked through unexplained.
+_INTERNALS = (
+    "Traceback", "<lambda>", "unexpected keyword", "array element", "could not convert",
+    "float() argument", "NoneType", "not supported between", "numpy",
+)
+_SCENARIO = {
+    "name": "quick", "n": 5, "d": 2, "seed": 0, "z": 2, "s": 2,
+    "targets": {"moments": [0.0, 0.5]},
+}
+_UNSEEDED = {key: value for key, value in _SCENARIO.items() if key != "seed"}
+_POSITIONS_FILE = {"positions": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "c": 1.0, "z": 2}
+_HEXAGON = {"formation": {"type": "hexagon", "parameters": {"side_length": 1.0}}}
+_RAGGED = [[0.0, 0.0], [1.0]] + [[0.5, 0.5]] * 3
+
+
+def _malformed(base, path, value):
+    data = json.loads(json.dumps(base))
+    *parents, key = path.split(".")
+    node = data
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    return data
+
+
+def _hexagon(path, value):
+    data = dict(_SCENARIO, n=7, targets=_HEXAGON)
+    return _malformed(data, path, value)
+
+
+# (file data, a phrase every reason list must contain)
+_MALFORMED = {
+    "name type": (_malformed(_SCENARIO, "name", 5), "'name'"),
+    "name empty": (_malformed(_SCENARIO, "name", ""), "name"),
+    "n type": (_malformed(_SCENARIO, "n", "five"), "'n'"),
+    "n null": (_malformed(_SCENARIO, "n", None), "'n'"),
+    "n range": (_malformed(_SCENARIO, "n", 1), "n=1"),
+    "d type": (_malformed(_SCENARIO, "d", 2.5), "'d'"),
+    "d range": (_malformed(_SCENARIO, "d", 0), "d=0"),
+    "seed type": (_malformed(_SCENARIO, "seed", "3"), "'seed'"),
+    "seed range": (_malformed(_SCENARIO, "seed", -1), "seed"),
+    "c type": (_malformed(_SCENARIO, "c", "one"), "'c'"),
+    "c range": (_malformed(_SCENARIO, "c", -1.0), "'c'"),
+    "z type": (_malformed(_SCENARIO, "z", 2.0), "'z'"),
+    "z range": (_malformed(_SCENARIO, "z", 3), "'z'"),
+    "s type": (_malformed(_SCENARIO, "s", True), "'s'"),
+    "s range": (_malformed(_SCENARIO, "s", 1), "'s'"),
+    "s above moments": (_malformed(_SCENARIO, "s", 3), "s=3"),
+    "epsilons type": (_malformed(_SCENARIO, "epsilons", "small"), "'epsilons'"),
+    "epsilons short": (_malformed(_SCENARIO, "epsilons", [0.0]), "epsilons"),
+    "epsilons leading": (_malformed(_SCENARIO, "epsilons", [0.5, 0.0]), "epsilons"),
+    "epsilons negative": (_malformed(_SCENARIO, "epsilons", [0.0, -1.0]), "epsilons"),
+    "dt type": (_malformed(_SCENARIO, "dt", "fast"), "'dt'"),
+    "dt range": (_malformed(_SCENARIO, "dt", 0.0), "dt"),
+    "max_time type": (_malformed(_SCENARIO, "max_time", [1]), "'max_time'"),
+    "max_time range": (_malformed(_SCENARIO, "max_time", -1.0), "max_time"),
+    "cost_tolerance type": (_malformed(_SCENARIO, "cost_tolerance", True), "'cost_tolerance'"),
+    "cost_tolerance range": (_malformed(_SCENARIO, "cost_tolerance", 0.0), "cost_tolerance"),
+    "record_every type": (_malformed(_SCENARIO, "record_every", 1.5), "'record_every'"),
+    "record_every range": (_malformed(_SCENARIO, "record_every", 0), "record_every"),
+    "targets type": (_malformed(_SCENARIO, "targets", "x"), "'targets'"),
+    "targets.moments type": (_malformed(_SCENARIO, "targets.moments", [0.0, "x"]),
+                             "'targets.moments'"),
+    "targets.moments m_1": (_malformed(_SCENARIO, "targets.moments", [0.1, 0.5]), "m_1*"),
+    "targets.moments short": (_malformed(_SCENARIO, "targets.moments", [0.0]), "moments"),
+    "reference_eigenvalues type": (_malformed(_SCENARIO, "reference_eigenvalues", "x"),
+                                   "'reference_eigenvalues'"),
+    "reference_eigenvalues short": (_malformed(_SCENARIO, "reference_eigenvalues", [1.0]),
+                                    "reference_eigenvalues"),
+    "positions type": (_malformed(_UNSEEDED, "positions", "x"), "'positions'"),
+    "positions ragged": (_malformed(_UNSEEDED, "positions", _RAGGED), "'positions'"),
+    "positions shape": (_malformed(_UNSEEDED, "positions", [[0.0]] * 5), "positions"),
+    "unknown field": (_malformed(_SCENARIO, "mystery", 1), "mystery"),
+    "formation type": (_hexagon("targets.formation.type", "square"),
+                       "'targets.formation.type'"),
+    "formation parameter type": (_hexagon("targets.formation.parameters.side_length", "x"),
+                                 "'targets.formation.parameters.side_length'"),
+    "formation parameter range": (_hexagon("targets.formation.parameters.side_length", -1.0),
+                                  "side_length"),
+    "formation parameter unknown": (_hexagon("targets.formation.parameters.radius", 1.0),
+                                    "radius"),
+    "formation positions ragged": (_malformed(
+        _SCENARIO, "targets", {"formation": {"type": "positions",
+                                             "parameters": {"positions": _RAGGED}}}),
+        "'targets.formation.parameters.positions'"),
+    "positions file positions": (_malformed(_POSITIONS_FILE, "positions", _RAGGED),
+                                 "'positions'"),
+    "positions file c": (_malformed(_POSITIONS_FILE, "c", 0.0), "'c'"),
+    "positions file z": (_malformed(_POSITIONS_FILE, "z", "two"), "'z'"),
+    "positions file s": (_malformed(_POSITIONS_FILE, "s", 0), "'s'"),
+    "positions file unknown": (_malformed(_POSITIONS_FILE, "bogus", 1), "bogus"),
+}
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("command", ["run", "spectrum"])
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_exit_2_with_field_named_reasons(self, case, command, tmp_path, capsys):
+        data, needle = _MALFORMED[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = main([command, str(path), "-o", str(tmp_path)] if command == "run"
+                    else [command, str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        reasons = captured.err.splitlines()
+        assert reasons and all(line.startswith("invalid ") for line in reasons)
+        assert needle in captured.err
+        assert not [phrase for phrase in _INTERNALS if phrase in captured.err]

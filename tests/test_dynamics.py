@@ -251,6 +251,7 @@ class TestSimulate:
     def test_converges_on_reachable_targets(self):
         record = simulate(_reachable_scenario(seed=1))
         assert record.termination_reason == "converged"
+        assert record.termination_detail == ""
         assert record.samples[0].t == 0.0
         assert record.samples[-1].cost <= 1e-4
         assert record.accepted_steps > 0
@@ -319,6 +320,7 @@ class TestSimulate:
         )
         record = simulate(scenario)
         assert record.termination_reason == "stalled"
+        assert "minimum step size" in record.termination_detail
         assert record.rejected_steps == 0
         assert record.accepted_steps == 0
 
@@ -370,6 +372,7 @@ class TestSimulate:
         )
         record = simulate(scenario)
         assert record.termination_reason == "stalled"
+        assert "drift is exactly zero" in record.termination_detail
         assert record.accepted_steps == 0
         assert record.rejected_steps == 0
         assert record.simulated_time == 0.0

@@ -9,8 +9,8 @@ Core claims:
     - cost is the hand formula, zero exactly at the target, and control_law
       equals its negative gradient (checked against finite differences and
       against an independent assembly from per-moment gradients)
-    - barrier matches the hand formula, is exactly zero when disabled, and
-      refuses nonpositive margins; barrier_gradient matches finite
+    - barrier matches the hand formula, is exactly zero when every constant
+      is, and refuses nonpositive margins; barrier_gradient matches finite
       differences and the per-moment assembly
     - finite_difference_gradient is second-order accurate on a known field
 """
@@ -21,7 +21,6 @@ from pytest import approx
 
 from momentflow.gradient import (
     DEFAULT_EPSILON,
-    ControlField,
     ControllerParams,
     InfeasibleStateError,
     barrier,
@@ -87,7 +86,7 @@ class TestControllerParams:
         assert params.metric == 1
         assert params.order == 2
         assert params.epsilons == (0.0, DEFAULT_EPSILON)
-        assert params.barrier_enabled
+        assert any(params.epsilons)  # the barrier is on by default
 
     def test_default_epsilons_shape(self):
         eps = default_epsilons(5)
@@ -101,10 +100,10 @@ class TestControllerParams:
         params = _params(order=3, epsilons=(0.0, 1e-6, 2e-6))
         assert params.epsilons == (0.0, 1e-6, 2e-6)
 
-    def test_effective_epsilons_respect_disable(self):
-        params = _params(order=3, barrier_enabled=False)
-        assert params.effective_epsilons() == (0.0, 0.0, 0.0)
-        assert params.epsilons[1] == DEFAULT_EPSILON
+    def test_zero_epsilons_kept(self):
+        params = _params(order=3, epsilons=(0.0, 0.0, 0.0))
+        assert params.epsilons == (0.0, 0.0, 0.0)
+        assert _params(order=3).epsilons[1] == DEFAULT_EPSILON
 
     def test_rejects_bad_decay(self):
         for decay in (0.0, -1.0, np.nan):
@@ -130,22 +129,7 @@ class TestControllerParams:
             _params(order=3, epsilons=(0.0, np.inf, 1e-6))
 
 
-# == 2. ControlField =========================================================
-
-class TestControlField:
-    def test_shape_properties(self):
-        field = ControlField(np.zeros((4, 2)))
-        assert field.n == 4
-        assert field.d == 2
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            ControlField(np.zeros(4))
-        with pytest.raises(ValueError):
-            ControlField(np.array([[np.nan, 0.0]]))
-
-
-# == 3. Trace derivative =====================================================
+# == 2. Trace derivative =====================================================
 
 class TestTraceDerivative:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -178,7 +162,7 @@ class TestTraceDerivative:
             trace_derivative(adjacency, 2, 1, 1)
 
 
-# == 4. Moment gradients =====================================================
+# == 3. Moment gradients =====================================================
 
 class TestMomentGradient:
     @pytest.mark.parametrize("metric", [1, 2])
@@ -214,7 +198,7 @@ class TestMomentGradient:
             moment_gradient(config, _params(order=4), 2)
 
 
-# == 5. Cost and control law =================================================
+# == 4. Cost and control law =================================================
 
 class TestCost:
     def test_hand_formula_two_robots(self):
@@ -251,11 +235,11 @@ class TestControlLaw:
         config = _tie_free_config(6, 2, seed)
         params = _params(metric=metric, order=4)
         targets = _targets_below(config, params)
-        field = control_law(config, targets, params)
+        velocities = control_law(config, targets, params)
         numeric = finite_difference_gradient(
             lambda c: cost(c, targets, params), config
         )
-        assert _norm_close(field.velocities, -numeric, 1e-5)
+        assert _norm_close(velocities, -numeric, 1e-5)
 
     def test_matches_per_moment_assembly(self):
         config = _tie_free_config(6, 2, 5)
@@ -267,18 +251,18 @@ class TestControlLaw:
         for k in range(2, params.order + 1):
             resid = moments.moment(k) - targets.moments[k - 1]
             assembled += (resid / (2.0 * k)) * moment_gradient(config, params, k)
-        field = control_law(config, targets, params)
-        assert np.allclose(field.velocities, -assembled, rtol=1e-12, atol=1e-13)
+        velocities = control_law(config, targets, params)
+        assert np.allclose(velocities, -assembled, rtol=1e-12, atol=1e-13)
 
     def test_zero_at_exact_target(self):
         config = _tie_free_config(5, 2, 13)
         params = _params(order=3)
         targets = _targets_below(config, params, fraction=1.0)
-        field = control_law(config, targets, params)
-        assert np.allclose(field.velocities, 0.0, atol=1e-15)
+        velocities = control_law(config, targets, params)
+        assert np.allclose(velocities, 0.0, atol=1e-15)
 
 
-# == 6. Barrier and its gradient =============================================
+# == 5. Barrier and its gradient =============================================
 
 class TestBarrier:
     def test_hand_formula(self):
@@ -296,9 +280,9 @@ class TestBarrier:
 
     def test_zero_when_disabled(self):
         config = _tie_free_config(5, 2, 17)
-        params = _params(order=3, barrier_enabled=False)
-        # Targets above the current moments: infeasible, but the disabled
-        # barrier never inspects margins.
+        params = _params(order=3, epsilons=(0.0, 0.0, 0.0))
+        # Targets above the current moments: infeasible, but a barrier with
+        # every constant zero never inspects margins.
         targets = TargetSpectrum([0.0, 100.0, 100.0])
         assert barrier(config, targets, params) == 0.0
         assert np.all(barrier_gradient(config, targets, params) == 0.0)
@@ -374,7 +358,7 @@ class TestBarrierGradient:
         assert after < before
 
 
-# == 7. Finite-difference oracle =============================================
+# == 6. Finite-difference oracle =============================================
 
 class TestFiniteDifferenceGradient:
     def test_quadratic_field_exact(self):

@@ -10,12 +10,17 @@ Core claims:
       spectrum, hence realizable targets
     - preset returns the two bundled scenarios, validated clean, with their
       reference target tables and tuned integrator settings
-    - scenario_violations flags each semantic rule violation separately and
-      validate_scenario raises with the full list
+    - scenario_violations flags each semantic rule violation separately
+    - a scenario file read by scenario_from_dict and written back by
+      scenario_to_dict is a fixed point of the pair, also through JSON text
 """
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from momentflow.dynamics import SimulationSettings
@@ -30,14 +35,14 @@ from momentflow.network import (
 from momentflow.scenarios import (
     PRESET_NAMES,
     Scenario,
-    ScenarioValidationError,
     TargetSpectrum,
     hexagon_formation,
     preset,
     random_geometric_config,
+    scenario_from_dict,
+    scenario_to_dict,
     scenario_violations,
     target_from_formation,
-    validate_scenario,
 )
 
 
@@ -336,10 +341,93 @@ class TestScenarioViolations:
         )
         assert any("reproduce" in v for v in scenario_violations(scenario))
 
-    def test_validate_scenario_passthrough_and_raise(self):
-        scenario = _valid_scenario()
-        assert validate_scenario(scenario) is scenario
-        bad = _valid_scenario(targets=TargetSpectrum([0.1, -0.5, 0.9]))
-        with pytest.raises(ScenarioValidationError) as excinfo:
-            validate_scenario(bad)
-        assert len(excinfo.value.violations) >= 2
+
+# == 8. Scenario file schema =================================================
+
+_UNIT = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _scenario_files(draw):
+    """Valid scenario file data over every schema field.
+
+    Targets are a formation's own moments, either written out (optionally
+    with its spectrum as reference eigenvalues) or named as a positions
+    formation.  The formation's robots sit two units apart along the first
+    axis, plus jitter below one, so its targets stay strictly below their
+    ceilings.
+    """
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 3))
+    # Without s the order is the number of moments, n here.
+    order = draw(st.sampled_from([None, *range(2, n + 1)]))
+    decay = draw(st.floats(0.2, 3.0))
+    metric = draw(st.sampled_from([1, 2]))
+    rows = lambda: draw(st.lists(st.lists(_UNIT, min_size=d, max_size=d),
+                                 min_size=n, max_size=n))
+    formation = np.array(rows()) + np.outer(2.0 * np.arange(n), np.eye(d)[0])
+    data = {
+        "name": draw(st.text(min_size=1, max_size=8)), "n": n, "d": d,
+        "c": decay, "z": metric,
+        "epsilons": [0.0] + draw(st.lists(st.floats(0.0, 1e-3), min_size=(order or n) - 1,
+                                          max_size=n)),
+        "dt": draw(st.floats(1e-3, 0.5)), "max_time": draw(st.floats(1.0, 1e4)),
+        "cost_tolerance": draw(st.floats(1e-8, 1e-2)),
+        "record_every": draw(st.integers(1, 50)),
+    }
+    if order is not None:
+        data["s"] = order
+    if draw(st.booleans()):
+        data["seed"] = draw(st.integers(0, 2**40))
+    else:
+        data["positions"] = rows()
+    params = ControllerParams(decay=decay, metric=metric, order=n)
+    goal = target_from_formation(RobotConfiguration(formation), params)
+    style = draw(st.sampled_from(["moments", "moments+reference", "formation"]))
+    if style == "formation":
+        data["targets"] = {"formation": {"type": "positions",
+                                         "parameters": {"positions": formation.tolist()}}}
+    else:
+        data["targets"] = {"moments": goal.moments.tolist()}
+    if style == "moments+reference":
+        data["reference_eigenvalues"] = goal.reference_eigenvalues.tolist()
+    return data
+
+
+class TestScenarioFileSchema:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(_scenario_files())
+    def test_round_trip_is_a_fixed_point(self, data):
+        scenario, problems = scenario_from_dict(data)
+        assert problems == []
+        written = scenario_to_dict(scenario)
+        again, problems = scenario_from_dict(json.loads(json.dumps(written)))
+        assert problems == []
+        assert scenario_to_dict(again) == written
+        # Every given field is written back as given; epsilons and moment
+        # targets are truncated to the order, and formation targets are
+        # written as the formation's moments and spectrum.
+        order = written["s"]
+        given = dict(data, epsilons=data["epsilons"][:order], s=order)
+        targets = given.pop("targets")
+        assert {key: written[key] for key in given} == given
+        if "moments" in targets:
+            assert written["targets"]["moments"] == targets["moments"][:order]
+            assert set(written) - set(given) == {"targets"}
+        else:
+            assert set(written) - set(given) == {"targets", "reference_eigenvalues"}
+
+    def test_null_number_takes_its_default(self):
+        data = {"name": "nulls", "n": 3, "d": 2, "seed": 0, "c": None, "z": None,
+                "s": None, "dt": None, "record_every": None,
+                "targets": {"moments": [0.0, 0.1, 0.01]}}
+        scenario, problems = scenario_from_dict(data)
+        assert problems == []
+        assert (scenario.params.decay, scenario.params.metric) == (1.0, 1)
+        assert scenario.params.order == 3
+        assert scenario.settings.dt == SimulationSettings().dt
+        # A null where no number belongs is malformed, not a default.
+        for key in ("epsilons", "targets", "name"):
+            scenario, problems = scenario_from_dict(dict(data, **{key: None}))
+            assert scenario is None
+            assert any(f"'{key}'" in p for p in problems)
