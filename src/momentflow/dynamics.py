@@ -10,7 +10,9 @@ inside the feasible region
 
 and f + b never increases.  A trial step that violates either property is
 rejected and the step size halved; five consecutive acceptances double it
-back up to its initial value.  If the step size bottoms out at its floor
+back up to its initial value.  A trial step never runs past the horizon,
+and the run ends there once less than the step-size floor
+``DEFAULT_MIN_STEP`` remains.  If the step size bottoms out at that floor
 and the trial step is still rejected, the flow has stalled; so has a state
 whose drift is exactly zero (all robots coincident, say), which no step
 moves.  Each state is evaluated once, and an accepted candidate's
@@ -74,9 +76,11 @@ DEFAULT_MAX_TIME = 1e4
 DEFAULT_RECORD_EVERY = 10
 
 # Accept/reject bookkeeping: how many consecutive acceptances earn a step
-# doubling, and the contraction factor used by ensure_feasible.
+# doubling; the contraction factor and the slack used by ensure_feasible.
 _ACCEPTS_PER_DOUBLING = 5
 _COMPRESSION_FACTOR = 0.9
+_SLACK_FRACTION = 0.1
+_SLACK_FLOOR = 1e-3
 _MAX_COMPRESSIONS = 5000
 
 
@@ -92,27 +96,24 @@ class FlowStalled(RuntimeError):
 class SimulationSettings:
     """Integrator knobs for the closed-loop flow.
 
-    dt              initial (and maximum) step size
+    dt              initial (and maximum) step size, at least the step-size
+                    floor DEFAULT_MIN_STEP
     max_time        simulated-time horizon
     cost_tolerance  stop once the cost falls to or below this value
-    min_step        floor for the adaptive step size
     record_every    sample the trajectory every this many accepted steps
     """
 
     dt: float = DEFAULT_DT
     max_time: float = DEFAULT_MAX_TIME
     cost_tolerance: float = DEFAULT_COST_TOLERANCE
-    min_step: float = DEFAULT_MIN_STEP
     record_every: int = DEFAULT_RECORD_EVERY
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.dt) or self.dt <= 0.0:
             raise ValueError(f"dt must be a positive real, got {self.dt}")
-        if not np.isfinite(self.min_step) or self.min_step <= 0.0:
-            raise ValueError(f"min_step must be a positive real, got {self.min_step}")
-        if self.min_step > self.dt:
+        if self.dt < DEFAULT_MIN_STEP:
             raise ValueError(
-                f"min_step {self.min_step} must not exceed dt {self.dt}"
+                f"dt {self.dt} must not be below the minimum step size {DEFAULT_MIN_STEP:g}"
             )
         if not np.isfinite(self.max_time) or self.max_time <= 0.0:
             raise ValueError(f"max_time must be a positive real, got {self.max_time}")
@@ -184,27 +185,24 @@ def ensure_feasible(
     config: RobotConfiguration,
     targets: "TargetSpectrum",
     params: ControllerParams,
-    slack_fraction: float = 0.1,
-    slack_floor: float = 1e-3,
 ) -> RobotConfiguration:
     """Return a feasible configuration, compressing toward the centroid if needed.
 
-    First verifies realizability: every target must sit strictly below the
-    coincident-configuration moment for its order, else
-    :class:`UnrealizableTargetsError`.  A configuration whose margins all
-    clear a per-moment slack is returned unchanged; otherwise positions are
+    First verifies realizability, before it evaluates ``config``: every
+    target must sit strictly below the coincident-configuration moment for
+    its order, else :class:`UnrealizableTargetsError`.  This is the one
+    place that checks that rule.  A configuration whose margins all clear a
+    per-moment slack is returned unchanged; otherwise positions are
     repeatedly pulled toward their centroid by a fixed factor, which
     monotonically raises every moment of order >= 2 toward its ceiling.
 
-    The slack for moment k is min(max(slack_fraction * |m_k*|, slack_floor),
-    half the gap between target and ceiling); the cap keeps the demand
-    strictly attainable, so the compression loop always terminates.
+    The slack for moment k is min(max(_SLACK_FRACTION * |m_k*|,
+    _SLACK_FLOOR), half the gap between target and ceiling); the cap keeps
+    the demand strictly attainable, so the compression loop always
+    terminates.
     """
-    if slack_fraction < 0.0 or slack_floor < 0.0:
-        raise ValueError("slack parameters must be nonnegative")
-    margins = feasibility_margin(config, targets, params)
     goal = targets.moments
-    ceilings = complete_graph_moments(config.n, params.order).values
+    ceilings = complete_graph_moments(config.n, targets.order).values
     gaps = ceilings[1:] - goal[1:]
     if np.any(gaps <= 0.0):
         bad = int(np.argmax(gaps <= 0.0)) + 2
@@ -214,16 +212,15 @@ def ensure_feasible(
             f"for n={config.n}"
         )
     slack = np.minimum(
-        np.maximum(slack_fraction * np.abs(goal[1:]), slack_floor), 0.5 * gaps
+        np.maximum(_SLACK_FRACTION * np.abs(goal[1:]), _SLACK_FLOOR), 0.5 * gaps
     )
     current = config
     for _ in range(_MAX_COMPRESSIONS):
-        if np.all(margins >= slack):
+        if np.all(feasibility_margin(current, targets, params) >= slack):
             return current
         centroid = current.positions.mean(axis=0)
         pulled = centroid + _COMPRESSION_FACTOR * (current.positions - centroid)
         current = RobotConfiguration(pulled)
-        margins = feasibility_margin(current, targets, params)
     raise RuntimeError(
         "centroid compression failed to reach the requested slack; "
         "this indicates a numerical degeneracy in the configuration"
@@ -234,7 +231,6 @@ def step(
     config: RobotConfiguration,
     targets: "TargetSpectrum",
     params: ControllerParams,
-    settings: SimulationSettings,
     dt: float,
 ) -> tuple[RobotConfiguration, bool, float]:
     """One explicit trial step of the flow with the accept/reject rule.
@@ -246,21 +242,17 @@ def step(
     represented (weights are strictly positive) and is likewise rejected.
     Returns ``(new_config, accepted, next_dt)``: on acceptance the candidate
     and the unchanged dt; on rejection the original configuration and dt
-    halved, clamped to ``settings.min_step``.  Raises :class:`FlowStalled`
+    halved, clamped to ``DEFAULT_MIN_STEP``.  Raises :class:`FlowStalled`
     if dt is already at the floor and the trial still fails, or if the
     drift is exactly zero, since then no step moves the robots.
     """
     if not np.isfinite(dt) or dt <= 0.0:
         raise ValueError(f"dt must be a positive real, got {dt}")
-    state, accepted, next_dt = _advance(
-        _Evaluation(config, targets, params), settings, dt
-    )
+    state, accepted, next_dt = _advance(_Evaluation(config, targets, params), dt)
     return state.config, accepted, next_dt
 
 
-def _advance(
-    state: _Evaluation, settings: SimulationSettings, dt: float
-) -> tuple[_Evaluation, bool, float]:
+def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
     """:func:`step` from an evaluated state; the next state comes evaluated."""
     drift = state.drift
     if not np.any(drift):
@@ -279,11 +271,11 @@ def _advance(
         and candidate.cost + candidate.barrier <= state.cost + state.barrier
     ):
         return candidate, True, dt
-    if dt <= settings.min_step:
+    if dt <= DEFAULT_MIN_STEP:
         raise FlowStalled(
-            f"no acceptable step at the minimum step size {settings.min_step:g}"
+            f"no acceptable step at the minimum step size {DEFAULT_MIN_STEP:g}"
         )
-    return state, False, max(dt / 2.0, settings.min_step)
+    return state, False, max(dt / 2.0, DEFAULT_MIN_STEP)
 
 
 def _ordering_signature(config: RobotConfiguration) -> list[np.ndarray]:
@@ -301,7 +293,9 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     or a seeded random draw) and is made feasible first; unrealizable
     targets surface as :class:`UnrealizableTargetsError` before any
     integration happens.  Runs until the cost reaches the tolerance
-    ("converged"), simulated time reaches the horizon ("horizon"), or no
+    ("converged"), less than ``DEFAULT_MIN_STEP`` of simulated time remains
+    before the horizon ("horizon"; trial steps are clamped so that
+    ``simulated_time`` never exceeds ``max_time``), or no
     acceptable step exists at the minimum step size or the drift is exactly
     zero ("stalled"); a stall is recorded, with its reason, rather than raised.
 
@@ -336,17 +330,19 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
         if state.cost <= settings.cost_tolerance:
             reason = "converged"
             break
-        if t >= settings.max_time:
+        remaining = settings.max_time - t
+        if remaining < DEFAULT_MIN_STEP:
             reason = "horizon"
             break
+        trial = min(dt, remaining)
         try:
-            state, ok, dt_next = _advance(state, settings, dt)
+            state, ok, dt_next = _advance(state, trial)
         except FlowStalled as exc:
             reason = "stalled"
             detail = str(exc)
             break
         if ok:
-            t += dt
+            t = min(t + trial, settings.max_time)
             accepted += 1
             streak += 1
             if streak >= _ACCEPTS_PER_DOUBLING:

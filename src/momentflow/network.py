@@ -48,13 +48,6 @@ WALK_ENUMERATION_LIMIT = 1_000_000
 MAX_WALK_LENGTH = 5
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    """Copy ``values`` into a fresh read-only float array."""
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class RobotConfiguration:
     """Positions of n point robots in d-dimensional space.
@@ -153,12 +146,6 @@ class MomentVector:
     def order(self) -> int:
         """Highest moment index s."""
         return self.values.shape[0]
-
-    def moment(self, k: int) -> float:
-        """Return m_k for 1 <= k <= order."""
-        if not 1 <= k <= self.order:
-            raise ValueError(f"moment index k={k} outside 1..{self.order}")
-        return float(self.values[k - 1])
 
 
 def pairwise_distance(config: RobotConfiguration, metric: int) -> np.ndarray:

@@ -10,8 +10,10 @@ construction).
 
 Validation is centralized here: type constructors check structure and
 ranges, and ``scenario_violations`` enforces the semantic rules (m_1* = 0,
-even moments nonnegative, order bounds, realizability ceilings,
-eigenvalue/moment consistency of reference data).
+even moments nonnegative, order bounds, eigenvalue/moment consistency of
+reference data).  Realizability (each target strictly below its
+complete-graph ceiling) is a property of the run, not of the file, and is
+checked by :func:`momentflow.dynamics.ensure_feasible`.
 
 This module also owns the JSON file schema.  ``SCHEMA`` lists every key of
 a scenario file with its kind and default; ``scenario_from_dict`` builds a
@@ -39,7 +41,6 @@ from .dynamics import (
 from .gradient import DEFAULT_DECAY, ControllerParams
 from .network import (
     RobotConfiguration,
-    complete_graph_moments,
     build_adjacency,
     eigenvalues,
     moments_from_eigenvalues,
@@ -60,12 +61,17 @@ __all__ = [
     "scenario_to_dict",
     "positions_from_dict",
     "EIGEN_CONSISTENCY_TOL",
+    "MAX_ROBOTS",
 ]
 
 # The bundled reference tables round to two decimals, so moments recomputed
 # from reference eigenvalues match stored targets only to about 1e-2
 # relative to the moment magnitude (absolute for small moments).
 EIGEN_CONSISTENCY_TOL = 1e-2
+
+# The largest team a scenario may declare.  Every evaluation holds s + 1
+# dense n x n float64 matrices, about 134 MB each at this bound.
+MAX_ROBOTS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,19 +112,14 @@ class TargetSpectrum:
         """Highest targeted moment index s."""
         return self.moments.shape[0]
 
-    def truncated(self, order: int) -> "TargetSpectrum":
-        """Targets for the leading ``order`` moments, reference kept whole."""
-        if not 2 <= order <= self.order:
-            raise ValueError(f"order must be in 2..{self.order}, got {order}")
-        return TargetSpectrum(self.moments[:order], self.reference_eigenvalues)
-
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """One fully specified simulation run.
 
     Exactly one of ``seed`` (random start in the unit square/cube) and
-    ``initial_positions`` (explicit start) must be given.
+    ``initial_positions`` (explicit start) must be given, and ``n`` must
+    not exceed ``MAX_ROBOTS``.
     """
 
     name: str
@@ -135,6 +136,8 @@ class Scenario:
             raise ValueError("scenario name must be a nonempty string")
         if self.n < 2:
             raise ValueError(f"need at least 2 robots, got n={self.n}")
+        if self.n > MAX_ROBOTS:
+            raise ValueError(f"need at most {MAX_ROBOTS} robots, got n={self.n}")
         if self.d < 1:
             raise ValueError(f"spatial dimension must be at least 1, got d={self.d}")
         if (self.seed is None) == (self.initial_positions is None):
@@ -175,38 +178,32 @@ def random_geometric_config(n: int, d: int, seed: int) -> RobotConfiguration:
     return RobotConfiguration(rng.random((n, d)))
 
 
-def hexagon_formation(side_length: float = 1.0, d: int = 2) -> RobotConfiguration:
-    """Regular hexagon with a central robot: 7 robots total.
+def hexagon_formation(side_length: float = 1.0) -> RobotConfiguration:
+    """Regular hexagon with a central robot: 7 robots in the plane.
 
     Vertex j sits at angle j*60 degrees and radius ``side_length`` from the
     center (for a regular hexagon the circumradius equals the side length).
-    With d > 2 the extra coordinates are zero.
     """
     if not np.isfinite(side_length) or side_length <= 0.0:
         raise ValueError(f"side_length must be a positive real, got {side_length}")
-    if d < 2:
-        raise ValueError(f"a hexagon needs d >= 2, got d={d}")
     angles = np.arange(6) * np.pi / 3.0
-    positions = np.zeros((7, d))
+    positions = np.zeros((7, 2))
     positions[1:, 0] = side_length * np.cos(angles)
     positions[1:, 1] = side_length * np.sin(angles)
     return RobotConfiguration(positions)
 
 
 def target_from_formation(
-    config: RobotConfiguration, params: ControllerParams, order: Optional[int] = None
+    config: RobotConfiguration, params: ControllerParams
 ) -> TargetSpectrum:
-    """Moments and spectrum of a reference formation as a target.
+    """Moments m_1..m_s (s = ``params.order``) and spectrum of a formation.
 
     The returned targets are realizable by construction: a configuration
-    attaining them exactly is ``config`` itself.  ``order`` defaults to
-    ``params.order``.
+    attaining them exactly is ``config`` itself.
     """
-    if order is None:
-        order = params.order
     adjacency = build_adjacency(config, params.decay, params.metric)
     return TargetSpectrum(
-        spectral_moments(adjacency, order).values,
+        spectral_moments(adjacency, params.order).values,
         eigenvalues(adjacency),
     )
 
@@ -252,37 +249,30 @@ def preset(name: str, order: Optional[int] = None) -> Scenario:
     """
     if name == "hexagon7":
         resolved = 7 if order is None else order
-        full = TargetSpectrum(
-            _HEXAGON_TARGET_MOMENTS, _HEXAGON_REFERENCE_EIGENVALUES
-        )
+        moments = _HEXAGON_TARGET_MOMENTS
+        reference = _HEXAGON_REFERENCE_EIGENVALUES
         seed = _HEXAGON_SEED
         tolerance = _HEXAGON_COST_TOLERANCE
-        n = 7
     elif name == "rgg10":
         resolved = 4 if order is None else order
-        full = TargetSpectrum(_RGG_TARGET_MOMENTS, _RGG_REFERENCE_EIGENVALUES)
+        moments = _RGG_TARGET_MOMENTS
+        reference = _RGG_REFERENCE_EIGENVALUES
         seed = _RGG_SEED
         tolerance = _RGG_COST_TOLERANCE
-        n = 10
     else:
         raise ValueError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         )
-    if not 2 <= resolved <= full.order:
+    if not 2 <= resolved <= len(moments):
         raise ValueError(
-            f"preset {name!r} supports orders 2..{full.order}, got {resolved}"
+            f"preset {name!r} supports orders 2..{len(moments)}, got {resolved}"
         )
-    targets = full.truncated(resolved) if resolved < full.order else full
     return Scenario(
         name=name,
-        n=n,
+        n=len(reference),
         d=2,
-        params=ControllerParams(
-            decay=1.0,
-            metric=2,
-            order=resolved,
-        ),
-        targets=targets,
+        params=ControllerParams(decay=1.0, metric=2, order=resolved),
+        targets=TargetSpectrum(moments[:resolved], reference),
         settings=SimulationSettings(cost_tolerance=tolerance),
         seed=seed,
     )
@@ -293,9 +283,10 @@ def scenario_violations(scenario: Scenario) -> list[str]:
 
     Checks, in order: spatial dimension 1..3, moment order against robot
     count, target/params order agreement, m_1* = 0, nonnegative even-order
-    targets, realizability ceilings, and reference-eigenvalue consistency
-    (count matches n; moments recomputed from the spectrum agree with the
-    stored targets to EIGEN_CONSISTENCY_TOL relative to max(1, |m_k*|)).
+    targets, and reference-eigenvalue consistency (count matches n; moments
+    recomputed from the spectrum agree with the stored targets to
+    EIGEN_CONSISTENCY_TOL relative to max(1, |m_k*|)).  Targets at or above
+    their ceilings are left to :func:`momentflow.dynamics.ensure_feasible`.
     """
     out: list[str] = []
     if scenario.d > 3:
@@ -319,14 +310,6 @@ def scenario_violations(scenario: Scenario) -> list[str]:
                 out.append(
                     f"even-order target m_{k}* = {goal[k - 1]:.6g} is negative"
                 )
-        if params.order <= scenario.n:
-            ceilings = complete_graph_moments(scenario.n, params.order).values
-            for k in range(2, params.order + 1):
-                if goal[k - 1] >= ceilings[k - 1]:
-                    out.append(
-                        f"target m_{k}* = {goal[k - 1]:.6g} is not strictly below "
-                        f"the coincident-configuration ceiling {ceilings[k - 1]:.6g}"
-                    )
     eigs = targets.reference_eigenvalues
     if eigs is not None:
         if eigs.shape != (scenario.n,):
@@ -583,7 +566,8 @@ def positions_from_dict(
 
     Returns ``((configuration, c, z, s), [])`` or ``(None, problems)``.  The
     keys mean what they mean in a scenario file, except that ``s`` defaults
-    to the robot count and may be 1.
+    to the robot count and may be 1.  As in a scenario, at most
+    ``MAX_ROBOTS`` robots.
     """
     problems: list[str] = []
     fields = _read(data, {key: SCHEMA[key] for key in ("positions", "c", "z", "s")}, problems)
@@ -595,6 +579,8 @@ def positions_from_dict(
         config = RobotConfiguration(fields["positions"])
     except ValueError as exc:
         return None, [str(exc)]
+    if config.n > MAX_ROBOTS:
+        return None, [f"need at most {MAX_ROBOTS} robots, got n={config.n}"]
     order = config.n if fields["s"] is None else fields["s"]
     if not 1 <= order <= config.n:
         return None, [f"field 's' must be in 1..{config.n}, got {order}"]

@@ -10,12 +10,15 @@ Core claims:
       (0 converged, 1 horizon, 2 validation, 3 unrealizable, 4 stalled, 5 I/O)
     - verify's fault injection flag makes the control-law check fail
     - a malformed value of any schema field makes run and spectrum exit 2
-      with one-line reasons that name the field
+      with one-line reasons that name the field; a huge robot count does
+      so before anything is allocated
+    - targets at or above their ceilings make run exit 3, not spectrum
     - a stalled run says why it stalled, in its report and summary line
 """
 
 import csv
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +39,7 @@ from momentflow.cli import (
     scenario_to_dict,
     write_trajectory_csv,
 )
-from momentflow.dynamics import UnrealizableTargetsError, simulate
+from momentflow.dynamics import simulate
 from momentflow.gradient import ControllerParams
 from momentflow.network import build_adjacency, spectral_moments
 from momentflow.scenarios import (
@@ -51,6 +54,9 @@ from momentflow.scenarios import (
 
 # A pair 900 apart: exp(-900) underflows to 0 at decay 1.
 _UNDERFLOW_POSITIONS = [[0.0], [1.0], [900.0]]
+# A valid file whose m_2* sits above its ceiling n - 1 = 2.
+_UNREALIZABLE = {"name": "ceiling", "n": 3, "d": 2, "seed": 1, "s": 2,
+                 "targets": {"moments": [0, 5]}}
 
 
 def _fast_scenario_data(seed=0, n=5):
@@ -419,16 +425,17 @@ class TestRunCommand:
         path.write_text(json.dumps(_fast_scenario_data()))
         assert main(["run", str(path), "--trials", "0"]) == EXIT_VALIDATION
 
-    def test_unrealizable_exit(self, tmp_path, capsys, monkeypatch):
-        def explode(scenario):
-            raise UnrealizableTargetsError("bound exceeded")
-
-        monkeypatch.setattr("momentflow.cli.simulate", explode)
-        path = tmp_path / "quick.json"
-        path.write_text(json.dumps(_fast_scenario_data()))
+    def test_unrealizable_exit(self, tmp_path, capsys):
+        path = tmp_path / "ceiling.json"
+        path.write_text(json.dumps(_UNREALIZABLE))
         code = main(["run", str(path), "-o", str(tmp_path)])
+        captured = capsys.readouterr()
         assert code == EXIT_UNREALIZABLE
-        assert "unrealizable" in capsys.readouterr().err
+        assert captured.out == ""
+        assert captured.err.startswith("unrealizable targets: ")
+        assert "m_2* = 5" in captured.err and "ceiling 2" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not list(tmp_path.glob("*_report.json"))
 
     def test_underflowing_start_exit(self, tmp_path, capsys):
         path = tmp_path / "far.json"
@@ -560,6 +567,13 @@ class TestSpectrumCommand:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["spectrum", str(tmp_path / "absent.json")]) == EXIT_IO
 
+    def test_unrealizable_targets_printed(self, tmp_path, capsys):
+        # Realizability is a property of a run; spectrum only reads the file.
+        path = tmp_path / "ceiling.json"
+        path.write_text(json.dumps(_UNREALIZABLE))
+        assert main(["spectrum", str(path)]) == 0
+        assert "target moments: 0, 5" in capsys.readouterr().out
+
     def test_underflowing_positions_exit(self, tmp_path, capsys):
         path = tmp_path / "far.json"
         path.write_text(json.dumps({"positions": _UNDERFLOW_POSITIONS}))
@@ -569,6 +583,14 @@ class TestSpectrumCommand:
         assert captured.out == ""
         assert "underflows" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_too_many_positions_exit(self, tmp_path, capsys):
+        path = tmp_path / "crowd.json"
+        path.write_text(json.dumps({"positions": [[0.5]] * 4097}))
+        assert main(["spectrum", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid positions file: need at most 4096 robots, got n=4097\n"
 
 
 # == 7. Malformed fields =====================================================
@@ -610,6 +632,8 @@ _MALFORMED = {
     "n type": (_malformed(_SCENARIO, "n", "five"), "'n'"),
     "n null": (_malformed(_SCENARIO, "n", None), "'n'"),
     "n range": (_malformed(_SCENARIO, "n", 1), "n=1"),
+    "n huge": (_malformed(_SCENARIO, "n", 10**9), "n=1000000000"),
+    "n beyond floats": (_malformed(_SCENARIO, "n", 10**400), "at most 4096 robots, got n=1"),
     "d type": (_malformed(_SCENARIO, "d", 2.5), "'d'"),
     "d range": (_malformed(_SCENARIO, "d", 0), "d=0"),
     "seed type": (_malformed(_SCENARIO, "seed", "3"), "'seed'"),
@@ -683,3 +707,16 @@ class TestMalformedFields:
         assert reasons and all(line.startswith("invalid ") for line in reasons)
         assert needle in captured.err
         assert not [phrase for phrase in _INTERNALS if phrase in captured.err]
+
+    @pytest.mark.parametrize("n", [10**9, 10**400])
+    def test_huge_robot_count_allocates_nothing(self, n, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(_malformed(_SCENARIO, "n", n)))
+        tracemalloc.start()
+        try:
+            code = main(["run", str(path), "-o", str(tmp_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION
+        assert peak < 1_000_000

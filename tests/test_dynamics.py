@@ -10,7 +10,8 @@ Core claims:
       halves dt on rejection, and stalls at the step-size floor
     - simulate terminates with the right reason (converged, horizon,
       stalled), keeps f + b nonincreasing and margins positive along the
-      recorded trajectory, and is deterministic for identical scenarios
+      recorded trajectory, never runs past the horizon, and is
+      deterministic for identical scenarios
     - a start with exactly zero drift stalls without counting non-moves
     - simulate evaluates each configuration once: at most one adjacency
       build per trial step, and the presets keep their step counts
@@ -24,6 +25,7 @@ from pytest import approx
 
 from momentflow import dynamics, gradient, network, scenarios
 from momentflow.dynamics import (
+    DEFAULT_MIN_STEP,
     FlowStalled,
     SimulationSettings,
     TrajectoryRecord,
@@ -34,7 +36,13 @@ from momentflow.dynamics import (
     simulate,
     step,
 )
-from momentflow.gradient import ControllerParams, barrier, cost
+from momentflow.gradient import (
+    ControllerParams,
+    barrier,
+    barrier_gradient,
+    control_law,
+    cost,
+)
 from momentflow.network import (
     RobotConfiguration,
     build_adjacency,
@@ -77,6 +85,14 @@ def _reachable_scenario(seed=0, order=2, n=5, tol=1e-4):
     )
 
 
+def _unbuildable_candidates(monkeypatch):
+    """Make every trial step's candidate unbuildable, so every step is rejected."""
+    def unbuildable(positions):
+        raise ValueError("off-diagonal weights must lie in (0, 1]")
+
+    monkeypatch.setattr(dynamics, "RobotConfiguration", unbuildable)
+
+
 def _two_robot_state(gap=1.0, target=0.05):
     """One-dimensional pair with m_2 = exp(-2 gap) and an order-2 target."""
     config = RobotConfiguration([[0.0], [float(gap)]])
@@ -90,16 +106,14 @@ def _two_robot_state(gap=1.0, target=0.05):
 class TestSimulationSettings:
     def test_defaults_are_consistent(self):
         settings = SimulationSettings()
-        assert settings.min_step <= settings.dt
+        assert DEFAULT_MIN_STEP <= settings.dt
         assert settings.cost_tolerance > 0.0
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SimulationSettings(dt=0.0)
         with pytest.raises(ValueError):
-            SimulationSettings(min_step=-1e-8)
-        with pytest.raises(ValueError):
-            SimulationSettings(dt=1e-9, min_step=1e-8)
+            SimulationSettings(dt=DEFAULT_MIN_STEP / 10.0)
         with pytest.raises(ValueError):
             SimulationSettings(max_time=0.0)
         with pytest.raises(ValueError):
@@ -201,11 +215,6 @@ class TestEnsureFeasible:
         repaired = ensure_feasible(config, TargetSpectrum([0.0, 1.9]), params)
         assert feasibility_margin(repaired, targets=TargetSpectrum([0.0, 1.9]), params=params)[0] > 0.0
 
-    def test_rejects_negative_slack(self):
-        config, targets, params = _two_robot_state()
-        with pytest.raises(ValueError):
-            ensure_feasible(config, targets, params, slack_fraction=-0.1)
-
 
 # == 4. Single steps =========================================================
 
@@ -214,7 +223,7 @@ class TestStep:
         config, targets, params = _two_robot_state(gap=1.0, target=0.05)
         settings = SimulationSettings()
         potential_before = cost(config, targets, params) + barrier(config, targets, params)
-        new_config, accepted, dt_next = step(config, targets, params, settings, settings.dt)
+        new_config, accepted, dt_next = step(config, targets, params, settings.dt)
         assert accepted
         assert dt_next == settings.dt
         assert new_config is not config
@@ -225,24 +234,28 @@ class TestStep:
     def test_overshooting_step_rejected_and_halved(self):
         # A giant step from a descending state flies past the target set.
         config, targets, params = _two_robot_state(gap=1.0, target=0.05)
-        settings = SimulationSettings(dt=500.0, min_step=1e-8)
-        new_config, accepted, dt_next = step(config, targets, params, settings, 500.0)
+        new_config, accepted, dt_next = step(config, targets, params, 500.0)
         assert not accepted
         assert new_config is config
         assert dt_next == approx(250.0)
 
-    def test_stall_at_step_floor(self):
+    def test_stall_at_step_floor(self, monkeypatch):
+        # Every trial is rejected: dt halves down to the floor, then stalls.
+        _unbuildable_candidates(monkeypatch)
         config, targets, params = _two_robot_state(gap=1.0, target=0.05)
-        settings = SimulationSettings(dt=500.0, min_step=500.0)
-        with pytest.raises(FlowStalled):
-            step(config, targets, params, settings, 500.0)
+        dt = 500.0
+        while dt > DEFAULT_MIN_STEP:
+            new_config, accepted, dt = step(config, targets, params, dt)
+            assert not accepted and new_config is config
+        assert dt == DEFAULT_MIN_STEP
+        with pytest.raises(FlowStalled, match="minimum step size"):
+            step(config, targets, params, dt)
 
     def test_rejects_bad_dt(self):
         config, targets, params = _two_robot_state()
-        settings = SimulationSettings()
         for dt in (0.0, -0.1, np.nan):
             with pytest.raises(ValueError):
-                step(config, targets, params, settings, dt)
+                step(config, targets, params, dt)
 
 
 # == 5. Full simulation ======================================================
@@ -301,11 +314,37 @@ class TestSimulate:
         )
         record = simulate(scenario)
         assert record.termination_reason == "horizon"
-        assert record.simulated_time >= 0.1
+        assert record.simulated_time == 0.1
 
-    def test_stall_is_reported_not_raised(self):
-        # dt pinned at a huge floor: the first trial step overshoots into
-        # infeasibility and cannot shrink.
+    @pytest.mark.parametrize("max_time", [0.12, 0.1 + 1e-9, 0.05 * 7])
+    def test_last_step_clamped_to_horizon(self, max_time):
+        # A horizon that is not a whole number of steps: the last trial step
+        # is shortened, so simulated time never passes max_time, and a
+        # remainder below the step-size floor ends the run.  Every accepted
+        # step moves the robots by exactly the time it adds.
+        scenario = dataclasses.replace(
+            _reachable_scenario(seed=5),
+            settings=SimulationSettings(
+                dt=0.05, max_time=max_time, cost_tolerance=1e-30, record_every=1
+            ),
+        )
+        record = simulate(scenario)
+        assert record.termination_reason == "horizon"
+        assert record.simulated_time <= max_time
+        assert max_time - record.simulated_time < DEFAULT_MIN_STEP
+        targets, params = scenario.targets, scenario.params
+        for before, after in zip(record.samples, record.samples[1:]):
+            assert after.t - before.t >= DEFAULT_MIN_STEP
+            drift = control_law(before.configuration, targets, params) - barrier_gradient(
+                before.configuration, targets, params
+            )
+            moved = after.configuration.positions - before.configuration.positions
+            assert np.allclose(moved, (after.t - before.t) * drift, rtol=1e-9, atol=0.0)
+
+    def test_stall_is_reported_not_raised(self, monkeypatch):
+        # Every trial step is rejected: dt halves from 500 down to its floor
+        # and the trial there fails too.
+        _unbuildable_candidates(monkeypatch)
         config, targets, params = _two_robot_state(gap=1.0, target=0.05)
         scenario = Scenario(
             name="stall",
@@ -313,15 +352,14 @@ class TestSimulate:
             d=1,
             params=params,
             targets=targets,
-            settings=SimulationSettings(
-                dt=500.0, min_step=500.0, cost_tolerance=1e-30
-            ),
+            settings=SimulationSettings(dt=500.0, cost_tolerance=1e-30),
             initial_positions=config.positions,
         )
         record = simulate(scenario)
         assert record.termination_reason == "stalled"
         assert "minimum step size" in record.termination_detail
-        assert record.rejected_steps == 0
+        # 500 * 2**-k stays above 1e-8 for k = 0..35.
+        assert record.rejected_steps == 36
         assert record.accepted_steps == 0
 
     def test_unrealizable_targets_raise_before_integration(self):

@@ -173,7 +173,7 @@ class TestMomentGradient:
         for k in range(2, 5):
             def field(c, k=k):
                 adjacency = build_adjacency(c, params.decay, params.metric)
-                return spectral_moments(adjacency, params.order).moment(k)
+                return spectral_moments(adjacency, params.order).values[k - 1]
 
             analytic = moment_gradient(config, params, k)
             numeric = finite_difference_gradient(field, config)
@@ -249,7 +249,7 @@ class TestControlLaw:
         moments = spectral_moments(adjacency, params.order)
         assembled = np.zeros((config.n, config.d))
         for k in range(2, params.order + 1):
-            resid = moments.moment(k) - targets.moments[k - 1]
+            resid = moments.values[k - 1] - targets.moments[k - 1]
             assembled += (resid / (2.0 * k)) * moment_gradient(config, params, k)
         velocities = control_law(config, targets, params)
         assert np.allclose(velocities, -assembled, rtol=1e-12, atol=1e-13)
@@ -306,7 +306,7 @@ class TestBarrier:
         config = _tie_free_config(5, 2, 23)
         params = _params(order=2, epsilons=(0.0, 1e-6))
         adjacency = build_adjacency(config, params.decay, params.metric)
-        m2 = spectral_moments(adjacency, 2).moment(2)
+        m2 = spectral_moments(adjacency, 2).values[1]
         near = barrier(config, TargetSpectrum([0.0, m2 - 1e-3]), params)
         far = barrier(config, TargetSpectrum([0.0, m2 - 1e-1]), params)
         assert near > far * 100.0
@@ -338,7 +338,7 @@ class TestBarrierGradient:
         for k in range(2, params.order + 1):
             if eps[k - 1] == 0.0:
                 continue
-            margin = moments.moment(k) - targets.moments[k - 1]
+            margin = moments.values[k - 1] - targets.moments[k - 1]
             assembled += (
                 -eps[k - 1] / (2.0 * k * margin**3)
             ) * moment_gradient(config, params, k)

@@ -2,15 +2,17 @@
 Unit tests for scenario assembly, presets, and semantic validation.
 
 Core claims:
-    - TargetSpectrum validates structure, freezes arrays, truncates cleanly
-    - Scenario enforces the seed-xor-positions rule and input shapes
+    - TargetSpectrum validates structure and freezes arrays
+    - Scenario enforces the seed-xor-positions rule, input shapes and the
+      robot-count bound
     - random_geometric_config is deterministic per seed and unit-box bounded
     - hexagon_formation is a regular hexagon with a central robot
     - target_from_formation reproduces the formation's own moments and
       spectrum, hence realizable targets
     - preset returns the two bundled scenarios, validated clean, with their
       reference target tables and tuned integrator settings
-    - scenario_violations flags each semantic rule violation separately
+    - scenario_violations flags each semantic rule violation separately and
+      leaves realizability ceilings to ensure_feasible
     - a scenario file read by scenario_from_dict and written back by
       scenario_to_dict is a fixed point of the pair, also through JSON text
 """
@@ -23,7 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from momentflow.dynamics import SimulationSettings
+from momentflow.dynamics import (
+    SimulationSettings,
+    UnrealizableTargetsError,
+    ensure_feasible,
+)
 from momentflow.gradient import ControllerParams
 from momentflow.network import (
     RobotConfiguration,
@@ -33,6 +39,7 @@ from momentflow.network import (
     spectral_moments,
 )
 from momentflow.scenarios import (
+    MAX_ROBOTS,
     PRESET_NAMES,
     Scenario,
     TargetSpectrum,
@@ -92,24 +99,6 @@ class TestTargetSpectrum:
         with pytest.raises(ValueError):
             TargetSpectrum([0.0, 1.0], reference_eigenvalues=[np.inf, 0.0])
 
-    def test_truncated(self):
-        targets = TargetSpectrum(
-            [0.0, 1.0, 2.0, 3.0], reference_eigenvalues=[2.0, 0.0, -1.0, -1.0]
-        )
-        short = targets.truncated(2)
-        assert short.order == 2
-        assert np.array_equal(short.moments, [0.0, 1.0])
-        # The reference spectrum describes the whole graph; truncation of
-        # the moment list does not shorten it.
-        assert np.array_equal(short.reference_eigenvalues, targets.reference_eigenvalues)
-
-    def test_truncated_bounds(self):
-        targets = TargetSpectrum([0.0, 1.0, 2.0])
-        with pytest.raises(ValueError):
-            targets.truncated(1)
-        with pytest.raises(ValueError):
-            targets.truncated(4)
-
 
 # == 2. Scenario structure ===================================================
 
@@ -153,6 +142,9 @@ class TestScenario:
             _valid_scenario(n=1)
         with pytest.raises(ValueError):
             _valid_scenario(d=0)
+        with pytest.raises(ValueError, match=f"at most {MAX_ROBOTS} robots, got n="):
+            _valid_scenario(n=MAX_ROBOTS + 1)
+        assert _valid_scenario(n=MAX_ROBOTS).n == MAX_ROBOTS
 
 
 # == 3. Random configurations ================================================
@@ -195,16 +187,9 @@ class TestHexagonFormation:
             gap = np.linalg.norm(vertices[j] - vertices[(j + 1) % 6])
             assert gap == approx(side)
 
-    def test_embeds_in_higher_dimension(self):
-        config = hexagon_formation(side_length=1.0, d=3)
-        assert config.d == 3
-        assert np.all(config.positions[:, 2] == 0.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             hexagon_formation(side_length=0.0)
-        with pytest.raises(ValueError):
-            hexagon_formation(d=1)
 
 
 # == 5. Targets from formations ==============================================
@@ -224,9 +209,10 @@ class TestTargetFromFormation:
 
     def test_explicit_order(self):
         config = hexagon_formation()
-        params = ControllerParams(decay=1.0, metric=2, order=2)
-        targets = target_from_formation(config, params, order=6)
+        params = ControllerParams(decay=1.0, metric=2, order=6)
+        targets = target_from_formation(config, params)
         assert targets.order == 6
+        assert targets.reference_eigenvalues.shape == (7,)
 
     def test_targets_realizable(self):
         config = random_geometric_config(6, 2, 3)
@@ -319,9 +305,14 @@ class TestScenarioViolations:
         assert any("negative" in v for v in scenario_violations(scenario))
 
     def test_ceiling_violation(self):
-        # m_2 ceiling at n=5 is 4.
+        # m_2 ceiling at n=5 is 4.  A target at the ceiling is a valid file
+        # whose run cannot start: only ensure_feasible refuses it.
         scenario = _valid_scenario(targets=TargetSpectrum([0.0, 4.0, 0.9]))
-        assert any("ceiling" in v for v in scenario_violations(scenario))
+        assert scenario_violations(scenario) == []
+        with pytest.raises(UnrealizableTargetsError, match="m_2"):
+            ensure_feasible(
+                scenario.initial_configuration(), scenario.targets, scenario.params
+            )
 
     def test_reference_count_mismatch(self):
         scenario = _valid_scenario(
