@@ -83,9 +83,6 @@ EXIT_UNREALIZABLE = 3
 EXIT_STALLED = 4
 EXIT_IO = 5
 
-# Finite positions fail to give an adjacency only when a weight underflows.
-_UNDERFLOW_HINT = " (exp(-c * dist) underflows to 0 for robots about 745/c apart)"
-
 _FLOAT_FMT = "%.17g"
 
 
@@ -233,7 +230,7 @@ def _run_one(scenario: Scenario, out_dir: Path) -> int:
         print(f"unrealizable targets: {exc}", file=sys.stderr)
         return EXIT_UNREALIZABLE
     except ValueError as exc:
-        print(f"invalid start: {exc}{_UNDERFLOW_HINT}", file=sys.stderr)
+        print(f"cannot run: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     base = _sanitize(scenario.name)
     csv_path = out_dir / f"{base}_trajectory.csv"
@@ -452,11 +449,11 @@ def _print_spectrum(
 ) -> int:
     try:
         adjacency = build_adjacency(config, decay, metric)
+        moments = spectral_moments(adjacency, order)
     except ValueError as exc:
-        print(f"invalid positions: {exc}{_UNDERFLOW_HINT}", file=sys.stderr)
+        print(f"cannot evaluate the spectrum: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     eigs = eigenvalues(adjacency)
-    moments = spectral_moments(adjacency, order)
     if title:
         print(title)
     print(f"n = {config.n}, d = {config.d}, c = {decay:g}, z = {metric}")

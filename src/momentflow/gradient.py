@@ -13,21 +13,25 @@ keeps every margin m_k - m_k* positive along the flow.  The k = 1 terms are
 omitted throughout: m_1 is identically zero for zero-diagonal weight
 matrices, targets pin m_1* = 0, and eps_1 = 0 by convention.
 
-All gradients here are exact.  The key identity, for a symmetric zero
-diagonal A and i != j, is
+All gradients here are exact.  With d tr(A^k) / d a_ij = 2k [A^(k-1)]_ij
+for a symmetric zero-diagonal A and i != j, each one is a single projection
 
-    d tr(A^k) / d a_ij = 2k * [A^(k-1)]_ij,
+    (decay / n) * [(A o T_r) W]_ii,    W = sum_{k=2}^{s} coef_k A^(k-1),
 
-which chains with d a_ij / d x_ir to give, per robot i and coordinate r,
+per robot i and coordinate r, where "o" is the entrywise product and T_r
+is d dist / d x_ir: sign(x_ir - x_jr) for the taxicab metric, and
+(x_ir - x_jr) / dist(i, j), zero for coincident pairs, for the Euclidean
+one.  Only the coefficients differ: m_k - m_k* for -grad f,
+eps_k / (m_k - m_k*)^3 for grad b, their difference for the drift, and
+-2k at k alone for grad m_k.  With M = A o W, the taxicab form is a row
+sum per axis, and the Euclidean form is one (n, n) x (n, d) product,
 
-    d m_k / d x_ir = -(2 k decay / n) * [(A o T_r) A^(k-1)]_ii,
+    x_ir * sum_j M'_ij - (M' X)_ir,    M' = M / dist (0 where dist = 0).
 
-where "o" is the entrywise product and T_r encodes the metric: for the
-taxicab metric it is the sign matrix sign(x_ir - x_jr); for the Euclidean
-metric it is the unit-direction matrix (x_ir - x_jr) / dist(i, j), taken as
-zero for coincident pairs.  A central finite-difference oracle is included
-so every analytic formula can be checked against a derivative-free
-computation.
+Its two terms nearly cancel, so X is taken relative to the centroid: far
+from the origin, raw coordinates would cost digits that the unit
+directions never lose.  A central finite-difference oracle checks every
+analytic formula without derivatives.
 """
 
 from __future__ import annotations
@@ -127,30 +131,6 @@ class ControllerParams:
         object.__setattr__(self, "epsilons", eps)
 
 
-def _metric_factors(config: RobotConfiguration, metric: int) -> list[np.ndarray]:
-    """Derivative factors T_r of dist w.r.t. coordinate r of the row robot.
-
-    Taxicab metric: the sign matrices sign(x_ir - x_jr), with sign(0) = 0 on
-    ties.  Euclidean metric: the unit-direction matrices
-    (x_ir - x_jr) / dist(i, j), with zeros for coincident pairs.  One (n, n)
-    matrix per axis.
-    """
-    positions = config.positions
-    diffs = [positions[:, r, None] - positions[None, :, r] for r in range(config.d)]
-    if metric == 1:
-        return [np.sign(diff) for diff in diffs]
-    dist = pairwise_distance(config, 2)
-    return [
-        np.divide(diff, dist, out=np.zeros_like(diff), where=dist > 0.0)
-        for diff in diffs
-    ]
-
-
-def _project(mixed: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    """The (n, d) array of row sums [(M o T_r) 1]_i for M = ``mixed``."""
-    return np.stack([np.einsum("ij,ij->i", mixed, factor) for factor in factors], axis=1)
-
-
 def trace_derivative(adjacency: WeightedAdjacency, k: int, i: int, j: int) -> float:
     """Derivative of tr(A^k) with respect to the symmetric pair a_ij = a_ji.
 
@@ -185,47 +165,42 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
     if not 2 <= k <= params.order:
         raise ValueError(f"moment index k={k} outside 2..{params.order}")
     if params.order > config.n:
-        raise ValueError(
-            f"order {params.order} exceeds robot count {config.n}"
-        )
-    adjacency = build_adjacency(config, params.decay, params.metric)
-    prev = power_chain(adjacency, k - 1)[k - 1]
-    scale = -2.0 * k * params.decay / config.n
-    return scale * _project(
-        adjacency.weights * prev, _metric_factors(config, params.metric)
-    )
+        raise ValueError(f"order {params.order} exceeds robot count {config.n}")
+    from .scenarios import TargetSpectrum  # scenarios imports this module
+
+    coefficients = np.zeros(params.order - 1)
+    coefficients[k - 2] = -2.0 * k
+    state = _Evaluation(config, TargetSpectrum(np.zeros(params.order)), params)
+    return state._project(coefficients)
 
 
 class _Evaluation:
     """Everything the flow derives from one configuration, computed once.
 
     Construction checks that the targets carry ``params.order`` moments and
-    builds the adjacency through :func:`build_adjacency`, whose validation
-    rejects a weight that underflows to 0 with a ValueError.  One power
-    chain A^0..A^s then gives the moments, the margins m_k - m_k* for
-    k = 2..s and the cost.  The barrier and the drift -grad(f + b) come from
-    the same chain on first use; the barrier and its gradient raise
-    :class:`InfeasibleStateError` on a nonpositive guarded margin.
-
-    Every sum over k runs in increasing k, so results are bitwise
-    reproducible.
+    builds the adjacency through :func:`build_adjacency`, which raises
+    ValueError when a weight underflows to 0.  One power chain A^0..A^s
+    then gives the moments, the margins m_k - m_k* for k = 2..s and the
+    cost.  The barrier and every gradient come from the same chain on
+    demand, each gradient through one :meth:`_project` call (the drift
+    included); the barrier and its gradient raise
+    :class:`InfeasibleStateError` on a nonpositive guarded margin.  Every
+    sum over k runs in increasing k, so results are bitwise reproducible.
     """
 
     def __init__(
         self, config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams
     ) -> None:
-        goal = np.asarray(targets.moments, dtype=float)
-        if goal.shape != (params.order,):
+        if targets.order != params.order:
             raise ValueError(
-                f"targets carry {goal.shape[0] if goal.ndim == 1 else 'malformed'} "
-                f"moments but params.order is {params.order}"
+                f"targets carry {targets.order} moments but params.order is {params.order}"
             )
         self.config = config
         self.targets = targets
         self.params = params
         self.adjacency = build_adjacency(config, params.decay, params.metric)
         self.moments, self.chain = _moments_and_chain(self.adjacency, params.order)
-        self.margins = self.moments.values[1:] - goal[1:]
+        self.margins = self.moments.values[1:] - targets.moments[1:]
         total = 0.0
         for k, margin in enumerate(self.margins, start=2):
             total += margin * margin / (4.0 * k)
@@ -253,40 +228,39 @@ class _Evaluation:
             total += eps / (4.0 * k * margin * margin)
         return total
 
-    @cached_property
-    def _factors(self) -> list[np.ndarray]:
-        return _metric_factors(self.config, self.params.metric)
+    def _barrier_coefficients(self) -> np.ndarray:
+        """eps_k / (m_k - m_k*)^3 for k = 2..s, zero where eps_k is zero."""
+        coefficients = np.zeros(self.params.order - 1)
+        for k, eps, margin in self._guarded():
+            coefficients[k - 2] = eps / margin**3
+        return coefficients
 
-    def _project_powers(self, terms) -> np.ndarray:
-        """[(A o T_r) W]_ii for W = sum of coefficient * A^(k-1) over ``terms``."""
+    def _project(self, coefficients: np.ndarray) -> np.ndarray:
+        """(decay / n) [(A o T_r) W]_ii, W = sum_k coefficients[k-2] A^(k-1)."""
         n = self.config.n
         weighted = np.zeros((n, n))
-        for coefficient, power in terms:
-            weighted += coefficient * power
-        return _project(self.adjacency.weights * weighted, self._factors)
-
-    def cost_descent(self) -> np.ndarray:
-        """-grad f = (decay / n) [(A o T_r) W]_ii, W = sum_k (m_k - m_k*) A^(k-1)."""
-        terms = zip(self.margins, self.chain[1:-1])
-        return (self.params.decay / self.config.n) * self._project_powers(terms)
-
-    def barrier_gradient(self) -> np.ndarray:
-        """grad b = sum_k -(eps_k / 2k) * (m_k - m_k*)^(-3) * grad m_k."""
-        n = self.config.n
-        guarded = self._guarded()
-        if not guarded:
-            return np.zeros((n, self.config.d))
-        # -(eps/2k) margin^-3 multiplies grad m_k, whose own prefactor is
-        # -(2 k decay / n); the 2k factors cancel against each other.
-        return self._project_powers(
-            (eps * self.params.decay / (n * margin**3), self.chain[k - 1])
-            for k, eps, margin in guarded
-        )
+        for coefficient, power in zip(coefficients, self.chain[1:-1]):
+            if coefficient:
+                weighted += coefficient * power
+        mixed = np.multiply(weighted, self.adjacency.weights, out=weighted)
+        positions = self.config.positions
+        if self.params.metric == 1:
+            rows = np.empty_like(positions)
+            for r, column in enumerate(positions.T):
+                signs = np.subtract.outer(column, column)
+                rows[:, r] = np.einsum("ij,ij->i", mixed, np.sign(signs, out=signs))
+        else:
+            dist = pairwise_distance(self.config, 2)
+            dist[dist == 0.0] = np.inf
+            mixed /= dist
+            centred = positions - positions.mean(axis=0)
+            rows = centred * mixed.sum(axis=1)[:, None] - mixed @ centred
+        return (self.params.decay / n) * rows
 
     @cached_property
     def drift(self) -> np.ndarray:
-        """The flow's velocity -grad(f + b) as an (n, d) array."""
-        return self.cost_descent() - self.barrier_gradient()
+        """The flow's velocity -grad(f + b) as an (n, d) array, one projection."""
+        return self._project(self.margins - self._barrier_coefficients())
 
 
 def cost(config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams) -> float:
@@ -303,14 +277,11 @@ def control_law(
 ) -> np.ndarray:
     """Negative cost gradient u = -grad f: the (n, d) array of robot velocities.
 
-    Expanding the chain rule and collecting the shared power chain gives
-
-        u[i, r] = (decay / n) * [(A o T_r) W]_ii,
-        W = sum_{k=2}^{s} (m_k - m_k*) A^(k-1),
-
-    evaluated with one chain A^0..A^s per call.
+    u[i, r] = (decay / n) * [(A o T_r) W]_ii with W = sum_{k=2}^{s}
+    (m_k - m_k*) A^(k-1), from one chain A^0..A^s per call.
     """
-    return _Evaluation(config, targets, params).cost_descent()
+    state = _Evaluation(config, targets, params)
+    return state._project(state.margins)
 
 
 def barrier(config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams) -> float:
@@ -329,16 +300,13 @@ def barrier_gradient(
 ) -> np.ndarray:
     """Exact gradient of the barrier with respect to robot coordinates.
 
-    Composed from the moment gradients:
-
-        grad b = sum_k -(eps_k / 2k) * (m_k - m_k*)^(-3) * grad m_k,
-
-    again over guarded terms only, with the power chain shared across k
-    exactly as in :func:`control_law`.  Returns an (n, d) array of zeros
-    when all constants vanish; raises
-    :class:`InfeasibleStateError` on a nonpositive guarded margin.
+    grad b = sum_k -(eps_k / 2k) (m_k - m_k*)^(-3) grad m_k over guarded
+    terms, projected once as in :func:`control_law`.  Zeros when all
+    constants vanish; :class:`InfeasibleStateError` on a nonpositive
+    guarded margin.
     """
-    return _Evaluation(config, targets, params).barrier_gradient()
+    state = _Evaluation(config, targets, params)
+    return state._project(state._barrier_coefficients())
 
 
 def finite_difference_gradient(

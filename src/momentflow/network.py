@@ -152,15 +152,17 @@ def pairwise_distance(config: RobotConfiguration, metric: int) -> np.ndarray:
     """All inter-robot distances as an (n, n) array.
 
     ``metric`` selects the norm: 1 for the taxicab (l1) distance, 2 for the
-    Euclidean (l2) distance.  The result is symmetric with an exactly zero
-    diagonal because x_i - x_i is computed as an exact zero.
+    Euclidean (l2) distance.  The per-axis terms are accumulated one axis at
+    a time, so no (n, n, d) array is formed.  The result is symmetric with
+    an exactly zero diagonal because x_i - x_i is computed as an exact zero.
     """
     if metric not in (1, 2):
         raise ValueError(f"metric must be 1 or 2, got {metric}")
-    diffs = config.positions[:, None, :] - config.positions[None, :, :]
-    if metric == 1:
-        return np.abs(diffs).sum(axis=-1)
-    return np.sqrt((diffs**2).sum(axis=-1))
+    total = np.zeros((config.n, config.n))
+    for column in config.positions.T:
+        diff = np.subtract.outer(column, column)
+        total += np.abs(diff, out=diff) if metric == 1 else np.square(diff, out=diff)
+    return total if metric == 1 else np.sqrt(total, out=total)
 
 
 def build_adjacency(config: RobotConfiguration, decay: float, metric: int) -> WeightedAdjacency:
@@ -169,13 +171,25 @@ def build_adjacency(config: RobotConfiguration, decay: float, metric: int) -> We
     ``decay`` must be positive; larger values make weights fall off faster
     with distance.  The diagonal is forced to exactly zero (robots carry no
     self-loops), which in turn pins the first spectral moment at zero.
+    Finite symmetric distances give symmetric weights in [0, 1], so only an
+    underflow to 0 can break the :class:`WeightedAdjacency` contract; it
+    raises ValueError, and the constructor's checks are not run again.
     """
     if not np.isfinite(decay) or decay <= 0.0:
         raise ValueError(f"decay must be a positive real, got {decay}")
-    dist = pairwise_distance(config, metric)
-    weights = np.exp(-decay * dist)
+    weights = pairwise_distance(config, metric)
+    weights *= -decay
+    np.exp(weights, out=weights)
     np.fill_diagonal(weights, 0.0)
-    return WeightedAdjacency(weights)
+    if np.count_nonzero(weights) < config.n * (config.n - 1):
+        raise ValueError(
+            f"a weight exp(-c * dist) underflows to 0: at c = {decay:g} it does "
+            f"for robots more than about 745/c = {745.0 / decay:.4g} apart"
+        )
+    weights.setflags(write=False)
+    adjacency = object.__new__(WeightedAdjacency)
+    object.__setattr__(adjacency, "weights", weights)
+    return adjacency
 
 
 def power_chain(adjacency: WeightedAdjacency, max_power: int) -> list[np.ndarray]:
@@ -184,12 +198,12 @@ def power_chain(adjacency: WeightedAdjacency, max_power: int) -> list[np.ndarray
     The chain is the shared workhorse for moments and their gradients:
     entry k of the returned list is A^k, so both tr(A^k) and the A^(k-1)
     factors of the gradient formulas come from one pass of dense
-    multiplications.
+    multiplications (entry 1 is the read-only weight array itself).
     """
     if max_power < 0:
         raise ValueError(f"max_power must be nonnegative, got {max_power}")
-    chain = [np.eye(adjacency.n)]
-    for _ in range(max_power):
+    chain = [np.eye(adjacency.n), adjacency.weights][: max_power + 1]
+    for _ in range(max_power - 1):
         chain.append(chain[-1] @ adjacency.weights)
     return chain
 
@@ -210,9 +224,22 @@ def _moments_and_chain(
     n = adjacency.n
     if not 1 <= order <= n:
         raise ValueError(f"order must satisfy 1 <= order <= {n}, got {order}")
-    chain = power_chain(adjacency, order)
-    values = np.array([np.trace(chain[k]) / n for k in range(1, order + 1)])
+    # Overflowing powers are reported with their order, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        chain = power_chain(adjacency, order)
+        values = np.array([np.trace(chain[k]) / n for k in range(1, order + 1)])
+    _check_overflow(values, "moment")
     return MomentVector(values), chain
+
+
+def _check_overflow(values: np.ndarray, what: str) -> None:
+    """ValueError naming the order s = len(values) if a value overflowed."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(
+            f"{what} m_{int(np.argmin(finite)) + 1} overflows floats, so "
+            f"s = {len(values)} is too high; a smaller s is needed"
+        )
 
 
 def eigenvalues(adjacency: WeightedAdjacency) -> np.ndarray:
@@ -256,7 +283,9 @@ def complete_graph_moments(n: int, order: int) -> MomentVector:
     if not 1 <= order <= n:
         raise ValueError(f"order must satisfy 1 <= order <= {n}, got {order}")
     k = np.arange(1, order + 1)
-    values = (float(n - 1) ** k + (n - 1) * (-1.0) ** k) / n
+    with np.errstate(over="ignore"):
+        values = (float(n - 1) ** k + (n - 1) * (-1.0) ** k) / n
+    _check_overflow(values, f"the complete-graph (n = {n}) ceiling of")
     return MomentVector(values)
 
 

@@ -13,6 +13,8 @@ Core claims:
       with one-line reasons that name the field; a huge robot count does
       so before anything is allocated
     - targets at or above their ceilings make run exit 3, not spectrum
+    - an order s whose ceilings or moments overflow floats makes run and
+      spectrum exit 2 with one line that names s
     - a stalled run says why it stalled, in its report and summary line
 """
 
@@ -449,6 +451,22 @@ class TestRunCommand:
         assert code == EXIT_VALIDATION
         assert "underflows" in err and len(err.strip().splitlines()) == 1
 
+    def test_overflowing_ceiling_exit(self, tmp_path, capsys):
+        # (n-1)^k overflows floats for k > 133 at n = 200.
+        path = tmp_path / "high_order.json"
+        path.write_text(json.dumps({
+            "name": "high_order", "n": 200, "d": 2, "s": 200, "seed": 1,
+            "targets": {"moments": [0.0] + [0.1] * 199},
+        }))
+        code = main(["run", str(path), "-o", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "s = 200" in captured.err and "ceiling" in captured.err
+        assert "overflows" in captured.err
+        assert "underflow" not in captured.err and "Warning" not in captured.err
+
     def test_zero_drift_start_exit(self, tmp_path, capsys):
         path = tmp_path / "coincident.json"
         path.write_text(json.dumps({
@@ -583,6 +601,18 @@ class TestSpectrumCommand:
         assert captured.out == ""
         assert "underflows" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_overflowing_moments_exit(self, tmp_path, capsys):
+        # The default s = n = 200 makes m_k of a gathered team overflow.
+        path = tmp_path / "gathered.json"
+        path.write_text(json.dumps({"positions": [[0.0, 0.0]] * 200}))
+        code = main(["spectrum", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "s = 200" in captured.err and "smaller s" in captured.err
+        assert "Warning" not in captured.err
 
     def test_too_many_positions_exit(self, tmp_path, capsys):
         path = tmp_path / "crowd.json"

@@ -12,6 +12,11 @@ Core claims:
       that grid, leaves the adjacency bit-identical
     - control_law equals minus central finite differences of cost to 1e-5
       relative on tie-free configurations, for both metrics
+    - build_adjacency's weights pass every WeightedAdjacency check, also
+      with coincident robots, so build_adjacency need not re-run them
+    - the drift equals control_law - barrier_gradient to 1e-12 relative;
+      a shift by 2^20 moves it by at most 1e-7 relative, and by at most
+      1e-12 when the team sits on a 2^-20 grid, where the shift is exact
 
 Examples are derandomized and bounded, so every run draws the same ones.
 """
@@ -23,18 +28,21 @@ from hypothesis.extra.numpy import arrays
 
 from momentflow.gradient import (
     ControllerParams,
+    _Evaluation,
+    barrier_gradient,
     control_law,
     cost,
     finite_difference_gradient,
 )
 from momentflow.network import (
     RobotConfiguration,
+    WeightedAdjacency,
     build_adjacency,
     complete_graph_moments,
     pairwise_distance,
     spectral_moments,
 )
-from momentflow.scenarios import target_from_formation
+from momentflow.scenarios import TargetSpectrum, target_from_formation
 
 _PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 _UNIT = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -154,3 +162,64 @@ def test_control_law_matches_cost_finite_differences(case):
     fd = finite_difference_gradient(lambda c: cost(c, targets, params), config)
     scale = float(np.abs(fd).max())
     assert float(np.abs(analytic + fd).max()) <= 1e-5 * scale
+
+
+@st.composite
+def _teams_with_coincident(draw):
+    """Unit-cube teams in which drawn robots sit exactly on robot 0."""
+    positions = draw(_teams())
+    copies = draw(arrays(bool, len(positions), elements=st.booleans()))
+    positions[copies] = positions[0]
+    return positions
+
+
+@_PROPERTY
+@given(_teams_with_coincident(), _DECAY, _METRIC)
+def test_built_weights_pass_adjacency_checks(positions, decay, metric):
+    built = build_adjacency(RobotConfiguration(positions), decay, metric)
+    checked = WeightedAdjacency(built.weights)
+    assert np.array_equal(checked.weights, built.weights)
+
+
+@st.composite
+def _drift_cases(draw):
+    """A tie-free team with every margin positive and a substantial barrier."""
+    n = draw(st.integers(2, 7))
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(2, min(5, n)))
+    params = ControllerParams(
+        decay=draw(st.floats(0.5, 2.0)),
+        metric=draw(_METRIC),
+        order=order,
+        epsilons=(0.0,) + tuple(0.05 * (k + 2) for k in range(order - 1)),
+    )
+    config = draw(_tie_free_teams(n, d))
+    adjacency = build_adjacency(config, params.decay, params.metric)
+    targets = TargetSpectrum(0.5 * spectral_moments(adjacency, order).values)
+    return config, targets, params
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_drift_cases())
+def test_drift_is_control_law_minus_barrier_gradient(case):
+    config, targets, params = case
+    drift = _Evaluation(config, targets, params).drift
+    parts = control_law(config, targets, params) - barrier_gradient(config, targets, params)
+    assert np.abs(drift - parts).max() <= 1e-12 * np.abs(parts).max()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_drift_cases())
+def test_shifted_team_keeps_drift(case):
+    config, targets, params = case
+
+    def drift_change(positions):
+        drift = _Evaluation(RobotConfiguration(positions), targets, params).drift
+        moved = _Evaluation(RobotConfiguration(positions + 2.0**20), targets, params).drift
+        return np.abs(moved - drift).max() / np.abs(drift).max()
+
+    # The shift rounds the team's coordinates, which moves the drift.
+    assert drift_change(config.positions) <= 1e-7
+    # On a 2^-20 grid the shift is exact, and so are distances and weights:
+    # only the projection can lose digits, which centring prevents.
+    assert drift_change(np.round(config.positions * _GRID) / _GRID) <= 1e-12
