@@ -447,8 +447,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _print_spectrum(
     config: RobotConfiguration, decay: float, metric: int, order: int, title: str = ""
 ) -> int:
+    adjacency = build_adjacency(config, decay, metric)
     try:
-        adjacency = build_adjacency(config, decay, metric)
         moments = spectral_moments(adjacency, order)
     except ValueError as exc:
         print(f"cannot evaluate the spectrum: {exc}", file=sys.stderr)

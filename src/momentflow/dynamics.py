@@ -16,8 +16,9 @@ and the run ends there once less than the step-size floor
 and the trial step is still rejected, the flow has stalled; so has a state
 whose drift is exactly zero (all robots coincident, say), which no step
 moves.  Each state is evaluated once, and an accepted candidate's
-evaluation is the next state.  A start with a weight that underflows to 0
-(robots about 745/decay apart) cannot be evaluated and raises ValueError.
+evaluation is the next state.  A weight that underflows to 0 (robots about
+745/decay or more apart) is an ordinary weight: a far-apart start is
+compressed like any other infeasible start.
 
 Feasible starting points always exist whenever each target sits strictly
 below its coincident-configuration ceiling: contracting the team toward its
@@ -237,11 +238,10 @@ def step(
 
     Computes the drift -grad(f + b) at ``config``, forms the candidate
     x + dt * drift, and accepts it iff the candidate is feasible (every
-    margin strictly positive) and does not increase f + b.  A candidate so
-    extreme that some inter-robot weight underflows to zero cannot be
-    represented (weights are strictly positive) and is likewise rejected.
-    Returns ``(new_config, accepted, next_dt)``: on acceptance the candidate
-    and the unchanged dt; on rejection the original configuration and dt
+    margin strictly positive) and does not increase f + b; a candidate
+    whose positions are not finite is rejected too.  Returns
+    ``(new_config, accepted, next_dt)``: on acceptance the candidate and
+    the unchanged dt; on rejection the original configuration and dt
     halved, clamped to ``DEFAULT_MIN_STEP``.  Raises :class:`FlowStalled`
     if dt is already at the floor and the trial still fails, or if the
     drift is exactly zero, since then no step moves the robots.
@@ -253,7 +253,10 @@ def step(
 
 
 def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
-    """:func:`step` from an evaluated state; the next state comes evaluated."""
+    """:func:`step` from an evaluated state; the next state comes evaluated.
+
+    The ValueError caught is a candidate with non-finite positions.
+    """
     drift = state.drift
     if not np.any(drift):
         raise FlowStalled("the drift is exactly zero, so no step moves the robots")
@@ -278,14 +281,6 @@ def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
     return state, False, max(dt / 2.0, DEFAULT_MIN_STEP)
 
 
-def _ordering_signature(config: RobotConfiguration) -> list[np.ndarray]:
-    """Per-axis pairwise ordering (sign pattern) of robot coordinates."""
-    return [
-        np.sign(config.positions[:, r, None] - config.positions[None, :, r])
-        for r in range(config.d)
-    ]
-
-
 def simulate(scenario: "Scenario") -> TrajectoryRecord:
     """Integrate the closed loop for one scenario to termination.
 
@@ -306,7 +301,6 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     targets = scenario.targets
     settings = scenario.settings
     start = ensure_feasible(scenario.initial_configuration(), targets, params)
-    initial_ordering = _ordering_signature(start)
     state = _Evaluation(start, targets, params)
 
     def snapshot(t: float) -> TrajectorySample:
@@ -359,11 +353,12 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     if samples[-1].configuration is not config or samples[-1].t != t:
         samples.append(snapshot(t))
 
-    final_ordering = _ordering_signature(config)
-    flipped = sum(
-        int(np.sum(a != b)) // 2
-        for a, b in zip(initial_ordering, final_ordering)
-    )
+    flipped = 0
+    for before, after in zip(start.positions.T, config.positions.T):
+        flipped += int(np.sum(
+            np.sign(np.subtract.outer(before, before))
+            != np.sign(np.subtract.outer(after, after))
+        )) // 2
     if flipped:
         logger.info(
             "coordinate ordering changed for %d robot pair slots during the run",

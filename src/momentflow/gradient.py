@@ -178,14 +178,14 @@ class _Evaluation:
     """Everything the flow derives from one configuration, computed once.
 
     Construction checks that the targets carry ``params.order`` moments and
-    builds the adjacency through :func:`build_adjacency`, which raises
-    ValueError when a weight underflows to 0.  One power chain A^0..A^s
-    then gives the moments, the margins m_k - m_k* for k = 2..s and the
-    cost.  The barrier and every gradient come from the same chain on
-    demand, each gradient through one :meth:`_project` call (the drift
-    included); the barrier and its gradient raise
-    :class:`InfeasibleStateError` on a nonpositive guarded margin.  Every
-    sum over k runs in increasing k, so results are bitwise reproducible.
+    builds the adjacency (a weight that underflowed to 0 is ordinary).  The
+    chain A..A^(s-1), exactly the powers that W uses, gives the moments,
+    the margins m_k - m_k* for k = 2..s and the cost.  The barrier and
+    every gradient come from the same chain on demand, each gradient
+    through one :meth:`_project` call (the drift included); the barrier
+    and its gradient raise :class:`InfeasibleStateError` on a nonpositive
+    guarded margin.  Every sum over k runs in increasing k, so results are
+    bitwise reproducible.
     """
 
     def __init__(
@@ -239,7 +239,7 @@ class _Evaluation:
         """(decay / n) [(A o T_r) W]_ii, W = sum_k coefficients[k-2] A^(k-1)."""
         n = self.config.n
         weighted = np.zeros((n, n))
-        for coefficient, power in zip(coefficients, self.chain[1:-1]):
+        for coefficient, power in zip(coefficients, self.chain):
             if coefficient:
                 weighted += coefficient * power
         mixed = np.multiply(weighted, self.adjacency.weights, out=weighted)
@@ -278,7 +278,7 @@ def control_law(
     """Negative cost gradient u = -grad f: the (n, d) array of robot velocities.
 
     u[i, r] = (decay / n) * [(A o T_r) W]_ii with W = sum_{k=2}^{s}
-    (m_k - m_k*) A^(k-1), from one chain A^0..A^s per call.
+    (m_k - m_k*) A^(k-1), from one chain A..A^(s-1) per call.
     """
     state = _Evaluation(config, targets, params)
     return state._project(state.margins)

@@ -91,8 +91,9 @@ class RobotConfiguration:
 class WeightedAdjacency:
     """Symmetric nonnegative weight matrix with a zero diagonal.
 
-    Off-diagonal entries lie in (0, 1]: exponential decay of a finite
-    distance never reaches zero and equals one only for coincident robots.
+    Off-diagonal entries lie in [0, 1]: exp(-decay * dist) is one only for
+    coincident robots and underflows to exactly zero about 745/decay apart,
+    an edge whose weight and derivative are both 0; moments stay defined.
     """
 
     weights: np.ndarray
@@ -110,8 +111,8 @@ class WeightedAdjacency:
         if not np.array_equal(w, w.T):
             raise ValueError("weight matrix must be symmetric")
         off = w[~np.eye(w.shape[0], dtype=bool)]
-        if np.any(off <= 0.0) or np.any(off > 1.0):
-            raise ValueError("off-diagonal weights must lie in (0, 1]")
+        if np.any(off < 0.0) or np.any(off > 1.0):
+            raise ValueError("off-diagonal weights must lie in [0, 1]")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -171,9 +172,10 @@ def build_adjacency(config: RobotConfiguration, decay: float, metric: int) -> We
     ``decay`` must be positive; larger values make weights fall off faster
     with distance.  The diagonal is forced to exactly zero (robots carry no
     self-loops), which in turn pins the first spectral moment at zero.
-    Finite symmetric distances give symmetric weights in [0, 1], so only an
-    underflow to 0 can break the :class:`WeightedAdjacency` contract; it
-    raises ValueError, and the constructor's checks are not run again.
+    Finite symmetric distances give symmetric weights in [0, 1], a weight
+    that underflows to 0 included, so the result meets the
+    :class:`WeightedAdjacency` contract by construction and the
+    constructor's checks are not run again.
     """
     if not np.isfinite(decay) or decay <= 0.0:
         raise ValueError(f"decay must be a positive real, got {decay}")
@@ -181,11 +183,6 @@ def build_adjacency(config: RobotConfiguration, decay: float, metric: int) -> We
     weights *= -decay
     np.exp(weights, out=weights)
     np.fill_diagonal(weights, 0.0)
-    if np.count_nonzero(weights) < config.n * (config.n - 1):
-        raise ValueError(
-            f"a weight exp(-c * dist) underflows to 0: at c = {decay:g} it does "
-            f"for robots more than about 745/c = {745.0 / decay:.4g} apart"
-        )
     weights.setflags(write=False)
     adjacency = object.__new__(WeightedAdjacency)
     object.__setattr__(adjacency, "weights", weights)
@@ -220,16 +217,21 @@ def spectral_moments(adjacency: WeightedAdjacency, order: int) -> MomentVector:
 def _moments_and_chain(
     adjacency: WeightedAdjacency, order: int
 ) -> tuple[MomentVector, list[np.ndarray]]:
-    """:func:`spectral_moments` together with the chain [I, A, ..., A^order]."""
+    """:func:`spectral_moments` with the powers [A, ..., A^(order-1)].
+
+    A is symmetric, so tr(A^order) = sum(A^(order-1) o A) without A^order.
+    """
     n = adjacency.n
     if not 1 <= order <= n:
         raise ValueError(f"order must satisfy 1 <= order <= {n}, got {order}")
     # Overflowing powers are reported with their order, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        chain = power_chain(adjacency, order)
-        values = np.array([np.trace(chain[k]) / n for k in range(1, order + 1)])
+        chain = power_chain(adjacency, order - 1)
+        traces = [np.trace(power) for power in chain[1:]]
+        traces.append(np.vdot(chain[-1], adjacency.weights))
+        values = np.array(traces) / n
     _check_overflow(values, "moment")
-    return MomentVector(values), chain
+    return MomentVector(values), chain[1:]
 
 
 def _check_overflow(values: np.ndarray, what: str) -> None:

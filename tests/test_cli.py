@@ -16,6 +16,8 @@ Core claims:
     - an order s whose ceilings or moments overflow floats makes run and
       spectrum exit 2 with one line that names s
     - a stalled run says why it stalled, in its report and summary line
+    - a start whose weights underflow to 0 runs and converges, and spectrum
+      prints it, like any other input
 """
 
 import csv
@@ -43,7 +45,7 @@ from momentflow.cli import (
 )
 from momentflow.dynamics import simulate
 from momentflow.gradient import ControllerParams
-from momentflow.network import build_adjacency, spectral_moments
+from momentflow.network import build_adjacency, moments_from_eigenvalues, spectral_moments
 from momentflow.scenarios import (
     hexagon_formation,
     preset,
@@ -440,6 +442,7 @@ class TestRunCommand:
         assert not list(tmp_path.glob("*_report.json"))
 
     def test_underflowing_start_exit(self, tmp_path, capsys):
+        # The start is compressed like any infeasible one and converges.
         path = tmp_path / "far.json"
         path.write_text(json.dumps({
             "name": "far", "n": 3, "d": 1, "s": 2,
@@ -447,9 +450,12 @@ class TestRunCommand:
             "targets": {"moments": [0.0, 0.5]},
         }))
         code = main(["run", str(path), "-o", str(tmp_path)])
-        err = capsys.readouterr().err
-        assert code == EXIT_VALIDATION
-        assert "underflows" in err and len(err.strip().splitlines()) == 1
+        assert code == EXIT_CONVERGED
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "far_report.json").read_text())
+        assert report["converged"]
+        final, goal = report["final_moments"], report["target_moments"]
+        assert all(got > want for got, want in zip(final[1:], goal[1:]))
 
     def test_overflowing_ceiling_exit(self, tmp_path, capsys):
         # (n-1)^k overflows floats for k > 133 at n = 200.
@@ -496,7 +502,7 @@ class TestRunCommand:
         # No candidate can be built, so every trial step is rejected and the
         # step size halves down to its floor.
         def unbuildable(positions):
-            raise ValueError("off-diagonal weights must lie in (0, 1]")
+            raise ValueError("positions must be finite")
 
         monkeypatch.setattr("momentflow.dynamics.RobotConfiguration", unbuildable)
         path = tmp_path / "quick.json"
@@ -597,10 +603,16 @@ class TestSpectrumCommand:
         path.write_text(json.dumps({"positions": _UNDERFLOW_POSITIONS}))
         code = main(["spectrum", str(path)])
         captured = capsys.readouterr()
-        assert code == EXIT_VALIDATION
-        assert captured.out == ""
-        assert "underflows" in captured.err
-        assert len(captured.err.strip().splitlines()) == 1
+        assert code == 0
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        printed = [float(v) for v in lines[1].split(": ", 1)[1].split(", ")]
+        weights = np.zeros((3, 3))
+        weights[0, 1] = weights[1, 0] = np.exp(-1.0)
+        eigs = np.linalg.eigvalsh(weights)[::-1]
+        assert printed == approx(eigs, rel=1e-5, abs=1e-9)
+        m2 = moments_from_eigenvalues(eigs, 3).values[1]
+        assert float(lines[3].split(" = ", 1)[1]) == approx(m2, rel=1e-5)
 
     def test_overflowing_moments_exit(self, tmp_path, capsys):
         # The default s = n = 200 makes m_k of a gathered team overflow.

@@ -13,6 +13,7 @@ Core claims:
       recorded trajectory, never runs past the horizon, and is
       deterministic for identical scenarios
     - a start with exactly zero drift stalls without counting non-moves
+    - simulate logs how many robot pair slots changed coordinate order
     - simulate evaluates each configuration once: at most one adjacency
       build per trial step, and the presets keep their step counts
 """
@@ -88,7 +89,7 @@ def _reachable_scenario(seed=0, order=2, n=5, tol=1e-4):
 def _unbuildable_candidates(monkeypatch):
     """Make every trial step's candidate unbuildable, so every step is rejected."""
     def unbuildable(positions):
-        raise ValueError("off-diagonal weights must lie in (0, 1]")
+        raise ValueError("positions must be finite")
 
     monkeypatch.setattr(dynamics, "RobotConfiguration", unbuildable)
 
@@ -414,6 +415,27 @@ class TestSimulate:
         assert record.accepted_steps == 0
         assert record.rejected_steps == 0
         assert record.simulated_time == 0.0
+
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_logs_coordinate_order_flips(self, metric, caplog):
+        # Robots 0 and 1 tie on y and repel each other only along x; robot 2
+        # pushes the nearer robot 0 harder, so the tie breaks: one pair slot
+        # changes order, and no pair crosses on x.
+        scenario = Scenario(
+            name="tie",
+            n=3,
+            d=2,
+            params=_params(order=2, metric=metric),
+            targets=TargetSpectrum([0.0, 0.05]),
+            settings=SimulationSettings(max_time=0.5),
+            initial_positions=np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 1.0]]),
+        )
+        with caplog.at_level("INFO", logger="momentflow.dynamics"):
+            record = simulate(scenario)
+        assert record.accepted_steps > 0
+        assert caplog.messages == [
+            "coordinate ordering changed for 1 robot pair slots during the run"
+        ]
 
 
 # == 6. One evaluation per configuration =====================================

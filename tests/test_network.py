@@ -7,7 +7,7 @@ Core claims:
     - pairwise_distance matches hand values for both metrics, is symmetric
       with an exactly zero diagonal, and is translation invariant
     - build_adjacency reproduces exp(-decay * dist) with an exactly zero
-      diagonal and off-diagonal entries in (0, 1]
+      diagonal and off-diagonal entries in [0, 1], 0 where a weight underflows
     - power_chain agrees with numpy matrix_power
     - spectral_moments has m_1 == 0 exactly, nonnegative entries, and agrees
       with the eigenvalue power-sum route to tight tolerance
@@ -130,7 +130,10 @@ class TestWeightedAdjacency:
             WeightedAdjacency(w)
 
     def test_rejects_out_of_range_weights(self):
-        for bad in (0.0, -0.5, 1.0 + 1e-12):
+        # An underflowed weight of exactly 0 is valid; [0, 1] is the range.
+        zero = WeightedAdjacency(np.array([[0.0, 0.0], [0.0, 0.0]]))
+        assert np.all(zero.weights == 0.0)
+        for bad in (-0.5, 1.0 + 1e-12):
             w = np.array([[0.0, bad], [bad, 0.0]])
             with pytest.raises(ValueError):
                 WeightedAdjacency(w)

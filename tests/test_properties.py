@@ -13,10 +13,15 @@ Core claims:
     - control_law equals minus central finite differences of cost to 1e-5
       relative on tie-free configurations, for both metrics
     - build_adjacency's weights pass every WeightedAdjacency check, also
-      with coincident robots, so build_adjacency need not re-run them
+      with coincident robots and with a robot so far away that its weights
+      underflow to 0, so build_adjacency need not re-run them; the moments
+      of such teams match the eigenvalue power sums
     - the drift equals control_law - barrier_gradient to 1e-12 relative;
       a shift by 2^20 moves it by at most 1e-7 relative, and by at most
       1e-12 when the team sits on a 2^-20 grid, where the shift is exact
+    - on short generated runs, far-apart starts included, f + b never
+      increases between samples, every margin stays positive, m_1 stays
+      exactly zero and simulated_time never passes max_time
 
 Examples are derandomized and bounded, so every run draws the same ones.
 """
@@ -26,6 +31,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from momentflow.dynamics import SimulationSettings, simulate
 from momentflow.gradient import (
     ControllerParams,
     _Evaluation,
@@ -39,10 +45,12 @@ from momentflow.network import (
     WeightedAdjacency,
     build_adjacency,
     complete_graph_moments,
+    eigenvalues,
+    moments_from_eigenvalues,
     pairwise_distance,
     spectral_moments,
 )
-from momentflow.scenarios import TargetSpectrum, target_from_formation
+from momentflow.scenarios import Scenario, TargetSpectrum, target_from_formation
 
 _PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 _UNIT = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -174,11 +182,22 @@ def _teams_with_coincident(draw):
 
 
 @_PROPERTY
-@given(_teams_with_coincident(), _DECAY, _METRIC)
-def test_built_weights_pass_adjacency_checks(positions, decay, metric):
+@given(_teams_with_coincident(), _DECAY, _METRIC, st.booleans())
+def test_built_weights_pass_adjacency_checks(positions, decay, metric, far):
+    if far:
+        # The last robot ends at least 800/c from every other one, where
+        # exp(-c * dist) underflows to 0.
+        positions[-1, 0] += 800.0 / decay + 1.0
     built = build_adjacency(RobotConfiguration(positions), decay, metric)
     checked = WeightedAdjacency(built.weights)
     assert np.array_equal(checked.weights, built.weights)
+    assert not far or np.all(built.weights[-1] == 0.0)
+    n = len(positions)
+    eigs = eigenvalues(built)
+    # Both routes are off by a few ulps of the largest term, rho^k.
+    scale = max(1.0, float(np.abs(eigs).max())) ** np.arange(1, n + 1)
+    error = spectral_moments(built, n).values - moments_from_eigenvalues(eigs, n).values
+    assert np.all(np.abs(error) <= 1e-12 * scale)
 
 
 @st.composite
@@ -223,3 +242,42 @@ def test_shifted_team_keeps_drift(case):
     # On a 2^-20 grid the shift is exact, and so are distances and weights:
     # only the projection can lose digits, which centring prevents.
     assert drift_change(np.round(config.positions * _GRID) / _GRID) <= 1e-12
+
+
+@st.composite
+def _short_runs(draw):
+    """A scenario with targets from a drawn formation and a short horizon.
+
+    The horizon is drawn, so the last trial step is usually clamped.  Some
+    starts put the last robot at least 800/c from the rest, where its
+    weights underflow to 0 until the start is compressed.
+    """
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 2))
+    params = ControllerParams(
+        decay=draw(st.floats(0.5, 2.0)),
+        metric=draw(_METRIC),
+        order=draw(st.integers(2, min(4, n))),
+    )
+    targets = target_from_formation(draw(_tie_free_teams(n, d)), params)
+    start = draw(_tie_free_teams(n, d)).positions.copy()
+    if draw(st.booleans()):
+        start[-1, 0] += 800.0 / params.decay + 1.0
+    return Scenario(
+        name="short", n=n, d=d, params=params, targets=targets,
+        settings=SimulationSettings(max_time=draw(st.floats(0.05, 0.5)), record_every=1),
+        initial_positions=start,
+    )
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_short_runs())
+def test_flow_invariants_on_short_runs(scenario):
+    record = simulate(scenario)
+    goal = scenario.targets.moments
+    energies = [sample.cost + sample.barrier for sample in record.samples]
+    assert all(later <= earlier for earlier, later in zip(energies, energies[1:]))
+    for sample in record.samples:
+        assert sample.moments.values[0] == 0.0
+        assert np.all(sample.moments.values[1:] - goal[1:] > 0.0)
+    assert record.samples[-1].t == record.simulated_time <= scenario.settings.max_time
