@@ -82,6 +82,7 @@ EXIT_VALIDATION = 2
 EXIT_UNREALIZABLE = 3
 EXIT_STALLED = 4
 EXIT_IO = 5
+_EXIT_FOR_REASON = {"converged": EXIT_CONVERGED, "horizon": EXIT_HORIZON, "stalled": EXIT_STALLED}
 
 _FLOAT_FMT = "%.17g"
 
@@ -149,20 +150,19 @@ def write_trajectory_csv(record: TrajectoryRecord, path: Path) -> None:
             writer.writerow([_FLOAT_FMT % value for value in row])
 
 
-def relative_moment_errors(final: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """|m_k - m_k*| / max(|m_k*|, 1e-12) per moment."""
-    return np.abs(final - target) / np.maximum(np.abs(target), 1e-12)
-
-
 def build_report(
     scenario: Scenario,
     record: TrajectoryRecord,
     csv_path: Path,
     json_path: Path,
 ) -> dict[str, Any]:
-    """Summary of one finished run in JSON-ready form."""
+    """Summary of one finished run in JSON-ready form.
+
+    Relative errors are |m_k - m_k*| / max(|m_k*|, 1e-12) per moment.
+    """
     target = scenario.targets.moments
     final = record.final_moments.values
+    errors = np.abs(final - target) / np.maximum(np.abs(target), 1e-12)
     reference = scenario.targets.reference_eigenvalues
     return {
         "scenario": scenario.name,
@@ -174,13 +174,9 @@ def build_report(
         "simulated_time": record.simulated_time,
         "target_moments": [float(v) for v in target],
         "final_moments": [float(v) for v in final],
-        "relative_errors": [
-            float(v) for v in relative_moment_errors(final, target)
-        ],
+        "relative_errors": [float(v) for v in errors],
         "final_eigenvalues": [float(v) for v in record.final_eigenvalues],
-        "reference_eigenvalues": (
-            None if reference is None else [float(v) for v in reference]
-        ),
+        "reference_eigenvalues": None if reference is None else [float(v) for v in reference],
         "final_positions": [
             list(map(float, row)) for row in record.final_configuration.positions
         ],
@@ -197,14 +193,8 @@ def _print_report(report: dict[str, Any]) -> None:
         + (f": {detail}" if detail else "")
     )
     print(f"  {'k':>2}  {'target':>12}  {'final':>12}  {'rel err':>9}")
-    for idx, (goal, got, err) in enumerate(
-        zip(
-            report["target_moments"],
-            report["final_moments"],
-            report["relative_errors"],
-        ),
-        start=1,
-    ):
+    rows = zip(report["target_moments"], report["final_moments"], report["relative_errors"])
+    for idx, (goal, got, err) in enumerate(rows, start=1):
         print(f"  {idx:>2}  {goal:>12.6g}  {got:>12.6g}  {err:>9.2e}")
     eigs = ", ".join(f"{v:.4f}" for v in report["final_eigenvalues"])
     print(f"  final eigenvalues: {eigs}")
@@ -213,14 +203,6 @@ def _print_report(report: dict[str, Any]) -> None:
         print(f"  reference eigenvalues: {ref}")
     print(f"  wrote {report['files']['trajectory_csv']}")
     print(f"  wrote {report['files']['report_json']}")
-
-
-def _exit_for_reason(reason: str) -> int:
-    return {
-        "converged": EXIT_CONVERGED,
-        "horizon": EXIT_HORIZON,
-        "stalled": EXIT_STALLED,
-    }[reason]
 
 
 def _run_one(scenario: Scenario, out_dir: Path) -> int:
@@ -246,7 +228,7 @@ def _run_one(scenario: Scenario, out_dir: Path) -> int:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
     _print_report(report)
-    return _exit_for_reason(record.termination_reason)
+    return _EXIT_FOR_REASON[record.termination_reason]
 
 
 def _load(command: str, path: Optional[str], preset_name: Optional[str]) -> Any:
@@ -290,10 +272,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if args.seed is not None:
         if "positions" in data:
-            print(
-                "--seed does not apply to a scenario with explicit positions",
-                file=sys.stderr,
-            )
+            print("--seed does not apply to a scenario with explicit positions", file=sys.stderr)
             return EXIT_VALIDATION
         data["seed"] = args.seed
 
@@ -302,10 +281,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"--trials must be at least 1, got {trials}", file=sys.stderr)
         return EXIT_VALIDATION
     if trials is not None and "positions" in data:
-        print(
-            "--trials varies the seed; it does not apply to explicit positions",
-            file=sys.stderr,
-        )
+        print("--trials varies the seed; it does not apply to explicit positions",
+              file=sys.stderr)
         return EXIT_VALIDATION
 
     scenario, problems = scenario_from_dict(data)

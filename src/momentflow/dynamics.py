@@ -40,6 +40,7 @@ from .gradient import ControllerParams, _Evaluation
 from .network import (
     MomentVector,
     RobotConfiguration,
+    _freeze,
     complete_graph_moments,
     eigenvalues,
 )
@@ -167,8 +168,7 @@ class TrajectoryRecord:
         if not self.samples:
             raise ValueError("a trajectory record needs at least one sample")
         eigs = np.array(self.final_eigenvalues, dtype=float)
-        eigs.setflags(write=False)
-        object.__setattr__(self, "final_eigenvalues", eigs)
+        _freeze(self, "final_eigenvalues", eigs)
         object.__setattr__(self, "samples", tuple(self.samples))
 
 
@@ -255,22 +255,24 @@ def step(
 def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
     """:func:`step` from an evaluated state; the next state comes evaluated.
 
-    The ValueError caught is a candidate with non-finite positions.
+    The candidate and its distances may overflow: non-finite positions are
+    the ValueError caught, and an infinite distance is a weight of 0.
     """
     drift = state.drift
-    if not np.any(drift):
+    if not drift.any():
         raise FlowStalled("the drift is exactly zero, so no step moves the robots")
     try:
-        candidate = _Evaluation(
-            RobotConfiguration(state.config.positions + dt * drift),
-            state.targets,
-            state.params,
-        )
+        with np.errstate(over="ignore"):
+            candidate = _Evaluation(
+                RobotConfiguration(state.config.positions + dt * drift),
+                state.targets,
+                state.params,
+            )
     except ValueError:
         candidate = None
     if (
         candidate is not None
-        and np.all(candidate.margins > 0.0)
+        and candidate.margins.min() > 0.0
         and candidate.cost + candidate.barrier <= state.cost + state.barrier
     ):
         return candidate, True, dt

@@ -45,8 +45,8 @@ import numpy as np
 from .network import (
     RobotConfiguration,
     WeightedAdjacency,
+    _adjacency,
     _moments_and_chain,
-    build_adjacency,
     pairwise_distance,
     power_chain,
 )
@@ -146,8 +146,7 @@ def trace_derivative(adjacency: WeightedAdjacency, k: int, i: int, j: int) -> fl
         raise ValueError(f"indices ({i}, {j}) out of range for n={n}")
     if i == j:
         raise ValueError("diagonal entries are structurally zero; no derivative there")
-    prev = power_chain(adjacency, k - 1)[k - 1]
-    return 2.0 * k * prev[i, j]
+    return 2.0 * k * power_chain(adjacency, k - 1)[k - 1][i, j]
 
 
 def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int) -> np.ndarray:
@@ -164,8 +163,6 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
     """
     if not 2 <= k <= params.order:
         raise ValueError(f"moment index k={k} outside 2..{params.order}")
-    if params.order > config.n:
-        raise ValueError(f"order {params.order} exceeds robot count {config.n}")
     from .scenarios import TargetSpectrum  # scenarios imports this module
 
     coefficients = np.zeros(params.order - 1)
@@ -178,13 +175,12 @@ class _Evaluation:
     """Everything the flow derives from one configuration, computed once.
 
     Construction checks that the targets carry ``params.order`` moments and
-    builds the adjacency (a weight that underflowed to 0 is ordinary).  The
-    chain A..A^(s-1), exactly the powers that W uses, gives the moments,
-    the margins m_k - m_k* for k = 2..s and the cost.  The barrier and
-    every gradient come from the same chain on demand, each gradient
-    through one :meth:`_project` call (the drift included); the barrier
-    and its gradient raise :class:`InfeasibleStateError` on a nonpositive
-    guarded margin.  Every sum over k runs in increasing k, so results are
+    builds the adjacency from one distance matrix, which the Euclidean
+    :meth:`_project` reuses.  The chain A..A^(s-1), exactly the powers that
+    W uses, gives the moments, the margins m_k - m_k* for k = 2..s, the cost
+    and the barrier.  Each gradient is one :meth:`_project` call on demand;
+    the barrier's raises :class:`InfeasibleStateError` on a nonpositive
+    guarded margin.  Sums over k run in increasing k, so results are
     bitwise reproducible.
     """
 
@@ -198,50 +194,49 @@ class _Evaluation:
         self.config = config
         self.targets = targets
         self.params = params
-        self.adjacency = build_adjacency(config, params.decay, params.metric)
+        distance = pairwise_distance(config, params.metric)
+        euclidean = params.metric == 2
+        self._distance = distance if euclidean else None
+        self.adjacency = _adjacency(distance, params.decay, out=None if euclidean else distance)
         self.moments, self.chain = _moments_and_chain(self.adjacency, params.order)
         self.margins = self.moments.values[1:] - targets.moments[1:]
-        total = 0.0
-        for k, margin in enumerate(self.margins, start=2):
-            total += margin * margin / (4.0 * k)
-        self.cost = total
+        self.cost = sum(m * m / (4.0 * k) for k, m in enumerate(self.margins.tolist(), start=2))
+        eps = params.epsilons
+        # (k, eps_k, margin_k) for every moment the barrier guards.
+        self._guarded = [(k, eps[k - 1], m) for k, m in enumerate(self.margins, 2) if eps[k - 1]]
+        # An interior barrier: +inf where a guarded margin is not positive.
+        self.barrier = sum(
+            (e / (4.0 * k * m * m) if m > 0.0 else np.inf for k, e, m in self._guarded), 0.0
+        )
 
-    def _guarded(self) -> list[tuple[int, float, float]]:
-        """(k, eps_k, margin_k) for every moment the barrier guards."""
-        eps = self.params.epsilons
-        guarded = []
-        for k, margin in enumerate(self.margins, start=2):
-            if eps[k - 1] == 0.0:
-                continue
+    def _check_feasible(self) -> None:
+        """InfeasibleStateError unless every guarded margin is positive."""
+        for k, _, margin in self._guarded:
             if margin <= 0.0:
                 raise InfeasibleStateError(
                     f"barrier-guarded margin for moment {k} is {margin:.3e}; "
                     "the state has left the feasible region"
                 )
-            guarded.append((k, eps[k - 1], margin))
-        return guarded
-
-    @cached_property
-    def barrier(self) -> float:
-        total = 0.0
-        for k, eps, margin in self._guarded():
-            total += eps / (4.0 * k * margin * margin)
-        return total
 
     def _barrier_coefficients(self) -> np.ndarray:
         """eps_k / (m_k - m_k*)^3 for k = 2..s, zero where eps_k is zero."""
+        self._check_feasible()
         coefficients = np.zeros(self.params.order - 1)
-        for k, eps, margin in self._guarded():
+        for k, eps, margin in self._guarded:
             coefficients[k - 2] = eps / margin**3
         return coefficients
 
     def _project(self, coefficients: np.ndarray) -> np.ndarray:
-        """(decay / n) [(A o T_r) W]_ii, W = sum_k coefficients[k-2] A^(k-1)."""
+        """(decay / n) [(A o T_r) W]_ii, W = sum_k coefficients[k-2] A^(k-1).
+
+        Once per evaluation: the Euclidean form consumes the kept distances.
+        """
         n = self.config.n
         weighted = np.zeros((n, n))
+        term = np.empty((n, n))
         for coefficient, power in zip(coefficients, self.chain):
             if coefficient:
-                weighted += coefficient * power
+                weighted += np.multiply(coefficient, power, out=term)
         mixed = np.multiply(weighted, self.adjacency.weights, out=weighted)
         positions = self.config.positions
         if self.params.metric == 1:
@@ -250,11 +245,13 @@ class _Evaluation:
                 signs = np.subtract.outer(column, column)
                 rows[:, r] = np.einsum("ij,ij->i", mixed, np.sign(signs, out=signs))
         else:
-            dist = pairwise_distance(self.config, 2)
+            # Released here, so a state holds no more n x n arrays than its
+            # chain; 1/inf makes the diagonal and coincident pairs give 0.
+            dist, self._distance = self._distance, None
             dist[dist == 0.0] = np.inf
             mixed /= dist
-            centred = positions - positions.mean(axis=0)
-            rows = centred * mixed.sum(axis=1)[:, None] - mixed @ centred
+            centred = positions - np.add.reduce(positions) / n
+            rows = centred * np.add.reduce(mixed, axis=1)[:, None] - mixed @ centred
         return (self.params.decay / n) * rows
 
     @cached_property
@@ -288,11 +285,13 @@ def barrier(config: RobotConfiguration, targets: "TargetSpectrum", params: Contr
     """Interior barrier sum_{k} (eps_k / 4k) * (m_k - m_k*)^(-2).
 
     Only terms with eps_k > 0 participate; with all constants zero the
-    value is exactly 0.  Raises
-    :class:`InfeasibleStateError` if any guarded margin is not strictly
-    positive, since the barrier is defined only inside the feasible region.
+    value is exactly 0.  Raises :class:`InfeasibleStateError` if any guarded
+    margin is not strictly positive, since the barrier is defined only
+    inside the feasible region.
     """
-    return _Evaluation(config, targets, params).barrier
+    state = _Evaluation(config, targets, params)
+    state._check_feasible()
+    return state.barrier
 
 
 def barrier_gradient(

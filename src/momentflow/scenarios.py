@@ -41,8 +41,10 @@ from .dynamics import (
 from .gradient import DEFAULT_DECAY, ControllerParams
 from .network import (
     RobotConfiguration,
+    _freeze,
     build_adjacency,
     eigenvalues,
+    max_finite_order,
     moments_from_eigenvalues,
     spectral_moments,
 )
@@ -96,16 +98,14 @@ class TargetSpectrum:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("target moments must be finite")
-        vals.setflags(write=False)
-        object.__setattr__(self, "moments", vals)
+        _freeze(self, "moments", vals)
         if self.reference_eigenvalues is not None:
             eigs = np.array(self.reference_eigenvalues, dtype=float)
             if eigs.ndim != 1 or eigs.size < 2:
                 raise ValueError("reference_eigenvalues must be a 1-D array of at least 2 values")
             if not np.all(np.isfinite(eigs)):
                 raise ValueError("reference_eigenvalues must be finite")
-            eigs.setflags(write=False)
-            object.__setattr__(self, "reference_eigenvalues", eigs)
+            _freeze(self, "reference_eigenvalues", eigs)
 
     @property
     def order(self) -> int:
@@ -154,8 +154,7 @@ class Scenario:
                 )
             if not np.all(np.isfinite(pos)):
                 raise ValueError("initial positions must be finite")
-            pos.setflags(write=False)
-            object.__setattr__(self, "initial_positions", pos)
+            _freeze(self, "initial_positions", pos)
 
     def initial_configuration(self) -> RobotConfiguration:
         """Starting configuration: explicit positions or the seeded draw."""
@@ -566,8 +565,8 @@ def positions_from_dict(
 
     Returns ``((configuration, c, z, s), [])`` or ``(None, problems)``.  The
     keys mean what they mean in a scenario file, except that ``s`` defaults
-    to the robot count and may be 1.  As in a scenario, at most
-    ``MAX_ROBOTS`` robots.
+    to the robot count, capped at :func:`max_finite_order`, and may be 1.
+    As in a scenario, at most ``MAX_ROBOTS`` robots.
     """
     problems: list[str] = []
     fields = _read(data, {key: SCHEMA[key] for key in ("positions", "c", "z", "s")}, problems)
@@ -581,7 +580,7 @@ def positions_from_dict(
         return None, [str(exc)]
     if config.n > MAX_ROBOTS:
         return None, [f"need at most {MAX_ROBOTS} robots, got n={config.n}"]
-    order = config.n if fields["s"] is None else fields["s"]
+    order = max_finite_order(config.n) if fields["s"] is None else fields["s"]
     if not 1 <= order <= config.n:
         return None, [f"field 's' must be in 1..{config.n}, got {order}"]
     return (config, fields["c"], fields["z"], order), []

@@ -14,7 +14,8 @@ Core claims:
       so before anything is allocated
     - targets at or above their ceilings make run exit 3, not spectrum
     - an order s whose ceilings or moments overflow floats makes run and
-      spectrum exit 2 with one line that names s
+      spectrum exit 2 with one line that names s; spectrum's default s
+      stops below that order, so a gathered team of 200 prints
     - a stalled run says why it stalled, in its report and summary line
     - a start whose weights underflow to 0 runs and converges, and spectrum
       prints it, like any other input
@@ -45,7 +46,13 @@ from momentflow.cli import (
 )
 from momentflow.dynamics import simulate
 from momentflow.gradient import ControllerParams
-from momentflow.network import build_adjacency, moments_from_eigenvalues, spectral_moments
+from momentflow.network import (
+    build_adjacency,
+    complete_graph_moments,
+    max_finite_order,
+    moments_from_eigenvalues,
+    spectral_moments,
+)
 from momentflow.scenarios import (
     hexagon_formation,
     preset,
@@ -615,9 +622,9 @@ class TestSpectrumCommand:
         assert float(lines[3].split(" = ", 1)[1]) == approx(m2, rel=1e-5)
 
     def test_overflowing_moments_exit(self, tmp_path, capsys):
-        # The default s = n = 200 makes m_k of a gathered team overflow.
+        # An explicit s = n = 200 makes m_k of a gathered team overflow.
         path = tmp_path / "gathered.json"
-        path.write_text(json.dumps({"positions": [[0.0, 0.0]] * 200}))
+        path.write_text(json.dumps({"positions": [[0.0, 0.0]] * 200, "s": 200}))
         code = main(["spectrum", str(path)])
         captured = capsys.readouterr()
         assert code == EXIT_VALIDATION
@@ -625,6 +632,19 @@ class TestSpectrumCommand:
         assert len(captured.err.strip().splitlines()) == 1
         assert "s = 200" in captured.err and "smaller s" in captured.err
         assert "Warning" not in captured.err
+
+    def test_gathered_team_default_order(self, tmp_path, capsys):
+        # Without s, the order stops where the ceilings would overflow.
+        path = tmp_path / "gathered.json"
+        path.write_text(json.dumps({"positions": [[0.0, 0.0]] * 200}))
+        code = main(["spectrum", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 2 + max_finite_order(200) == 136
+        ceilings = complete_graph_moments(200, 134).values
+        assert float(lines[-1].split(" = ", 1)[1]) == approx(ceilings[-1], rel=1e-5)
 
     def test_too_many_positions_exit(self, tmp_path, capsys):
         path = tmp_path / "crowd.json"

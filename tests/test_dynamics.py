@@ -14,8 +14,10 @@ Core claims:
       deterministic for identical scenarios
     - a start with exactly zero drift stalls without counting non-moves
     - simulate logs how many robot pair slots changed coordinate order
-    - simulate evaluates each configuration once: at most one adjacency
-      build per trial step, and the presets keep their step counts
+    - simulate evaluates each configuration once: at most one distance
+      matrix per trial step, and the presets keep their step counts
+    - a step whose candidate or its distances overflow is rejected without
+      a numpy warning
 """
 
 import dataclasses
@@ -240,6 +242,21 @@ class TestStep:
         assert new_config is config
         assert dt_next == approx(250.0)
 
+    @pytest.mark.parametrize("dt", [1e307, 1e306])
+    def test_overflowing_candidate_rejected_quietly(self, dt):
+        # From rgg10's start, dt = 1e307 makes dt * drift overflow, and
+        # dt = 1e306 gives finite positions whose distances overflow (an
+        # infinite distance is a weight of 0).  Either way the step is
+        # rejected, and no numpy warning escapes (warnings fail tests here).
+        scenario = preset("rgg10")
+        start = ensure_feasible(
+            scenario.initial_configuration(), scenario.targets, scenario.params
+        )
+        new_config, accepted, dt_next = step(start, scenario.targets, scenario.params, dt)
+        assert not accepted
+        assert new_config is start
+        assert dt_next == dt / 2.0
+
     def test_stall_at_step_floor(self, monkeypatch):
         # Every trial is rejected: dt halves down to the floor, then stalls.
         _unbuildable_candidates(monkeypatch)
@@ -449,28 +466,31 @@ class TestEvaluationBudget:
         assert record.termination_reason == "converged"
         assert (record.accepted_steps, record.rejected_steps) == steps
 
-    def test_one_adjacency_build_per_trial_step(self, monkeypatch):
-        builds = []
+    def test_one_distance_matrix_per_trial_step(self, monkeypatch):
+        distances = []
         checks = []
-        build_adjacency = network.build_adjacency
+        pairwise_distance = network.pairwise_distance
         feasibility_margin = dynamics.feasibility_margin
 
-        def counted_build(*args):
-            builds.append(args)
-            return build_adjacency(*args)
+        def counted_distance(*args):
+            distances.append(args)
+            return pairwise_distance(*args)
 
         def counted_check(*args):
             checks.append(args)
             return feasibility_margin(*args)
 
         for module in (network, gradient, dynamics, scenarios):
-            if getattr(module, "build_adjacency", None) is build_adjacency:
-                monkeypatch.setattr(module, "build_adjacency", counted_build)
+            if getattr(module, "pairwise_distance", None) is pairwise_distance:
+                monkeypatch.setattr(module, "pairwise_distance", counted_distance)
         monkeypatch.setattr(dynamics, "feasibility_margin", counted_check)
-        # rgg10's start needs one compression, and it rejects steps as well
-        # as accepting them.
-        record = simulate(preset("rgg10"))
+        # rgg10 is Euclidean, its start needs one compression, and it
+        # rejects steps as well as accepting them.
+        scenario = preset("rgg10")
+        assert scenario.params.metric == 2
+        record = simulate(scenario)
         trials = record.accepted_steps + record.rejected_steps
         assert record.rejected_steps > 0 and len(checks) > 1
-        # Per run: the start's evaluation and at most one more.
-        assert len(builds) <= trials + len(checks) + 2
+        # Per run: the start's evaluation and at most one more; the drift
+        # reuses its state's distances.
+        assert len(distances) <= trials + len(checks) + 2

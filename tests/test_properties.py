@@ -16,6 +16,10 @@ Core claims:
       with coincident robots and with a robot so far away that its weights
       underflow to 0, so build_adjacency need not re-run them; the moments
       of such teams match the eigenvalue power sums
+    - an _Evaluation's weights and moments, built without the
+      constructors, are read-only, finite, pass those constructors' checks
+      and match build_adjacency and the traces of matrix powers, also after
+      its drift is computed
     - the drift equals control_law - barrier_gradient to 1e-12 relative;
       a shift by 2^20 moves it by at most 1e-7 relative, and by at most
       1e-12 when the team sits on a 2^-20 grid, where the shift is exact
@@ -41,6 +45,7 @@ from momentflow.gradient import (
     finite_difference_gradient,
 )
 from momentflow.network import (
+    MomentVector,
     RobotConfiguration,
     WeightedAdjacency,
     build_adjacency,
@@ -198,6 +203,30 @@ def test_built_weights_pass_adjacency_checks(positions, decay, metric, far):
     scale = max(1.0, float(np.abs(eigs).max())) ** np.arange(1, n + 1)
     error = spectral_moments(built, n).values - moments_from_eigenvalues(eigs, n).values
     assert np.all(np.abs(error) <= 1e-12 * scale)
+
+
+@_PROPERTY
+@given(_teams_with_coincident(), _DECAY, _METRIC, st.booleans())
+def test_evaluation_arrays_meet_their_contracts(positions, decay, metric, far):
+    # _Evaluation builds its adjacency and moments without the
+    # constructors' checks; they must pass them, and stay read-only.
+    if far:
+        positions[-1, 0] += 800.0 / decay + 1.0
+    n = len(positions)
+    config = RobotConfiguration(positions)
+    params = ControllerParams(decay=decay, metric=metric, order=n, epsilons=(0.0,) * n)
+    state = _Evaluation(config, TargetSpectrum(np.zeros(n)), params)
+    state.drift  # the projection reuses the distances; it must not touch these
+    weights, values = state.adjacency.weights, state.moments.values
+    for array in (weights, values):
+        assert not array.flags.writeable
+        assert np.isfinite(array).all()
+    assert np.array_equal(WeightedAdjacency(weights).weights, weights)
+    assert np.array_equal(weights, build_adjacency(config, decay, metric).weights)
+    assert np.array_equal(MomentVector(values).values, values)
+    powers = [np.linalg.matrix_power(weights, k) for k in range(1, n + 1)]
+    traces = np.array([power.trace() for power in powers]) / n
+    assert np.all(np.abs(values - traces) <= 1e-12 * np.maximum(1.0, np.abs(traces)))
 
 
 @st.composite
