@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import re
@@ -334,8 +335,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
     d = args.d
     trials = args.trials
-    if n < 2 or d < 1 or trials < 0:
-        print("verify needs n >= 2, d >= 1, trials >= 0", file=sys.stderr)
+    if n < 2 or d < 1 or trials < 0 or args.seed < 0:
+        print("verify needs n >= 2, d >= 1, trials >= 0, seed >= 0", file=sys.stderr)
         return EXIT_VALIDATION
     if trials == 0:
         print("warning: 0 trials requested; every check passes vacuously")
@@ -345,7 +346,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     def report(check: str, worst: float, tol: float) -> None:
         nonlocal failures
-        ok = worst < tol
+        ok = worst < tol  # False for a NaN error, which np.maximum keeps
         failures += 0 if ok else 1
         status = "PASS" if ok else "FAIL"
         print(f"{status}  {check}: worst error {worst:.3e} (tolerance {tol:g})")
@@ -360,7 +361,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             i = int(rng.integers(walk_n))
             j = int(rng.integers(walk_n))
             direct = walk_weight_sum(adjacency, k, i, j)
-            worst = max(worst, abs(direct - chain[k][i, j]))
+            worst = np.maximum(worst, abs(direct - chain[k][i, j]))
     report("walk enumeration vs matrix powers", worst, 1e-12)
 
     # Trace derivative against finite differences in one matrix entry.
@@ -376,7 +377,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         upper = np.linalg.matrix_power(adjacency.weights + bump, k).trace()
         lower = np.linalg.matrix_power(adjacency.weights - bump, k).trace()
         fd = (upper - lower) / (2.0 * fd_step)
-        worst = max(worst, abs(fd - analytic) / max(abs(analytic), 1.0))
+        worst = np.maximum(worst, abs(fd - analytic) / max(abs(analytic), 1.0))
     report("trace derivative vs finite differences", worst, 1e-6)
 
     # Control law against finite differences of the cost, both metrics.
@@ -388,12 +389,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             targets = target_from_formation(_tie_free_config(rng, n, d), params)
             analytic = control_law(config, targets, params)
             if args.perturb:
-                analytic = analytic * (1.0 + args.perturb)
+                with np.errstate(over="ignore"):
+                    analytic = analytic * (1.0 + args.perturb)
             fd = finite_difference_gradient(
                 lambda c: cost(c, targets, params), config
             )
             scale = max(float(np.abs(fd).max()), 1e-12)
-            worst = max(worst, float(np.abs(analytic + fd).max()) / scale)
+            worst = np.maximum(worst, float(np.abs(analytic + fd).max()) / scale)
         report(f"control law vs cost gradient (metric {metric})", worst, 1e-5)
 
     # Barrier gradient against finite differences, substantial constants.
@@ -409,7 +411,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             lambda c: barrier(c, targets, params), config
         )
         scale = max(float(np.abs(fd).max()), 1e-12)
-        worst = max(worst, float(np.abs(analytic - fd).max()) / scale)
+        worst = np.maximum(worst, float(np.abs(analytic - fd).max()) / scale)
     report("barrier gradient vs finite differences", worst, 1e-4)
 
     if failures:
@@ -430,13 +432,12 @@ def _print_spectrum(
     except ValueError as exc:
         print(f"cannot evaluate the spectrum: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    eigs = eigenvalues(adjacency)
-    if title:
-        print(title)
-    print(f"n = {config.n}, d = {config.d}, c = {decay:g}, z = {metric}")
-    print("eigenvalues (descending): " + ", ".join(f"{v:.6g}" for v in eigs))
-    for k in range(1, order + 1):
-        print(f"m_{k} = {moments.values[k - 1]:.6g}")
+    eigs = ", ".join(f"{v:.6g}" for v in eigenvalues(adjacency).tolist())
+    lines = [title] if title else []
+    lines.append(f"n = {config.n}, d = {config.d}, c = {decay:g}, z = {metric}")
+    lines.append(f"eigenvalues (descending): {eigs}")
+    lines += (f"m_{k} = {v:.6g}" for k, v in enumerate(moments.values.tolist(), start=1))
+    print("\n".join(lines))
     return 0
 
 
@@ -471,7 +472,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 # == entry point ===========================================================
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``momentflow`` parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="momentflow",
         description=(
@@ -559,10 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger(__package__).setLevel(logging.INFO if args.verbose else logging.WARNING)
     start = time.perf_counter()
     code = args.handler(args)
     logger.info("command finished in %.2f s with exit status %d",

@@ -8,7 +8,10 @@ Core claims:
     - trajectory CSVs carry full-precision samples under a stable header
     - run, verify, and spectrum return the documented exit statuses
       (0 converged, 1 horizon, 2 validation, 3 unrealizable, 4 stalled, 5 I/O)
-    - verify's fault injection flag makes the control-law check fail
+    - verify's fault injection flag makes the control-law check fail, a NaN
+      or overflowing perturbation included, and a NaN error fails any check
+    - main builds its parser once per process; repeated in-process calls
+      parse, print help and apply -v exactly as one-shot calls do
     - a malformed value of any schema field makes run and spectrum exit 2
       with one-line reasons that name the field; a huge robot count does
       so before anything is allocated
@@ -21,8 +24,11 @@ Core claims:
       prints it, like any other input
 """
 
+import argparse
+import contextlib
 import csv
 import json
+import logging
 import tracemalloc
 from dataclasses import replace
 
@@ -38,6 +44,7 @@ from momentflow.cli import (
     EXIT_UNREALIZABLE,
     EXIT_VALIDATION,
     apply_override,
+    build_parser,
     build_report,
     main,
     scenario_from_dict,
@@ -550,6 +557,43 @@ class TestVerifyCommand:
     def test_bad_arguments(self, capsys):
         assert main(["verify", "--n", "1"]) == EXIT_VALIDATION
 
+    def test_negative_seed_exit(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verify needs n >= 2, d >= 1, trials >= 0, seed >= 0\n"
+
+    @pytest.mark.parametrize("perturb", ["nan", "1e308", "inf"])
+    def test_non_finite_perturbation_fails(self, capsys, perturb):
+        # NaN must not vanish in the worst-error maximum, and an overflowing
+        # product fails without a numpy warning (warnings are errors here).
+        code = main(["verify", "--trials", "2", "--perturb", perturb])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        failing = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+        assert [line.split(":")[0] for line in failing] == [
+            "FAIL  control law vs cost gradient (metric 1)",
+            "FAIL  control law vs cost gradient (metric 2)",
+        ]
+
+    @pytest.mark.parametrize("name, check", [
+        ("walk_weight_sum", "walk enumeration"),
+        ("trace_derivative", "trace derivative"),
+        ("control_law", "control law"),
+        ("barrier_gradient", "barrier gradient"),
+    ])
+    def test_nan_error_fails_its_check(self, capsys, monkeypatch, name, check):
+        def nan_like(*args):
+            first = args[0]
+            return np.full(first.positions.shape, np.nan) if hasattr(first, "positions") else np.nan
+
+        monkeypatch.setattr(f"momentflow.cli.{name}", nan_like)
+        assert main(["verify", "--trials", "2"]) == 1
+        failing = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("FAIL")]
+        assert failing and all(check in line and "worst error nan" in line for line in failing)
+
     def test_zero_trials_warns(self, capsys):
         code = main(["verify", "--trials", "0"])
         assert code == 0
@@ -655,7 +699,99 @@ class TestSpectrumCommand:
         assert captured.err == "invalid positions file: need at most 4096 robots, got n=4097\n"
 
 
-# == 7. Malformed fields =====================================================
+# == 7. One parser per process ==============================================
+
+@contextlib.contextmanager
+def _bare_root_logger():
+    """Run without root handlers, so ``logging.basicConfig`` installs its own."""
+    saved = logging.root.handlers[:]
+    logging.root.handlers.clear()
+    try:
+        yield
+    finally:
+        logging.root.handlers[:] = saved
+        logging.getLogger("momentflow").setLevel(logging.NOTSET)
+
+
+def _help_text(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestSharedParser:
+    def test_built_once(self, monkeypatch, capsys):
+        assert build_parser() is build_parser()
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for _ in range(5):
+            assert main(["spectrum", "--preset", "rgg10"]) == 0
+        assert main(["verify", "--trials", "0"]) == 0
+        assert built == [
+            "momentflow", "momentflow run", "momentflow verify", "momentflow spectrum",
+        ]
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert main(["spectrum", "--preset", "hexagon7"]) == 0
+        before = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["spectrum", "--preset", "nosuch"])
+        assert exit_info.value.code == EXIT_VALIDATION
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["spectrum", "--preset", "hexagon7"]) == 0
+        assert capsys.readouterr().out == before
+
+    def test_overrides_do_not_accumulate(self, monkeypatch, capsys):
+        seen = []
+
+        def record(data):
+            seen.append(json.loads(json.dumps(data)))
+            return None, ["recorded"]
+
+        monkeypatch.setattr("momentflow.cli.scenario_from_dict", record)
+        assert main(["run", "--preset", "rgg10", "--set", "s=2"]) == EXIT_VALIDATION
+        assert main(["run", "--preset", "rgg10", "--set", "record_every=5"]) == EXIT_VALIDATION
+        expected = scenario_to_dict(preset("rgg10"))
+        assert seen[1] == {**expected, "record_every": 5}
+        assert seen[0]["s"] == 2 and seen[1]["s"] == expected["s"] != 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["run", "--help"], ["verify", "--help"], ["spectrum", "--help"],
+    ])
+    def test_help_matches_fresh_parser(self, capsys, argv):
+        assert main(["spectrum", "--preset", "rgg10"]) == 0
+        capsys.readouterr()
+        shared = _help_text(main, argv, capsys)
+        fresh = _help_text(build_parser.__wrapped__().parse_args, argv, capsys)
+        assert shared == fresh
+        assert shared.startswith("usage: momentflow")
+
+    @pytest.mark.parametrize("verbose_first", [False, True])
+    def test_verbose_applies_per_call(self, capsys, verbose_first):
+        quiet_argv = ["spectrum", "--preset", "rgg10"]
+        verbose_argv = ["-v", *quiet_argv]
+        calls = [verbose_argv, quiet_argv] if verbose_first else [quiet_argv, verbose_argv]
+        with _bare_root_logger():
+            errs = []
+            for argv in calls:
+                assert main(argv) == 0
+                errs.append(capsys.readouterr().err)
+            assert len(logging.root.handlers) == 1
+        verbose, quiet = errs if verbose_first else errs[::-1]
+        assert quiet == ""
+        assert verbose.startswith("INFO momentflow.cli: command finished in ")
+        assert len(verbose.splitlines()) == 1
+
+
+# == 8. Malformed fields =====================================================
 
 # Phrases that would mean a Python or numpy error leaked through unexplained.
 _INTERNALS = (
