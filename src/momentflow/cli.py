@@ -178,9 +178,7 @@ def build_report(
         "relative_errors": [float(v) for v in errors],
         "final_eigenvalues": [float(v) for v in record.final_eigenvalues],
         "reference_eigenvalues": None if reference is None else [float(v) for v in reference],
-        "final_positions": [
-            list(map(float, row)) for row in record.final_configuration.positions
-        ],
+        "final_positions": record.final_configuration.positions.tolist(),
         "files": {"trajectory_csv": str(csv_path), "report_json": str(json_path)},
     }
 

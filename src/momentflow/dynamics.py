@@ -36,11 +36,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gradient import ControllerParams, _Evaluation
+from .gradient import ControllerParams, _evaluate, _Evaluation
 from .network import (
     MomentVector,
     RobotConfiguration,
     _freeze,
+    _quiet,
     complete_graph_moments,
     eigenvalues,
 )
@@ -84,6 +85,7 @@ _COMPRESSION_FACTOR = 0.9
 _SLACK_FRACTION = 0.1
 _SLACK_FLOOR = 1e-3
 _MAX_COMPRESSIONS = 5000
+_JUMP_REACH = 350.0  # decay x taxicab centroid distance after a jump
 
 
 class UnrealizableTargetsError(ValueError):
@@ -179,9 +181,10 @@ def feasibility_margin(
 
     All entries strictly positive means the state is feasible.
     """
-    return _Evaluation(config, targets, params).margins
+    return _evaluate(config, targets, params).margins
 
 
+@_quiet
 def ensure_feasible(
     config: RobotConfiguration,
     targets: "TargetSpectrum",
@@ -196,11 +199,13 @@ def ensure_feasible(
     per-moment slack is returned unchanged; otherwise positions are
     repeatedly pulled toward their centroid by a fixed factor, which
     monotonically raises every moment of order >= 2 toward its ceiling.
+    While every moment is 0 (a team 1e300 apart, say), one larger factor
+    scales the team, about the origin so that it stays representable, to
+    at most 700 / decay across, where weights exp(-decay * dist) are floats.
 
     The slack for moment k is min(max(_SLACK_FRACTION * |m_k*|,
     _SLACK_FLOOR), half the gap between target and ceiling); the cap keeps
-    the demand strictly attainable, so the compression loop always
-    terminates.
+    the demand attainable; ValueError if rounding stops the compression.
     """
     goal = targets.moments
     ceilings = complete_graph_moments(config.n, targets.order).values
@@ -217,17 +222,24 @@ def ensure_feasible(
     )
     current = config
     for _ in range(_MAX_COMPRESSIONS):
-        if np.all(feasibility_margin(current, targets, params) >= slack):
+        margins = feasibility_margin(current, targets, params)
+        if np.all(margins >= slack):
             return current
         centroid = current.positions.mean(axis=0)
-        pulled = centroid + _COMPRESSION_FACTOR * (current.positions - centroid)
+        offsets = current.positions - centroid
+        reach = params.decay * np.abs(offsets).sum(axis=1).max()
+        if reach > _JUMP_REACH and np.array_equal(margins, -goal[1:]):
+            pulled = (_JUMP_REACH / reach) * current.positions
+        else:
+            pulled = centroid + _COMPRESSION_FACTOR * offsets
         current = RobotConfiguration(pulled)
-    raise RuntimeError(
-        "centroid compression failed to reach the requested slack; "
-        "this indicates a numerical degeneracy in the configuration"
+    raise ValueError(
+        "centroid compression failed to reach the requested slack: the team's "
+        "spread is below the precision of its coordinates"
     )
 
 
+@_quiet
 def step(
     config: RobotConfiguration,
     targets: "TargetSpectrum",
@@ -255,24 +267,23 @@ def step(
 def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
     """:func:`step` from an evaluated state; the next state comes evaluated.
 
-    The candidate and its distances may overflow: non-finite positions are
-    the ValueError caught, and an infinite distance is a weight of 0.
+    Runs under its caller's error state: a candidate with a non-finite
+    coordinate is rejected before it becomes a configuration.
     """
     drift = state.drift
-    if not drift.any():
+    if not np.logical_or.reduce(drift, axis=None):
         raise FlowStalled("the drift is exactly zero, so no step moves the robots")
-    try:
-        with np.errstate(over="ignore"):
-            candidate = _Evaluation(
-                RobotConfiguration(state.config.positions + dt * drift),
-                state.targets,
-                state.params,
-            )
-    except ValueError:
-        candidate = None
+    positions = state.config.positions + dt * drift
+    candidate = None
+    if np.logical_and.reduce(np.isfinite(positions), axis=None):
+        config = _freeze(object.__new__(RobotConfiguration), "positions", positions)
+        try:
+            candidate = _Evaluation(config, state.targets, state.params)
+        except ValueError:  # a moment overflowed: no ceiling bounds a bare step()
+            pass
     if (
         candidate is not None
-        and candidate.margins.min() > 0.0
+        and min(candidate._margins) > 0.0
         and candidate.cost + candidate.barrier <= state.cost + state.barrier
     ):
         return candidate, True, dt
@@ -283,6 +294,7 @@ def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
     return state, False, max(dt / 2.0, DEFAULT_MIN_STEP)
 
 
+@_quiet
 def simulate(scenario: "Scenario") -> TrajectoryRecord:
     """Integrate the closed loop for one scenario to termination.
 

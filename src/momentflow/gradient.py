@@ -37,8 +37,7 @@ analytic formula without derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from .network import (
     WeightedAdjacency,
     _adjacency,
     _moments_and_chain,
+    _quiet,
     pairwise_distance,
     power_chain,
 )
@@ -167,7 +167,7 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
 
     coefficients = np.zeros(params.order - 1)
     coefficients[k - 2] = -2.0 * k
-    state = _Evaluation(config, TargetSpectrum(np.zeros(params.order)), params)
+    state = _evaluate(config, TargetSpectrum(np.zeros(params.order)), params)
     return state._project(coefficients)
 
 
@@ -178,10 +178,10 @@ class _Evaluation:
     builds the adjacency from one distance matrix, which the Euclidean
     :meth:`_project` reuses.  The chain A..A^(s-1), exactly the powers that
     W uses, gives the moments, the margins m_k - m_k* for k = 2..s, the cost
-    and the barrier.  Each gradient is one :meth:`_project` call on demand;
-    the barrier's raises :class:`InfeasibleStateError` on a nonpositive
-    guarded margin.  Sums over k run in increasing k, so results are
-    bitwise reproducible.
+    and the barrier.  One :meth:`_project` call gives any one gradient (the
+    drift is kept); the barrier's raises :class:`InfeasibleStateError` on a
+    nonpositive guarded margin.  Sums over k run in increasing k, so results
+    are bitwise reproducible.
     """
 
     def __init__(
@@ -200,14 +200,15 @@ class _Evaluation:
         self.adjacency = _adjacency(distance, params.decay, out=None if euclidean else distance)
         self.moments, self.chain = _moments_and_chain(self.adjacency, params.order)
         self.margins = self.moments.values[1:] - targets.moments[1:]
-        self.cost = sum(m * m / (4.0 * k) for k, m in enumerate(self.margins.tolist(), start=2))
+        margins = self._margins = self.margins.tolist()
+        self.cost = sum(m * m / (4.0 * k) for k, m in enumerate(margins, start=2))
         eps = params.epsilons
         # (k, eps_k, margin_k) for every moment the barrier guards.
-        self._guarded = [(k, eps[k - 1], m) for k, m in enumerate(self.margins, 2) if eps[k - 1]]
-        # An interior barrier: +inf where a guarded margin is not positive.
-        self.barrier = sum(
-            (e / (4.0 * k * m * m) if m > 0.0 else np.inf for k, e, m in self._guarded), 0.0
-        )
+        self._guarded = [(k, eps[k - 1], m) for k, m in enumerate(margins, 2) if eps[k - 1]]
+        # An interior barrier: +inf where a guarded margin, or its term's divisor, is not positive.
+        terms = (e / q if m > 0 and (q := 4.0 * k * m * m) else np.inf for k, e, m in self._guarded)
+        self.barrier = sum(terms, 0.0)
+        self._drift = None
 
     def _check_feasible(self) -> None:
         """InfeasibleStateError unless every guarded margin is positive."""
@@ -218,46 +219,60 @@ class _Evaluation:
                     "the state has left the feasible region"
                 )
 
-    def _barrier_coefficients(self) -> np.ndarray:
+    def _barrier_coefficients(self) -> list[float]:
         """eps_k / (m_k - m_k*)^3 for k = 2..s, zero where eps_k is zero."""
         self._check_feasible()
-        coefficients = np.zeros(self.params.order - 1)
+        coefficients = [0.0] * (self.params.order - 1)
         for k, eps, margin in self._guarded:
-            coefficients[k - 2] = eps / margin**3
+            # numpy's cube where Python's could overflow or reach 0 and raise
+            cube = margin**3 if 1e-100 < margin < 1e100 else np.float64(margin) ** 3
+            coefficients[k - 2] = eps / cube
         return coefficients
 
-    def _project(self, coefficients: np.ndarray) -> np.ndarray:
+    def _project(self, coefficients: Sequence[float]) -> np.ndarray:
         """(decay / n) [(A o T_r) W]_ii, W = sum_k coefficients[k-2] A^(k-1).
 
-        Once per evaluation: the Euclidean form consumes the kept distances.
+        Once per evaluation: it consumes the kept distances and the chain (W's
+        terms are scaled powers in place), so only the weights stay n x n.
         """
-        n = self.config.n
-        weighted = np.zeros((n, n))
-        term = np.empty((n, n))
-        for coefficient, power in zip(coefficients, self.chain):
-            if coefficient:
-                weighted += np.multiply(coefficient, power, out=term)
-        mixed = np.multiply(weighted, self.adjacency.weights, out=weighted)
         positions = self.config.positions
+        n = len(positions)
+        weighted = None
+        for k, (coefficient, power) in enumerate(zip(coefficients, self.chain)):
+            if coefficient:
+                term = np.multiply(coefficient, power, out=power if k else None)
+                weighted = term if weighted is None else np.add(weighted, term, out=weighted)
+        self.chain = None
+        if weighted is None:
+            return np.zeros_like(positions)
+        mixed = np.multiply(weighted, self.adjacency.weights, out=weighted)
         if self.params.metric == 1:
             rows = np.empty_like(positions)
             for r, column in enumerate(positions.T):
                 signs = np.subtract.outer(column, column)
                 rows[:, r] = np.einsum("ij,ij->i", mixed, np.sign(signs, out=signs))
         else:
-            # Released here, so a state holds no more n x n arrays than its
-            # chain; 1/inf makes the diagonal and coincident pairs give 0.
+            # 1/inf makes the diagonal and coincident pairs give 0.
             dist, self._distance = self._distance, None
             dist[dist == 0.0] = np.inf
             mixed /= dist
             centred = positions - np.add.reduce(positions) / n
-            rows = centred * np.add.reduce(mixed, axis=1)[:, None] - mixed @ centred
-        return (self.params.decay / n) * rows
+            rows = centred * np.add.reduce(mixed, axis=1)[:, None]
+            rows -= mixed @ centred
+        rows *= self.params.decay / n
+        return rows
 
-    @cached_property
+    @property
     def drift(self) -> np.ndarray:
         """The flow's velocity -grad(f + b) as an (n, d) array, one projection."""
-        return self._project(self.margins - self._barrier_coefficients())
+        if self._drift is None:
+            pairs = zip(self._margins, self._barrier_coefficients())
+            self._drift = self._project([m - b for m, b in pairs])
+        return self._drift
+
+
+# The public entry points evaluate quietly, as the flow does (see network._quiet).
+_evaluate = _quiet(_Evaluation)
 
 
 def cost(config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams) -> float:
@@ -266,7 +281,7 @@ def cost(config: RobotConfiguration, targets: "TargetSpectrum", params: Controll
     The k = 1 term is omitted: m_1 is identically zero and valid targets
     pin m_1* = 0, so it would contribute exactly nothing.
     """
-    return _Evaluation(config, targets, params).cost
+    return _evaluate(config, targets, params).cost
 
 
 def control_law(
@@ -277,8 +292,8 @@ def control_law(
     u[i, r] = (decay / n) * [(A o T_r) W]_ii with W = sum_{k=2}^{s}
     (m_k - m_k*) A^(k-1), from one chain A..A^(s-1) per call.
     """
-    state = _Evaluation(config, targets, params)
-    return state._project(state.margins)
+    state = _evaluate(config, targets, params)
+    return state._project(state._margins)
 
 
 def barrier(config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams) -> float:
@@ -289,7 +304,7 @@ def barrier(config: RobotConfiguration, targets: "TargetSpectrum", params: Contr
     margin is not strictly positive, since the barrier is defined only
     inside the feasible region.
     """
-    state = _Evaluation(config, targets, params)
+    state = _evaluate(config, targets, params)
     state._check_feasible()
     return state.barrier
 
@@ -304,7 +319,7 @@ def barrier_gradient(
     constants vanish; :class:`InfeasibleStateError` on a nonpositive
     guarded margin.
     """
-    state = _Evaluation(config, targets, params)
+    state = _evaluate(config, targets, params)
     return state._project(state._barrier_coefficients())
 
 

@@ -22,6 +22,7 @@ route.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,10 @@ __all__ = [
 # endpoint pair; refuse anything beyond these bounds rather than hang.
 WALK_ENUMERATION_LIMIT = 1_000_000
 MAX_WALK_LENGTH = 5
+
+# Entry points run quietly where floats overflow (an infinite distance is a
+# weight of 0); private helpers, the trial step's too, run under the caller's.
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,12 +163,13 @@ def pairwise_distance(config: RobotConfiguration, metric: int) -> np.ndarray:
         raise ValueError(f"metric must be 1 or 2, got {metric}")
     total = None
     for column in config.positions.T:
-        diff = np.subtract.outer(column, column)
+        diff = column[:, None] - column
         term = np.abs(diff, out=diff) if metric == 1 else np.square(diff, out=diff)
         total = term if total is None else np.add(total, term, out=total)
     return total if metric == 1 else np.sqrt(total, out=total)
 
 
+@_quiet
 def build_adjacency(config: RobotConfiguration, decay: float, metric: int) -> WeightedAdjacency:
     """Weight matrix a_ij = exp(-decay * dist(x_i, x_j)), zero diagonal.
 
@@ -187,7 +193,7 @@ def _adjacency(
     """
     weights = np.multiply(distance, -decay, out=out)
     np.exp(weights, out=weights)
-    np.fill_diagonal(weights, 0.0)
+    weights.ravel()[:: len(weights) + 1] = 0.0
     return _freeze(object.__new__(WeightedAdjacency), "weights", weights)
 
 
@@ -219,6 +225,7 @@ def power_chain(adjacency: WeightedAdjacency, max_power: int) -> list[np.ndarray
     return [np.eye(adjacency.n)] + _powers(adjacency.weights, max_power)
 
 
+@_quiet
 def spectral_moments(adjacency: WeightedAdjacency, order: int) -> MomentVector:
     """Moments m_k = tr(A^k)/n for k = 1..order.
 
@@ -234,27 +241,25 @@ def _moments_and_chain(
     """:func:`spectral_moments` with the powers [A, ..., A^(order-1)].
 
     A is symmetric, so tr(A^order) = sum(A^(order-1) o A) without A^order;
-    m_1 = tr(A) is 0.
+    m_1 = tr(A) is 0, the trace of a zero diagonal, and is not summed.
     """
     n = adjacency.n
     if not 1 <= order <= n:
         raise ValueError(f"order must satisfy 1 <= order <= {n}, got {order}")
-    # Overflowing powers are reported with their order, not as warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        chain = _powers(adjacency.weights, order - 1)
-        traces = [power.trace() for power in chain]
-        traces.append(np.vdot(chain[-1], adjacency.weights) if chain else 0.0)
-        values = np.array(traces) / n
+    chain = _powers(adjacency.weights, order - 1)
+    traces = [0.0] + [power.trace() for power in chain[1:]]
+    traces += [np.vdot(power, adjacency.weights) for power in chain[-1:]]
+    values = np.array(traces) / n
     _check_overflow(values, "moment")
     return _freeze(object.__new__(MomentVector), "values", values), chain
 
 
 def _check_overflow(values: np.ndarray, what: str) -> None:
     """ValueError naming the order s = len(values) if a value overflowed."""
-    finite = np.isfinite(values)
-    if not finite.all():
+    finite = list(map(math.isfinite, values.tolist()))
+    if not all(finite):
         raise ValueError(
-            f"{what} m_{int(np.argmin(finite)) + 1} overflows floats, so "
+            f"{what} m_{finite.index(False) + 1} overflows floats, so "
             f"s = {len(values)} is too high; a smaller s is needed"
         )
 

@@ -21,7 +21,10 @@ Core claims:
       stops below that order, so a gathered team of 200 prints
     - a stalled run says why it stalled, in its report and summary line
     - a start whose weights underflow to 0 runs and converges, and spectrum
-      prints it, like any other input
+      prints it, like any other input; so does a pair 1e300 apart, and a
+      start that compression cannot repair exits 2 with one line
+    - a Euclidean distance that overflows is a weight of 0: run and
+      spectrum print no numpy warning
 """
 
 import argparse
@@ -72,6 +75,8 @@ from momentflow.scenarios import (
 
 # A pair 900 apart: exp(-900) underflows to 0 at decay 1.
 _UNDERFLOW_POSITIONS = [[0.0], [1.0], [900.0]]
+# The squared x-offset 1e400 overflows; robots 0 and 2 still have a weight.
+_OVERFLOWING_POSITIONS = [[0.0, 0.0], [1e200, 0.0], [1.0, 1.0]]
 # A valid file whose m_2* sits above its ceiling n - 1 = 2.
 _UNREALIZABLE = {"name": "ceiling", "n": 3, "d": 2, "seed": 1, "s": 2,
                  "targets": {"moments": [0, 5]}}
@@ -471,6 +476,47 @@ class TestRunCommand:
         final, goal = report["final_moments"], report["target_moments"]
         assert all(got > want for got, want in zip(final[1:], goal[1:]))
 
+    def test_pair_1e300_apart_converges(self, tmp_path, capsys):
+        # Every weight underflows and no number of x0.9 steps could help;
+        # one larger contraction brings the pair to within 700 of each other.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "name": "far", "n": 2, "d": 1, "s": 2,
+            "positions": [[0], [1e300]], "targets": {"moments": [0, 0.5]},
+        }))
+        code = main(["run", str(path), "-o", str(tmp_path)])
+        assert code == EXIT_CONVERGED
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "far_report.json").read_text())
+        assert report["final_moments"][1] > 0.5
+
+    def test_unrepairable_start_exit(self, tmp_path, capsys):
+        # Two robots 2 ulps apart at 1e20: rounding stops every contraction
+        # short, so the start never becomes feasible.
+        path = tmp_path / "stuck.json"
+        path.write_text(json.dumps({
+            "name": "stuck", "n": 2, "d": 1, "s": 2,
+            "positions": [[1e20], [1e20 + 32768.0]],
+            "targets": {"moments": [0, 0.5]},
+        }))
+        code = main(["run", str(path), "-o", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        assert captured.err.startswith("cannot run: centroid compression failed")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_overflowing_distance_run_quiet(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "name": "wide", "n": 3, "d": 2, "s": 2, "z": 2,
+            "positions": _OVERFLOWING_POSITIONS,
+            "targets": {"moments": [0, 0.5]},
+        }))
+        code = main(["run", str(path), "-o", str(tmp_path)])
+        assert code == EXIT_CONVERGED
+        assert capsys.readouterr().err == ""
+
     def test_overflowing_ceiling_exit(self, tmp_path, capsys):
         # (n-1)^k overflows floats for k > 133 at n = 200.
         path = tmp_path / "high_order.json"
@@ -513,12 +559,11 @@ class TestRunCommand:
         assert "drift is exactly zero" in report["termination_detail"]
 
     def test_step_floor_stall_says_why(self, tmp_path, capsys, monkeypatch):
-        # No candidate can be built, so every trial step is rejected and the
-        # step size halves down to its floor.
-        def unbuildable(positions):
-            raise ValueError("positions must be finite")
-
-        monkeypatch.setattr("momentflow.dynamics.RobotConfiguration", unbuildable)
+        # Every drift is infinite, so no candidate has finite positions:
+        # every trial step is rejected and the step size halves down to its
+        # floor.
+        infinite = property(lambda state: np.full(state.config.positions.shape, np.inf))
+        monkeypatch.setattr("momentflow.gradient._Evaluation.drift", infinite)
         path = tmp_path / "quick.json"
         path.write_text(json.dumps(_fast_scenario_data()))
         assert main(["run", str(path), "-o", str(tmp_path)]) == EXIT_STALLED
@@ -664,6 +709,17 @@ class TestSpectrumCommand:
         assert printed == approx(eigs, rel=1e-5, abs=1e-9)
         m2 = moments_from_eigenvalues(eigs, 3).values[1]
         assert float(lines[3].split(" = ", 1)[1]) == approx(m2, rel=1e-5)
+
+    def test_overflowing_distance_quiet(self, tmp_path, capsys):
+        # Robot 1's distances overflow to inf, a weight of 0.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"positions": _OVERFLOWING_POSITIONS, "z": 2}))
+        code = main(["spectrum", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        m2 = 2.0 * np.exp(-2.0 * np.sqrt(2.0)) / 3.0
+        assert float(captured.out.splitlines()[3].split(" = ", 1)[1]) == approx(m2, rel=1e-5)
 
     def test_overflowing_moments_exit(self, tmp_path, capsys):
         # An explicit s = n = 200 makes m_k of a gathered team overflow.

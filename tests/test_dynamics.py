@@ -16,8 +16,13 @@ Core claims:
     - simulate logs how many robot pair slots changed coordinate order
     - simulate evaluates each configuration once: at most one distance
       matrix per trial step, and the presets keep their step counts
-    - a step whose candidate or its distances overflow is rejected without
-      a numpy warning
+    - a step whose candidate or its distances overflow, or whose drift
+      sends a coordinate to +-inf or NaN, is rejected without a numpy
+      warning
+    - simulate and step leave numpy's error state as they found it, on
+      every exit path
+    - a start too far apart for any weight to register is repaired; one
+      that rounding keeps from contracting raises ValueError
 """
 
 import dataclasses
@@ -89,11 +94,12 @@ def _reachable_scenario(seed=0, order=2, n=5, tol=1e-4):
 
 
 def _unbuildable_candidates(monkeypatch):
-    """Make every trial step's candidate unbuildable, so every step is rejected."""
-    def unbuildable(positions):
-        raise ValueError("positions must be finite")
+    """Make every trial step's candidate unbuildable, so every step is rejected.
 
-    monkeypatch.setattr(dynamics, "RobotConfiguration", unbuildable)
+    Every drift is infinite, so no candidate has finite positions.
+    """
+    infinite = property(lambda state: np.full(state.config.positions.shape, np.inf))
+    monkeypatch.setattr(gradient._Evaluation, "drift", infinite)
 
 
 def _two_robot_state(gap=1.0, target=0.05):
@@ -205,6 +211,22 @@ class TestEnsureFeasible:
             repaired.positions.mean(axis=0), config.positions.mean(axis=0)
         )
 
+    def test_pair_1e300_apart_repaired(self):
+        # Both moments are 0 and 5,000 steps of x0.9 reach only 1e71 apart;
+        # one larger contraction comes first.
+        config = RobotConfiguration([[0.0], [1e300]])
+        targets = TargetSpectrum([0.0, 0.5])
+        params = _params(order=2)
+        repaired = ensure_feasible(config, targets, params)
+        assert np.all(np.isfinite(repaired.positions))
+        assert np.all(feasibility_margin(repaired, targets, params) > 0.0)
+
+    def test_rounding_bound_start_raises(self):
+        # 2 ulps apart at 1e20: every contraction rounds back short.
+        config = RobotConfiguration([[1e20], [1e20 + 32768.0]])
+        with pytest.raises(ValueError, match="centroid compression failed"):
+            ensure_feasible(config, TargetSpectrum([0.0, 0.5]), _params(order=2))
+
     def test_unrealizable_targets_rejected(self):
         config = RobotConfiguration([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         params = _params(order=2)
@@ -256,6 +278,22 @@ class TestStep:
         assert not accepted
         assert new_config is start
         assert dt_next == dt / 2.0
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_candidate_rejected(self, monkeypatch, value):
+        # The drift sends one coordinate of the candidate to +-inf (or NaN):
+        # rejected, dt halved, and no numpy warning (warnings fail tests).
+        config, targets, params = _two_robot_state(gap=1.0, target=0.05)
+        assert step(config, targets, params, 0.05)[1]
+        drift = np.zeros_like(config.positions)
+        drift[1, 0] = value
+        monkeypatch.setattr(gradient._Evaluation, "drift", property(lambda state: drift))
+        new_config, accepted, dt_next = step(config, targets, params, 0.05)
+        assert not accepted
+        assert new_config is config
+        assert dt_next == 0.025
+        state = gradient._Evaluation(config, targets, params)
+        assert dynamics._advance(state, 0.05) == (state, False, 0.025)
 
     def test_stall_at_step_floor(self, monkeypatch):
         # Every trial is rejected: dt halves down to the floor, then stalls.
@@ -379,6 +417,34 @@ class TestSimulate:
         # 500 * 2**-k stays above 1e-8 for k = 0..35.
         assert record.rejected_steps == 36
         assert record.accepted_steps == 0
+
+    def test_error_state_restored(self):
+        # An outer state that raises on overflow stays in force around the
+        # flow, which ignores overflow inside, on every way out.
+        converged = _reachable_scenario(seed=1)
+        stalled = dataclasses.replace(
+            converged, initial_positions=np.full((5, 2), 0.5), seed=None,
+            targets=TargetSpectrum([0.0, 1.0]),
+        )
+        unrealizable = dataclasses.replace(converged, targets=TargetSpectrum([0.0, 5.0]))
+        config, targets, params = _two_robot_state()
+        with np.errstate(over="raise", invalid="raise", divide="ignore"):
+            before = np.geterr()
+            assert simulate(converged).termination_reason == "converged"
+            assert np.geterr() == before
+            assert simulate(stalled).termination_reason == "stalled"
+            assert np.geterr() == before
+            with pytest.raises(UnrealizableTargetsError):
+                simulate(unrealizable)
+            assert np.geterr() == before
+            step(config, targets, params, 0.05)
+            assert np.geterr() == before
+            # dt * drift overflows inside the step, which ignores it.
+            assert not step(config, targets, params, 1e308)[1]
+            assert np.geterr() == before
+            with pytest.raises(ValueError):
+                step(config, targets, params, -1.0)
+            assert np.geterr() == before
 
     def test_unrealizable_targets_raise_before_integration(self):
         params = _params(order=2)

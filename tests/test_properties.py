@@ -217,6 +217,7 @@ def test_evaluation_arrays_meet_their_contracts(positions, decay, metric, far):
     params = ControllerParams(decay=decay, metric=metric, order=n, epsilons=(0.0,) * n)
     state = _Evaluation(config, TargetSpectrum(np.zeros(n)), params)
     state.drift  # the projection reuses the distances; it must not touch these
+    assert state.chain is None  # it consumed the powers, so the state holds none
     weights, values = state.adjacency.weights, state.moments.values
     for array in (weights, values):
         assert not array.flags.writeable
