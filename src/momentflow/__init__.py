@@ -8,9 +8,11 @@ moments approaching their targets from above, so the targets are met from
 one side and the flow never crosses into infeasibility.
 
 Modules: :mod:`momentflow.network` (adjacency and moments),
-:mod:`momentflow.gradient` (cost, barrier, analytic gradients),
+:mod:`momentflow.gradient` (the controller's inputs ``TargetSpectrum`` and
+``ControllerParams``; cost, barrier, analytic gradients),
 :mod:`momentflow.dynamics` (closed-loop integration),
 :mod:`momentflow.scenarios` (targets, presets, validation, the file schema),
-:mod:`momentflow.cli` (command-line front end).  Import from these
-modules; the package itself exports nothing.
+:mod:`momentflow.cli` (command-line front end).  Each module imports only
+those listed before it.  Import from these modules; the package itself
+exports nothing.
 """

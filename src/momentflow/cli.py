@@ -33,6 +33,7 @@ import numpy as np
 from .dynamics import TrajectoryRecord, UnrealizableTargetsError, simulate
 from .gradient import (
     ControllerParams,
+    TargetSpectrum,
     barrier,
     barrier_gradient,
     control_law,
@@ -52,7 +53,6 @@ from .network import (
 from .scenarios import (
     PRESET_NAMES,
     Scenario,
-    TargetSpectrum,
     positions_from_dict,
     preset,
     scenario_from_dict,

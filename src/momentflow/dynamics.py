@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gradient import ControllerParams, _evaluate, _Evaluation
+from .gradient import ControllerParams, TargetSpectrum, _evaluate, _Evaluation
 from .network import (
     MomentVector,
     RobotConfiguration,
@@ -47,7 +47,7 @@ from .network import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
-    from .scenarios import Scenario, TargetSpectrum
+    from .scenarios import Scenario
 
 __all__ = [
     "SimulationSettings",
@@ -175,7 +175,7 @@ class TrajectoryRecord:
 
 
 def feasibility_margin(
-    config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams
+    config: RobotConfiguration, targets: TargetSpectrum, params: ControllerParams
 ) -> np.ndarray:
     """Margins m_k(x) - m_k* for k = 2..order, in that order.
 
@@ -187,7 +187,7 @@ def feasibility_margin(
 @_quiet
 def ensure_feasible(
     config: RobotConfiguration,
-    targets: "TargetSpectrum",
+    targets: TargetSpectrum,
     params: ControllerParams,
 ) -> RobotConfiguration:
     """Return a feasible configuration, compressing toward the centroid if needed.
@@ -242,7 +242,7 @@ def ensure_feasible(
 @_quiet
 def step(
     config: RobotConfiguration,
-    targets: "TargetSpectrum",
+    targets: TargetSpectrum,
     params: ControllerParams,
     dt: float,
 ) -> tuple[RobotConfiguration, bool, float]:

@@ -1,6 +1,8 @@
-"""Moment-matching cost, feasibility barrier, and their analytic gradients.
+"""The controller's inputs, its cost and barrier, and their analytic gradients.
 
-The controller drives robot positions down the gradient of
+The controller takes two inputs: :class:`TargetSpectrum`, the desired
+moments m_k*, and :class:`ControllerParams`, its gains and model constants.
+It drives robot positions down the gradient of
 
     f(x) = sum_{k=2}^{s} (1/4k) * (m_k(x) - m_k*)^2,
 
@@ -37,7 +39,7 @@ analytic formula without derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,16 +47,15 @@ from .network import (
     RobotConfiguration,
     WeightedAdjacency,
     _adjacency,
+    _freeze,
     _moments_and_chain,
+    _pairwise_distance,
     _quiet,
-    pairwise_distance,
     power_chain,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import only for annotations
-    from .scenarios import TargetSpectrum
-
 __all__ = [
+    "TargetSpectrum",
     "ControllerParams",
     "InfeasibleStateError",
     "DEFAULT_DECAY",
@@ -93,6 +94,44 @@ def default_epsilons(order: int) -> tuple[float, ...]:
 
 class InfeasibleStateError(RuntimeError):
     """A barrier-guarded moment margin is not strictly positive."""
+
+
+@dataclass(frozen=True, eq=False)
+class TargetSpectrum:
+    """Desired spectral moments, optionally with reference eigenvalues.
+
+    ``moments[k-1]`` is the target m_k*.  ``reference_eigenvalues``, when
+    present, is the full n-point spectrum the moments were derived from;
+    it is reporting metadata and does not enter the control law.  Semantic
+    constraints (m_1* = 0, nonnegative even moments, consistency with the
+    reference spectrum) are checked by
+    :func:`momentflow.scenarios.scenario_violations`.
+    """
+
+    moments: np.ndarray
+    reference_eigenvalues: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        vals = np.array(self.moments, dtype=float)
+        if vals.ndim != 1 or vals.size < 2:
+            raise ValueError(
+                f"target moments must be a 1-D array of at least 2 values, got shape {vals.shape}"
+            )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("target moments must be finite")
+        _freeze(self, "moments", vals)
+        if self.reference_eigenvalues is not None:
+            eigs = np.array(self.reference_eigenvalues, dtype=float)
+            if eigs.ndim != 1 or eigs.size < 2:
+                raise ValueError("reference_eigenvalues must be a 1-D array of at least 2 values")
+            if not np.all(np.isfinite(eigs)):
+                raise ValueError("reference_eigenvalues must be finite")
+            _freeze(self, "reference_eigenvalues", eigs)
+
+    @property
+    def order(self) -> int:
+        """Highest targeted moment index s."""
+        return self.moments.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,8 +202,6 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
     """
     if not 2 <= k <= params.order:
         raise ValueError(f"moment index k={k} outside 2..{params.order}")
-    from .scenarios import TargetSpectrum  # scenarios imports this module
-
     coefficients = np.zeros(params.order - 1)
     coefficients[k - 2] = -2.0 * k
     state = _evaluate(config, TargetSpectrum(np.zeros(params.order)), params)
@@ -185,7 +222,7 @@ class _Evaluation:
     """
 
     def __init__(
-        self, config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams
+        self, config: RobotConfiguration, targets: TargetSpectrum, params: ControllerParams
     ) -> None:
         if targets.order != params.order:
             raise ValueError(
@@ -194,7 +231,7 @@ class _Evaluation:
         self.config = config
         self.targets = targets
         self.params = params
-        distance = pairwise_distance(config, params.metric)
+        distance = _pairwise_distance(config, params.metric)
         euclidean = params.metric == 2
         self._distance = distance if euclidean else None
         self.adjacency = _adjacency(distance, params.decay, out=None if euclidean else distance)
@@ -275,7 +312,7 @@ class _Evaluation:
 _evaluate = _quiet(_Evaluation)
 
 
-def cost(config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams) -> float:
+def cost(config: RobotConfiguration, targets: TargetSpectrum, params: ControllerParams) -> float:
     """Moment-matching cost sum_{k=2}^{s} (m_k - m_k*)^2 / (4k).
 
     The k = 1 term is omitted: m_1 is identically zero and valid targets
@@ -285,7 +322,7 @@ def cost(config: RobotConfiguration, targets: "TargetSpectrum", params: Controll
 
 
 def control_law(
-    config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams
+    config: RobotConfiguration, targets: TargetSpectrum, params: ControllerParams
 ) -> np.ndarray:
     """Negative cost gradient u = -grad f: the (n, d) array of robot velocities.
 
@@ -296,7 +333,7 @@ def control_law(
     return state._project(state._margins)
 
 
-def barrier(config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams) -> float:
+def barrier(config: RobotConfiguration, targets: TargetSpectrum, params: ControllerParams) -> float:
     """Interior barrier sum_{k} (eps_k / 4k) * (m_k - m_k*)^(-2).
 
     Only terms with eps_k > 0 participate; with all constants zero the
@@ -310,7 +347,7 @@ def barrier(config: RobotConfiguration, targets: "TargetSpectrum", params: Contr
 
 
 def barrier_gradient(
-    config: RobotConfiguration, targets: "TargetSpectrum", params: ControllerParams
+    config: RobotConfiguration, targets: TargetSpectrum, params: ControllerParams
 ) -> np.ndarray:
     """Exact gradient of the barrier with respect to robot coordinates.
 

@@ -151,14 +151,21 @@ class MomentVector:
         return self.values.shape[0]
 
 
+@_quiet
 def pairwise_distance(config: RobotConfiguration, metric: int) -> np.ndarray:
     """All inter-robot distances as an (n, n) array.
 
     ``metric`` selects the norm: 1 for the taxicab (l1) distance, 2 for the
     Euclidean (l2) distance.  The per-axis terms are accumulated one axis at
     a time, so no (n, n, d) array is formed.  The result is symmetric with
-    an exactly zero diagonal because x_i - x_i is computed as an exact zero.
+    an exactly zero diagonal because x_i - x_i is computed as an exact zero;
+    a distance beyond float range is inf.
     """
+    return _pairwise_distance(config, metric)
+
+
+def _pairwise_distance(config: RobotConfiguration, metric: int) -> np.ndarray:
+    """:func:`pairwise_distance` under the caller's error state."""
     if metric not in (1, 2):
         raise ValueError(f"metric must be 1 or 2, got {metric}")
     total = None
@@ -179,7 +186,7 @@ def build_adjacency(config: RobotConfiguration, decay: float, metric: int) -> We
     """
     if not np.isfinite(decay) or decay <= 0.0:
         raise ValueError(f"decay must be a positive real, got {decay}")
-    distance = pairwise_distance(config, metric)
+    distance = _pairwise_distance(config, metric)
     return _adjacency(distance, decay, out=distance)
 
 
@@ -269,13 +276,14 @@ def eigenvalues(adjacency: WeightedAdjacency) -> np.ndarray:
     return np.linalg.eigvalsh(adjacency.weights)[::-1].copy()
 
 
+@_quiet
 def moments_from_eigenvalues(eigs, order: int) -> MomentVector:
     """Moments m_k = (1/n) sum_i lambda_i^k computed from a full spectrum.
 
     This is the power-sum route to the same quantities as
     ``spectral_moments`` and doubles as its cross-check.  ``eigs`` must be
     the complete list of n eigenvalues; ``order`` must satisfy
-    1 <= order <= n.
+    1 <= order <= n.  A moment that overflows floats raises ValueError.
     """
     lam = np.asarray(eigs, dtype=float)
     if lam.ndim != 1 or lam.size < 2:
@@ -285,6 +293,7 @@ def moments_from_eigenvalues(eigs, order: int) -> MomentVector:
     if not 1 <= order <= lam.size:
         raise ValueError(f"order must satisfy 1 <= order <= {lam.size}, got {order}")
     values = np.array([np.mean(lam**k) for k in range(1, order + 1)])
+    _check_overflow(values, "moment")
     return MomentVector(values)
 
 

@@ -2,11 +2,11 @@
 
 A scenario bundles everything one simulation run needs: robot count and
 dimension, an initial configuration (explicit positions or a seeded random
-draw), controller parameters, moment targets, and integrator settings.
-Targets come either as literal moment values, as the reference tables the
-two presets carry, or derived from a reference formation whose moments and
-spectrum are computed on the spot (such targets are realizable by
-construction).
+draw), the controller's inputs (:mod:`momentflow.gradient`'s
+``ControllerParams`` and ``TargetSpectrum``), and integrator settings.
+Targets are literal moment values, the reference tables of the two
+presets, or a reference formation's own moments and spectrum (realizable
+by construction).
 
 Validation is centralized here: type constructors check structure and
 ranges, and ``scenario_violations`` enforces the semantic rules (m_1* = 0,
@@ -16,11 +16,12 @@ complete-graph ceiling) is a property of the run, not of the file, and is
 checked by :func:`momentflow.dynamics.ensure_feasible`.
 
 This module also owns the JSON file schema.  ``SCHEMA`` lists every key of
-a scenario file with its kind and default; ``scenario_from_dict`` builds a
-validated scenario from such a file through the constructors above and
-``scenario_to_dict`` writes one back.  ``positions_from_dict`` reads the
-``{positions, c?, z?, s?}`` files of ``momentflow spectrum``, whose keys
-mean what they mean in a scenario file.
+a scenario file with its kind, its default and the field it fills, the
+only such map: ``scenario_from_dict`` groups a file's values by the part
+that owns them and calls each part's constructor once, and
+``scenario_to_dict`` writes a scenario back through the same column.
+``positions_from_dict`` reads the ``{positions, c?, z?, s?}`` files of
+``momentflow spectrum``, whose keys mean what they mean in a scenario file.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .dynamics import (
     DEFAULT_RECORD_EVERY,
     SimulationSettings,
 )
-from .gradient import DEFAULT_DECAY, ControllerParams
+from .gradient import DEFAULT_DECAY, ControllerParams, TargetSpectrum
 from .network import (
     RobotConfiguration,
     _freeze,
@@ -50,7 +51,6 @@ from .network import (
 )
 
 __all__ = [
-    "TargetSpectrum",
     "Scenario",
     "random_geometric_config",
     "hexagon_formation",
@@ -74,43 +74,6 @@ EIGEN_CONSISTENCY_TOL = 1e-2
 # The largest team a scenario may declare.  Every evaluation holds s + 1
 # dense n x n float64 matrices, about 134 MB each at this bound.
 MAX_ROBOTS = 4096
-
-
-@dataclass(frozen=True, eq=False)
-class TargetSpectrum:
-    """Desired spectral moments, optionally with reference eigenvalues.
-
-    ``moments[k-1]`` is the target m_k*.  ``reference_eigenvalues``, when
-    present, is the full n-point spectrum the moments were derived from;
-    it is reporting metadata and does not enter the control law.  Semantic
-    constraints (m_1* = 0, nonnegative even moments, consistency with the
-    reference spectrum) are checked by :func:`scenario_violations`.
-    """
-
-    moments: np.ndarray
-    reference_eigenvalues: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.moments, dtype=float)
-        if vals.ndim != 1 or vals.size < 2:
-            raise ValueError(
-                f"target moments must be a 1-D array of at least 2 values, got shape {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("target moments must be finite")
-        _freeze(self, "moments", vals)
-        if self.reference_eigenvalues is not None:
-            eigs = np.array(self.reference_eigenvalues, dtype=float)
-            if eigs.ndim != 1 or eigs.size < 2:
-                raise ValueError("reference_eigenvalues must be a 1-D array of at least 2 values")
-            if not np.all(np.isfinite(eigs)):
-                raise ValueError("reference_eigenvalues must be finite")
-            _freeze(self, "reference_eigenvalues", eigs)
-
-    @property
-    def order(self) -> int:
-        """Highest targeted moment index s."""
-        return self.moments.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,28 +170,23 @@ def target_from_formation(
     )
 
 
-# Reference tables for the two bundled scenarios.  Moments and eigenvalues
-# are stored at two-decimal precision; the weight-decay constant behind
-# them is not pinned down, but uniform scaling of positions
-# trades off exactly against it, so decay = 1 loses no generality.
-_HEXAGON_TARGET_MOMENTS = (0.0, 0.53, 0.64, 1.22, 2.02, 3.47, 5.90)
-_HEXAGON_REFERENCE_EIGENVALUES = (1.70, 0.05, 0.05, -0.40, -0.40, -0.47, -0.51)
-_RGG_TARGET_MOMENTS = (0.0, 3.11, 13.45, 71.60, 368.36, 1905.0)
-_RGG_REFERENCE_EIGENVALUES = (
-    5.16, 0.27, 0.02, -0.61, -0.68, -0.77, -0.79, -0.84, -0.85, -0.89,
-)
+# The bundled scenarios: target moments, reference eigenvalues, default
+# order, start seed and convergence tolerance.  Moments and eigenvalues are
+# stored at two-decimal precision; the weight-decay constant behind them is
+# not pinned down, but uniform scaling of positions trades off exactly
+# against it, so decay = 1 loses no generality.  The tolerance bounds every
+# final residual: cost <= tol forces |m_k - m_k*| <= sqrt(4 k tol), which
+# keeps hexagon7 moments within 5% and rgg10 moments within 2% of target
+# while staying a comfortable factor above the barrier's cost floor (about
+# 4e-5 at order 7).
+_PRESETS = {
+    "hexagon7": ((0.0, 0.53, 0.64, 1.22, 2.02, 3.47, 5.90),
+                 (1.70, 0.05, 0.05, -0.40, -0.40, -0.47, -0.51), 7, 4, 8e-5),
+    "rgg10": ((0.0, 3.11, 13.45, 71.60, 368.36, 1905.0),
+              (5.16, 0.27, 0.02, -0.61, -0.68, -0.77, -0.79, -0.84, -0.85, -0.89), 4, 0, 2e-4),
+}
 
-# Start seeds and convergence tolerances are tuned per preset.  The
-# tolerance bounds every final residual: cost <= tol forces
-# |m_k - m_k*| <= sqrt(4 k tol), which keeps hexagon7 moments within 5%
-# and rgg10 moments within 2% of target while staying a comfortable
-# factor above the barrier's cost floor (about 4e-5 at order 7).
-_HEXAGON_SEED = 4
-_HEXAGON_COST_TOLERANCE = 8e-5
-_RGG_SEED = 0
-_RGG_COST_TOLERANCE = 2e-4
-
-PRESET_NAMES = ("hexagon7", "rgg10")
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str, order: Optional[int] = None) -> Scenario:
@@ -246,26 +204,12 @@ def preset(name: str, order: Optional[int] = None) -> Scenario:
     tolerance chosen so the guaranteed residual bound sqrt(4 k tol) stays
     within a few percent of every target moment.
     """
-    if name == "hexagon7":
-        resolved = 7 if order is None else order
-        moments = _HEXAGON_TARGET_MOMENTS
-        reference = _HEXAGON_REFERENCE_EIGENVALUES
-        seed = _HEXAGON_SEED
-        tolerance = _HEXAGON_COST_TOLERANCE
-    elif name == "rgg10":
-        resolved = 4 if order is None else order
-        moments = _RGG_TARGET_MOMENTS
-        reference = _RGG_REFERENCE_EIGENVALUES
-        seed = _RGG_SEED
-        tolerance = _RGG_COST_TOLERANCE
-    else:
-        raise ValueError(
-            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
-        )
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    moments, reference, default_order, seed, tolerance = _PRESETS[name]
+    resolved = default_order if order is None else order
     if not 2 <= resolved <= len(moments):
-        raise ValueError(
-            f"preset {name!r} supports orders 2..{len(moments)}, got {resolved}"
-        )
+        raise ValueError(f"preset {name!r} supports orders 2..{len(moments)}, got {resolved}")
     return Scenario(
         name=name,
         n=len(reference),
@@ -283,8 +227,8 @@ def scenario_violations(scenario: Scenario) -> list[str]:
     Checks, in order: spatial dimension 1..3, moment order against robot
     count, target/params order agreement, m_1* = 0, nonnegative even-order
     targets, and reference-eigenvalue consistency (count matches n; moments
-    recomputed from the spectrum agree with the stored targets to
-    EIGEN_CONSISTENCY_TOL relative to max(1, |m_k*|)).  Targets at or above
+    recomputed from the spectrum are finite and agree with the stored
+    targets to EIGEN_CONSISTENCY_TOL relative to max(1, |m_k*|)).  Targets at or above
     their ceilings are left to :func:`momentflow.dynamics.ensure_feasible`.
     """
     out: list[str] = []
@@ -316,7 +260,11 @@ def scenario_violations(scenario: Scenario) -> list[str]:
                 f"reference spectrum has {eigs.size} eigenvalues, expected n={scenario.n}"
             )
         elif targets.order == params.order and params.order <= scenario.n:
-            recomputed = moments_from_eigenvalues(eigs, targets.order).values
+            try:
+                recomputed = moments_from_eigenvalues(eigs, targets.order).values
+            except ValueError:  # a power of a reference eigenvalue overflowed
+                out.append("reference eigenvalues are too large: their moments overflow floats")
+                return out
             for k in range(1, targets.order + 1):
                 allowed = EIGEN_CONSISTENCY_TOL * max(1.0, abs(targets.moments[k - 1]))
                 gap = abs(recomputed[k - 1] - targets.moments[k - 1])
@@ -367,7 +315,8 @@ _REQUIRED = object()
 
 # Every key of a scenario file: its kind (see _as), its default (_REQUIRED
 # when the key must be given; None when the key is optional or resolved from
-# the others), and the Scenario attribute it is written from.
+# the others), and the Scenario attribute it is read into and written from.
+# This column is the only map from file keys to constructor fields.
 SCHEMA: dict[str, tuple[type, Any, str]] = {
     "name": (str, _REQUIRED, "name"),
     "n": (int, _REQUIRED, "n"),
@@ -385,6 +334,9 @@ SCHEMA: dict[str, tuple[type, Any, str]] = {
     "targets": (dict, _REQUIRED, "targets"),
     "reference_eigenvalues": (list, None, "targets.reference_eigenvalues"),
 }
+
+# The parts of a Scenario that SCHEMA's attribute paths name, in build order.
+_PARTS = {"targets": TargetSpectrum, "params": ControllerParams, "settings": SimulationSettings}
 
 # The targets block, a formation block, and per formation type its
 # constructor and the table of its parameters.
@@ -438,30 +390,32 @@ def _read(data: dict, table: dict, problems: list[str], prefix: str = "") -> dic
 
 
 def _resolve_targets(
-    fields: dict[str, Any], problems: list[str]
+    parts: dict[str, dict[str, Any]], problems: list[str]
 ) -> Optional[tuple[Any, Any, int]]:
     """Target moments, reference eigenvalues and order, or None on a problem.
 
-    Moment targets set the order to their count unless ``s`` truncates
-    them.  Formation targets are the named formation's own moments and
-    spectrum, up to order ``s``, which defaults to n.
+    ``parts`` holds the constructor keywords of each part, the Scenario's
+    own under "".  Moment targets set the order to their count unless ``s``
+    truncates them.  Formation targets are the named formation's own
+    moments and spectrum, up to order ``s``, which defaults to n.
     """
-    block = fields["targets"]
+    block = parts[""]["targets"]
     targets = _read(block, _TARGETS, problems, "targets.")
     if ("moments" in block) == ("formation" in block):
         problems.append("targets must contain exactly one of 'moments' and 'formation'")
     if problems:
         return None
-    order = fields["s"]
+    order = parts["params"]["order"]
+    reference = parts["targets"]["reference_eigenvalues"]
     moments = targets["moments"]
     if moments is not None:
         order = len(moments) if order is None else order
         if order > len(moments):
             problems.append(f"s={order} exceeds the {len(moments)} provided target moments")
             return None
-        return moments[:order], fields["reference_eigenvalues"], order
+        return moments[:order], reference, order
 
-    if fields["reference_eigenvalues"] is not None:
+    if reference is not None:
         problems.append(
             "reference_eigenvalues cannot accompany formation targets; "
             "the formation's own spectrum is used"
@@ -477,14 +431,15 @@ def _resolve_targets(
         return None
     try:
         config = make(**parameters)
-        if config.n != fields["n"]:
+        if config.n != parts[""]["n"]:
             raise ValueError(
-                f"formation has {config.n} robots but the scenario declares n={fields['n']}"
+                f"formation has {config.n} robots but the scenario declares n={parts['']['n']}"
             )
         order = config.n if order is None else order
         if order > config.n:
             raise ValueError(f"s={order} exceeds the formation's {config.n} robots")
-        params = ControllerParams(decay=fields["c"], metric=fields["z"], order=order)
+        # The file's gains, default barrier constants: only decay and metric matter here.
+        params = ControllerParams(**{**parts["params"], "order": order, "epsilons": ()})
         goal = target_from_formation(config, params)
     except ValueError as exc:
         problems.append(f"invalid formation: {exc}")
@@ -509,35 +464,29 @@ def scenario_from_dict(data: Any) -> tuple[Optional[Scenario], list[str]]:
         problems.append("exactly one of 'seed' and 'positions' is required")
     if fields.get("s") is not None and fields["s"] < 2:
         problems.append(f"field 's' must be at least 2, got {fields['s']}")
-    resolved = None if problems else _resolve_targets(fields, problems)
     if problems:
         return None, problems
-    moments, reference, order = resolved
-    epsilons = fields["epsilons"]
+    # Constructor keywords by owning part, by SCHEMA's attribute paths ("" is the Scenario).
+    parts: dict[str, dict[str, Any]] = {}
+    for key, (_, _, attribute) in SCHEMA.items():
+        part, _, name = attribute.rpartition(".")
+        parts.setdefault(part, {})[name] = fields[key]
+    resolved = _resolve_targets(parts, problems)
+    if resolved is None:
+        return None, problems
+    targets, params = parts["targets"], parts["params"]
+    targets["moments"], targets["reference_eigenvalues"], order = resolved
+    epsilons = params["epsilons"]
     if epsilons is not None and len(epsilons) < order:
         return None, [f"epsilons has {len(epsilons)} entries but s={order} requires that many"]
+    params["order"] = order
+    params["epsilons"] = () if epsilons is None else tuple(epsilons[:order])
 
+    own = parts[""]
     try:
-        scenario = Scenario(
-            name=fields["name"],
-            n=fields["n"],
-            d=fields["d"],
-            targets=TargetSpectrum(moments, reference),
-            params=ControllerParams(
-                decay=fields["c"],
-                metric=fields["z"],
-                order=order,
-                epsilons=() if epsilons is None else tuple(epsilons[:order]),
-            ),
-            settings=SimulationSettings(
-                dt=fields["dt"],
-                max_time=fields["max_time"],
-                cost_tolerance=fields["cost_tolerance"],
-                record_every=fields["record_every"],
-            ),
-            seed=fields["seed"],
-            initial_positions=fields["positions"],
-        )
+        for part, make in _PARTS.items():
+            own[part] = make(**parts[part])
+        scenario = Scenario(**own)
     except ValueError as exc:
         return None, [str(exc)]
     problems = scenario_violations(scenario)

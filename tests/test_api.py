@@ -6,10 +6,16 @@ Core claims:
       import *`` works and no entry outlives the code it named
     - the package root re-exports nothing; library code imports from the
       submodules
+    - the layers below scenarios (network, gradient, dynamics) run without
+      loading scenarios or cli
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +52,32 @@ def test_package_root_exports_nothing():
     public = {key for key in vars(momentflow) if not key.startswith("_")}
     assert not hasattr(momentflow, "__all__")
     assert public <= {name.rpartition(".")[2] for name in _MODULES}
+
+
+# Imports the three lower layers and calls into each, then prints which of
+# the upper modules that loaded.
+_LOWER_LAYERS = """
+import sys
+from momentflow.network import RobotConfiguration
+from momentflow.gradient import ControllerParams, TargetSpectrum, cost, moment_gradient
+from momentflow.dynamics import step
+config = RobotConfiguration([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+params = ControllerParams(metric=2, order=3)
+targets = TargetSpectrum([0.0, 0.01, 0.001])
+moment_gradient(config, params, 2)
+cost(config, targets, params)
+step(config, targets, params, 0.01)
+print([name for name in ("momentflow.scenarios", "momentflow.cli") if name in sys.modules])
+"""
+
+
+def test_lower_layers_do_not_load_upper_ones():
+    src = Path(__file__).resolve().parent.parent / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", _LOWER_LAYERS], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -920,6 +920,13 @@ _MALFORMED = {
                                    "'reference_eigenvalues'"),
     "reference_eigenvalues short": (_malformed(_SCENARIO, "reference_eigenvalues", [1.0]),
                                     "reference_eigenvalues"),
+    "reference_eigenvalues overflow": (
+        _malformed(dict(_SCENARIO, n=2), "reference_eigenvalues", [1e200, -1e200]),
+        "reference eigenvalues"),
+    "reference_eigenvalues overflow s=3": (
+        _malformed(dict(_SCENARIO, n=3, s=3, targets={"moments": [0.0, 0.5, 0.1]}),
+                   "reference_eigenvalues", [1e103, -1e103, 0.0]),
+        "reference eigenvalues"),
     "positions type": (_malformed(_UNSEEDED, "positions", "x"), "'positions'"),
     "positions ragged": (_malformed(_UNSEEDED, "positions", _RAGGED), "'positions'"),
     "positions shape": (_malformed(_UNSEEDED, "positions", [[0.0]] * 5), "positions"),

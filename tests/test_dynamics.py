@@ -46,6 +46,7 @@ from momentflow.dynamics import (
 )
 from momentflow.gradient import (
     ControllerParams,
+    TargetSpectrum,
     barrier,
     barrier_gradient,
     control_law,
@@ -58,7 +59,6 @@ from momentflow.network import (
 )
 from momentflow.scenarios import (
     Scenario,
-    TargetSpectrum,
     preset,
     random_geometric_config,
 )

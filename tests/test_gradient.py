@@ -23,6 +23,7 @@ from momentflow.gradient import (
     DEFAULT_EPSILON,
     ControllerParams,
     InfeasibleStateError,
+    TargetSpectrum,
     barrier,
     barrier_gradient,
     control_law,
@@ -38,7 +39,6 @@ from momentflow.network import (
     build_adjacency,
     spectral_moments,
 )
-from momentflow.scenarios import TargetSpectrum
 
 
 # -- Helpers -----------------------------------------------------------------

@@ -5,16 +5,20 @@ Core claims:
     - RobotConfiguration/WeightedAdjacency/MomentVector validate their inputs,
       copy them, and freeze the stored arrays
     - pairwise_distance matches hand values for both metrics, is symmetric
-      with an exactly zero diagonal, and is translation invariant
+      with an exactly zero diagonal, is translation invariant, and returns
+      inf for a distance beyond float range without a warning
     - build_adjacency reproduces exp(-decay * dist) with an exactly zero
       diagonal and off-diagonal entries in [0, 1], 0 where a weight underflows
     - power_chain agrees with numpy matrix_power
     - spectral_moments has m_1 == 0 exactly, nonnegative entries, and agrees
-      with the eigenvalue power-sum route to tight tolerance
+      with the eigenvalue power-sum route to tight tolerance; that route
+      raises a ValueError naming s, without a warning, where a power overflows
     - complete_graph_moments matches the moments of an explicitly coincident
       team and upper-bounds the moments of every spread-out team
     - walk_weight_sum reproduces entries of A^k by direct enumeration
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +216,18 @@ class TestPairwiseDistance:
         with pytest.raises(ValueError):
             pairwise_distance(config, 3)
 
+    # The taxicab sum 3.4e308 overflows, and so does the squared offset 1e400.
+    @pytest.mark.parametrize("metric, far", [(1, [1.7e308, 1.7e308]), (2, [1e200, 0.0])])
+    def test_overflowing_distance_is_quiet_inf(self, metric, far):
+        config = RobotConfiguration([[0.0, 0.0], far])
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = pairwise_distance(config, metric)
+        assert np.geterr() == before
+        assert dist[0, 1] == dist[1, 0] == np.inf
+        assert np.all(np.diag(dist) == 0.0)
+
 
 # == 5. Adjacency construction ===============================================
 
@@ -338,6 +354,18 @@ class TestEigenvalues:
             moments_from_eigenvalues([1.0, -1.0], 3)
         with pytest.raises(ValueError):
             moments_from_eigenvalues([1.0, np.nan], 2)
+
+    @pytest.mark.parametrize("eigs, order, bad", [
+        ([1e200, -1e200], 2, 2),        # m_2 = inf
+        ([1e103, -1e103, 0.0], 3, 3),   # inf - inf in m_3
+    ])
+    def test_moments_from_eigenvalues_overflow(self, eigs, order, bad):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"m_{bad} overflows floats, so s = {order}"):
+                moments_from_eigenvalues(eigs, order)
+        assert np.geterr() == before
 
 
 # == 9. Complete-graph ceilings ==============================================

@@ -38,6 +38,7 @@ from hypothesis.extra.numpy import arrays
 from momentflow.dynamics import SimulationSettings, simulate
 from momentflow.gradient import (
     ControllerParams,
+    TargetSpectrum,
     _Evaluation,
     barrier_gradient,
     control_law,
@@ -55,7 +56,7 @@ from momentflow.network import (
     pairwise_distance,
     spectral_moments,
 )
-from momentflow.scenarios import Scenario, TargetSpectrum, target_from_formation
+from momentflow.scenarios import Scenario, target_from_formation
 
 _PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 _UNIT = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)

@@ -15,9 +15,12 @@ Core claims:
       leaves realizability ceilings to ensure_feasible
     - a scenario file read by scenario_from_dict and written back by
       scenario_to_dict is a fixed point of the pair, also through JSON text
+    - SCHEMA maps a file key to every constructor field exactly once
 """
 
+import dataclasses
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from momentflow.dynamics import (
     UnrealizableTargetsError,
     ensure_feasible,
 )
-from momentflow.gradient import ControllerParams
+from momentflow.gradient import ControllerParams, TargetSpectrum
 from momentflow.network import (
     RobotConfiguration,
     build_adjacency,
@@ -41,8 +44,8 @@ from momentflow.network import (
 from momentflow.scenarios import (
     MAX_ROBOTS,
     PRESET_NAMES,
+    SCHEMA,
     Scenario,
-    TargetSpectrum,
     hexagon_formation,
     preset,
     random_geometric_config,
@@ -407,6 +410,24 @@ class TestScenarioFileSchema:
             assert set(written) - set(given) == {"targets"}
         else:
             assert set(written) - set(given) == {"targets", "reference_eigenvalues"}
+
+    def test_schema_names_every_field_once(self):
+        def names(cls, prefix=""):
+            return [prefix + field.name for field in dataclasses.fields(cls)]
+
+        attributes = [attribute for _, _, attribute in SCHEMA.values()]
+        # The "targets" key is the targets block, which carries targets.moments.
+        covered = attributes + ["targets.moments"]
+        expected = (
+            [name for name in names(Scenario) if name not in ("params", "settings")]
+            + names(ControllerParams, "params.")
+            + names(SimulationSettings, "settings.")
+            + names(TargetSpectrum, "targets.")
+        )
+        assert sorted(covered) == sorted(expected)
+        scenario = preset("hexagon7")
+        for attribute in attributes:
+            reduce(getattr, attribute.split("."), scenario)
 
     def test_null_number_takes_its_default(self):
         data = {"name": "nulls", "n": 3, "d": 2, "seed": 0, "c": None, "z": None,
