@@ -89,7 +89,7 @@ _JUMP_REACH = 350.0  # decay x taxicab centroid distance after a jump
 
 
 class UnrealizableTargetsError(ValueError):
-    """A moment target is at or above its coincident-configuration ceiling."""
+    """A target is at or above its coincident-configuration ceiling, or positive while m_2* = 0."""
 
 
 class FlowStalled(RuntimeError):
@@ -192,16 +192,16 @@ def ensure_feasible(
 ) -> RobotConfiguration:
     """Return a feasible configuration, compressing toward the centroid if needed.
 
-    First verifies realizability, before it evaluates ``config``: every
-    target must sit strictly below the coincident-configuration moment for
-    its order, else :class:`UnrealizableTargetsError`.  This is the one
-    place that checks that rule.  A configuration whose margins all clear a
-    per-moment slack is returned unchanged; otherwise positions are
-    repeatedly pulled toward their centroid by a fixed factor, which
-    monotonically raises every moment of order >= 2 toward its ceiling.
+    First verifies realizability, before it evaluates ``config``: every target
+    must sit strictly below the coincident-configuration moment for its order,
+    and none be positive if m_2* = 0, which forces A = 0; else
+    :class:`UnrealizableTargetsError`, raised only here.  A configuration whose
+    margins all clear a per-moment slack is returned unchanged; otherwise
+    positions are repeatedly pulled toward their centroid by a fixed factor,
+    which monotonically raises every moment of order >= 2 toward its ceiling.
     While every moment is 0 (a team 1e300 apart, say), one larger factor
-    scales the team, about the origin so that it stays representable, to
-    at most 700 / decay across, where weights exp(-decay * dist) are floats.
+    scales the team, about the origin so that it stays representable, to at
+    most 700 / decay across, where weights exp(-decay * dist) are floats.
 
     The slack for moment k is min(max(_SLACK_FRACTION * |m_k*|,
     _SLACK_FLOOR), half the gap between target and ceiling); the cap keeps
@@ -217,6 +217,10 @@ def ensure_feasible(
             f"its coincident-configuration ceiling {ceilings[bad - 1]:.6g} "
             f"for n={config.n}"
         )
+    if goal[1] == 0.0 and np.any(goal[2:] > 0.0):
+        k = int(np.argmax(goal[2:] > 0.0)) + 3
+        raise UnrealizableTargetsError(f"target moment m_{k}* = {goal[k - 1]:.6g} > 0 needs a "
+                                       f"nonzero weight, but m_2* = {goal[1]:.6g} allows none")
     slack = np.minimum(
         np.maximum(_SLACK_FRACTION * np.abs(goal[1:]), _SLACK_FLOOR), 0.5 * gaps
     )

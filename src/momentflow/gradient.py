@@ -32,8 +32,9 @@ sum per axis, and the Euclidean form is one (n, n) x (n, d) product,
 
 Its two terms nearly cancel, so X is taken relative to the centroid: far
 from the origin, raw coordinates would cost digits that the unit
-directions never lose.  A central finite-difference oracle checks every
-analytic formula without derivatives.
+directions never lose.  The moments, cost and barrier need only A..A^h,
+h = ceil(s/2), from h - 1 n x n products, and W one more from s = 4 on.
+A central finite-difference oracle checks every analytic formula.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ from .network import (
     WeightedAdjacency,
     _adjacency,
     _freeze,
-    _moments_and_chain,
+    _half_chain,
     _pairwise_distance,
+    _product,
     _quiet,
     power_chain,
 )
@@ -213,12 +215,12 @@ class _Evaluation:
 
     Construction checks that the targets carry ``params.order`` moments and
     builds the adjacency from one distance matrix, which the Euclidean
-    :meth:`_project` reuses.  The chain A..A^(s-1), exactly the powers that
-    W uses, gives the moments, the margins m_k - m_k* for k = 2..s, the cost
-    and the barrier.  One :meth:`_project` call gives any one gradient (the
-    drift is kept); the barrier's raises :class:`InfeasibleStateError` on a
-    nonpositive guarded margin.  Sums over k run in increasing k, so results
-    are bitwise reproducible.
+    :meth:`_project` reuses.  The half chain A..A^h, h = ceil(s/2), gives the
+    moments, the margins m_k - m_k* for k = 2..s, the cost and the barrier.
+    One :meth:`_project` call gives any one gradient (the drift is kept); the
+    barrier's raises :class:`InfeasibleStateError` on a nonpositive guarded
+    margin.  Every sum runs in one fixed order, so results are bitwise
+    reproducible.
     """
 
     def __init__(
@@ -235,7 +237,7 @@ class _Evaluation:
         euclidean = params.metric == 2
         self._distance = distance if euclidean else None
         self.adjacency = _adjacency(distance, params.decay, out=None if euclidean else distance)
-        self.moments, self.chain = _moments_and_chain(self.adjacency, params.order)
+        self.moments, self.chain = _half_chain(self.adjacency, params.order)
         self.margins = self.moments.values[1:] - targets.moments[1:]
         margins = self._margins = self.margins.tolist()
         self.cost = sum(m * m / (4.0 * k) for k, m in enumerate(margins, start=2))
@@ -269,17 +271,27 @@ class _Evaluation:
     def _project(self, coefficients: Sequence[float]) -> np.ndarray:
         """(decay / n) [(A o T_r) W]_ii, W = sum_k coefficients[k-2] A^(k-1).
 
-        Once per evaluation: it consumes the kept distances and the chain (W's
-        terms are scaled powers in place), so only the weights stay n x n.
+        From the half chain, W = sum_{p<h} c_p A^p + A^h (c_h I + sum_i c_(h+i) A^i):
+        one product from s = 4 on.  Once per evaluation: it consumes the kept
+        distances and the chain (terms are scaled in place), so only the weights stay.
         """
         positions = self.config.positions
         n = len(positions)
-        weighted = None
-        for k, (coefficient, power) in enumerate(zip(coefficients, self.chain)):
+        chain, self.chain = self.chain, None
+        q = weighted = None
+        high = [(c, power) for c, power in zip(coefficients[len(chain):], chain) if c]
+        if high:  # the terms from A^h on, as A^h Q
+            q = np.multiply(*high[0])
+            for coefficient, power in high[1:]:
+                weighted = np.multiply(coefficient, power, out=weighted)
+                q += weighted
+            q.ravel()[:: n + 1] += coefficients[len(chain) - 1]
+            weighted = _product(chain[-1], q, out=weighted)
+            coefficients = coefficients[: len(chain) - 1]
+        for k, (coefficient, power) in enumerate(zip(coefficients, chain)):
             if coefficient:
-                term = np.multiply(coefficient, power, out=power if k else None)
+                term = np.multiply(coefficient, power, out=power if k else q)
                 weighted = term if weighted is None else np.add(weighted, term, out=weighted)
-        self.chain = None
         if weighted is None:
             return np.zeros_like(positions)
         mixed = np.multiply(weighted, self.adjacency.weights, out=weighted)
@@ -327,7 +339,8 @@ def control_law(
     """Negative cost gradient u = -grad f: the (n, d) array of robot velocities.
 
     u[i, r] = (decay / n) * [(A o T_r) W]_ii with W = sum_{k=2}^{s}
-    (m_k - m_k*) A^(k-1), from one chain A..A^(s-1) per call.
+    (m_k - m_k*) A^(k-1), from the half chain A..A^ceil(s/2) and, from
+    s = 4 on, one product more.
     """
     state = _evaluate(config, targets, params)
     return state._project(state._margins)

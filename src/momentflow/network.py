@@ -212,24 +212,21 @@ def _freeze(instance, field: str, array: np.ndarray):
     return instance
 
 
-def _powers(weights: np.ndarray, top: int) -> list[np.ndarray]:
-    """[A, A^2, ..., A^top]: entry 0 is A itself, then one product per power."""
-    powers = []
-    for k in range(top):
-        powers.append(weights if k == 0 else powers[-1] @ weights)
-    return powers
+def _product(left: np.ndarray, right: np.ndarray, out=None) -> np.ndarray:
+    """left @ right into ``out``: the one n x n product (``x @ x.T`` is a BLAS syrk)."""
+    return np.matmul(left, right, out=out)
 
 
 def power_chain(adjacency: WeightedAdjacency, max_power: int) -> list[np.ndarray]:
     """Matrix powers [I, A, A^2, ..., A^max_power] by repeated multiplication.
 
-    Entry k of the returned list is A^k, so tr(A^k) and the A^(k-1)
-    factors of the gradient formulas come from one pass of dense
-    multiplications (entry 1 is the read-only weight array itself).
+    Entry k of the returned list is A^k (entry 1 is the read-only weight
+    array itself), one dense product per power above the first.
     """
     if max_power < 0:
         raise ValueError(f"max_power must be nonnegative, got {max_power}")
-    return [np.eye(adjacency.n)] + _powers(adjacency.weights, max_power)
+    powers = itertools.accumulate([adjacency.weights] * max_power, _product)
+    return [np.eye(adjacency.n), *powers]
 
 
 @_quiet
@@ -239,24 +236,24 @@ def spectral_moments(adjacency: WeightedAdjacency, order: int) -> MomentVector:
     ``order`` must satisfy 1 <= order <= n.  m_1 is exactly zero (zero
     diagonal) and every moment of a nonnegative matrix is nonnegative.
     """
-    return _moments_and_chain(adjacency, order)[0]
+    return _half_chain(adjacency, order)[0]
 
 
-def _moments_and_chain(
-    adjacency: WeightedAdjacency, order: int
-) -> tuple[MomentVector, list[np.ndarray]]:
-    """:func:`spectral_moments` with the powers [A, ..., A^(order-1)].
+def _half_chain(adjacency: WeightedAdjacency, order: int) -> tuple[MomentVector, list[np.ndarray]]:
+    """:func:`spectral_moments` with the half chain [A, ..., A^h], h = ceil(order/2).
 
-    A is symmetric, so tr(A^order) = sum(A^(order-1) o A) without A^order;
-    m_1 = tr(A) is 0, the trace of a zero diagonal, and is not summed.
+    A is symmetric: m_2j = ||A^j||_F^2 / n, m_(2j+1) = <A^j, A^(j+1)> / n, and m_1 = 0.
+    Each power is A^k = A^ceil(k/2) (A^floor(k/2))^T, a BLAS syrk for even k.
     """
     n = adjacency.n
     if not 1 <= order <= n:
         raise ValueError(f"order must satisfy 1 <= order <= {n}, got {order}")
-    chain = _powers(adjacency.weights, order - 1)
-    traces = [0.0] + [power.trace() for power in chain[1:]]
-    traces += [np.vdot(power, adjacency.weights) for power in chain[-1:]]
-    values = np.array(traces) / n
+    chain = [adjacency.weights]
+    for k in range(2, (order + 3) // 2):
+        left, right = chain[(k - 1) // 2], chain[k // 2 - 1]
+        chain.append(_product(left, right.T))
+    sums = [np.vdot(chain[k // 2 - 1], chain[(k - 1) // 2]) for k in range(2, order + 1)]
+    values = np.array([0.0] + sums) / n
     _check_overflow(values, "moment")
     return _freeze(object.__new__(MomentVector), "values", values), chain
 

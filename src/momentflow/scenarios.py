@@ -71,7 +71,7 @@ __all__ = [
 # relative to the moment magnitude (absolute for small moments).
 EIGEN_CONSISTENCY_TOL = 1e-2
 
-# The largest team a scenario may declare.  Every evaluation holds s + 1
+# The largest team a scenario may declare.  A flow holds at most ceil(s/2) + 4
 # dense n x n float64 matrices, about 134 MB each at this bound.
 MAX_ROBOTS = 4096
 

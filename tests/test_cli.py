@@ -15,7 +15,8 @@ Core claims:
     - a malformed value of any schema field makes run and spectrum exit 2
       with one-line reasons that name the field; a huge robot count does
       so before anything is allocated
-    - targets at or above their ceilings make run exit 3, not spectrum
+    - targets at or above their ceilings, or with m_2* = 0 and some
+      m_k* > 0, make run exit 3 with one line, not spectrum
     - an order s whose ceilings or moments overflow floats makes run and
       spectrum exit 2 with one line that names s; spectrum's default s
       stops below that order, so a gathered team of 200 prints
@@ -80,6 +81,22 @@ _OVERFLOWING_POSITIONS = [[0.0, 0.0], [1e200, 0.0], [1.0, 1.0]]
 # A valid file whose m_2* sits above its ceiling n - 1 = 2.
 _UNREALIZABLE = {"name": "ceiling", "n": 3, "d": 2, "seed": 1, "s": 2,
                  "targets": {"moments": [0, 5]}}
+# m_2* = 0 forces every weight to 0, so m_3* = 7 cannot be met.
+_ZERO_SECOND_MOMENT = {"name": "fz", "n": 6, "d": 3, "seed": 0, "cost_tolerance": 3.5,
+                       "max_time": 2, "targets": {"moments": [0, 0, 7, 0]}}
+
+
+def _assert_overflowing_moments_exit(tmp_path, capsys, n):
+    """spectrum of n robots at one point with s = n exits 2 with one line naming s."""
+    path = tmp_path / "gathered.json"
+    path.write_text(json.dumps({"positions": [[0.0, 0.0]] * n, "s": n}))
+    code = main(["spectrum", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert f"s = {n}" in captured.err and "smaller s" in captured.err
+    assert "Warning" not in captured.err
 
 
 def _fast_scenario_data(seed=0, n=5):
@@ -460,6 +477,18 @@ class TestRunCommand:
         assert len(captured.err.strip().splitlines()) == 1
         assert not list(tmp_path.glob("*_report.json"))
 
+    def test_zero_second_moment_exit(self, tmp_path, capsys):
+        path = tmp_path / "fz.json"
+        path.write_text(json.dumps(_ZERO_SECOND_MOMENT))
+        code = main(["run", str(path), "-o", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_UNREALIZABLE
+        assert captured.out == ""
+        assert captured.err.startswith("unrealizable targets: ")
+        assert "m_3* = 7" in captured.err and "m_2* = 0" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not list(tmp_path.glob("*_report.json"))
+
     def test_underflowing_start_exit(self, tmp_path, capsys):
         # The start is compressed like any infeasible one and converges.
         path = tmp_path / "far.json"
@@ -723,15 +752,11 @@ class TestSpectrumCommand:
 
     def test_overflowing_moments_exit(self, tmp_path, capsys):
         # An explicit s = n = 200 makes m_k of a gathered team overflow.
-        path = tmp_path / "gathered.json"
-        path.write_text(json.dumps({"positions": [[0.0, 0.0]] * 200, "s": 200}))
-        code = main(["spectrum", str(path)])
-        captured = capsys.readouterr()
-        assert code == EXIT_VALIDATION
-        assert captured.out == ""
-        assert len(captured.err.strip().splitlines()) == 1
-        assert "s = 200" in captured.err and "smaller s" in captured.err
-        assert "Warning" not in captured.err
+        _assert_overflowing_moments_exit(tmp_path, capsys, 200)
+
+    def test_overflowing_moments_exit_from_144_robots(self, tmp_path, capsys):
+        # The smallest such team: ||A^72||_F^2 = 143^144 + 143 is not a float.
+        _assert_overflowing_moments_exit(tmp_path, capsys, 144)
 
     def test_gathered_team_default_order(self, tmp_path, capsys):
         # Without s, the order stops where the ceilings would overflow.

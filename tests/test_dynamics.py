@@ -16,6 +16,14 @@ Core claims:
     - simulate logs how many robot pair slots changed coordinate order
     - simulate evaluates each configuration once: at most one distance
       matrix per trial step, and the presets keep their step counts
+    - a candidate's moments take ceil(s/2) - 1 n x n products, and a
+      state's drift one more, only from s = 4 on
+    - the arrays a drift overwrites in place are never read by a live
+      state: the public step, which evaluates every state afresh, replays
+      a flow's trial steps to the same accept/reject sequence and the same
+      final positions
+    - targets with m_2* = 0 and some m_k* > 0 are unrealizable; all-zero
+      targets are not
     - a step whose candidate or its distances overflow, or whose drift
       sends a coordinate to +-inf or NaN, is rejected without a numpy
       warning
@@ -61,6 +69,7 @@ from momentflow.scenarios import (
     Scenario,
     preset,
     random_geometric_config,
+    target_from_formation,
 )
 
 
@@ -91,6 +100,40 @@ def _reachable_scenario(seed=0, order=2, n=5, tol=1e-4):
         settings=SimulationSettings(cost_tolerance=tol),
         seed=seed,
     )
+
+
+def _rejecting_scenario(order, metric):
+    """Seven robots whose flow, with dt = 4, rejects steps as well as accepting them."""
+    rng = np.random.default_rng(order)
+    params = _params(order=order, metric=metric)
+    formation = RobotConfiguration(3.0 * rng.random((7, 2)))
+    return Scenario(
+        name="rejects",
+        n=7,
+        d=2,
+        params=params,
+        targets=target_from_formation(formation, params),
+        settings=SimulationSettings(dt=4.0, max_time=4.0),
+        initial_positions=rng.random((7, 2)),
+    )
+
+
+def _recorded_advances(monkeypatch, products=None):
+    """Record (dt, drift known before, accepted, products) per trial step.
+
+    ``products``, a list, collects one entry per n x n product.
+    """
+    trials = []
+    advance = dynamics._advance
+
+    def recorded(state, dt):
+        known, before = state._drift is not None, len(products or ())
+        result = advance(state, dt)
+        trials.append((dt, known, result[1], len(products or ()) - before))
+        return result
+
+    monkeypatch.setattr(dynamics, "_advance", recorded)
+    return trials
 
 
 def _unbuildable_candidates(monkeypatch):
@@ -233,6 +276,18 @@ class TestEnsureFeasible:
         # Ceiling for m_2 at n=3 is exactly 2.
         with pytest.raises(UnrealizableTargetsError):
             ensure_feasible(config, TargetSpectrum([0.0, 2.0]), params)
+
+    def test_zero_second_moment_with_positive_target_rejected(self):
+        # m_2 = ||A||_F^2 / n = 0 forces A = 0, so no m_k* > 0 can be met.
+        config = RobotConfiguration([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(UnrealizableTargetsError, match=r"m_3\* = 0.5 .*m_2\* = 0"):
+            ensure_feasible(config, TargetSpectrum([0.0, 0.0, 0.5]), _params(order=3))
+
+    def test_all_zero_targets_accepted(self):
+        config = RobotConfiguration([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        targets = TargetSpectrum([0.0, 0.0, 0.0])
+        repaired = ensure_feasible(config, targets, _params(order=3))
+        assert np.all(feasibility_margin(repaired, targets, _params(order=3)) > 0.0)
 
     def test_just_realizable_targets_accepted(self):
         config = RobotConfiguration([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -560,3 +615,47 @@ class TestEvaluationBudget:
         # Per run: the start's evaluation and at most one more; the drift
         # reuses its state's distances.
         assert len(distances) <= trials + len(checks) + 2
+
+    @pytest.mark.parametrize("order", range(2, 8))
+    def test_products_per_trial_step(self, order, monkeypatch):
+        products = []
+        product = network._product
+
+        def counted(*args, **kwargs):
+            products.append(args[0].shape)
+            return product(*args, **kwargs)
+
+        for module in (network, gradient):
+            monkeypatch.setattr(module, "_product", counted)
+        trials = _recorded_advances(monkeypatch, products)
+        record = simulate(_rejecting_scenario(order, metric=2))
+        assert record.accepted_steps > 0 and record.rejected_steps > 0
+        assert len(trials) == record.accepted_steps + record.rejected_steps
+        # A candidate's half chain takes ceil(s/2) - 1 products.  A state
+        # pays for its drift in the step after its acceptance: one product
+        # more from s = 4, where W has powers above the half chain.
+        half = (order + 1) // 2
+        for i, (_, known, _, count) in enumerate(trials):
+            assert known == (i > 0 and not trials[i - 1][2])
+            assert count == half - 1 + (not known and order >= 4)
+        assert set(products) <= {(7, 7)}
+
+    @pytest.mark.parametrize("metric", [1, 2])
+    @pytest.mark.parametrize("order", range(2, 7))
+    def test_in_place_arrays_not_read_by_live_states(self, order, metric, monkeypatch):
+        scenario = _rejecting_scenario(order, metric)
+        trials = _recorded_advances(monkeypatch)
+        record = simulate(scenario)
+        monkeypatch.undo()
+        assert record.rejected_steps > 0
+        # step evaluates every state afresh, so an array that a drift
+        # overwrote while a state still read it would show as another
+        # accept/reject sequence or other positions.
+        targets, params = scenario.targets, scenario.params
+        config = ensure_feasible(scenario.initial_configuration(), targets, params)
+        replayed = []
+        for dt, _, _, _ in trials:
+            config, accepted, _ = step(config, targets, params, dt)
+            replayed.append(accepted)
+        assert replayed == [accepted for _, _, accepted, _ in trials]
+        assert np.array_equal(config.positions, record.final_configuration.positions)

@@ -16,6 +16,10 @@ Core claims:
       with coincident robots and with a robot so far away that its weights
       underflow to 0, so build_adjacency need not re-run them; the moments
       of such teams match the eigenvalue power sums
+    - the half chain's moments, ||A^j||_F^2 / n and <A^j, A^(j+1)> / n,
+      match the eigenvalue power sums up to s = max_finite_order(n) on
+      teams of up to 40 robots, coincident or far-apart ones included, and
+      on a gathered and a spread team of 200 at s = 134
     - an _Evaluation's weights and moments, built without the
       constructors, are read-only, finite, pass those constructors' checks
       and match build_adjacency and the traces of matrix powers, also after
@@ -31,6 +35,7 @@ Examples are derandomized and bounded, so every run draws the same ones.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -52,6 +57,7 @@ from momentflow.network import (
     build_adjacency,
     complete_graph_moments,
     eigenvalues,
+    max_finite_order,
     moments_from_eigenvalues,
     pairwise_distance,
     spectral_moments,
@@ -204,6 +210,49 @@ def test_built_weights_pass_adjacency_checks(positions, decay, metric, far):
     scale = max(1.0, float(np.abs(eigs).max())) ** np.arange(1, n + 1)
     error = spectral_moments(built, n).values - moments_from_eigenvalues(eigs, n).values
     assert np.all(np.abs(error) <= 1e-12 * scale)
+
+
+def _half_chain_error(positions, decay, metric):
+    """|spectral_moments - eigenvalue power sums| / rho^k up to max_finite_order(n)."""
+    adjacency = build_adjacency(RobotConfiguration(positions), decay, metric)
+    order = max_finite_order(len(positions))
+    eigs = eigenvalues(adjacency)
+    scale = max(1.0, float(np.abs(eigs).max())) ** np.arange(1, order + 1)
+    chain = spectral_moments(adjacency, order).values
+    error = np.abs(chain - moments_from_eigenvalues(eigs, order).values)
+    return float(np.max(error / scale))
+
+
+@st.composite
+def _large_teams(draw):
+    """Teams of 2..40 robots in a drawn box; some coincident, some 800/c apart."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 3))
+    box = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    positions = box * draw(arrays(float, (n, d), elements=_UNIT))
+    kind = draw(st.sampled_from(["spread", "coincident", "far"]))
+    if kind == "coincident":
+        positions[draw(arrays(bool, n, elements=st.booleans()))] = positions[0]
+    elif kind == "far":
+        # At least 7,990 from the rest: exp(-c * dist) underflows to 0 for every c >= 0.1.
+        positions[-1, 0] += 8001.0
+    return positions
+
+
+@_PROPERTY
+@given(_large_teams(), _DECAY, _METRIC)
+def test_half_chain_moments_match_eigenvalues(positions, decay, metric):
+    # Both routes are off by a few ulps of the largest term, rho^k.
+    assert _half_chain_error(positions, decay, metric) <= 1e-12
+
+
+@pytest.mark.parametrize("gathered", [True, False])
+def test_half_chain_moments_at_n_200(gathered):
+    # s = 134: the half chain reaches A^67, whose squared norm is near the
+    # float limit for a gathered team.
+    positions = np.zeros((200, 2)) if gathered else np.random.default_rng(7).random((200, 2))
+    assert max_finite_order(200) == 134
+    assert _half_chain_error(positions, 1.0, 2) <= 1e-12
 
 
 @_PROPERTY
