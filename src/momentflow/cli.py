@@ -11,7 +11,9 @@ Three subcommands:
 
 Exit statuses: 0 success/converged, 1 horizon reached without convergence,
 2 scenario validation failure, 3 unrealizable targets, 4 stalled flow,
-5 file or parse error.
+5 file or parse error.  A failure is raised where it happens and leaves
+through one function, which prints its reason to stderr, one line per
+problem, and returns its status.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .network import (
 )
 from .scenarios import (
     PRESET_NAMES,
+    _PRESETS,
     Scenario,
     positions_from_dict,
     preset,
@@ -86,6 +89,28 @@ EXIT_IO = 5
 _EXIT_FOR_REASON = {"converged": EXIT_CONVERGED, "horizon": EXIT_HORIZON, "stalled": EXIT_STALLED}
 
 _FLOAT_FMT = "%.17g"
+
+
+class _Failure(Exception):
+    """A failed command, raised as ``_Failure(status, *stderr_lines)``."""
+
+
+def _exit_status(handler: Any, *args: Any) -> int:
+    """``handler(*args)``, or the status of its failure after printing its lines."""
+    try:
+        return handler(*args)
+    except _Failure as failure:
+        status, *lines = failure.args
+        print("\n".join(lines), file=sys.stderr)
+        return status
+
+
+def _valid(found: tuple[Any, list[str]], what: str) -> Any:
+    """The value of a ``(value, problems)`` pair; fails with one line per problem."""
+    value, problems = found
+    if value is None:
+        raise _Failure(EXIT_VALIDATION, *(f"invalid {what}: {problem}" for problem in problems))
+    return value
 
 
 # == scenario dictionaries =================================================
@@ -208,11 +233,9 @@ def _run_one(scenario: Scenario, out_dir: Path) -> int:
     try:
         record = simulate(scenario)
     except UnrealizableTargetsError as exc:
-        print(f"unrealizable targets: {exc}", file=sys.stderr)
-        return EXIT_UNREALIZABLE
+        raise _Failure(EXIT_UNREALIZABLE, f"unrealizable targets: {exc}") from exc
     except ValueError as exc:
-        print(f"cannot run: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Failure(EXIT_VALIDATION, f"cannot run: {exc}") from exc
     base = _sanitize(scenario.name)
     csv_path = out_dir / f"{base}_trajectory.csv"
     json_path = out_dir / f"{base}_report.json"
@@ -224,80 +247,66 @@ def _run_one(scenario: Scenario, out_dir: Path) -> int:
             json.dump(report, handle, indent=2)
             handle.write("\n")
     except OSError as exc:
-        print(f"cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _Failure(EXIT_IO, f"cannot write outputs: {exc}") from exc
     _print_report(report)
     return _EXIT_FOR_REASON[record.termination_reason]
 
 
-def _load(command: str, path: Optional[str], preset_name: Optional[str]) -> Any:
-    """Schema data from a JSON file or a preset, or the exit status on failure."""
+def _load(command: str, path: Optional[str], preset_name: Optional[str]) -> dict[str, Any]:
+    """Schema data from a JSON file or a preset."""
     if (path is None) == (preset_name is None):
-        print(f"{command} needs a JSON file or --preset, not both", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Failure(EXIT_VALIDATION, f"{command} needs a JSON file or --preset, not both")
     if preset_name is not None:
-        return scenario_to_dict(preset(preset_name))
+        # The whole moment table at the default s, so that --set s can raise the order.
+        moments, _, order, *_ = _PRESETS[preset_name]
+        data = scenario_to_dict(preset(preset_name, order=len(moments)))
+        data["s"] = order
+        return data
     try:
         with open(path) as handle:
             data = json.load(handle)
     except OSError as exc:
-        print(f"cannot read file: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _Failure(EXIT_IO, f"cannot read file: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        print(f"file is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _Failure(EXIT_IO, f"file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        print("file must contain a JSON object", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Failure(EXIT_VALIDATION, "file must contain a JSON object")
     return data
-
-
-def _print_problems(problems: list[str], what: str) -> int:
-    for problem in problems:
-        print(f"invalid {what}: {problem}", file=sys.stderr)
-    return EXIT_VALIDATION
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     data = _load("run", args.scenario, args.preset)
-    if isinstance(data, int):
-        return data
     for assignment in args.set or []:
         try:
             apply_override(data, assignment)
         except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_VALIDATION
+            raise _Failure(EXIT_VALIDATION, str(exc)) from exc
 
     if args.seed is not None:
         if "positions" in data:
-            print("--seed does not apply to a scenario with explicit positions", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise _Failure(
+                EXIT_VALIDATION, "--seed does not apply to a scenario with explicit positions"
+            )
         data["seed"] = args.seed
 
     trials = args.trials
     if trials is not None and trials < 1:
-        print(f"--trials must be at least 1, got {trials}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Failure(EXIT_VALIDATION, f"--trials must be at least 1, got {trials}")
     if trials is not None and "positions" in data:
-        print("--trials varies the seed; it does not apply to explicit positions",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Failure(
+            EXIT_VALIDATION, "--trials varies the seed; it does not apply to explicit positions"
+        )
 
-    scenario, problems = scenario_from_dict(data)
-    if scenario is None:
-        return _print_problems(problems, "scenario")
-
+    scenario = _valid(scenario_from_dict(data), "scenario")
     out_dir = Path(args.output)
     if trials is None:
         return _run_one(scenario, out_dir)
 
     outcomes = []
     for index in range(trials):
-        seed = scenario.seed + index
-        print(f"trial {index} (seed {seed}):")
-        code = _run_one(replace(scenario, seed=seed), out_dir / f"trial_{index:03d}")
-        outcomes.append(code)
+        trial = replace(scenario, seed=scenario.seed + index)
+        print(f"trial {index} (seed {trial.seed}):")
+        outcomes.append(_exit_status(_run_one, trial, out_dir / f"trial_{index:03d}"))
     converged = sum(1 for code in outcomes if code == EXIT_CONVERGED)
     print(f"{converged}/{trials} trials converged")
     for code in outcomes:
@@ -329,13 +338,19 @@ def _random_adjacency(rng: np.random.Generator, n: int) -> WeightedAdjacency:
     return WeightedAdjacency(weights)
 
 
+def _gradient_error(analytic: np.ndarray, function: Any, config: RobotConfiguration) -> float:
+    """Largest error of ``analytic`` against finite differences of ``function``, relative."""
+    fd = finite_difference_gradient(function, config)
+    scale = max(float(np.abs(fd).max()), 1e-12)
+    return float(np.abs(analytic - fd).max()) / scale
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
     d = args.d
     trials = args.trials
     if n < 2 or d < 1 or trials < 0 or args.seed < 0:
-        print("verify needs n >= 2, d >= 1, trials >= 0, seed >= 0", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Failure(EXIT_VALIDATION, "verify needs n >= 2, d >= 1, trials >= 0, seed >= 0")
     if trials == 0:
         print("warning: 0 trials requested; every check passes vacuously")
     rng = np.random.default_rng(args.seed)
@@ -389,11 +404,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if args.perturb:
                 with np.errstate(over="ignore"):
                     analytic = analytic * (1.0 + args.perturb)
-            fd = finite_difference_gradient(
-                lambda c: cost(c, targets, params), config
-            )
-            scale = max(float(np.abs(fd).max()), 1e-12)
-            worst = np.maximum(worst, float(np.abs(analytic + fd).max()) / scale)
+            # The control law is minus the cost gradient.
+            error = _gradient_error(-analytic, lambda c: cost(c, targets, params), config)
+            worst = np.maximum(worst, error)
         report(f"control law vs cost gradient (metric {metric})", worst, 1e-5)
 
     # Barrier gradient against finite differences, substantial constants.
@@ -405,11 +418,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         current = target_from_formation(config, params)
         targets = TargetSpectrum(current.moments * 0.5)
         analytic = barrier_gradient(config, targets, params)
-        fd = finite_difference_gradient(
-            lambda c: barrier(c, targets, params), config
-        )
-        scale = max(float(np.abs(fd).max()), 1e-12)
-        worst = np.maximum(worst, float(np.abs(analytic - fd).max()) / scale)
+        error = _gradient_error(analytic, lambda c: barrier(c, targets, params), config)
+        worst = np.maximum(worst, error)
     report("barrier gradient vs finite differences", worst, 1e-4)
 
     if failures:
@@ -423,49 +433,37 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _print_spectrum(
     config: RobotConfiguration, decay: float, metric: int, order: int, title: str = ""
-) -> int:
+) -> None:
     adjacency = build_adjacency(config, decay, metric)
     try:
         moments = spectral_moments(adjacency, order)
     except ValueError as exc:
-        print(f"cannot evaluate the spectrum: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Failure(EXIT_VALIDATION, f"cannot evaluate the spectrum: {exc}") from exc
     eigs = ", ".join(f"{v:.6g}" for v in eigenvalues(adjacency).tolist())
     lines = [title] if title else []
     lines.append(f"n = {config.n}, d = {config.d}, c = {decay:g}, z = {metric}")
     lines.append(f"eigenvalues (descending): {eigs}")
     lines += (f"m_{k} = {v:.6g}" for k, v in enumerate(moments.values.tolist(), start=1))
     print("\n".join(lines))
-    return 0
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     data = _load("spectrum", args.path, args.preset)
-    if isinstance(data, int):
-        return data
-
-    if "targets" in data:
-        scenario, problems = scenario_from_dict(data)
-        if scenario is None:
-            return _print_problems(problems, "scenario")
-        config = scenario.initial_configuration()
-        params = scenario.params
-        title = f"scenario {scenario.name}: initial configuration"
-        if _print_spectrum(config, params.decay, params.metric, params.order, title):
-            return EXIT_VALIDATION
-        goals = ", ".join(f"{v:.6g}" for v in scenario.targets.moments)
-        print(f"target moments: {goals}")
-        if scenario.targets.reference_eigenvalues is not None:
-            ref = ", ".join(
-                f"{v:.6g}" for v in scenario.targets.reference_eigenvalues
-            )
-            print(f"reference eigenvalues: {ref}")
+    if "targets" not in data:
+        _print_spectrum(*_valid(positions_from_dict(data), "positions file"))
         return 0
 
-    found, problems = positions_from_dict(data)
-    if found is None:
-        return _print_problems(problems, "positions file")
-    return _print_spectrum(*found)
+    scenario = _valid(scenario_from_dict(data), "scenario")
+    config = scenario.initial_configuration()
+    params = scenario.params
+    title = f"scenario {scenario.name}: initial configuration"
+    _print_spectrum(config, params.decay, params.metric, params.order, title)
+    goals = ", ".join(f"{v:.6g}" for v in scenario.targets.moments)
+    print(f"target moments: {goals}")
+    if scenario.targets.reference_eigenvalues is not None:
+        ref = ", ".join(f"{v:.6g}" for v in scenario.targets.reference_eigenvalues)
+        print(f"reference eigenvalues: {ref}")
+    return 0
 
 
 # == entry point ===========================================================
@@ -563,7 +561,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger(__package__).setLevel(logging.INFO if args.verbose else logging.WARNING)
     start = time.perf_counter()
-    code = args.handler(args)
+    code = _exit_status(args.handler, args)
     logger.info("command finished in %.2f s with exit status %d",
                 time.perf_counter() - start, code)
     return code

@@ -26,18 +26,34 @@ Core claims:
       start that compression cannot repair exits 2 with one line
     - a Euclidean distance that overflows is a weight of 0: run and
       spectrum print no numpy warning
+    - every failure prints its reason to stderr, one line per problem: a
+      file that is not a JSON object, an output path that is a file (once
+      per trial, and the other trials still run), --trials with explicit
+      positions, and moments that overflow at a scenario's s
+    - a preset's data carries its whole moment table at its default s, so
+      --set s can raise the order up to the table's length
+    - ``python -m momentflow.cli`` hands main's status to the shell
+    - on generated files with one to three hostile schema values, run and
+      spectrum exit 0..5 without a traceback or warning, printing at most
+      one stderr line unless every line is an ``invalid ...`` reason
 """
 
 import argparse
 import contextlib
 import csv
+import io
 import json
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from momentflow.cli import (
@@ -65,6 +81,7 @@ from momentflow.network import (
     spectral_moments,
 )
 from momentflow.scenarios import (
+    SCHEMA,
     hexagon_formation,
     preset,
     random_geometric_config,
@@ -454,6 +471,75 @@ class TestRunCommand:
         broken.write_text("{nope")
         assert main(["run", str(broken)]) == EXIT_IO
 
+    def test_non_object_file_exit(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        for argv in (["run", str(path)], ["spectrum", str(path)]):
+            assert main(argv) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "file must contain a JSON object\n"
+
+    def test_output_path_is_a_file(self, tmp_path, capsys):
+        path = tmp_path / "quick.json"
+        path.write_text(json.dumps(_fast_scenario_data()))
+        code = main(["run", str(path), "-o", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        assert captured.err.startswith("cannot write outputs: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_failed_trial_says_why_and_the_next_runs(self, tmp_path, capsys):
+        path = tmp_path / "quick.json"
+        path.write_text(json.dumps(_fast_scenario_data()))
+        code = main(["run", str(path), "-o", str(path), "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == "trial 0 (seed 0):\ntrial 1 (seed 1):\n0/2 trials converged\n"
+        reasons = captured.err.splitlines()
+        assert len(reasons) == 2
+        assert all(line.startswith("cannot write outputs: ") for line in reasons)
+        assert "trial_000" in reasons[0] and "trial_001" in reasons[1]
+
+    def test_trials_need_a_seed(self, tmp_path, capsys):
+        data = {key: value for key, value in _fast_scenario_data().items() if key != "seed"}
+        data["positions"] = random_geometric_config(5, 2, 0).positions.tolist()
+        path = tmp_path / "placed.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--trials", "2"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "--trials varies the seed; it does not apply to explicit positions\n"
+        )
+
+    def test_trials_at_horizon_exit(self, tmp_path, capsys):
+        path = tmp_path / "quick.json"
+        path.write_text(json.dumps(_fast_scenario_data()))
+        code = main([
+            "run", str(path), "-o", str(tmp_path), "--trials", "2",
+            "--set", "max_time=0.2", "--set", "cost_tolerance=1e-30",
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_HORIZON
+        assert "0/2 trials converged" in captured.out
+        assert captured.out.count(": horizon after ") == 2
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("order", [5, 6])
+    def test_preset_order_raised_to_its_table(self, order, tmp_path, capsys):
+        # rgg10 runs at s = 4 by default; its moment table goes up to m_6.
+        code = main([
+            "run", "--preset", "rgg10", "--set", f"s={order}", "--set", "max_time=1e-3",
+            "-o", str(tmp_path),
+        ])
+        assert code != EXIT_VALIDATION
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "rgg10_report.json").read_text())
+        table = preset("rgg10", order=6).targets.moments
+        assert report["target_moments"] == table[:order].tolist()
+
     def test_needs_exactly_one_source(self, tmp_path, capsys):
         path = tmp_path / "quick.json"
         path.write_text(json.dumps(_fast_scenario_data()))
@@ -758,6 +844,31 @@ class TestSpectrumCommand:
         # The smallest such team: ||A^72||_F^2 = 143^144 + 143 is not a float.
         _assert_overflowing_moments_exit(tmp_path, capsys, 144)
 
+    def test_overflowing_moments_of_a_scenario_exit(self, tmp_path, capsys):
+        # A valid scenario whose start, 150 robots at one point, has no
+        # finite m_142: spectrum says so in one line that names s.
+        path = tmp_path / "gathered.json"
+        path.write_text(json.dumps({
+            "name": "gathered", "n": 150, "d": 2, "s": 150,
+            "positions": [[0.0, 0.0]] * 150, "targets": {"moments": [0.0] * 150},
+        }))
+        assert main(["spectrum", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot evaluate the spectrum: ")
+        assert "m_142" in captured.err and "s = 150" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_one_robot_exit(self, tmp_path, capsys):
+        path = tmp_path / "single.json"
+        path.write_text(json.dumps({"positions": [[0.0, 0.0]]}))
+        assert main(["spectrum", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid positions file: a network needs at least 2 robots, got n=1\n"
+        )
+
     def test_gathered_team_default_order(self, tmp_path, capsys):
         # Without s, the order stops where the ceilings would overflow.
         path = tmp_path / "gathered.json"
@@ -840,7 +951,8 @@ class TestSharedParser:
         monkeypatch.setattr("momentflow.cli.scenario_from_dict", record)
         assert main(["run", "--preset", "rgg10", "--set", "s=2"]) == EXIT_VALIDATION
         assert main(["run", "--preset", "rgg10", "--set", "record_every=5"]) == EXIT_VALIDATION
-        expected = scenario_to_dict(preset("rgg10"))
+        # The preset's data: its whole moment table (m_1..m_6) at its default s = 4.
+        expected = {**scenario_to_dict(preset("rgg10", order=6)), "s": 4}
         assert seen[1] == {**expected, "record_every": 5}
         assert seen[0]["s"] == 2 and seen[1]["s"] == expected["s"] != 2
 
@@ -964,6 +1076,7 @@ _MALFORMED = {
                                   "side_length"),
     "formation parameter unknown": (_hexagon("targets.formation.parameters.radius", 1.0),
                                     "radius"),
+    "formation s above n": (_hexagon("s", 9), "s=9"),
     "formation positions ragged": (_malformed(
         _SCENARIO, "targets", {"formation": {"type": "positions",
                                              "parameters": {"positions": _RAGGED}}}),
@@ -974,6 +1087,7 @@ _MALFORMED = {
     "positions file z": (_malformed(_POSITIONS_FILE, "z", "two"), "'z'"),
     "positions file s": (_malformed(_POSITIONS_FILE, "s", 0), "'s'"),
     "positions file unknown": (_malformed(_POSITIONS_FILE, "bogus", 1), "bogus"),
+    "positions file without positions": ({"c": 1.0, "z": 2}, "'positions'"),
 }
 
 
@@ -1006,3 +1120,76 @@ class TestMalformedFields:
             tracemalloc.stop()
         assert code == EXIT_VALIDATION
         assert peak < 1_000_000
+
+
+# == 9. The status a shell sees ==============================================
+
+def _module_cli(*argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, "-m", "momentflow.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_module_entry_point_exit_statuses(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_malformed(_SCENARIO, "mystery", 1)))
+    done = _module_cli("spectrum", str(path))
+    assert done.returncode == EXIT_VALIDATION
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and "mystery" in done.stderr
+    done = _module_cli("spectrum", "--preset", "rgg10")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert "target moments: 0, 3.11, 13.45, 71.6" in done.stdout
+
+
+# == 10. Exit contract on generated files ====================================
+
+# Values that break a field's type, range or float arithmetic.
+_HOSTILE = st.sampled_from([
+    0, 1, -1, 1e-300, -1e-300, 1e300, -1e300, 1e-320, 745.2, 2**53 + 1,
+    None, "", "x", "2", [], [0.0, 0.5], [[0.0, 0.0], [1.0, 1.0]], ["x"],
+])
+# max_time is not mutated: a large horizon with a tiny dt runs without a
+# bound on its trial steps.
+_MUTABLE_KEYS = sorted(key for key in SCHEMA if key != "max_time")
+
+
+@st.composite
+def _hostile_files(draw):
+    """A valid scenario of 2..8 robots with one to three keys set to hostile values."""
+    n = draw(st.integers(2, 8))
+    order = draw(st.integers(2, min(n, 4)))
+    seed = draw(st.integers(0, 3))
+    start = random_geometric_config(n, 2, seed)
+    goal = 0.8 * spectral_moments(build_adjacency(start, 1.0, 2), order).values
+    data = {
+        "name": "hostile", "n": n, "d": 2, "seed": seed, "z": 2, "s": order,
+        "max_time": draw(st.sampled_from([1e-6, 1e-5])),
+        "targets": {"moments": goal.tolist()},
+    }
+    keys = draw(st.lists(st.sampled_from(_MUTABLE_KEYS), min_size=1, max_size=3, unique=True))
+    for key in keys:
+        data[key] = draw(_HOSTILE)
+    return data
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=_hostile_files())
+def test_generated_files_keep_the_exit_contract(data, tmp_path_factory):
+    root = tmp_path_factory.mktemp("hostile")
+    path = root / "hostile.json"
+    path.write_text(json.dumps(data))
+    for argv in (["run", str(path), "-o", str(root)], ["spectrum", str(path)]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        printed = out.getvalue() + err.getvalue()
+        assert code in range(6), (argv, printed)
+        assert "Traceback" not in printed and "Warning" not in printed
+        reasons = err.getvalue().splitlines()
+        assert len(reasons) <= 1 or all(line.startswith("invalid ") for line in reasons), reasons

@@ -24,9 +24,9 @@ Core claims:
       final positions
     - targets with m_2* = 0 and some m_k* > 0 are unrealizable; all-zero
       targets are not
-    - a step whose candidate or its distances overflow, or whose drift
-      sends a coordinate to +-inf or NaN, is rejected without a numpy
-      warning
+    - a step whose candidate, its distances or its moments overflow, or
+      whose drift sends a coordinate to +-inf or NaN, is rejected without a
+      numpy warning
     - simulate and step leave numpy's error state as they found it, on
       every exit path
     - a start too far apart for any weight to register is repaired; one
@@ -63,6 +63,7 @@ from momentflow.gradient import (
 from momentflow.network import (
     RobotConfiguration,
     build_adjacency,
+    max_finite_order,
     spectral_moments,
 )
 from momentflow.scenarios import (
@@ -332,6 +333,28 @@ class TestStep:
         new_config, accepted, dt_next = step(start, scenario.targets, scenario.params, dt)
         assert not accepted
         assert new_config is start
+        assert dt_next == dt / 2.0
+
+    def test_overflowing_moments_candidate_rejected_quietly(self, monkeypatch):
+        # A spread team of 150 at s = 150, above max_finite_order(150) = 141,
+        # has finite moments; a drift that pulls it almost onto its centroid
+        # gives a candidate whose m_142 overflows.  The candidate is
+        # rejected, dt halved, and no numpy warning escapes (warnings fail
+        # tests here).
+        n = order = 150
+        assert max_finite_order(n) == 141
+        config = RobotConfiguration(np.random.default_rng(0).uniform(0.0, 100.0, (n, 2)))
+        targets = TargetSpectrum(np.zeros(order))
+        params = ControllerParams(metric=2, order=order)
+        dt = 0.05
+        pull = (config.positions.mean(axis=0) - config.positions) * (1.0 - 1e-9) / dt
+        monkeypatch.setattr(gradient._Evaluation, "drift", property(lambda state: pull))
+        candidate = RobotConfiguration(config.positions + dt * pull)
+        with pytest.raises(ValueError, match="m_142 overflows"):
+            gradient._Evaluation(candidate, targets, params)
+        new_config, accepted, dt_next = step(config, targets, params, dt)
+        assert not accepted
+        assert new_config is config
         assert dt_next == dt / 2.0
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])

@@ -15,7 +15,8 @@ Core claims:
       raises a ValueError naming s, without a warning, where a power overflows
     - complete_graph_moments matches the moments of an explicitly coincident
       team and upper-bounds the moments of every spread-out team
-    - walk_weight_sum reproduces entries of A^k by direct enumeration
+    - walk_weight_sum reproduces entries of A^k by direct enumeration, both
+      of power_chain and of the half chain the flow's moments come from
 """
 
 import warnings
@@ -38,6 +39,7 @@ from momentflow.network import (
     power_chain,
     spectral_moments,
     walk_weight_sum,
+    _half_chain,
 )
 
 
@@ -420,6 +422,19 @@ class TestWalkWeightSum:
             for end in range(4):
                 enumerated = walk_weight_sum(adjacency, length, start, end)
                 assert enumerated == approx(power[start, end], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_half_chain_entries(self, n, seed):
+        # The flow's own products A^k = A^ceil(k/2) (A^floor(k/2))^T, k <= ceil(n/2).
+        adjacency = _random_adjacency(n, seed)
+        chain = _half_chain(adjacency, n)[1]
+        assert len(chain) == (n + 1) // 2
+        for length, power in enumerate(chain, start=1):
+            for start in range(n):
+                for end in range(n):
+                    enumerated = walk_weight_sum(adjacency, length, start, end)
+                    assert enumerated == approx(power[start, end], rel=1e-12, abs=1e-12)
 
     def test_trace_recovers_moment(self):
         adjacency = _random_adjacency(5, 17)
