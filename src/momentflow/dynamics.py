@@ -15,10 +15,11 @@ and the run ends there once less than the step-size floor
 ``DEFAULT_MIN_STEP`` remains.  If the step size bottoms out at that floor
 and the trial step is still rejected, the flow has stalled; so has a state
 whose drift is exactly zero (all robots coincident, say), which no step
-moves.  Each state is evaluated once, and an accepted candidate's
-evaluation is the next state.  A weight that underflows to 0 (robots about
-745/decay or more apart) is an ordinary weight: a far-apart start is
-compressed like any other infeasible start.
+moves.  Each state is evaluated once, the start included, into floats:
+an accepted candidate's evaluation is the next state, and a configuration or
+moment vector is wrapped only for the record.  A weight that underflows to 0
+(robots about 745/decay or more apart) is an ordinary weight: a far-apart
+start is compressed like any other infeasible start.
 
 Feasible starting points always exist whenever each target sits strictly
 below its coincident-configuration ceiling: contracting the team toward its
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gradient import ControllerParams, TargetSpectrum, _evaluate, _Evaluation
+from .gradient import ControllerParams, TargetSpectrum, _evaluate, _Evaluation, _Flow
 from .network import (
     MomentVector,
     RobotConfiguration,
@@ -181,7 +182,7 @@ def feasibility_margin(
 
     All entries strictly positive means the state is feasible.
     """
-    return _evaluate(config, targets, params).margins
+    return np.array(_evaluate(config, targets, params).margins)
 
 
 @_quiet
@@ -207,6 +208,11 @@ def ensure_feasible(
     _SLACK_FLOOR), half the gap between target and ceiling); the cap keeps
     the demand attainable; ValueError if rounding stops the compression.
     """
+    return _feasible_start(config, targets, params).config
+
+
+def _feasible_start(config, targets, params) -> _Evaluation:
+    """:func:`ensure_feasible`, returning the evaluation of the configuration it returns."""
     goal = targets.moments
     ceilings = complete_graph_moments(config.n, targets.order).values
     gaps = ceilings[1:] - goal[1:]
@@ -224,15 +230,16 @@ def ensure_feasible(
     slack = np.minimum(
         np.maximum(_SLACK_FRACTION * np.abs(goal[1:]), _SLACK_FLOOR), 0.5 * gaps
     )
+    flow = _Flow(targets, params, config.n)
     current = config
     for _ in range(_MAX_COMPRESSIONS):
-        margins = feasibility_margin(current, targets, params)
-        if np.all(margins >= slack):
-            return current
+        state = _Evaluation(flow, current.positions, current)
+        if np.all(slack <= state.margins):
+            return state
         centroid = current.positions.mean(axis=0)
         offsets = current.positions - centroid
         reach = params.decay * np.abs(offsets).sum(axis=1).max()
-        if reach > _JUMP_REACH and np.array_equal(margins, -goal[1:]):
+        if reach > _JUMP_REACH and np.array_equal(state.margins, -goal[1:]):
             pulled = (_JUMP_REACH / reach) * current.positions
         else:
             pulled = centroid + _COMPRESSION_FACTOR * offsets
@@ -264,7 +271,7 @@ def step(
     """
     if not np.isfinite(dt) or dt <= 0.0:
         raise ValueError(f"dt must be a positive real, got {dt}")
-    state, accepted, next_dt = _advance(_Evaluation(config, targets, params), dt)
+    state, accepted, next_dt = _advance(_evaluate(config, targets, params), dt)
     return state.config, accepted, next_dt
 
 
@@ -272,23 +279,21 @@ def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
     """:func:`step` from an evaluated state; the next state comes evaluated.
 
     Runs under its caller's error state: a candidate with a non-finite
-    coordinate is rejected before it becomes a configuration.
+    coordinate is rejected before it is evaluated.  A candidate is evaluated
+    from its positions alone; its configuration is wrapped only if asked for.
     """
     drift = state.drift
-    if not np.logical_or.reduce(drift, axis=None):
+    if state.still:
         raise FlowStalled("the drift is exactly zero, so no step moves the robots")
-    positions = state.config.positions + dt * drift
+    positions = state.positions + dt * drift
     candidate = None
     if np.logical_and.reduce(np.isfinite(positions), axis=None):
-        config = _freeze(object.__new__(RobotConfiguration), "positions", positions)
         try:
-            candidate = _Evaluation(config, state.targets, state.params)
+            candidate = _Evaluation(state.flow, positions)
         except ValueError:  # a moment overflowed: no ceiling bounds a bare step()
             pass
-    if (
-        candidate is not None
-        and min(candidate._margins) > 0.0
-        and candidate.cost + candidate.barrier <= state.cost + state.barrier
+    if candidate is not None and min(candidate.margins) > 0.0 and (
+        candidate.cost + candidate.barrier <= state.cost + state.barrier
     ):
         return candidate, True, dt
     if dt <= DEFAULT_MIN_STEP:
@@ -315,17 +320,15 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     Identical scenarios produce bitwise-identical records: every quantity
     is computed by fixed-order numpy expressions from the seeded start.
     """
-    params = scenario.params
-    targets = scenario.targets
     settings = scenario.settings
-    start = ensure_feasible(scenario.initial_configuration(), targets, params)
-    state = _Evaluation(start, targets, params)
+    state = _feasible_start(scenario.initial_configuration(), scenario.targets, scenario.params)
+    start = state.positions
 
     def snapshot(t: float) -> TrajectorySample:
         return TrajectorySample(
             t=t,
             configuration=state.config,
-            moments=state.moments,
+            moments=state.moment_vector,
             cost=state.cost,
             barrier=state.barrier,
         )
@@ -371,22 +374,20 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     if samples[-1].configuration is not config or samples[-1].t != t:
         samples.append(snapshot(t))
 
-    flipped = 0
-    for before, after in zip(start.positions.T, config.positions.T):
-        flipped += int(np.sum(
-            np.sign(np.subtract.outer(before, before))
-            != np.sign(np.subtract.outer(after, after))
-        )) // 2
-    if flipped:
-        logger.info(
-            "coordinate ordering changed for %d robot pair slots during the run",
-            flipped,
-        )
+    if logger.isEnabledFor(logging.INFO):
+        flipped = 0
+        for before, after in zip(start.T, config.positions.T):
+            flipped += int(np.sum(
+                np.sign(np.subtract.outer(before, before))
+                != np.sign(np.subtract.outer(after, after))
+            )) // 2
+        if flipped:
+            logger.info("coordinate ordering changed for %d robot pair slots during the run", flipped)
 
     return TrajectoryRecord(
         samples=tuple(samples),
         final_configuration=config,
-        final_moments=state.moments,
+        final_moments=samples[-1].moments,
         final_eigenvalues=eigenvalues(state.adjacency),
         termination_reason=reason,
         accepted_steps=accepted,

@@ -33,8 +33,9 @@ sum per axis, and the Euclidean form is one (n, n) x (n, d) product,
 Its two terms nearly cancel, so X is taken relative to the centroid: far
 from the origin, raw coordinates would cost digits that the unit
 directions never lose.  The moments, cost and barrier need only A..A^h,
-h = ceil(s/2), from h - 1 n x n products, and W one more from s = 4 on.
-A central finite-difference oracle checks every analytic formula.
+h = ceil(s/2), from h - 1 n x n products, and W one more from s = 4 on;
+what depends only on the targets, the constants and n is derived once per
+flow.  A central finite-difference oracle checks every analytic formula.
 """
 
 from __future__ import annotations
@@ -45,9 +46,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .network import (
+    MomentVector,
     RobotConfiguration,
     WeightedAdjacency,
     _adjacency,
+    _chain_plan,
     _freeze,
     _half_chain,
     _pairwise_distance,
@@ -210,59 +213,77 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
     return state._project(coefficients)
 
 
-class _Evaluation:
-    """Everything the flow derives from one configuration, computed once.
+class _Flow:
+    """What every evaluation in one flow shares, derived once from (targets, params) and n:
+    the goals m_k*, the divisors 4k, the guarded (k, eps_k), the half chain's plan, decay / n."""
 
-    Construction checks that the targets carry ``params.order`` moments and
-    builds the adjacency from one distance matrix, which the Euclidean
-    :meth:`_project` reuses.  The half chain A..A^h, h = ceil(s/2), gives the
-    moments, the margins m_k - m_k* for k = 2..s, the cost and the barrier.
-    One :meth:`_project` call gives any one gradient (the drift is kept); the
-    barrier's raises :class:`InfeasibleStateError` on a nonpositive guarded
-    margin.  Every sum runs in one fixed order, so results are bitwise
-    reproducible.
-    """
-
-    def __init__(
-        self, config: RobotConfiguration, targets: TargetSpectrum, params: ControllerParams
-    ) -> None:
+    def __init__(self, targets: TargetSpectrum, params: ControllerParams, n: int) -> None:
         if targets.order != params.order:
             raise ValueError(
                 f"targets carry {targets.order} moments but params.order is {params.order}"
             )
-        self.config = config
-        self.targets = targets
-        self.params = params
-        distance = _pairwise_distance(config, params.metric)
-        euclidean = params.metric == 2
-        self._distance = distance if euclidean else None
-        self.adjacency = _adjacency(distance, params.decay, out=None if euclidean else distance)
-        self.moments, self.chain = _half_chain(self.adjacency, params.order)
-        self.margins = self.moments.values[1:] - targets.moments[1:]
-        margins = self._margins = self.margins.tolist()
-        self.cost = sum(m * m / (4.0 * k) for k, m in enumerate(margins, start=2))
-        eps = params.epsilons
-        # (k, eps_k, margin_k) for every moment the barrier guards.
-        self._guarded = [(k, eps[k - 1], m) for k, m in enumerate(margins, 2) if eps[k - 1]]
-        # An interior barrier: +inf where a guarded margin, or its term's divisor, is not positive.
-        terms = (e / q if m > 0 and (q := 4.0 * k * m * m) else np.inf for k, e, m in self._guarded)
-        self.barrier = sum(terms, 0.0)
-        self._drift = None
+        self.params, self.scale = params, params.decay / n
+        self.goal = targets.moments[1:].tolist()
+        self.divisors = [4.0 * k for k in range(2, params.order + 1)]
+        self.guarded = [(k, eps) for k, eps in enumerate(params.epsilons[1:], 2) if eps]
+        self.plan = _chain_plan(params.order, n)
 
-    def _check_feasible(self) -> None:
-        """InfeasibleStateError unless every guarded margin is positive."""
-        for k, _, margin in self._guarded:
+
+class _Evaluation:
+    """Everything a flow derives from one configuration, computed once.
+
+    The weights come from one distance matrix, which the Euclidean :meth:`_project`
+    reuses; the half chain A..A^h, h = ceil(s/2), gives the moments m_1..m_s, the margins
+    m_k - m_k* (k = 2..s), the cost and the barrier, all floats.  One :meth:`_project`
+    gives any one gradient (the drift is kept, ``still`` if it is exactly zero).  The
+    configuration, adjacency and moment vector are wrapped only when asked for.  Every
+    sum runs in one fixed order, so results are bitwise reproducible.
+    """
+
+    __slots__ = ("flow", "positions", "_config", "_distance", "weights", "chain",
+                 "moments", "margins", "cost", "barrier", "_drift", "still")
+
+    def __init__(self, flow: _Flow, positions: np.ndarray, config=None) -> None:
+        self.flow, self.positions, self._config, self._drift = flow, positions, config, None
+        euclidean = flow.params.metric == 2
+        distance = _pairwise_distance(positions, flow.params.metric)
+        self._distance = distance if euclidean else None
+        self.weights = _adjacency(distance, flow.params.decay, out=None if euclidean else distance)
+        self.moments, self.chain = _half_chain(self.weights, flow.plan)
+        margins = self.margins = [m - g for m, g in zip(self.moments[1:], flow.goal)]
+        self.cost = sum(m * m / q for m, q in zip(margins, flow.divisors))
+        # An interior barrier: +inf where a guarded margin, or its term's divisor, is not positive.
+        barrier = 0.0
+        for k, eps in flow.guarded:
+            margin = margins[k - 2]
+            barrier += eps / q if margin > 0 and (q := 4.0 * k * margin * margin) else np.inf
+        self.barrier = barrier
+
+    @property
+    def config(self) -> RobotConfiguration:
+        if self._config is None:
+            self._config = _freeze(object.__new__(RobotConfiguration), "positions", self.positions)
+        return self._config
+
+    @property
+    def adjacency(self) -> WeightedAdjacency:
+        return _freeze(object.__new__(WeightedAdjacency), "weights", self.weights)
+
+    @property
+    def moment_vector(self) -> MomentVector:
+        return _freeze(object.__new__(MomentVector), "values", np.array(self.moments))
+
+    def _barrier_coefficients(self) -> list[float]:
+        """eps_k / (m_k - m_k*)^3 for k = 2..s, zero where eps_k is zero;
+        InfeasibleStateError unless every guarded margin is positive."""
+        coefficients = [0.0] * len(self.margins)
+        for k, eps in self.flow.guarded:
+            margin = self.margins[k - 2]
             if margin <= 0.0:
                 raise InfeasibleStateError(
                     f"barrier-guarded margin for moment {k} is {margin:.3e}; "
                     "the state has left the feasible region"
                 )
-
-    def _barrier_coefficients(self) -> list[float]:
-        """eps_k / (m_k - m_k*)^3 for k = 2..s, zero where eps_k is zero."""
-        self._check_feasible()
-        coefficients = [0.0] * (self.params.order - 1)
-        for k, eps, margin in self._guarded:
             # numpy's cube where Python's could overflow or reach 0 and raise
             cube = margin**3 if 1e-100 < margin < 1e100 else np.float64(margin) ** 3
             coefficients[k - 2] = eps / cube
@@ -275,7 +296,7 @@ class _Evaluation:
         one product from s = 4 on.  Once per evaluation: it consumes the kept
         distances and the chain (terms are scaled in place), so only the weights stay.
         """
-        positions = self.config.positions
+        positions = self.positions
         n = len(positions)
         chain, self.chain = self.chain, None
         q = weighted = None
@@ -294,8 +315,8 @@ class _Evaluation:
                 weighted = term if weighted is None else np.add(weighted, term, out=weighted)
         if weighted is None:
             return np.zeros_like(positions)
-        mixed = np.multiply(weighted, self.adjacency.weights, out=weighted)
-        if self.params.metric == 1:
+        mixed = np.multiply(weighted, self.weights, out=weighted)
+        if self.flow.params.metric == 1:
             rows = np.empty_like(positions)
             for r, column in enumerate(positions.T):
                 signs = np.subtract.outer(column, column)
@@ -308,20 +329,23 @@ class _Evaluation:
             centred = positions - np.add.reduce(positions) / n
             rows = centred * np.add.reduce(mixed, axis=1)[:, None]
             rows -= mixed @ centred
-        rows *= self.params.decay / n
+        rows *= self.flow.scale
         return rows
 
     @property
     def drift(self) -> np.ndarray:
         """The flow's velocity -grad(f + b) as an (n, d) array, one projection."""
         if self._drift is None:
-            pairs = zip(self._margins, self._barrier_coefficients())
+            pairs = zip(self.margins, self._barrier_coefficients())
             self._drift = self._project([m - b for m, b in pairs])
+            self.still = not np.logical_or.reduce(self._drift, axis=None)
         return self._drift
 
 
-# The public entry points evaluate quietly, as the flow does (see network._quiet).
-_evaluate = _quiet(_Evaluation)
+@_quiet
+def _evaluate(config: RobotConfiguration, targets: TargetSpectrum, params: ControllerParams):
+    """The public entry points evaluate quietly, as the flow does (see network._quiet)."""
+    return _Evaluation(_Flow(targets, params, config.n), config.positions, config)
 
 
 def cost(config: RobotConfiguration, targets: TargetSpectrum, params: ControllerParams) -> float:
@@ -343,7 +367,7 @@ def control_law(
     s = 4 on, one product more.
     """
     state = _evaluate(config, targets, params)
-    return state._project(state._margins)
+    return state._project(state.margins)
 
 
 def barrier(config: RobotConfiguration, targets: TargetSpectrum, params: ControllerParams) -> float:
@@ -355,7 +379,7 @@ def barrier(config: RobotConfiguration, targets: TargetSpectrum, params: Control
     inside the feasible region.
     """
     state = _evaluate(config, targets, params)
-    state._check_feasible()
+    state._barrier_coefficients()  # the check that every guarded margin is positive
     return state.barrier
 
 

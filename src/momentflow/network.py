@@ -161,15 +161,15 @@ def pairwise_distance(config: RobotConfiguration, metric: int) -> np.ndarray:
     an exactly zero diagonal because x_i - x_i is computed as an exact zero;
     a distance beyond float range is inf.
     """
-    return _pairwise_distance(config, metric)
+    return _pairwise_distance(config.positions, metric)
 
 
-def _pairwise_distance(config: RobotConfiguration, metric: int) -> np.ndarray:
-    """:func:`pairwise_distance` under the caller's error state."""
+def _pairwise_distance(positions: np.ndarray, metric: int) -> np.ndarray:
+    """:func:`pairwise_distance` of an (n, d) array, under the caller's error state."""
     if metric not in (1, 2):
         raise ValueError(f"metric must be 1 or 2, got {metric}")
     total = None
-    for column in config.positions.T:
+    for column in positions.T:
         diff = column[:, None] - column
         term = np.abs(diff, out=diff) if metric == 1 else np.square(diff, out=diff)
         total = term if total is None else np.add(total, term, out=total)
@@ -186,13 +186,12 @@ def build_adjacency(config: RobotConfiguration, decay: float, metric: int) -> We
     """
     if not np.isfinite(decay) or decay <= 0.0:
         raise ValueError(f"decay must be a positive real, got {decay}")
-    distance = _pairwise_distance(config, metric)
-    return _adjacency(distance, decay, out=distance)
+    distance = _pairwise_distance(config.positions, metric)
+    weights = _adjacency(distance, decay, out=distance)
+    return _freeze(object.__new__(WeightedAdjacency), "weights", weights)
 
 
-def _adjacency(
-    distance: np.ndarray, decay: float, out: np.ndarray | None = None
-) -> WeightedAdjacency:
+def _adjacency(distance: np.ndarray, decay: float, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-decay * distance) with a zero diagonal, written to ``out`` if given.
 
     Symmetric distances in [0, inf] give symmetric weights in [0, 1], so the
@@ -201,7 +200,7 @@ def _adjacency(
     weights = np.multiply(distance, -decay, out=out)
     np.exp(weights, out=weights)
     weights.ravel()[:: len(weights) + 1] = 0.0
-    return _freeze(object.__new__(WeightedAdjacency), "weights", weights)
+    return weights
 
 
 def _freeze(instance, field: str, array: np.ndarray):
@@ -236,31 +235,39 @@ def spectral_moments(adjacency: WeightedAdjacency, order: int) -> MomentVector:
     ``order`` must satisfy 1 <= order <= n.  m_1 is exactly zero (zero
     diagonal) and every moment of a nonnegative matrix is nonnegative.
     """
-    return _half_chain(adjacency, order)[0]
+    moments = _half_chain(adjacency.weights, _chain_plan(order, adjacency.n))[0]
+    return _freeze(object.__new__(MomentVector), "values", np.array(moments))
 
 
-def _half_chain(adjacency: WeightedAdjacency, order: int) -> tuple[MomentVector, list[np.ndarray]]:
-    """:func:`spectral_moments` with the half chain [A, ..., A^h], h = ceil(order/2).
+def _chain_plan(order: int, n: int) -> tuple[list, list]:
+    """Index pairs (i, j) of the half chain: A^k = chain[i] @ chain[j].T for k = 2..h,
+    h = ceil(order/2), then n m_k = <chain[i], chain[j]> for k = 2..order."""
+    if not 1 <= order <= n:
+        raise ValueError(f"order must satisfy 1 <= order <= {n}, got {order}")
+    products = [((k - 1) // 2, k // 2 - 1) for k in range(2, (order + 3) // 2)]
+    return products, [(k // 2 - 1, (k - 1) // 2) for k in range(2, order + 1)]
+
+
+def _half_chain(weights: np.ndarray, plan) -> tuple[list[float], list[np.ndarray]]:
+    """Moments m_1..m_s as floats with the half chain [A, ..., A^h], h = ceil(s/2).
 
     A is symmetric: m_2j = ||A^j||_F^2 / n, m_(2j+1) = <A^j, A^(j+1)> / n, and m_1 = 0.
     Each power is A^k = A^ceil(k/2) (A^floor(k/2))^T, a BLAS syrk for even k.
+    ``plan`` is :func:`_chain_plan`'s; a moment that overflows raises ValueError.
     """
-    n = adjacency.n
-    if not 1 <= order <= n:
-        raise ValueError(f"order must satisfy 1 <= order <= {n}, got {order}")
-    chain = [adjacency.weights]
-    for k in range(2, (order + 3) // 2):
-        left, right = chain[(k - 1) // 2], chain[k // 2 - 1]
-        chain.append(_product(left, right.T))
-    sums = [np.vdot(chain[k // 2 - 1], chain[(k - 1) // 2]) for k in range(2, order + 1)]
-    values = np.array([0.0] + sums) / n
-    _check_overflow(values, "moment")
-    return _freeze(object.__new__(MomentVector), "values", values), chain
+    n = len(weights)
+    products, traces = plan
+    chain = [weights]
+    for left, right in products:
+        chain.append(_product(chain[left], chain[right].T))
+    moments = [0.0] + [float(np.vdot(chain[i], chain[j])) / n for i, j in traces]
+    _check_overflow(moments, "moment")
+    return moments, chain
 
 
-def _check_overflow(values: np.ndarray, what: str) -> None:
+def _check_overflow(values, what: str) -> None:
     """ValueError naming the order s = len(values) if a value overflowed."""
-    finite = list(map(math.isfinite, values.tolist()))
+    finite = list(map(math.isfinite, values))
     if not all(finite):
         raise ValueError(
             f"{what} m_{finite.index(False) + 1} overflows floats, so "

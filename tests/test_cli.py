@@ -677,8 +677,10 @@ class TestRunCommand:
         # Every drift is infinite, so no candidate has finite positions:
         # every trial step is rejected and the step size halves down to its
         # floor.
-        infinite = property(lambda state: np.full(state.config.positions.shape, np.inf))
-        monkeypatch.setattr("momentflow.gradient._Evaluation.drift", infinite)
+        def infinite(state, coefficients):
+            return np.full(state.positions.shape, np.inf)
+
+        monkeypatch.setattr("momentflow.gradient._Evaluation._project", infinite)
         path = tmp_path / "quick.json"
         path.write_text(json.dumps(_fast_scenario_data()))
         assert main(["run", str(path), "-o", str(tmp_path)]) == EXIT_STALLED

@@ -14,8 +14,12 @@ Core claims:
       deterministic for identical scenarios
     - a start with exactly zero drift stalls without counting non-moves
     - simulate logs how many robot pair slots changed coordinate order
-    - simulate evaluates each configuration once: at most one distance
-      matrix per trial step, and the presets keep their step counts
+    - simulate evaluates each configuration once: one distance matrix per
+      start check and per trial step, the start's last check being the
+      first state, and the presets keep their step counts
+    - a trial step, accepted or rejected, wraps no moment vector,
+      adjacency or configuration; the record wraps one moment vector per
+      sample and one adjacency
     - a candidate's moments take ceil(s/2) - 1 n x n products, and a
       state's drift one more, only from s = 4 on
     - the arrays a drift overwrites in place are never read by a live
@@ -39,7 +43,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from momentflow import dynamics, gradient, network, scenarios
+from momentflow import dynamics, gradient, network
 from momentflow.dynamics import (
     DEFAULT_MIN_STEP,
     FlowStalled,
@@ -61,7 +65,9 @@ from momentflow.gradient import (
     cost,
 )
 from momentflow.network import (
+    MomentVector,
     RobotConfiguration,
+    WeightedAdjacency,
     build_adjacency,
     max_finite_order,
     spectral_moments,
@@ -142,8 +148,10 @@ def _unbuildable_candidates(monkeypatch):
 
     Every drift is infinite, so no candidate has finite positions.
     """
-    infinite = property(lambda state: np.full(state.config.positions.shape, np.inf))
-    monkeypatch.setattr(gradient._Evaluation, "drift", infinite)
+    def infinite(state, coefficients):
+        return np.full(state.positions.shape, np.inf)
+
+    monkeypatch.setattr(gradient._Evaluation, "_project", infinite)
 
 
 def _two_robot_state(gap=1.0, target=0.05):
@@ -348,10 +356,10 @@ class TestStep:
         params = ControllerParams(metric=2, order=order)
         dt = 0.05
         pull = (config.positions.mean(axis=0) - config.positions) * (1.0 - 1e-9) / dt
-        monkeypatch.setattr(gradient._Evaluation, "drift", property(lambda state: pull))
+        monkeypatch.setattr(gradient._Evaluation, "_project", lambda state, coefficients: pull)
         candidate = RobotConfiguration(config.positions + dt * pull)
         with pytest.raises(ValueError, match="m_142 overflows"):
-            gradient._Evaluation(candidate, targets, params)
+            gradient._evaluate(candidate, targets, params)
         new_config, accepted, dt_next = step(config, targets, params, dt)
         assert not accepted
         assert new_config is config
@@ -365,12 +373,12 @@ class TestStep:
         assert step(config, targets, params, 0.05)[1]
         drift = np.zeros_like(config.positions)
         drift[1, 0] = value
-        monkeypatch.setattr(gradient._Evaluation, "drift", property(lambda state: drift))
+        monkeypatch.setattr(gradient._Evaluation, "_project", lambda state, coefficients: drift)
         new_config, accepted, dt_next = step(config, targets, params, 0.05)
         assert not accepted
         assert new_config is config
         assert dt_next == 0.025
-        state = gradient._Evaluation(config, targets, params)
+        state = gradient._evaluate(config, targets, params)
         assert dynamics._advance(state, 0.05) == (state, False, 0.025)
 
     def test_stall_at_step_floor(self, monkeypatch):
@@ -612,32 +620,65 @@ class TestEvaluationBudget:
 
     def test_one_distance_matrix_per_trial_step(self, monkeypatch):
         distances = []
-        checks = []
-        pairwise_distance = network.pairwise_distance
-        feasibility_margin = dynamics.feasibility_margin
+        pairwise_distance = network._pairwise_distance
 
-        def counted_distance(*args):
+        def counted(*args):
             distances.append(args)
             return pairwise_distance(*args)
 
-        def counted_check(*args):
-            checks.append(args)
-            return feasibility_margin(*args)
-
-        for module in (network, gradient, dynamics, scenarios):
-            if getattr(module, "pairwise_distance", None) is pairwise_distance:
-                monkeypatch.setattr(module, "pairwise_distance", counted_distance)
-        monkeypatch.setattr(dynamics, "feasibility_margin", counted_check)
+        for module in (network, gradient):
+            monkeypatch.setattr(module, "_pairwise_distance", counted)
         # rgg10 is Euclidean, its start needs one compression, and it
         # rejects steps as well as accepting them.
         scenario = preset("rgg10")
         assert scenario.params.metric == 2
         record = simulate(scenario)
+        initial = scenario.initial_configuration().positions
+        centroid = initial.mean(axis=0)
+        compressed = centroid + 0.9 * (initial - centroid)
+        assert np.array_equal(record.samples[0].configuration.positions, compressed)
+        checks = 2  # the initial configuration, then the compressed start
         trials = record.accepted_steps + record.rejected_steps
-        assert record.rejected_steps > 0 and len(checks) > 1
-        # Per run: the start's evaluation and at most one more; the drift
-        # reuses its state's distances.
-        assert len(distances) <= trials + len(checks) + 2
+        assert record.rejected_steps > 0
+        # One per check and one per candidate: the start's last check is the
+        # first state, and a drift reuses its state's distances.
+        assert len(distances) == trials + checks
+
+    def test_trial_steps_wrap_nothing(self, monkeypatch):
+        # Moment vectors, adjacencies and configurations are wrapped only for
+        # the record: none in a trial step, accepted or rejected.
+        scenario = _rejecting_scenario(4, metric=2)
+        built = []
+        freeze = network._freeze
+
+        def counted(instance, field, array):
+            built.append(instance)
+            return freeze(instance, field, array)
+
+        for module in (network, gradient, dynamics):
+            monkeypatch.setattr(module, "_freeze", counted)
+        advance = dynamics._advance
+        per_trial = []
+
+        def recorded(state, dt):
+            before = len(built)
+            result = advance(state, dt)
+            per_trial.append((result[1], built[before:]))
+            return result
+
+        monkeypatch.setattr(dynamics, "_advance", recorded)
+        record = simulate(scenario)
+        assert record.accepted_steps > 0 and record.rejected_steps > 0
+        assert {accepted for accepted, _ in per_trial} == {True, False}
+        assert all(wrapped == [] for _, wrapped in per_trial)
+        vectors = [x for x in built if isinstance(x, MomentVector)]
+        # One per sample, the final record's shared with the last sample, and
+        # the complete-graph ceilings that the start is checked against.
+        assert len(vectors) == len(record.samples) + 1
+        assert record.final_moments is record.samples[-1].moments
+        assert all(any(sample.moments is v for v in vectors) for sample in record.samples)
+        # One adjacency, for the final eigenvalues.
+        assert sum(isinstance(x, WeightedAdjacency) for x in built) == 1
 
     @pytest.mark.parametrize("order", range(2, 8))
     def test_products_per_trial_step(self, order, monkeypatch):

@@ -39,6 +39,7 @@ from momentflow.network import (
     power_chain,
     spectral_moments,
     walk_weight_sum,
+    _chain_plan,
     _half_chain,
 )
 
@@ -428,7 +429,7 @@ class TestWalkWeightSum:
     def test_matches_half_chain_entries(self, n, seed):
         # The flow's own products A^k = A^ceil(k/2) (A^floor(k/2))^T, k <= ceil(n/2).
         adjacency = _random_adjacency(n, seed)
-        chain = _half_chain(adjacency, n)[1]
+        chain = _half_chain(adjacency.weights, _chain_plan(n, n))[1]
         assert len(chain) == (n + 1) // 2
         for length, power in enumerate(chain, start=1):
             for start in range(n):

@@ -44,7 +44,7 @@ from momentflow.dynamics import SimulationSettings, simulate
 from momentflow.gradient import (
     ControllerParams,
     TargetSpectrum,
-    _Evaluation,
+    _evaluate,
     barrier_gradient,
     control_law,
     cost,
@@ -265,10 +265,10 @@ def test_evaluation_arrays_meet_their_contracts(positions, decay, metric, far):
     n = len(positions)
     config = RobotConfiguration(positions)
     params = ControllerParams(decay=decay, metric=metric, order=n, epsilons=(0.0,) * n)
-    state = _Evaluation(config, TargetSpectrum(np.zeros(n)), params)
+    state = _evaluate(config, TargetSpectrum(np.zeros(n)), params)
     state.drift  # the projection reuses the distances; it must not touch these
     assert state.chain is None  # it consumed the powers, so the state holds none
-    weights, values = state.adjacency.weights, state.moments.values
+    weights, values = state.adjacency.weights, state.moment_vector.values
     for array in (weights, values):
         assert not array.flags.writeable
         assert np.isfinite(array).all()
@@ -302,7 +302,7 @@ def _drift_cases(draw):
 @given(_drift_cases())
 def test_drift_is_control_law_minus_barrier_gradient(case):
     config, targets, params = case
-    drift = _Evaluation(config, targets, params).drift
+    drift = _evaluate(config, targets, params).drift
     parts = control_law(config, targets, params) - barrier_gradient(config, targets, params)
     assert np.abs(drift - parts).max() <= 1e-12 * np.abs(parts).max()
 
@@ -313,8 +313,8 @@ def test_shifted_team_keeps_drift(case):
     config, targets, params = case
 
     def drift_change(positions):
-        drift = _Evaluation(RobotConfiguration(positions), targets, params).drift
-        moved = _Evaluation(RobotConfiguration(positions + 2.0**20), targets, params).drift
+        drift = _evaluate(RobotConfiguration(positions), targets, params).drift
+        moved = _evaluate(RobotConfiguration(positions + 2.0**20), targets, params).drift
         return np.abs(moved - drift).max() / np.abs(drift).max()
 
     # The shift rounds the team's coordinates, which moves the drift.
