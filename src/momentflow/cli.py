@@ -54,10 +54,9 @@ from .network import (
 )
 from .scenarios import (
     PRESET_NAMES,
-    _PRESETS,
     Scenario,
     positions_from_dict,
-    preset,
+    preset_data,
     scenario_from_dict,
     scenario_to_dict,
     target_from_formation,
@@ -257,11 +256,7 @@ def _load(command: str, path: Optional[str], preset_name: Optional[str]) -> dict
     if (path is None) == (preset_name is None):
         raise _Failure(EXIT_VALIDATION, f"{command} needs a JSON file or --preset, not both")
     if preset_name is not None:
-        # The whole moment table at the default s, so that --set s can raise the order.
-        moments, _, order, *_ = _PRESETS[preset_name]
-        data = scenario_to_dict(preset(preset_name, order=len(moments)))
-        data["s"] = order
-        return data
+        return preset_data(preset_name)
     try:
         with open(path) as handle:
             data = json.load(handle)

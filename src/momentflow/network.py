@@ -1,8 +1,8 @@
 """Robot networks as position-dependent weighted graphs.
 
 A team of n point robots induces a complete weighted graph on n nodes: the
-edge weight between robots i and j is exp(-decay * dist(x_i, x_j)), so
-weights approach 1 as robots meet and decay toward 0 as they separate.  The
+edge weight of robots i and j is exp(-decay * dist(x_i, x_j)) in the taxicab
+or Euclidean distance, near 1 as robots meet and toward 0 as they separate.  The
 k-th spectral moment of the weight matrix A,
 
     m_k = tr(A^k) / n = (1/n) * sum_i lambda_i^k,
@@ -31,7 +31,6 @@ __all__ = [
     "RobotConfiguration",
     "WeightedAdjacency",
     "MomentVector",
-    "pairwise_distance",
     "build_adjacency",
     "power_chain",
     "spectral_moments",
@@ -151,23 +150,10 @@ class MomentVector:
         return self.values.shape[0]
 
 
-@_quiet
-def pairwise_distance(config: RobotConfiguration, metric: int) -> np.ndarray:
-    """All inter-robot distances as an (n, n) array.
-
-    ``metric`` selects the norm: 1 for the taxicab (l1) distance, 2 for the
-    Euclidean (l2) distance.  The per-axis terms are accumulated one axis at
-    a time, so no (n, n, d) array is formed.  The result is symmetric with
-    an exactly zero diagonal because x_i - x_i is computed as an exact zero;
-    a distance beyond float range is inf.
-    """
-    return _pairwise_distance(config.positions, metric)
-
-
 def _pairwise_distance(positions: np.ndarray, metric: int) -> np.ndarray:
-    """:func:`pairwise_distance` of an (n, d) array, under the caller's error state."""
-    if metric not in (1, 2):
-        raise ValueError(f"metric must be 1 or 2, got {metric}")
+    """All (n, n) distances between the rows of an (n, d) array in the caller's checked
+    ``metric`` (1 taxicab, 2 Euclidean) and error state, inf beyond float range, one
+    axis at a time so that no (n, n, d) array forms; the diagonal is exactly zero."""
     total = None
     for column in positions.T:
         diff = column[:, None] - column
@@ -186,6 +172,8 @@ def build_adjacency(config: RobotConfiguration, decay: float, metric: int) -> We
     """
     if not np.isfinite(decay) or decay <= 0.0:
         raise ValueError(f"decay must be a positive real, got {decay}")
+    if metric not in (1, 2):
+        raise ValueError(f"metric must be 1 or 2, got {metric}")
     distance = _pairwise_distance(config.positions, metric)
     weights = _adjacency(distance, decay, out=distance)
     return _freeze(object.__new__(WeightedAdjacency), "weights", weights)
@@ -301,6 +289,7 @@ def moments_from_eigenvalues(eigs, order: int) -> MomentVector:
     return MomentVector(values)
 
 
+@_quiet
 def complete_graph_moments(n: int, order: int) -> MomentVector:
     """Moments of the unit-weight complete graph on n nodes.
 
@@ -318,18 +307,17 @@ def complete_graph_moments(n: int, order: int) -> MomentVector:
     if not 1 <= order <= n:
         raise ValueError(f"order must satisfy 1 <= order <= {n}, got {order}")
     k = np.arange(1, order + 1)
-    with np.errstate(over="ignore"):
-        values = (float(n - 1) ** k + (n - 1) * (-1.0) ** k) / n
+    values = (float(n - 1) ** k + (n - 1) * (-1.0) ** k) / n
     _check_overflow(values, f"the complete-graph (n = {n}) ceiling of")
     return MomentVector(values)
 
 
+@_quiet
 def max_finite_order(n: int) -> int:
     """Largest s <= n whose complete-graph ceiling, about (n-1)^s / n, and so
     every moment of n robots up to order s, is a finite float: s = n up to
     143 robots, 134 at n = 200 (about 709.78 / ln(n-1))."""
-    with np.errstate(over="ignore"):
-        return int(np.isfinite(float(n - 1) ** np.arange(1, n + 1)).sum())
+    return int(np.isfinite(float(n - 1) ** np.arange(1, n + 1)).sum())
 
 
 def walk_weight_sum(adjacency: WeightedAdjacency, length: int, start: int, end: int) -> float:

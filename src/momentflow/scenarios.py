@@ -4,9 +4,8 @@ A scenario bundles everything one simulation run needs: robot count and
 dimension, an initial configuration (explicit positions or a seeded random
 draw), the controller's inputs (:mod:`momentflow.gradient`'s
 ``ControllerParams`` and ``TargetSpectrum``), and integrator settings.
-Targets are literal moment values, the reference tables of the two
-presets, or a reference formation's own moments and spectrum (realizable
-by construction).
+Targets are literal moment values, as in the two presets, or a reference
+formation's own moments and spectrum (realizable by construction).
 
 Validation is centralized here: type constructors check structure and
 ranges, and ``scenario_violations`` enforces the semantic rules (m_1* = 0,
@@ -22,10 +21,13 @@ that owns them and calls each part's constructor once, and
 ``scenario_to_dict`` writes a scenario back through the same column.
 ``positions_from_dict`` reads the ``{positions, c?, z?, s?}`` files of
 ``momentflow spectrum``, whose keys mean what they mean in a scenario file.
+The two bundled presets are scenario file data too: ``preset_data`` hands
+out a copy, and ``preset`` reads it through ``scenario_from_dict``.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import reduce
 from typing import Any, Optional
@@ -56,6 +58,7 @@ __all__ = [
     "hexagon_formation",
     "target_from_formation",
     "preset",
+    "preset_data",
     "PRESET_NAMES",
     "scenario_violations",
     "SCHEMA",
@@ -170,27 +173,36 @@ def target_from_formation(
     )
 
 
-# The bundled scenarios: target moments, reference eigenvalues, default
-# order, start seed and convergence tolerance.  Moments and eigenvalues are
-# stored at two-decimal precision; the weight-decay constant behind them is
-# not pinned down, but uniform scaling of positions trades off exactly
-# against it, so decay = 1 loses no generality.  The tolerance bounds every
-# final residual: cost <= tol forces |m_k - m_k*| <= sqrt(4 k tol), which
-# keeps hexagon7 moments within 5% and rgg10 moments within 2% of target
-# while staying a comfortable factor above the barrier's cost floor (about
-# 4e-5 at order 7).
+# The bundled scenarios as scenario file data: the whole moment table, so that
+# --set s can raise the default order s, a seed and reference eigenvalues, at
+# two decimals.  The decay behind them is unknown, but scaling positions trades
+# off exactly against it, so c = 1 (the default) loses no generality.  A
+# tolerance tol forces |m_k - m_k*| <= sqrt(4 k tol): within 5% (hexagon7) and
+# 2% (rgg10) of target, yet well above the barrier's cost floor (about 4e-5 at
+# order 7).
 _PRESETS = {
-    "hexagon7": ((0.0, 0.53, 0.64, 1.22, 2.02, 3.47, 5.90),
-                 (1.70, 0.05, 0.05, -0.40, -0.40, -0.47, -0.51), 7, 4, 8e-5),
-    "rgg10": ((0.0, 3.11, 13.45, 71.60, 368.36, 1905.0),
-              (5.16, 0.27, 0.02, -0.61, -0.68, -0.77, -0.79, -0.84, -0.85, -0.89), 4, 0, 2e-4),
+    "hexagon7": {"name": "hexagon7", "n": 7, "d": 2, "seed": 4, "z": 2, "s": 7,
+                 "cost_tolerance": 8e-5,
+                 "targets": {"moments": [0.0, 0.53, 0.64, 1.22, 2.02, 3.47, 5.90]},
+                 "reference_eigenvalues": [1.70, 0.05, 0.05, -0.40, -0.40, -0.47, -0.51]},
+    "rgg10": {"name": "rgg10", "n": 10, "d": 2, "seed": 0, "z": 2, "s": 4, "cost_tolerance": 2e-4,
+              "targets": {"moments": [0.0, 3.11, 13.45, 71.60, 368.36, 1905.0]},
+              "reference_eigenvalues": [5.16, 0.27, 0.02, -0.61, -0.68, -0.77, -0.79, -0.84,
+                                        -0.85, -0.89]},
 }
 
 PRESET_NAMES = tuple(_PRESETS)
 
 
+def preset_data(name: str) -> dict[str, Any]:
+    """A fresh copy of a bundled scenario's file data, see ``_PRESETS``."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    return copy.deepcopy(_PRESETS[name])
+
+
 def preset(name: str, order: Optional[int] = None) -> Scenario:
-    """One of the bundled scenarios by name.
+    """One of the bundled scenarios by name, read from :func:`preset_data`.
 
     ``hexagon7``: 7 robots matching the spectrum of a hexagon-with-center
     formation; full order 7 by default, any order in 2..7 on request.
@@ -199,26 +211,19 @@ def preset(name: str, order: Optional[int] = None) -> Scenario:
     spectrum; order 4 by default.  The reference moment table stops at
     m_6, so orders above 6 are unavailable.
 
-    Both use Euclidean distances, decay 1, a fixed documented seed for the
-    random start in the unit square, and a per-preset convergence
-    tolerance chosen so the guaranteed residual bound sqrt(4 k tol) stays
-    within a few percent of every target moment.
+    Both use Euclidean distances, decay 1, a seeded start in the unit square
+    and a tolerance that keeps every final moment within a few percent.
     """
-    if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    moments, reference, default_order, seed, tolerance = _PRESETS[name]
-    resolved = default_order if order is None else order
-    if not 2 <= resolved <= len(moments):
-        raise ValueError(f"preset {name!r} supports orders 2..{len(moments)}, got {resolved}")
-    return Scenario(
-        name=name,
-        n=len(reference),
-        d=2,
-        params=ControllerParams(decay=1.0, metric=2, order=resolved),
-        targets=TargetSpectrum(moments[:resolved], reference),
-        settings=SimulationSettings(cost_tolerance=tolerance),
-        seed=seed,
-    )
+    data = preset_data(name)
+    if order is not None:
+        table = len(data["targets"]["moments"])
+        if not 2 <= order <= table:
+            raise ValueError(f"preset {name!r} supports orders 2..{table}, got {order}")
+        data["s"] = order
+    scenario, problems = scenario_from_dict(data)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return scenario
 
 
 def scenario_violations(scenario: Scenario) -> list[str]:
@@ -460,7 +465,7 @@ def scenario_from_dict(data: Any) -> tuple[Optional[Scenario], list[str]]:
         return None, ["scenario data must be a JSON object"]
     problems: list[str] = []
     fields = _read(data, SCHEMA, problems)
-    if ("seed" in data) == ("positions" in data):
+    if (data.get("seed") is None) == ("positions" not in data):
         problems.append("exactly one of 'seed' and 'positions' is required")
     if fields.get("s") is not None and fields["s"] < 2:
         problems.append(f"field 's' must be at least 2, got {fields['s']}")

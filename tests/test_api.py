@@ -8,8 +8,11 @@ Core claims:
       submodules
     - the layers below scenarios (network, gradient, dynamics) run without
       loading scenarios or cli
+    - cli imports no underscore name from another momentflow module: the
+      command line reaches the library through its public names
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -81,3 +84,16 @@ def test_lower_layers_do_not_load_upper_ones():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_cli_imports_only_public_names():
+    tree = ast.parse(Path(importlib.import_module("momentflow.cli").__file__).read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("momentflow"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -31,7 +31,10 @@ Core claims:
       per trial, and the other trials still run), --trials with explicit
       positions, and moments that overflow at a scenario's s
     - a preset's data carries its whole moment table at its default s, so
-      --set s can raise the order up to the table's length
+      --set s can raise the order up to the table's length, and run --preset
+      writes what run writes on a file that holds that data
+    - a null seed takes its default: beside positions the file runs as one
+      without the key, and alone it needs a seed or positions
     - ``python -m momentflow.cli`` hands main's status to the shell
     - on generated files with one to three hostile schema values, run and
       spectrum exit 0..5 without a traceback or warning, printing at most
@@ -81,9 +84,11 @@ from momentflow.network import (
     spectral_moments,
 )
 from momentflow.scenarios import (
+    PRESET_NAMES,
     SCHEMA,
     hexagon_formation,
     preset,
+    preset_data,
     random_geometric_config,
     target_from_formation,
 )
@@ -540,6 +545,42 @@ class TestRunCommand:
         table = preset("rgg10", order=6).targets.moments
         assert report["target_moments"] == table[:order].tolist()
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_runs_as_its_file_data(self, name, tmp_path, capsys):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(preset_data(name)))
+        outputs = []
+        for source, out in ((["--preset", name], "preset"), ([str(path)], "file")):
+            assert main(["run", *source, "-o", str(tmp_path / out)]) == EXIT_CONVERGED
+            report = json.loads((tmp_path / out / f"{name}_report.json").read_text())
+            del report["files"]
+            outputs.append((report, (tmp_path / out / f"{name}_trajectory.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert capsys.readouterr().err == ""
+
+    def test_null_seed_beside_positions_runs(self, tmp_path, capsys):
+        # A null seed takes its default, no seed, as a file without the key does.
+        data = {key: value for key, value in _fast_scenario_data().items() if key != "seed"}
+        data["positions"] = random_geometric_config(5, 2, 0).positions.tolist()
+        csv_bytes = []
+        for form, seed in (("absent", {}), ("null", {"seed": None})):
+            path = tmp_path / f"{form}.json"
+            path.write_text(json.dumps({**data, **seed}))
+            assert main(["run", str(path), "-o", str(tmp_path / form)]) == EXIT_CONVERGED
+            csv_bytes.append((tmp_path / form / "quick_trajectory.csv").read_bytes())
+        assert csv_bytes[0] == csv_bytes[1]
+        assert capsys.readouterr().err == ""
+
+    def test_null_seed_alone_names_the_file_keys(self, tmp_path, capsys):
+        path = tmp_path / "unplaced.json"
+        path.write_text(json.dumps({**_fast_scenario_data(), "seed": None}))
+        assert main(["run", str(path), "-o", str(tmp_path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid scenario: exactly one of 'seed' and 'positions' is required\n"
+        )
+
     def test_needs_exactly_one_source(self, tmp_path, capsys):
         path = tmp_path / "quick.json"
         path.write_text(json.dumps(_fast_scenario_data()))
@@ -954,7 +995,8 @@ class TestSharedParser:
         assert main(["run", "--preset", "rgg10", "--set", "s=2"]) == EXIT_VALIDATION
         assert main(["run", "--preset", "rgg10", "--set", "record_every=5"]) == EXIT_VALIDATION
         # The preset's data: its whole moment table (m_1..m_6) at its default s = 4.
-        expected = {**scenario_to_dict(preset("rgg10", order=6)), "s": 4}
+        expected = preset_data("rgg10")
+        assert len(expected["targets"]["moments"]) == 6 and expected["s"] == 4
         assert seen[1] == {**expected, "record_every": 5}
         assert seen[0]["s"] == 2 and seen[1]["s"] == expected["s"] != 2
 

@@ -4,11 +4,13 @@ Unit tests for the network layer: configurations, weight matrices, moments.
 Core claims:
     - RobotConfiguration/WeightedAdjacency/MomentVector validate their inputs,
       copy them, and freeze the stored arrays
-    - pairwise_distance matches hand values for both metrics, is symmetric
-      with an exactly zero diagonal, is translation invariant, and returns
-      inf for a distance beyond float range without a warning
+    - the distance function matches hand values for both metrics, is
+      symmetric with an exactly zero diagonal, is translation invariant, and
+      returns inf for a distance beyond float range; build_adjacency turns
+      that inf into a weight of 0 without a warning
     - build_adjacency reproduces exp(-decay * dist) with an exactly zero
-      diagonal and off-diagonal entries in [0, 1], 0 where a weight underflows
+      diagonal and off-diagonal entries in [0, 1], 0 where a weight
+      underflows, and rejects a metric other than 1 and 2
     - power_chain agrees with numpy matrix_power
     - spectral_moments has m_1 == 0 exactly, nonnegative entries, and agrees
       with the eigenvalue power-sum route to tight tolerance; that route
@@ -35,12 +37,12 @@ from momentflow.network import (
     complete_graph_moments,
     eigenvalues,
     moments_from_eigenvalues,
-    pairwise_distance,
     power_chain,
     spectral_moments,
     walk_weight_sum,
     _chain_plan,
     _half_chain,
+    _pairwise_distance,
 )
 
 
@@ -54,6 +56,11 @@ def _random_config(n, d, seed):
 
 def _random_adjacency(n, seed, decay=1.0, metric=2):
     return build_adjacency(_random_config(n, 2, seed), decay, metric)
+
+
+def _distances(config, metric):
+    """All inter-robot distances of ``config``, from the one distance function."""
+    return _pairwise_distance(config.positions, metric)
 
 
 # == 1. RobotConfiguration ===================================================
@@ -182,8 +189,8 @@ class TestMomentVector:
 class TestPairwiseDistance:
     def test_hand_values_two_robots(self):
         config = RobotConfiguration([[0.0, 0.0], [3.0, 4.0]])
-        taxicab = pairwise_distance(config, 1)
-        euclid = pairwise_distance(config, 2)
+        taxicab = _distances(config, 1)
+        euclid = _distances(config, 2)
         assert taxicab[0, 1] == approx(7.0)
         assert euclid[0, 1] == approx(5.0)
 
@@ -191,7 +198,7 @@ class TestPairwiseDistance:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_symmetric_zero_diagonal(self, metric, seed):
         config = _random_config(6, 3, seed)
-        dist = pairwise_distance(config, metric)
+        dist = _distances(config, metric)
         assert np.array_equal(dist, dist.T)
         assert np.all(np.diag(dist) == 0.0)
         off = dist[~np.eye(6, dtype=bool)]
@@ -200,24 +207,24 @@ class TestPairwiseDistance:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_taxicab_dominates_euclidean(self, seed):
         config = _random_config(5, 2, seed)
-        assert np.all(pairwise_distance(config, 1) >= pairwise_distance(config, 2) - 1e-15)
+        assert np.all(_distances(config, 1) >= _distances(config, 2) - 1e-15)
 
     def test_metrics_agree_on_a_line(self):
         config = RobotConfiguration([[0.0], [1.5], [-2.0]])
-        assert np.allclose(pairwise_distance(config, 1), pairwise_distance(config, 2))
+        assert np.allclose(_distances(config, 1), _distances(config, 2))
 
     @pytest.mark.parametrize("metric", [1, 2])
     def test_translation_invariant(self, metric):
         config = _random_config(5, 2, 7)
         shifted = RobotConfiguration(config.positions + np.array([12.5, -3.75]))
         assert np.allclose(
-            pairwise_distance(config, metric), pairwise_distance(shifted, metric)
+            _distances(config, metric), _distances(shifted, metric)
         )
 
     def test_rejects_unknown_metric(self):
         config = _random_config(3, 2, 0)
-        with pytest.raises(ValueError):
-            pairwise_distance(config, 3)
+        with pytest.raises(ValueError, match=r"^metric must be 1 or 2, got 3$"):
+            build_adjacency(config, 1.0, 3)
 
     # The taxicab sum 3.4e308 overflows, and so does the squared offset 1e400.
     @pytest.mark.parametrize("metric, far", [(1, [1.7e308, 1.7e308]), (2, [1e200, 0.0])])
@@ -226,10 +233,14 @@ class TestPairwiseDistance:
         before = np.geterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            dist = pairwise_distance(config, metric)
+            weights = build_adjacency(config, 1.0, metric).weights
+            # The distance function runs under its caller's error state.
+            with np.errstate(over="ignore", invalid="ignore"):
+                dist = _distances(config, metric)
         assert np.geterr() == before
         assert dist[0, 1] == dist[1, 0] == np.inf
         assert np.all(np.diag(dist) == 0.0)
+        assert weights[0, 1] == weights[1, 0] == 0.0
 
 
 # == 5. Adjacency construction ===============================================
@@ -245,7 +256,7 @@ class TestBuildAdjacency:
         config = _random_config(6, 2, 9)
         decay = 1.7
         adjacency = build_adjacency(config, decay, metric)
-        expected = np.exp(-decay * pairwise_distance(config, metric))
+        expected = np.exp(-decay * _distances(config, metric))
         np.fill_diagonal(expected, 0.0)
         assert np.allclose(adjacency.weights, expected, rtol=0.0, atol=1e-15)
 

@@ -54,12 +54,12 @@ from momentflow.network import (
     MomentVector,
     RobotConfiguration,
     WeightedAdjacency,
+    _pairwise_distance,
     build_adjacency,
     complete_graph_moments,
     eigenvalues,
     max_finite_order,
     moments_from_eigenvalues,
-    pairwise_distance,
     spectral_moments,
 )
 from momentflow.scenarios import Scenario, target_from_formation
@@ -126,7 +126,7 @@ def test_moments_between_zero_and_ceiling(positions, decay, metric):
     # Spread: some pair is far enough apart for its weight to sit visibly
     # below 1, so every moment of order >= 2 sits visibly below its ceiling.
     # A coincident team attains the ceilings exactly.
-    spread = pairwise_distance(config, metric).max()
+    spread = _pairwise_distance(config.positions, metric).max()
     moments = _moments(positions, decay, metric)
     ceilings = complete_graph_moments(config.n, config.n).values
     assert np.all(moments >= 0.0)

@@ -10,7 +10,8 @@ Core claims:
     - target_from_formation reproduces the formation's own moments and
       spectrum, hence realizable targets
     - preset returns the two bundled scenarios, validated clean, with their
-      reference target tables and tuned integrator settings
+      reference target tables and tuned integrator settings, field by field
+      at every order; preset_data hands out a fresh copy of their file data
     - scenario_violations flags each semantic rule violation separately and
       leaves realizability ceilings to ensure_feasible
     - a scenario file read by scenario_from_dict and written back by
@@ -33,7 +34,7 @@ from momentflow.dynamics import (
     UnrealizableTargetsError,
     ensure_feasible,
 )
-from momentflow.gradient import ControllerParams, TargetSpectrum
+from momentflow.gradient import ControllerParams, TargetSpectrum, default_epsilons
 from momentflow.network import (
     RobotConfiguration,
     build_adjacency,
@@ -48,6 +49,7 @@ from momentflow.scenarios import (
     Scenario,
     hexagon_formation,
     preset,
+    preset_data,
     random_geometric_config,
     scenario_from_dict,
     scenario_to_dict,
@@ -227,6 +229,16 @@ class TestTargetFromFormation:
 
 # == 6. Presets ==============================================================
 
+# The bundled tables written out: n, seed, default order, moment table,
+# reference eigenvalues and cost tolerance.
+_PRESET_TABLES = {
+    "hexagon7": (7, 4, 7, [0.0, 0.53, 0.64, 1.22, 2.02, 3.47, 5.90],
+                 [1.70, 0.05, 0.05, -0.40, -0.40, -0.47, -0.51], 8e-5),
+    "rgg10": (10, 0, 4, [0.0, 3.11, 13.45, 71.60, 368.36, 1905.0],
+              [5.16, 0.27, 0.02, -0.61, -0.68, -0.77, -0.79, -0.84, -0.85, -0.89], 2e-4),
+}
+
+
 class TestPresets:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets_validate_clean(self, name):
@@ -259,16 +271,45 @@ class TestPresets:
         assert scenario_violations(scenario) == []
 
     def test_order_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^preset 'hexagon7' supports orders 2\.\.7, got 8$"):
             preset("hexagon7", order=8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^preset 'rgg10' supports orders 2\.\.6, got 7$"):
             preset("rgg10", order=7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^preset 'rgg10' supports orders 2\.\.6, got 1$"):
             preset("rgg10", order=1)
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            preset("decagon12")
+        for read in (preset, preset_data):
+            with pytest.raises(
+                ValueError, match=r"^unknown preset 'decagon12'; available: hexagon7, rgg10$"
+            ):
+                read("decagon12")
+
+    @pytest.mark.parametrize("name, order", [
+        (name, order) for name, table in _PRESET_TABLES.items()
+        for order in [None, *range(2, len(table[3]) + 1)]
+    ])
+    def test_fields_at_every_order(self, name, order):
+        n, seed, default_order, moments, reference, tolerance = _PRESET_TABLES[name]
+        scenario = preset(name, order)
+        order = default_order if order is None else order
+        assert (scenario.name, scenario.n, scenario.d, scenario.seed) == (name, n, 2, seed)
+        assert scenario.initial_positions is None
+        params = scenario.params
+        assert (params.decay, params.metric, params.order) == (1.0, 2, order)
+        assert params.epsilons == default_epsilons(order)
+        assert scenario.targets.moments.tolist() == moments[:order]
+        assert scenario.targets.reference_eigenvalues.tolist() == reference
+        expected = SimulationSettings(cost_tolerance=tolerance)
+        assert vars(scenario.settings) == vars(expected)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_data_is_a_fresh_copy(self, name):
+        data = preset_data(name)
+        data["targets"]["moments"].clear()
+        data["s"] = 2
+        assert preset_data(name)["targets"]["moments"] == _PRESET_TABLES[name][3]
+        assert preset(name).params.order == _PRESET_TABLES[name][2]
 
 
 # == 7. Semantic validation ==================================================
