@@ -15,8 +15,9 @@ and the run ends there once less than the step-size floor
 ``DEFAULT_MIN_STEP`` remains.  If the step size bottoms out at that floor
 and the trial step is still rejected, the flow has stalled; so has a state
 whose drift is exactly zero (all robots coincident, say), which no step
-moves.  Each state is evaluated once, the start included, into floats:
-an accepted candidate's evaluation is the next state, and a configuration or
+moves, and so has a run that spends ``MAX_TRIAL_STEPS`` trial steps.  Each
+state is evaluated once, the start included, into floats: an accepted
+candidate's evaluation is the next state, and a configuration or
 moment vector is wrapped only for the record.  A weight that underflows to 0
 (robots about 745/decay or more apart) is an ordinary weight: a far-apart
 start is compressed like any other infeasible start.
@@ -65,6 +66,7 @@ __all__ = [
     "DEFAULT_COST_TOLERANCE",
     "DEFAULT_MAX_TIME",
     "DEFAULT_RECORD_EVERY",
+    "MAX_TRIAL_STEPS",
 ]
 
 logger = logging.getLogger(__name__)
@@ -78,6 +80,9 @@ DEFAULT_MIN_STEP = 1e-8
 DEFAULT_COST_TOLERANCE = 1e-4
 DEFAULT_MAX_TIME = 1e4
 DEFAULT_RECORD_EVERY = 10
+# Trial steps after which a run ends "stalled": about 25x the 40,250 of the longest
+# shipped run, so that a tiny dt and a huge horizon cannot run for days.
+MAX_TRIAL_STEPS = 10**6
 
 # Accept/reject bookkeeping: how many consecutive acceptances earn a step
 # doubling; the contraction factor and the slack used by ensure_feasible.
@@ -147,7 +152,8 @@ class TrajectoryRecord:
 
     ``termination_reason`` is one of "converged" (cost reached tolerance),
     "horizon" (simulated time hit max_time first), or "stalled" (no
-    acceptable step at the minimum step size, or a drift of exactly zero).
+    acceptable step at the minimum step size, a drift of exactly zero, or
+    ``MAX_TRIAL_STEPS`` trial steps spent).
     ``termination_detail`` says why a run stalled and is empty otherwise.
     ``samples`` always contains the initial state and the final state;
     intermediate samples appear every ``record_every`` accepted steps.
@@ -314,8 +320,9 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     ("converged"), less than ``DEFAULT_MIN_STEP`` of simulated time remains
     before the horizon ("horizon"; trial steps are clamped so that
     ``simulated_time`` never exceeds ``max_time``), or no
-    acceptable step exists at the minimum step size or the drift is exactly
-    zero ("stalled"); a stall is recorded, with its reason, rather than raised.
+    acceptable step exists at the minimum step size, the drift is exactly
+    zero or ``MAX_TRIAL_STEPS`` trial steps are spent ("stalled"); a stall is
+    recorded, with its reason, rather than raised.
 
     Identical scenarios produce bitwise-identical records: every quantity
     is computed by fixed-order numpy expressions from the seeded start.
@@ -348,6 +355,10 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
         remaining = settings.max_time - t
         if remaining < DEFAULT_MIN_STEP:
             reason = "horizon"
+            break
+        if accepted + rejected >= MAX_TRIAL_STEPS:
+            reason = "stalled"
+            detail = f"the budget of {MAX_TRIAL_STEPS:,} trial steps ran out at t = {t:.6g}"
             break
         trial = min(dt, remaining)
         try:

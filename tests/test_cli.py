@@ -36,9 +36,13 @@ Core claims:
     - a null seed takes its default: beside positions the file runs as one
       without the key, and alone it needs a seed or positions
     - ``python -m momentflow.cli`` hands main's status to the shell
-    - on generated files with one to three hostile schema values, run and
-      spectrum exit 0..5 without a traceback or warning, printing at most
+    - on generated files with one to three hostile schema values, max_time
+      among them, run and spectrum exit 0..5 within 2 s under a budget of
+      2,000 trial steps, without a traceback or warning, printing at most
       one stderr line unless every line is an ``invalid ...`` reason
+    - a run that spends its trial-step budget ends stalled (exit 4) and says so
+    - spectrum of 100 spread robots, whose differences are BLAS products,
+      prints the eigenvalues and power-sum moments of an independent oracle
 """
 
 import argparse
@@ -50,8 +54,10 @@ import logging
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -731,6 +737,19 @@ class TestRunCommand:
         assert report["accepted_steps"] == 0
         assert "minimum step size" in report["termination_detail"]
 
+    def test_budget_stall_says_why(self, tmp_path, capsys, monkeypatch):
+        # At dt = 1e-8, the step-size floor, rgg10 takes about 350,000 trial
+        # steps to converge; the budget ends the run first.
+        monkeypatch.setattr("momentflow.dynamics.MAX_TRIAL_STEPS", 100)
+        argv = ["run", "--preset", "rgg10", "--set", "dt=1e-8", "-o", str(tmp_path)]
+        assert main(argv) == EXIT_STALLED
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert "the budget of 100 trial steps ran out" in summary
+        report = json.loads((tmp_path / "rgg10_report.json").read_text())
+        assert report["termination_reason"] == "stalled"
+        assert report["accepted_steps"] + report["rejected_steps"] == 100
+        assert report["termination_detail"].startswith("the budget of 100 trial steps")
+
     def test_stalled_exit(self, tmp_path, capsys, monkeypatch, quick_record):
         stalled = replace(quick_record, termination_reason="stalled")
         monkeypatch.setattr("momentflow.cli.simulate", lambda scenario: stalled)
@@ -901,6 +920,29 @@ class TestSpectrumCommand:
         assert captured.err.startswith("cannot evaluate the spectrum: ")
         assert "m_142" in captured.err and "s = 150" in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_team_above_the_product_switch(self, tmp_path, capsys, metric):
+        # 100 robots form their differences as BLAS products; the oracle
+        # subtracts all axes at once and sums the powers of eigvalsh's spectrum.
+        positions = 20.0 * np.random.default_rng(5).random((100, 2))
+        path = tmp_path / "crowd.json"
+        path.write_text(json.dumps({"positions": positions.tolist(), "z": metric}))
+        assert main(["spectrum", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0] == f"n = 100, d = 2, c = 1, z = {metric}"
+        offsets = np.abs(positions[:, None, :] - positions[None, :, :])
+        dist = offsets.sum(axis=2) if metric == 1 else np.sqrt((offsets**2).sum(axis=2))
+        weights = np.exp(-dist)
+        np.fill_diagonal(weights, 0.0)
+        eigs = np.linalg.eigvalsh(weights)[::-1]
+        printed = [float(v) for v in lines[1].split(": ", 1)[1].split(", ")]
+        assert printed == approx(eigs, rel=1e-5, abs=1e-9)
+        moments = [float(line.split(" = ", 1)[1]) for line in lines[2:]]
+        assert lines[2] == "m_1 = 0" and len(moments) == max_finite_order(100) == 100
+        assert moments[1:] == approx([np.mean(eigs**k) for k in range(2, 101)], rel=1e-5)
 
     def test_one_robot_exit(self, tmp_path, capsys):
         path = tmp_path / "single.json"
@@ -1198,9 +1240,11 @@ _HOSTILE = st.sampled_from([
     0, 1, -1, 1e-300, -1e-300, 1e300, -1e300, 1e-320, 745.2, 2**53 + 1,
     None, "", "x", "2", [], [0.0, 0.5], [[0.0, 0.0], [1.0, 1.0]], ["x"],
 ])
-# max_time is not mutated: a large horizon with a tiny dt runs without a
-# bound on its trial steps.
-_MUTABLE_KEYS = sorted(key for key in SCHEMA if key != "max_time")
+_MUTABLE_KEYS = sorted(SCHEMA)
+# Each call must end within _WALL_BOUND seconds; a budget of _SMALL_BUDGET
+# trial steps ends a run toward a huge horizon (max_time 1e300) well before.
+_SMALL_BUDGET = 2000
+_WALL_BOUND = 2.0
 
 
 @st.composite
@@ -1213,7 +1257,7 @@ def _hostile_files(draw):
     goal = 0.8 * spectral_moments(build_adjacency(start, 1.0, 2), order).values
     data = {
         "name": "hostile", "n": n, "d": 2, "seed": seed, "z": 2, "s": order,
-        "max_time": draw(st.sampled_from([1e-6, 1e-5])),
+        "max_time": draw(st.sampled_from([1e-6, 1e-5, 1e300])),
         "targets": {"moments": goal.tolist()},
     }
     keys = draw(st.lists(st.sampled_from(_MUTABLE_KEYS), min_size=1, max_size=3, unique=True))
@@ -1230,10 +1274,16 @@ def test_generated_files_keep_the_exit_contract(data, tmp_path_factory):
     path.write_text(json.dumps(data))
     for argv in (["run", str(path), "-o", str(root)], ["spectrum", str(path)]):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # hypothesis refuses function-scoped fixtures, so no monkeypatch here.
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch(
+            "momentflow.dynamics.MAX_TRIAL_STEPS", _SMALL_BUDGET
+        ):
+            started = time.perf_counter()
             code = main(argv)
+            wall = time.perf_counter() - started
         printed = out.getvalue() + err.getvalue()
         assert code in range(6), (argv, printed)
+        assert wall < _WALL_BOUND, (argv, wall)
         assert "Traceback" not in printed and "Warning" not in printed
         reasons = err.getvalue().splitlines()
         assert len(reasons) <= 1 or all(line.startswith("invalid ") for line in reasons), reasons

@@ -12,6 +12,9 @@ Core claims:
       stalled), keeps f + b nonincreasing and margins positive along the
       recorded trajectory, never runs past the horizon, and is
       deterministic for identical scenarios
+    - a run that spends MAX_TRIAL_STEPS trial steps without converging
+      ends stalled and says so; one that converges on its last allowed
+      trial step converges
     - a start with exactly zero drift stalls without counting non-moves
     - simulate logs how many robot pair slots changed coordinate order
     - simulate evaluates each configuration once: one distance matrix per
@@ -503,6 +506,36 @@ class TestSimulate:
         # 500 * 2**-k stays above 1e-8 for k = 0..35.
         assert record.rejected_steps == 36
         assert record.accepted_steps == 0
+
+    def test_trial_step_budget_ends_the_run(self, monkeypatch):
+        # At the step-size floor with a tolerance no run reaches, only the
+        # budget ends the run.
+        monkeypatch.setattr(dynamics, "MAX_TRIAL_STEPS", 40)
+        scenario = dataclasses.replace(
+            _reachable_scenario(seed=1),
+            settings=SimulationSettings(dt=DEFAULT_MIN_STEP, cost_tolerance=1e-30),
+        )
+        record = simulate(scenario)
+        assert record.termination_reason == "stalled"
+        assert record.termination_detail.startswith("the budget of 40 trial steps ran out at t = ")
+        assert record.accepted_steps + record.rejected_steps == 40
+        assert record.simulated_time > 0.0
+
+    def test_budget_counts_trial_steps(self, monkeypatch):
+        # A run that converges on its last allowed trial step converges; one
+        # step less of budget and it stalls there.
+        scenario = _reachable_scenario(seed=1)
+        free = simulate(scenario)
+        spent = free.accepted_steps + free.rejected_steps
+        monkeypatch.setattr(dynamics, "MAX_TRIAL_STEPS", spent)
+        assert simulate(scenario).termination_reason == "converged"
+        monkeypatch.setattr(dynamics, "MAX_TRIAL_STEPS", spent - 1)
+        short = simulate(scenario)
+        assert short.termination_reason == "stalled"
+        assert short.accepted_steps + short.rejected_steps == spent - 1
+        assert np.array_equal(
+            short.samples[1].configuration.positions, free.samples[1].configuration.positions
+        )
 
     def test_error_state_restored(self):
         # An outer state that raises on overflow stays in force around the

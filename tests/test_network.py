@@ -7,7 +7,9 @@ Core claims:
     - the distance function matches hand values for both metrics, is
       symmetric with an exactly zero diagonal, is translation invariant, and
       returns inf for a distance beyond float range; build_adjacency turns
-      that inf into a weight of 0 without a warning
+      that inf into a weight of 0 without a warning, on either side of the
+      team size from which differences are one BLAS product per axis, and a
+      team of exactly that size takes the product
     - build_adjacency reproduces exp(-decay * dist) with an exactly zero
       diagonal and off-diagonal entries in [0, 1], 0 where a weight
       underflows, and rejects a metric other than 1 and 2
@@ -22,6 +24,7 @@ Core claims:
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +46,7 @@ from momentflow.network import (
     _chain_plan,
     _half_chain,
     _pairwise_distance,
+    _PRODUCT_TEAM,
 )
 
 
@@ -227,20 +231,34 @@ class TestPairwiseDistance:
             build_adjacency(config, 1.0, 3)
 
     # The taxicab sum 3.4e308 overflows, and so does the squared offset 1e400.
+    # The pair alone subtracts by broadcasting; in a team of _PRODUCT_TEAM
+    # robots, which takes the product, the x difference to -1.7e308 overflows too.
     @pytest.mark.parametrize("metric, far", [(1, [1.7e308, 1.7e308]), (2, [1e200, 0.0])])
     def test_overflowing_distance_is_quiet_inf(self, metric, far):
-        config = RobotConfiguration([[0.0, 0.0], far])
-        before = np.geterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            weights = build_adjacency(config, 1.0, metric).weights
-            # The distance function runs under its caller's error state.
-            with np.errstate(over="ignore", invalid="ignore"):
-                dist = _distances(config, metric)
-        assert np.geterr() == before
-        assert dist[0, 1] == dist[1, 0] == np.inf
-        assert np.all(np.diag(dist) == 0.0)
-        assert weights[0, 1] == weights[1, 0] == 0.0
+        crowd = [[-1.7e308, 0.0]] + [[float(i), 1.0] for i in range(_PRODUCT_TEAM - 3)]
+        for others in ([], crowd):
+            config = RobotConfiguration([[0.0, 0.0], far] + others)
+            before = np.geterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                weights = build_adjacency(config, 1.0, metric).weights
+                # The distance function runs under its caller's error state.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    dist = _distances(config, metric)
+            assert np.geterr() == before
+            assert dist[0, 1] == dist[1, 0] == np.inf
+            assert np.all(np.diag(dist) == 0.0)
+            assert weights[0, 1] == weights[1, 0] == 0.0
+            if others:
+                assert dist[1, 2] == dist[2, 1] == np.inf
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_product_from_exactly_the_switch(self, d):
+        # One BLAS product per axis from _PRODUCT_TEAM robots on, none below.
+        for n, products in ((_PRODUCT_TEAM - 1, 0), (_PRODUCT_TEAM, d)):
+            with mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
+                _distances(_random_config(n, d, 0), 2)
+            assert matmul.call_count == products
 
 
 # == 5. Adjacency construction ===============================================

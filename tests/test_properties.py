@@ -16,6 +16,11 @@ Core claims:
       with coincident robots and with a robot so far away that its weights
       underflow to 0, so build_adjacency need not re-run them; the moments
       of such teams match the eigenvalue power sums
+    - both ways of forming coordinate differences, numpy's broadcast and
+      the product [x, 1] @ [1; -x], give bit-identical distances on teams
+      on either side of the switch between them, with magnitudes from
+      1e-300 to 1e300, tied coordinates, coincident robots and differences
+      that overflow to inf
     - the half chain's moments, ||A^j||_F^2 / n and <A^j, A^(j+1)> / n,
       match the eigenvalue power sums up to s = max_finite_order(n) on
       teams of up to 40 robots, coincident or far-apart ones included, and
@@ -34,12 +39,15 @@ Core claims:
 Examples are derandomized and bounded, so every run draws the same ones.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from momentflow import network
 from momentflow.dynamics import SimulationSettings, simulate
 from momentflow.gradient import (
     ControllerParams,
@@ -221,6 +229,43 @@ def _half_chain_error(positions, decay, metric):
     chain = spectral_moments(adjacency, order).values
     error = np.abs(chain - moments_from_eigenvalues(eigs, order).values)
     return float(np.max(error / scale))
+
+
+# Half the teams draw their coordinates from a few values, so that ties and
+# coincident robots are common, and +-1.7e308 makes differences overflow to
+# inf; the other half are spread, each coordinate of its own magnitude.
+_MAGNITUDES = st.one_of(
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+              st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.99), st.integers(-300, 300)),
+    st.sampled_from([0.0, 1.7e308, -1.7e308]),
+)
+
+
+@st.composite
+def _teams_across_the_switch(draw):
+    """(n, d) positions from 1e-300 to 1e300 in magnitude, n on either side of
+    the product path's team size."""
+    switch = network._PRODUCT_TEAM
+    n = draw(st.one_of(st.integers(2, switch - 1), st.integers(switch, switch + 16)))
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        pool = draw(st.lists(_MAGNITUDES, min_size=1, max_size=6))
+        return draw(arrays(float, (n, d), elements=st.sampled_from(pool)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signs = rng.choice([-1.0, 1.0], (n, d))
+    return signs * rng.uniform(1.0, 10.0, (n, d)) * 10.0 ** rng.integers(-300, 301, (n, d))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_teams_across_the_switch(), _METRIC)
+def test_difference_paths_give_the_same_distances(positions, metric):
+    distances = []
+    for team in (len(positions) + 1, 2):  # broadcast, then the product
+        with mock.patch.object(network, "_PRODUCT_TEAM", team), np.errstate(
+            over="ignore", invalid="ignore"
+        ):
+            distances.append(_pairwise_distance(positions, metric))
+    assert np.array_equal(*distances)
 
 
 @st.composite
