@@ -25,10 +25,13 @@ is d dist / d x_ir: sign(x_ir - x_jr) for the taxicab metric, and
 (x_ir - x_jr) / dist(i, j), zero for coincident pairs, for the Euclidean
 one.  Only the coefficients differ: m_k - m_k* for -grad f,
 eps_k / (m_k - m_k*)^3 for grad b, their difference for the drift, and
--2k at k alone for grad m_k.  With M = A o W, the taxicab form is a row
-sum per axis, and the Euclidean form is one (n, n) x (n, d) product,
+-2k at k alone for grad m_k.  With M = A o W, robot i's velocity is one
+contraction sum_j M'_ij D_ij: M' = M and D = sign(x_i - x_j) (taxicab), or
+M' = M / dist (0 where dist = 0) and D = x_i - x_j (Euclidean), as the
+distances keep them below network._PRODUCT_TEAM robots.  From there on, or
+if a distance overflows, the Euclidean form is one product,
 
-    x_ir * sum_j M'_ij - (M' X)_ir,    M' = M / dist (0 where dist = 0).
+    x_ir * sum_j M'_ij - (M' X)_ir.
 
 Its two terms nearly cancel, so X is taken relative to the centroid: far
 from the origin, raw coordinates would cost digits that the unit
@@ -51,6 +54,7 @@ from .network import (
     WeightedAdjacency,
     _adjacency,
     _chain_plan,
+    _differences,
     _freeze,
     _half_chain,
     _pairwise_distance,
@@ -193,6 +197,7 @@ def trace_derivative(adjacency: WeightedAdjacency, k: int, i: int, j: int) -> fl
     return 2.0 * k * power_chain(adjacency, k - 1)[k - 1][i, j]
 
 
+@_quiet
 def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int) -> np.ndarray:
     """Exact gradient of m_k with respect to every robot coordinate.
 
@@ -232,21 +237,21 @@ class _Flow:
 class _Evaluation:
     """Everything a flow derives from one configuration, computed once.
 
-    The weights come from one distance matrix, which the Euclidean :meth:`_project`
-    reuses; the half chain A..A^h, h = ceil(s/2), gives the moments m_1..m_s, the margins
-    m_k - m_k* (k = 2..s), the cost and the barrier, all floats.  One :meth:`_project`
-    gives any one gradient (the drift is kept, ``still`` if it is exactly zero).  The
-    configuration, adjacency and moment vector are wrapped only when asked for.  Every
-    sum runs in one fixed order, so results are bitwise reproducible.
+    The weights come from one distance matrix, which :meth:`_project` reuses if Euclidean,
+    as it does a small team's differences; the half chain A..A^h, h = ceil(s/2), gives the
+    moments m_1..m_s, the margins m_k - m_k* (k = 2..s), the cost and the barrier, all
+    floats.  One :meth:`_project` gives any one gradient (the drift is kept, ``still`` if
+    it is exactly zero).  The configuration, adjacency and moment vector are wrapped only
+    when asked for.  Every sum runs in one fixed order, so results are bitwise reproducible.
     """
 
-    __slots__ = ("flow", "positions", "_config", "_distance", "weights", "chain",
-                 "moments", "margins", "cost", "barrier", "_drift", "still")
+    __slots__ = ("flow", "positions", "_config", "_distance", "_differences", "weights",
+                 "chain", "moments", "margins", "cost", "barrier", "_drift", "still")
 
     def __init__(self, flow: _Flow, positions: np.ndarray, config=None) -> None:
         self.flow, self.positions, self._config, self._drift = flow, positions, config, None
         euclidean = flow.params.metric == 2
-        distance = _pairwise_distance(positions, flow.params.metric)
+        distance, self._differences = _pairwise_distance(positions, flow.params.metric)
         self._distance = distance if euclidean else None
         self.weights = _adjacency(distance, flow.params.decay, out=None if euclidean else distance)
         self.moments, self.chain = _half_chain(self.weights, flow.plan)
@@ -293,8 +298,10 @@ class _Evaluation:
         """(decay / n) [(A o T_r) W]_ii, W = sum_k coefficients[k-2] A^(k-1).
 
         From the half chain, W = sum_{p<h} c_p A^p + A^h (c_h I + sum_i c_(h+i) A^i):
-        one product from s = 4 on.  Once per evaluation: it consumes the kept
-        distances and the chain (terms are scaled in place), so only the weights stay.
+        one product from s = 4 on.  The rows contract the differences (taxicab: their signs),
+        kept below ``_PRODUCT_TEAM`` robots; a larger or overflowed Euclidean team takes
+        the centred tail.  Once per evaluation: it consumes the kept distances, differences
+        and chain (written in place), so only the weights stay.
         """
         positions = self.positions
         n = len(positions)
@@ -316,16 +323,21 @@ class _Evaluation:
         if weighted is None:
             return np.zeros_like(positions)
         mixed = np.multiply(weighted, self.weights, out=weighted)
+        differences, self._differences = self._differences, None
         if self.flow.params.metric == 1:
-            rows = np.empty_like(positions)
-            for r, column in enumerate(positions.T):
-                signs = np.subtract.outer(column, column)
-                rows[:, r] = np.einsum("ij,ij->i", mixed, np.sign(signs, out=signs))
+            if differences is None:
+                differences = _differences(positions)
+            np.sign(differences, out=differences)
         else:
-            # 1/inf makes the diagonal and coincident pairs give 0.
             dist, self._distance = self._distance, None
+            if differences is not None and dist.max() == np.inf:
+                differences = None  # an inf x_i - x_j times its zero weight is NaN
+            # 1/inf makes the diagonal and coincident pairs give 0.
             dist[dist == 0.0] = np.inf
             mixed /= dist
+        if differences is not None:  # rows_i = sum_j M'_ij D_ij
+            rows = np.vecdot(mixed, differences).T
+        else:
             centred = positions - np.add.reduce(positions) / n
             rows = centred * np.add.reduce(mixed, axis=1)[:, None]
             rows -= mixed @ centred
@@ -357,6 +369,7 @@ def cost(config: RobotConfiguration, targets: TargetSpectrum, params: Controller
     return _evaluate(config, targets, params).cost
 
 
+@_quiet
 def control_law(
     config: RobotConfiguration, targets: TargetSpectrum, params: ControllerParams
 ) -> np.ndarray:
@@ -383,6 +396,7 @@ def barrier(config: RobotConfiguration, targets: TargetSpectrum, params: Control
     return state.barrier
 
 
+@_quiet
 def barrier_gradient(
     config: RobotConfiguration, targets: TargetSpectrum, params: ControllerParams
 ) -> np.ndarray:

@@ -12,8 +12,9 @@ of this package.  Because the diagonal of A is identically zero, m_1 is
 always zero, and because A is entrywise nonnegative every moment is
 nonnegative as well.
 
-Distances come from one function, an axis at a time; from ``_PRODUCT_TEAM``
-robots on, an axis's differences are one BLAS product, bitwise a subtraction.
+Distances come from one function.  A team below ``_PRODUCT_TEAM`` robots gets
+its coordinate differences too, from one broadcast; a larger one forms an axis's
+differences as one BLAS product, bitwise a subtraction, and keeps none.
 
 Entries of A^k admit a combinatorial reading: [A^k]_ij is the total weight
 of all length-k walks from i to j, where the weight of a walk is the product
@@ -51,8 +52,8 @@ __all__ = [
 WALK_ENUMERATION_LIMIT = 1_000_000
 MAX_WALK_LENGTH = 5
 
-# From this many robots on, coordinate differences are a BLAS product, faster
-# than numpy's broadcast subtraction (measured crossover 48-56, one BLAS thread).
+# From this many robots on, coordinate differences are a BLAS product (measured crossover
+# 48-56, one BLAS thread) and the Euclidean drift its centred tail; smaller teams keep them.
 _PRODUCT_TEAM = 56
 
 # Entry points run quietly where floats overflow (an infinite distance is a
@@ -157,27 +158,35 @@ class MomentVector:
         return self.values.shape[0]
 
 
-def _pairwise_distance(positions: np.ndarray, metric: int) -> np.ndarray:
-    """All (n, n) distances between the rows of an (n, d) array in the caller's checked
-    ``metric`` (1 taxicab, 2 Euclidean) and error state, inf beyond float range, one
-    axis at a time so that no (n, n, d) array forms; the diagonal is exactly zero.
+def _differences(positions: np.ndarray) -> np.ndarray:
+    """x_ir - x_jr for the rows of an (n, d) array, as one C-contiguous (d, n, n) array."""
+    columns = positions.T.copy()  # C order, so that the differences are too
+    return columns[:, :, None] - columns[:, None, :]
 
-    From ``_PRODUCT_TEAM`` robots on, an axis's differences are one BLAS product
-    [x, 1] @ [1; -x]: its entries x_i * 1 + 1 * (-x_j) hold two exact products and
-    round once, to the float x_i - x_j gives (a zero may differ in sign, which abs
-    and square drop); smaller teams subtract by broadcasting, cheaper there."""
+
+def _pairwise_distance(positions: np.ndarray, metric: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """All (n, n) distances between the rows of an (n, d) array in the caller's checked
+    ``metric`` (1 taxicab, 2 Euclidean) and error state, inf beyond float range, the
+    diagonal exactly zero; and the differences x_ir - x_jr as a (d, n, n) array, or None.
+
+    Below ``_PRODUCT_TEAM`` robots the differences are one broadcast, C-contiguous and
+    returned.  From there on, one axis at a time, each axis's are one BLAS product
+    [x, 1] @ [1; -x]: its entries x_i * 1 + 1 * (-x_j) hold two exact products and round
+    once, to the float x_i - x_j gives (a zero may differ in sign, which abs and square
+    drop), so the distances are bitwise the same; no (n, n, d) array forms or is kept."""
     n = len(positions)
-    left, right = (np.ones((n, 2)), np.ones((2, n))) if n >= _PRODUCT_TEAM else (None, None)
-    total = None
-    for column in positions.T:
-        if left is None:
-            diff = column[:, None] - column
-        else:
+    if n < _PRODUCT_TEAM:
+        differences = _differences(positions)
+        total = np.add.reduce(np.abs(differences) if metric == 1 else np.square(differences))
+    else:
+        differences = total = None
+        left, right = np.ones((n, 2)), np.ones((2, n))
+        for column in positions.T:
             left[:, 0], right[1] = column, -column
             diff = np.matmul(left, right)
-        term = np.abs(diff, out=diff) if metric == 1 else np.square(diff, out=diff)
-        total = term if total is None else np.add(total, term, out=total)
-    return total if metric == 1 else np.sqrt(total, out=total)
+            term = np.abs(diff, out=diff) if metric == 1 else np.square(diff, out=diff)
+            total = term if total is None else np.add(total, term, out=total)
+    return (total if metric == 1 else np.sqrt(total, out=total)), differences
 
 
 @_quiet
@@ -192,7 +201,7 @@ def build_adjacency(config: RobotConfiguration, decay: float, metric: int) -> We
         raise ValueError(f"decay must be a positive real, got {decay}")
     if metric not in (1, 2):
         raise ValueError(f"metric must be 1 or 2, got {metric}")
-    distance = _pairwise_distance(config.positions, metric)
+    distance = _pairwise_distance(config.positions, metric)[0]
     weights = _adjacency(distance, decay, out=distance)
     return _freeze(object.__new__(WeightedAdjacency), "weights", weights)
 

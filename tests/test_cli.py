@@ -38,8 +38,9 @@ Core claims:
     - ``python -m momentflow.cli`` hands main's status to the shell
     - on generated files with one to three hostile schema values, max_time
       among them, run and spectrum exit 0..5 within 2 s under a budget of
-      2,000 trial steps, without a traceback or warning, printing at most
-      one stderr line unless every line is an ``invalid ...`` reason
+      2,000 trial steps (a timer interrupts a call that overruns), without a
+      traceback or warning, printing at most one stderr line unless every
+      line is an ``invalid ...`` reason
     - a run that spends its trial-step budget ends stalled (exit 4) and says so
     - spectrum of 100 spread robots, whose differences are BLAS products,
       prints the eigenvalues and power-sum moments of an independent oracle
@@ -52,6 +53,7 @@ import io
 import json
 import logging
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -1243,8 +1245,13 @@ _HOSTILE = st.sampled_from([
 _MUTABLE_KEYS = sorted(SCHEMA)
 # Each call must end within _WALL_BOUND seconds; a budget of _SMALL_BUDGET
 # trial steps ends a run toward a huge horizon (max_time 1e300) well before.
+# A timer interrupts a call that overruns, so a run that never ends fails.
 _SMALL_BUDGET = 2000
 _WALL_BOUND = 2.0
+
+
+def _overran(signum, frame):
+    raise AssertionError(f"the call did not end within {_WALL_BOUND} s")
 
 
 @st.composite
@@ -1278,9 +1285,15 @@ def test_generated_files_keep_the_exit_contract(data, tmp_path_factory):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch(
             "momentflow.dynamics.MAX_TRIAL_STEPS", _SMALL_BUDGET
         ):
-            started = time.perf_counter()
-            code = main(argv)
-            wall = time.perf_counter() - started
+            handler = signal.signal(signal.SIGALRM, _overran)
+            signal.setitimer(signal.ITIMER_REAL, _WALL_BOUND)
+            try:
+                started = time.perf_counter()
+                code = main(argv)
+                wall = time.perf_counter() - started
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, handler)
         printed = out.getvalue() + err.getvalue()
         assert code in range(6), (argv, printed)
         assert wall < _WALL_BOUND, (argv, wall)

@@ -28,7 +28,8 @@ Core claims:
     - the arrays a drift overwrites in place are never read by a live
       state: the public step, which evaluates every state afresh, replays
       a flow's trial steps to the same accept/reject sequence and the same
-      final positions
+      final positions, also when each drift's kept coordinate differences
+      are overwritten with NaN once it has consumed them
     - targets with m_2* = 0 and some m_k* > 0 are unrealizable; all-zero
       targets are not
     - a step whose candidate, its distances or its moments overflow, or
@@ -742,9 +743,27 @@ class TestEvaluationBudget:
     def test_in_place_arrays_not_read_by_live_states(self, order, metric, monkeypatch):
         scenario = _rejecting_scenario(order, metric)
         trials = _recorded_advances(monkeypatch)
+        # Seven robots keep their coordinate differences for the drift, which
+        # (taxicab) writes signs into them.  Poison each set once its drift is
+        # computed: a state that read them again, on a retry at dt/2 say,
+        # would take another drift.
+        project, consumed = gradient._Evaluation._project, []
+
+        def poisoning(state, coefficients):
+            differences = state._differences
+            rows = project(state, coefficients)
+            assert state._differences is None
+            consumed.append(differences)
+            differences.fill(np.nan)
+            return rows
+
+        monkeypatch.setattr(gradient._Evaluation, "_project", poisoning)
         record = simulate(scenario)
         monkeypatch.undo()
         assert record.rejected_steps > 0
+        # One drift per state stepped from, each from its own differences.
+        assert len(consumed) == sum(not known for _, known, _, _ in trials)
+        assert len({id(differences) for differences in consumed}) == len(consumed)
         # step evaluates every state afresh, so an array that a drift
         # overwrote while a state still read it would show as another
         # accept/reject sequence or other positions.

@@ -12,12 +12,20 @@ Core claims:
     - barrier matches the hand formula, is exactly zero when every constant
       is, and refuses nonpositive margins; barrier_gradient matches finite
       differences and the per-moment assembly
+    - with a pair 3.4e308 apart, whose difference overflows to inf, every
+      drift tail gives finite gradients without a numpy warning, zero for
+      the far pair, the same on both sides of the team-size switch
     - finite_difference_gradient is second-order accurate on a known field
 """
+
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from pytest import approx
+
+from momentflow import network
 
 from momentflow.gradient import (
     DEFAULT_EPSILON,
@@ -356,6 +364,32 @@ class TestBarrierGradient:
         nudged = RobotConfiguration(config.positions - 1e-6 * grad)
         after = barrier(nudged, targets, params)
         assert after < before
+
+
+class TestOverflowingTeam:
+    # Robots at x = +-1.7e308 differ by inf and weigh 0 to every robot, so
+    # 0 * inf must never form.  The drift's tails are forced by patching the
+    # switch: the kept differences below it, the centred product (Euclidean)
+    # or broadcast signs (taxicab) at or above it.
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_gradients_stay_finite(self, metric):
+        near = _tie_free_config(4, 2, 3).positions
+        config = RobotConfiguration(np.vstack([[[1.7e308, 0.0], [-1.7e308, 0.0]], near]))
+        params = _params(metric=metric, order=4, epsilons=(0.0, 1e-3, 1e-3, 1e-3))
+        targets = _targets_below(config, params, fraction=0.5)
+        tails = []
+        for team in (config.n + 1, 2):
+            with mock.patch.object(network, "_PRODUCT_TEAM", team), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                gradients = np.stack([
+                    control_law(config, targets, params),
+                    barrier_gradient(config, targets, params),
+                    moment_gradient(config, params, 3),
+                ])
+            assert np.all(gradients[:, :2] == 0.0)
+            assert np.all(np.isfinite(gradients)) and np.any(gradients)
+            tails.append(gradients)
+        assert np.allclose(*tails, rtol=1e-12, atol=0.0)
 
 
 # == 6. Finite-difference oracle =============================================

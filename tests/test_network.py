@@ -64,7 +64,7 @@ def _random_adjacency(n, seed, decay=1.0, metric=2):
 
 def _distances(config, metric):
     """All inter-robot distances of ``config``, from the one distance function."""
-    return _pairwise_distance(config.positions, metric)
+    return _pairwise_distance(config.positions, metric)[0]
 
 
 # == 1. RobotConfiguration ===================================================

@@ -21,6 +21,12 @@ Core claims:
       on either side of the switch between them, with magnitudes from
       1e-300 to 1e300, tied coordinates, coincident robots and differences
       that overflow to inf
+    - the drift's two tails, the kept differences' contraction below the
+      switch and, at or above it, the centred BLAS product (Euclidean) or
+      freshly broadcast signs (taxicab), agree to 1e-12 relative on teams
+      of up to 12 robots, coincident, relabelled and shifted by up to 1e6
+      ones included; their distances are identical, and every path's
+      weights are C-contiguous with a zero diagonal
     - the half chain's moments, ||A^j||_F^2 / n and <A^j, A^(j+1)> / n,
       match the eigenvalue power sums up to s = max_finite_order(n) on
       teams of up to 40 robots, coincident or far-apart ones included, and
@@ -134,7 +140,7 @@ def test_moments_between_zero_and_ceiling(positions, decay, metric):
     # Spread: some pair is far enough apart for its weight to sit visibly
     # below 1, so every moment of order >= 2 sits visibly below its ceiling.
     # A coincident team attains the ceilings exactly.
-    spread = _pairwise_distance(config.positions, metric).max()
+    spread = _pairwise_distance(config.positions, metric)[0].max()
     moments = _moments(positions, decay, metric)
     ceilings = complete_graph_moments(config.n, config.n).values
     assert np.all(moments >= 0.0)
@@ -264,8 +270,62 @@ def test_difference_paths_give_the_same_distances(positions, metric):
         with mock.patch.object(network, "_PRODUCT_TEAM", team), np.errstate(
             over="ignore", invalid="ignore"
         ):
-            distances.append(_pairwise_distance(positions, metric))
+            distances.append(_pairwise_distance(positions, metric)[0])
     assert np.array_equal(*distances)
+
+
+@st.composite
+def _tail_cases(draw):
+    """Up to 12 robots, some coincident, relabelled and shifted by up to 1e6,
+    with targets half their moments and a barrier on every one.
+
+    Robots that do not coincide are at least 0.4/n apart on every axis: the
+    centred tail loses the direction of a pair much closer than its
+    coordinates' rounding (a pair 1e-47 apart in a unit box reads as 0)."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 3))
+    positions = draw(_tie_free_teams(n, d)).positions.copy()
+    if draw(st.booleans()):
+        positions[draw(arrays(bool, n, elements=st.booleans()))] = positions[0]
+    positions = positions[draw(st.permutations(range(n)))]
+    positions += draw(arrays(float, d, elements=st.floats(-1e6, 1e6)))
+    order = draw(st.integers(2, min(5, n)))
+    params = ControllerParams(
+        decay=draw(_DECAY), metric=draw(_METRIC), order=order,
+        epsilons=(0.0,) + (1e-3,) * (order - 1),
+    )
+    adjacency = build_adjacency(RobotConfiguration(positions), params.decay, params.metric)
+    targets = TargetSpectrum(0.5 * spectral_moments(adjacency, order).values)
+    return positions, targets, params
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_tail_cases())
+def test_drift_tails_agree(case):
+    # Below the switch the drift contracts the kept differences; at or above
+    # it, the centred BLAS tail (Euclidean) or fresh signs (taxicab).  Each
+    # is forced by patching the switch.
+    positions, targets, params = case
+    config = RobotConfiguration(positions)
+    distances, drifts = [], []
+    for team in (len(positions) + 1, 2):  # kept differences, then none
+        with mock.patch.object(network, "_PRODUCT_TEAM", team):
+            state = _evaluate(config, targets, params)
+            if team > len(positions):  # kept, in the order the contraction reads them
+                kept = state._differences
+                assert kept.flags.c_contiguous
+                assert np.array_equal(kept, positions.T[:, :, None] - positions.T[:, None, :])
+            built = build_adjacency(config, params.decay, params.metric)
+            for weights in (state.weights, built.weights):
+                # The diagonal is zeroed through a flat view, which a
+                # non-contiguous array would turn into a write to a copy.
+                assert weights.flags.c_contiguous
+                assert np.all(np.diag(weights) == 0.0)
+            distances.append(_pairwise_distance(positions, params.metric)[0])
+            drifts.append(state.drift)
+    assert np.array_equal(*distances)
+    scale = np.abs(drifts[1]).max()
+    assert np.abs(drifts[0] - drifts[1]).max() <= 1e-12 * scale
 
 
 @st.composite
@@ -365,7 +425,8 @@ def test_shifted_team_keeps_drift(case):
     # The shift rounds the team's coordinates, which moves the drift.
     assert drift_change(config.positions) <= 1e-7
     # On a 2^-20 grid the shift is exact, and so are distances and weights:
-    # only the projection can lose digits, which centring prevents.
+    # only the projection could lose digits, and it works from the exact
+    # differences (from centred coordinates at or above the switch).
     assert drift_change(np.round(config.positions * _GRID) / _GRID) <= 1e-12
 
 
