@@ -284,8 +284,8 @@ def step(
 def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
     """:func:`step` from an evaluated state; the next state comes evaluated.
 
-    Runs under its caller's error state: a candidate with a non-finite
-    coordinate is rejected before it is evaluated.  A candidate is evaluated
+    Runs under its caller's error state: a candidate that counts fewer finite
+    coordinates than it has is rejected unevaluated.  A candidate is evaluated
     from its positions alone; its configuration is wrapped only if asked for.
     """
     drift = state.drift
@@ -293,7 +293,7 @@ def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
         raise FlowStalled("the drift is exactly zero, so no step moves the robots")
     positions = state.positions + dt * drift
     candidate = None
-    if np.logical_and.reduce(np.isfinite(positions), axis=None):
+    if np.count_nonzero(np.isfinite(positions)) == positions.size:
         try:
             candidate = _Evaluation(state.flow, positions)
         except ValueError:  # a moment overflowed: no ceiling bounds a bare step()

@@ -43,7 +43,9 @@ flow.  A central finite-difference oracle checks every analytic formula.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -219,15 +221,16 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
 
 
 class _Flow:
-    """What every evaluation in one flow shares, derived once from (targets, params) and n:
-    the goals m_k*, the divisors 4k, the guarded (k, eps_k), the half chain's plan, decay / n."""
+    """What every evaluation in one flow reads, derived once from (targets, params) and n:
+    metric, decay, decay / n, n, slice ::n+1, goals m_k*, divisors 4k, guarded (k, eps_k), plan."""
 
     def __init__(self, targets: TargetSpectrum, params: ControllerParams, n: int) -> None:
         if targets.order != params.order:
             raise ValueError(
                 f"targets carry {targets.order} moments but params.order is {params.order}"
             )
-        self.params, self.scale = params, params.decay / n
+        self.metric, self.decay, self.scale = params.metric, params.decay, params.decay / n
+        self.n, self.diagonal = n, slice(None, None, n + 1)
         self.goal = targets.moments[1:].tolist()
         self.divisors = [4.0 * k for k in range(2, params.order + 1)]
         self.guarded = [(k, eps) for k, eps in enumerate(params.epsilons[1:], 2) if eps]
@@ -241,8 +244,9 @@ class _Evaluation:
     as it does a small team's differences; the half chain A..A^h, h = ceil(s/2), gives the
     moments m_1..m_s, the margins m_k - m_k* (k = 2..s), the cost and the barrier, all
     floats.  One :meth:`_project` gives any one gradient (the drift is kept, ``still`` if
-    it is exactly zero).  The configuration, adjacency and moment vector are wrapped only
-    when asked for.  Every sum runs in one fixed order, so results are bitwise reproducible.
+    it has no nonzero entry: all +-0, no NaN).  The configuration, adjacency and moment
+    vector are wrapped only when asked for.  Every sum runs in one fixed order (the cost's
+    left to right, not by 3.12's compensated ``sum``), so results are bitwise reproducible.
     """
 
     __slots__ = ("flow", "positions", "_config", "_distance", "_differences", "weights",
@@ -250,19 +254,20 @@ class _Evaluation:
 
     def __init__(self, flow: _Flow, positions: np.ndarray, config=None) -> None:
         self.flow, self.positions, self._config, self._drift = flow, positions, config, None
-        euclidean = flow.params.metric == 2
-        distance, self._differences = _pairwise_distance(positions, flow.params.metric)
+        euclidean = flow.metric == 2
+        distance, self._differences = _pairwise_distance(positions, flow.metric)
         self._distance = distance if euclidean else None
-        self.weights = _adjacency(distance, flow.params.decay, out=None if euclidean else distance)
+        self.weights = _adjacency(distance, flow.decay, out=None if euclidean else distance)
         self.moments, self.chain = _half_chain(self.weights, flow.plan)
-        margins = self.margins = [m - g for m, g in zip(self.moments[1:], flow.goal)]
-        self.cost = sum(m * m / q for m, q in zip(margins, flow.divisors))
+        margins = self.margins = list(map(operator.sub, self.moments[1:], flow.goal))
+        cost = barrier = 0.0
+        for margin, divisor in zip(margins, flow.divisors):
+            cost += margin * margin / divisor
         # An interior barrier: +inf where a guarded margin, or its term's divisor, is not positive.
-        barrier = 0.0
         for k, eps in flow.guarded:
             margin = margins[k - 2]
             barrier += eps / q if margin > 0 and (q := 4.0 * k * margin * margin) else np.inf
-        self.barrier = barrier
+        self.cost, self.barrier = cost, barrier
 
     @property
     def config(self) -> RobotConfiguration:
@@ -300,22 +305,24 @@ class _Evaluation:
         From the half chain, W = sum_{p<h} c_p A^p + A^h (c_h I + sum_i c_(h+i) A^i):
         one product from s = 4 on.  The rows contract the differences (taxicab: their signs),
         kept below ``_PRODUCT_TEAM`` robots; a larger or overflowed Euclidean team takes
-        the centred tail.  Once per evaluation: it consumes the kept distances, differences
-        and chain (written in place), so only the weights stay.
+        the centred tail, whose error in a nearly coincident pair's direction grows as
+        ulp(extent)/gap (README); the contraction forms x_i - x_j exactly.  Once per
+        evaluation: it consumes the kept distances, differences and chain (written in place).
         """
-        positions = self.positions
-        n = len(positions)
+        positions, flow = self.positions, self.flow
         chain, self.chain = self.chain, None
-        q = weighted = None
-        high = [(c, power) for c, power in zip(coefficients[len(chain):], chain) if c]
-        if high:  # the terms from A^h on, as A^h Q
+        h, q, weighted = len(chain), None, None
+        tail = coefficients[h:]
+        high = [*compress(zip(tail, chain), tail)]
+        if high:  # the nonzero terms from A^h on, as A^h Q
             q = np.multiply(*high[0])
             for coefficient, power in high[1:]:
                 weighted = np.multiply(coefficient, power, out=weighted)
                 q += weighted
-            q.ravel()[:: n + 1] += coefficients[len(chain) - 1]
+            diagonal = q.ravel()[flow.diagonal]  # a view: += writes q, with no copy back
+            diagonal += coefficients[h - 1]
             weighted = _product(chain[-1], q, out=weighted)
-            coefficients = coefficients[: len(chain) - 1]
+            coefficients = coefficients[: h - 1]
         for k, (coefficient, power) in enumerate(zip(coefficients, chain)):
             if coefficient:
                 term = np.multiply(coefficient, power, out=power if k else q)
@@ -324,13 +331,13 @@ class _Evaluation:
             return np.zeros_like(positions)
         mixed = np.multiply(weighted, self.weights, out=weighted)
         differences, self._differences = self._differences, None
-        if self.flow.params.metric == 1:
+        if flow.metric == 1:
             if differences is None:
                 differences = _differences(positions)
             np.sign(differences, out=differences)
         else:
             dist, self._distance = self._distance, None
-            if differences is not None and dist.max() == np.inf:
+            if differences is not None and np.count_nonzero(dist == np.inf):
                 differences = None  # an inf x_i - x_j times its zero weight is NaN
             # 1/inf makes the diagonal and coincident pairs give 0.
             dist[dist == 0.0] = np.inf
@@ -338,19 +345,20 @@ class _Evaluation:
         if differences is not None:  # rows_i = sum_j M'_ij D_ij
             rows = np.vecdot(mixed, differences).T
         else:
-            centred = positions - np.add.reduce(positions) / n
+            centred = positions - np.add.reduce(positions) / flow.n
             rows = centred * np.add.reduce(mixed, axis=1)[:, None]
             rows -= mixed @ centred
-        rows *= self.flow.scale
+        rows *= flow.scale
         return rows
 
     @property
     def drift(self) -> np.ndarray:
-        """The flow's velocity -grad(f + b) as an (n, d) array, one projection."""
+        """The flow's velocity -grad(f + b) as an (n, d) array: one projection of the
+        coefficients m_k - m_k* - eps_k / (m_k - m_k*)^3, formed in one pass."""
         if self._drift is None:
-            pairs = zip(self.margins, self._barrier_coefficients())
-            self._drift = self._project([m - b for m, b in pairs])
-            self.still = not np.logical_or.reduce(self._drift, axis=None)
+            barrier_terms = self._barrier_coefficients()
+            self._drift = self._project([*map(operator.sub, self.margins, barrier_terms)])
+            self.still = not np.count_nonzero(self._drift)
         return self._drift
 
 

@@ -170,14 +170,18 @@ def _pairwise_distance(positions: np.ndarray, metric: int) -> tuple[np.ndarray, 
     diagonal exactly zero; and the differences x_ir - x_jr as a (d, n, n) array, or None.
 
     Below ``_PRODUCT_TEAM`` robots the differences are one broadcast, C-contiguous and
-    returned.  From there on, one axis at a time, each axis's are one BLAS product
+    returned; their squares (absolute values) add up in place in axis order, bitwise
+    ``np.add.reduce``.  From there on, one axis at a time, each axis's are one BLAS product
     [x, 1] @ [1; -x]: its entries x_i * 1 + 1 * (-x_j) hold two exact products and round
     once, to the float x_i - x_j gives (a zero may differ in sign, which abs and square
     drop), so the distances are bitwise the same; no (n, n, d) array forms or is kept."""
     n = len(positions)
     if n < _PRODUCT_TEAM:
         differences = _differences(positions)
-        total = np.add.reduce(np.abs(differences) if metric == 1 else np.square(differences))
+        terms = np.abs(differences) if metric == 1 else np.square(differences)
+        total = terms[0]
+        for axis in range(1, len(terms)):
+            total += terms[axis]
     else:
         differences = total = None
         left, right = np.ones((n, 2)), np.ones((2, n))
@@ -268,15 +272,18 @@ def _half_chain(weights: np.ndarray, plan) -> tuple[list[float], list[np.ndarray
 
     A is symmetric: m_2j = ||A^j||_F^2 / n, m_(2j+1) = <A^j, A^(j+1)> / n, and m_1 = 0.
     Each power is A^k = A^ceil(k/2) (A^floor(k/2))^T, a BLAS syrk for even k.
-    ``plan`` is :func:`_chain_plan`'s; a moment that overflows raises ValueError.
+    ``plan`` is :func:`_chain_plan`'s; a moment that overflows raises ValueError, whose
+    message :func:`_check_overflow` builds only then.
     """
     n = len(weights)
     products, traces = plan
-    chain = [weights]
+    chain, moments = [weights], [0.0]
     for left, right in products:
         chain.append(_product(chain[left], chain[right].T))
-    moments = [0.0] + [float(np.vdot(chain[i], chain[j])) / n for i, j in traces]
-    _check_overflow(moments, "moment")
+    for i, j in traces:
+        moments.append(float(np.vdot(chain[i], chain[j])) / n)
+    if not all(map(math.isfinite, moments)):
+        _check_overflow(moments, "moment")
     return moments, chain
 
 

@@ -20,6 +20,10 @@ Core claims:
     - simulate evaluates each configuration once: one distance matrix per
       start check and per trial step, the start's last check being the
       first state, and the presets keep their step counts
+    - momentflow's own code opens at most about 13.5 Python frames per trial
+      step on hexagon7, its start and record included
+    - a drift counts as still only if it has no nonzero entry: all -0.0
+      stalls, zeros and one NaN are rejected as a non-finite candidate
     - a trial step, accepted or rejected, wraps no moment vector,
       adjacency or configuration; the record wraps one moment vector per
       sample and one adjacency
@@ -42,6 +46,8 @@ Core claims:
 """
 
 import dataclasses
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -385,6 +391,23 @@ class TestStep:
         state = gradient._evaluate(config, targets, params)
         assert dynamics._advance(state, 0.05) == (state, False, 0.025)
 
+    @pytest.mark.parametrize("value, still", [(-0.0, True), (np.nan, False)])
+    def test_still_means_no_nonzero_entry(self, monkeypatch, value, still):
+        # A drift of -0.0 everywhere moves no robot: the state is still and
+        # the trial step stalls.  A drift of zeros and one NaN is not still:
+        # its candidate is not finite, so the step is rejected and dt halved.
+        config, targets, params = _two_robot_state(gap=1.0, target=0.05)
+        drift = np.full(config.positions.shape, -0.0)
+        drift[1, 0] = value
+        monkeypatch.setattr(gradient._Evaluation, "_project", lambda state, coefficients: drift)
+        state = gradient._evaluate(config, targets, params)
+        assert state.drift is drift and state.still is still
+        if still:
+            with pytest.raises(FlowStalled, match="drift is exactly zero"):
+                dynamics._advance(state, 0.05)
+        else:
+            assert dynamics._advance(state, 0.05) == (state, False, 0.025)
+
     def test_stall_at_step_floor(self, monkeypatch):
         # Every trial is rejected: dt halves down to the floor, then stalls.
         _unbuildable_candidates(monkeypatch)
@@ -713,6 +736,32 @@ class TestEvaluationBudget:
         assert all(any(sample.moments is v for v in vectors) for sample in record.samples)
         # One adjacency, for the final eigenvalues.
         assert sum(isinstance(x, WeightedAdjacency) for x in built) == 1
+
+    def test_momentflow_frames_per_trial_step(self):
+        # A small team's trial step is about 30 numpy calls on 7 x 7 arrays,
+        # so Python glue sets much of its time.  Count the Python frames that
+        # momentflow's own code opens (numpy's wrappers vary with its
+        # version) over hexagon7's pinned 969 trial steps, its start and its
+        # record included: 13.05 per trial step.
+        package = os.path.dirname(network.__file__) + os.sep
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                calls += 1
+
+        scenario, previous = preset("hexagon7"), sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            record = simulate(scenario)
+        finally:
+            sys.setprofile(previous)
+        trials = record.accepted_steps + record.rejected_steps
+        assert trials == 969
+        # At least _advance and the candidate's evaluation, distances, weights
+        # and half chain per trial step; at most the measured count + 0.5.
+        assert 5 * trials <= calls <= 13.55 * trials
 
     @pytest.mark.parametrize("order", range(2, 8))
     def test_products_per_trial_step(self, order, monkeypatch):

@@ -21,6 +21,8 @@ Core claims:
       on either side of the switch between them, with magnitudes from
       1e-300 to 1e300, tied coordinates, coincident robots and differences
       that overflow to inf
+    - below that switch, the in-place sum of the axes' squares (absolute
+      values) is bitwise np.add.reduce over axis 0, for d = 1, 2 and 3
     - the drift's two tails, the kept differences' contraction below the
       switch and, at or above it, the centred BLAS product (Euclidean) or
       freshly broadcast signs (taxicab), agree to 1e-12 relative on teams
@@ -253,7 +255,13 @@ def _teams_across_the_switch(draw):
     the product path's team size."""
     switch = network._PRODUCT_TEAM
     n = draw(st.one_of(st.integers(2, switch - 1), st.integers(switch, switch + 16)))
-    d = draw(st.integers(1, 3))
+    return draw(_wide_teams(n, draw(st.integers(1, 3))))
+
+
+@st.composite
+def _wide_teams(draw, n, d):
+    """(n, d) positions from 1e-300 to 1e300 in magnitude, half of them from a
+    small pool of values."""
     if draw(st.booleans()):
         pool = draw(st.lists(_MAGNITUDES, min_size=1, max_size=6))
         return draw(arrays(float, (n, d), elements=st.sampled_from(pool)))
@@ -272,6 +280,22 @@ def test_difference_paths_give_the_same_distances(positions, metric):
         ):
             distances.append(_pairwise_distance(positions, metric)[0])
     assert np.array_equal(*distances)
+
+
+@pytest.mark.parametrize("metric", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_in_place_axis_sum_is_add_reduce(d, metric, data):
+    # Below the product path's team size, the axes' squares (taxicab: absolute
+    # values) are added in place in axis order: bitwise np.add.reduce over
+    # axis 0, also with ties, coincident robots and overflowing differences.
+    positions = data.draw(_wide_teams(data.draw(st.integers(2, network._PRODUCT_TEAM - 1)), d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance, differences = _pairwise_distance(positions, metric)
+        terms = np.abs(differences) if metric == 1 else np.square(differences)
+        total = np.add.reduce(terms, axis=0)
+        assert np.array_equal(distance, total if metric == 1 else np.sqrt(total))
 
 
 @st.composite
