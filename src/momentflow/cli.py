@@ -46,10 +46,8 @@ from .gradient import (
 from .network import (
     RobotConfiguration,
     WeightedAdjacency,
-    build_adjacency,
-    eigenvalues,
+    moments_and_eigenvalues,
     power_chain,
-    spectral_moments,
     walk_weight_sum,
 )
 from .scenarios import (
@@ -78,6 +76,7 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+_package_logger = logging.getLogger(__package__)
 
 EXIT_CONVERGED = 0
 EXIT_HORIZON = 1
@@ -88,6 +87,7 @@ EXIT_IO = 5
 _EXIT_FOR_REASON = {"converged": EXIT_CONVERGED, "horizon": EXIT_HORIZON, "stalled": EXIT_STALLED}
 
 _FLOAT_FMT = "%.17g"
+_G6 = "{:.6g}".format  # spectrum's numbers, formatted without a Python frame each
 
 
 class _Failure(Exception):
@@ -258,10 +258,13 @@ def _load(command: str, path: Optional[str], preset_name: Optional[str]) -> dict
     if preset_name is not None:
         return preset_data(preset_name)
     try:
-        with open(path) as handle:
-            data = json.load(handle)
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot read file: {exc}") from exc
+    try:
+        # Strict UTF-8 (RFC 8259): a BOM stays and fails; newlines as text mode reads them.
+        data = json.loads(raw.decode().replace("\r\n", "\n").replace("\r", "\n"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise _Failure(EXIT_IO, f"file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -426,38 +429,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # == spectrum ==============================================================
 
-def _print_spectrum(
-    config: RobotConfiguration, decay: float, metric: int, order: int, title: str = ""
-) -> None:
-    adjacency = build_adjacency(config, decay, metric)
-    try:
-        moments = spectral_moments(adjacency, order)
-    except ValueError as exc:
-        raise _Failure(EXIT_VALIDATION, f"cannot evaluate the spectrum: {exc}") from exc
-    eigs = ", ".join(f"{v:.6g}" for v in eigenvalues(adjacency).tolist())
-    lines = [title] if title else []
-    lines.append(f"n = {config.n}, d = {config.d}, c = {decay:g}, z = {metric}")
-    lines.append(f"eigenvalues (descending): {eigs}")
-    lines += (f"m_{k} = {v:.6g}" for k, v in enumerate(moments.values.tolist(), start=1))
-    print("\n".join(lines))
-
-
 def cmd_spectrum(args: argparse.Namespace) -> int:
     data = _load("spectrum", args.path, args.preset)
     if "targets" not in data:
-        _print_spectrum(*_valid(positions_from_dict(data), "positions file"))
-        return 0
-
-    scenario = _valid(scenario_from_dict(data), "scenario")
-    config = scenario.initial_configuration()
-    params = scenario.params
-    title = f"scenario {scenario.name}: initial configuration"
-    _print_spectrum(config, params.decay, params.metric, params.order, title)
-    goals = ", ".join(f"{v:.6g}" for v in scenario.targets.moments)
-    print(f"target moments: {goals}")
-    if scenario.targets.reference_eigenvalues is not None:
-        ref = ", ".join(f"{v:.6g}" for v in scenario.targets.reference_eigenvalues)
-        print(f"reference eigenvalues: {ref}")
+        config, decay, metric, order = _valid(positions_from_dict(data), "positions file")
+        lines, targets = [], None
+    else:
+        scenario = _valid(scenario_from_dict(data), "scenario")
+        config, targets = scenario.initial_configuration(), scenario.targets
+        decay, metric, order = scenario.params.decay, scenario.params.metric, scenario.params.order
+        lines = [f"scenario {scenario.name}: initial configuration"]
+    try:
+        moments, eigs = moments_and_eigenvalues(config, decay, metric, order)
+    except ValueError as exc:
+        raise _Failure(EXIT_VALIDATION, f"cannot evaluate the spectrum: {exc}") from exc
+    n, d = config.positions.shape
+    lines.append(f"n = {n}, d = {d}, c = {decay:g}, z = {metric}")
+    lines.append("eigenvalues (descending): " + ", ".join(map(_G6, eigs.tolist())))
+    lines += map("m_{} = {:.6g}".format, range(1, order + 1), moments)
+    if targets is not None:
+        lines.append("target moments: " + ", ".join(map(_G6, targets.moments.tolist())))
+        if targets.reference_eigenvalues is not None:
+            reference = targets.reference_eigenvalues.tolist()
+            lines.append("reference eigenvalues: " + ", ".join(map(_G6, reference)))
+    print("\n".join(lines))
     return 0
 
 
@@ -553,8 +548,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger(__package__).setLevel(logging.INFO if args.verbose else logging.WARNING)
+    if not logging.root.handlers:  # basicConfig's own test, without its lock
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    level = logging.INFO if args.verbose else logging.WARNING
+    if _package_logger.level != level:  # setLevel clears every logger's cache
+        _package_logger.setLevel(level)
     start = time.perf_counter()
     code = _exit_status(args.handler, args)
     logger.info("command finished in %.2f s with exit status %d",

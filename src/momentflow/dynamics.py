@@ -33,6 +33,7 @@ compression.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -119,15 +120,15 @@ class SimulationSettings:
     record_every: int = DEFAULT_RECORD_EVERY
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.dt) or self.dt <= 0.0:
+        if not math.isfinite(self.dt) or self.dt <= 0.0:
             raise ValueError(f"dt must be a positive real, got {self.dt}")
         if self.dt < DEFAULT_MIN_STEP:
             raise ValueError(
                 f"dt {self.dt} must not be below the minimum step size {DEFAULT_MIN_STEP:g}"
             )
-        if not np.isfinite(self.max_time) or self.max_time <= 0.0:
+        if not math.isfinite(self.max_time) or self.max_time <= 0.0:
             raise ValueError(f"max_time must be a positive real, got {self.max_time}")
-        if not np.isfinite(self.cost_tolerance) or self.cost_tolerance <= 0.0:
+        if not math.isfinite(self.cost_tolerance) or self.cost_tolerance <= 0.0:
             raise ValueError(
                 f"cost_tolerance must be a positive real, got {self.cost_tolerance}"
             )

@@ -43,6 +43,7 @@ flow.  A central finite-difference oracle checks every analytic formula.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import compress
@@ -128,14 +129,14 @@ class TargetSpectrum:
             raise ValueError(
                 f"target moments must be a 1-D array of at least 2 values, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("target moments must be finite")
         _freeze(self, "moments", vals)
         if self.reference_eigenvalues is not None:
             eigs = np.array(self.reference_eigenvalues, dtype=float)
             if eigs.ndim != 1 or eigs.size < 2:
                 raise ValueError("reference_eigenvalues must be a 1-D array of at least 2 values")
-            if not np.all(np.isfinite(eigs)):
+            if not np.isfinite(eigs).all():
                 raise ValueError("reference_eigenvalues must be finite")
             _freeze(self, "reference_eigenvalues", eigs)
 
@@ -163,20 +164,20 @@ class ControllerParams:
     epsilons: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.decay) or self.decay <= 0.0:
+        if not math.isfinite(self.decay) or self.decay <= 0.0:
             raise ValueError(f"decay must be a positive real, got {self.decay}")
         if self.metric not in (1, 2):
             raise ValueError(f"metric must be 1 or 2, got {self.metric}")
         if self.order < 2:
             raise ValueError(f"order must be at least 2, got {self.order}")
-        eps = tuple(float(e) for e in self.epsilons) or default_epsilons(self.order)
+        eps = tuple(map(float, self.epsilons)) or default_epsilons(self.order)
         if len(eps) != self.order:
             raise ValueError(
                 f"need {self.order} epsilons (barrier constants), got {len(eps)}"
             )
         if eps[0] != 0.0:
             raise ValueError("epsilons[0], the k=1 barrier constant, must be zero")
-        if any(not np.isfinite(e) or e < 0.0 for e in eps):
+        if not all(map(math.isfinite, eps)) or min(eps) < 0.0:
             raise ValueError("epsilons (barrier constants) must be finite and nonnegative")
         object.__setattr__(self, "epsilons", eps)
 
@@ -339,8 +340,10 @@ class _Evaluation:
             dist, self._distance = self._distance, None
             if differences is not None and np.count_nonzero(dist == np.inf):
                 differences = None  # an inf x_i - x_j times its zero weight is NaN
-            # 1/inf makes the diagonal and coincident pairs give 0.
-            dist[dist == 0.0] = np.inf
+            # 1/inf makes the diagonal and coincident pairs, if any, give 0.
+            dist.ravel()[flow.diagonal] = np.inf
+            if np.count_nonzero(dist) < dist.size:
+                dist[dist == 0.0] = np.inf
             mixed /= dist
         if differences is not None:  # rows_i = sum_j M'_ij D_ij
             rows = np.vecdot(mixed, differences).T

@@ -39,6 +39,7 @@ __all__ = [
     "power_chain",
     "spectral_moments",
     "eigenvalues",
+    "moments_and_eigenvalues",
     "moments_from_eigenvalues",
     "complete_graph_moments",
     "max_finite_order",
@@ -116,9 +117,9 @@ class WeightedAdjacency:
             raise ValueError(f"weights must be square, got shape {w.shape}")
         if w.shape[0] < 2:
             raise ValueError("weight matrix needs at least 2 nodes")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        if np.any(np.diag(w) != 0.0):
+        if w.diagonal().any():
             raise ValueError("diagonal weights must be exactly zero")
         if not np.array_equal(w, w.T):
             raise ValueError("weight matrix must be symmetric")
@@ -148,7 +149,7 @@ class MomentVector:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError(f"moment values must be a nonempty 1-D array, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("moment values must be finite")
         _freeze(self, "values", vals)
 
@@ -201,13 +202,18 @@ def build_adjacency(config: RobotConfiguration, decay: float, metric: int) -> We
     with distance.  The diagonal is forced to exactly zero (robots carry no
     self-loops), which in turn pins the first spectral moment at zero.
     """
-    if not np.isfinite(decay) or decay <= 0.0:
+    weights = _weights(config.positions, decay, metric)
+    return _freeze(object.__new__(WeightedAdjacency), "weights", weights)
+
+
+def _weights(positions: np.ndarray, decay: float, metric: int) -> np.ndarray:
+    """:func:`build_adjacency`'s checks of ``decay`` and ``metric``, then its weights."""
+    if not math.isfinite(decay) or decay <= 0.0:
         raise ValueError(f"decay must be a positive real, got {decay}")
     if metric not in (1, 2):
         raise ValueError(f"metric must be 1 or 2, got {metric}")
-    distance = _pairwise_distance(config.positions, metric)[0]
-    weights = _adjacency(distance, decay, out=distance)
-    return _freeze(object.__new__(WeightedAdjacency), "weights", weights)
+    distance = _pairwise_distance(positions, metric)[0]
+    return _adjacency(distance, decay, out=distance)
 
 
 def _adjacency(distance: np.ndarray, decay: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -297,6 +303,16 @@ def _check_overflow(values, what: str) -> None:
         )
 
 
+@_quiet
+def moments_and_eigenvalues(config: RobotConfiguration, decay: float, metric: int, order: int):
+    """Moments m_1..m_order as a list of floats and eigenvalues, descending: the values
+    and ValueErrors of :func:`spectral_moments` and :func:`eigenvalues` on
+    :func:`build_adjacency`'s weights, under one error state, with no wrapper built."""
+    weights = _weights(config.positions, decay, metric)
+    moments = _half_chain(weights, _chain_plan(order, len(weights)))[0]
+    return moments, np.linalg.eigvalsh(weights)[::-1]
+
+
 def eigenvalues(adjacency: WeightedAdjacency) -> np.ndarray:
     """Real eigenvalues of the symmetric weight matrix, sorted descending."""
     return np.linalg.eigvalsh(adjacency.weights)[::-1].copy()
@@ -310,17 +326,21 @@ def moments_from_eigenvalues(eigs, order: int) -> MomentVector:
     ``spectral_moments`` and doubles as its cross-check.  ``eigs`` must be
     the complete list of n eigenvalues; ``order`` must satisfy
     1 <= order <= n.  A moment that overflows floats raises ValueError.
+    The power table lambda_i^k holds order x n <= n^2 floats, as the weights do.
     """
     lam = np.asarray(eigs, dtype=float)
     if lam.ndim != 1 or lam.size < 2:
         raise ValueError(f"need a 1-D array of at least 2 eigenvalues, got shape {lam.shape}")
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise ValueError("eigenvalues must be finite")
     if not 1 <= order <= lam.size:
         raise ValueError(f"order must satisfy 1 <= order <= {lam.size}, got {order}")
-    values = np.array([np.mean(lam**k) for k in range(1, order + 1)])
+    powers = np.power(lam, np.arange(1.0, order + 1.0)[:, None])
+    if order > 1:  # as lam**2 forms it: a square, where pow may differ by an ulp
+        np.square(lam, out=powers[1])
+    values = np.add.reduce(powers, axis=1) / lam.size
     _check_overflow(values, "moment")
-    return MomentVector(values)
+    return _freeze(object.__new__(MomentVector), "values", values)
 
 
 @_quiet

@@ -30,6 +30,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import reduce
+from itertools import repeat
 from typing import Any, Optional
 
 import numpy as np
@@ -45,11 +46,9 @@ from .gradient import DEFAULT_DECAY, ControllerParams, TargetSpectrum
 from .network import (
     RobotConfiguration,
     _freeze,
-    build_adjacency,
-    eigenvalues,
     max_finite_order,
+    moments_and_eigenvalues,
     moments_from_eigenvalues,
-    spectral_moments,
 )
 
 __all__ = [
@@ -118,14 +117,14 @@ class Scenario:
                 raise ValueError(
                     f"initial positions have shape {pos.shape}, expected ({self.n}, {self.d})"
                 )
-            if not np.all(np.isfinite(pos)):
+            if not np.isfinite(pos).all():
                 raise ValueError("initial positions must be finite")
             _freeze(self, "initial_positions", pos)
 
     def initial_configuration(self) -> RobotConfiguration:
-        """Starting configuration: explicit positions or the seeded draw."""
+        """Starting configuration: explicit positions, checked here already, or the seeded draw."""
         if self.initial_positions is not None:
-            return RobotConfiguration(self.initial_positions)
+            return _freeze(object.__new__(RobotConfiguration), "positions", self.initial_positions)
         return random_geometric_config(self.n, self.d, self.seed)
 
 
@@ -166,10 +165,8 @@ def target_from_formation(
     The returned targets are realizable by construction: a configuration
     attaining them exactly is ``config`` itself.
     """
-    adjacency = build_adjacency(config, params.decay, params.metric)
     return TargetSpectrum(
-        spectral_moments(adjacency, params.order).values,
-        eigenvalues(adjacency),
+        *moments_and_eigenvalues(config, params.decay, params.metric, params.order)
     )
 
 
@@ -292,15 +289,15 @@ def _as(kind: type, value: Any) -> Any:
     JSON kind; booleans are not numbers.
     """
     if kind is np.ndarray:
-        if not isinstance(value, list) or not value or not all(
-            isinstance(row, list) for row in value
-        ):
+        rows = isinstance(value, list) and value and all(map(isinstance, value, repeat(list)))
+        if not rows:
             raise TypeError(value)
         return np.array(value, dtype=float)
     if kind is list:
-        if not isinstance(value, list):
+        numbers = isinstance(value, list) and all(map(isinstance, value, repeat((int, float))))
+        if not numbers or any(map(isinstance, value, repeat(bool))):
             raise TypeError(value)
-        return [_as(float, v) for v in value]
+        return list(map(float, value))
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise TypeError(value)
     return float(value) if kind is float else value
@@ -443,13 +440,13 @@ def _resolve_targets(
         order = config.n if order is None else order
         if order > config.n:
             raise ValueError(f"s={order} exceeds the formation's {config.n} robots")
-        # The file's gains, default barrier constants: only decay and metric matter here.
-        params = ControllerParams(**{**parts["params"], "order": order, "epsilons": ()})
-        goal = target_from_formation(config, params)
+        # target_from_formation's values, without the ControllerParams it would need.
+        params = parts["params"]
+        moments, eigs = moments_and_eigenvalues(config, params["decay"], params["metric"], order)
     except ValueError as exc:
         problems.append(f"invalid formation: {exc}")
         return None
-    return goal.moments, goal.reference_eigenvalues, order
+    return moments, eigs, order
 
 
 def scenario_from_dict(data: Any) -> tuple[Optional[Scenario], list[str]]:

@@ -44,6 +44,11 @@ Core claims:
     - a run that spends its trial-step budget ends stalled (exit 4) and says so
     - spectrum of 100 spread robots, whose differences are BLAS products,
       prints the eigenvalues and power-sum moments of an independent oracle
+    - spectrum prints pinned bytes for one file of each kind it reads
+      (positions in d = 1, 2 and 3, moment targets, formation targets);
+      files are strict UTF-8, so a BOM, UTF-16 or Latin-1 file exits 5 with
+      one line; and a warm call opens at most 38.9 frames of momentflow's
+      code and 2 of the logging package's, on average over those files
 """
 
 import argparse
@@ -976,6 +981,113 @@ class TestSpectrumCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "invalid positions file: need at most 4096 robots, got n=4097\n"
+
+
+# One file of each kind that spectrum reads, with the stdout it prints: positions
+# for d = 1, 2 and 3 (both metrics, default c and s included), moment targets on
+# a seeded start and formation targets on explicit positions.
+_SPECTRUM_FILES = {
+    "line": ({"positions": [[0.0], [0.7], [1.9], [2.2]], "z": 1, "s": 4}, (
+        "n = 4, d = 1, c = 1, z = 1\n"
+        "eigenvalues (descending): 1.03773, 0.218335, -0.510307, -0.745758\n"
+        "m_1 = 0\nm_2 = 0.485281\nm_3 = 0.145069\nm_4 = 0.384769\n")),
+    "plane": ({"positions": [[0.1, 0.2], [0.9, 0.4], [0.5, 1.1], [1.3, 1.0], [0.4, 0.6]],
+               "c": 1.5, "z": 2, "s": 5}, (
+        "n = 5, d = 2, c = 1.5, z = 2\n"
+        "eigenvalues (descending): 1.30161, -0.0512407, -0.275472, -0.391349, -0.58355\n"
+        "m_1 = 0\nm_2 = 0.453278\nm_3 = 0.385098\nm_4 = 0.603095\nm_5 = 0.731514\n")),
+    "space": ({"positions": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.5], [0.2, 1.0, 0.3],
+                             [0.6, 0.4, 1.0], [1.0, 1.0, 1.0], [0.3, 0.8, 0.1]],
+               "c": 0.5, "z": 1}, (
+        "n = 6, d = 3, c = 0.5, z = 1\n"
+        "eigenvalues (descending): 2.3365, -0.0487768, -0.262892, -0.576486, -0.656393, "
+        "-0.791956\n"
+        "m_1 = 0\nm_2 = 1.15352\nm_3 = 1.96103\nm_4 = 5.08294\nm_5 = 11.5229\n"
+        "m_6 = 27.178\n")),
+    "moments": ({"name": "moments", "n": 6, "d": 2, "seed": 3, "z": 2,
+                 "targets": {"moments": [0.0, 0.4, 0.2, 0.3]}}, (
+        "scenario moments: initial configuration\n"
+        "n = 6, d = 2, c = 1, z = 2\n"
+        "eigenvalues (descending): 3.135, -0.236568, -0.515592, -0.733583, -0.798914, "
+        "-0.850341\n"
+        "m_1 = 0\nm_2 = 2.00825\nm_3 = 4.85693\nm_4 = 16.3146\n"
+        "target moments: 0, 0.4, 0.2, 0.3\n")),
+    "formation": ({"name": "formation", "n": 5, "d": 2, "s": 4, "c": 2.0, "z": 2,
+                   "positions": [[0.0, 0.0], [0.5, 0.1], [0.2, 0.6], [0.8, 0.7], [0.4, 0.3]],
+                   "targets": {"formation": {"type": "positions", "parameters": {"positions": [
+                       [0.0, 0.0], [0.3, 0.0], [0.0, 0.3], [0.3, 0.3], [0.15, 0.5]]}}}}, (
+        "scenario formation: initial configuration\n"
+        "n = 5, d = 2, c = 2, z = 2\n"
+        "eigenvalues (descending): 1.4296, -0.101771, -0.307459, -0.345288, -0.675081\n"
+        "m_1 = 0\nm_2 = 0.544719\nm_3 = 0.50856\nm_4 = 0.881574\n"
+        "target moments: 0, 1.02193, 1.44331, 3.24473\n"
+        "reference eigenvalues: 1.99298, -0.218217, -0.428044, -0.669579, -0.677141\n")),
+}
+
+
+def _spectrum_file(tmp_path, kind):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(_SPECTRUM_FILES[kind][0]))
+    return path
+
+
+class TestColdSpectrum:
+    @pytest.mark.parametrize("kind", sorted(_SPECTRUM_FILES))
+    def test_golden_stdout(self, tmp_path, capsys, kind):
+        assert main(["spectrum", str(_spectrum_file(tmp_path, kind))]) == 0
+        assert capsys.readouterr() == (_SPECTRUM_FILES[kind][1], "")
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "latin-1"])
+    def test_files_are_read_as_utf8(self, tmp_path, capsys, encoding):
+        # RFC 8259: JSON exchanged between systems is UTF-8, without a BOM.
+        # The Latin-1 file differs from UTF-8 only in its name's "e acute".
+        data = {**_SPECTRUM_FILES["moments"][0], "name": "caf\u00e9"}
+        path = tmp_path / "encoded.json"
+        path.write_bytes(json.dumps(data, ensure_ascii=False).encode(encoding))
+        assert main(["spectrum", str(path)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("file is not valid JSON: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_utf8_names_print(self, tmp_path, capsys):
+        data = {**_SPECTRUM_FILES["moments"][0], "name": "caf\u00e9"}
+        path = tmp_path / "named.json"
+        path.write_bytes(json.dumps(data, ensure_ascii=False).encode("utf-8"))
+        assert main(["spectrum", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("scenario caf\u00e9: initial configuration\n")
+
+    def test_frames_per_call(self, tmp_path, capsys):
+        # A cold spectrum call's own evaluation is a few numpy calls on small
+        # arrays, so Python glue sets much of its time.  Count the frames that
+        # momentflow's code and the logging package open (numpy's and argparse's
+        # vary with their versions), after one call per file has set the log
+        # level: 38.4 and 2 per call over these five files.
+        paths = [_spectrum_file(tmp_path, kind) for kind in sorted(_SPECTRUM_FILES)]
+        for path in paths:
+            assert main(["spectrum", str(path)]) == 0
+        package = os.path.dirname(main.__code__.co_filename) + os.sep
+        logs = os.path.dirname(logging.__file__) + os.sep
+        calls = {package: 0, logs: 0}
+
+        def profile(frame, event, arg):
+            if event == "call":
+                for prefix in calls:
+                    if frame.f_code.co_filename.startswith(prefix):
+                        calls[prefix] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            codes = [main(["spectrum", str(path)]) for path in paths]
+        finally:
+            sys.setprofile(previous)
+        assert codes == [0] * len(paths)
+        capsys.readouterr()
+        # At least main, the file's reader and the evaluation per call; at most
+        # the measured counts + 0.5 per call.
+        assert 10 * len(paths) <= calls[package] <= 38.9 * len(paths)
+        assert calls[logs] <= 2 * len(paths)
 
 
 # == 7. One parser per process ==============================================

@@ -15,6 +15,10 @@ Core claims:
     - with a pair 3.4e308 apart, whose difference overflows to inf, every
       drift tail gives finite gradients without a numpy warning, zero for
       the far pair, the same on both sides of the team-size switch
+    - the Euclidean drift sets only the diagonal's distances to inf unless a
+      pair coincides, and masks every zero distance when one does: bitwise
+      the drift of masking every zero always, below the team-size switch
+      and at it, with and without a coincident pair
     - finite_difference_gradient is second-order accurate on a known field
 """
 
@@ -30,6 +34,8 @@ from momentflow import network
 from momentflow.gradient import (
     DEFAULT_EPSILON,
     ControllerParams,
+    _Evaluation,
+    _Flow,
     InfeasibleStateError,
     TargetSpectrum,
     barrier,
@@ -390,6 +396,31 @@ class TestOverflowingTeam:
             assert np.all(np.isfinite(gradients)) and np.any(gradients)
             tails.append(gradients)
         assert np.allclose(*tails, rtol=1e-12, atol=0.0)
+
+
+
+class TestZeroDistances:
+    # Order 2 reads the flow's diagonal slice only where the drift marks zero
+    # distances, so an empty slice leaves the diagonal's zeros in place and
+    # makes the drift mask every zero: what it did before the diagonal fast path.
+    @pytest.mark.parametrize("coincident", [False, True])
+    @pytest.mark.parametrize("n", [7, network._PRODUCT_TEAM])
+    def test_masked_as_every_zero(self, n, coincident):
+        positions = 3.0 * np.random.default_rng(n).random((n, 2))
+        if coincident:
+            positions[1] = positions[0]
+        params = _params(order=2, epsilons=(0.0, 1e-3))
+        targets = _targets_below(RobotConfiguration(positions), params, fraction=0.5)
+        flow, every_zero = _Flow(targets, params, n), _Flow(targets, params, n)
+        every_zero.diagonal = slice(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drift = _Evaluation(flow, positions).drift
+            reference = _Evaluation(every_zero, positions).drift
+        assert np.all(np.isfinite(drift)) and np.any(drift)
+        assert np.array_equal(drift, reference)
+        if coincident:  # the pair's own term is 0, so the two see the team alike
+            assert np.allclose(drift[0], drift[1], rtol=1e-12, atol=0.0)
 
 
 # == 6. Finite-difference oracle =============================================
