@@ -56,7 +56,6 @@ from .scenarios import (
     positions_from_dict,
     preset_data,
     scenario_from_dict,
-    scenario_to_dict,
     target_from_formation,
 )
 
@@ -67,8 +66,6 @@ __all__ = [
     "EXIT_UNREALIZABLE",
     "EXIT_STALLED",
     "EXIT_IO",
-    "scenario_to_dict",
-    "scenario_from_dict",
     "apply_override",
     "write_trajectory_csv",
     "build_report",

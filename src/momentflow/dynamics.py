@@ -213,7 +213,7 @@ def ensure_feasible(
 
     The slack for moment k is min(max(_SLACK_FRACTION * |m_k*|,
     _SLACK_FLOOR), half the gap between target and ceiling); the cap keeps
-    the demand attainable; ValueError if rounding stops the compression.
+    the demand attainable; ValueError, saying why, if the compression stops short.
     """
     return _feasible_start(config, targets, params).config
 
@@ -243,18 +243,23 @@ def _feasible_start(config, targets, params) -> _Evaluation:
         state = _Evaluation(flow, current.positions, current)
         if np.all(slack <= state.margins):
             return state
-        centroid = current.positions.mean(axis=0)
-        offsets = current.positions - centroid
-        reach = params.decay * np.abs(offsets).sum(axis=1).max()
+        positions = current.positions
+        centroid = positions.mean(axis=0)
+        if not np.isfinite(positions - centroid).all():  # its sum or an offset overflows
+            centroid = positions.min(axis=0) / 2 + positions.max(axis=0) / 2
+        offsets = positions - centroid
+        reach = min(params.decay * np.abs(offsets).sum(axis=1).max(), np.finfo(float).max)
         if reach > _JUMP_REACH and np.array_equal(state.margins, -goal[1:]):
-            pulled = (_JUMP_REACH / reach) * current.positions
+            pulled = (_JUMP_REACH / reach) * positions  # reach is finite, so this is not 0
         else:
             pulled = centroid + _COMPRESSION_FACTOR * offsets
+        spread = f"{reach / params.decay:.3g} about a centre at {abs(centroid).max():.3g}"
+        if np.array_equal(pulled, positions):
+            raise ValueError(f"centroid compression failed to reach the requested slack: the "
+                             f"team's spread, {spread}, is below the precision of its coordinates")
         current = RobotConfiguration(pulled)
-    raise ValueError(
-        "centroid compression failed to reach the requested slack: the team's "
-        "spread is below the precision of its coordinates"
-    )
+    raise ValueError(f"centroid compression failed to reach the requested slack in "
+                     f"{_MAX_COMPRESSIONS:,} steps: the team's spread was still {spread}")
 
 
 @_quiet

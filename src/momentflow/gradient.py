@@ -27,18 +27,18 @@ one.  Only the coefficients differ: m_k - m_k* for -grad f,
 eps_k / (m_k - m_k*)^3 for grad b, their difference for the drift, and
 -2k at k alone for grad m_k.  With M = A o W, robot i's velocity is one
 contraction sum_j M'_ij D_ij: M' = M and D = sign(x_i - x_j) (taxicab), or
-M' = M / dist (0 where dist = 0) and D = x_i - x_j (Euclidean), as the
-distances keep them below network._PRODUCT_TEAM robots.  From there on, or
-if a distance overflows, the Euclidean form is one product,
+M' = M / dist (0 where dist = 0 or inf) and D = x_i - x_j (Euclidean), as
+the distances keep them below network._PRODUCT_TEAM robots.  The Euclidean
+teams that network keeps no differences for, and only those, take one product,
 
     x_ir * sum_j M'_ij - (M' X)_ir.
 
 Its two terms nearly cancel, so X is taken relative to the centroid: far
-from the origin, raw coordinates would cost digits that the unit
-directions never lose.  The moments, cost and barrier need only A..A^h,
-h = ceil(s/2), from h - 1 n x n products, and W one more from s = 4 on;
-what depends only on the targets, the constants and n is derived once per
-flow.  A central finite-difference oracle checks every analytic formula.
+from the origin, raw coordinates would cost digits that the unit directions
+never lose.  The moments, cost and barrier need only A..A^h, h = ceil(s/2),
+from h - 1 n x n products, and W one more from s = 4 on; what depends only
+on the targets, the constants and n is derived once per flow.  A central
+finite-difference oracle checks every analytic formula.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -215,7 +214,7 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
     """
     if not 2 <= k <= params.order:
         raise ValueError(f"moment index k={k} outside 2..{params.order}")
-    coefficients = np.zeros(params.order - 1)
+    coefficients = [0.0] * (params.order - 1)
     coefficients[k - 2] = -2.0 * k
     state = _evaluate(config, TargetSpectrum(np.zeros(params.order)), params)
     return state._project(coefficients)
@@ -305,19 +304,17 @@ class _Evaluation:
 
         From the half chain, W = sum_{p<h} c_p A^p + A^h (c_h I + sum_i c_(h+i) A^i):
         one product from s = 4 on.  The rows contract the differences (taxicab: their signs),
-        kept below ``_PRODUCT_TEAM`` robots; a larger or overflowed Euclidean team takes
-        the centred tail, whose error in a nearly coincident pair's direction grows as
-        ulp(extent)/gap (README); the contraction forms x_i - x_j exactly.  Once per
-        evaluation: it consumes the kept distances, differences and chain (written in place).
+        kept below ``_PRODUCT_TEAM`` robots (an infinite one counts 0); a larger Euclidean team
+        takes the centred tail, in units of 2^512 past them, whose error in a nearly coincident
+        pair's direction grows as ulp(extent)/gap (README); the contraction forms x_i - x_j
+        exactly.  Once per evaluation: it overwrites the kept distances, differences and chain.
         """
         positions, flow = self.positions, self.flow
         chain, self.chain = self.chain, None
         h, q, weighted = len(chain), None, None
-        tail = coefficients[h:]
-        high = [*compress(zip(tail, chain), tail)]
-        if high:  # the nonzero terms from A^h on, as A^h Q
-            q = np.multiply(*high[0])
-            for coefficient, power in high[1:]:
+        if tail := coefficients[h:]:  # the terms from A^h on, as A^h Q
+            q = np.multiply(tail[0], chain[0])
+            for coefficient, power in zip(tail[1:], chain[1:]):
                 weighted = np.multiply(coefficient, power, out=weighted)
                 q += weighted
             diagonal = q.ravel()[flow.diagonal]  # a view: += writes q, with no copy back
@@ -325,11 +322,8 @@ class _Evaluation:
             weighted = _product(chain[-1], q, out=weighted)
             coefficients = coefficients[: h - 1]
         for k, (coefficient, power) in enumerate(zip(coefficients, chain)):
-            if coefficient:
-                term = np.multiply(coefficient, power, out=power if k else q)
-                weighted = term if weighted is None else np.add(weighted, term, out=weighted)
-        if weighted is None:
-            return np.zeros_like(positions)
+            term = np.multiply(coefficient, power, out=power if k else q)
+            weighted = term if weighted is None else np.add(weighted, term, out=weighted)
         mixed = np.multiply(weighted, self.weights, out=weighted)
         differences, self._differences = self._differences, None
         if flow.metric == 1:
@@ -338,8 +332,8 @@ class _Evaluation:
             np.sign(differences, out=differences)
         else:
             dist, self._distance = self._distance, None
-            if differences is not None and np.count_nonzero(dist == np.inf):
-                differences = None  # an inf x_i - x_j times its zero weight is NaN
+            if differences is not None and np.count_nonzero(far := dist == np.inf):
+                differences[:, far] = 0.0  # an inf x_i - x_j times its zero weight is NaN
             # 1/inf makes the diagonal and coincident pairs, if any, give 0.
             dist.ravel()[flow.diagonal] = np.inf
             if np.count_nonzero(dist) < dist.size:
@@ -348,9 +342,12 @@ class _Evaluation:
         if differences is not None:  # rows_i = sum_j M'_ij D_ij
             rows = np.vecdot(mixed, differences).T
         else:
-            centred = positions - np.add.reduce(positions) / flow.n
+            unit = 2.0**512 if np.abs(positions).max() > 2.0**512 else 1.0  # so nothing overflows
+            scaled = positions / unit
+            centred = scaled - np.add.reduce(scaled) / flow.n
             rows = centred * np.add.reduce(mixed, axis=1)[:, None]
             rows -= mixed @ centred
+            rows *= unit
         rows *= flow.scale
         return rows
 

@@ -4,6 +4,8 @@ The public names of every momentflow module.
 Core claims:
     - every name in a module's ``__all__`` resolves, so ``from momentflow.X
       import *`` works and no entry outlives the code it named
+    - every callable in a module's ``__all__`` is defined there: no module
+      re-exports another's names
     - the package root re-exports nothing; library code imports from the
       submodules
     - the layers below scenarios (network, gradient, dynamics) run without
@@ -48,6 +50,15 @@ def test_all_names_resolve(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_all_names_are_defined_where_listed(name):
+    module = importlib.import_module(name)
+    exported = [getattr(module, entry) for entry in module.__all__]
+    foreign = [f"{obj.__module__}.{obj.__name__}" for obj in exported
+               if callable(obj) and obj.__module__ != name]
+    assert foreign == []
 
 
 def test_package_root_exports_nothing():

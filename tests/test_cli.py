@@ -23,7 +23,8 @@ Core claims:
     - a stalled run says why it stalled, in its report and summary line
     - a start whose weights underflow to 0 runs and converges, and spectrum
       prints it, like any other input; so does a pair 1e300 apart, and a
-      start that compression cannot repair exits 2 with one line
+      start that compression cannot repair exits 2 with one line, a pair at
+      x = 1.7e308 among them, which says where compression stopped
     - a Euclidean distance that overflows is a weight of 0: run and
       spectrum print no numpy warning
     - every failure prints its reason to stderr, one line per problem: a
@@ -83,8 +84,6 @@ from momentflow.cli import (
     build_parser,
     build_report,
     main,
-    scenario_from_dict,
-    scenario_to_dict,
     write_trajectory_csv,
 )
 from momentflow.dynamics import simulate
@@ -103,6 +102,8 @@ from momentflow.scenarios import (
     preset,
     preset_data,
     random_geometric_config,
+    scenario_from_dict,
+    scenario_to_dict,
     target_from_formation,
 )
 
@@ -196,6 +197,9 @@ class TestScenarioDicts:
         text = " ".join(problems)
         for needle in ("'name'", "'n'", "'d'", "'targets'", "'seed'"):
             assert needle in text
+        # Data that is not a JSON object has no fields to name.
+        for data in ([], "scenario", None):
+            assert scenario_from_dict(data) == (None, ["scenario data must be a JSON object"])
 
     def test_type_guards(self):
         data = _fast_scenario_data()
@@ -673,6 +677,23 @@ class TestRunCommand:
         assert code == EXIT_VALIDATION
         assert captured.out == ""
         assert captured.err.startswith("cannot run: centroid compression failed")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_far_pair_sharing_a_coordinate_exit(self, tmp_path, capsys, metric):
+        # Every coordinate is finite, and so is every centre that compression
+        # takes; at a centre near 8.5e307 it stops short, and says so.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "name": "far", "n": 4, "d": 2, "z": metric,
+            "positions": [[1.7e308, 0], [1.7e308, 1], [0, 0], [0, 1]],
+            "targets": {"moments": [0, 0.1, 0.01]},
+        }))
+        code = main(["run", str(path), "-o", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.err.startswith("cannot run: centroid compression failed")
+        assert "about a centre at 8.5e+307, is below the precision" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
     def test_overflowing_distance_run_quiet(self, tmp_path, capsys):

@@ -41,8 +41,10 @@ Core claims:
       numpy warning
     - simulate and step leave numpy's error state as they found it, on
       every exit path
-    - a start too far apart for any weight to register is repaired; one
-      that rounding keeps from contracting raises ValueError
+    - a start too far apart for any weight to register is repaired, also
+      when its reach overflows; one that rounding keeps from contracting, a
+      pair at x = 1.7e308 among them, or that 5,000 contractions leave too
+      far apart raises ValueError, whose message says which
 """
 
 import dataclasses
@@ -286,8 +288,35 @@ class TestEnsureFeasible:
     def test_rounding_bound_start_raises(self):
         # 2 ulps apart at 1e20: every contraction rounds back short.
         config = RobotConfiguration([[1e20], [1e20 + 32768.0]])
-        with pytest.raises(ValueError, match="centroid compression failed"):
+        with pytest.raises(ValueError, match="centroid compression failed.*below the precision"):
             ensure_feasible(config, TargetSpectrum([0.0, 0.5]), _params(order=2))
+
+    def test_overflowing_reach_jumps_without_collapsing(self):
+        # Every moment is 0 and the taxicab reach, 3.4e308, overflows: the jump
+        # takes the largest float for it, so the team shrinks but stays apart.
+        config = RobotConfiguration([[1.7e308, 1.7e308], [-1.7e308, -1.7e308], [0.0, 0.0]])
+        targets, params = TargetSpectrum([0.0, 0.5]), _params(metric=2, order=2)
+        repaired = ensure_feasible(config, targets, params)
+        assert len(np.unique(repaired.positions, axis=0)) == 3
+        assert np.all(feasibility_margin(repaired, targets, params) > 0.0)
+
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_far_pair_sharing_a_coordinate_says_why(self, metric):
+        # The x coordinates' sum overflows, so compression centres on the
+        # midrange, 8.5e307, where it stops at a spread of a few of its ulps.
+        config = RobotConfiguration([[1.7e308, 0.0], [1.7e308, 1.0], [0.0, 0.0], [0.0, 1.0]])
+        targets = TargetSpectrum([0.0, 0.1, 0.01])
+        params = _params(metric=metric, order=3)
+        with pytest.raises(ValueError, match="about a centre at 8.5e[+]307, is below the prec"):
+            ensure_feasible(config, targets, params)
+
+    def test_compression_budget_says_why(self):
+        # Centred on 0, nothing rounds, but 5,000 steps of x0.9 leave the
+        # outer robots 1.8e21 out, where their weights are 0 and m_3 too.
+        config = RobotConfiguration([[-1e250], [0.0], [1.0], [1e250]])
+        targets = TargetSpectrum([0.0, 0.6, 0.3])
+        with pytest.raises(ValueError, match="in 5,000 steps: the team's spread was still 1.81e"):
+            ensure_feasible(config, targets, _params(order=3))
 
     def test_unrealizable_targets_rejected(self):
         config = RobotConfiguration([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

@@ -14,7 +14,9 @@ Core claims:
       differences and the per-moment assembly
     - with a pair 3.4e308 apart, whose difference overflows to inf, every
       drift tail gives finite gradients without a numpy warning, zero for
-      the far pair, the same on both sides of the team-size switch
+      the far pair, the same on both sides of the team-size switch; so does
+      a pair at x = 1.7e308, whose coordinate sum overflows, at 6 and at 56
+      robots, where the centred product keeps every y velocity
     - the Euclidean drift sets only the diagonal's distances to inf unless a
       pair coincides, and masks every zero distance when one does: bitwise
       the drift of masking every zero always, below the team-size switch
@@ -396,6 +398,28 @@ class TestOverflowingTeam:
             assert np.all(np.isfinite(gradients)) and np.any(gradients)
             tails.append(gradients)
         assert np.allclose(*tails, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("metric", [1, 2])
+    @pytest.mark.parametrize("n", [6, network._PRODUCT_TEAM])
+    def test_far_pair_on_one_coordinate(self, n, metric):
+        # Two robots at x = 1.7e308 overflow the x coordinates' sum, and (as a
+        # square) their Euclidean distance to the rest; they weigh 0 there.
+        near = _tie_free_config(n - 2, 2, 5).positions
+        config = RobotConfiguration(np.vstack([[[1.7e308, 0.0], [1.7e308, 1.0]], near]))
+        params = _params(metric=metric, order=4, epsilons=(0.0, 1e-3, 1e-3, 1e-3))
+        targets = _targets_below(config, params, fraction=0.5)
+        drifts = []
+        for team in (n + 1, 2):  # the kept differences, then the centred product
+            with mock.patch.object(network, "_PRODUCT_TEAM", team), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                drifts.append(control_law(config, targets, params))
+            assert np.all(np.isfinite(drifts[-1]))
+        kept, centred = drifts
+        assert np.all(kept[:2, 0] == 0.0) and kept[0, 1] == -kept[1, 1] != 0.0
+        # The centred product loses the x digits below ulp(1.7e308); y it keeps.
+        assert np.allclose(kept[:, 1], centred[:, 1], rtol=1e-12, atol=0.0)
+        if metric == 1:  # a taxicab team broadcasts fresh signs: no centred product
+            assert np.allclose(kept, centred, rtol=1e-12, atol=0.0)
 
 
 

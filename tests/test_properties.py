@@ -29,6 +29,12 @@ Core claims:
       of up to 12 robots, coincident, relabelled and shifted by up to 1e6
       ones included; their distances are identical, and every path's
       weights are C-contiguous with a zero diagonal
+    - with robots within 1e-3 of +-1.7e308, where pair distances and
+      coordinate sums overflow, both tails give finite control laws, barrier
+      and moment gradients; they agree to 1e-12 relative on the axes that
+      hold no far robot (taxicab: on all), where the centred product is
+      exact; relabelling the robots permutes each drift there; and with
+      every eps_k = 0 the barrier gradient is exactly zero
     - moments_from_eigenvalues' table of powers gives np.mean(lam**k) for
       each k to 4 ulps of max|lambda|^k, and the same first moment that
       overflows, on spectra of up to 40 values from 1e-300 to 1.7e308
@@ -68,6 +74,7 @@ from momentflow.gradient import (
     control_law,
     cost,
     finite_difference_gradient,
+    moment_gradient,
 )
 from momentflow.network import (
     MomentVector,
@@ -353,6 +360,70 @@ def test_drift_tails_agree(case):
     assert np.array_equal(*distances)
     scale = np.abs(drifts[1]).max()
     assert np.abs(drifts[0] - drifts[1]).max() <= 1e-12 * scale
+
+
+@st.composite
+def _far_tail_cases(draw, metric):
+    """5 to 12 tie-free robots in the unit box, two or more of them moved to within
+    1e-3 of +-1.7e308 on drawn axes (in d = 2 and 3, never on the last one), so
+    that some pair distances overflow and some coordinate sums do; targets half
+    their moments and a barrier on every one.
+
+    Three robots stay in the box, so every moment is positive.  A far coordinate
+    rounds to +-1.7e308, and far robots on one side of an axis weigh on each other
+    by their other axes."""
+    n = draw(st.integers(5, 12))
+    d = draw(st.integers(1, 3))
+    positions = draw(_tie_free_teams(n, d)).positions.copy()
+    far = np.zeros((n, d), dtype=bool)
+    far[3:, : max(d - 1, 1)] = draw(arrays(bool, (n - 3, max(d - 1, 1)), elements=st.booleans()))
+    far[3:5, 0] = True
+    sides = draw(arrays(float, (n, d), elements=st.sampled_from([-1.7e308, 1.7e308])))
+    positions[far] = sides[far] + 1e-3 * (2.0 * positions[far] - 1.0)
+    positions = positions[draw(st.permutations(range(n)))]
+    order = draw(st.integers(2, 5))
+    params = ControllerParams(
+        decay=draw(_DECAY), metric=metric, order=order,
+        epsilons=(0.0,) + (1e-3,) * (order - 1),
+    )
+    adjacency = build_adjacency(RobotConfiguration(positions), params.decay, params.metric)
+    targets = TargetSpectrum(0.5 * spectral_moments(adjacency, order).values)
+    return positions, targets, params
+
+
+@pytest.mark.parametrize("metric", [1, 2])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_far_apart_tails(metric, data):
+    # Each tail forced by patching the switch, as in test_drift_tails_agree.
+    # The centred product rounds a coordinate to the team's extent, so it is
+    # exact on the axes that hold no far robot; the contraction is exact on all.
+    positions, targets, params = data.draw(_far_tail_cases(metric))
+    n = len(positions)
+    config = RobotConfiguration(positions)
+    relabel = np.array(data.draw(st.permutations(range(n))))
+    relabelled = RobotConfiguration(positions[relabel])
+    silent = ControllerParams(params.decay, params.metric, params.order, (0.0,) * params.order)
+    near = np.abs(positions).max(axis=0) <= 1.0
+    columns = slice(None) if params.metric == 1 else near  # where the centred product is exact
+    drifts = []
+    for team in (n + 1, 2):  # kept differences, then none
+        with mock.patch.object(network, "_PRODUCT_TEAM", team):
+            gradients = [control_law(config, targets, params),
+                         barrier_gradient(config, targets, params),
+                         *(moment_gradient(config, params, k) for k in range(2, params.order + 1))]
+            assert all(np.isfinite(gradient).all() for gradient in gradients)
+            assert np.all(barrier_gradient(config, targets, silent) == 0.0)
+            assert np.all(barrier_gradient(relabelled, targets, silent) == 0.0)
+            with np.errstate(over="ignore", invalid="ignore"):  # the flow's, as simulate sets it
+                drift = _evaluate(config, targets, params).drift
+                moved = _evaluate(relabelled, targets, params).drift
+        exact = slice(None) if team > n else columns
+        error = np.abs(moved[:, exact] - drift[relabel][:, exact]).max(initial=0.0)
+        assert error <= 1e-12 * np.abs(drift[:, exact]).max(initial=0.0)
+        drifts.append(drift[:, columns])
+    kept, centred = drifts
+    assert np.abs(kept - centred).max(initial=0.0) <= 1e-12 * np.abs(kept).max(initial=0.0)
 
 
 @st.composite
