@@ -141,7 +141,7 @@ def apply_override(data: dict[str, Any], assignment: str) -> None:
 # == run outputs ===========================================================
 
 def _sanitize(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", name) or "scenario"
+    return re.sub(r"[^A-Za-z0-9._-]", "_", name)
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: Path) -> None:

@@ -307,7 +307,8 @@ class _Evaluation:
         kept below ``_PRODUCT_TEAM`` robots (an infinite one counts 0); a larger Euclidean team
         takes the centred tail, in units of 2^512 past them, whose error in a nearly coincident
         pair's direction grows as ulp(extent)/gap (README); the contraction forms x_i - x_j
-        exactly.  Once per evaluation: it overwrites the kept distances, differences and chain.
+        exactly, and rescales a pair whose squared gap underflowed (the centred tail loses it).
+        Once per evaluation: it overwrites the kept distances, differences and chain.
         """
         positions, flow = self.positions, self.flow
         chain, self.chain = self.chain, None
@@ -337,6 +338,11 @@ class _Evaluation:
             # 1/inf makes the diagonal and coincident pairs, if any, give 0.
             dist.ravel()[flow.diagonal] = np.inf
             if np.count_nonzero(dist) < dist.size:
+                if differences is not None:  # a gap whose square underflowed, at max-abs scale
+                    gaps = differences[:, dist == 0.0]
+                    top = np.abs(gaps).max(axis=0)
+                    top[top == 0.0] = 1.0  # a coincident pair stays at 0
+                    dist[dist == 0.0] = top * np.sqrt(np.square(gaps / top).sum(axis=0))
                 dist[dist == 0.0] = np.inf
             mixed /= dist
         if differences is not None:  # rows_i = sum_j M'_ij D_ij

@@ -17,8 +17,7 @@ checked by :func:`momentflow.dynamics.ensure_feasible`.
 This module also owns the JSON file schema.  ``SCHEMA`` lists every key of
 a scenario file with its kind, its default and the field it fills, the
 only such map: ``scenario_from_dict`` groups a file's values by the part
-that owns them and calls each part's constructor once, and
-``scenario_to_dict`` writes a scenario back through the same column.
+that owns them and calls each part's constructor once.
 ``positions_from_dict`` reads the ``{positions, c?, z?, s?}`` files of
 ``momentflow spectrum``, whose keys mean what they mean in a scenario file.
 The two bundled presets are scenario file data too: ``preset_data`` hands
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import reduce
 from itertools import repeat
 from typing import Any, Optional
 
@@ -62,7 +60,6 @@ __all__ = [
     "scenario_violations",
     "SCHEMA",
     "scenario_from_dict",
-    "scenario_to_dict",
     "positions_from_dict",
     "EIGEN_CONSISTENCY_TOL",
     "MAX_ROBOTS",
@@ -213,9 +210,6 @@ def preset(name: str, order: Optional[int] = None) -> Scenario:
     """
     data = preset_data(name)
     if order is not None:
-        table = len(data["targets"]["moments"])
-        if not 2 <= order <= table:
-            raise ValueError(f"preset {name!r} supports orders 2..{table}, got {order}")
         data["s"] = order
     scenario, problems = scenario_from_dict(data)
     if problems:
@@ -317,7 +311,7 @@ _REQUIRED = object()
 
 # Every key of a scenario file: its kind (see _as), its default (_REQUIRED
 # when the key must be given; None when the key is optional or resolved from
-# the others), and the Scenario attribute it is read into and written from.
+# the others), and the Scenario attribute it is read into.
 # This column is the only map from file keys to constructor fields.
 SCHEMA: dict[str, tuple[type, Any, str]] = {
     "name": (str, _REQUIRED, "name"),
@@ -493,20 +487,6 @@ def scenario_from_dict(data: Any) -> tuple[Optional[Scenario], list[str]]:
         return None, [str(exc)]
     problems = scenario_violations(scenario)
     return (None, problems) if problems else (scenario, [])
-
-
-def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
-    """JSON-ready dictionary in the scenario file schema, targets as moments."""
-    out: dict[str, Any] = {}
-    for key, (_, _, attribute) in SCHEMA.items():
-        value = reduce(getattr, attribute.split("."), scenario)
-        if isinstance(value, TargetSpectrum):
-            value = {"moments": value.moments.tolist()}
-        elif isinstance(value, (tuple, np.ndarray)):
-            value = np.asarray(value, dtype=float).tolist()
-        if value is not None:
-            out[key] = value
-    return out
 
 
 def positions_from_dict(

@@ -2,8 +2,8 @@
 Unit and end-to-end tests for the command-line interface.
 
 Core claims:
-    - scenario dictionaries round-trip losslessly and malformed input is
-      rejected with one message per problem
+    - scenario dictionaries are read into the fields they name, and
+      malformed input is rejected with one message per problem
     - dotted --set overrides edit schema data in place, JSON-decoding values
     - trajectory CSVs carry full-precision samples under a stable header
     - run, verify, and spectrum return the documented exit statuses
@@ -22,7 +22,8 @@ Core claims:
       stops below that order, so a gathered team of 200 prints
     - a stalled run says why it stalled, in its report and summary line
     - a start whose weights underflow to 0 runs and converges, and spectrum
-      prints it, like any other input; so does a pair 1e300 apart, and a
+      prints it, like any other input; so do a pair 1e-170 apart, whose
+      squared gap underflows, and a pair 1e300 apart, and a
       start that compression cannot repair exits 2 with one line, a pair at
       x = 1.7e308 among them, which says where compression stopped
     - a Euclidean distance that overflows is a weight of 0: run and
@@ -33,7 +34,8 @@ Core claims:
       positions, and moments that overflow at a scenario's s
     - a preset's data carries its whole moment table at its default s, so
       --set s can raise the order up to the table's length, and run --preset
-      writes what run writes on a file that holds that data
+      writes what run writes on a file that holds that data; an order outside
+      the table exits 2 with the reason that preset() raises
     - a null seed takes its default: beside positions the file runs as one
       without the key, and alone it needs a seed or positions
     - ``python -m momentflow.cli`` hands main's status to the shell
@@ -103,7 +105,6 @@ from momentflow.scenarios import (
     preset_data,
     random_geometric_config,
     scenario_from_dict,
-    scenario_to_dict,
     target_from_formation,
 )
 
@@ -160,12 +161,7 @@ def _build(data):
 # == 1. Scenario dictionaries ================================================
 
 class TestScenarioDicts:
-    def test_preset_round_trip(self):
-        data = scenario_to_dict(preset("rgg10"))
-        back = _build(data)
-        assert scenario_to_dict(back) == data
-
-    def test_positions_round_trip(self):
+    def test_explicit_positions(self):
         data = _fast_scenario_data()
         del data["seed"]
         data["positions"] = [
@@ -177,12 +173,6 @@ class TestScenarioDicts:
         assert np.array_equal(
             back.initial_positions, np.array(data["positions"])
         )
-        # Defaults are filled in on the first pass; after that the
-        # dictionary form is a fixed point.
-        full = scenario_to_dict(back)
-        assert "seed" not in full
-        assert full["positions"] == data["positions"]
-        assert scenario_to_dict(_build(full)) == full
 
     def test_unknown_field_rejected(self):
         data = _fast_scenario_data()
@@ -562,6 +552,16 @@ class TestRunCommand:
         table = preset("rgg10", order=6).targets.moments
         assert report["target_moments"] == table[:order].tolist()
 
+    @pytest.mark.parametrize("name, order", [("hexagon7", 8), ("rgg10", 7), ("rgg10", 1)])
+    def test_preset_order_out_of_range(self, name, order, tmp_path, capsys):
+        # preset() and run --preset give an out-of-range order the same reason.
+        with pytest.raises(ValueError) as raised:
+            preset(name, order)
+        code = main(["run", "--preset", name, "--set", f"s={order}", "-o", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.err == f"invalid scenario: {raised.value}\n"
+
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_runs_as_its_file_data(self, name, tmp_path, capsys):
         path = tmp_path / "data.json"
@@ -634,20 +634,24 @@ class TestRunCommand:
         assert not list(tmp_path.glob("*_report.json"))
 
     def test_underflowing_start_exit(self, tmp_path, capsys):
-        # The start is compressed like any infeasible one and converges.
-        path = tmp_path / "far.json"
-        path.write_text(json.dumps({
-            "name": "far", "n": 3, "d": 1, "s": 2,
-            "positions": _UNDERFLOW_POSITIONS,
-            "targets": {"moments": [0.0, 0.5]},
-        }))
-        code = main(["run", str(path), "-o", str(tmp_path)])
-        assert code == EXIT_CONVERGED
-        assert capsys.readouterr().err == ""
-        report = json.loads((tmp_path / "far_report.json").read_text())
-        assert report["converged"]
-        final, goal = report["final_moments"], report["target_moments"]
-        assert all(got > want for got, want in zip(final[1:], goal[1:]))
+        # A weight that underflows: the start is compressed like any infeasible
+        # one and converges.  A squared gap that underflows: the pair still parts.
+        files = [
+            {"name": "far", "n": 3, "d": 1, "s": 2, "positions": _UNDERFLOW_POSITIONS,
+             "targets": {"moments": [0.0, 0.5]}},
+            {"name": "pair", "n": 3, "d": 2, "z": 2, "positions": [[0, 0], [1e-170, 0], [1, 1]],
+             "targets": {"moments": [0, 0.01]}},
+        ]
+        for data in files:
+            path = tmp_path / f"{data['name']}.json"
+            path.write_text(json.dumps(data))
+            code = main(["run", str(path), "-o", str(tmp_path)])
+            assert code == EXIT_CONVERGED
+            assert capsys.readouterr().err == ""
+            report = json.loads((tmp_path / f"{data['name']}_report.json").read_text())
+            assert report["converged"]
+            final, goal = report["final_moments"], report["target_moments"]
+            assert all(got > want for got, want in zip(final[1:], goal[1:]))
 
     def test_pair_1e300_apart_converges(self, tmp_path, capsys):
         # Every weight underflows and no number of x0.9 steps could help;

@@ -21,6 +21,9 @@ Core claims:
       pair coincides, and masks every zero distance when one does: bitwise
       the drift of masking every zero always, below the team-size switch
       and at it, with and without a coincident pair
+    - below the team-size switch, a Euclidean pair whose squared gap
+      underflows (1e-170 apart) keeps its direction: the drift matches the
+      pair's at 1e-150
     - finite_difference_gradient is second-order accurate on a known field
 """
 
@@ -445,6 +448,17 @@ class TestZeroDistances:
         assert np.array_equal(drift, reference)
         if coincident:  # the pair's own term is 0, so the two see the team alike
             assert np.allclose(drift[0], drift[1], rtol=1e-12, atol=0.0)
+
+    def test_underflowing_square_keeps_its_direction(self):
+        # A gap of 1e-170 squares to 0, yet the pair is not coincident: its
+        # distance comes back from the kept differences, so it pulls as at 1e-150.
+        params, targets = _params(order=2), TargetSpectrum([0.0, 0.01])
+        drifts = [
+            control_law(RobotConfiguration([[0.0, 0.0], [gap, 0.0], [1.0, 1.0]]), targets, params)
+            for gap in (1e-150, 1e-170)
+        ]
+        assert drifts[0][0, 0] != 0.0
+        assert np.allclose(*drifts, rtol=1e-12, atol=0.0)
 
 
 # == 6. Finite-difference oracle =============================================
