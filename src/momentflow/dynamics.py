@@ -243,13 +243,15 @@ def _feasible_start(config, targets, params) -> _Evaluation:
         state = _Evaluation(flow, current.positions, current)
         if np.all(slack <= state.margins):
             return state
+        vanished = np.array_equal(state.margins, -goal[1:])  # every moment is 0
+        del state  # its n x n arrays go before the next try's come
         positions = current.positions
         centroid = positions.mean(axis=0)
         if not np.isfinite(positions - centroid).all():  # its sum or an offset overflows
             centroid = positions.min(axis=0) / 2 + positions.max(axis=0) / 2
         offsets = positions - centroid
         reach = min(params.decay * np.abs(offsets).sum(axis=1).max(), np.finfo(float).max)
-        if reach > _JUMP_REACH and np.array_equal(state.margins, -goal[1:]):
+        if reach > _JUMP_REACH and vanished:
             pulled = (_JUMP_REACH / reach) * positions  # reach is finite, so this is not 0
         else:
             pulled = centroid + _COMPRESSION_FACTOR * offsets

@@ -27,15 +27,9 @@ one.  Only the coefficients differ: m_k - m_k* for -grad f,
 eps_k / (m_k - m_k*)^3 for grad b, their difference for the drift, and
 -2k at k alone for grad m_k.  With M = A o W, robot i's velocity is one
 contraction sum_j M'_ij D_ij: M' = M and D = sign(x_i - x_j) (taxicab), or
-M' = M / dist (0 where dist = 0 or inf) and D = x_i - x_j (Euclidean), as
-the distances keep them below network._PRODUCT_TEAM robots.  The Euclidean
-teams that network keeps no differences for, and only those, take one product,
-
-    x_ir * sum_j M'_ij - (M' X)_ir.
-
-Its two terms nearly cancel, so X is taken relative to the centroid: far
-from the origin, raw coordinates would cost digits that the unit directions
-never lose.  The moments, cost and barrier need only A..A^h, h = ceil(s/2),
+M' = M / dist (0 where dist = 0 or inf) and D = x_i - x_j (Euclidean), from
+the exact differences that the distances keep for every team.  The moments,
+cost and barrier need only A..A^h, h = ceil(s/2),
 from h - 1 n x n products, and W one more from s = 4 on; what depends only
 on the targets, the constants and n is derived once per flow.  A central
 finite-difference oracle checks every analytic formula.
@@ -56,7 +50,6 @@ from .network import (
     WeightedAdjacency,
     _adjacency,
     _chain_plan,
-    _differences,
     _freeze,
     _half_chain,
     _pairwise_distance,
@@ -222,7 +215,7 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
 
 class _Flow:
     """What every evaluation in one flow reads, derived once from (targets, params) and n:
-    metric, decay, decay / n, n, slice ::n+1, goals m_k*, divisors 4k, guarded (k, eps_k), plan."""
+    metric, decay, decay / n, slice ::n+1, goals m_k*, divisors 4k, guarded (k, eps_k), plan."""
 
     def __init__(self, targets: TargetSpectrum, params: ControllerParams, n: int) -> None:
         if targets.order != params.order:
@@ -230,7 +223,7 @@ class _Flow:
                 f"targets carry {targets.order} moments but params.order is {params.order}"
             )
         self.metric, self.decay, self.scale = params.metric, params.decay, params.decay / n
-        self.n, self.diagonal = n, slice(None, None, n + 1)
+        self.diagonal = slice(None, None, n + 1)
         self.goal = targets.moments[1:].tolist()
         self.divisors = [4.0 * k for k in range(2, params.order + 1)]
         self.guarded = [(k, eps) for k, eps in enumerate(params.epsilons[1:], 2) if eps]
@@ -241,7 +234,7 @@ class _Evaluation:
     """Everything a flow derives from one configuration, computed once.
 
     The weights come from one distance matrix, which :meth:`_project` reuses if Euclidean,
-    as it does a small team's differences; the half chain A..A^h, h = ceil(s/2), gives the
+    as it does the coordinate differences; the half chain A..A^h, h = ceil(s/2), gives the
     moments m_1..m_s, the margins m_k - m_k* (k = 2..s), the cost and the barrier, all
     floats.  One :meth:`_project` gives any one gradient (the drift is kept, ``still`` if
     it has no nonzero entry: all +-0, no NaN).  The configuration, adjacency and moment
@@ -303,14 +296,12 @@ class _Evaluation:
         """(decay / n) [(A o T_r) W]_ii, W = sum_k coefficients[k-2] A^(k-1).
 
         From the half chain, W = sum_{p<h} c_p A^p + A^h (c_h I + sum_i c_(h+i) A^i):
-        one product from s = 4 on.  The rows contract the differences (taxicab: their signs),
-        kept below ``_PRODUCT_TEAM`` robots (an infinite one counts 0); a larger Euclidean team
-        takes the centred tail, in units of 2^512 past them, whose error in a nearly coincident
-        pair's direction grows as ulp(extent)/gap (README); the contraction forms x_i - x_j
-        exactly, and rescales a pair whose squared gap underflowed (the centred tail loses it).
+        one product from s = 4 on.  The rows contract the kept differences x_i - x_j, exact
+        for every team (taxicab: their signs; Euclidean: an infinite one counts 0, and a pair
+        whose squared gap underflowed takes its distance again from them, at max-abs scale).
         Once per evaluation: it overwrites the kept distances, differences and chain.
         """
-        positions, flow = self.positions, self.flow
+        flow = self.flow
         chain, self.chain = self.chain, None
         h, q, weighted = len(chain), None, None
         if tail := coefficients[h:]:  # the terms from A^h on, as A^h Q
@@ -328,32 +319,21 @@ class _Evaluation:
         mixed = np.multiply(weighted, self.weights, out=weighted)
         differences, self._differences = self._differences, None
         if flow.metric == 1:
-            if differences is None:
-                differences = _differences(positions)
             np.sign(differences, out=differences)
         else:
             dist, self._distance = self._distance, None
-            if differences is not None and np.count_nonzero(far := dist == np.inf):
+            if np.count_nonzero(far := dist == np.inf):
                 differences[:, far] = 0.0  # an inf x_i - x_j times its zero weight is NaN
             # 1/inf makes the diagonal and coincident pairs, if any, give 0.
             dist.ravel()[flow.diagonal] = np.inf
-            if np.count_nonzero(dist) < dist.size:
-                if differences is not None:  # a gap whose square underflowed, at max-abs scale
-                    gaps = differences[:, dist == 0.0]
-                    top = np.abs(gaps).max(axis=0)
-                    top[top == 0.0] = 1.0  # a coincident pair stays at 0
-                    dist[dist == 0.0] = top * np.sqrt(np.square(gaps / top).sum(axis=0))
+            if np.count_nonzero(dist) < dist.size:  # a gap whose square underflowed
+                gaps = differences[:, dist == 0.0]
+                top = np.abs(gaps).max(axis=0)
+                top[top == 0.0] = 1.0  # a coincident pair stays at 0
+                dist[dist == 0.0] = top * np.sqrt(np.square(gaps / top).sum(axis=0))
                 dist[dist == 0.0] = np.inf
             mixed /= dist
-        if differences is not None:  # rows_i = sum_j M'_ij D_ij
-            rows = np.vecdot(mixed, differences).T
-        else:
-            unit = 2.0**512 if np.abs(positions).max() > 2.0**512 else 1.0  # so nothing overflows
-            scaled = positions / unit
-            centred = scaled - np.add.reduce(scaled) / flow.n
-            rows = centred * np.add.reduce(mixed, axis=1)[:, None]
-            rows -= mixed @ centred
-            rows *= unit
+        rows = np.vecdot(mixed, differences).T  # rows_i = sum_j M'_ij D_ij
         rows *= flow.scale
         return rows
 

@@ -12,9 +12,9 @@ of this package.  Because the diagonal of A is identically zero, m_1 is
 always zero, and because A is entrywise nonnegative every moment is
 nonnegative as well.
 
-Distances come from one function.  A team below ``_PRODUCT_TEAM`` robots gets
-its coordinate differences too, from one broadcast; a larger one forms an axis's
-differences as one BLAS product, bitwise a subtraction, and keeps none.
+Distances come from one function, which returns every team's coordinate
+differences too: one broadcast below ``_PRODUCT_TEAM`` robots, and from there
+on one BLAS product per axis, bitwise the same subtraction.
 
 Entries of A^k admit a combinatorial reading: [A^k]_ij is the total weight
 of all length-k walks from i to j, where the weight of a walk is the product
@@ -53,8 +53,8 @@ __all__ = [
 WALK_ENUMERATION_LIMIT = 1_000_000
 MAX_WALK_LENGTH = 5
 
-# From this many robots on, coordinate differences are a BLAS product (measured crossover
-# 48-56, one BLAS thread) and the Euclidean drift its centred tail; smaller teams keep them.
+# From this many robots on, each axis's coordinate differences are one BLAS product
+# (measured crossover 48-56, one BLAS thread); smaller teams take one broadcast.
 _PRODUCT_TEAM = 56
 
 # Entry points run quietly where floats overflow (an infinite distance is a
@@ -159,38 +159,31 @@ class MomentVector:
         return self.values.shape[0]
 
 
-def _differences(positions: np.ndarray) -> np.ndarray:
-    """x_ir - x_jr for the rows of an (n, d) array, as one C-contiguous (d, n, n) array."""
-    columns = positions.T.copy()  # C order, so that the differences are too
-    return columns[:, :, None] - columns[:, None, :]
-
-
-def _pairwise_distance(positions: np.ndarray, metric: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _pairwise_distance(positions: np.ndarray, metric: int) -> tuple[np.ndarray, np.ndarray]:
     """All (n, n) distances between the rows of an (n, d) array in the caller's checked
     ``metric`` (1 taxicab, 2 Euclidean) and error state, inf beyond float range, the
-    diagonal exactly zero; and the differences x_ir - x_jr as a (d, n, n) array, or None.
+    diagonal exactly zero; and the differences x_ir - x_jr as a C-contiguous (d, n, n) array.
 
-    Below ``_PRODUCT_TEAM`` robots the differences are one broadcast, C-contiguous and
-    returned; their squares (absolute values) add up in place in axis order, bitwise
-    ``np.add.reduce``.  From there on, one axis at a time, each axis's are one BLAS product
-    [x, 1] @ [1; -x]: its entries x_i * 1 + 1 * (-x_j) hold two exact products and round
-    once, to the float x_i - x_j gives (a zero may differ in sign, which abs and square
-    drop), so the distances are bitwise the same; no (n, n, d) array forms or is kept."""
-    n = len(positions)
+    Below ``_PRODUCT_TEAM`` robots the differences are one broadcast.  From there on each
+    axis's are one BLAS product [x, 1] @ [1; -x]: its entries x_i * 1 + 1 * (-x_j) hold two
+    exact products and round once, to the float x_i - x_j gives (a zero may differ in sign,
+    which abs and square drop and a sum reads as 0).  The axes' squares (absolute
+    values) are taken one at a time and add up in axis order, bitwise ``np.add.reduce``,
+    into an array of their own, so no second (d, n, n) array forms or is kept."""
+    n, d = positions.shape
     if n < _PRODUCT_TEAM:
-        differences = _differences(positions)
-        terms = np.abs(differences) if metric == 1 else np.square(differences)
-        total = terms[0]
-        for axis in range(1, len(terms)):
-            total += terms[axis]
+        columns = positions.T.copy()  # C order, so that the differences are too
+        differences = columns[:, :, None] - columns[:, None, :]
     else:
-        differences = total = None
+        differences = np.empty((d, n, n))
         left, right = np.ones((n, 2)), np.ones((2, n))
-        for column in positions.T:
+        for column, axis in zip(positions.T, differences):
             left[:, 0], right[1] = column, -column
-            diff = np.matmul(left, right)
-            term = np.abs(diff, out=diff) if metric == 1 else np.square(diff, out=diff)
-            total = term if total is None else np.add(total, term, out=total)
+            np.matmul(left, right, out=axis)
+    total = None
+    for axis in differences:
+        term = np.abs(axis) if metric == 1 else np.square(axis)
+        total = term if total is None else np.add(total, term, out=total)
     return (total if metric == 1 else np.sqrt(total, out=total)), differences
 
 

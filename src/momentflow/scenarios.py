@@ -70,8 +70,9 @@ __all__ = [
 # relative to the moment magnitude (absolute for small moments).
 EIGEN_CONSISTENCY_TOL = 1e-2
 
-# The largest team a scenario may declare.  A flow holds at most ceil(s/2) + 4
-# dense n x n float64 matrices, about 134 MB each at this bound.
+# The largest team a scenario may declare.  A flow holds at most ceil(s/2) + 4 + d
+# dense n x n float64 matrices, about 134 MB each at this bound; at s = 4, d = 2 it
+# peaks near 7.2 of them, about 960 MB.
 MAX_ROBOTS = 4096
 
 

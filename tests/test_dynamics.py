@@ -5,7 +5,8 @@ Core claims:
     - SimulationSettings and TrajectoryRecord validate their inputs
     - feasibility_margin returns m_k - m_k* for k = 2..s with correct signs
     - ensure_feasible returns feasible starts unchanged, repairs infeasible
-      ones by centroid compression, and rejects unrealizable targets
+      ones by centroid compression, holding one evaluation at a time, and
+      rejects unrealizable targets
     - step accepts exactly the feasible, potential-nonincreasing candidates,
       halves dt on rejection, and stalls at the step-size floor
     - simulate terminates with the right reason (converged, horizon,
@@ -48,8 +49,10 @@ Core claims:
 """
 
 import dataclasses
+import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +277,25 @@ class TestEnsureFeasible:
         assert np.allclose(
             repaired.positions.mean(axis=0), config.positions.mean(axis=0)
         )
+
+    def test_compression_holds_one_evaluation(self):
+        # Each try's n x n arrays go before the next try's come: the bound on
+        # one evaluation and its drift holds for the whole repair.
+        n, d, order = 256, 2, 4
+        config = RobotConfiguration(20.0 * np.random.default_rng(0).random((n, d)))
+        params = _params(order=order)
+        targets = TargetSpectrum(2.0 * spectral_moments(
+            build_adjacency(config, params.decay, params.metric), order).values)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            repaired = ensure_feasible(config, targets, params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert repaired is not config
+        assert peak <= (math.ceil(order / 2) + 4 + d) * n * n * 8
 
     def test_pair_1e300_apart_repaired(self):
         # Both moments are 0 and 5,000 steps of x0.9 reach only 1e71 apart;

@@ -12,21 +12,28 @@ Core claims:
     - barrier matches the hand formula, is exactly zero when every constant
       is, and refuses nonpositive margins; barrier_gradient matches finite
       differences and the per-moment assembly
-    - with a pair 3.4e308 apart, whose difference overflows to inf, every
-      drift tail gives finite gradients without a numpy warning, zero for
-      the far pair, the same on both sides of the team-size switch; so does
-      a pair at x = 1.7e308, whose coordinate sum overflows, at 6 and at 56
-      robots, where the centred product keeps every y velocity
+    - with a pair 3.4e308 apart, whose difference overflows to inf, both
+      ways of forming differences give finite gradients without a numpy
+      warning, zero for the far pair, the same on both sides of the
+      team-size switch; so does a pair at x = 1.7e308, whose coordinate sum
+      overflows, at 6 and at 56 robots, bitwise in every column
     - the Euclidean drift sets only the diagonal's distances to inf unless a
       pair coincides, and masks every zero distance when one does: bitwise
       the drift of masking every zero always, below the team-size switch
       and at it, with and without a coincident pair
-    - below the team-size switch, a Euclidean pair whose squared gap
-      underflows (1e-170 apart) keeps its direction: the drift matches the
-      pair's at 1e-150
+    - 60 robots in a 5 x 5 box with a pair 1e-6, 1e-9 or 1e-12 apart get
+      the same drift, to 1e-12 relative on every entry, from either way of
+      forming differences
+    - on both sides of the team-size switch, a Euclidean pair whose squared
+      gap underflows (1e-170 apart) keeps its direction: the drift matches
+      the pair's at 1e-150
+    - one evaluation and its drift of 256 robots hold at most
+      ceil(s/2) + 4 + d n x n arrays at once, for s = 2..7 and d = 1..3
     - finite_difference_gradient is second-order accurate on a known field
 """
 
+import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -379,9 +386,9 @@ class TestBarrierGradient:
 
 class TestOverflowingTeam:
     # Robots at x = +-1.7e308 differ by inf and weigh 0 to every robot, so
-    # 0 * inf must never form.  The drift's tails are forced by patching the
-    # switch: the kept differences below it, the centred product (Euclidean)
-    # or broadcast signs (taxicab) at or above it.
+    # 0 * inf must never form.  Both ways of forming the differences are
+    # forced by patching the switch: one broadcast below it, one BLAS product
+    # per axis at or above it.
     @pytest.mark.parametrize("metric", [1, 2])
     def test_gradients_stay_finite(self, metric):
         near = _tie_free_config(4, 2, 3).positions
@@ -412,17 +419,15 @@ class TestOverflowingTeam:
         params = _params(metric=metric, order=4, epsilons=(0.0, 1e-3, 1e-3, 1e-3))
         targets = _targets_below(config, params, fraction=0.5)
         drifts = []
-        for team in (n + 1, 2):  # the kept differences, then the centred product
+        for team in (n + 1, 2):  # broadcast differences, then the product's
             with mock.patch.object(network, "_PRODUCT_TEAM", team), warnings.catch_warnings():
                 warnings.simplefilter("error")
                 drifts.append(control_law(config, targets, params))
             assert np.all(np.isfinite(drifts[-1]))
-        kept, centred = drifts
-        assert np.all(kept[:2, 0] == 0.0) and kept[0, 1] == -kept[1, 1] != 0.0
-        # The centred product loses the x digits below ulp(1.7e308); y it keeps.
-        assert np.allclose(kept[:, 1], centred[:, 1], rtol=1e-12, atol=0.0)
-        if metric == 1:  # a taxicab team broadcasts fresh signs: no centred product
-            assert np.allclose(kept, centred, rtol=1e-12, atol=0.0)
+        broadcast, product = drifts
+        assert np.all(broadcast[:2, 0] == 0.0) and broadcast[0, 1] == -broadcast[1, 1] != 0.0
+        # Both form every x_i - x_j exactly, so every column agrees.
+        assert np.array_equal(broadcast, product)
 
 
 
@@ -449,16 +454,56 @@ class TestZeroDistances:
         if coincident:  # the pair's own term is 0, so the two see the team alike
             assert np.allclose(drift[0], drift[1], rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
+    def test_close_pair_in_a_large_team(self, gap):
+        # 60 robots in a 5 x 5 box take the product; patched above 60, the
+        # broadcast.  Both contract exact differences, so the pair's direction
+        # does not round to the box's extent.
+        positions = 5.0 * np.random.default_rng(0).random((60, 2))
+        positions[1] = positions[0] + [gap, 0.0]
+        config = RobotConfiguration(positions)
+        params = _params(order=4, epsilons=(0.0, 1e-3, 1e-3, 1e-3))
+        targets = _targets_below(config, params, fraction=0.5)
+        flow = _Flow(targets, params, 60)
+        product = _Evaluation(flow, positions).drift
+        with mock.patch.object(network, "_PRODUCT_TEAM", 61):
+            broadcast = _Evaluation(flow, positions).drift
+        assert np.allclose(product, broadcast, rtol=1e-12, atol=0.0)
+
     def test_underflowing_square_keeps_its_direction(self):
         # A gap of 1e-170 squares to 0, yet the pair is not coincident: its
-        # distance comes back from the kept differences, so it pulls as at 1e-150.
+        # distance comes back from the kept differences, so it pulls as at
+        # 1e-150, in a team of 3 and in one that takes the product.
         params, targets = _params(order=2), TargetSpectrum([0.0, 0.01])
-        drifts = [
-            control_law(RobotConfiguration([[0.0, 0.0], [gap, 0.0], [1.0, 1.0]]), targets, params)
-            for gap in (1e-150, 1e-170)
-        ]
-        assert drifts[0][0, 0] != 0.0
-        assert np.allclose(*drifts, rtol=1e-12, atol=0.0)
+        for n in (3, network._PRODUCT_TEAM):
+            rest = [[1.0 + i % 8, 1.0 + i // 8] for i in range(n - 2)]
+            drifts = [
+                control_law(RobotConfiguration([[0.0, 0.0], [gap, 0.0], *rest]), targets, params)
+                for gap in (1e-150, 1e-170)
+            ]
+            assert drifts[0][0, 0] != 0.0
+            assert np.allclose(*drifts, rtol=1e-12, atol=0.0)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("metric", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_evaluation_and_drift_peak(self, d, metric):
+        # The kept differences are d arrays; nothing else of size d n^2 forms.
+        n = 256
+        positions = 4.0 * np.random.default_rng(d).random((n, d))
+        for order in range(2, 8):
+            params = _params(metric=metric, order=order, epsilons=(0.0,) + (1e-3,) * (order - 1))
+            flow = _Flow(_targets_below(RobotConfiguration(positions), params, 0.5), params, n)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert np.all(np.isfinite(_Evaluation(flow, positions).drift))
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= (math.ceil(order / 2) + 4 + d) * n * n * 8
 
 
 # == 6. Finite-difference oracle =============================================

@@ -23,18 +23,17 @@ Core claims:
       that overflow to inf
     - below that switch, the in-place sum of the axes' squares (absolute
       values) is bitwise np.add.reduce over axis 0, for d = 1, 2 and 3
-    - the drift's two tails, the kept differences' contraction below the
-      switch and, at or above it, the centred BLAS product (Euclidean) or
-      freshly broadcast signs (taxicab), agree to 1e-12 relative on teams
-      of up to 12 robots, coincident, relabelled and shifted by up to 1e6
-      ones included; their distances are identical, and every path's
-      weights are C-contiguous with a zero diagonal
+    - the drift is the same array whichever way the switch forms the
+      differences it contracts, on teams of up to 12 robots, coincident,
+      1e-12 to 1e-9 apart, relabelled and shifted by up to 1e6 ones
+      included; both ways keep C-contiguous differences equal to
+      x_i - x_j, their distances are identical, and every path's weights
+      are C-contiguous with a zero diagonal
     - with robots within 1e-3 of +-1.7e308, where pair distances and
-      coordinate sums overflow, both tails give finite control laws, barrier
-      and moment gradients; they agree to 1e-12 relative on the axes that
-      hold no far robot (taxicab: on all), where the centred product is
-      exact; relabelling the robots permutes each drift there; and with
-      every eps_k = 0 the barrier gradient is exactly zero
+      coordinate sums overflow, both ways give finite control laws, barrier
+      and moment gradients and the same drift on every axis; relabelling
+      the robots permutes each drift to 1e-12 relative; and with every
+      eps_k = 0 the barrier gradient is exactly zero
     - moments_from_eigenvalues' table of powers gives np.mean(lam**k) for
       each k to 4 ulps of max|lambda|^k, and the same first moment that
       overflows, on spectra of up to 40 values from 1e-300 to 1.7e308
@@ -51,7 +50,8 @@ Core claims:
       1e-12 when the team sits on a 2^-20 grid, where the shift is exact
     - on short generated runs, far-apart starts included, f + b never
       increases between samples, every margin stays positive, m_1 stays
-      exactly zero and simulated_time never passes max_time
+      exactly zero and simulated_time never passes max_time, with the
+      differences formed either way
 
 Examples are derandomized and bounded, so every run draws the same ones.
 """
@@ -313,12 +313,14 @@ def _tail_cases(draw):
     """Up to 12 robots, some coincident, relabelled and shifted by up to 1e6,
     with targets half their moments and a barrier on every one.
 
-    Robots that do not coincide are at least 0.4/n apart on every axis: the
-    centred tail loses the direction of a pair much closer than its
-    coordinates' rounding (a pair 1e-47 apart in a unit box reads as 0)."""
+    Robots are at least 0.4/n apart on every axis, but for coincident ones
+    and, in half the teams, one pair 1e-12 to 1e-9 apart on every axis."""
     n = draw(st.integers(2, 12))
     d = draw(st.integers(1, 3))
     positions = draw(_tie_free_teams(n, d)).positions.copy()
+    if draw(st.booleans()):
+        gaps = st.one_of(st.floats(1e-12, 1e-9), st.floats(-1e-9, -1e-12))
+        positions[-1] = positions[0] + draw(arrays(float, d, elements=gaps))
     if draw(st.booleans()):
         positions[draw(arrays(bool, n, elements=st.booleans()))] = positions[0]
     positions = positions[draw(st.permutations(range(n)))]
@@ -336,19 +338,18 @@ def _tail_cases(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_tail_cases())
 def test_drift_tails_agree(case):
-    # Below the switch the drift contracts the kept differences; at or above
-    # it, the centred BLAS tail (Euclidean) or fresh signs (taxicab).  Each
-    # is forced by patching the switch.
+    # The drift contracts the kept differences: a broadcast below the switch,
+    # one BLAS product per axis at or above it.  Each is forced by patching
+    # the switch.
     positions, targets, params = case
     config = RobotConfiguration(positions)
     distances, drifts = [], []
-    for team in (len(positions) + 1, 2):  # kept differences, then none
+    for team in (len(positions) + 1, 2):  # broadcast, then the product
         with mock.patch.object(network, "_PRODUCT_TEAM", team):
             state = _evaluate(config, targets, params)
-            if team > len(positions):  # kept, in the order the contraction reads them
-                kept = state._differences
-                assert kept.flags.c_contiguous
-                assert np.array_equal(kept, positions.T[:, :, None] - positions.T[:, None, :])
+            kept = state._differences  # in the order the contraction reads them
+            assert kept.flags.c_contiguous
+            assert np.array_equal(kept, positions.T[:, :, None] - positions.T[:, None, :])
             built = build_adjacency(config, params.decay, params.metric)
             for weights in (state.weights, built.weights):
                 # The diagonal is zeroed through a flat view, which a
@@ -358,8 +359,7 @@ def test_drift_tails_agree(case):
             distances.append(_pairwise_distance(positions, params.metric)[0])
             drifts.append(state.drift)
     assert np.array_equal(*distances)
-    scale = np.abs(drifts[1]).max()
-    assert np.abs(drifts[0] - drifts[1]).max() <= 1e-12 * scale
+    assert np.array_equal(*drifts)
 
 
 @st.composite
@@ -395,19 +395,16 @@ def _far_tail_cases(draw, metric):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(data=st.data())
 def test_far_apart_tails(metric, data):
-    # Each tail forced by patching the switch, as in test_drift_tails_agree.
-    # The centred product rounds a coordinate to the team's extent, so it is
-    # exact on the axes that hold no far robot; the contraction is exact on all.
+    # Each way of forming differences forced by patching the switch, as in
+    # test_drift_tails_agree; both are exact on every axis.
     positions, targets, params = data.draw(_far_tail_cases(metric))
     n = len(positions)
     config = RobotConfiguration(positions)
     relabel = np.array(data.draw(st.permutations(range(n))))
     relabelled = RobotConfiguration(positions[relabel])
     silent = ControllerParams(params.decay, params.metric, params.order, (0.0,) * params.order)
-    near = np.abs(positions).max(axis=0) <= 1.0
-    columns = slice(None) if params.metric == 1 else near  # where the centred product is exact
     drifts = []
-    for team in (n + 1, 2):  # kept differences, then none
+    for team in (n + 1, 2):  # broadcast, then the product
         with mock.patch.object(network, "_PRODUCT_TEAM", team):
             gradients = [control_law(config, targets, params),
                          barrier_gradient(config, targets, params),
@@ -418,12 +415,10 @@ def test_far_apart_tails(metric, data):
             with np.errstate(over="ignore", invalid="ignore"):  # the flow's, as simulate sets it
                 drift = _evaluate(config, targets, params).drift
                 moved = _evaluate(relabelled, targets, params).drift
-        exact = slice(None) if team > n else columns
-        error = np.abs(moved[:, exact] - drift[relabel][:, exact]).max(initial=0.0)
-        assert error <= 1e-12 * np.abs(drift[:, exact]).max(initial=0.0)
-        drifts.append(drift[:, columns])
-    kept, centred = drifts
-    assert np.abs(kept - centred).max(initial=0.0) <= 1e-12 * np.abs(kept).max(initial=0.0)
+        error = np.abs(moved - drift[relabel]).max(initial=0.0)
+        assert error <= 1e-12 * np.abs(drift).max(initial=0.0)
+        drifts.append(drift)
+    assert np.array_equal(*drifts)
 
 
 @st.composite
@@ -552,13 +547,15 @@ def test_shifted_team_keeps_drift(case):
     assert drift_change(config.positions) <= 1e-7
     # On a 2^-20 grid the shift is exact, and so are distances and weights:
     # only the projection could lose digits, and it works from the exact
-    # differences (from centred coordinates at or above the switch).
+    # differences.
     assert drift_change(np.round(config.positions * _GRID) / _GRID) <= 1e-12
 
 
 @st.composite
 def _short_runs(draw):
-    """A scenario with targets from a drawn formation and a short horizon.
+    """A scenario with targets from a drawn formation and a short horizon, and
+    the value ``network._PRODUCT_TEAM`` takes for the run: unchanged, or 2, so
+    that every difference is a BLAS product.
 
     The horizon is drawn, so the last trial step is usually clamped.  Some
     starts put the last robot at least 800/c from the rest, where its
@@ -575,17 +572,20 @@ def _short_runs(draw):
     start = draw(_tie_free_teams(n, d)).positions.copy()
     if draw(st.booleans()):
         start[-1, 0] += 800.0 / params.decay + 1.0
-    return Scenario(
+    scenario = Scenario(
         name="short", n=n, d=d, params=params, targets=targets,
         settings=SimulationSettings(max_time=draw(st.floats(0.05, 0.5)), record_every=1),
         initial_positions=start,
     )
+    return scenario, draw(st.sampled_from([network._PRODUCT_TEAM, 2]))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(_short_runs())
-def test_flow_invariants_on_short_runs(scenario):
-    record = simulate(scenario)
+def test_flow_invariants_on_short_runs(case):
+    scenario, team = case
+    with mock.patch.object(network, "_PRODUCT_TEAM", team):
+        record = simulate(scenario)
     goal = scenario.targets.moments
     energies = [sample.cost + sample.barrier for sample in record.samples]
     assert all(later <= earlier for earlier, later in zip(energies, energies[1:]))
