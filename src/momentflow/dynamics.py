@@ -237,7 +237,7 @@ def _feasible_start(config, targets, params) -> _Evaluation:
     slack = np.minimum(
         np.maximum(_SLACK_FRACTION * np.abs(goal[1:]), _SLACK_FLOOR), 0.5 * gaps
     )
-    flow = _Flow(targets, params, config.n)
+    flow = _Flow(targets, params, *config.positions.shape)
     current = config
     for _ in range(_MAX_COMPRESSIONS):
         state = _Evaluation(flow, current.positions, current)

@@ -214,10 +214,10 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
 
 
 class _Flow:
-    """What every evaluation in one flow reads, derived once from (targets, params) and n:
+    """What every evaluation in one flow reads, derived once from (targets, params), n and d:
     metric, decay, decay / n, slice ::n+1, goals m_k*, divisors 4k, guarded (k, eps_k), plan."""
 
-    def __init__(self, targets: TargetSpectrum, params: ControllerParams, n: int) -> None:
+    def __init__(self, targets: TargetSpectrum, params: ControllerParams, n: int, d: int) -> None:
         if targets.order != params.order:
             raise ValueError(
                 f"targets carry {targets.order} moments but params.order is {params.order}"
@@ -227,7 +227,7 @@ class _Flow:
         self.goal = targets.moments[1:].tolist()
         self.divisors = [4.0 * k for k in range(2, params.order + 1)]
         self.guarded = [(k, eps) for k, eps in enumerate(params.epsilons[1:], 2) if eps]
-        self.plan = _chain_plan(params.order, n)
+        self.plan = _chain_plan(params.order, n, d)
 
 
 class _Evaluation:
@@ -351,7 +351,7 @@ class _Evaluation:
 @_quiet
 def _evaluate(config: RobotConfiguration, targets: TargetSpectrum, params: ControllerParams):
     """The public entry points evaluate quietly, as the flow does (see network._quiet)."""
-    return _Evaluation(_Flow(targets, params, config.n), config.positions, config)
+    return _Evaluation(_Flow(targets, params, *config.positions.shape), config.positions, config)
 
 
 def cost(config: RobotConfiguration, targets: TargetSpectrum, params: ControllerParams) -> float:

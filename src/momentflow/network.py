@@ -53,9 +53,15 @@ __all__ = [
 WALK_ENUMERATION_LIMIT = 1_000_000
 MAX_WALK_LENGTH = 5
 
-# From this many robots on, each axis's coordinate differences are one BLAS product
-# (measured crossover 48-56, one BLAS thread); smaller teams take one broadcast.
-_PRODUCT_TEAM = 56
+# From here on an axis's differences are one BLAS product, below one broadcast.  Crossover, in us
+# of _pairwise_distance, broadcast/product at n = 56, 64, 72, one BLAS thread.  z=1: d=1 8.4/9.8
+# 9.6/9.9 11.5/11.2, d=2 15.4/16.1 17.2/17.4 28.0/26.4, d=3 27.1/26.1 32.3/31.8 37.6/32.0.  z=2:
+# d=1 15.8/16.8 14.5/14.7 19.0/18.5, d=2 23.4/28.4 22.9/25.3 29.7/26.6, d=3 27.7/26.4 32.2/29.8
+# 51.4/48.1.
+_PRODUCT_TEAM = 64
+
+# What an order's plan may hold (see _chain_plan): 4,096 robots' arrays at s = 4, d = 3, 1.21 GB.
+_MAX_PLAN_BYTES = 9 * 4096**2 * 8
 
 # Entry points run quietly where floats overflow (an infinite distance is a
 # weight of 0); private helpers, the trial step's too, run under the caller's.
@@ -253,15 +259,19 @@ def spectral_moments(adjacency: WeightedAdjacency, order: int) -> MomentVector:
     ``order`` must satisfy 1 <= order <= n.  m_1 is exactly zero (zero
     diagonal) and every moment of a nonnegative matrix is nonnegative.
     """
-    moments = _half_chain(adjacency.weights, _chain_plan(order, adjacency.n))[0]
+    moments = _half_chain(adjacency.weights, _chain_plan(order, adjacency.n, 0))[0]
     return _freeze(object.__new__(MomentVector), "values", np.array(moments))
 
 
-def _chain_plan(order: int, n: int) -> tuple[list, list]:
+def _chain_plan(order: int, n: int, d: int) -> tuple[list, list]:
     """Index pairs (i, j) of the half chain: A^k = chain[i] @ chain[j].T for k = 2..h,
-    h = ceil(order/2), then n m_k = <chain[i], chain[j]> for k = 2..order."""
+    h = ceil(order/2), then n m_k = <chain[i], chain[j]> for k = 2..order; ValueError if the
+    chain, weights, distances, drift temporaries and d differences outgrow _MAX_PLAN_BYTES."""
     if not 1 <= order <= n:
         raise ValueError(f"order must satisfy 1 <= order <= {n}, got {order}")
+    if (size := ((order + 1) // 2 + 4 + d) * 8 * n * n) > _MAX_PLAN_BYTES:
+        raise ValueError(f"s = {order} needs {size / 1e9:.3g} GB of {n} x {n} arrays, over "
+                         f"the {_MAX_PLAN_BYTES / 1e9:.3g} GB bound; a smaller s is needed")
     products = [((k - 1) // 2, k // 2 - 1) for k in range(2, (order + 3) // 2)]
     return products, [(k // 2 - 1, (k - 1) // 2) for k in range(2, order + 1)]
 
@@ -298,12 +308,12 @@ def _check_overflow(values, what: str) -> None:
 
 @_quiet
 def moments_and_eigenvalues(config: RobotConfiguration, decay: float, metric: int, order: int):
-    """Moments m_1..m_order as a list of floats and eigenvalues, descending: the values
-    and ValueErrors of :func:`spectral_moments` and :func:`eigenvalues` on
-    :func:`build_adjacency`'s weights, under one error state, with no wrapper built."""
+    """Moments m_1..m_order as a list of floats and eigenvalues, descending: the values and
+    ValueErrors of :func:`spectral_moments` (planned for the configuration's d first) and
+    :func:`eigenvalues` on :func:`build_adjacency`'s weights, under one error state, no wrapper."""
+    plan = _chain_plan(order, *config.positions.shape)
     weights = _weights(config.positions, decay, metric)
-    moments = _half_chain(weights, _chain_plan(order, len(weights)))[0]
-    return moments, np.linalg.eigvalsh(weights)[::-1]
+    return _half_chain(weights, plan)[0], np.linalg.eigvalsh(weights)[::-1]
 
 
 def eigenvalues(adjacency: WeightedAdjacency) -> np.ndarray:
@@ -365,6 +375,11 @@ def max_finite_order(n: int) -> int:
     every moment of n robots up to order s, is a finite float: s = n up to
     143 robots, 134 at n = 200 (about 709.78 / ln(n-1))."""
     return int(np.isfinite(float(n - 1) ** np.arange(1, n + 1)).sum())
+
+
+def _max_planned_order(n: int, d: int) -> int:
+    """Largest s <= :func:`max_finite_order` that :func:`_chain_plan` accepts for (n, d), or 1."""
+    return max(1, min(max_finite_order(n), 2 * (_MAX_PLAN_BYTES // (8 * n * n) - 4 - d)))
 
 
 def walk_weight_sum(adjacency: WeightedAdjacency, length: int, start: int, end: int) -> float:

@@ -44,7 +44,7 @@ from .gradient import DEFAULT_DECAY, ControllerParams, TargetSpectrum
 from .network import (
     RobotConfiguration,
     _freeze,
-    max_finite_order,
+    _max_planned_order,
     moments_and_eigenvalues,
     moments_from_eigenvalues,
 )
@@ -70,9 +70,9 @@ __all__ = [
 # relative to the moment magnitude (absolute for small moments).
 EIGEN_CONSISTENCY_TOL = 1e-2
 
-# The largest team a scenario may declare.  A flow holds at most ceil(s/2) + 4 + d
-# dense n x n float64 matrices, about 134 MB each at this bound; at s = 4, d = 2 it
-# peaks near 7.2 of them, about 960 MB.
+# The largest team a scenario may declare, 134 MB per n x n float64 matrix.  An order s plans
+# ceil(s/2) + 4 + d of them, at most 9 (network._MAX_PLAN_BYTES, about 1.21 GB; so s <= 6 in
+# the plane here); at s = 4, d = 2 a flow peaks near 7.2 of them, about 960 MB.
 MAX_ROBOTS = 4096
 
 
@@ -110,17 +110,14 @@ class Scenario:
         if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.initial_positions is not None:
-            pos = np.array(self.initial_positions, dtype=float)
+            pos = RobotConfiguration(self.initial_positions).positions  # frozen already
             if pos.shape != (self.n, self.d):
-                raise ValueError(
-                    f"initial positions have shape {pos.shape}, expected ({self.n}, {self.d})"
-                )
-            if not np.isfinite(pos).all():
-                raise ValueError("initial positions must be finite")
-            _freeze(self, "initial_positions", pos)
+                raise ValueError(f"initial positions have shape {pos.shape}, "
+                                 f"expected ({self.n}, {self.d})")
+            object.__setattr__(self, "initial_positions", pos)
 
     def initial_configuration(self) -> RobotConfiguration:
-        """Starting configuration: explicit positions, checked here already, or the seeded draw."""
+        """Starting configuration: explicit positions, checked already, or the seeded draw."""
         if self.initial_positions is not None:
             return _freeze(object.__new__(RobotConfiguration), "positions", self.initial_positions)
         return random_geometric_config(self.n, self.d, self.seed)
@@ -132,10 +129,6 @@ def random_geometric_config(n: int, d: int, seed: int) -> RobotConfiguration:
     Uses numpy's seeded default generator (PCG64), so a given (n, d, seed)
     triple reproduces the same configuration on every platform.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 robots, got n={n}")
-    if d < 1:
-        raise ValueError(f"spatial dimension must be at least 1, got d={d}")
     rng = np.random.default_rng(seed)
     return RobotConfiguration(rng.random((n, d)))
 
@@ -497,7 +490,7 @@ def positions_from_dict(
 
     Returns ``((configuration, c, z, s), [])`` or ``(None, problems)``.  The
     keys mean what they mean in a scenario file, except that ``s`` defaults
-    to the robot count, capped at :func:`max_finite_order`, and may be 1.
+    to the robot count, capped as ``network._max_planned_order`` says, and may be 1.
     As in a scenario, at most ``MAX_ROBOTS`` robots.
     """
     problems: list[str] = []
@@ -512,7 +505,7 @@ def positions_from_dict(
         return None, [str(exc)]
     if config.n > MAX_ROBOTS:
         return None, [f"need at most {MAX_ROBOTS} robots, got n={config.n}"]
-    order = max_finite_order(config.n) if fields["s"] is None else fields["s"]
+    order = _max_planned_order(*config.positions.shape) if fields["s"] is None else fields["s"]
     if not 1 <= order <= config.n:
         return None, [f"field 's' must be in 1..{config.n}, got {order}"]
     return (config, fields["c"], fields["z"], order), []

@@ -20,6 +20,11 @@ Core claims:
     - an order s whose ceilings or moments overflow floats makes run and
       spectrum exit 2 with one line that names s; spectrum's default s
       stops below that order, so a gathered team of 200 prints
+    - an order whose n x n arrays would pass the 1.21 GB bound makes run and
+      spectrum exit 2 with one line that names s, n and the memory, before
+      any n x n array forms: 4,096 robots in the plane at s = 85 (positions
+      file, within a second and below one 4,096^2 array of traced memory)
+      and at s = 8 (seeded scenario)
     - a stalled run says why it stalled, in its report and summary line
     - a start whose weights underflow to 0 runs and converges, and spectrum
       prints it, like any other input; so do a pair 1e-170 apart, whose
@@ -1006,6 +1011,39 @@ class TestSpectrumCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "invalid positions file: need at most 4096 robots, got n=4097\n"
+
+    def test_order_beyond_the_memory_bound_exit(self, tmp_path, capsys):
+        # 4,096 robots in the plane at s = 85 plan 49 arrays of 134 MB, over
+        # the 1.21 GB bound: refused before the weights or any n x n array form.
+        positions = np.random.default_rng(3).random((4096, 2))
+        path = tmp_path / "crowd.json"
+        path.write_text(json.dumps({"positions": positions.tolist(), "s": 85}))
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            code = main(["spectrum", str(path)])
+            elapsed, peak = time.perf_counter() - started, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION and elapsed < 1.0 and peak < 4096 * 4096 * 8
+        assert capsys.readouterr() == ("", (
+            "cannot evaluate the spectrum: s = 85 needs 6.58 GB of 4096 x 4096 arrays, "
+            "over the 1.21 GB bound; a smaller s is needed\n"))
+
+    @pytest.mark.parametrize("command", ["run", "spectrum"])
+    def test_seeded_team_beyond_the_memory_bound_exit(self, tmp_path, capsys, command):
+        # s = 8 plans 4 + 4 + 2 arrays for 4,096 robots in the plane, one too many.
+        data = {"name": "crowd", "n": 4096, "d": 2, "seed": 1,
+                "targets": {"moments": [0.0] + [1.0] * 7}}
+        path = tmp_path / "crowd.json"
+        path.write_text(json.dumps(data))
+        argv = [command, str(path)] + (["-o", str(tmp_path / "out")] if command == "run" else [])
+        assert main(argv) == EXIT_VALIDATION
+        reason = "cannot run" if command == "run" else "cannot evaluate the spectrum"
+        assert capsys.readouterr() == ("", (
+            f"{reason}: s = 8 needs 1.34 GB of 4096 x 4096 arrays, "
+            "over the 1.21 GB bound; a smaller s is needed\n"))
+        assert not (tmp_path / "out").exists()
 
 
 # One file of each kind that spectrum reads, with the stdout it prints: positions

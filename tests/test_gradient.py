@@ -16,7 +16,7 @@ Core claims:
       ways of forming differences give finite gradients without a numpy
       warning, zero for the far pair, the same on both sides of the
       team-size switch; so does a pair at x = 1.7e308, whose coordinate sum
-      overflows, at 6 and at 56 robots, bitwise in every column
+      overflows, at 6 robots and at the switch (64), bitwise in every column
     - the Euclidean drift sets only the diagonal's distances to inf unless a
       pair coincides, and masks every zero distance when one does: bitwise
       the drift of masking every zero always, below the team-size switch
@@ -443,7 +443,7 @@ class TestZeroDistances:
             positions[1] = positions[0]
         params = _params(order=2, epsilons=(0.0, 1e-3))
         targets = _targets_below(RobotConfiguration(positions), params, fraction=0.5)
-        flow, every_zero = _Flow(targets, params, n), _Flow(targets, params, n)
+        flow, every_zero = _Flow(targets, params, n, 2), _Flow(targets, params, n, 2)
         every_zero.diagonal = slice(0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -456,16 +456,17 @@ class TestZeroDistances:
 
     @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
     def test_close_pair_in_a_large_team(self, gap):
-        # 60 robots in a 5 x 5 box take the product; patched above 60, the
-        # broadcast.  Both contract exact differences, so the pair's direction
-        # does not round to the box's extent.
+        # 60 robots in a 5 x 5 box, with the switch patched to take the
+        # product, then the broadcast.  Both contract exact differences, so the
+        # pair's direction does not round to the box's extent.
         positions = 5.0 * np.random.default_rng(0).random((60, 2))
         positions[1] = positions[0] + [gap, 0.0]
         config = RobotConfiguration(positions)
         params = _params(order=4, epsilons=(0.0, 1e-3, 1e-3, 1e-3))
         targets = _targets_below(config, params, fraction=0.5)
-        flow = _Flow(targets, params, 60)
-        product = _Evaluation(flow, positions).drift
+        flow = _Flow(targets, params, 60, 2)
+        with mock.patch.object(network, "_PRODUCT_TEAM", 2):
+            product = _Evaluation(flow, positions).drift
         with mock.patch.object(network, "_PRODUCT_TEAM", 61):
             broadcast = _Evaluation(flow, positions).drift
         assert np.allclose(product, broadcast, rtol=1e-12, atol=0.0)
@@ -494,7 +495,7 @@ class TestMemory:
         positions = 4.0 * np.random.default_rng(d).random((n, d))
         for order in range(2, 8):
             params = _params(metric=metric, order=order, epsilons=(0.0,) + (1e-3,) * (order - 1))
-            flow = _Flow(_targets_below(RobotConfiguration(positions), params, 0.5), params, n)
+            flow = _Flow(_targets_below(RobotConfiguration(positions), params, 0.5), params, n, d)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]

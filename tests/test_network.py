@@ -17,6 +17,11 @@ Core claims:
     - spectral_moments has m_1 == 0 exactly, nonnegative entries, and agrees
       with the eigenvalue power-sum route to tight tolerance; that route
       raises a ValueError naming s, without a warning, where a power overflows
+    - the half chain's plan refuses, naming s, n and the memory, an order
+      whose ceil(s/2) + 4 + d n x n arrays pass the bytes of 4,096 robots at
+      s = 4, d = 3; the default order of a positions file is the largest one
+      it accepts with finite moments (102 at 1,000 robots, 62 at 2,000 and 6
+      at 4,096 in the plane)
     - complete_graph_moments matches the moments of an explicitly coincident
       team and upper-bounds the moments of every spread-out team
     - walk_weight_sum reproduces entries of A^k by direct enumeration, both
@@ -39,12 +44,14 @@ from momentflow.network import (
     build_adjacency,
     complete_graph_moments,
     eigenvalues,
+    max_finite_order,
     moments_from_eigenvalues,
     power_chain,
     spectral_moments,
     walk_weight_sum,
     _chain_plan,
     _half_chain,
+    _max_planned_order,
     _pairwise_distance,
     _PRODUCT_TEAM,
 )
@@ -360,6 +367,30 @@ class TestSpectralMoments:
         with pytest.raises(ValueError):
             spectral_moments(adjacency, 5)
 
+    def test_plan_memory_bound(self):
+        # ceil(s/2) + 4 + d arrays of n x n floats, at most as many bytes as
+        # 4,096 robots hold at s = 4, d = 3; spectral_moments plans with d = 0.
+        _chain_plan(4, 4096, 3)
+        _chain_plan(10, 4096, 0)
+        for order, d in ((5, 3), (7, 2), (11, 0)):
+            with pytest.raises(ValueError, match=rf"^s = {order} needs 1\.34 GB of 4096 x 4096 "
+                               r"arrays, over the 1\.21 GB bound; a smaller s is needed$"):
+                _chain_plan(order, 4096, d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_largest_planned_order(self, d):
+        # Finite moments up to about 1,660 robots, the memory bound from there on.
+        for n in (2, 150, 1000, 1655, 1660, 1665, 1700, 2000, 3000, 4096):
+            order = _max_planned_order(n, d)
+            _chain_plan(order, n, d)
+            if order == max_finite_order(n):
+                assert n < 1700
+            else:
+                assert n > 1655
+                with pytest.raises(ValueError, match=f"^s = {order + 1} needs "):
+                    _chain_plan(order + 1, n, d)
+        assert [_max_planned_order(n, 2) for n in (1000, 2000, 4096)] == [102, 62, 6]
+
 
 # == 8. Eigenvalue helpers ===================================================
 
@@ -458,7 +489,7 @@ class TestWalkWeightSum:
     def test_matches_half_chain_entries(self, n, seed):
         # The flow's own products A^k = A^ceil(k/2) (A^floor(k/2))^T, k <= ceil(n/2).
         adjacency = _random_adjacency(n, seed)
-        chain = _half_chain(adjacency.weights, _chain_plan(n, n))[1]
+        chain = _half_chain(adjacency.weights, _chain_plan(n, n, 0))[1]
         assert len(chain) == (n + 1) // 2
         for length, power in enumerate(chain, start=1):
             for start in range(n):

@@ -23,12 +23,13 @@ Core claims:
       that overflow to inf
     - below that switch, the in-place sum of the axes' squares (absolute
       values) is bitwise np.add.reduce over axis 0, for d = 1, 2 and 3
-    - the drift is the same array whichever way the switch forms the
-      differences it contracts, on teams of up to 12 robots, coincident,
+    - the drift is finite and the same array whichever way the switch forms
+      the differences it contracts, on teams of up to 12 robots, coincident,
       1e-12 to 1e-9 apart, relabelled and shifted by up to 1e6 ones
-      included; both ways keep C-contiguous differences equal to
-      x_i - x_j, their distances are identical, and every path's weights
-      are C-contiguous with a zero diagonal
+      included, and unshifted ones with a pair 1e-200 to 1e-163 apart whose
+      squared gap underflows to 0; both ways keep C-contiguous differences
+      equal to x_i - x_j, their distances are identical, and every path's
+      weights are C-contiguous with a zero diagonal
     - with robots within 1e-3 of +-1.7e308, where pair distances and
       coordinate sums overflow, both ways give finite control laws, barrier
       and moment gradients and the same drift on every axis; relabelling
@@ -314,7 +315,10 @@ def _tail_cases(draw):
     with targets half their moments and a barrier on every one.
 
     Robots are at least 0.4/n apart on every axis, but for coincident ones
-    and, in half the teams, one pair 1e-12 to 1e-9 apart on every axis."""
+    and, in half the teams, one pair 1e-12 to 1e-9 apart on every axis.  In
+    half the teams, robot 0 sits at the origin and another robot 1e-200 to
+    1e-163 from it on every axis, so that their squared gap underflows to 0;
+    those teams are not shifted, which would merge the two."""
     n = draw(st.integers(2, 12))
     d = draw(st.integers(1, 3))
     positions = draw(_tie_free_teams(n, d)).positions.copy()
@@ -324,7 +328,12 @@ def _tail_cases(draw):
     if draw(st.booleans()):
         positions[draw(arrays(bool, n, elements=st.booleans()))] = positions[0]
     positions = positions[draw(st.permutations(range(n)))]
-    positions += draw(arrays(float, d, elements=st.floats(-1e6, 1e6)))
+    if draw(st.booleans()):
+        tiny = st.one_of(st.floats(1e-200, 1e-163), st.floats(-1e-163, -1e-200))
+        positions[0] = 0.0
+        positions[draw(st.integers(1, n - 1))] = draw(arrays(float, d, elements=tiny))
+    else:
+        positions += draw(arrays(float, d, elements=st.floats(-1e6, 1e6)))
     order = draw(st.integers(2, min(5, n)))
     params = ControllerParams(
         decay=draw(_DECAY), metric=draw(_METRIC), order=order,
@@ -358,6 +367,7 @@ def test_drift_tails_agree(case):
                 assert np.all(np.diag(weights) == 0.0)
             distances.append(_pairwise_distance(positions, params.metric)[0])
             drifts.append(state.drift)
+            assert np.all(np.isfinite(drifts[-1]))
     assert np.array_equal(*distances)
     assert np.array_equal(*drifts)
 

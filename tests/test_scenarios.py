@@ -4,8 +4,10 @@ Unit tests for scenario assembly, presets, and semantic validation.
 Core claims:
     - TargetSpectrum validates structure and freezes arrays
     - Scenario enforces the seed-xor-positions rule, input shapes and the
-      robot-count bound
-    - random_geometric_config is deterministic per seed and unit-box bounded
+      robot-count bound; explicit positions fail with RobotConfiguration's
+      own messages, and the scenario keeps a frozen copy
+    - random_geometric_config is deterministic per seed and unit-box bounded,
+      and refuses n < 2 and d < 1 with RobotConfiguration's messages
     - hexagon_formation is a regular hexagon with a central robot
     - target_from_formation reproduces the formation's own moments and
       spectrum, hence realizable targets
@@ -17,10 +19,13 @@ Core claims:
     - scenario_from_dict reads every given field of a file, through JSON
       text, into the attribute its SCHEMA row names
     - SCHEMA maps a file key to every constructor field exactly once
+    - a positions file's default order is the largest that is both finite
+      and within the chain plan's memory bound, found without evaluating
 """
 
 import dataclasses
 import json
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -48,6 +53,7 @@ from momentflow.scenarios import (
     SCHEMA,
     Scenario,
     hexagon_formation,
+    positions_from_dict,
     preset,
     preset_data,
     random_geometric_config,
@@ -150,6 +156,24 @@ class TestScenario:
             _valid_scenario(n=MAX_ROBOTS + 1)
         assert _valid_scenario(n=MAX_ROBOTS).n == MAX_ROBOTS
 
+    @pytest.mark.parametrize("positions", [
+        np.full((5, 2), np.nan), np.zeros((1, 2)), np.zeros((5, 0)), np.zeros(5),
+    ])
+    def test_positions_fail_as_a_configuration(self, positions):
+        # RobotConfiguration's checks are the only ones: the same message.
+        with pytest.raises(ValueError) as expected:
+            RobotConfiguration(positions)
+        with pytest.raises(ValueError) as raised:
+            _valid_scenario(seed=None, initial_positions=positions)
+        assert str(raised.value) == str(expected.value)
+
+    def test_positions_copied_and_frozen(self):
+        positions = np.arange(10.0).reshape(5, 2)
+        scenario = _valid_scenario(seed=None, initial_positions=positions)
+        positions[0, 0] = 7.0
+        assert scenario.initial_positions[0, 0] == 0.0
+        assert not scenario.initial_positions.flags.writeable
+
 
 # == 3. Random configurations ================================================
 
@@ -167,9 +191,10 @@ class TestRandomGeometricConfig:
         assert np.all(config.positions < 1.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        # RobotConfiguration's refusals, word for word.
+        with pytest.raises(ValueError, match="^a network needs at least 2 robots, got n=1$"):
             random_geometric_config(1, 2, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^spatial dimension must be at least 1, got d=0$"):
             random_geometric_config(3, 0, 0)
 
 
@@ -483,3 +508,23 @@ class TestScenarioFileSchema:
             scenario, problems = scenario_from_dict(dict(data, **{key: None}))
             assert scenario is None
             assert any(f"'{key}'" in p for p in problems)
+
+
+# == 9. Positions files ======================================================
+
+class TestPositionsFile:
+    @pytest.mark.parametrize("n, d, order", [
+        (1000, 2, 102), (2000, 2, 62), (4096, 1, 8), (4096, 2, 6), (4096, 3, 4),
+    ])
+    def test_default_order_within_the_memory_bound(self, n, d, order):
+        # The largest order both finite and within the plan's bound, read
+        # without evaluating: no n x n array forms.
+        data = {"positions": np.random.default_rng(n + d).random((n, d)).tolist()}
+        tracemalloc.start()
+        try:
+            found, problems = positions_from_dict(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert problems == [] and found[3] == order
+        assert peak < n * n * 8
