@@ -32,7 +32,6 @@ compression.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -69,8 +68,6 @@ __all__ = [
     "DEFAULT_RECORD_EVERY",
     "MAX_TRIAL_STEPS",
 ]
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_DT = 0.05
 DEFAULT_MIN_STEP = 1e-8
@@ -337,7 +334,6 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     """
     settings = scenario.settings
     state = _feasible_start(scenario.initial_configuration(), scenario.targets, scenario.params)
-    start = state.positions
 
     def snapshot(t: float) -> TrajectorySample:
         return TrajectorySample(
@@ -392,16 +388,6 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     config = state.config
     if samples[-1].configuration is not config or samples[-1].t != t:
         samples.append(snapshot(t))
-
-    if logger.isEnabledFor(logging.INFO):
-        flipped = 0
-        for before, after in zip(start.T, config.positions.T):
-            flipped += int(np.sum(
-                np.sign(np.subtract.outer(before, before))
-                != np.sign(np.subtract.outer(after, after))
-            )) // 2
-        if flipped:
-            logger.info("coordinate ordering changed for %d robot pair slots during the run", flipped)
 
     return TrajectoryRecord(
         samples=tuple(samples),

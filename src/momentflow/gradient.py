@@ -65,7 +65,6 @@ __all__ = [
     "DEFAULT_DECAY",
     "DEFAULT_EPSILON",
     "DEFAULT_FD_STEP",
-    "default_epsilons",
     "trace_derivative",
     "moment_gradient",
     "cost",
@@ -84,16 +83,6 @@ DEFAULT_DECAY = 1.0
 # the barrier enough to stall an explicit integrator near the boundary.
 DEFAULT_EPSILON = 1e-8
 DEFAULT_FD_STEP = 1e-6
-
-
-def default_epsilons(order: int) -> tuple[float, ...]:
-    """Barrier constants (0, eps, ..., eps): index k-1 guards moment k.
-
-    The leading zero disables the k = 1 term, which has no margin to guard.
-    """
-    if order < 2:
-        raise ValueError(f"order must be at least 2, got {order}")
-    return (0.0,) + (DEFAULT_EPSILON,) * (order - 1)
 
 
 class InfeasibleStateError(RuntimeError):
@@ -147,7 +136,7 @@ class ControllerParams:
     order        highest controlled moment s; moments 2..s are steered
     epsilons     s barrier constants, epsilons[k-1] guarding moment k;
                  entry 0 must be 0 and the rest nonnegative; all zero
-                 turns the barrier off
+                 turns the barrier off; empty means 0, then DEFAULT_EPSILON
     """
 
     decay: float = DEFAULT_DECAY
@@ -162,7 +151,7 @@ class ControllerParams:
             raise ValueError(f"metric must be 1 or 2, got {self.metric}")
         if self.order < 2:
             raise ValueError(f"order must be at least 2, got {self.order}")
-        eps = tuple(map(float, self.epsilons)) or default_epsilons(self.order)
+        eps = tuple(map(float, self.epsilons)) or (0.0,) + (DEFAULT_EPSILON,) * (self.order - 1)
         if len(eps) != self.order:
             raise ValueError(
                 f"need {self.order} epsilons (barrier constants), got {len(eps)}"

@@ -215,11 +215,12 @@ def scenario_violations(scenario: Scenario) -> list[str]:
     """All semantic rule violations of a scenario, empty when valid.
 
     Checks, in order: spatial dimension 1..3, moment order against robot
-    count, target/params order agreement, m_1* = 0, nonnegative even-order
-    targets, and reference-eigenvalue consistency (count matches n; moments
-    recomputed from the spectrum are finite and agree with the stored
-    targets to EIGEN_CONSISTENCY_TOL relative to max(1, |m_k*|)).  Targets at or above
-    their ceilings are left to :func:`momentflow.dynamics.ensure_feasible`.
+    count, m_1* = 0, nonnegative even-order targets, and reference-eigenvalue
+    consistency (count matches n; moments recomputed from the spectrum are
+    finite and agree with the stored targets to EIGEN_CONSISTENCY_TOL
+    relative to max(1, |m_k*|)).  Targets at or above their ceilings are
+    left to :func:`momentflow.dynamics.ensure_feasible`; targets and params
+    orders agree in every file read, and the flow itself refuses a mismatch.
     """
     out: list[str] = []
     if scenario.d > 3:
@@ -230,26 +231,19 @@ def scenario_violations(scenario: Scenario) -> list[str]:
         out.append(
             f"moment order s={params.order} exceeds robot count n={scenario.n}"
         )
-    if targets.order != params.order:
-        out.append(
-            f"targets carry {targets.order} moments but params.order is {params.order}"
-        )
-    else:
-        goal = targets.moments
-        if goal[0] != 0.0:
-            out.append(f"m_1* must be exactly 0, got {goal[0]:.6g}")
-        for k in range(2, params.order + 1, 2):
-            if goal[k - 1] < 0.0:
-                out.append(
-                    f"even-order target m_{k}* = {goal[k - 1]:.6g} is negative"
-                )
+    goal = targets.moments
+    if goal[0] != 0.0:
+        out.append(f"m_1* must be exactly 0, got {goal[0]:.6g}")
+    for k in range(2, targets.order + 1, 2):
+        if goal[k - 1] < 0.0:
+            out.append(f"even-order target m_{k}* = {goal[k - 1]:.6g} is negative")
     eigs = targets.reference_eigenvalues
     if eigs is not None:
         if eigs.shape != (scenario.n,):
             out.append(
                 f"reference spectrum has {eigs.size} eigenvalues, expected n={scenario.n}"
             )
-        elif targets.order == params.order and params.order <= scenario.n:
+        elif targets.order <= scenario.n:
             try:
                 recomputed = moments_from_eigenvalues(eigs, targets.order).values
             except ValueError:  # a power of a reference eigenvalue overflowed

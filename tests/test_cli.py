@@ -11,7 +11,11 @@ Core claims:
     - verify's fault injection flag makes the control-law check fail, a NaN
       or overflowing perturbation included, and a NaN error fails any check
     - main builds its parser once per process; repeated in-process calls
-      parse, print help and apply -v exactly as one-shot calls do
+      parse, print help and apply -v exactly as one-shot calls do, and no
+      call touches the root logger's handlers
+    - -v prints, to stderr, how many robot pair slots changed coordinate
+      order during a run, when any did, and one line with the command's
+      wall time and exit status
     - a malformed value of any schema field makes run and spectrum exit 2
       with one-line reasons that name the field; a huge robot count does
       so before anything is allocated
@@ -56,7 +60,7 @@ Core claims:
       (positions in d = 1, 2 and 3, moment targets, formation targets);
       files are strict UTF-8, so a BOM, UTF-16 or Latin-1 file exits 5 with
       one line; and a warm call opens at most 38.9 frames of momentflow's
-      code and 2 of the logging package's, on average over those files
+      code, on average over those files, and none of the logging package's
 """
 
 import argparse
@@ -66,6 +70,7 @@ import io
 import json
 import logging
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -446,6 +451,24 @@ class TestRunCommand:
         assert "2/2 trials converged" in capsys.readouterr().out
         for index in range(2):
             assert (tmp_path / f"trial_{index:03d}" / "quick_report.json").exists()
+
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_verbose_counts_coordinate_order_flips(self, tmp_path, capsys, metric):
+        # Robots 0 and 1 tie on y and repel each other only along x; robot 2
+        # pushes the nearer robot 0 harder, so the tie breaks: one pair slot
+        # changes order, and no pair crosses on x.
+        path = tmp_path / "tie.json"
+        path.write_text(json.dumps({
+            "name": "tie", "n": 3, "d": 2, "z": metric, "s": 2, "max_time": 0.5,
+            "positions": [[0.0, 0.0], [1.0, 0.0], [0.3, 1.0]],
+            "targets": {"moments": [0.0, 0.05]},
+        }))
+        assert main(["-v", "run", str(path), "-o", str(tmp_path)]) == EXIT_HORIZON
+        with (tmp_path / "tie_report.json").open() as handle:
+            assert json.load(handle)["accepted_steps"] > 0
+        flips, finished = capsys.readouterr().err.splitlines()
+        assert flips == "coordinate ordering changed for 1 robot pair slots during the run"
+        assert finished.startswith("command finished in ")
 
     def test_seed_override(self, tmp_path, capsys):
         path = tmp_path / "quick.json"
@@ -853,6 +876,16 @@ class TestVerifyCommand:
                    if line.startswith("FAIL")]
         assert failing and all(check in line and "worst error nan" in line for line in failing)
 
+    def test_robot_count_bound(self, capsys):
+        # Finite differences cost about n^3 per trial: refused before any work.
+        start = time.perf_counter()
+        assert main(["verify", "--n", "101", "--trials", "1"]) == EXIT_VALIDATION
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verify takes n <= 100, got n=101\n"
+        assert main(["verify", "--n", "100", "--trials", "0"]) == 0
+
     def test_zero_trials_warns(self, capsys):
         code = main(["verify", "--trials", "0"])
         assert code == 0
@@ -1124,8 +1157,8 @@ class TestColdSpectrum:
         # A cold spectrum call's own evaluation is a few numpy calls on small
         # arrays, so Python glue sets much of its time.  Count the frames that
         # momentflow's code and the logging package open (numpy's and argparse's
-        # vary with their versions), after one call per file has set the log
-        # level: 38.4 and 2 per call over these five files.
+        # vary with their versions), after one warm call per file: 38.4 and 0
+        # per call over these five files.
         paths = [_spectrum_file(tmp_path, kind) for kind in sorted(_SPECTRUM_FILES)]
         for path in paths:
             assert main(["spectrum", str(path)]) == 0
@@ -1150,22 +1183,10 @@ class TestColdSpectrum:
         # At least main, the file's reader and the evaluation per call; at most
         # the measured counts + 0.5 per call.
         assert 10 * len(paths) <= calls[package] <= 38.9 * len(paths)
-        assert calls[logs] <= 2 * len(paths)
+        assert calls[logs] == 0
 
 
 # == 7. One parser per process ==============================================
-
-@contextlib.contextmanager
-def _bare_root_logger():
-    """Run without root handlers, so ``logging.basicConfig`` installs its own."""
-    saved = logging.root.handlers[:]
-    logging.root.handlers.clear()
-    try:
-        yield
-    finally:
-        logging.root.handlers[:] = saved
-        logging.getLogger("momentflow").setLevel(logging.NOTSET)
-
 
 def _help_text(parse, argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -1235,16 +1256,15 @@ class TestSharedParser:
         quiet_argv = ["spectrum", "--preset", "rgg10"]
         verbose_argv = ["-v", *quiet_argv]
         calls = [verbose_argv, quiet_argv] if verbose_first else [quiet_argv, verbose_argv]
-        with _bare_root_logger():
-            errs = []
-            for argv in calls:
-                assert main(argv) == 0
-                errs.append(capsys.readouterr().err)
-            assert len(logging.root.handlers) == 1
+        handlers = logging.root.handlers[:]
+        errs = []
+        for argv in calls:
+            assert main(argv) == 0
+            errs.append(capsys.readouterr().err)
+        assert logging.root.handlers == handlers
         verbose, quiet = errs if verbose_first else errs[::-1]
         assert quiet == ""
-        assert verbose.startswith("INFO momentflow.cli: command finished in ")
-        assert len(verbose.splitlines()) == 1
+        assert re.fullmatch(r"command finished in \d+\.\d\d s with exit status 0\n", verbose)
 
 
 # == 8. Malformed fields =====================================================

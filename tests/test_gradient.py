@@ -54,7 +54,6 @@ from momentflow.gradient import (
     barrier_gradient,
     control_law,
     cost,
-    default_epsilons,
     finite_difference_gradient,
     moment_gradient,
     trace_derivative,
@@ -115,12 +114,12 @@ class TestControllerParams:
         assert any(params.epsilons)  # the barrier is on by default
 
     def test_default_epsilons_shape(self):
-        eps = default_epsilons(5)
+        eps = ControllerParams(order=5).epsilons
         assert len(eps) == 5
         assert eps[0] == 0.0
         assert all(e == DEFAULT_EPSILON for e in eps[1:])
-        with pytest.raises(ValueError):
-            default_epsilons(1)
+        with pytest.raises(ValueError, match="order must be at least 2"):
+            ControllerParams(order=1)
 
     def test_explicit_epsilons_kept(self):
         params = _params(order=3, epsilons=(0.0, 1e-6, 2e-6))

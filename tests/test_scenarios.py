@@ -15,9 +15,12 @@ Core claims:
       reference target tables and tuned integrator settings, field by field
       at every order; preset_data hands out a fresh copy of their file data
     - scenario_violations flags each semantic rule violation separately and
-      leaves realizability ceilings to ensure_feasible
+      leaves realizability ceilings to ensure_feasible; targets and params
+      that disagree on the order, which no file can give, make cost and
+      simulate raise
     - scenario_from_dict reads every given field of a file, through JSON
-      text, into the attribute its SCHEMA row names
+      text, into the attribute its SCHEMA row names, with targets and params
+      of one order s <= n
     - SCHEMA maps a file key to every constructor field exactly once
     - a positions file's default order is the largest that is both finite
       and within the chain plan's memory bound, found without evaluating
@@ -38,8 +41,9 @@ from momentflow.dynamics import (
     SimulationSettings,
     UnrealizableTargetsError,
     ensure_feasible,
+    simulate,
 )
-from momentflow.gradient import ControllerParams, TargetSpectrum, default_epsilons
+from momentflow.gradient import DEFAULT_EPSILON, ControllerParams, TargetSpectrum, cost
 from momentflow.network import (
     RobotConfiguration,
     build_adjacency,
@@ -322,7 +326,7 @@ class TestPresets:
         assert scenario.initial_positions is None
         params = scenario.params
         assert (params.decay, params.metric, params.order) == (1.0, 2, order)
-        assert params.epsilons == default_epsilons(order)
+        assert params.epsilons == (0.0,) + (DEFAULT_EPSILON,) * (order - 1)
         assert scenario.targets.moments.tolist() == moments[:order]
         assert scenario.targets.reference_eigenvalues.tolist() == reference
         expected = SimulationSettings(cost_tolerance=tolerance)
@@ -362,8 +366,14 @@ class TestScenarioViolations:
         assert any("exceeds robot count" in v for v in scenario_violations(scenario))
 
     def test_order_mismatch(self):
+        # No file can disagree (scenario_from_dict reads both orders from s);
+        # a scenario built in code is refused by the flow itself.
         scenario = _valid_scenario(targets=TargetSpectrum([0.0, 0.8]))
-        assert any("params.order" in v for v in scenario_violations(scenario))
+        message = "targets carry 2 moments but params.order is 3"
+        with pytest.raises(ValueError, match=message):
+            cost(scenario.initial_configuration(), scenario.targets, scenario.params)
+        with pytest.raises(ValueError, match=message):
+            simulate(scenario)
 
     def test_first_moment_must_vanish(self):
         scenario = _valid_scenario(targets=TargetSpectrum([0.1, 0.8, 0.9]))
@@ -464,6 +474,7 @@ class TestScenarioFileSchema:
         # epsilons and moment targets are truncated to the order.
         order = scenario.params.order
         assert order == data.get("s", data["n"])
+        assert scenario.targets.order == scenario.params.order <= scenario.n
         given = dict(data, epsilons=data["epsilons"][:order], s=order)
         targets = given.pop("targets")
         if "moments" in targets:
