@@ -33,13 +33,14 @@ import numpy as np
 
 from .dynamics import TrajectoryRecord, UnrealizableTargetsError, simulate
 from .gradient import (
+    DEFAULT_FD_STEP,
     ControllerParams,
     TargetSpectrum,
     barrier,
     barrier_gradient,
     control_law,
     cost,
-    finite_difference_gradient,
+    stacked_values,
     trace_derivative,
 )
 from .network import (
@@ -343,9 +344,14 @@ def _random_adjacency(rng: np.random.Generator, n: int) -> WeightedAdjacency:
     return WeightedAdjacency(weights)
 
 
-def _gradient_error(analytic: np.ndarray, function: Any, config: RobotConfiguration) -> float:
-    """Largest error of ``analytic`` against finite differences of ``function``, relative."""
-    fd = finite_difference_gradient(function, config)
+def _gradient_error(analytic: np.ndarray, field: Any, config: RobotConfiguration,
+                    targets: TargetSpectrum, params: ControllerParams) -> float:
+    """Relative error of ``analytic`` against ``field``'s finite_difference_gradient, bitwise."""
+    n, d = config.positions.shape
+    bumps = DEFAULT_FD_STEP * np.eye(n * d).reshape(-1, n, d)  # x + 0.0 is x, or 0.0 for -0.0
+    teams = np.stack([config.positions + bumps, config.positions - bumps], axis=1)
+    upper, lower = stacked_values(field, teams.reshape(-1, n, d), targets, params).reshape(-1, 2).T
+    fd = ((upper - lower) / (2.0 * DEFAULT_FD_STEP)).reshape(n, d)
     scale = max(float(np.abs(fd).max()), 1e-12)
     return float(np.abs(analytic - fd).max()) / scale
 
@@ -358,6 +364,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise _Failure(EXIT_VALIDATION, "verify needs n >= 2, d >= 1, trials >= 0, seed >= 0")
     if n > _MAX_VERIFY_ROBOTS:
         raise _Failure(EXIT_VALIDATION, f"verify takes n <= {_MAX_VERIFY_ROBOTS}, got n={n}")
+    if d > 3:  # the scenario files' bound; it also caps a stencil at 6 n teams
+        raise _Failure(EXIT_VALIDATION, f"verify takes d <= 3, got d={d}")
     if trials == 0:
         print("warning: 0 trials requested; every check passes vacuously")
     rng = np.random.default_rng(args.seed)
@@ -412,7 +420,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 with np.errstate(over="ignore"):
                     analytic = analytic * (1.0 + args.perturb)
             # The control law is minus the cost gradient.
-            error = _gradient_error(-analytic, lambda c: cost(c, targets, params), config)
+            error = _gradient_error(-analytic, cost, config, targets, params)
             worst = np.maximum(worst, error)
         report(f"control law vs cost gradient (metric {metric})", worst, 1e-5)
 
@@ -425,7 +433,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         current = target_from_formation(config, params)
         targets = TargetSpectrum(current.moments * 0.5)
         analytic = barrier_gradient(config, targets, params)
-        error = _gradient_error(analytic, lambda c: barrier(c, targets, params), config)
+        error = _gradient_error(analytic, barrier, config, targets, params)
         worst = np.maximum(worst, error)
     report("barrier gradient vs finite differences", worst, 1e-4)
 
@@ -524,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     verify.add_argument("--n", type=int, default=6, help="robots per instance, 2..100 (default 6)")
-    verify.add_argument("--d", type=int, default=2, help="spatial dimension (default 2)")
+    verify.add_argument("--d", type=int, default=2, help="spatial dimension, 1..3 (default 2)")
     verify.add_argument(
         "--trials", type=int, default=20, help="instances per check (default 20)"
     )

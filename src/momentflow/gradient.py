@@ -37,6 +37,7 @@ finite-difference oracle checks every analytic formula.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -72,6 +73,7 @@ __all__ = [
     "barrier",
     "barrier_gradient",
     "finite_difference_gradient",
+    "stacked_values",
 ]
 
 DEFAULT_DECAY = 1.0
@@ -83,6 +85,10 @@ DEFAULT_DECAY = 1.0
 # the barrier enough to stall an explicit integrator near the boundary.
 DEFAULT_EPSILON = 1e-8
 DEFAULT_FD_STEP = 1e-6
+# From _STACK_TEAM robots on stacked_values takes one team a call.  `verify --n N` in s, per
+# team/stacked, best of 9, one BLAS thread: d = 2, N = 32 .074/.034, 48 .089/.070, 63 .125/.110,
+# 80 .101/.113, 100 .177/.226; d = 3, N = 63 .097/.106.  _STENCIL_BYTES bounds a chunk's arrays.
+_STACK_TEAM, _STENCIL_BYTES = 64, 2**19
 
 
 class InfeasibleStateError(RuntimeError):
@@ -278,7 +284,7 @@ class _Evaluation:
                 )
             # numpy's cube where Python's could overflow or reach 0 and raise
             cube = margin**3 if 1e-100 < margin < 1e100 else np.float64(margin) ** 3
-            coefficients[k - 2] = eps / cube
+            coefficients[k - 2] = eps / cube if cube else np.inf
         return coefficients
 
     def _project(self, coefficients: Sequence[float]) -> np.ndarray:
@@ -366,6 +372,7 @@ def control_law(
     return state._project(state.margins)
 
 
+@_quiet
 def barrier(config: RobotConfiguration, targets: TargetSpectrum, params: ControllerParams) -> float:
     """Interior barrier sum_{k} (eps_k / 4k) * (m_k - m_k*)^(-2).
 
@@ -422,3 +429,36 @@ def finite_difference_gradient(
                 - scalar_field(RobotConfiguration(lower))
             ) / (2.0 * step)
     return grad
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def stacked_values(field: Callable[..., float], teams: np.ndarray, targets: TargetSpectrum,
+                   params: ControllerParams) -> np.ndarray:
+    """``field(RobotConfiguration(team), targets, params)`` for each team of an (m, n, d) stack,
+    bitwise.  For :func:`cost` and :func:`barrier` below _STACK_TEAM robots, in chunks, by
+    elementwise and per-team steps only (a syrk or gemm and a ddot a slice); else, or where a
+    team would raise, one team a call, so that the first such team raises its error."""
+    n, d = teams.shape[1:]
+    if n >= _STACK_TEAM or field not in (cost, barrier):
+        return np.array([field(RobotConfiguration(team), targets, params) for team in teams])
+    flow, values, diagonal = _Flow(targets, params, n, d), [], np.arange(n)
+    size = max(1, _STENCIL_BYTES // ((d + len(flow.plan[0]) + 4) * 8 * n * n))
+    for chunk in np.split(teams, range(size, len(teams), size)):
+        columns = chunk.swapaxes(1, 2).copy()
+        terms = columns[..., :, None] - columns[..., None, :]  # (size, d, n, n)
+        terms = (np.abs if flow.metric == 1 else np.square)(terms, out=terms)
+        chain = [w := functools.reduce(np.add, terms.swapaxes(0, 1))]  # axis by axis, as for one
+        np.exp(np.multiply(np.sqrt(w) if flow.metric == 2 else w, -flow.decay, out=w), out=w)
+        w[:, diagonal, diagonal] = 0.0
+        for left, right in flow.plan[0]:
+            chain.append(np.matmul(chain[left], chain[right].swapaxes(1, 2)))
+        v = [power.reshape(len(chunk), -1) for power in chain]
+        margins = [np.vecdot(v[i], v[j]) / n - m for (i, j), m in zip(flow.plan[1], flow.goal)]
+        if not np.isfinite(margins).all() or field is barrier and any(
+                (margins[k - 2] <= 0.0).any() for k, _ in flow.guarded):
+            return np.array([field(RobotConfiguration(team), targets, params) for team in teams])
+        terms = ([eps / (4.0 * k * margins[k - 2] * margins[k - 2]) for k, eps in flow.guarded]
+                 if field is barrier else [x * x / q for x, q in zip(margins, flow.divisors)])
+        values.append(functools.reduce(np.add, terms, np.zeros(len(chunk))))  # eps / 0 is inf
+        del w, chain, v  # before the next chunk's arrays form
+    return np.concatenate(values)

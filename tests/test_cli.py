@@ -10,6 +10,10 @@ Core claims:
       (0 converged, 1 horizon, 2 validation, 3 unrealizable, 4 stalled, 5 I/O)
     - verify's fault injection flag makes the control-law check fail, a NaN
       or overflowing perturbation included, and a NaN error fails any check
+    - verify refuses --d above 3 with one line, before any work, and its
+      stacked finite differences are finite_difference_gradient's quotients
+      exactly, of the cost and of the barrier, below the stacking switch
+      and from it on
     - main builds its parser once per process; repeated in-process calls
       parse, print help and apply -v exactly as one-shot calls do, and no
       call touches the root logger's handlers
@@ -92,6 +96,8 @@ from momentflow.cli import (
     EXIT_STALLED,
     EXIT_UNREALIZABLE,
     EXIT_VALIDATION,
+    _gradient_error,
+    _tie_free_config,
     apply_override,
     build_parser,
     build_report,
@@ -99,7 +105,13 @@ from momentflow.cli import (
     write_trajectory_csv,
 )
 from momentflow.dynamics import simulate
-from momentflow.gradient import ControllerParams
+from momentflow.gradient import (
+    ControllerParams,
+    TargetSpectrum,
+    barrier,
+    cost,
+    finite_difference_gradient,
+)
 from momentflow.network import (
     build_adjacency,
     complete_graph_moments,
@@ -885,6 +897,32 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == "verify takes n <= 100, got n=101\n"
         assert main(["verify", "--n", "100", "--trials", "0"]) == 0
+
+    def test_dimension_bound(self, capsys):
+        # As in scenario files; 300 dimensions ran 11 s to a false NaN failure.
+        start = time.perf_counter()
+        assert main(["verify", "--d", "4", "--trials", "1"]) == EXIT_VALIDATION
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verify takes d <= 3, got d=4\n"
+        assert main(["verify", "--d", "3", "--trials", "0"]) == 0
+
+    @pytest.mark.parametrize("n, d, metric", [
+        (2, 1, 1), (3, 3, 2), (6, 2, 1), (6, 2, 2), (9, 3, 1), (31, 2, 2), (63, 1, 1), (64, 1, 2),
+    ])
+    def test_stacked_differences_are_the_oracle_s(self, n, d, metric):
+        rng = np.random.default_rng(n * d)
+        order = min(5, n)
+        config = _tie_free_config(rng, n, d)
+        params = ControllerParams(metric=metric, order=order,
+                                  epsilons=(0.0, *(0.05 * (k + 2) for k in range(order - 1))))
+        far = target_from_formation(_tie_free_config(rng, n, d), params)
+        below = TargetSpectrum(target_from_formation(config, params).moments * 0.5)
+        for field, targets in ((cost, far), (barrier, below)):
+            oracle = finite_difference_gradient(lambda c: field(c, targets, params), config)
+            assert np.abs(oracle).max() > 0.0
+            assert _gradient_error(oracle, field, config, targets, params) == 0.0
 
     def test_zero_trials_warns(self, capsys):
         code = main(["verify", "--trials", "0"])

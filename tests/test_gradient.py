@@ -30,6 +30,15 @@ Core claims:
     - one evaluation and its drift of 256 robots hold at most
       ceil(s/2) + 4 + d n x n arrays at once, for s = 2..7 and d = 1..3
     - finite_difference_gradient is second-order accurate on a known field
+    - a guarded margin so small that its cube or 4k margin^2 underflows
+      gives an infinite barrier and barrier coefficient without a numpy
+      warning (4 robots on a 150 x 150 square, targets at half their moments)
+    - stacked_values gives, bitwise, cost and barrier of every team of a
+      finite-difference stencil on generated teams below the stacking
+      switch (d 1-3, s 2..min(5, n), both metrics, barrier constants zero
+      and nonzero) and on the far team above; a stack whose team would
+      raise raises that team's InfeasibleStateError or ValueError, as one
+      team's call does; one chunk holds at most the module's byte budget
 """
 
 import math
@@ -41,7 +50,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from momentflow import network
+from momentflow import gradient, network
 
 from momentflow.gradient import (
     DEFAULT_EPSILON,
@@ -56,6 +65,7 @@ from momentflow.gradient import (
     cost,
     finite_difference_gradient,
     moment_gradient,
+    stacked_values,
     trace_derivative,
 )
 from momentflow.network import (
@@ -95,6 +105,27 @@ def _targets_below(config, params, fraction=0.7):
     adjacency = build_adjacency(config, params.decay, params.metric)
     moments = spectral_moments(adjacency, params.order).values
     return TargetSpectrum(fraction * moments)
+
+
+# Four robots so far apart that their moments (about 1e-131 and below) leave margins whose
+# squares underflow.
+_FAR_TEAM = RobotConfiguration([[0.0, 0.0], [150.0, 0.0], [0.0, 150.0], [150.0, 150.0]])
+
+
+def _stencil(config, step=1e-6):
+    """finite_difference_gradient's teams, in its order: x + step e_ir, x - step e_ir."""
+    teams = []
+    for i, r in np.ndindex(config.positions.shape):
+        upper = config.positions.copy()
+        upper[i, r] += step
+        lower = config.positions.copy()
+        lower[i, r] -= step
+        teams += [upper, lower]
+    return np.array(teams)
+
+
+def _one_by_one(field, teams, targets, params):
+    return np.array([field(RobotConfiguration(team), targets, params) for team in teams])
 
 
 def _norm_close(actual, expected, tol):
@@ -327,6 +358,27 @@ class TestBarrier:
         with pytest.raises(InfeasibleStateError):
             barrier_gradient(config, targets, params)
 
+    def test_underflowing_margin_is_quietly_infinite(self):
+        # Margins near 1e-131: 4k margin^2 and the cube underflow to 0.
+        params = _params(order=4, epsilons=(0.0, 0.1, 0.15, 0.2))
+        targets = _targets_below(_FAR_TEAM, params, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert barrier(_FAR_TEAM, targets, params) == np.inf
+            assert barrier_gradient(_FAR_TEAM, targets, params).shape == (4, 2)
+
+    @pytest.mark.parametrize("gap", [118.0, 121.0, 123.0, 125.0])
+    def test_cube_of_a_tiny_margin_stays_quiet(self, gap):
+        # Two robots: m_2 = w^2 and the margin is w^2 / 2, from 1.6e-103 down to 1.3e-109,
+        # where the cube goes subnormal (eps / cube overflows) and then to 0.
+        config = RobotConfiguration([[0.0], [gap]])
+        params = _params(order=2, epsilons=(0.0, 0.1))
+        targets = TargetSpectrum([0.0, math.exp(-gap) ** 2 / 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert barrier(config, targets, params) > 1e200
+            barrier_gradient(config, targets, params)
+
     def test_grows_near_boundary(self):
         config = _tie_free_config(5, 2, 23)
         params = _params(order=2, epsilons=(0.0, 1e-6))
@@ -541,3 +593,107 @@ class TestFiniteDifferenceGradient:
             finite_difference_gradient(lambda c: 0.0, config, step=0.0)
         with pytest.raises(ValueError):
             finite_difference_gradient(lambda c: 0.0, config, step=-1e-6)
+
+
+# == 7. Stacked evaluation ===================================================
+
+class TestStackedValues:
+    @pytest.mark.parametrize("seed", range(36))
+    def test_every_stencil_team_as_one_team(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(9, gradient._STACK_TEAM)) if seed % 5 == 0 else int(rng.integers(2, 9))
+        d = 1 + seed % 3
+        order = int(rng.integers(2, min(5, n) + 1))
+        constants = (0.0,) * order if seed % 4 == 0 else (0.0, *rng.uniform(0.01, 0.3, order - 1))
+        params = _params(metric=1 + seed // 3 % 2, order=order, epsilons=constants)
+        config = _tie_free_config(n, d, seed)
+        targets = _targets_below(config, params, rng.uniform(0.2, 0.9))
+        teams = _stencil(config)
+        for field in (cost, barrier):
+            expected = _one_by_one(field, teams, targets, params)
+            assert stacked_values(field, teams, targets, params).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_far_team(self, metric):
+        params = _params(metric=metric, order=4, epsilons=(0.0, 0.1, 0.15, 0.2))
+        targets = _targets_below(_FAR_TEAM, params, 0.5)
+        teams = _stencil(_FAR_TEAM)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = stacked_values(barrier, teams, targets, params)
+            assert values[0] == barrier(_FAR_TEAM, targets, params) == np.inf
+            for field in (cost, barrier):
+                expected = _one_by_one(field, teams, targets, params)
+                assert stacked_values(field, teams, targets, params).tobytes() == expected.tobytes()
+
+    def test_infeasible_team_raises_as_barrier_does(self):
+        config = _tie_free_config(5, 2, 3)
+        params = _params(order=4, epsilons=(0.0, 0.1, 0.1, 0.1))
+        targets = _targets_below(config, params, 0.9)
+        # Spread out, a team's moments fall below the targets; the first such team raises.
+        teams = np.array([config.positions, 3.0 * config.positions, 9.0 * config.positions])
+        with pytest.raises(InfeasibleStateError) as expected:
+            barrier(RobotConfiguration(teams[1]), targets, params)
+        with pytest.raises(InfeasibleStateError) as raised:
+            stacked_values(barrier, teams, targets, params)
+        assert str(raised.value) == str(expected.value)
+        # The cost guards no margin.
+        expected = _one_by_one(cost, teams, targets, params)
+        assert stacked_values(cost, teams, targets, params).tobytes() == expected.tobytes()
+
+    def test_positions_that_are_not_finite_raise_as_one_team_does(self):
+        config = _tie_free_config(4, 2, 5)
+        params = _params(order=3)
+        targets = _targets_below(config, params)
+        teams = np.array([config.positions, config.positions, config.positions])
+        teams[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="positions must be finite"):
+            stacked_values(cost, teams, targets, params)
+
+    def test_overflowing_moment_raises_as_one_team_does(self):
+        # 144 robots within 1e-3 of each other: m_144 is about 143^144 / 144, past 1.8e308.
+        n = 144
+        positions = 1e-3 * np.random.default_rng(7).random((n, 1))
+        params = _params(metric=1, order=n, epsilons=(0.0,) * n)
+        targets = TargetSpectrum(np.zeros(n))
+        with pytest.raises(ValueError) as expected:
+            cost(RobotConfiguration(positions), targets, params)
+        assert "overflows floats" in str(expected.value)
+        with mock.patch.object(gradient, "_STACK_TEAM", n + 1):  # the stacked route
+            with pytest.raises(ValueError) as raised:
+                stacked_values(cost, positions[None], targets, params)
+        assert str(raised.value) == str(expected.value)
+
+    def test_other_fields_and_large_teams_go_one_team_a_call(self):
+        config = _tie_free_config(gradient._STACK_TEAM, 1, 11)
+        params = _params(order=3)
+        targets = _targets_below(config, params)
+        teams = _stencil(config)[:4]
+        expected = _one_by_one(cost, teams, targets, params)
+        assert stacked_values(cost, teams, targets, params).tobytes() == expected.tobytes()
+
+        def half_cost(c, targets, params):
+            return cost(c, targets, params) / 2.0
+
+        small = _stencil(_tie_free_config(3, 2, 11))
+        assert stacked_values(half_cost, small, targets, _params(order=3)).tolist() == [
+            half_cost(RobotConfiguration(team), targets, _params(order=3)) for team in small]
+
+    @pytest.mark.parametrize("n, d", [(20, 3), (33, 2), (40, 3), (63, 1)])
+    @pytest.mark.parametrize("order", [2, 5])
+    def test_one_chunk_holds_the_byte_budget(self, n, d, order):
+        config = _tie_free_config(n, d, n)
+        params = _params(order=order, epsilons=(0.0,) + (0.1,) * (order - 1))
+        targets = _targets_below(config, params, 0.5)
+        teams = _stencil(config)
+        # Held at once, the stencil's coordinate differences alone would pass the budget.
+        assert len(teams) * d * n * n * 8 > gradient._STENCIL_BYTES
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            stacked_values(barrier, teams, targets, params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= gradient._STENCIL_BYTES
