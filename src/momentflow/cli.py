@@ -33,14 +33,13 @@ import numpy as np
 
 from .dynamics import TrajectoryRecord, UnrealizableTargetsError, simulate
 from .gradient import (
-    DEFAULT_FD_STEP,
     ControllerParams,
     TargetSpectrum,
     barrier,
     barrier_gradient,
     control_law,
     cost,
-    stacked_values,
+    finite_difference_gradient,
     trace_derivative,
 )
 from .network import (
@@ -51,6 +50,7 @@ from .network import (
     walk_weight_sum,
 )
 from .scenarios import (
+    MAX_DIMENSION,
     PRESET_NAMES,
     Scenario,
     positions_from_dict,
@@ -346,12 +346,8 @@ def _random_adjacency(rng: np.random.Generator, n: int) -> WeightedAdjacency:
 
 def _gradient_error(analytic: np.ndarray, field: Any, config: RobotConfiguration,
                     targets: TargetSpectrum, params: ControllerParams) -> float:
-    """Relative error of ``analytic`` against ``field``'s finite_difference_gradient, bitwise."""
-    n, d = config.positions.shape
-    bumps = DEFAULT_FD_STEP * np.eye(n * d).reshape(-1, n, d)  # x + 0.0 is x, or 0.0 for -0.0
-    teams = np.stack([config.positions + bumps, config.positions - bumps], axis=1)
-    upper, lower = stacked_values(field, teams.reshape(-1, n, d), targets, params).reshape(-1, 2).T
-    fd = ((upper - lower) / (2.0 * DEFAULT_FD_STEP)).reshape(n, d)
+    """Relative error of ``analytic`` against ``field``'s finite_difference_gradient."""
+    fd = finite_difference_gradient(field, config, targets, params)
     scale = max(float(np.abs(fd).max()), 1e-12)
     return float(np.abs(analytic - fd).max()) / scale
 
@@ -364,8 +360,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise _Failure(EXIT_VALIDATION, "verify needs n >= 2, d >= 1, trials >= 0, seed >= 0")
     if n > _MAX_VERIFY_ROBOTS:
         raise _Failure(EXIT_VALIDATION, f"verify takes n <= {_MAX_VERIFY_ROBOTS}, got n={n}")
-    if d > 3:  # the scenario files' bound; it also caps a stencil at 6 n teams
-        raise _Failure(EXIT_VALIDATION, f"verify takes d <= 3, got d={d}")
+    if d > MAX_DIMENSION:  # it also caps a stencil at 6 n teams
+        raise _Failure(EXIT_VALIDATION, f"verify takes d <= {MAX_DIMENSION}, got d={d}")
     if trials == 0:
         print("warning: 0 trials requested; every check passes vacuously")
     rng = np.random.default_rng(args.seed)
@@ -532,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     verify.add_argument("--n", type=int, default=6, help="robots per instance, 2..100 (default 6)")
-    verify.add_argument("--d", type=int, default=2, help="spatial dimension, 1..3 (default 2)")
+    verify.add_argument("--d", type=int, default=2,
+                        help=f"spatial dimension, 1..{MAX_DIMENSION} (default 2)")
     verify.add_argument(
         "--trials", type=int, default=20, help="instances per check (default 20)"
     )

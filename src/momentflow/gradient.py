@@ -45,6 +45,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import network
 from .network import (
     MomentVector,
     RobotConfiguration,
@@ -73,7 +74,6 @@ __all__ = [
     "barrier",
     "barrier_gradient",
     "finite_difference_gradient",
-    "stacked_values",
 ]
 
 DEFAULT_DECAY = 1.0
@@ -85,10 +85,7 @@ DEFAULT_DECAY = 1.0
 # the barrier enough to stall an explicit integrator near the boundary.
 DEFAULT_EPSILON = 1e-8
 DEFAULT_FD_STEP = 1e-6
-# From _STACK_TEAM robots on stacked_values takes one team a call.  `verify --n N` in s, per
-# team/stacked, best of 9, one BLAS thread: d = 2, N = 32 .074/.034, 48 .089/.070, 63 .125/.110,
-# 80 .101/.113, 100 .177/.226; d = 3, N = 63 .097/.106.  _STENCIL_BYTES bounds a chunk's arrays.
-_STACK_TEAM, _STENCIL_BYTES = 64, 2**19
+_STENCIL_BYTES = 2**19  # bounds the arrays of one chunk of a stacked stencil
 
 
 class InfeasibleStateError(RuntimeError):
@@ -271,10 +268,10 @@ class _Evaluation:
     def moment_vector(self) -> MomentVector:
         return _freeze(object.__new__(MomentVector), "values", np.array(self.moments))
 
-    def _barrier_coefficients(self) -> list[float]:
-        """eps_k / (m_k - m_k*)^3 for k = 2..s, zero where eps_k is zero;
-        InfeasibleStateError unless every guarded margin is positive."""
-        coefficients = [0.0] * len(self.margins)
+    def _barrier_coefficients(self) -> tuple[list[float], int]:
+        """eps_k / (m_k - m_k*)^3 / 2**shift for k = 2..s (0 where eps_k is 0) and shift: 0, or,
+        if one overflows, the largest below 8; InfeasibleStateError on a guarded margin <= 0."""
+        coefficients, shift = [0.0] * len(self.margins), 0
         for k, eps in self.flow.guarded:
             margin = self.margins[k - 2]
             if margin <= 0.0:
@@ -285,7 +282,13 @@ class _Evaluation:
             # numpy's cube where Python's could overflow or reach 0 and raise
             cube = margin**3 if 1e-100 < margin < 1e100 else np.float64(margin) ** 3
             coefficients[k - 2] = eps / cube if cube else np.inf
-        return coefficients
+        if np.inf in coefficients:  # eps = g 2^a over margin^3 = (f 2^e)^3
+            parts = [(k, *math.frexp(eps), *math.frexp(self.margins[k - 2]))
+                     for k, eps in self.flow.guarded]
+            shift = max(a - 3 * e for _, _, a, _, e in parts)
+            for k, g, a, f, e in parts:
+                coefficients[k - 2] = math.ldexp(g / f**3, a - 3 * e - shift)
+        return coefficients, shift
 
     def _project(self, coefficients: Sequence[float]) -> np.ndarray:
         """(decay / n) [(A o T_r) W]_ii, W = sum_k coefficients[k-2] A^(k-1).
@@ -337,8 +340,10 @@ class _Evaluation:
         """The flow's velocity -grad(f + b) as an (n, d) array: one projection of the
         coefficients m_k - m_k* - eps_k / (m_k - m_k*)^3, formed in one pass."""
         if self._drift is None:
-            barrier_terms = self._barrier_coefficients()
-            self._drift = self._project([*map(operator.sub, self.margins, barrier_terms)])
+            barrier_terms, shift = self._barrier_coefficients()
+            margins = [math.ldexp(m, -shift) for m in self.margins] if shift else self.margins
+            drift = self._project([*map(operator.sub, margins, barrier_terms)])
+            self._drift = np.ldexp(drift, shift, out=drift) if shift else drift
             self.still = not np.count_nonzero(self._drift)
         return self._drift
 
@@ -398,49 +403,54 @@ def barrier_gradient(
     guarded margin.
     """
     state = _evaluate(config, targets, params)
-    return state._project(state._barrier_coefficients())
+    coefficients, shift = state._barrier_coefficients()
+    rows = state._project(coefficients)
+    return np.ldexp(rows, shift, out=rows) if shift else rows
 
 
-def finite_difference_gradient(
-    scalar_field: Callable[[RobotConfiguration], float],
-    config: RobotConfiguration,
-    step: float = DEFAULT_FD_STEP,
-) -> np.ndarray:
-    """Central finite differences of a scalar field over robot coordinates.
+def finite_difference_gradient(scalar_field: Callable[..., float], config: RobotConfiguration,
+                               *args, step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Central finite differences of ``scalar_field(c, *args)`` over robot coordinates.
 
     Perturbs one coordinate at a time by +-step and applies the second-order
     central quotient.  This is the derivative-free oracle used to verify
     every analytic gradient in this module; keep ``step`` well below the
     smallest coordinate gap so taxicab sign structure does not flip inside
-    the stencil.
+    the stencil.  For :func:`cost` or :func:`barrier` with ``(targets, params)`` below
+    ``network._PRODUCT_TEAM`` robots (from there a team's differences are BLAS products, which no
+    stack beats) the 2 n d teams x +- step e_ir are one stack, bitwise as one team a call; any
+    other field, or a stencil with a team that would raise, goes one team a call, as it raises.
     """
     if not np.isfinite(step) or step <= 0.0:
         raise ValueError(f"step must be a positive real, got {step}")
     base = config.positions
+    n, d = base.shape
+    if scalar_field in (cost, barrier) and len(args) == 2 and n < network._PRODUCT_TEAM:
+        bumps = step * np.eye(n * d).reshape(-1, n, d)  # x + 0.0 is x, or 0.0 for -0.0
+        values = _stacked_values(scalar_field, np.concatenate([base + bumps, base - bumps]), *args)
+        if values is not None:
+            upper, lower = values.reshape(2, n, d)
+            with np.errstate(over="ignore", invalid="ignore"):  # as quiet as Python's floats
+                return (upper - lower) / (2.0 * step)
     grad = np.empty_like(base)
-    for i in range(config.n):
-        for r in range(config.d):
-            upper = base.copy()
-            upper[i, r] += step
-            lower = base.copy()
-            lower[i, r] -= step
-            grad[i, r] = (
-                scalar_field(RobotConfiguration(upper))
-                - scalar_field(RobotConfiguration(lower))
-            ) / (2.0 * step)
+    for i, r in np.ndindex(n, d):
+        upper, lower = base.copy(), base.copy()
+        upper[i, r] += step
+        lower[i, r] -= step
+        grad[i, r] = (scalar_field(RobotConfiguration(upper), *args)
+                      - scalar_field(RobotConfiguration(lower), *args)) / (2.0 * step)
     return grad
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def stacked_values(field: Callable[..., float], teams: np.ndarray, targets: TargetSpectrum,
-                   params: ControllerParams) -> np.ndarray:
+def _stacked_values(field: Callable[..., float], teams: np.ndarray, targets: TargetSpectrum,
+                    params: ControllerParams) -> Optional[np.ndarray]:
     """``field(RobotConfiguration(team), targets, params)`` for each team of an (m, n, d) stack,
-    bitwise.  For :func:`cost` and :func:`barrier` below _STACK_TEAM robots, in chunks, by
-    elementwise and per-team steps only (a syrk or gemm and a ddot a slice); else, or where a
-    team would raise, one team a call, so that the first such team raises its error."""
+    bitwise, for ``field`` :func:`cost` or :func:`barrier`; None if a team would raise.  In
+    chunks, by elementwise and per-team steps only (a syrk or gemm and a ddot a slice)."""
+    if not np.isfinite(teams).all():
+        return None
     n, d = teams.shape[1:]
-    if n >= _STACK_TEAM or field not in (cost, barrier):
-        return np.array([field(RobotConfiguration(team), targets, params) for team in teams])
     flow, values, diagonal = _Flow(targets, params, n, d), [], np.arange(n)
     size = max(1, _STENCIL_BYTES // ((d + len(flow.plan[0]) + 4) * 8 * n * n))
     for chunk in np.split(teams, range(size, len(teams), size)):
@@ -456,7 +466,7 @@ def stacked_values(field: Callable[..., float], teams: np.ndarray, targets: Targ
         margins = [np.vecdot(v[i], v[j]) / n - m for (i, j), m in zip(flow.plan[1], flow.goal)]
         if not np.isfinite(margins).all() or field is barrier and any(
                 (margins[k - 2] <= 0.0).any() for k, _ in flow.guarded):
-            return np.array([field(RobotConfiguration(team), targets, params) for team in teams])
+            return None
         terms = ([eps / (4.0 * k * margins[k - 2] * margins[k - 2]) for k, eps in flow.guarded]
                  if field is barrier else [x * x / q for x, q in zip(margins, flow.divisors)])
         values.append(functools.reduce(np.add, terms, np.zeros(len(chunk))))  # eps / 0 is inf

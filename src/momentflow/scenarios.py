@@ -63,6 +63,7 @@ __all__ = [
     "positions_from_dict",
     "EIGEN_CONSISTENCY_TOL",
     "MAX_ROBOTS",
+    "MAX_DIMENSION",
 ]
 
 # The bundled reference tables round to two decimals, so moments recomputed
@@ -74,6 +75,7 @@ EIGEN_CONSISTENCY_TOL = 1e-2
 # ceil(s/2) + 4 + d of them, at most 9 (network._MAX_PLAN_BYTES, about 1.21 GB; so s <= 6 in
 # the plane here); at s = 4, d = 2 a flow peaks near 7.2 of them, about 960 MB.
 MAX_ROBOTS = 4096
+MAX_DIMENSION = 3  # the largest spatial dimension d a scenario, or verify, takes
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,8 +225,8 @@ def scenario_violations(scenario: Scenario) -> list[str]:
     orders agree in every file read, and the flow itself refuses a mismatch.
     """
     out: list[str] = []
-    if scenario.d > 3:
-        out.append(f"spatial dimension d={scenario.d} exceeds 3")
+    if scenario.d > MAX_DIMENSION:
+        out.append(f"spatial dimension d={scenario.d} exceeds {MAX_DIMENSION}")
     params = scenario.params
     targets = scenario.targets
     if params.order > scenario.n:

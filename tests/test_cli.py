@@ -10,10 +10,10 @@ Core claims:
       (0 converged, 1 horizon, 2 validation, 3 unrealizable, 4 stalled, 5 I/O)
     - verify's fault injection flag makes the control-law check fail, a NaN
       or overflowing perturbation included, and a NaN error fails any check
-    - verify refuses --d above 3 with one line, before any work, and its
-      stacked finite differences are finite_difference_gradient's quotients
-      exactly, of the cost and of the barrier, below the stacking switch
-      and from it on
+    - verify refuses --d above 3 (scenarios.MAX_DIMENSION, which its help
+      names) with one line, before any work, and measures its errors
+      against finite_difference_gradient's closure form exactly, of the cost
+      and of the barrier, below the stacked route's switch and from it on
     - main builds its parser once per process; repeated in-process calls
       parse, print help and apply -v exactly as one-shot calls do, and no
       call touches the root logger's handlers
@@ -906,6 +906,8 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "verify takes d <= 3, got d=4\n"
+        text = " ".join(_help_text(main, ["verify", "--help"], capsys).split())
+        assert "--d D spatial dimension, 1..3 (default 2)" in text
         assert main(["verify", "--d", "3", "--trials", "0"]) == 0
 
     @pytest.mark.parametrize("n, d, metric", [

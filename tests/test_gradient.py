@@ -29,19 +29,30 @@ Core claims:
       the pair's at 1e-150
     - one evaluation and its drift of 256 robots hold at most
       ceil(s/2) + 4 + d n x n arrays at once, for s = 2..7 and d = 1..3
-    - finite_difference_gradient is second-order accurate on a known field
+    - finite_difference_gradient is second-order accurate on a known field,
+      and passes its extra arguments to the field
     - a guarded margin so small that its cube or 4k margin^2 underflows
       gives an infinite barrier and barrier coefficient without a numpy
       warning (4 robots on a 150 x 150 square, targets at half their moments)
-    - stacked_values gives, bitwise, cost and barrier of every team of a
-      finite-difference stencil on generated teams below the stacking
-      switch (d 1-3, s 2..min(5, n), both metrics, barrier constants zero
-      and nonzero) and on the far team above; a stack whose team would
-      raise raises that team's InfeasibleStateError or ValueError, as one
-      team's call does; one chunk holds at most the module's byte budget
+    - where eps_k / margin^3 overflows though the gradient fits in floats
+      (two robots 118.5-150 apart, eps_2 0.1 and 1e6), barrier_gradient
+      matches finite differences and the drift is its negative, without a
+      numpy warning; where the barrier is inf too, the gradient is +-inf
+      outward; an unguarded margin keeps its share of the drift
+    - finite_difference_gradient(cost or barrier, config, targets, params)
+      below network._PRODUCT_TEAM robots evaluates its stencil as one stack:
+      every team's cost and barrier as one team's call gives them, and the
+      gradient bitwise the closure form's, on generated teams (d 1-3,
+      s 2..min(5, n), both metrics, barrier constants zero and nonzero), on
+      verify's own inputs up to 63 robots, on the far team, and with cost
+      wrapped in every module as a tracer wraps it; from the switch on, and
+      for any other field, one team a call; a stencil with a team that would
+      raise raises that team's InfeasibleStateError or ValueError, as the
+      closure form does; one chunk holds at most the module's byte budget
 """
 
 import math
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -65,7 +76,6 @@ from momentflow.gradient import (
     cost,
     finite_difference_gradient,
     moment_gradient,
-    stacked_values,
     trace_derivative,
 )
 from momentflow.network import (
@@ -112,20 +122,28 @@ def _targets_below(config, params, fraction=0.7):
 _FAR_TEAM = RobotConfiguration([[0.0, 0.0], [150.0, 0.0], [0.0, 150.0], [150.0, 150.0]])
 
 
-def _stencil(config, step=1e-6):
-    """finite_difference_gradient's teams, in its order: x + step e_ir, x - step e_ir."""
-    teams = []
-    for i, r in np.ndindex(config.positions.shape):
-        upper = config.positions.copy()
-        upper[i, r] += step
-        lower = config.positions.copy()
-        lower[i, r] -= step
-        teams += [upper, lower]
-    return np.array(teams)
-
-
 def _one_by_one(field, teams, targets, params):
     return np.array([field(RobotConfiguration(team), targets, params) for team in teams])
+
+
+def _closure(field, config, targets, params, step=1e-6):
+    """The oracle's closure form: one team a call, in its per-coordinate loop."""
+    return finite_difference_gradient(lambda c: field(c, targets, params), config, step=step)
+
+
+def _stacked_route(field, config, targets, params, step=1e-6):
+    """``finite_difference_gradient(field, config, targets, params)`` and a list of the
+    (teams, values) that each call of its stacked kernel took and gave (values None: a team
+    would raise, so the oracle went one team a call)."""
+    kernel, calls = gradient._stacked_values, []
+
+    def spy(field, teams, targets, params):
+        calls.append((teams, kernel(field, teams, targets, params)))
+        return calls[-1][1]
+
+    with mock.patch.object(gradient, "_stacked_values", spy):
+        fd = finite_difference_gradient(field, config, targets, params, step=step)
+    return fd, calls
 
 
 def _norm_close(actual, expected, tol):
@@ -434,6 +452,48 @@ class TestBarrierGradient:
         after = barrier(nudged, targets, params)
         assert after < before
 
+    @pytest.mark.parametrize("metric", [1, 2])
+    @pytest.mark.parametrize("eps", [0.1, 1e6])
+    def test_overflowing_coefficient(self, metric, eps):
+        # Two robots with the margin w^2 / 2: from a gap of 118.5 (margin 5.9e-104) on,
+        # eps / margin^3 overflows though the barrier and its gradient fit in floats; at 200
+        # the barrier is inf too, and so is its gradient, outward.
+        params = _params(metric=metric, order=2, epsilons=(0.0, eps))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gap in (118.5, 120.0, 130.0, 150.0, 200.0):
+                config = RobotConfiguration([[0.0], [gap]])
+                targets = TargetSpectrum([0.0, math.exp(-gap) ** 2 / 2.0])
+                analytic = barrier_gradient(config, targets, params)
+                with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs
+                    drift = gradient._evaluate(config, targets, params).drift
+                np.testing.assert_allclose(drift, -analytic, rtol=1e-12)
+                if gap == 200.0:
+                    assert barrier(config, targets, params) == np.inf
+                    assert analytic.ravel().tolist() == [-np.inf, np.inf]
+                    continue
+                numeric = finite_difference_gradient(barrier, config, targets, params)
+                assert np.all(np.isfinite(numeric))
+                assert np.abs(analytic - numeric).max() <= 1e-8 * np.abs(numeric).max()
+
+    def test_overflowing_coefficient_beside_a_wide_margin(self):
+        # A triangle of side 23 (weights 1e-10) with eps_2 = 1e225 and the m_2 margin at 1e-10
+        # of m_2: eps_2 / margin^3 is 1.3e314, the gradient near 1e295.  The unguarded m_3
+        # margin of 1e8 still enters the drift, at the same scale as the barrier's coefficient.
+        config = RobotConfiguration([[0.0, 0.0], [23.0, 0.0], [11.5, 23.0 * math.sqrt(0.75)]])
+        params = _params(metric=2, order=3, epsilons=(0.0, 1e225, 0.0))
+        moments = spectral_moments(build_adjacency(config, 1.0, 2), 3).values
+        targets = TargetSpectrum([0.0, moments[1] * (1.0 - 1e-10), moments[2] - 1e8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            analytic = barrier_gradient(config, targets, params)
+            with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs
+                drift = gradient._evaluate(config, targets, params).drift
+        assert np.all(np.isfinite(analytic)) and np.abs(analytic).max() > 1e290
+        pull = control_law(config, targets, params)  # -grad f, from the m_3 margin
+        assert np.abs(pull).max() > 1e-30
+        np.testing.assert_allclose(drift, pull - analytic, atol=1e-12 * np.abs(analytic).max())
+
 
 class TestOverflowingTeam:
     # Robots at x = +-1.7e308 differ by inf and weigh 0 to every robot, so
@@ -594,90 +654,146 @@ class TestFiniteDifferenceGradient:
         with pytest.raises(ValueError):
             finite_difference_gradient(lambda c: 0.0, config, step=-1e-6)
 
+    def test_extra_arguments_reach_the_field(self):
+        config = _tie_free_config(3, 2, 41)
+
+        def field(c, scale, shift):
+            return scale * float(np.sum(c.positions**2)) + shift
+
+        numeric = finite_difference_gradient(field, config, 3.0, 5.0, step=1e-5)
+        assert np.allclose(numeric, 6.0 * config.positions, rtol=0.0, atol=1e-8)
+        with pytest.raises(TypeError):  # step is keyword-only: 1e-5 goes to the field
+            finite_difference_gradient(lambda c: 0.0, config, 1e-5)
+
 
 # == 7. Stacked evaluation ===================================================
 
 class TestStackedValues:
+    """finite_difference_gradient(field, config, targets, params) for cost and barrier."""
+
     @pytest.mark.parametrize("seed", range(36))
     def test_every_stencil_team_as_one_team(self, seed):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(9, gradient._STACK_TEAM)) if seed % 5 == 0 else int(rng.integers(2, 9))
+        switch = network._PRODUCT_TEAM
+        n = int(rng.integers(9, switch)) if seed % 5 == 0 else int(rng.integers(2, 9))
         d = 1 + seed % 3
         order = int(rng.integers(2, min(5, n) + 1))
         constants = (0.0,) * order if seed % 4 == 0 else (0.0, *rng.uniform(0.01, 0.3, order - 1))
         params = _params(metric=1 + seed // 3 % 2, order=order, epsilons=constants)
         config = _tie_free_config(n, d, seed)
         targets = _targets_below(config, params, rng.uniform(0.2, 0.9))
-        teams = _stencil(config)
         for field in (cost, barrier):
-            expected = _one_by_one(field, teams, targets, params)
-            assert stacked_values(field, teams, targets, params).tobytes() == expected.tobytes()
+            fd, [(teams, values)] = _stacked_route(field, config, targets, params)
+            assert values.tobytes() == _one_by_one(field, teams, targets, params).tobytes()
+            assert fd.tobytes() == _closure(field, config, targets, params).tobytes()
+
+    @pytest.mark.parametrize("n, d, metric", [
+        (2, 1, 1), (3, 3, 2), (6, 2, 1), (6, 2, 2), (9, 3, 1), (31, 2, 2), (63, 1, 1), (64, 1, 2),
+        (63, 3, 1), (64, 3, 2),
+    ])
+    def test_verify_inputs_on_both_routes(self, n, d, metric):
+        # As verify draws them: the cost at another team's moments, the barrier at half its own.
+        order = min(5, n)
+        params = _params(metric=metric, order=order,
+                         epsilons=(0.0, *(0.05 * (k + 2) for k in range(order - 1))))
+        config = _tie_free_config(n, d, n * d)
+        cases = ((cost, _targets_below(_tie_free_config(n, d, n * d + 1), params, 1.0)),
+                 (barrier, _targets_below(config, params, 0.5)))
+        for field, targets in cases:
+            fd, calls = _stacked_route(field, config, targets, params)
+            stacked = [values is not None for _, values in calls]
+            assert stacked == [True] * (n < network._PRODUCT_TEAM)
+            assert np.abs(fd).max() > 0.0
+            assert fd.tobytes() == _closure(field, config, targets, params).tobytes()
+
+    def test_a_field_traced_in_every_module_still_stacks(self, monkeypatch):
+        # As a tracer does: one wrapper stands for cost wherever a momentflow module names it.
+        def traced(*args, **kwargs):
+            return cost(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("momentflow.")]:
+            if getattr(module, "cost", None) is cost:
+                monkeypatch.setattr(module, "cost", traced)
+        config = _tie_free_config(7, 2, 13)
+        params = _params(order=4)
+        targets = _targets_below(config, params)
+        fd, [(teams, values)] = _stacked_route(gradient.cost, config, targets, params)
+        assert values.tobytes() == _one_by_one(cost, teams, targets, params).tobytes()
+        assert fd.tobytes() == _closure(cost, config, targets, params).tobytes()
 
     @pytest.mark.parametrize("metric", [1, 2])
     def test_far_team(self, metric):
         params = _params(metric=metric, order=4, epsilons=(0.0, 0.1, 0.15, 0.2))
         targets = _targets_below(_FAR_TEAM, params, 0.5)
-        teams = _stencil(_FAR_TEAM)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = stacked_values(barrier, teams, targets, params)
-            assert values[0] == barrier(_FAR_TEAM, targets, params) == np.inf
             for field in (cost, barrier):
-                expected = _one_by_one(field, teams, targets, params)
-                assert stacked_values(field, teams, targets, params).tobytes() == expected.tobytes()
+                fd, [(teams, values)] = _stacked_route(field, _FAR_TEAM, targets, params)
+                assert values.tobytes() == _one_by_one(field, teams, targets, params).tobytes()
+                assert fd.tobytes() == _closure(field, _FAR_TEAM, targets, params).tobytes()
+            assert values[0] == barrier(_FAR_TEAM, targets, params) == np.inf
 
     def test_infeasible_team_raises_as_barrier_does(self):
         config = _tie_free_config(5, 2, 3)
         params = _params(order=4, epsilons=(0.0, 0.1, 0.1, 0.1))
-        targets = _targets_below(config, params, 0.9)
-        # Spread out, a team's moments fall below the targets; the first such team raises.
-        teams = np.array([config.positions, 3.0 * config.positions, 9.0 * config.positions])
+        # Targets at the team's own moments: some stencil teams fall below them, and the first
+        # such team raises.
+        targets = _targets_below(config, params, 1.0)
         with pytest.raises(InfeasibleStateError) as expected:
-            barrier(RobotConfiguration(teams[1]), targets, params)
-        with pytest.raises(InfeasibleStateError) as raised:
-            stacked_values(barrier, teams, targets, params)
+            _closure(barrier, config, targets, params)
+        spy = mock.patch.object(gradient, "_stacked_values", wraps=gradient._stacked_values)
+        with spy as kernel, pytest.raises(InfeasibleStateError) as raised:
+            finite_difference_gradient(barrier, config, targets, params)
+        assert kernel.call_count == 1  # the stack was tried, and gave way to the loop
         assert str(raised.value) == str(expected.value)
         # The cost guards no margin.
-        expected = _one_by_one(cost, teams, targets, params)
-        assert stacked_values(cost, teams, targets, params).tobytes() == expected.tobytes()
+        fd, [(_, values)] = _stacked_route(cost, config, targets, params)
+        assert values is not None
+        assert fd.tobytes() == _closure(cost, config, targets, params).tobytes()
 
     def test_positions_that_are_not_finite_raise_as_one_team_does(self):
-        config = _tie_free_config(4, 2, 5)
+        # A step of 1e308 takes the first robot's 1e308 past the largest float.
+        config = RobotConfiguration([[1e308, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         params = _params(order=3)
         targets = _targets_below(config, params)
-        teams = np.array([config.positions, config.positions, config.positions])
-        teams[1, 2, 0] = np.nan
-        with pytest.raises(ValueError, match="positions must be finite"):
-            stacked_values(cost, teams, targets, params)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="positions must be finite"):
+                _closure(cost, config, targets, params, step=1e308)
+            spy = mock.patch.object(gradient, "_stacked_values", wraps=gradient._stacked_values)
+            with spy as kernel, pytest.raises(ValueError, match="positions must be finite"):
+                finite_difference_gradient(cost, config, targets, params, step=1e308)
+        assert kernel.call_count == 1
 
     def test_overflowing_moment_raises_as_one_team_does(self):
         # 144 robots within 1e-3 of each other: m_144 is about 143^144 / 144, past 1.8e308.
         n = 144
-        positions = 1e-3 * np.random.default_rng(7).random((n, 1))
+        config = RobotConfiguration(1e-3 * np.random.default_rng(7).random((n, 1)))
         params = _params(metric=1, order=n, epsilons=(0.0,) * n)
         targets = TargetSpectrum(np.zeros(n))
-        with pytest.raises(ValueError) as expected:
-            cost(RobotConfiguration(positions), targets, params)
-        assert "overflows floats" in str(expected.value)
-        with mock.patch.object(gradient, "_STACK_TEAM", n + 1):  # the stacked route
+        with mock.patch.object(network, "_PRODUCT_TEAM", n + 1):  # the stacked route
+            with pytest.raises(ValueError) as expected:
+                _closure(cost, config, targets, params)
+            assert "overflows floats" in str(expected.value)
             with pytest.raises(ValueError) as raised:
-                stacked_values(cost, positions[None], targets, params)
+                _stacked_route(cost, config, targets, params)
         assert str(raised.value) == str(expected.value)
 
     def test_other_fields_and_large_teams_go_one_team_a_call(self):
-        config = _tie_free_config(gradient._STACK_TEAM, 1, 11)
+        config = _tie_free_config(network._PRODUCT_TEAM, 1, 11)
         params = _params(order=3)
         targets = _targets_below(config, params)
-        teams = _stencil(config)[:4]
-        expected = _one_by_one(cost, teams, targets, params)
-        assert stacked_values(cost, teams, targets, params).tobytes() == expected.tobytes()
+        fd, calls = _stacked_route(cost, config, targets, params)
+        assert calls == []
+        assert fd.tobytes() == _closure(cost, config, targets, params).tobytes()
 
         def half_cost(c, targets, params):
             return cost(c, targets, params) / 2.0
 
-        small = _stencil(_tie_free_config(3, 2, 11))
-        assert stacked_values(half_cost, small, targets, _params(order=3)).tolist() == [
-            half_cost(RobotConfiguration(team), targets, _params(order=3)) for team in small]
+        small = _tie_free_config(3, 2, 11)
+        targets = _targets_below(small, params)
+        fd, calls = _stacked_route(half_cost, small, targets, params)
+        assert calls == []
+        assert fd.tobytes() == _closure(half_cost, small, targets, params).tobytes()
 
     @pytest.mark.parametrize("n, d", [(20, 3), (33, 2), (40, 3), (63, 1)])
     @pytest.mark.parametrize("order", [2, 5])
@@ -685,15 +801,22 @@ class TestStackedValues:
         config = _tie_free_config(n, d, n)
         params = _params(order=order, epsilons=(0.0,) + (0.1,) * (order - 1))
         targets = _targets_below(config, params, 0.5)
-        teams = _stencil(config)
         # Held at once, the stencil's coordinate differences alone would pass the budget.
-        assert len(teams) * d * n * n * 8 > gradient._STENCIL_BYTES
-        tracemalloc.start()
-        try:
+        assert 2 * n * d * d * n * n * 8 > gradient._STENCIL_BYTES
+        kernel, peaks = gradient._stacked_values, []
+
+        def measured(*args):
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            stacked_values(barrier, teams, targets, params)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            values = kernel(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return values
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(gradient, "_stacked_values", measured):
+                finite_difference_gradient(barrier, config, targets, params)
         finally:
             tracemalloc.stop()
-        assert peak <= gradient._STENCIL_BYTES
+        assert len(peaks) == 1
+        assert peaks[0] <= gradient._STENCIL_BYTES

@@ -52,6 +52,7 @@ from momentflow.network import (
     spectral_moments,
 )
 from momentflow.scenarios import (
+    MAX_DIMENSION,
     MAX_ROBOTS,
     PRESET_NAMES,
     SCHEMA,
@@ -353,7 +354,8 @@ class TestScenarioViolations:
             seed=None,
             initial_positions=np.arange(20.0).reshape(5, 4),
         )
-        assert any("dimension" in v for v in scenario_violations(scenario))
+        assert "spatial dimension d=4 exceeds 3" in scenario_violations(scenario)
+        assert MAX_DIMENSION == 3  # verify reads the same bound (tests/test_cli.py)
 
     def test_order_above_robot_count(self):
         scenario = _valid_scenario(
