@@ -527,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
             "and barrier gradient vs central finite differences."
         ),
     )
-    verify.add_argument("--n", type=int, default=6, help="robots per instance, 2..100 (default 6)")
+    verify.add_argument("--n", type=int, default=6,
+                        help=f"robots per instance, 2..{_MAX_VERIFY_ROBOTS} (default 6)")
     verify.add_argument("--d", type=int, default=2,
                         help=f"spatial dimension, 1..{MAX_DIMENSION} (default 2)")
     verify.add_argument(

@@ -45,7 +45,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import network
 from .network import (
     MomentVector,
     RobotConfiguration,
@@ -416,16 +415,16 @@ def finite_difference_gradient(scalar_field: Callable[..., float], config: Robot
     central quotient.  This is the derivative-free oracle used to verify
     every analytic gradient in this module; keep ``step`` well below the
     smallest coordinate gap so taxicab sign structure does not flip inside
-    the stencil.  For :func:`cost` or :func:`barrier` with ``(targets, params)`` below
-    ``network._PRODUCT_TEAM`` robots (from there a team's differences are BLAS products, which no
-    stack beats) the 2 n d teams x +- step e_ir are one stack, bitwise as one team a call; any
-    other field, or a stencil with a team that would raise, goes one team a call, as it raises.
+    the stencil.  For :func:`cost` or :func:`barrier` with ``(targets, params)`` the 2 n d teams
+    x +- step e_ir are one stack where a chunk of it holds two teams or more (one is no faster
+    than one call), bitwise as one team a call; any other field, or a stencil with a team that
+    would raise, goes one team a call, as it raises.
     """
     if not np.isfinite(step) or step <= 0.0:
         raise ValueError(f"step must be a positive real, got {step}")
     base = config.positions
     n, d = base.shape
-    if scalar_field in (cost, barrier) and len(args) == 2 and n < network._PRODUCT_TEAM:
+    if scalar_field in (cost, barrier) and len(args) == 2:
         bumps = step * np.eye(n * d).reshape(-1, n, d)  # x + 0.0 is x, or 0.0 for -0.0
         values = _stacked_values(scalar_field, np.concatenate([base + bumps, base - bumps]), *args)
         if values is not None:
@@ -446,13 +445,14 @@ def finite_difference_gradient(scalar_field: Callable[..., float], config: Robot
 def _stacked_values(field: Callable[..., float], teams: np.ndarray, targets: TargetSpectrum,
                     params: ControllerParams) -> Optional[np.ndarray]:
     """``field(RobotConfiguration(team), targets, params)`` for each team of an (m, n, d) stack,
-    bitwise, for ``field`` :func:`cost` or :func:`barrier`; None if a team would raise.  In
-    chunks, by elementwise and per-team steps only (a syrk or gemm and a ddot a slice)."""
+    bitwise, for ``field`` :func:`cost` or :func:`barrier`; None if a team would raise or a chunk
+    holds one team.  In chunks, by elementwise and per-team steps (a syrk or gemm, a ddot each)."""
     if not np.isfinite(teams).all():
         return None
     n, d = teams.shape[1:]
     flow, values, diagonal = _Flow(targets, params, n, d), [], np.arange(n)
-    size = max(1, _STENCIL_BYTES // ((d + len(flow.plan[0]) + 4) * 8 * n * n))
+    if (size := _STENCIL_BYTES // ((d + len(flow.plan[0]) + 4) * 8 * n * n)) < 2:
+        return None  # one team a chunk: the loop is as fast
     for chunk in np.split(teams, range(size, len(teams), size)):
         columns = chunk.swapaxes(1, 2).copy()
         terms = columns[..., :, None] - columns[..., None, :]  # (size, d, n, n)

@@ -42,10 +42,10 @@ __all__ = [
     "moments_and_eigenvalues",
     "moments_from_eigenvalues",
     "complete_graph_moments",
-    "max_finite_order",
     "walk_weight_sum",
     "WALK_ENUMERATION_LIMIT",
     "MAX_WALK_LENGTH",
+    "MAX_ROBOTS",
 ]
 
 # Enumeration of length-k walks touches n**(k-1) interior node sequences per
@@ -60,8 +60,11 @@ MAX_WALK_LENGTH = 5
 # 51.4/48.1.
 _PRODUCT_TEAM = 64
 
-# What an order's plan may hold (see _chain_plan): 4,096 robots' arrays at s = 4, d = 3, 1.21 GB.
-_MAX_PLAN_BYTES = 9 * 4096**2 * 8
+# The largest team a scenario or positions file may hold, 134 MB per n x n float64 matrix.  An
+# order s plans ceil(s/2) + 4 + d of them (see _chain_plan), at most 9, 1.21 GB (so s <= 6 in the
+# plane there); at s = 4, d = 2 a flow peaks near 7.2 of them, about 960 MB.
+MAX_ROBOTS = 4096
+_MAX_PLAN_BYTES = 9 * MAX_ROBOTS**2 * 8
 
 # Entry points run quietly where floats overflow (an infinite distance is a
 # weight of 0); private helpers, the trial step's too, run under the caller's.
@@ -370,16 +373,12 @@ def complete_graph_moments(n: int, order: int) -> MomentVector:
 
 
 @_quiet
-def max_finite_order(n: int) -> int:
-    """Largest s <= n whose complete-graph ceiling, about (n-1)^s / n, and so
-    every moment of n robots up to order s, is a finite float: s = n up to
-    143 robots, 134 at n = 200 (about 709.78 / ln(n-1))."""
-    return int(np.isfinite(float(n - 1) ** np.arange(1, n + 1)).sum())
-
-
 def _max_planned_order(n: int, d: int) -> int:
-    """Largest s <= :func:`max_finite_order` that :func:`_chain_plan` accepts for (n, d), or 1."""
-    return max(1, min(max_finite_order(n), 2 * (_MAX_PLAN_BYTES // (8 * n * n) - 4 - d)))
+    """Largest s <= n that :func:`_chain_plan` accepts for (n, d) and whose complete-graph
+    ceiling, about (n-1)^s / n, and so every moment of n robots up to order s, is a finite
+    float (s = n up to 143 robots, 134 at n = 200: about 709.78 / ln(n-1)), or 1."""
+    finite = int(np.isfinite(float(n - 1) ** np.arange(1, n + 1)).sum())
+    return max(1, min(finite, 2 * (_MAX_PLAN_BYTES // (8 * n * n) - 4 - d)))
 
 
 def walk_weight_sum(adjacency: WeightedAdjacency, length: int, start: int, end: int) -> float:

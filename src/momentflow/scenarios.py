@@ -42,6 +42,7 @@ from .dynamics import (
 )
 from .gradient import DEFAULT_DECAY, ControllerParams, TargetSpectrum
 from .network import (
+    MAX_ROBOTS,
     RobotConfiguration,
     _freeze,
     _max_planned_order,
@@ -62,7 +63,6 @@ __all__ = [
     "scenario_from_dict",
     "positions_from_dict",
     "EIGEN_CONSISTENCY_TOL",
-    "MAX_ROBOTS",
     "MAX_DIMENSION",
 ]
 
@@ -71,10 +71,6 @@ __all__ = [
 # relative to the moment magnitude (absolute for small moments).
 EIGEN_CONSISTENCY_TOL = 1e-2
 
-# The largest team a scenario may declare, 134 MB per n x n float64 matrix.  An order s plans
-# ceil(s/2) + 4 + d of them, at most 9 (network._MAX_PLAN_BYTES, about 1.21 GB; so s <= 6 in
-# the plane here); at s = 4, d = 2 a flow peaks near 7.2 of them, about 960 MB.
-MAX_ROBOTS = 4096
 MAX_DIMENSION = 3  # the largest spatial dimension d a scenario, or verify, takes
 
 

@@ -10,10 +10,11 @@ Core claims:
       (0 converged, 1 horizon, 2 validation, 3 unrealizable, 4 stalled, 5 I/O)
     - verify's fault injection flag makes the control-law check fail, a NaN
       or overflowing perturbation included, and a NaN error fails any check
-    - verify refuses --d above 3 (scenarios.MAX_DIMENSION, which its help
-      names) with one line, before any work, and measures its errors
-      against finite_difference_gradient's closure form exactly, of the cost
-      and of the barrier, below the stacked route's switch and from it on
+    - verify refuses --n above 100 and --d above 3 (cli._MAX_VERIFY_ROBOTS
+      and scenarios.MAX_DIMENSION, which its help names) with one line,
+      before any work, and measures its errors against
+      finite_difference_gradient's closure form exactly, of the cost and of
+      the barrier, on both sides of the stacked route's chunk rule
     - main builds its parser once per process; repeated in-process calls
       parse, print help and apply -v exactly as one-shot calls do, and no
       call touches the root logger's handlers
@@ -114,8 +115,8 @@ from momentflow.gradient import (
 )
 from momentflow.network import (
     build_adjacency,
+    _max_planned_order,
     complete_graph_moments,
-    max_finite_order,
     moments_from_eigenvalues,
     spectral_moments,
 )
@@ -896,6 +897,8 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "verify takes n <= 100, got n=101\n"
+        text = " ".join(_help_text(main, ["verify", "--help"], capsys).split())
+        assert "--n N robots per instance, 2..100 (default 6)" in text
         assert main(["verify", "--n", "100", "--trials", "0"]) == 0
 
     def test_dimension_bound(self, capsys):
@@ -912,6 +915,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("n, d, metric", [
         (2, 1, 1), (3, 3, 2), (6, 2, 1), (6, 2, 2), (9, 3, 1), (31, 2, 2), (63, 1, 1), (64, 1, 2),
+        (69, 1, 2), (61, 3, 1),
     ])
     def test_stacked_differences_are_the_oracle_s(self, n, d, metric):
         rng = np.random.default_rng(n * d)
@@ -1051,7 +1055,7 @@ class TestSpectrumCommand:
         printed = [float(v) for v in lines[1].split(": ", 1)[1].split(", ")]
         assert printed == approx(eigs, rel=1e-5, abs=1e-9)
         moments = [float(line.split(" = ", 1)[1]) for line in lines[2:]]
-        assert lines[2] == "m_1 = 0" and len(moments) == max_finite_order(100) == 100
+        assert lines[2] == "m_1 = 0" and len(moments) == _max_planned_order(100, 0) == 100
         assert moments[1:] == approx([np.mean(eigs**k) for k in range(2, 101)], rel=1e-5)
 
     def test_one_robot_exit(self, tmp_path, capsys):
@@ -1073,7 +1077,7 @@ class TestSpectrumCommand:
         assert code == 0
         assert captured.err == ""
         lines = captured.out.splitlines()
-        assert len(lines) == 2 + max_finite_order(200) == 136
+        assert len(lines) == 2 + _max_planned_order(200, 0) == 136
         ceilings = complete_graph_moments(200, 134).values
         assert float(lines[-1].split(" = ", 1)[1]) == approx(ceilings[-1], rel=1e-5)
 

@@ -40,15 +40,17 @@ Core claims:
       numpy warning; where the barrier is inf too, the gradient is +-inf
       outward; an unguarded margin keeps its share of the drift
     - finite_difference_gradient(cost or barrier, config, targets, params)
-      below network._PRODUCT_TEAM robots evaluates its stencil as one stack:
-      every team's cost and barrier as one team's call gives them, and the
-      gradient bitwise the closure form's, on generated teams (d 1-3,
-      s 2..min(5, n), both metrics, barrier constants zero and nonzero), on
-      verify's own inputs up to 63 robots, on the far team, and with cost
-      wrapped in every module as a tracer wraps it; from the switch on, and
-      for any other field, one team a call; a stencil with a team that would
-      raise raises that team's InfeasibleStateError or ValueError, as the
-      closure form does; one chunk holds at most the module's byte budget
+      evaluates its stencil as one stack where a chunk of the module's byte
+      budget holds two teams of d + ceil(s/2) + 3 n x n arrays: every team's
+      cost and barrier as one team's call gives them, and the gradient
+      bitwise the closure form's, on generated teams (d 1-3, s 2..min(5, n),
+      both metrics, barrier constants zero and nonzero), on verify's own
+      inputs on both sides of that rule for d = 1, 2 and 3 (stacks of up to
+      68 robots), on the far team, and with cost wrapped in every module as
+      a tracer wraps it; where a chunk holds one team, and for any other
+      field, one team a call; a stencil with a team that would raise raises
+      that team's InfeasibleStateError or ValueError, as the closure form
+      does; one chunk holds at most the module's byte budget
 """
 
 import math
@@ -131,10 +133,16 @@ def _closure(field, config, targets, params, step=1e-6):
     return finite_difference_gradient(lambda c: field(c, targets, params), config, step=step)
 
 
+def _stacks(n, d, order):
+    """The chunk rule: a stencil stacks where a chunk of ``gradient._STENCIL_BYTES`` holds two
+    teams or more, each counted as d + ceil(s/2) + 3 n x n arrays of floats."""
+    return gradient._STENCIL_BYTES // ((d + math.ceil(order / 2) + 3) * 8 * n * n) >= 2
+
+
 def _stacked_route(field, config, targets, params, step=1e-6):
     """``finite_difference_gradient(field, config, targets, params)`` and a list of the
     (teams, values) that each call of its stacked kernel took and gave (values None: a team
-    would raise, so the oracle went one team a call)."""
+    would raise, or a chunk holds one team, so the oracle went one team a call)."""
     kernel, calls = gradient._stacked_values, []
 
     def spy(field, teams, targets, params):
@@ -674,9 +682,9 @@ class TestStackedValues:
     @pytest.mark.parametrize("seed", range(36))
     def test_every_stencil_team_as_one_team(self, seed):
         rng = np.random.default_rng(seed)
-        switch = network._PRODUCT_TEAM
-        n = int(rng.integers(9, switch)) if seed % 5 == 0 else int(rng.integers(2, 9))
         d = 1 + seed % 3
+        largest = max(n for n in range(2, 100) if _stacks(n, d, 5))  # stacks at every s <= 5
+        n = int(rng.integers(9, largest + 1)) if seed % 5 == 0 else int(rng.integers(2, 9))
         order = int(rng.integers(2, min(5, n) + 1))
         constants = (0.0,) * order if seed % 4 == 0 else (0.0, *rng.uniform(0.01, 0.3, order - 1))
         params = _params(metric=1 + seed // 3 % 2, order=order, epsilons=constants)
@@ -687,12 +695,20 @@ class TestStackedValues:
             assert values.tobytes() == _one_by_one(field, teams, targets, params).tobytes()
             assert fd.tobytes() == _closure(field, config, targets, params).tobytes()
 
+    def test_chunk_rule_at_s_5(self):
+        # verify's order: d = 1 stacks up to 68 robots, d = 2 up to 64, d = 3 up to 60.
+        routes = {(68, 1): True, (69, 1): False, (64, 2): True, (65, 2): False,
+                  (56, 3): True, (60, 3): True, (61, 3): False, (63, 3): False}
+        assert {key: _stacks(*key, 5) for key in routes} == routes
+
     @pytest.mark.parametrize("n, d, metric", [
         (2, 1, 1), (3, 3, 2), (6, 2, 1), (6, 2, 2), (9, 3, 1), (31, 2, 2), (63, 1, 1), (64, 1, 2),
-        (63, 3, 1), (64, 3, 2),
+        (63, 3, 1), (64, 3, 2), (68, 1, 1), (69, 1, 2), (64, 2, 1), (65, 2, 2), (56, 3, 2),
+        (61, 3, 1),
     ])
     def test_verify_inputs_on_both_routes(self, n, d, metric):
-        # As verify draws them: the cost at another team's moments, the barrier at half its own.
+        # As verify draws them: the cost at another team's moments, the barrier at half its own;
+        # each on the route the chunk rule gives it.
         order = min(5, n)
         params = _params(metric=metric, order=order,
                          epsilons=(0.0, *(0.05 * (k + 2) for k in range(order - 1))))
@@ -702,7 +718,7 @@ class TestStackedValues:
         for field, targets in cases:
             fd, calls = _stacked_route(field, config, targets, params)
             stacked = [values is not None for _, values in calls]
-            assert stacked == [True] * (n < network._PRODUCT_TEAM)
+            assert stacked == [_stacks(n, d, order)]
             assert np.abs(fd).max() > 0.0
             assert fd.tobytes() == _closure(field, config, targets, params).tobytes()
 
@@ -770,20 +786,31 @@ class TestStackedValues:
         config = RobotConfiguration(1e-3 * np.random.default_rng(7).random((n, 1)))
         params = _params(metric=1, order=n, epsilons=(0.0,) * n)
         targets = TargetSpectrum(np.zeros(n))
-        with mock.patch.object(network, "_PRODUCT_TEAM", n + 1):  # the stacked route
-            with pytest.raises(ValueError) as expected:
-                _closure(cost, config, targets, params)
-            assert "overflows floats" in str(expected.value)
-            with pytest.raises(ValueError) as raised:
+        with pytest.raises(ValueError) as expected:
+            _closure(cost, config, targets, params)
+        assert "overflows floats" in str(expected.value)
+        # A budget of two teams a chunk takes the stacked route: its first chunk overflows, and
+        # the loop raises.
+        budget = 2 * (1 + n // 2 + 3) * 8 * n * n
+        with mock.patch.object(gradient, "_STENCIL_BYTES", budget):
+            assert _stacks(n, 1, n)
+            chunks = mock.patch.object(np, "split", wraps=np.split)
+            with chunks as split, pytest.raises(ValueError) as raised:
                 _stacked_route(cost, config, targets, params)
+        assert split.call_count == 1  # the stencil went into chunks
         assert str(raised.value) == str(expected.value)
 
     def test_other_fields_and_large_teams_go_one_team_a_call(self):
-        config = _tie_free_config(network._PRODUCT_TEAM, 1, 11)
+        # The smallest team whose chunk holds one team at d = 1, s = 3: the kernel declines it
+        # before any chunk forms.
+        n = min(n for n in range(2, 100) if not _stacks(n, 1, 3))
+        assert n == 74
+        config = _tie_free_config(n, 1, 11)
         params = _params(order=3)
         targets = _targets_below(config, params)
-        fd, calls = _stacked_route(cost, config, targets, params)
-        assert calls == []
+        with mock.patch.object(np, "split", wraps=np.split) as split:
+            fd, [(_, values)] = _stacked_route(cost, config, targets, params)
+        assert values is None and split.call_count == 0
         assert fd.tobytes() == _closure(cost, config, targets, params).tobytes()
 
         def half_cost(c, targets, params):

@@ -44,7 +44,6 @@ from momentflow.network import (
     build_adjacency,
     complete_graph_moments,
     eigenvalues,
-    max_finite_order,
     moments_from_eigenvalues,
     power_chain,
     spectral_moments,
@@ -58,6 +57,18 @@ from momentflow.network import (
 
 
 # -- Helpers -----------------------------------------------------------------
+
+def _largest_finite_order(n):
+    """The largest s that complete_graph_moments(n, s) accepts: every ceiling up to m_s finite."""
+    order = 1
+    while order < n:
+        try:
+            complete_graph_moments(n, order + 1)
+        except ValueError:
+            break
+        order += 1
+    return order
+
 
 def _random_config(n, d, seed):
     """Uniform positions in the unit box, no exact coordinate ties."""
@@ -381,9 +392,10 @@ class TestSpectralMoments:
     def test_largest_planned_order(self, d):
         # Finite moments up to about 1,660 robots, the memory bound from there on.
         for n in (2, 150, 1000, 1655, 1660, 1665, 1700, 2000, 3000, 4096):
-            order = _max_planned_order(n, d)
+            order, finite = _max_planned_order(n, d), _largest_finite_order(n)
             _chain_plan(order, n, d)
-            if order == max_finite_order(n):
+            assert order <= finite
+            if order == finite:
                 assert n < 1700
             else:
                 assert n > 1655

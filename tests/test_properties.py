@@ -39,7 +39,7 @@ Core claims:
       each k to 4 ulps of max|lambda|^k, and the same first moment that
       overflows, on spectra of up to 40 values from 1e-300 to 1.7e308
     - the half chain's moments, ||A^j||_F^2 / n and <A^j, A^(j+1)> / n,
-      match the eigenvalue power sums up to s = max_finite_order(n) on
+      match the eigenvalue power sums up to s = _max_planned_order(n, 0) on
       teams of up to 40 robots, coincident or far-apart ones included, and
       on a gathered and a spread team of 200 at s = 134
     - an _Evaluation's weights and moments, built without the
@@ -81,11 +81,11 @@ from momentflow.network import (
     MomentVector,
     RobotConfiguration,
     WeightedAdjacency,
+    _max_planned_order,
     _pairwise_distance,
     build_adjacency,
     complete_graph_moments,
     eigenvalues,
-    max_finite_order,
     moments_from_eigenvalues,
     spectral_moments,
 )
@@ -240,9 +240,9 @@ def test_built_weights_pass_adjacency_checks(positions, decay, metric, far):
 
 
 def _half_chain_error(positions, decay, metric):
-    """|spectral_moments - eigenvalue power sums| / rho^k up to max_finite_order(n)."""
+    """|spectral_moments - eigenvalue power sums| / rho^k up to _max_planned_order(n, 0)."""
     adjacency = build_adjacency(RobotConfiguration(positions), decay, metric)
-    order = max_finite_order(len(positions))
+    order = _max_planned_order(len(positions), 0)
     eigs = eigenvalues(adjacency)
     scale = max(1.0, float(np.abs(eigs).max())) ** np.arange(1, order + 1)
     chain = spectral_moments(adjacency, order).values
@@ -459,7 +459,7 @@ def test_half_chain_moments_at_n_200(gathered):
     # s = 134: the half chain reaches A^67, whose squared norm is near the
     # float limit for a gathered team.
     positions = np.zeros((200, 2)) if gathered else np.random.default_rng(7).random((200, 2))
-    assert max_finite_order(200) == 134
+    assert _max_planned_order(200, 0) == 134
     assert _half_chain_error(positions, 1.0, 2) <= 1e-12
 
 
