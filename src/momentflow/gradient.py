@@ -411,48 +411,45 @@ def finite_difference_gradient(scalar_field: Callable[..., float], config: Robot
                                *args, step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Central finite differences of ``scalar_field(c, *args)`` over robot coordinates.
 
-    Perturbs one coordinate at a time by +-step and applies the second-order
-    central quotient.  This is the derivative-free oracle used to verify
-    every analytic gradient in this module; keep ``step`` well below the
-    smallest coordinate gap so taxicab sign structure does not flip inside
-    the stencil.  For :func:`cost` or :func:`barrier` with ``(targets, params)`` the 2 n d teams
-    x +- step e_ir are one stack where a chunk of it holds two teams or more (one is no faster
-    than one call), bitwise as one team a call; any other field, or a stencil with a team that
-    would raise, goes one team a call, as it raises.
+    Evaluates the 2 n d teams x + step e_ir, then x - step e_ir, coordinate by coordinate, and
+    applies the second-order central quotient.  This is the derivative-free oracle used to
+    verify every analytic gradient in this module; keep ``step`` well below the smallest
+    coordinate gap so taxicab sign structure does not flip inside the stencil.  For
+    :func:`cost` or :func:`barrier` with ``(targets, params)`` the teams are one stack where a
+    chunk of it holds two teams or more (one is no faster than one call), a rule read from n, d
+    and s before any team forms, bitwise as one team a call; any other field, or a stencil with
+    a team that would raise, goes one team a call, as it raises.
     """
     if not np.isfinite(step) or step <= 0.0:
         raise ValueError(f"step must be a positive real, got {step}")
     base = config.positions
     n, d = base.shape
-    if scalar_field in (cost, barrier) and len(args) == 2:
-        bumps = step * np.eye(n * d).reshape(-1, n, d)  # x + 0.0 is x, or 0.0 for -0.0
-        values = _stacked_values(scalar_field, np.concatenate([base + bumps, base - bumps]), *args)
-        if values is not None:
-            upper, lower = values.reshape(2, n, d)
-            with np.errstate(over="ignore", invalid="ignore"):  # as quiet as Python's floats
-                return (upper - lower) / (2.0 * step)
-    grad = np.empty_like(base)
-    for i, r in np.ndindex(n, d):
-        upper, lower = base.copy(), base.copy()
-        upper[i, r] += step
-        lower[i, r] -= step
-        grad[i, r] = (scalar_field(RobotConfiguration(upper), *args)
-                      - scalar_field(RobotConfiguration(lower), *args)) / (2.0 * step)
-    return grad
+    values = None
+    if scalar_field in (cost, barrier) and len(args) == 2 and (  # the chunk rule, from n, d, s
+            size := _STENCIL_BYTES // ((d + (args[1].order + 1) // 2 + 3) * 8 * n * n)) >= 2:
+        teams = np.zeros((2 * n * d, n, d))  # teams 2k, 2k + 1: x +- step e_k; x + 0.0 is x
+        teams.ravel()[:: 2 * n * d + 1], teams.ravel()[n * d :: 2 * n * d + 1] = step, -step
+        values = _stacked_values(scalar_field, np.add(teams, base, out=teams), *args, size)
+    if values is None:
+        values = np.empty(2 * n * d)
+        for k in range(2 * n * d):
+            team = base.copy()
+            team.flat[k // 2] += -step if k % 2 else step
+            values[k] = scalar_field(RobotConfiguration(team), *args)
+    with np.errstate(over="ignore", invalid="ignore"):  # as quiet as Python's floats
+        return np.subtract(*values.reshape(n, d, 2).transpose(2, 0, 1)) / (2.0 * step)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _stacked_values(field: Callable[..., float], teams: np.ndarray, targets: TargetSpectrum,
-                    params: ControllerParams) -> Optional[np.ndarray]:
+                    params: ControllerParams, size: int) -> Optional[np.ndarray]:
     """``field(RobotConfiguration(team), targets, params)`` for each team of an (m, n, d) stack,
-    bitwise, for ``field`` :func:`cost` or :func:`barrier`; None if a team would raise or a chunk
-    holds one team.  In chunks, by elementwise and per-team steps (a syrk or gemm, a ddot each)."""
+    bitwise, for ``field`` :func:`cost` or :func:`barrier`; None if a team would raise.  In
+    chunks of ``size`` teams, by elementwise and per-team steps (a syrk or gemm, a ddot each)."""
     if not np.isfinite(teams).all():
         return None
     n, d = teams.shape[1:]
     flow, values, diagonal = _Flow(targets, params, n, d), [], np.arange(n)
-    if (size := _STENCIL_BYTES // ((d + len(flow.plan[0]) + 4) * 8 * n * n)) < 2:
-        return None  # one team a chunk: the loop is as fast
     for chunk in np.split(teams, range(size, len(teams), size)):
         columns = chunk.swapaxes(1, 2).copy()
         terms = columns[..., :, None] - columns[..., None, :]  # (size, d, n, n)

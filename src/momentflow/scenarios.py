@@ -5,7 +5,8 @@ dimension, an initial configuration (explicit positions or a seeded random
 draw), the controller's inputs (:mod:`momentflow.gradient`'s
 ``ControllerParams`` and ``TargetSpectrum``), and integrator settings.
 Targets are literal moment values, as in the two presets, or a reference
-formation's own moments and spectrum (realizable by construction).
+formation's own moments and spectrum (realizable by construction: a formation
+has the scenario's n robots and at most its d coordinates).
 
 Validation is centralized here: type constructors check structure and
 ranges, and ``scenario_violations`` enforces the semantic rules (m_1* = 0,
@@ -412,11 +413,12 @@ def _resolve_targets(
     if problems:
         return None
     try:
-        config = make(**parameters)
-        if config.n != parts[""]["n"]:
+        config, (n, d) = make(**parameters), (parts[""]["n"], parts[""]["d"])
+        if config.n != n:
+            raise ValueError(f"formation has {config.n} robots but the scenario declares n={n}")
+        if config.d > d:  # a formation in fewer dimensions embeds, one in more does not
             raise ValueError(
-                f"formation has {config.n} robots but the scenario declares n={parts['']['n']}"
-            )
+                f"formation has d={config.d} coordinates but the scenario declares d={d}")
         order = config.n if order is None else order
         if order > config.n:
             raise ValueError(f"s={order} exceeds the formation's {config.n} robots")

@@ -24,6 +24,9 @@ Core claims:
     - a malformed value of any schema field makes run and spectrum exit 2
       with one-line reasons that name the field; a huge robot count does
       so before anything is allocated
+    - a formation with more coordinates than the scenario's d makes run and
+      spectrum exit 2 with one line; a planar hexagon embeds in d = 3, and
+      runs
     - targets at or above their ceilings, or with m_2* = 0 and some
       m_k* > 0, make run exit 3 with one line, not spectrum
     - an order s whose ceilings or moments overflow floats makes run and
@@ -64,7 +67,7 @@ Core claims:
     - spectrum prints pinned bytes for one file of each kind it reads
       (positions in d = 1, 2 and 3, moment targets, formation targets);
       files are strict UTF-8, so a BOM, UTF-16 or Latin-1 file exits 5 with
-      one line; and a warm call opens at most 38.9 frames of momentflow's
+      one line; and a warm call opens at most 37.5 frames of momentflow's
       code, on average over those files, and none of the logging package's
 """
 
@@ -286,6 +289,20 @@ class TestScenarioDicts:
         scenario, problems = scenario_from_dict(data)
         assert scenario is None
         assert any("declares n=6" in p for p in problems)
+
+    def test_formation_dimension(self):
+        # A formation in fewer dimensions embeds; one in more is refused, since its spectrum
+        # may be out of the team's reach (three robots on a line cannot hold an equilateral
+        # triangle's m_2 and m_3 together).
+        data = {"name": "hex", "n": 7, "d": 3, "seed": 3, "z": 2, "s": 4,
+                "targets": {"formation": {"type": "hexagon", "parameters": {}}}}
+        params = ControllerParams(decay=1.0, metric=2, order=4)
+        goal = target_from_formation(hexagon_formation(1.0), params)
+        assert _build(data).targets.moments.tobytes() == goal.moments.tobytes()
+        scenario, problems = scenario_from_dict(_TRIANGLE_ON_A_LINE)
+        assert scenario is None
+        assert problems == ["invalid formation: formation has d=2 coordinates but the "
+                            "scenario declares d=1"]
 
     def test_formation_rejects_reference_eigenvalues(self):
         data = {
@@ -1201,8 +1218,8 @@ class TestColdSpectrum:
         # A cold spectrum call's own evaluation is a few numpy calls on small
         # arrays, so Python glue sets much of its time.  Count the frames that
         # momentflow's code and the logging package open (numpy's and argparse's
-        # vary with their versions), after one warm call per file: 38.4 and 0
-        # per call over these five files.
+        # vary with their versions), after one warm call per file: 37.0 and 0
+        # per call over these five files on Python 3.11 (3.12 on count fewer).
         paths = [_spectrum_file(tmp_path, kind) for kind in sorted(_SPECTRUM_FILES)]
         for path in paths:
             assert main(["spectrum", str(path)]) == 0
@@ -1226,7 +1243,7 @@ class TestColdSpectrum:
         capsys.readouterr()
         # At least main, the file's reader and the evaluation per call; at most
         # the measured counts + 0.5 per call.
-        assert 10 * len(paths) <= calls[package] <= 38.9 * len(paths)
+        assert 10 * len(paths) <= calls[package] <= 37.5 * len(paths)
         assert calls[logs] == 0
 
 
@@ -1325,6 +1342,11 @@ _SCENARIO = {
 _UNSEEDED = {key: value for key, value in _SCENARIO.items() if key != "seed"}
 _POSITIONS_FILE = {"positions": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "c": 1.0, "z": 2}
 _HEXAGON = {"formation": {"type": "hexagon", "parameters": {"side_length": 1.0}}}
+_TRIANGLE_ON_A_LINE = {
+    "name": "tri", "n": 3, "d": 1, "positions": [[0], [0.5], [2]], "max_time": 2000,
+    "targets": {"formation": {"type": "positions", "parameters": {
+        "positions": [[0, 0], [1, 0], [0.5, 0.8660254037844386]]}}},
+}
 _RAGGED = [[0.0, 0.0], [1.0]] + [[0.5, 0.5]] * 3
 
 
@@ -1404,6 +1426,7 @@ _MALFORMED = {
     "formation parameter unknown": (_hexagon("targets.formation.parameters.radius", 1.0),
                                     "radius"),
     "formation s above n": (_hexagon("s", 9), "s=9"),
+    "formation d above d": (_hexagon("d", 1), "formation has d=2 coordinates"),
     "formation positions ragged": (_malformed(
         _SCENARIO, "targets", {"formation": {"type": "positions",
                                              "parameters": {"positions": _RAGGED}}}),
@@ -1434,6 +1457,20 @@ class TestMalformedFields:
         assert reasons and all(line.startswith("invalid ") for line in reasons)
         assert needle in captured.err
         assert not [phrase for phrase in _INTERNALS if phrase in captured.err]
+
+    @pytest.mark.parametrize("command", ["run", "spectrum"])
+    def test_formation_dimension(self, command, tmp_path, capsys):
+        # Refused in one line where the formation has more coordinates than d; a planar
+        # hexagon in d = 3 runs.
+        for data, code, err in [
+                (_TRIANGLE_ON_A_LINE, EXIT_VALIDATION, "invalid scenario: invalid formation: "
+                 "formation has d=2 coordinates but the scenario declares d=1\n"),
+                (dict(_SCENARIO, n=7, d=3, s=4, targets=_HEXAGON), 0, "")]:
+            path = tmp_path / "formation.json"
+            path.write_text(json.dumps(data))
+            assert main([command, str(path), "-o", str(tmp_path)] if command == "run"
+                        else [command, str(path)]) == code
+            assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize("n", [10**9, 10**400])
     def test_huge_robot_count_allocates_nothing(self, n, tmp_path, capsys):

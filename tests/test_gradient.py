@@ -41,16 +41,19 @@ Core claims:
       outward; an unguarded margin keeps its share of the drift
     - finite_difference_gradient(cost or barrier, config, targets, params)
       evaluates its stencil as one stack where a chunk of the module's byte
-      budget holds two teams of d + ceil(s/2) + 3 n x n arrays: every team's
+      budget holds two teams of d + ceil(s/2) + 3 n x n arrays: the stack
+      holds the one-team loop's teams in the loop's order, every team's
       cost and barrier as one team's call gives them, and the gradient
       bitwise the closure form's, on generated teams (d 1-3, s 2..min(5, n),
       both metrics, barrier constants zero and nonzero), on verify's own
       inputs on both sides of that rule for d = 1, 2 and 3 (stacks of up to
       68 robots), on the far team, and with cost wrapped in every module as
       a tracer wraps it; where a chunk holds one team, and for any other
-      field, one team a call; a stencil with a team that would raise raises
-      that team's InfeasibleStateError or ValueError, as the closure form
-      does; one chunk holds at most the module's byte budget
+      field, one team a call, with no stencil formed: 64 robots in space at
+      s = 5 peak below the 2 (n d)^2 floats of their stencil; a stencil with
+      a team that would raise raises that team's InfeasibleStateError or
+      ValueError, as the closure form does; one chunk holds at most the
+      module's byte budget
 """
 
 import math
@@ -139,14 +142,26 @@ def _stacks(n, d, order):
     return gradient._STENCIL_BYTES // ((d + math.ceil(order / 2) + 3) * 8 * n * n) >= 2
 
 
+def _stencil(config, step=1e-6):
+    """The one-team loop's 2 n d teams in its order: x + step e_k, then x - step e_k, for
+    k = i d + r."""
+    teams = np.repeat(config.positions[None], 2 * config.positions.size, axis=0)
+    for k, team in enumerate(teams):
+        team.flat[k // 2] += -step if k % 2 else step
+    return teams
+
+
 def _stacked_route(field, config, targets, params, step=1e-6):
     """``finite_difference_gradient(field, config, targets, params)`` and a list of the
     (teams, values) that each call of its stacked kernel took and gave (values None: a team
-    would raise, or a chunk holds one team, so the oracle went one team a call)."""
+    would raise, so the oracle went one team a call).  Where a chunk holds one team the oracle
+    goes one team a call without a call of the kernel.  Every stack the kernel takes holds the
+    loop's teams in the loop's order."""
     kernel, calls = gradient._stacked_values, []
 
-    def spy(field, teams, targets, params):
-        calls.append((teams, kernel(field, teams, targets, params)))
+    def spy(field, teams, targets, params, size):
+        assert size >= 2 and np.array_equal(teams, _stencil(config, step))
+        calls.append((teams, kernel(field, teams, targets, params, size)))
         return calls[-1][1]
 
     with mock.patch.object(gradient, "_stacked_values", spy):
@@ -718,7 +733,7 @@ class TestStackedValues:
         for field, targets in cases:
             fd, calls = _stacked_route(field, config, targets, params)
             stacked = [values is not None for _, values in calls]
-            assert stacked == [_stacks(n, d, order)]
+            assert stacked == ([True] if _stacks(n, d, order) else [])
             assert np.abs(fd).max() > 0.0
             assert fd.tobytes() == _closure(field, config, targets, params).tobytes()
 
@@ -801,16 +816,16 @@ class TestStackedValues:
         assert str(raised.value) == str(expected.value)
 
     def test_other_fields_and_large_teams_go_one_team_a_call(self):
-        # The smallest team whose chunk holds one team at d = 1, s = 3: the kernel declines it
-        # before any chunk forms.
+        # The smallest team whose chunk holds one team at d = 1, s = 3: the oracle declines it
+        # before any stencil or chunk forms.
         n = min(n for n in range(2, 100) if not _stacks(n, 1, 3))
         assert n == 74
         config = _tie_free_config(n, 1, 11)
         params = _params(order=3)
         targets = _targets_below(config, params)
         with mock.patch.object(np, "split", wraps=np.split) as split:
-            fd, [(_, values)] = _stacked_route(cost, config, targets, params)
-        assert values is None and split.call_count == 0
+            fd, calls = _stacked_route(cost, config, targets, params)
+        assert calls == [] and split.call_count == 0
         assert fd.tobytes() == _closure(cost, config, targets, params).tobytes()
 
         def half_cost(c, targets, params):
@@ -821,6 +836,25 @@ class TestStackedValues:
         fd, calls = _stacked_route(half_cost, small, targets, params)
         assert calls == []
         assert fd.tobytes() == _closure(half_cost, small, targets, params).tobytes()
+
+    def test_a_declined_stencil_peaks_below_its_own_size(self):
+        # 64 robots in space at s = 5: a chunk would hold one team, so no stencil forms, and the
+        # oracle holds less than the 2 n d x n d floats that one would take.
+        n, d, order = 64, 3, 5
+        assert not _stacks(n, d, order)
+        config = _tie_free_config(n, d, 5)
+        params = _params(order=order)
+        targets = _targets_below(config, params)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fd = finite_difference_gradient(cost, config, targets, params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.abs(fd).max() > 0.0
+        assert peak < 2 * (n * d) ** 2 * 8
 
     @pytest.mark.parametrize("n, d", [(20, 3), (33, 2), (40, 3), (63, 1)])
     @pytest.mark.parametrize("order", [2, 5])
