@@ -11,9 +11,9 @@ Three subcommands:
 
 Exit statuses: 0 success/converged, 1 horizon reached without convergence,
 2 scenario validation failure, 3 unrealizable targets, 4 stalled flow,
-5 file or parse error.  A failure is raised where it happens and leaves
-through one function, which prints its reason to stderr, one line per
-problem, and returns its status.
+5 file or parse error or a closed output stream.  A failure is raised where
+it happens and leaves through one function, which prints its reason to
+stderr, one line per problem, and returns its status.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -564,7 +565,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
-    code = _exit_status(args.handler, args)
+    try:
+        code = _exit_status(args.handler, args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout; what is left goes nowhere, at exit too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
     if args.verbose:
         print(f"command finished in {time.perf_counter() - start:.2f} s with exit status {code}",
               file=sys.stderr)

@@ -56,6 +56,7 @@ from .network import (
     _pairwise_distance,
     _product,
     _quiet,
+    _weights,
     power_chain,
 )
 
@@ -445,27 +446,17 @@ def _stacked_values(field: Callable[..., float], teams: np.ndarray, targets: Tar
                     params: ControllerParams, size: int) -> Optional[np.ndarray]:
     """``field(RobotConfiguration(team), targets, params)`` for each team of an (m, n, d) stack,
     bitwise, for ``field`` :func:`cost` or :func:`barrier`; None if a team would raise.  In
-    chunks of ``size`` teams, by elementwise and per-team steps (a syrk or gemm, a ddot each)."""
+    chunks of ``size`` teams, each one stack through the one-team kernels."""
     if not np.isfinite(teams).all():
         return None
-    n, d = teams.shape[1:]
-    flow, values, diagonal = _Flow(targets, params, n, d), [], np.arange(n)
-    for chunk in np.split(teams, range(size, len(teams), size)):
-        columns = chunk.swapaxes(1, 2).copy()
-        terms = columns[..., :, None] - columns[..., None, :]  # (size, d, n, n)
-        terms = (np.abs if flow.metric == 1 else np.square)(terms, out=terms)
-        chain = [w := functools.reduce(np.add, terms.swapaxes(0, 1))]  # axis by axis, as for one
-        np.exp(np.multiply(np.sqrt(w) if flow.metric == 2 else w, -flow.decay, out=w), out=w)
-        w[:, diagonal, diagonal] = 0.0
-        for left, right in flow.plan[0]:
-            chain.append(np.matmul(chain[left], chain[right].swapaxes(1, 2)))
-        v = [power.reshape(len(chunk), -1) for power in chain]
-        margins = [np.vecdot(v[i], v[j]) / n - m for (i, j), m in zip(flow.plan[1], flow.goal)]
+    flow, values = _Flow(targets, params, *teams.shape[1:]), []
+    for chunk in np.split(teams, range(size, len(teams), size)):  # robot-major, (n, size, d)
+        moments = _half_chain(_weights(chunk.swapaxes(0, 1), flow.decay, flow.metric), flow.plan)[0]
+        margins = list(map(operator.sub, moments[1:], flow.goal))
         if not np.isfinite(margins).all() or field is barrier and any(
                 (margins[k - 2] <= 0.0).any() for k, _ in flow.guarded):
             return None
         terms = ([eps / (4.0 * k * margins[k - 2] * margins[k - 2]) for k, eps in flow.guarded]
                  if field is barrier else [x * x / q for x, q in zip(margins, flow.divisors)])
         values.append(functools.reduce(np.add, terms, np.zeros(len(chunk))))  # eps / 0 is inf
-        del w, chain, v  # before the next chunk's arrays form
     return np.concatenate(values)

@@ -12,9 +12,9 @@ of this package.  Because the diagonal of A is identically zero, m_1 is
 always zero, and because A is entrywise nonnegative every moment is
 nonnegative as well.
 
-Distances come from one function, which returns every team's coordinate
-differences too: one broadcast below ``_PRODUCT_TEAM`` robots, and from there
-on one BLAS product per axis, bitwise the same subtraction.
+Distances and coordinate differences come from one function: one broadcast below
+``_PRODUCT_TEAM`` robots, from there on one batched BLAS product, bitwise alike.  It,
+the weights and the half chain also take an (n, m, d) stack of teams, bitwise per team.
 
 Entries of A^k admit a combinatorial reading: [A^k]_ij is the total weight
 of all length-k walks from i to j, where the weight of a walk is the product
@@ -53,11 +53,11 @@ __all__ = [
 WALK_ENUMERATION_LIMIT = 1_000_000
 MAX_WALK_LENGTH = 5
 
-# From here on an axis's differences are one BLAS product, below one broadcast.  Crossover, in us
-# of _pairwise_distance, broadcast/product at n = 56, 64, 72, one BLAS thread.  z=1: d=1 8.4/9.8
-# 9.6/9.9 11.5/11.2, d=2 15.4/16.1 17.2/17.4 28.0/26.4, d=3 27.1/26.1 32.3/31.8 37.6/32.0.  z=2:
-# d=1 15.8/16.8 14.5/14.7 19.0/18.5, d=2 23.4/28.4 22.9/25.3 29.7/26.6, d=3 27.7/26.4 32.2/29.8
-# 51.4/48.1.
+# From here on the differences are one batched BLAS product, below one broadcast: the product is no
+# slower at any d.  In us of _pairwise_distance, product/broadcast, one BLAS thread, n = 32, 48, 64,
+# 72.  z=1: d=1 6.8/4.4 7.5/6.4 8.9/9.0 9.9/10.4, d=2 9.3/7.5 11.1/11.6 13.5/16.5 14.6/19.5, d=3
+# 10.9/10.2 13.5/15.4 18.0/27.2 22.7/33.5.  z=2: d=1 8.5/5.9 10.4/9.2 13.4/13.4 15.5/15.9, d=2
+# 10.2/8.8 13.6/14.5 17.0/20.1 19.4/24.1, d=3 11.6/11.1 16.6/18.2 22.0/28.2 25.0/33.8.
 _PRODUCT_TEAM = 64
 
 # The largest team a scenario or positions file may hold, 134 MB per n x n float64 matrix.  An
@@ -172,23 +172,21 @@ def _pairwise_distance(positions: np.ndarray, metric: int) -> tuple[np.ndarray, 
     """All (n, n) distances between the rows of an (n, d) array in the caller's checked
     ``metric`` (1 taxicab, 2 Euclidean) and error state, inf beyond float range, the
     diagonal exactly zero; and the differences x_ir - x_jr as a C-contiguous (d, n, n) array.
+    An (n, m, d) stack of m teams, robot-major, gives (m, n, n) and (d, m, n, n).
 
-    Below ``_PRODUCT_TEAM`` robots the differences are one broadcast.  From there on each
-    axis's are one BLAS product [x, 1] @ [1; -x]: its entries x_i * 1 + 1 * (-x_j) hold two
-    exact products and round once, to the float x_i - x_j gives (a zero may differ in sign,
-    which abs and square drop and a sum reads as 0).  The axes' squares (absolute
-    values) are taken one at a time and add up in axis order, bitwise ``np.add.reduce``,
-    into an array of their own, so no second (d, n, n) array forms or is kept."""
-    n, d = positions.shape
+    Below ``_PRODUCT_TEAM`` robots the differences are one broadcast, from there on one batched
+    BLAS product [x, 1] @ [1; -x] over every axis and team, whose entries x_i * 1 + 1 * (-x_j)
+    hold two exact products and round once, to the float x_i - x_j gives (a zero may differ in
+    sign, which abs and square drop and a sum reads as 0).  The axes' squares (absolute values)
+    add up one at a time in axis order, bitwise ``np.add.reduce``, into an array of their own."""
+    n = len(positions)
+    columns = positions.T.copy()  # C order, so that the differences are too
     if n < _PRODUCT_TEAM:
-        columns = positions.T.copy()  # C order, so that the differences are too
-        differences = columns[:, :, None] - columns[:, None, :]
+        differences = columns[..., :, None] - columns[..., None, :]
     else:
-        differences = np.empty((d, n, n))
-        left, right = np.ones((n, 2)), np.ones((2, n))
-        for column, axis in zip(positions.T, differences):
-            left[:, 0], right[1] = column, -column
-            np.matmul(left, right, out=axis)
+        left, right = np.ones((*columns.shape, 2)), np.ones((*columns.shape[:-1], 2, n))
+        left[..., 0], right[..., 1, :] = columns, -columns
+        differences = np.matmul(left, right)
     total = None
     for axis in differences:
         term = np.abs(axis) if metric == 1 else np.square(axis)
@@ -219,14 +217,14 @@ def _weights(positions: np.ndarray, decay: float, metric: int) -> np.ndarray:
 
 
 def _adjacency(distance: np.ndarray, decay: float, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(-decay * distance) with a zero diagonal, written to ``out`` if given.
-
-    Symmetric distances in [0, inf] give symmetric weights in [0, 1], so the
-    result meets the :class:`WeightedAdjacency` contract by construction.
-    """
+    """exp(-decay * distance) with a zero diagonal, written to ``out`` if given, for (n, n)
+    distances or each team of a C-contiguous (m, n, n) stack.  Symmetric distances in [0, inf]
+    give symmetric weights in [0, 1]: the :class:`WeightedAdjacency` contract by construction."""
+    n = distance.shape[-1]
     weights = np.multiply(distance, -decay, out=out)
     np.exp(weights, out=weights)
-    weights.ravel()[:: len(weights) + 1] = 0.0
+    # Each team's entry (i, j) sits in row i n + j; one team's ravel is 0.25 us below the reshape.
+    (weights.ravel() if weights.ndim == 2 else weights.reshape(-1, n * n).T)[:: n + 1] = 0.0
     return weights
 
 
@@ -285,13 +283,17 @@ def _half_chain(weights: np.ndarray, plan) -> tuple[list[float], list[np.ndarray
     A is symmetric: m_2j = ||A^j||_F^2 / n, m_(2j+1) = <A^j, A^(j+1)> / n, and m_1 = 0.
     Each power is A^k = A^ceil(k/2) (A^floor(k/2))^T, a BLAS syrk for even k.
     ``plan`` is :func:`_chain_plan`'s; a moment that overflows raises ValueError, whose
-    message :func:`_check_overflow` builds only then.
+    message :func:`_check_overflow` builds only then.  An (m, n, n) stack of weights gives
+    (m, n, n) powers and m_2..m_s as arrays of m, unchecked.
     """
-    n = len(weights)
+    n = weights.shape[-1]
     products, traces = plan
     chain, moments = [weights], [0.0]
     for left, right in products:
-        chain.append(_product(chain[left], chain[right].T))
+        chain.append(_product(chain[left], chain[right].mT))
+    if weights.ndim > 2:
+        flat = [power.reshape(len(weights), -1) for power in chain]
+        return moments + [np.vecdot(flat[i], flat[j]) / n for i, j in traces], chain
     for i, j in traces:
         moments.append(float(np.vdot(chain[i], chain[j])) / n)
     if not all(map(math.isfinite, moments)):

@@ -55,14 +55,16 @@ Core claims:
       the table exits 2 with the reason that preset() raises
     - a null seed takes its default: beside positions the file runs as one
       without the key, and alone it needs a seed or positions
-    - ``python -m momentflow.cli`` hands main's status to the shell
+    - ``python -m momentflow.cli`` hands main's status to the shell; a reader
+      that closes stdout early makes run, verify and spectrum exit 5 with no
+      traceback, buffered or not
     - on generated files with one to three hostile schema values, max_time
       among them, run and spectrum exit 0..5 within 2 s under a budget of
       2,000 trial steps (a timer interrupts a call that overruns), without a
       traceback or warning, printing at most one stderr line unless every
       line is an ``invalid ...`` reason
     - a run that spends its trial-step budget ends stalled (exit 4) and says so
-    - spectrum of 100 spread robots, whose differences are BLAS products,
+    - spectrum of 100 spread robots, whose differences are a BLAS product,
       prints the eigenvalues and power-sum moments of an independent oracle
     - spectrum prints pinned bytes for one file of each kind it reads
       (positions in d = 1, 2 and 3, moment targets, formation targets);
@@ -1054,7 +1056,7 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize("metric", [1, 2])
     def test_team_above_the_product_switch(self, tmp_path, capsys, metric):
-        # 100 robots form their differences as BLAS products; the oracle
+        # 100 robots form their differences as one BLAS product; the oracle
         # subtracts all axes at once and sums the powers of eigvalsh's spectrum.
         positions = 20.0 * np.random.default_rng(5).random((100, 2))
         path = tmp_path / "crowd.json"
@@ -1488,13 +1490,13 @@ class TestMalformedFields:
 
 # == 9. The status a shell sees ==============================================
 
-def _module_cli(*argv):
+def _module_cli(*argv, stdout=subprocess.PIPE, **environ):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     paths = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **environ)
     return subprocess.run(
         [sys.executable, "-m", "momentflow.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
     )
 
 
@@ -1509,6 +1511,24 @@ def test_module_entry_point_exit_statuses(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert "target moments: 0, 3.11, 13.45, 71.6" in done.stdout
+
+
+@pytest.mark.parametrize("command", [
+    ("spectrum", "--preset", "rgg10"), ("verify", "--trials", "2"), ("run", "--preset", "rgg10"),
+])
+def test_closed_stdout_is_an_io_failure(tmp_path, command):
+    # The reader is gone before the child writes.  Unbuffered, a print meets the closed pipe;
+    # buffered, the flush at the end does.  Either way: status 5 and no traceback.
+    argv = (*command, "-o", str(tmp_path)) if command[0] == "run" else command
+    for unbuffered in ("", "1"):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = _module_cli(*argv, stdout=write, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        assert done.returncode == EXIT_IO, done.stderr
+        assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
 
 # == 10. Exit contract on generated files ====================================

@@ -521,8 +521,8 @@ class TestBarrierGradient:
 class TestOverflowingTeam:
     # Robots at x = +-1.7e308 differ by inf and weigh 0 to every robot, so
     # 0 * inf must never form.  Both ways of forming the differences are
-    # forced by patching the switch: one broadcast below it, one BLAS product
-    # per axis at or above it.
+    # forced by patching the switch: one broadcast below it, one batched BLAS
+    # product at or above it.
     @pytest.mark.parametrize("metric", [1, 2])
     def test_gradients_stay_finite(self, metric):
         near = _tie_free_config(4, 2, 3).positions

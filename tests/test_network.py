@@ -8,8 +8,10 @@ Core claims:
       symmetric with an exactly zero diagonal, is translation invariant, and
       returns inf for a distance beyond float range; build_adjacency turns
       that inf into a weight of 0 without a warning, on either side of the
-      team size from which differences are one BLAS product per axis, and a
-      team of exactly that size takes the product
+      team size from which differences are one batched BLAS product, and a
+      team of exactly that size takes the product, as does a stack of teams
+    - a stack of teams through the distances, weights and half chain gives
+      each team's one-team result bit for bit
     - build_adjacency reproduces exp(-decay * dist) with an exactly zero
       diagonal and off-diagonal entries in [0, 1], 0 where a weight
       underflows, and rejects a metric other than 1 and 2
@@ -48,6 +50,7 @@ from momentflow.network import (
     power_chain,
     spectral_moments,
     walk_weight_sum,
+    _adjacency,
     _chain_plan,
     _half_chain,
     _max_planned_order,
@@ -272,11 +275,39 @@ class TestPairwiseDistance:
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_product_from_exactly_the_switch(self, d):
-        # One BLAS product per axis from _PRODUCT_TEAM robots on, none below.
-        for n, products in ((_PRODUCT_TEAM - 1, 0), (_PRODUCT_TEAM, d)):
-            with mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
-                _distances(_random_config(n, d, 0), 2)
-            assert matmul.call_count == products
+        # One batched BLAS product over every axis and team from _PRODUCT_TEAM robots on, none
+        # below, for one team and for a stack of three.
+        for n, products in ((_PRODUCT_TEAM - 1, 0), (_PRODUCT_TEAM, 1)):
+            team = _random_config(n, d, 0).positions
+            for positions in (team, np.stack([team, team + 1.0, 2.0 * team], axis=1)):
+                with mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
+                    _pairwise_distance(positions, 2)
+                assert matmul.call_count == products
+
+    @pytest.mark.parametrize("n", [7, _PRODUCT_TEAM])
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_stack_is_each_team_bitwise(self, n, metric):
+        # An (n, m, d) stack, robot-major, through the distances, weights and half chain gives
+        # each team's one-team result bit for bit: a coincident pair, and one far apart.
+        rng = np.random.default_rng(n + metric)
+        teams = rng.random((4, n, 2))
+        teams[1, 1] = teams[1, 0]
+        teams[2, 1] = [1e200, -1e200]
+        plan = _chain_plan(5, n, 2)
+        with np.errstate(over="ignore"):  # the far pair's squared gap
+            distance, differences = _pairwise_distance(teams.swapaxes(0, 1), metric)
+            weights = _adjacency(distance, 0.7)
+            moments, chain = _half_chain(weights, plan)
+            assert differences.shape == (2, 4, n, n) and differences.flags.c_contiguous
+            for k, team in enumerate(teams):
+                one_distance, one_differences = _pairwise_distance(team, metric)
+                one_weights = _adjacency(one_distance, 0.7)
+                one_moments, one_chain = _half_chain(one_weights, plan)
+                assert distance[k].tobytes() == one_distance.tobytes()
+                assert np.array_equal(differences[:, k], one_differences)
+                assert weights[k].tobytes() == one_weights.tobytes()
+                assert [power[k].tobytes() for power in chain] == [p.tobytes() for p in one_chain]
+                assert [moments[0], *(m[k] for m in moments[1:])] == one_moments
 
 
 # == 5. Adjacency construction ===============================================

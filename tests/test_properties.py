@@ -348,7 +348,7 @@ def _tail_cases(draw):
 @given(_tail_cases())
 def test_drift_tails_agree(case):
     # The drift contracts the kept differences: a broadcast below the switch,
-    # one BLAS product per axis at or above it.  Each is forced by patching
+    # one batched BLAS product at or above it.  Each is forced by patching
     # the switch.
     positions, targets, params = case
     config = RobotConfiguration(positions)
