@@ -29,6 +29,12 @@ Core claims:
       the pair's at 1e-150
     - one evaluation and its drift of 256 robots hold at most
       ceil(s/2) + 4 + d n x n arrays at once, for s = 2..7 and d = 1..3
+    - a flow of 64 or 200 robots writes its evaluations and drifts into
+      exactly the ceil(s/2) + 4 + d n x n arrays it plans, bitwise equal to
+      the unbuffered kernels (both metrics, d = 1..3, s = 2, 4, 6) on teams
+      with a pair about 1e200 apart, one whose difference overflows, a
+      coincident pair and a gap of 1e-163;
+      a state's weights survive the candidates evaluated after it
     - finite_difference_gradient is second-order accurate on a known field,
       and passes its extra arguments to the field
     - a guarded margin so small that its cube or 4k margin^2 underflows
@@ -639,6 +645,64 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
             assert peak <= (math.ceil(order / 2) + 4 + d) * n * n * 8
+
+
+class TestFlowArrays:
+    @staticmethod
+    def _team(n, d, seed):
+        """Robots in a 4-wide box, with one about 1e200 away (an infinite Euclidean distance), a
+        pair whose difference overflows to inf, a coincident pair and a pair 1e-163 apart at the
+        origin (a squared gap that underflows)."""
+        positions = 1.0 + 4.0 * np.random.default_rng(seed).random((n, d))
+        positions[0, 0], positions[5, 0], positions[6, 0] = 1e200, 1.7e308, -1.7e308
+        positions[2] = positions[1]
+        positions[3:5] = 0.0
+        positions[4, 0] = 1e-163
+        return positions
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_team_takes_every_rare_branch(self, d):
+        with np.errstate(over="ignore"):  # as the flow runs
+            distance, differences = network._pairwise_distance(self._team(64, d, 0), 2)
+        distance.ravel()[:: 64 + 1] = np.inf
+        assert distance[0, 1] == np.inf and distance[1, 2] == distance[3, 4] == 0.0
+        assert differences[0, 5, 6] == np.inf
+
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("metric", [1, 2])
+    @pytest.mark.parametrize("n", [network._PRODUCT_TEAM, 200])
+    def test_equal_to_the_unbuffered_kernels(self, n, metric, d, order):
+        # A state and its drift, a rejected candidate, one accepted and its
+        # drift, and the next candidate: every array of the flow is written
+        # again, and a state's weights survive the candidates after it.
+        params = _params(metric=metric, order=order, epsilons=(0.0,) + (1e-3,) * (order - 1))
+        teams = [self._team(n, d, seed) for seed in range(4)]
+        targets = _targets_below(RobotConfiguration(teams[0]), params, 0.3)
+        flow, reference = _Flow(targets, params, n, d), _Flow(targets, params, n, d)
+        reference.arrays = None
+
+        @np.errstate(over="ignore", invalid="ignore")  # as the flow runs
+        def evaluated(team, drift):
+            state, expected = _Evaluation(flow, team), _Evaluation(reference, team)
+            weights = build_adjacency(RobotConfiguration(team), params.decay, metric).weights
+            moments = spectral_moments(WeightedAdjacency(weights), order).values
+            assert state.weights.tobytes() == weights.tobytes()
+            assert np.array(state.moments).tobytes() == moments.tobytes()
+            assert (state.cost, state.barrier) == (expected.cost, expected.barrier)
+            if drift:
+                assert state.drift.tobytes() == expected.drift.tobytes()
+            return state, weights
+
+        state, weights = evaluated(teams[0], drift=True)
+        evaluated(teams[1], drift=False)
+        accepted, accepted_weights = evaluated(teams[2], drift=True)
+        assert state.weights.tobytes() == weights.tobytes() and state.slot != accepted.slot
+        candidate, _ = evaluated(teams[3], drift=False)
+        assert accepted.weights.tobytes() == accepted_weights.tobytes()
+        assert candidate.slot == state.slot
+        held = flow.arrays[1].base.size + flow.temporaries.size
+        assert held == (math.ceil(order / 2) + 4 + d) * n * n
 
 
 # == 6. Finite-difference oracle =============================================
