@@ -49,7 +49,6 @@ from .network import (
     MomentVector,
     RobotConfiguration,
     WeightedAdjacency,
-    _PRODUCT_TEAM,
     _adjacency,
     _chain_plan,
     _freeze,
@@ -87,6 +86,12 @@ DEFAULT_DECAY = 1.0
 DEFAULT_EPSILON = 1e-8
 DEFAULT_FD_STEP = 1e-6
 _STENCIL_BYTES = 2**19  # bounds the arrays of one chunk of a stacked stencil
+# From this many robots on, a Euclidean drift finds far and coincident pairs with one max and one
+# min reduction, below it by counting entries, where a reduction's call costs more than its scan.
+# In us per test, one planar team, n = 8, 40, 48, 200: dist == inf counted 2.45 2.72 2.88 8.8
+# against max 2.82 2.69 2.69 6.9; the float count of nonzeros 0.94 2.73 3.56 39.5 against min 2.73
+# 2.52 2.70 6.6 (the crossover moved between 36 and 44 from run to run).
+_REDUCTION_TEAM = 40
 
 
 class InfeasibleStateError(RuntimeError):
@@ -208,9 +213,7 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
 
 class _Flow:
     """What every evaluation in one flow reads, derived once from (targets, params), n and d:
-    metric, decay, decay / n, slice ::n+1, goals m_k*, divisors 4k, guarded (k, eps_k), plan;
-    from ``_PRODUCT_TEAM`` robots on, the n x n arrays that its evaluations write, ``arrays``,
-    and that its drifts write, ``temporaries`` from the first drift on (else None)."""
+    metric, decay, decay / n, slice ::n+1, goals m_k*, divisors 4k, guarded (k, eps_k), plan."""
 
     def __init__(self, targets: TargetSpectrum, params: ControllerParams, n: int, d: int) -> None:
         if targets.order != params.order:
@@ -223,18 +226,6 @@ class _Flow:
         self.divisors = [4.0 * k for k in range(2, params.order + 1)]
         self.guarded = [(k, eps) for k, eps in enumerate(params.epsilons[1:], 2) if eps]
         self.plan = _chain_plan(params.order, n, d)
-        self.arrays = self.temporaries = None
-        if n >= _PRODUCT_TEAM:
-            # One block of the d differences, the distances, two weight slots (a state keeps its
-            # own, candidates take the ``free`` one) and the ceil(s/2) - 1 chain powers: with the
-            # drift's two temporaries, exactly the ceil(s/2) + 4 + d arrays that the plan counts.
-            # Then the factors [x, 1] and [1; -x] of the distances' product.  Arrays allocated
-            # anew every step went back to the kernel and were faulted in again; a block this
-            # size stays in glibc's heap from one flow to the next.
-            block = np.empty((d + 3 + len(self.plan[0]), n, n))
-            self.arrays = (block[:d], block[d], block[d + 1 : d + 3], list(block[d + 3 :]),
-                           (np.ones((d, n, 2)), np.ones((d, 2, n))))
-            self.free = 0
 
 
 class _Evaluation:
@@ -247,31 +238,18 @@ class _Evaluation:
     it has no nonzero entry: all +-0, no NaN).  The configuration, adjacency and moment
     vector are wrapped only when asked for.  Every sum runs in one fixed order (the cost's
     left to right, not by 3.12's compensated ``sum``), so results are bitwise reproducible.
-
-    In a flow with arrays of its own (``_Flow.arrays``) the evaluation writes into them: its
-    distances, differences and chain last until the flow's next evaluation, so its gradient
-    must come first.  Its weights, in ``slot``, last as long if it is a candidate, and if it
-    is a state, one that took its drift, until the next evaluation after another state's drift.
     """
 
     __slots__ = ("flow", "positions", "_config", "_distance", "_differences", "weights",
-                 "chain", "moments", "margins", "cost", "barrier", "_drift", "still", "slot")
+                 "chain", "moments", "margins", "cost", "barrier", "_drift", "still")
 
     def __init__(self, flow: _Flow, positions: np.ndarray, config=None) -> None:
         self.flow, self.positions, self._config, self._drift = flow, positions, config, None
         euclidean = flow.metric == 2
-        if flow.arrays is None:
-            distance, self._differences = _pairwise_distance(positions, flow.metric)
-            weights, powers = None if euclidean else distance, None
-        else:  # the weights' slot takes each axis's term of the distances first
-            differences, distance, slots, powers, factors = flow.arrays
-            self.slot = flow.free
-            weights = slots[self.slot]
-            distance, self._differences = _pairwise_distance(
-                positions, flow.metric, (distance, differences, weights, *factors))
+        distance, self._differences = _pairwise_distance(positions, flow.metric)
         self._distance = distance if euclidean else None
-        self.weights = _adjacency(distance, flow.decay, out=weights)
-        self.moments, self.chain = _half_chain(self.weights, flow.plan, powers)
+        self.weights = _adjacency(distance, flow.decay, out=None if euclidean else distance)
+        self.moments, self.chain = _half_chain(self.weights, flow.plan)
         margins = self.margins = list(map(operator.sub, self.moments[1:], flow.goal))
         cost = barrier = 0.0
         for margin, divisor in zip(margins, flow.divisors):
@@ -329,36 +307,32 @@ class _Evaluation:
         """
         flow = self.flow
         chain, self.chain = self.chain, None
-        h, total = len(chain), None
-        # The flow's two temporaries, else new arrays; a large team finds far and coincident
-        # pairs with one max and one min, three times faster than counting n^2 entries there.
-        if (large := flow.arrays is not None) and flow.temporaries is None:
-            flow.temporaries = np.empty((2, *self.weights.shape))
-        q, weighted = flow.temporaries if large else (None, None)
+        h, q, weighted = len(chain), None, None
         if tail := coefficients[h:]:  # the terms from A^h on, as A^h Q
-            q = np.multiply(tail[0], chain[0], out=q)
+            q = np.multiply(tail[0], chain[0])
             for coefficient, power in zip(tail[1:], chain[1:]):
                 weighted = np.multiply(coefficient, power, out=weighted)
                 q += weighted
             diagonal = q.ravel()[flow.diagonal]  # a view: += writes q, with no copy back
             diagonal += coefficients[h - 1]
-            total = _product(chain[-1], q, out=weighted)
+            weighted = _product(chain[-1], q, out=weighted)
             coefficients = coefficients[: h - 1]
         for k, (coefficient, power) in enumerate(zip(coefficients, chain)):
             term = np.multiply(coefficient, power, out=power if k else q)
-            total = term if total is None else np.add(total, term, out=total)
-        mixed = np.multiply(total, self.weights, out=total)
+            weighted = term if weighted is None else np.add(weighted, term, out=weighted)
+        mixed = np.multiply(weighted, self.weights, out=weighted)
         differences, self._differences = self._differences, None
         if flow.metric == 1:
             np.sign(differences, out=differences)
         else:
             dist, self._distance = self._distance, None
+            large = len(dist) >= _REDUCTION_TEAM
             if (dist.max() == np.inf) if large else np.count_nonzero(dist == np.inf):
                 differences[:, dist == np.inf] = 0.0  # an inf x_i - x_j times its 0 weight is NaN
-            # 1/inf makes the diagonal and coincident pairs, if any, give 0; a gap whose square
-            # underflowed takes its distance again.
+            # 1/inf makes the diagonal and coincident pairs, if any, give 0.
             dist.ravel()[flow.diagonal] = np.inf
             if (dist.min() == 0.0) if large else np.count_nonzero(dist) < dist.size:
+                # a gap whose square underflowed takes its distance again
                 gaps = differences[:, dist == 0.0]
                 top = np.abs(gaps).max(axis=0)
                 top[top == 0.0] = 1.0  # a coincident pair stays at 0
@@ -379,8 +353,6 @@ class _Evaluation:
             drift = self._project([*map(operator.sub, margins, barrier_terms)])
             self._drift = np.ldexp(drift, shift, out=drift) if shift else drift
             self.still = not np.count_nonzero(self._drift)
-            if self.flow.arrays is not None:  # this is the state; candidates take the other slot
-                self.flow.free = 1 - self.slot
         return self._drift
 
 

@@ -62,8 +62,7 @@ _PRODUCT_TEAM = 64
 
 # The largest team a scenario or positions file may hold, 134 MB per n x n float64 matrix.  An
 # order s plans ceil(s/2) + 4 + d of them (see _chain_plan), at most 9, 1.21 GB (so s <= 6 in the
-# plane there).  A flow of _PRODUCT_TEAM robots or more holds exactly those, the drift's two from
-# its first drift on (gradient._Flow): 8 at s = 4, d = 2, 1.07 GB.
+# plane there); at s = 4, d = 2 a flow peaks near 7.2 of them, about 960 MB.
 MAX_ROBOTS = 4096
 _MAX_PLAN_BYTES = 9 * MAX_ROBOTS**2 * 8
 
@@ -169,8 +168,7 @@ class MomentVector:
         return self.values.shape[0]
 
 
-def _pairwise_distance(positions: np.ndarray, metric: int,
-                       out=None) -> tuple[np.ndarray, np.ndarray]:
+def _pairwise_distance(positions: np.ndarray, metric: int) -> tuple[np.ndarray, np.ndarray]:
     """All (n, n) distances between the rows of an (n, d) array in the caller's checked
     ``metric`` (1 taxicab, 2 Euclidean) and error state, inf beyond float range, the
     diagonal exactly zero; and the differences x_ir - x_jr as a C-contiguous (d, n, n) array.
@@ -180,29 +178,19 @@ def _pairwise_distance(positions: np.ndarray, metric: int,
     BLAS product [x, 1] @ [1; -x] over every axis and team, whose entries x_i * 1 + 1 * (-x_j)
     hold two exact products and round once, to the float x_i - x_j gives (a zero may differ in
     sign, which abs and square drop and a sum reads as 0).  The axes' squares (absolute values)
-    add up one at a time in axis order, bitwise ``np.add.reduce``, into an array of their own.
-    ``out``, for one team of ``_PRODUCT_TEAM`` robots or more, holds the arrays written in place
-    of new ones: C-contiguous distances and differences, an (n, n) array for each later axis's
-    term, and the product's two factors, whose entries other than x and -x are 1."""
+    add up one at a time in axis order, bitwise ``np.add.reduce``, into an array of their own."""
     n = len(positions)
     columns = positions.T.copy()  # C order, so that the differences are too
     if n < _PRODUCT_TEAM:
         differences = columns[..., :, None] - columns[..., None, :]
     else:
-        left, right = out[3:] if out else (
-            np.ones((*columns.shape, 2)), np.ones((*columns.shape[:-1], 2, n)))
+        left, right = np.ones((*columns.shape, 2)), np.ones((*columns.shape[:-1], 2, n))
         left[..., 0], right[..., 1, :] = columns, -columns
-        differences = np.matmul(left, right, out=out and out[1])
-    if out is None:
-        total = None
-        for axis in differences:
-            term = np.abs(axis) if metric == 1 else np.square(axis)
-            total = term if total is None else np.add(total, term, out=total)
-    else:
-        magnitude = np.abs if metric == 1 else np.square
-        total = magnitude(differences[0], out=out[0])
-        for axis in differences[1:]:
-            np.add(total, magnitude(axis, out=out[2]), out=total)
+        differences = np.matmul(left, right)
+    total = None
+    for axis in differences:
+        term = np.abs(axis) if metric == 1 else np.square(axis)
+        total = term if total is None else np.add(total, term, out=total)
     return (total if metric == 1 else np.sqrt(total, out=total)), differences
 
 
@@ -289,20 +277,20 @@ def _chain_plan(order: int, n: int, d: int) -> tuple[list, list]:
     return products, [(k // 2 - 1, (k - 1) // 2) for k in range(2, order + 1)]
 
 
-def _half_chain(weights: np.ndarray, plan, out=None) -> tuple[list[float], list[np.ndarray]]:
+def _half_chain(weights: np.ndarray, plan) -> tuple[list[float], list[np.ndarray]]:
     """Moments m_1..m_s as floats with the half chain [A, ..., A^h], h = ceil(s/2).
 
     A is symmetric: m_2j = ||A^j||_F^2 / n, m_(2j+1) = <A^j, A^(j+1)> / n, and m_1 = 0.
-    Each power is A^k = A^ceil(k/2) (A^floor(k/2))^T, a BLAS syrk for even k, written to
-    ``out[k - 2]`` if ``out`` is given.  ``plan`` is :func:`_chain_plan`'s; a moment that
-    overflows raises ValueError, whose message :func:`_check_overflow` builds only then.
-    An (m, n, n) stack of weights gives (m, n, n) powers and m_2..m_s as arrays of m, unchecked.
+    Each power is A^k = A^ceil(k/2) (A^floor(k/2))^T, a BLAS syrk for even k.
+    ``plan`` is :func:`_chain_plan`'s; a moment that overflows raises ValueError, whose
+    message :func:`_check_overflow` builds only then.  An (m, n, n) stack of weights gives
+    (m, n, n) powers and m_2..m_s as arrays of m, unchecked.
     """
     n = weights.shape[-1]
     products, traces = plan
     chain, moments = [weights], [0.0]
     for left, right in products:
-        chain.append(_product(chain[left], chain[right].mT, out=out and out[len(chain) - 1]))
+        chain.append(_product(chain[left], chain[right].mT))
     if weights.ndim > 2:
         flat = [power.reshape(len(weights), -1) for power in chain]
         return moments + [np.vecdot(flat[i], flat[j]) / n for i, j in traces], chain

@@ -45,8 +45,6 @@ Core claims:
       when its reach overflows; one that rounding keeps from contracting, a
       pair at x = 1.7e308 among them, or that 5,000 contractions leave too
       far apart raises ValueError, whose message says which
-    - a warm n = 200 flow built like perfbench's large_n takes at most 20
-      minor page faults per trial step at s = 4 and s = 6 (Linux)
     - 200 robots from a seeded unit-square start with targets from a 20 x 20
       formation stall after 23 rejected trial steps, and the record's final
       eigenvalues and moments are bitwise those of its final configuration
@@ -860,46 +858,14 @@ class TestEvaluationBudget:
         assert np.array_equal(config.positions, record.final_configuration.positions)
 
 
-# == 7. Flows of _PRODUCT_TEAM robots or more ================================
-
-def _formation_scenario(order, n=200, box=20.0, seed=21):
-    """A flow built like perfbench's large_n: targets from a seeded formation
-    in a box, the start that goal contracted by 0.95 plus 1e-3 jitter."""
-    rng = np.random.default_rng(seed)
-    goal = rng.random((n, 2)) * box
-    centroid = goal.mean(axis=0)
-    start = centroid + 0.95 * (goal - centroid) + rng.normal(0.0, 1e-3, size=(n, 2))
-    params = ControllerParams(decay=1.0, metric=2, order=order)
-    return Scenario(name="crowd", n=n, d=2, params=params,
-                    targets=target_from_formation(RobotConfiguration(goal), params),
-                    settings=SimulationSettings(max_time=2.5), initial_positions=start)
-
+# == 7. A large team's stall =================================================
 
 class TestLargeTeamFlows:
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="ru_minflt counts minor page faults only on Linux")
-    @pytest.mark.parametrize("order", [4, 6])
-    def test_warm_flow_takes_few_page_faults(self, order):
-        # The flow writes its n x n arrays in place.  Arrays freed and allocated
-        # anew every step went back to the kernel and were faulted in again:
-        # about 130 minor faults per trial step at s = 6.  What is left is the
-        # flow's own arrays, once per flow.
-        import resource
-
-        scenario = _formation_scenario(order)
-        simulate(scenario)  # imports, caches and the allocator's first state
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        record = simulate(scenario)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        trials = record.accepted_steps + record.rejected_steps
-        assert record.termination_reason == "horizon" and trials >= 50
-        assert faults <= 20 * trials
-
-    def test_stalled_flow_keeps_its_state_weights(self):
+    def test_stalled_flow_records_its_own_spectrum(self):
         # 200 robots from a seeded unit-square start, with targets from a
-        # formation in a 20 x 20 box, stall at t = 0.  Every rejected candidate
-        # writes the weight slot that the state does not hold, so the record's
-        # eigenvalues are the final configuration's own.
+        # formation in a 20 x 20 box, stall at t = 0.  None of the 23 rejected
+        # candidates' weights reaches the record: its eigenvalues and moments
+        # are the final configuration's own.
         params = ControllerParams(decay=1.0, metric=2, order=4)
         goal = np.random.default_rng(0).random((200, 2)) * 20.0
         scenario = Scenario(name="crowd", n=200, d=2, params=params,

@@ -29,12 +29,10 @@ Core claims:
       the pair's at 1e-150
     - one evaluation and its drift of 256 robots hold at most
       ceil(s/2) + 4 + d n x n arrays at once, for s = 2..7 and d = 1..3
-    - a flow of 64 or 200 robots writes its evaluations and drifts into
-      exactly the ceil(s/2) + 4 + d n x n arrays it plans, bitwise equal to
-      the unbuffered kernels (both metrics, d = 1..3, s = 2, 4, 6) on teams
-      with a pair about 1e200 apart, one whose difference overflows, a
-      coincident pair and a gap of 1e-163;
-      a state's weights survive the candidates evaluated after it
+    - the Euclidean drift's max and min reductions and its counts of
+      entries give the same drift bit for bit (n = 8, 64 and 200, d = 1..3,
+      s = 2, 4, 6) on teams with a pair about 1e200 apart, one whose
+      difference overflows, a coincident pair and a gap of 1e-163
     - finite_difference_gradient is second-order accurate on a known field,
       and passes its extra arguments to the field
     - a guarded margin so small that its cube or 4k margin^2 underflows
@@ -647,7 +645,7 @@ class TestMemory:
             assert peak <= (math.ceil(order / 2) + 4 + d) * n * n * 8
 
 
-class TestFlowArrays:
+class TestReductions:
     @staticmethod
     def _team(n, d, seed):
         """Robots in a 4-wide box, with one about 1e200 away (an infinite Euclidean distance), a
@@ -670,39 +668,21 @@ class TestFlowArrays:
 
     @pytest.mark.parametrize("order", [2, 4, 6])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("metric", [1, 2])
-    @pytest.mark.parametrize("n", [network._PRODUCT_TEAM, 200])
-    def test_equal_to_the_unbuffered_kernels(self, n, metric, d, order):
-        # A state and its drift, a rejected candidate, one accepted and its
-        # drift, and the next candidate: every array of the flow is written
-        # again, and a state's weights survive the candidates after it.
-        params = _params(metric=metric, order=order, epsilons=(0.0,) + (1e-3,) * (order - 1))
-        teams = [self._team(n, d, seed) for seed in range(4)]
-        targets = _targets_below(RobotConfiguration(teams[0]), params, 0.3)
-        flow, reference = _Flow(targets, params, n, d), _Flow(targets, params, n, d)
-        reference.arrays = None
-
-        @np.errstate(over="ignore", invalid="ignore")  # as the flow runs
-        def evaluated(team, drift):
-            state, expected = _Evaluation(flow, team), _Evaluation(reference, team)
-            weights = build_adjacency(RobotConfiguration(team), params.decay, metric).weights
-            moments = spectral_moments(WeightedAdjacency(weights), order).values
-            assert state.weights.tobytes() == weights.tobytes()
-            assert np.array(state.moments).tobytes() == moments.tobytes()
-            assert (state.cost, state.barrier) == (expected.cost, expected.barrier)
-            if drift:
-                assert state.drift.tobytes() == expected.drift.tobytes()
-            return state, weights
-
-        state, weights = evaluated(teams[0], drift=True)
-        evaluated(teams[1], drift=False)
-        accepted, accepted_weights = evaluated(teams[2], drift=True)
-        assert state.weights.tobytes() == weights.tobytes() and state.slot != accepted.slot
-        candidate, _ = evaluated(teams[3], drift=False)
-        assert accepted.weights.tobytes() == accepted_weights.tobytes()
-        assert candidate.slot == state.slot
-        held = flow.arrays[1].base.size + flow.temporaries.size
-        assert held == (math.ceil(order / 2) + 4 + d) * n * n
+    @pytest.mark.parametrize("n", [8, network._PRODUCT_TEAM, 200])
+    def test_equal_to_the_counts(self, n, d, order):
+        # The Euclidean drift finds far and coincident pairs by max and min
+        # reductions from _REDUCTION_TEAM robots on, below it by counting
+        # entries: both give the same drift bit for bit, every rare branch taken.
+        params = _params(order=order, epsilons=(0.0,) + (1e-3,) * (order - 1))
+        team = self._team(n, d, n)
+        flow = _Flow(_targets_below(RobotConfiguration(team), params, 0.3), params, n, d)
+        drifts = []
+        for switch in (0, n + 1):  # reductions, then counts
+            with mock.patch.object(gradient, "_REDUCTION_TEAM", switch):
+                with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs
+                    drifts.append(_Evaluation(flow, team).drift)
+        assert np.all(np.isfinite(drifts[0])) and np.any(drifts[0])
+        assert drifts[0].tobytes() == drifts[1].tobytes()
 
 
 # == 6. Finite-difference oracle =============================================
@@ -920,7 +900,7 @@ class TestStackedValues:
         assert np.abs(fd).max() > 0.0
         assert peak < 2 * (n * d) ** 2 * 8
 
-    @pytest.mark.parametrize("n, d", [(20, 3), (33, 2), (40, 3), (63, 1)])
+    @pytest.mark.parametrize("n, d", [(20, 3), (33, 2), (40, 3), (63, 1), (64, 2)])
     @pytest.mark.parametrize("order", [2, 5])
     def test_one_chunk_holds_the_byte_budget(self, n, d, order):
         config = _tie_free_config(n, d, n)
