@@ -86,12 +86,6 @@ DEFAULT_DECAY = 1.0
 DEFAULT_EPSILON = 1e-8
 DEFAULT_FD_STEP = 1e-6
 _STENCIL_BYTES = 2**19  # bounds the arrays of one chunk of a stacked stencil
-# From this many robots on, a Euclidean drift finds far and coincident pairs with one max and one
-# min reduction, below it by counting entries, where a reduction's call costs more than its scan.
-# In us per test, one planar team, n = 8, 40, 48, 200: dist == inf counted 2.45 2.72 2.88 8.8
-# against max 2.82 2.69 2.69 6.9; the float count of nonzeros 0.94 2.73 3.56 39.5 against min 2.73
-# 2.52 2.70 6.6 (the crossover moved between 36 and 44 from run to run).
-_REDUCTION_TEAM = 40
 
 
 class InfeasibleStateError(RuntimeError):
@@ -326,12 +320,11 @@ class _Evaluation:
             np.sign(differences, out=differences)
         else:
             dist, self._distance = self._distance, None
-            large = len(dist) >= _REDUCTION_TEAM
-            if (dist.max() == np.inf) if large else np.count_nonzero(dist == np.inf):
+            if dist.max() == np.inf:  # distances are never NaN
                 differences[:, dist == np.inf] = 0.0  # an inf x_i - x_j times its 0 weight is NaN
             # 1/inf makes the diagonal and coincident pairs, if any, give 0.
             dist.ravel()[flow.diagonal] = np.inf
-            if (dist.min() == 0.0) if large else np.count_nonzero(dist) < dist.size:
+            if dist.min() == 0.0:
                 # a gap whose square underflowed takes its distance again
                 gaps = differences[:, dist == 0.0]
                 top = np.abs(gaps).max(axis=0)

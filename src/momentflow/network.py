@@ -223,8 +223,7 @@ def _adjacency(distance: np.ndarray, decay: float, out: np.ndarray | None = None
     n = distance.shape[-1]
     weights = np.multiply(distance, -decay, out=out)
     np.exp(weights, out=weights)
-    # Each team's entry (i, j) sits in row i n + j; one team's ravel is 0.25 us below the reshape.
-    (weights.ravel() if weights.ndim == 2 else weights.reshape(-1, n * n).T)[:: n + 1] = 0.0
+    weights.reshape(-1, n * n).T[:: n + 1] = 0.0  # each team's entry (i, j) sits in row i n + j
     return weights
 
 

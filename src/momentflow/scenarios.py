@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, Optional
 
 import numpy as np
@@ -264,14 +264,14 @@ def scenario_violations(scenario: Scenario) -> list[str]:
 
 def _as(kind: type, value: Any) -> Any:
     """``value`` as a field of ``kind``: int, float, str, dict, a list of
-    numbers (list) or coordinate rows (np.ndarray).
+    numbers (list) or coordinate rows (np.ndarray) of JSON numbers.
 
     Raises TypeError, ValueError or OverflowError on a value of another
-    JSON kind; booleans are not numbers.
+    JSON kind; booleans and numeric strings are not numbers.
     """
     if kind is np.ndarray:
         rows = isinstance(value, list) and value and all(map(isinstance, value, repeat(list)))
-        if not rows:
+        if not rows or not set(map(type, chain.from_iterable(value))) <= {int, float}:
             raise TypeError(value)
         return np.array(value, dtype=float)
     if kind is list:

@@ -1350,6 +1350,9 @@ _TRIANGLE_ON_A_LINE = {
         "positions": [[0, 0], [1, 0], [0.5, 0.8660254037844386]]}}},
 }
 _RAGGED = [[0.0, 0.0], [1.0]] + [[0.5, 0.5]] * 3
+# Coordinate rows whose first entry is not a JSON number, though Python's float() reads it.
+_BOOLEAN_ROWS = [[True, 0], [0, 1], [2, 2], [1, 3], [3, 0]]
+_STRING_ROWS = [["0.5", 0], [0, 1], [2, 2], [1, 3], [3, 0]]
 
 
 def _malformed(base, path, value):
@@ -1418,6 +1421,8 @@ _MALFORMED = {
     "positions type": (_malformed(_UNSEEDED, "positions", "x"), "'positions'"),
     "positions ragged": (_malformed(_UNSEEDED, "positions", _RAGGED), "'positions'"),
     "positions shape": (_malformed(_UNSEEDED, "positions", [[0.0]] * 5), "positions"),
+    "positions boolean": (_malformed(_UNSEEDED, "positions", _BOOLEAN_ROWS), "'positions'"),
+    "positions string": (_malformed(_UNSEEDED, "positions", _STRING_ROWS), "'positions'"),
     "unknown field": (_malformed(_SCENARIO, "mystery", 1), "mystery"),
     "formation type": (_hexagon("targets.formation.type", "square"),
                        "'targets.formation.type'"),
@@ -1433,8 +1438,20 @@ _MALFORMED = {
         _SCENARIO, "targets", {"formation": {"type": "positions",
                                              "parameters": {"positions": _RAGGED}}}),
         "'targets.formation.parameters.positions'"),
+    "formation positions boolean": (_malformed(
+        _SCENARIO, "targets", {"formation": {"type": "positions",
+                                             "parameters": {"positions": _BOOLEAN_ROWS}}}),
+        "'targets.formation.parameters.positions'"),
+    "formation positions string": (_malformed(
+        _SCENARIO, "targets", {"formation": {"type": "positions",
+                                             "parameters": {"positions": _STRING_ROWS}}}),
+        "'targets.formation.parameters.positions'"),
     "positions file positions": (_malformed(_POSITIONS_FILE, "positions", _RAGGED),
                                  "'positions'"),
+    "positions file boolean": (_malformed(_POSITIONS_FILE, "positions", _BOOLEAN_ROWS[:3]),
+                               "'positions'"),
+    "positions file string": (_malformed(_POSITIONS_FILE, "positions", _STRING_ROWS[:3]),
+                              "'positions'"),
     "positions file c": (_malformed(_POSITIONS_FILE, "c", 0.0), "'c'"),
     "positions file z": (_malformed(_POSITIONS_FILE, "z", "two"), "'z'"),
     "positions file s": (_malformed(_POSITIONS_FILE, "s", 0), "'s'"),

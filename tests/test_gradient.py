@@ -29,8 +29,10 @@ Core claims:
       the pair's at 1e-150
     - one evaluation and its drift of 256 robots hold at most
       ceil(s/2) + 4 + d n x n arrays at once, for s = 2..7 and d = 1..3
-    - the Euclidean drift's max and min reductions and its counts of
-      entries give the same drift bit for bit (n = 8, 64 and 200, d = 1..3,
+    - the Euclidean drift finds far and coincident pairs by one max and one
+      min reduction at every team size, each as true as its count of
+      entries, and is finite, nonzero and the same bit for bit from
+      broadcast and from product differences (n = 8, 64 and 200, d = 1..3,
       s = 2, 4, 6) on teams with a pair about 1e200 apart, one whose
       difference overflows, a coincident pair and a gap of 1e-163
     - finite_difference_gradient is second-order accurate on a known field,
@@ -660,27 +662,34 @@ class TestReductions:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_team_takes_every_rare_branch(self, d):
-        with np.errstate(over="ignore"):  # as the flow runs
-            distance, differences = network._pairwise_distance(self._team(64, d, 0), 2)
-        distance.ravel()[:: 64 + 1] = np.inf
-        assert distance[0, 1] == np.inf and distance[1, 2] == distance[3, 4] == 0.0
-        assert differences[0, 5, 6] == np.inf
+        for n in (8, network._PRODUCT_TEAM):  # the reductions run at every team size
+            with np.errstate(over="ignore"):  # as the flow runs
+                distance, differences = network._pairwise_distance(self._team(n, d, 0), 2)
+            distance.ravel()[:: n + 1] = np.inf
+            assert distance[0, 1] == np.inf and distance[1, 2] == distance[3, 4] == 0.0
+            assert differences[0, 5, 6] == np.inf
 
     @pytest.mark.parametrize("order", [2, 4, 6])
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [8, network._PRODUCT_TEAM, 200])
     def test_equal_to_the_counts(self, n, d, order):
-        # The Euclidean drift finds far and coincident pairs by max and min
-        # reductions from _REDUCTION_TEAM robots on, below it by counting
-        # entries: both give the same drift bit for bit, every rare branch taken.
+        # The Euclidean drift finds far and coincident pairs by one max and
+        # one min reduction at every team size.  Distances are never NaN, so
+        # each reduction's test is its count's, with every rare branch taken;
+        # the drift is finite, nonzero and the same bit for bit from broadcast
+        # and from product differences.
         params = _params(order=order, epsilons=(0.0,) + (1e-3,) * (order - 1))
         team = self._team(n, d, n)
         flow = _Flow(_targets_below(RobotConfiguration(team), params, 0.3), params, n, d)
         drifts = []
-        for switch in (0, n + 1):  # reductions, then counts
-            with mock.patch.object(gradient, "_REDUCTION_TEAM", switch):
+        for switch in (n + 1, 2):  # broadcast differences, then the product's
+            with mock.patch.object(network, "_PRODUCT_TEAM", switch):
                 with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs
+                    dist = network._pairwise_distance(team, 2)[0]
                     drifts.append(_Evaluation(flow, team).drift)
+            assert dist.max() == np.inf and np.count_nonzero(dist == np.inf)
+            dist.ravel()[:: n + 1] = np.inf
+            assert dist.min() == 0.0 and np.count_nonzero(dist) < dist.size
         assert np.all(np.isfinite(drifts[0])) and np.any(drifts[0])
         assert drifts[0].tobytes() == drifts[1].tobytes()
 
