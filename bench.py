@@ -1,0 +1,294 @@
+"""Write BENCH_<label>.json: perfbench's workloads over a fixed number of rounds, counters per
+trial step, per-layer times at five team sizes, and the Python, numpy and BLAS that ran them.
+
+    python3 bench.py --label L [--smoke] [--out-dir DIR]
+
+momentflow is imported from ``src/`` next to this file.  The workloads, their inputs and their
+output checks are ``perfbench/workloads.py`` and ``perfbench/oracle.py``, imported as they are.
+
+Per workload (round_trip, large_n, cli at seed 1):
+  solve_s   median time of 5 timed rounds: every operation's call, not its output check, in
+            seconds at the reference speed of perfbench's speed probe, as perfbench reports
+            it (``solve_s_wall``: the median of the rounds' wall times)
+  failed    operations that raised or failed their check, over the timed rounds, and why
+  counters  one more round, with counting wrappers patched in from outside ``src/``:
+            accepted and rejected trial steps; ``gradient._Evaluation`` constructions,
+            ``network._product`` calls (patched in ``network`` and in ``gradient``, which
+            imports it by name) and start compressions (evaluations in
+            ``dynamics._feasible_start`` after its first), in total and per trial step; and
+            ``moments_from_eigenvalues`` calls per ``spectrum`` call
+Per layer, a planar Euclidean team at s = 4 for n in 7, 10, 50, 200, 800 (the median of
+repeated calls, in microseconds, and their mean minor page faults): distances, weights, half
+chain and moments, evaluation and drift, and one accepted trial step (the state's drift and
+the candidate's evaluation).
+
+Times are of the machine they ran on; the probe takes out only part of a shared host's drift
+from minute to minute, while the counters repeat exactly.  One BLAS thread, as in perfbench.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads
+
+import argparse  # noqa: E402
+import ctypes  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import momentflow  # noqa: E402
+import momentflow.cli  # noqa: E402,F401  (not imported by the package)
+import speed  # noqa: E402  (perfbench's machine-speed probe)
+import workloads  # noqa: E402  (perfbench's; it imports perfbench's oracle)
+from momentflow import dynamics, gradient, network, scenarios  # noqa: E402
+
+SEED = 1
+ROUNDS = 5
+SIZES = (7, 10, 50, 200, 800)
+SMOKE_SIZES = (7, 10)
+ORDER = 4
+LAYER_SECONDS = 0.2  # per layer and size, after MIN_REPEATS calls
+MIN_REPEATS = 5
+MAX_REPEATS = 2000
+
+
+class Counters:
+    """Counting wrappers around momentflow's private names, installed while in a ``with``."""
+
+    def __init__(self):
+        self.counts = dict.fromkeys(
+            ("evaluations", "products", "start_compressions", "moments_from_eigenvalues"), 0)
+        self._patches = []
+
+    def _counted(self, key, fn):
+        counts = self.counts
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def _patch(self, home, name, wrapper):
+        """Replace ``home.name`` by ``wrapper`` in every momentflow module that holds it."""
+        original = getattr(home, name)
+        modules = [module for key, module in sys.modules.items()
+                   if key == "momentflow" or key.startswith("momentflow.")]
+        for module in modules:
+            for attribute, value in list(vars(module).items()):
+                if value is original:
+                    self._patches.append((module, attribute, original))
+                    setattr(module, attribute, wrapper)
+
+    def __enter__(self):
+        counts = self.counts
+        self._patch(network, "_product", self._counted("products", network._product))
+        self._patch(network, "moments_from_eigenvalues", self._counted(
+            "moments_from_eigenvalues", network.moments_from_eigenvalues))
+        start = dynamics._feasible_start
+
+        def feasible_start(*args):
+            before = counts["evaluations"]
+            try:
+                return start(*args)
+            finally:
+                counts["start_compressions"] += max(counts["evaluations"] - before - 1, 0)
+        self._patch(dynamics, "_feasible_start", feasible_start)
+        init = gradient._Evaluation.__init__
+        self._patches.append((gradient._Evaluation, "__init__", init))
+        gradient._Evaluation.__init__ = self._counted("evaluations", init)
+        return self
+
+    def __exit__(self, *exc):
+        for home, attribute, original in reversed(self._patches):
+            setattr(home, attribute, original)
+        self._patches.clear()
+
+
+def _attempt(op):
+    """The monotonic (start, end) of ``op.call`` and ``op.check``'s outcome, judged as
+    perfbench judges it."""
+    outcome = workloads.Outcome()
+    start = time.monotonic()
+    try:
+        result = op.call()
+    except Exception as exc:  # the program crashed: a failed operation
+        outcome.failed(f"raised {type(exc).__name__}: {exc}")
+        return (start, time.monotonic()), outcome
+    span = (start, time.monotonic())
+    try:
+        return span, op.check(result)
+    except Exception as exc:  # unreadable output counts as wrong output
+        outcome.wrong(f"output check raised {type(exc).__name__}: {exc}")
+        return span, outcome
+
+
+def workload(name, smoke, rounds, workdir):
+    """The workload's record, with each timed round's spans for main to scale."""
+    ops = workloads.WORKLOADS[name](momentflow, SEED, smoke, workdir)
+    spans, failed, problems = [], 0, set()
+    for _ in range(rounds):
+        attempts = [_attempt(op) for op in ops]
+        spans.append([span for span, _ in attempts])
+        for op, (_, outcome) in zip(ops, attempts):
+            failed += outcome.status != "ok"
+            problems.update(f"{op.label}: {problem}" for problem in outcome.problems)
+    accepted = rejected = spectrum_calls = spectrum_moments = 0
+    with Counters() as counters:
+        for op in ops:
+            before = counters.counts["moments_from_eigenvalues"]
+            outcome = _attempt(op)[1]
+            accepted, rejected = accepted + outcome.accepted, rejected + outcome.rejected
+            if op.label.startswith("spectrum"):
+                spectrum_calls += 1
+                spectrum_moments += counters.counts["moments_from_eigenvalues"] - before
+    counts = counters.counts
+    trial = accepted + rejected
+    return {
+        "operations": len(ops),
+        "rounds": rounds,
+        "spans": spans,
+        "failed": failed,
+        "problems": sorted(problems),
+        "counters": {
+            "accepted_steps": accepted,
+            "rejected_steps": rejected,
+            "evaluations": counts["evaluations"],
+            "products": counts["products"],
+            "start_compressions": counts["start_compressions"],
+            "per_trial_step": {key: counts[key] / trial if trial else None
+                               for key in ("evaluations", "products", "start_compressions")},
+            "spectrum_calls": spectrum_calls,
+            "moments_from_eigenvalues_per_spectrum_call":
+                spectrum_moments / spectrum_calls if spectrum_calls else None,
+        },
+    }
+
+
+def _timed(call, prepare, seconds):
+    """Median microseconds of ``call(prepare())`` and its mean minor page faults, of the call
+    alone.  Faults depend on what the allocator holds: a call that allocates its n x n arrays
+    anew, at n = 200 and up, may fault them all in again on every call."""
+    samples, faults = [], 0
+    deadline = time.perf_counter() + seconds
+    while len(samples) < MIN_REPEATS or (
+            len(samples) < MAX_REPEATS and time.perf_counter() < deadline):
+        argument = prepare()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        call(argument)
+        samples.append(time.perf_counter() - start)
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return {"us": statistics.median(samples) * 1e6, "minor_faults": faults / len(samples)}
+
+
+def layers(sizes, seconds):
+    """Per-layer medians for a seeded planar team of n robots, as large_n's is built: a goal
+    with about one robot per two unit areas, and the start it contracted by 0.95."""
+    table = {}
+    for n in sizes:
+        rng = np.random.default_rng(n)
+        goal = rng.random((n, 2)) * np.sqrt(2.0 * n)
+        start = goal.mean(axis=0) + 0.95 * (goal - goal.mean(axis=0))
+        params = gradient.ControllerParams(decay=1.0, metric=2, order=ORDER)
+        targets = scenarios.target_from_formation(network.RobotConfiguration(goal), params)
+        flow = gradient._Flow(targets, params, n, 2)
+        with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs (network._quiet)
+            distance = network._pairwise_distance(start, 2)[0]
+            weights = network._adjacency(distance, 1.0)
+            cases = {
+                "distances": (lambda _: network._pairwise_distance(start, 2), None),
+                "weights": (lambda _: network._adjacency(distance, 1.0), None),
+                "half_chain_moments": (lambda _: network._half_chain(weights, flow.plan), None),
+                "evaluation_drift": (lambda _: gradient._Evaluation(flow, start).drift, None),
+                "trial_step": (lambda state: dynamics._advance(state, dynamics.DEFAULT_DT),
+                               lambda: gradient._Evaluation(flow, start)),
+            }
+            table[str(n)] = {name: _timed(call, prepare or (lambda: None), seconds)
+                             for name, (call, prepare) in cases.items()}
+    return table
+
+
+def _blas_core():
+    """The kernel a DYNAMIC_ARCH OpenBLAS picked at run time, or None where it cannot say."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename"):
+            function = getattr(library, symbol, None)
+            if function is not None:
+                function.argtypes, function.restype = [], ctypes.c_char_p
+                return function().decode()
+    return None
+
+
+def environment():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_core": _blas_core(),
+        "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
+    parser.add_argument("--smoke", action="store_true",
+                        help="perfbench's tiny inputs, one round, n = 7 and 10 only")
+    parser.add_argument("--out-dir", default=str(ROOT), help="where to write (default: repo root)")
+    args = parser.parse_args(argv)
+    rounds = 1 if args.smoke else ROUNDS
+    began = time.perf_counter()
+    result = {"label": args.label, "seed": SEED, "smoke": args.smoke,
+              "environment": environment(), "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-") as scratch, speed.Probe() as probe:
+        for name in workloads.WORKLOADS:
+            workdir = Path(scratch) / name
+            workdir.mkdir()
+            result["workloads"][name] = workload(name, args.smoke, rounds, workdir)
+    for name, found in result["workloads"].items():
+        spans = found.pop("spans")
+        rounds_s = [sum((end - start) * probe.scale(start, end) for start, end in round_spans)
+                    for round_spans in spans]
+        found["solve_s"] = statistics.median(rounds_s)
+        found["solve_s_rounds"] = rounds_s
+        found["solve_s_wall"] = statistics.median(
+            sum(end - start for start, end in round_spans) for round_spans in spans)
+        print(f"{name}: solve_s {found['solve_s']:.4f}", file=sys.stderr)
+    result["layers"] = {
+        "team": f"planar, Euclidean, c = 1, s = {ORDER}",
+        "n": layers(SMOKE_SIZES if args.smoke else SIZES,
+                    LAYER_SECONDS / 20 if args.smoke else LAYER_SECONDS),
+    }
+    result["bench_s"] = time.perf_counter() - began
+    path = Path(args.out_dir) / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(result, indent=1) + "\n")
+    print(f"wrote {path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

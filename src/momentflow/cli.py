@@ -19,7 +19,6 @@ stderr, one line per problem, and returns its status.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -147,8 +146,8 @@ def _sanitize(name: str) -> str:
 def write_trajectory_csv(record: TrajectoryRecord, path: Path) -> None:
     """Trajectory samples as CSV: t, m_1..m_s, cost, barrier, x_1_1..x_n_d.
 
-    Floats are written with 17 significant digits so values round-trip
-    exactly through the file.
+    Each sample is one line of ``%.17g`` floats, which round-trip exactly, and
+    every line ends in CRLF, as ``csv.writer`` ends them; no field needs quoting.
     """
     order = record.samples[0].moments.order
     n = record.final_configuration.n
@@ -159,17 +158,14 @@ def write_trajectory_csv(record: TrajectoryRecord, path: Path) -> None:
         + ["cost", "barrier"]
         + [f"x_{i}_{r}" for i in range(1, n + 1) for r in range(1, d + 1)]
     )
+    line = ",".join([_FLOAT_FMT] * len(header)) + "\r\n"
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for sample in record.samples:
-            row = (
-                [sample.t]
-                + list(sample.moments.values)
-                + [sample.cost, sample.barrier]
-                + list(sample.configuration.positions.reshape(-1))
-            )
-            writer.writerow([_FLOAT_FMT % value for value in row])
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(
+            line % (sample.t, *sample.moments.values.tolist(), sample.cost, sample.barrier,
+                    *sample.configuration.positions.ravel().tolist())
+            for sample in record.samples
+        )
 
 
 def build_report(

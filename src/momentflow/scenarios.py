@@ -221,6 +221,11 @@ def scenario_violations(scenario: Scenario) -> list[str]:
     left to :func:`momentflow.dynamics.ensure_feasible`; targets and params
     orders agree in every file read, and the flow itself refuses a mismatch.
     """
+    return _violations(scenario, True)
+
+
+def _violations(scenario: Scenario, check_reference: bool) -> list[str]:
+    """:func:`scenario_violations`, with the reference-eigenvalue check only if asked for."""
     out: list[str] = []
     if scenario.d > MAX_DIMENSION:
         out.append(f"spatial dimension d={scenario.d} exceeds {MAX_DIMENSION}")
@@ -237,7 +242,7 @@ def scenario_violations(scenario: Scenario) -> list[str]:
         if goal[k - 1] < 0.0:
             out.append(f"even-order target m_{k}* = {goal[k - 1]:.6g} is negative")
     eigs = targets.reference_eigenvalues
-    if eigs is not None:
+    if check_reference and eigs is not None:
         if eigs.shape != (scenario.n,):
             out.append(
                 f"reference spectrum has {eigs.size} eigenvalues, expected n={scenario.n}"
@@ -320,6 +325,10 @@ SCHEMA: dict[str, tuple[type, Any, str]] = {
 
 # The parts of a Scenario that SCHEMA's attribute paths name, in build order.
 _PARTS = {"targets": TargetSpectrum, "params": ControllerParams, "settings": SimulationSettings}
+# SCHEMA's attribute paths split once: (file key, owning part, keyword); "" is the Scenario.
+_FIELDS = tuple((key, *attribute.rpartition(".")[::2]) for key, (*_, attribute) in SCHEMA.items())
+# A positions file's rows of SCHEMA.
+_POSITIONS_FILE = {key: SCHEMA[key] for key in ("positions", "c", "z", "s")}
 
 # The targets block, a formation block, and per formation type its
 # constructor and the table of its parameters.
@@ -438,7 +447,9 @@ def scenario_from_dict(data: Any) -> tuple[Optional[Scenario], list[str]]:
     problems are every schema problem (unknown, missing or mistyped keys,
     the ranges of c, z and s, unresolvable targets) if there are any; else
     the first one a constructor raises; else the semantic violations of
-    :func:`scenario_violations`.
+    :func:`scenario_violations`, except that formation targets skip its
+    reference-spectrum check: their moments and spectrum come from one
+    evaluation of the formation.
     """
     if not isinstance(data, dict):
         return None, ["scenario data must be a JSON object"]
@@ -450,15 +461,14 @@ def scenario_from_dict(data: Any) -> tuple[Optional[Scenario], list[str]]:
         problems.append(f"field 's' must be at least 2, got {fields['s']}")
     if problems:
         return None, problems
-    # Constructor keywords by owning part, by SCHEMA's attribute paths ("" is the Scenario).
-    parts: dict[str, dict[str, Any]] = {}
-    for key, (_, _, attribute) in SCHEMA.items():
-        part, _, name = attribute.rpartition(".")
+    parts: dict[str, dict[str, Any]] = {}  # constructor keywords by owning part
+    for key, part, name in _FIELDS:
         parts.setdefault(part, {})[name] = fields[key]
     resolved = _resolve_targets(parts, problems)
     if resolved is None:
         return None, problems
     targets, params = parts["targets"], parts["params"]
+    checked = targets["reference_eigenvalues"] is not None  # the file's own, not a formation's
     targets["moments"], targets["reference_eigenvalues"], order = resolved
     epsilons = params["epsilons"]
     if epsilons is not None and len(epsilons) < order:
@@ -473,7 +483,7 @@ def scenario_from_dict(data: Any) -> tuple[Optional[Scenario], list[str]]:
         scenario = Scenario(**own)
     except ValueError as exc:
         return None, [str(exc)]
-    problems = scenario_violations(scenario)
+    problems = _violations(scenario, checked)
     return (None, problems) if problems else (scenario, [])
 
 
@@ -488,7 +498,7 @@ def positions_from_dict(
     As in a scenario, at most ``MAX_ROBOTS`` robots.
     """
     problems: list[str] = []
-    fields = _read(data, {key: SCHEMA[key] for key in ("positions", "c", "z", "s")}, problems)
+    fields = _read(data, _POSITIONS_FILE, problems)
     if "positions" not in data:
         problems.append("field 'positions' is required")
     if problems:

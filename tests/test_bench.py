@@ -1,0 +1,48 @@
+"""Smoke test of bench.py: perfbench's tiny inputs, one round, layers at n = 7 and 10.
+
+Core claims:
+    - ``bench.py --smoke`` writes BENCH_<label>.json with every workload's solve_s, failures
+      and counters, the per-layer table and the environment, in well under 2 s
+    - the counters count what they name: a flow evaluates its start once, again after each
+      compression, and one candidate per trial step, so on round_trip and large_n the
+      evaluations are the trial steps plus one per flow plus the compressions
+    - reading spectrum files recomputes no moments from a spectrum
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = {"distances", "weights", "half_chain_moments", "evaluation_drift", "trial_step"}
+
+
+def test_smoke(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench.py"), "--label", "smoke", "--smoke",
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert result["label"] == "smoke" and result["smoke"] is True
+    assert set(result["environment"]) >= {"python", "numpy", "blas", "blas_core"}
+    assert set(result["workloads"]) == {"round_trip", "large_n", "cli"}
+    for name, found in result["workloads"].items():
+        counters = found["counters"]
+        assert found["failed"] == 0 and found["problems"] == [], name
+        assert found["rounds"] == 1 and found["solve_s"] > 0.0
+        assert counters["accepted_steps"] > 0 and counters["products"] > 0
+        if name != "cli":  # whose verify evaluates outside any flow
+            flows = found["operations"]
+            trial = counters["accepted_steps"] + counters["rejected_steps"]
+            assert counters["evaluations"] == trial + flows + counters["start_compressions"]
+    cli = result["workloads"]["cli"]["counters"]
+    assert cli["spectrum_calls"] == 7  # six files and the underflow positions
+    assert cli["moments_from_eigenvalues_per_spectrum_call"] == 0.0
+    table = result["layers"]["n"]
+    assert set(table) == {"7", "10"}
+    for row in table.values():
+        assert set(row) == LAYERS
+        assert all(cell["us"] > 0.0 and cell["minor_faults"] >= 0.0 for cell in row.values())

@@ -69,7 +69,7 @@ Core claims:
     - spectrum prints pinned bytes for one file of each kind it reads
       (positions in d = 1, 2 and 3, moment targets, formation targets);
       files are strict UTF-8, so a BOM, UTF-16 or Latin-1 file exits 5 with
-      one line; and a warm call opens at most 37.5 frames of momentflow's
+      one line; and a warm call opens at most 35.7 frames of momentflow's
       code, on average over those files, and none of the logging package's
 """
 
@@ -110,7 +110,7 @@ from momentflow.cli import (
     main,
     write_trajectory_csv,
 )
-from momentflow.dynamics import simulate
+from momentflow.dynamics import TrajectoryRecord, TrajectorySample, simulate
 from momentflow.gradient import (
     ControllerParams,
     TargetSpectrum,
@@ -119,6 +119,8 @@ from momentflow.gradient import (
     finite_difference_gradient,
 )
 from momentflow.network import (
+    MomentVector,
+    RobotConfiguration,
     build_adjacency,
     _max_planned_order,
     complete_graph_moments,
@@ -422,6 +424,61 @@ class TestTrajectoryCsv:
                 + list(sample.configuration.positions.reshape(-1))
             )
             assert values == expected  # bitwise, thanks to %.17g
+
+
+def _csv_writer_reference(record, path):
+    """The trajectory CSV as ``csv.writer`` writes it, the byte-for-byte reference."""
+    order = record.samples[0].moments.order
+    n, d = record.final_configuration.positions.shape
+    header = (["t"] + [f"m_{k}" for k in range(1, order + 1)] + ["cost", "barrier"]
+              + [f"x_{i}_{r}" for i in range(1, n + 1) for r in range(1, d + 1)])
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for sample in record.samples:
+            row = ([sample.t] + list(sample.moments.values) + [sample.cost, sample.barrier]
+                   + list(sample.configuration.positions.reshape(-1)))
+            writer.writerow(["%.17g" % value for value in row])
+
+
+def _record(*samples):
+    """A finished record of the given samples, the last one final."""
+    last = samples[-1]
+    return TrajectoryRecord(
+        samples=samples, final_configuration=last.configuration, final_moments=last.moments,
+        final_eigenvalues=np.zeros(last.configuration.n), termination_reason="converged",
+        accepted_steps=len(samples) - 1, rejected_steps=0, simulated_time=last.t)
+
+
+def _sample(t, moments, cost, barrier, positions):
+    return TrajectorySample(t=t, configuration=RobotConfiguration(positions),
+                            moments=MomentVector(moments), cost=cost, barrier=barrier)
+
+
+class TestTrajectoryCsvBytes:
+    # Every byte as csv.writer wrote it: the header, then %.17g fields, CRLF line ends.
+    @pytest.mark.parametrize("case", ["flow", "one sample", "extremes"])
+    def test_same_bytes_as_csv_writer(self, quick_record, tmp_path, case):
+        record = {
+            "flow": quick_record,
+            "one sample": _record(quick_record.samples[0]),
+            "extremes": _record(
+                _sample(0.0, [-0.0, 1e-300, 1e300], 1e300, -0.0, [[-0.0, 1e-300], [1e300, 0.5]]),
+                _sample(1e-300, [0.0, 1e300, -1e-300], 1e-300, 1e300,
+                        [[1e-300, -0.0], [-1e300, 3]]),
+            ),
+        }[case]
+        path, reference = tmp_path / "out.csv", tmp_path / "reference.csv"
+        write_trajectory_csv(record, path)
+        _csv_writer_reference(record, reference)
+        written = path.read_bytes()
+        assert written == reference.read_bytes()
+        assert written.count(b"\r\n") == len(record.samples) + 1
+        assert written.count(b"\n") == len(record.samples) + 1
+        if case == "extremes":
+            assert written.splitlines()[1] == (b"0,-0,1e-300,1.0000000000000001e+300,"
+                                               b"1.0000000000000001e+300,-0,-0,1e-300,"
+                                               b"1.0000000000000001e+300,0.5")
 
 
 class TestBuildReport:
@@ -1220,7 +1277,7 @@ class TestColdSpectrum:
         # A cold spectrum call's own evaluation is a few numpy calls on small
         # arrays, so Python glue sets much of its time.  Count the frames that
         # momentflow's code and the logging package open (numpy's and argparse's
-        # vary with their versions), after one warm call per file: 37.0 and 0
+        # vary with their versions), after one warm call per file: 35.2 and 0
         # per call over these five files on Python 3.11 (3.12 on count fewer).
         paths = [_spectrum_file(tmp_path, kind) for kind in sorted(_SPECTRUM_FILES)]
         for path in paths:
@@ -1245,7 +1302,7 @@ class TestColdSpectrum:
         capsys.readouterr()
         # At least main, the file's reader and the evaluation per call; at most
         # the measured counts + 0.5 per call.
-        assert 10 * len(paths) <= calls[package] <= 37.5 * len(paths)
+        assert 10 * len(paths) <= calls[package] <= 35.7 * len(paths)
         assert calls[logs] == 0
 
 
@@ -1490,6 +1547,17 @@ class TestMalformedFields:
             assert main([command, str(path), "-o", str(tmp_path)] if command == "run"
                         else [command, str(path)]) == code
             assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("command", ["run", "spectrum"])
+    def test_inconsistent_reference_eigenvalues(self, command, tmp_path, capsys):
+        # A file's own reference spectrum is still checked against its moment targets.
+        path = tmp_path / "reference.json"
+        path.write_text(json.dumps(dict(_SCENARIO, reference_eigenvalues=[1, 1, -1, -1, 0])))
+        assert main([command, str(path), "-o", str(tmp_path)] if command == "run"
+                    else [command, str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "invalid scenario: reference eigenvalues reproduce "
+                                       "m_2 = 0.8 but the target is 0.5 (difference 0.3 "
+                                       "exceeds 0.01)\n")
 
     @pytest.mark.parametrize("n", [10**9, 10**400])
     def test_huge_robot_count_allocates_nothing(self, n, tmp_path, capsys):

@@ -18,6 +18,8 @@ Core claims:
       leaves realizability ceilings to ensure_feasible; targets and params
       that disagree on the order, which no file can give, make cost and
       simulate raise
+    - reading a file recomputes moments from its reference spectrum only when
+      the file gives that spectrum itself, never for formation targets
     - scenario_from_dict reads every given field of a file, through JSON
       text, into the attribute its SCHEMA row names, with targets and params
       of one order s <= n
@@ -30,6 +32,7 @@ import dataclasses
 import json
 import tracemalloc
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,6 +52,7 @@ from momentflow.network import (
     build_adjacency,
     complete_graph_moments,
     eigenvalues,
+    moments_from_eigenvalues,
     spectral_moments,
 )
 from momentflow.scenarios import (
@@ -412,6 +416,44 @@ class TestScenarioViolations:
             )
         )
         assert any("reproduce" in v for v in scenario_violations(scenario))
+
+
+    def test_formation_spectrum_with_other_moments(self):
+        # A scenario built in code is checked whatever its targets came from: here a
+        # formation's own spectrum beside moments that are not its own.
+        params = ControllerParams(decay=1.0, metric=2, order=3)
+        own = target_from_formation(hexagon_formation(), params)
+        scenario = _valid_scenario(
+            n=7, params=params,
+            targets=TargetSpectrum(own.moments * 2.0, own.reference_eigenvalues))
+        assert any("reproduce m_2" in v for v in scenario_violations(scenario))
+
+
+class TestReferenceCheckedOnce:
+    """A file's formation targets are its moments and spectrum from one evaluation, so
+    reading it recomputes no moments from that spectrum; a file's own reference
+    spectrum is still checked against its moment targets."""
+
+    @pytest.mark.parametrize("formation", [
+        {"type": "hexagon"},
+        {"type": "positions", "parameters": {"positions": [[0, 0], [1, 0], [0, 2], [3, 1]]}},
+    ])
+    def test_formation_file_recomputes_no_moments(self, formation):
+        n = 7 if formation["type"] == "hexagon" else 4
+        data = {"name": "f", "n": n, "d": 2, "seed": 0, "targets": {"formation": formation}}
+        with mock.patch("momentflow.scenarios.moments_from_eigenvalues",
+                        wraps=moments_from_eigenvalues) as spy:
+            scenario, problems = scenario_from_dict(data)
+            assert problems == [] and spy.call_count == 0
+            # The public check still recomputes them, and they agree.
+            assert scenario_violations(scenario) == [] and spy.call_count == 1
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_moments_file_reference_is_checked(self, name):
+        with mock.patch("momentflow.scenarios.moments_from_eigenvalues",
+                        wraps=moments_from_eigenvalues) as spy:
+            assert scenario_from_dict(preset_data(name))[1] == []
+            assert spy.call_count == 1
 
 
 # == 8. Scenario file schema =================================================
