@@ -15,7 +15,9 @@ Per workload (round_trip, large_n, cli at seed 1):
             accepted and rejected trial steps; ``gradient._Evaluation`` constructions,
             ``network._product`` calls (patched in ``network`` and in ``gradient``, which
             imports it by name) and start compressions (evaluations in
-            ``dynamics._feasible_start`` after its first), in total and per trial step; and
+            ``dynamics._feasible_start`` after its first), in total and per trial step;
+            ``gradient._pairwise_distance`` calls per evaluation (1.0 where no drift found a
+            far pair or a zero gap and formed the distances again); and
             ``moments_from_eigenvalues`` calls per ``spectrum`` call
 Per layer, a planar Euclidean team at s = 4 for n in 7, 10, 50, 200, 800 (the median of
 repeated calls, in microseconds, and their mean minor page faults): distances, weights, half
@@ -67,8 +69,8 @@ class Counters:
     """Counting wrappers around momentflow's private names, installed while in a ``with``."""
 
     def __init__(self):
-        self.counts = dict.fromkeys(
-            ("evaluations", "products", "start_compressions", "moments_from_eigenvalues"), 0)
+        self.counts = dict.fromkeys(("evaluations", "products", "distances", "start_compressions",
+                                     "moments_from_eigenvalues"), 0)
         self._patches = []
 
     def _counted(self, key, fn):
@@ -104,6 +106,9 @@ class Counters:
             finally:
                 counts["start_compressions"] += max(counts["evaluations"] - before - 1, 0)
         self._patch(dynamics, "_feasible_start", feasible_start)
+        distance = gradient._pairwise_distance  # the evaluation's and its drift's, not network's
+        self._patches.append((gradient, "_pairwise_distance", distance))
+        gradient._pairwise_distance = self._counted("distances", distance)
         init = gradient._Evaluation.__init__
         self._patches.append((gradient._Evaluation, "__init__", init))
         gradient._Evaluation.__init__ = self._counted("evaluations", init)
@@ -168,6 +173,8 @@ def workload(name, smoke, rounds, workdir):
             "start_compressions": counts["start_compressions"],
             "per_trial_step": {key: counts[key] / trial if trial else None
                                for key in ("evaluations", "products", "start_compressions")},
+            "distances_per_evaluation":
+                counts["distances"] / counts["evaluations"] if counts["evaluations"] else None,
             "spectrum_calls": spectrum_calls,
             "moments_from_eigenvalues_per_spectrum_call":
                 spectrum_moments / spectrum_calls if spectrum_calls else None,

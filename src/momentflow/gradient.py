@@ -295,8 +295,9 @@ class _Evaluation:
 
         From the half chain, W = sum_{p<h} c_p A^p + A^h (c_h I + sum_i c_(h+i) A^i):
         one product from s = 4 on.  The rows contract the kept differences x_i - x_j, exact
-        for every team (taxicab: their signs; Euclidean: an infinite one counts 0, and a pair
-        whose squared gap underflowed takes its distance again from them, at max-abs scale).
+        for every team (taxicab: their signs; Euclidean: M / dist in the distances, whose +inf
+        diagonal zeroes each self-term; only non-finite rows form them again, an inf difference
+        counting 0 and a squared gap that underflowed re-taken from them at max-abs scale).
         Once per evaluation: it overwrites the kept distances, differences and chain.
         """
         flow = self.flow
@@ -316,23 +317,22 @@ class _Evaluation:
             weighted = term if weighted is None else np.add(weighted, term, out=weighted)
         mixed = np.multiply(weighted, self.weights, out=weighted)
         differences, self._differences = self._differences, None
-        if flow.metric == 1:
-            np.sign(differences, out=differences)
-        else:
-            dist, self._distance = self._distance, None
-            if dist.max() == np.inf:  # distances are never NaN
+        if flow.metric == 1:  # rows_i = sum_j M'_ij D_ij
+            rows = np.vecdot(mixed, np.sign(differences, out=differences)).T
+        else:  # M / dist into the distances, whose +inf diagonal gives each self-term 0
+            rows = np.vecdot(np.divide(mixed, self._distance, out=self._distance), differences).T
+            self._distance = None
+            if not math.isfinite(np.add.reduce(rows, axis=None)):  # a far pair or a zero gap
+                del differences, chain[1:]  # spent powers go; differences come again (the plan)
+                dist, differences = _pairwise_distance(self.positions, 2)
                 differences[:, dist == np.inf] = 0.0  # an inf x_i - x_j times its 0 weight is NaN
-            # 1/inf makes the diagonal and coincident pairs, if any, give 0.
-            dist.ravel()[flow.diagonal] = np.inf
-            if dist.min() == 0.0:
-                # a gap whose square underflowed takes its distance again
-                gaps = differences[:, dist == 0.0]
-                top = np.abs(gaps).max(axis=0)
-                top[top == 0.0] = 1.0  # a coincident pair stays at 0
-                dist[dist == 0.0] = top * np.sqrt(np.square(gaps / top).sum(axis=0))
-                dist[dist == 0.0] = np.inf
-            mixed /= dist
-        rows = np.vecdot(mixed, differences).T  # rows_i = sum_j M'_ij D_ij
+                if dist.min() == 0.0:  # a gap whose square underflowed takes its distance again
+                    gaps = differences[:, dist == 0.0]
+                    top = np.abs(gaps).max(axis=0)
+                    top[top == 0.0] = 1.0  # a coincident pair stays at 0
+                    dist[dist == 0.0] = top * np.sqrt(np.square(gaps / top).sum(axis=0))
+                    dist[dist == 0.0] = np.inf
+                rows = np.vecdot(np.divide(mixed, dist, out=dist), differences).T
         rows *= flow.scale
         return rows
 

@@ -8,9 +8,9 @@ k-th spectral moment of the weight matrix A,
     m_k = tr(A^k) / n = (1/n) * sum_i lambda_i^k,
 
 summarizes the eigenvalue spectrum and is the quantity steered by the rest
-of this package.  Because the diagonal of A is identically zero, m_1 is
-always zero, and because A is entrywise nonnegative every moment is
-nonnegative as well.
+of this package.  Each robot is at distance +inf from itself, so the diagonal
+of A is identically zero and m_1 is always zero; because A is entrywise
+nonnegative every moment is nonnegative as well.
 
 Distances and coordinate differences come from one function: one broadcast below
 ``_PRODUCT_TEAM`` robots, from there on one batched BLAS product, bitwise alike.  It,
@@ -66,9 +66,9 @@ _PRODUCT_TEAM = 64
 MAX_ROBOTS = 4096
 _MAX_PLAN_BYTES = 9 * MAX_ROBOTS**2 * 8
 
-# Entry points run quietly where floats overflow (an infinite distance is a
-# weight of 0); private helpers, the trial step's too, run under the caller's.
-_quiet = np.errstate(over="ignore", invalid="ignore")
+# Entry points run quietly where floats overflow (an inf distance weighs 0) or a drift divides by
+# a zero gap before it checks; private helpers, the trial step's too, run under the caller's.
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +113,8 @@ class RobotConfiguration:
 class WeightedAdjacency:
     """Symmetric nonnegative weight matrix with a zero diagonal.
 
-    Off-diagonal entries lie in [0, 1]: exp(-decay * dist) is one only for
-    coincident robots and underflows to exactly zero about 745/decay apart,
+    Entries lie in [0, 1]: exp(-decay * dist) is one only for coincident robots and is exactly
+    zero about 745/decay apart and on the diagonal, where each robot is at +inf from itself,
     an edge whose weight and derivative are both 0; moments stay defined.
     """
 
@@ -170,8 +170,9 @@ class MomentVector:
 
 def _pairwise_distance(positions: np.ndarray, metric: int) -> tuple[np.ndarray, np.ndarray]:
     """All (n, n) distances between the rows of an (n, d) array in the caller's checked
-    ``metric`` (1 taxicab, 2 Euclidean) and error state, inf beyond float range, the
-    diagonal exactly zero; and the differences x_ir - x_jr as a C-contiguous (d, n, n) array.
+    ``metric`` (1 taxicab, 2 Euclidean) and error state, inf beyond float range, +inf on the
+    diagonal (one strided write per call, whence the zero self-weights and self-terms); and
+    the differences x_ir - x_jr as a C-contiguous (d, n, n) array, with a zero diagonal.
     An (n, m, d) stack of m teams, robot-major, gives (m, n, n) and (d, m, n, n).
 
     Below ``_PRODUCT_TEAM`` robots the differences are one broadcast, from there on one batched
@@ -187,19 +188,20 @@ def _pairwise_distance(positions: np.ndarray, metric: int) -> tuple[np.ndarray, 
         left, right = np.ones((*columns.shape, 2)), np.ones((*columns.shape[:-1], 2, n))
         left[..., 0], right[..., 1, :] = columns, -columns
         differences = np.matmul(left, right)
-    total = None
-    for axis in differences:
-        term = np.abs(axis) if metric == 1 else np.square(axis)
-        total = term if total is None else np.add(total, term, out=total)
-    return (total if metric == 1 else np.sqrt(total, out=total)), differences
+    total = np.abs(differences[0]) if metric == 1 else np.square(differences[0])
+    for axis in differences[1:]:
+        total += np.abs(axis) if metric == 1 else np.square(axis)
+    distance = total if metric == 1 else np.sqrt(total, out=total)
+    distance.reshape(-1, n * n).T[:: n + 1] = np.inf  # each team's entry (i, j) sits in row i n + j
+    return distance, differences
 
 
 @_quiet
 def build_adjacency(config: RobotConfiguration, decay: float, metric: int) -> WeightedAdjacency:
     """Weight matrix a_ij = exp(-decay * dist(x_i, x_j)), zero diagonal.
 
-    ``decay`` must be positive; larger values make weights fall off faster
-    with distance.  The diagonal is forced to exactly zero (robots carry no
+    ``decay`` must be positive; larger values make weights fall off faster with distance.
+    The diagonal is exactly zero, each robot being at +inf from itself (robots carry no
     self-loops), which in turn pins the first spectral moment at zero.
     """
     weights = _weights(config.positions, decay, metric)
@@ -217,14 +219,11 @@ def _weights(positions: np.ndarray, decay: float, metric: int) -> np.ndarray:
 
 
 def _adjacency(distance: np.ndarray, decay: float, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(-decay * distance) with a zero diagonal, written to ``out`` if given, for (n, n)
-    distances or each team of a C-contiguous (m, n, n) stack.  Symmetric distances in [0, inf]
-    give symmetric weights in [0, 1]: the :class:`WeightedAdjacency` contract by construction."""
-    n = distance.shape[-1]
+    """exp(-decay * distance), written to ``out`` if given, for (n, n) distances or an (m, n, n)
+    stack.  Symmetric distances in [0, inf] with +inf on the diagonal give symmetric weights in
+    [0, 1] with a zero diagonal: the :class:`WeightedAdjacency` contract by construction."""
     weights = np.multiply(distance, -decay, out=out)
-    np.exp(weights, out=weights)
-    weights.reshape(-1, n * n).T[:: n + 1] = 0.0  # each team's entry (i, j) sits in row i n + j
-    return weights
+    return np.exp(weights, out=weights)
 
 
 def _freeze(instance, field: str, array: np.ndarray):

@@ -7,6 +7,8 @@ Core claims:
       compression, and one candidate per trial step, so on round_trip and large_n the
       evaluations are the trial steps plus one per flow plus the compressions
     - reading spectrum files recomputes no moments from a spectrum
+    - no drift of round_trip or large_n forms its distances again: one
+      ``gradient._pairwise_distance`` call per evaluation
 """
 
 import json
@@ -38,6 +40,7 @@ def test_smoke(tmp_path):
             flows = found["operations"]
             trial = counters["accepted_steps"] + counters["rejected_steps"]
             assert counters["evaluations"] == trial + flows + counters["start_compressions"]
+            assert counters["distances_per_evaluation"] == 1.0
     cli = result["workloads"]["cli"]["counters"]
     assert cli["spectrum_calls"] == 7  # six files and the underflow positions
     assert cli["moments_from_eigenvalues_per_spectrum_call"] == 0.0

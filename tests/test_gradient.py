@@ -17,10 +17,10 @@ Core claims:
       warning, zero for the far pair, the same on both sides of the
       team-size switch; so does a pair at x = 1.7e308, whose coordinate sum
       overflows, at 6 robots and at the switch (64), bitwise in every column
-    - the Euclidean drift sets only the diagonal's distances to inf unless a
-      pair coincides, and masks every zero distance when one does: bitwise
-      the drift of masking every zero always, below the team-size switch
-      and at it, with and without a coincident pair
+    - the distances' +inf diagonal gives the Euclidean drift its zero
+      self-terms: bitwise the drift of a careful route forced to mask a zero
+      diagonal with every other zero gap, below the team-size switch and at
+      it, with and without a coincident pair
     - 60 robots in a 5 x 5 box with a pair 1e-6, 1e-9 or 1e-12 apart get
       the same drift, to 1e-12 relative on every entry, from either way of
       forming differences
@@ -28,13 +28,21 @@ Core claims:
       gap underflows (1e-170 apart) keeps its direction: the drift matches
       the pair's at 1e-150
     - one evaluation and its drift of 256 robots hold at most
-      ceil(s/2) + 4 + d n x n arrays at once, for s = 2..7 and d = 1..3
-    - the Euclidean drift finds far and coincident pairs by one max and one
-      min reduction at every team size, each as true as its count of
-      entries, and is finite, nonzero and the same bit for bit from
-      broadcast and from product differences (n = 8, 64 and 200, d = 1..3,
-      s = 2, 4, 6) on teams with a pair about 1e200 apart, one whose
-      difference overflows, a coincident pair and a gap of 1e-163
+      ceil(s/2) + 4 + d n x n arrays at once, for s = 2..7 and d = 1..3,
+      also where the drift takes its careful route
+    - the Euclidean drift divides first and checks its (n, d) rows once: on
+      teams with a pair about 1e200 apart, one whose difference overflows, a
+      coincident pair and a gap of 1e-163 it is finite, nonzero, the same bit
+      for bit from broadcast and from product differences and bitwise the
+      rows of an oracle that finds those pairs by a max and a min reduction
+      over the distances (n = 8, 64 and 200, d = 1..3, s = 2, 4, 6); without
+      a rare gap an evaluation and its drift form the distances once and
+      reduce none of them, and with one the Euclidean drift forms them once
+      more
+    - control_law, barrier_gradient, cost, barrier and simulate raise no
+      warning on a team with a coincident pair, a gap of 1e-163 and a robot
+      1e200 away, nor on one with a coincident pair only, and every drift
+      they form is the oracle's bit for bit
     - finite_difference_gradient is second-order accurate on a known field,
       and passes its extra arguments to the field
     - a guarded margin so small that its cube or 4k margin^2 underflows
@@ -62,6 +70,7 @@ Core claims:
       module's byte budget
 """
 
+import contextlib
 import math
 import sys
 import tracemalloc
@@ -73,6 +82,7 @@ import pytest
 from pytest import approx
 
 from momentflow import gradient, network
+from momentflow.dynamics import SimulationSettings, simulate
 
 from momentflow.gradient import (
     DEFAULT_EPSILON,
@@ -95,6 +105,7 @@ from momentflow.network import (
     build_adjacency,
     spectral_moments,
 )
+from momentflow.scenarios import Scenario
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -126,6 +137,52 @@ def _targets_below(config, params, fraction=0.7):
     adjacency = build_adjacency(config, params.decay, params.metric)
     moments = spectral_moments(adjacency, params.order).values
     return TargetSpectrum(fraction * moments)
+
+
+def _max_min_route(mixed, dist, differences, scale):
+    """The Euclidean drift's rows (decay / n) sum_j M_ij D_ij / dist_ij as a max and a min
+    reduction over the distances find far and zero gaps before the division: the oracle of
+    the route that divides first and checks its rows once."""
+    n = dist.shape[0]
+    if dist.max() == np.inf:
+        differences[:, dist == np.inf] = 0.0
+    dist.ravel()[:: n + 1] = np.inf
+    if dist.min() == 0.0:
+        gaps = differences[:, dist == 0.0]
+        top = np.abs(gaps).max(axis=0)
+        top[top == 0.0] = 1.0
+        dist[dist == 0.0] = top * np.sqrt(np.square(gaps / top).sum(axis=0))
+        dist[dist == 0.0] = np.inf
+    mixed /= dist
+    rows = np.vecdot(mixed, differences).T
+    rows *= scale
+    return rows
+
+
+@contextlib.contextmanager
+def _checked_against_max_min_route():
+    """Within the block every Euclidean projection asserts its rows bitwise
+    :func:`_max_min_route`'s on the distances, differences and M = A o W that it read (M as it
+    reaches ``np.divide``); yields the list of the rows checked."""
+    project, divide, checked = _Evaluation._project, np.divide, []
+
+    def spied(state, coefficients):
+        dist, differences, mixed = state._distance.copy(), state._differences.copy(), []
+
+        def first_divide(numerator, denominator, out=None):
+            if not mixed:
+                mixed.append(numerator.copy())
+            return divide(numerator, denominator, out=out)
+
+        with mock.patch.object(np, "divide", first_divide):
+            rows = project(state, coefficients)
+        assert rows.tobytes() == _max_min_route(mixed[0], dist, differences,
+                                                state.flow.scale).tobytes()
+        checked.append(rows)
+        return rows
+
+    with mock.patch.object(_Evaluation, "_project", spied):
+        yield checked
 
 
 # Four robots so far apart that their moments (about 1e-131 and below) leave margins whose
@@ -572,9 +629,9 @@ class TestOverflowingTeam:
 
 
 class TestZeroDistances:
-    # Order 2 reads the flow's diagonal slice only where the drift marks zero
-    # distances, so an empty slice leaves the diagonal's zeros in place and
-    # makes the drift mask every zero: what it did before the diagonal fast path.
+    # Each robot's own term is 0 because its distance to itself is +inf.  The reference is
+    # forced down the careful route with a zero diagonal, which it masks as one more zero
+    # gap; the two agree bit for bit, with and without a coincident pair.
     @pytest.mark.parametrize("coincident", [False, True])
     @pytest.mark.parametrize("n", [7, network._PRODUCT_TEAM])
     def test_masked_as_every_zero(self, n, coincident):
@@ -583,14 +640,21 @@ class TestZeroDistances:
             positions[1] = positions[0]
         params = _params(order=2, epsilons=(0.0, 1e-3))
         targets = _targets_below(RobotConfiguration(positions), params, fraction=0.5)
-        flow, every_zero = _Flow(targets, params, n, 2), _Flow(targets, params, n, 2)
-        every_zero.diagonal = slice(0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        flow = _Flow(targets, params, n, 2)
+
+        def zero_diagonal(positions, metric):
+            distance, differences = network._pairwise_distance(positions, metric)
+            np.fill_diagonal(distance, 0.0)
+            return distance, differences
+
+        every_zero = _Evaluation(flow, positions)
+        with np.errstate(divide="ignore", invalid="ignore"):  # as the flow runs
             drift = _Evaluation(flow, positions).drift
-            reference = _Evaluation(every_zero, positions).drift
+            with mock.patch.object(gradient, "_pairwise_distance", zero_diagonal), \
+                    mock.patch.object(math, "isfinite", lambda value: False):
+                reference = every_zero.drift
         assert np.all(np.isfinite(drift)) and np.any(drift)
-        assert np.array_equal(drift, reference)
+        assert drift.tobytes() == reference.tobytes()
         if coincident:  # the pair's own term is 0, so the two see the team alike
             assert np.allclose(drift[0], drift[1], rtol=1e-12, atol=0.0)
 
@@ -627,12 +691,10 @@ class TestZeroDistances:
 
 
 class TestMemory:
-    @pytest.mark.parametrize("metric", [1, 2])
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_evaluation_and_drift_peak(self, d, metric):
-        # The kept differences are d arrays; nothing else of size d n^2 forms.
-        n = 256
-        positions = 4.0 * np.random.default_rng(d).random((n, d))
+    @staticmethod
+    def _peaks(positions, metric):
+        """Peak bytes of one evaluation and its drift for s = 2..7, with the plan's bound."""
+        n, d = positions.shape
         for order in range(2, 8):
             params = _params(metric=metric, order=order, epsilons=(0.0,) + (1e-3,) * (order - 1))
             flow = _Flow(_targets_below(RobotConfiguration(positions), params, 0.5), params, n, d)
@@ -640,11 +702,26 @@ class TestMemory:
             try:
                 base = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                assert np.all(np.isfinite(_Evaluation(flow, positions).drift))
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as flows run
+                    assert np.all(np.isfinite(_Evaluation(flow, positions).drift))
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert peak <= (math.ceil(order / 2) + 4 + d) * n * n * 8
+            yield peak, (math.ceil(order / 2) + 4 + d) * n * n * 8
+
+    @pytest.mark.parametrize("metric", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_evaluation_and_drift_peak(self, d, metric):
+        # The kept differences are d arrays; nothing else of size d n^2 forms.
+        positions = 4.0 * np.random.default_rng(d).random((256, d))
+        assert all(peak <= bound for peak, bound in self._peaks(positions, metric))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_careful_route_peak(self, d):
+        # The careful route forms the distances and differences again, once it has let the
+        # kept differences and the spent powers go.
+        positions = TestReductions._team(256, d, d)
+        assert all(peak <= bound for peak, bound in self._peaks(positions, 2))
 
 
 class TestReductions:
@@ -662,10 +739,9 @@ class TestReductions:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_team_takes_every_rare_branch(self, d):
-        for n in (8, network._PRODUCT_TEAM):  # the reductions run at every team size
+        for n in (8, network._PRODUCT_TEAM):  # the check runs at every team size
             with np.errstate(over="ignore"):  # as the flow runs
                 distance, differences = network._pairwise_distance(self._team(n, d, 0), 2)
-            distance.ravel()[:: n + 1] = np.inf
             assert distance[0, 1] == np.inf and distance[1, 2] == distance[3, 4] == 0.0
             assert differences[0, 5, 6] == np.inf
 
@@ -673,25 +749,93 @@ class TestReductions:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [8, network._PRODUCT_TEAM, 200])
     def test_equal_to_the_counts(self, n, d, order):
-        # The Euclidean drift finds far and coincident pairs by one max and
-        # one min reduction at every team size.  Distances are never NaN, so
-        # each reduction's test is its count's, with every rare branch taken;
-        # the drift is finite, nonzero and the same bit for bit from broadcast
-        # and from product differences.
+        # The Euclidean drift divides first and checks its (n, d) rows once.  On a team that
+        # takes every rare branch the check fails and the careful route runs: the drift is
+        # finite, nonzero and bitwise the rows of a max and a min reduction over the distances
+        # (the oracle), from broadcast and from product differences alike.
         params = _params(order=order, epsilons=(0.0,) + (1e-3,) * (order - 1))
         team = self._team(n, d, n)
         flow = _Flow(_targets_below(RobotConfiguration(team), params, 0.3), params, n, d)
         drifts = []
         for switch in (n + 1, 2):  # broadcast differences, then the product's
-            with mock.patch.object(network, "_PRODUCT_TEAM", switch):
-                with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs
-                    dist = network._pairwise_distance(team, 2)[0]
-                    drifts.append(_Evaluation(flow, team).drift)
-            assert dist.max() == np.inf and np.count_nonzero(dist == np.inf)
-            dist.ravel()[:: n + 1] = np.inf
-            assert dist.min() == 0.0 and np.count_nonzero(dist) < dist.size
+            with mock.patch.object(network, "_PRODUCT_TEAM", switch), \
+                    _checked_against_max_min_route() as checked, \
+                    np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as flows run
+                drifts.append(_Evaluation(flow, team).drift)
+            assert len(checked) == 1
         assert np.all(np.isfinite(drifts[0])) and np.any(drifts[0])
         assert drifts[0].tobytes() == drifts[1].tobytes()
+
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_distances_formed_once_and_never_scanned(self, metric):
+        # Without a rare gap, an evaluation and its drift form the distances once and reduce
+        # none of them; the every-rare-branch team forms them once more for the careful route,
+        # which only the Euclidean drift has.
+        calls, reductions = [], []
+        pairwise_distance = network._pairwise_distance
+
+        class Watched(np.ndarray):
+            """Distances that log each reduction over them."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+                if method == "reduce":
+                    reductions.append(ufunc.__name__)
+                if out is not None:
+                    kwargs["out"] = tuple(x.view(np.ndarray) for x in out)
+                inputs = [x.view(np.ndarray) if isinstance(x, Watched) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        def watched(positions, metric):
+            calls.append(metric)
+            distance, differences = pairwise_distance(positions, metric)
+            return distance.view(Watched), differences
+
+        params = _params(metric=metric, order=4, epsilons=(0.0, 1e-3, 1e-3, 1e-3))
+        for n in (8, network._PRODUCT_TEAM, 200):
+            for d in (1, 2, 3):
+                plain = 4.0 * np.random.default_rng(n + d).random((n, d))
+                for team, careful in ((plain, False), (self._team(n, d, n), metric == 2)):
+                    flow = _Flow(_targets_below(RobotConfiguration(team), params, 0.3),
+                                 params, n, d)
+                    del calls[:], reductions[:]
+                    with mock.patch.object(gradient, "_pairwise_distance", watched), \
+                            np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                        assert np.all(np.isfinite(_Evaluation(flow, team).drift))
+                    assert calls == [metric] * (1 + careful)
+                    assert careful or reductions == []
+
+
+class TestErrorState:
+    # The drift divides before it checks for a zero gap; the entry points' error state keeps
+    # that quiet, and every drift is the max and min reductions' bit for bit.
+    @staticmethod
+    def _team(coincident_only):
+        positions = 1.0 + 4.0 * np.random.default_rng(3).random((8, 2))
+        positions[2] = positions[1]
+        if not coincident_only:
+            positions[3:5] = 0.0
+            positions[4, 0] = 1e-163
+            positions[0, 0] = 1e200
+        return positions
+
+    @pytest.mark.parametrize("coincident_only", [False, True])
+    def test_entry_points_raise_no_warning(self, coincident_only):
+        config = RobotConfiguration(self._team(coincident_only))
+        params = _params(order=4, epsilons=(0.0, 1e-3, 1e-3, 1e-3))
+        targets = _targets_below(config, params, 0.3)
+        scenario = Scenario(name="rare", n=8, d=2, params=params, targets=targets,
+                            settings=SimulationSettings(max_time=0.5),
+                            initial_positions=config.positions)
+        with warnings.catch_warnings(), _checked_against_max_min_route() as checked:
+            warnings.simplefilter("error")
+            gradients = [control_law(config, targets, params),
+                         barrier_gradient(config, targets, params)]
+            values = [cost(config, targets, params), barrier(config, targets, params)]
+            record = simulate(scenario)
+        assert all(np.all(np.isfinite(g)) and np.any(g) for g in gradients)
+        assert all(map(math.isfinite, values))
+        # Two drifts, then the flow's: one for each state it stepped from, all accepted.
+        assert record.rejected_steps == 0 and len(checked) == 2 + record.accepted_steps > 2
 
 
 # == 6. Finite-difference oracle =============================================

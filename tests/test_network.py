@@ -5,9 +5,9 @@ Core claims:
     - RobotConfiguration/WeightedAdjacency/MomentVector validate their inputs,
       copy them, and freeze the stored arrays
     - the distance function matches hand values for both metrics, is
-      symmetric with an exactly zero diagonal, is translation invariant, and
-      returns inf for a distance beyond float range; build_adjacency turns
-      that inf into a weight of 0 without a warning, on either side of the
+      symmetric with +inf on the diagonal, which weighs +0, is translation
+      invariant, and returns inf for a distance beyond float range;
+      build_adjacency turns that inf into a weight of 0 without a warning, on either side of the
       team size from which differences are one batched BLAS product, and a
       team of exactly that size takes the product, as does a stack of teams
     - a stack of teams through the distances, weights and half chain gives
@@ -222,12 +222,14 @@ class TestPairwiseDistance:
     @pytest.mark.parametrize("metric", [1, 2])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_symmetric_zero_diagonal(self, metric, seed):
+        # Each robot sits at +inf from itself, so its weight exp(-c * inf) is exactly +0.
         config = _random_config(6, 3, seed)
         dist = _distances(config, metric)
         assert np.array_equal(dist, dist.T)
-        assert np.all(np.diag(dist) == 0.0)
+        assert np.all(np.diag(dist) == np.inf)
         off = dist[~np.eye(6, dtype=bool)]
-        assert np.all(off > 0.0)
+        assert np.all((off > 0.0) & (off < np.inf))
+        assert np.diag(_adjacency(dist, 1.3)).tobytes() == bytes(6 * 8)
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_taxicab_dominates_euclidean(self, seed):
@@ -268,8 +270,9 @@ class TestPairwiseDistance:
                     dist = _distances(config, metric)
             assert np.geterr() == before
             assert dist[0, 1] == dist[1, 0] == np.inf
-            assert np.all(np.diag(dist) == 0.0)
+            assert np.all(np.diag(dist) == np.inf)
             assert weights[0, 1] == weights[1, 0] == 0.0
+            assert not np.diag(weights).any()
             if others:
                 assert dist[1, 2] == dist[2, 1] == np.inf
 

@@ -150,10 +150,11 @@ def test_first_moment_exactly_zero(positions, decay, metric):
 @given(_teams(), _DECAY, _METRIC)
 def test_moments_between_zero_and_ceiling(positions, decay, metric):
     config = RobotConfiguration(positions)
-    # Spread: some pair is far enough apart for its weight to sit visibly
-    # below 1, so every moment of order >= 2 sits visibly below its ceiling.
-    # A coincident team attains the ceilings exactly.
-    spread = _pairwise_distance(config.positions, metric)[0].max()
+    # Spread, the largest distance off the diagonal (which holds +inf): some
+    # pair is far enough apart for its weight to sit visibly below 1, so every
+    # moment of order >= 2 sits visibly below its ceiling.  A coincident team
+    # attains the ceilings exactly.
+    spread = _pairwise_distance(config.positions, metric)[0][~np.eye(config.n, dtype=bool)].max()
     moments = _moments(positions, decay, metric)
     ceilings = complete_graph_moments(config.n, config.n).values
     assert np.all(moments >= 0.0)
@@ -300,13 +301,16 @@ def test_difference_paths_give_the_same_distances(positions, metric):
 def test_in_place_axis_sum_is_add_reduce(d, metric, data):
     # Below the product path's team size, the axes' squares (taxicab: absolute
     # values) are added in place in axis order: bitwise np.add.reduce over
-    # axis 0, also with ties, coincident robots and overflowing differences.
+    # axis 0 off the diagonal, which holds +inf, also with ties, coincident
+    # robots and overflowing differences.
     positions = data.draw(_wide_teams(data.draw(st.integers(2, network._PRODUCT_TEAM - 1)), d))
     with np.errstate(over="ignore", invalid="ignore"):
         distance, differences = _pairwise_distance(positions, metric)
         terms = np.abs(differences) if metric == 1 else np.square(differences)
         total = np.add.reduce(terms, axis=0)
-        assert np.array_equal(distance, total if metric == 1 else np.sqrt(total))
+        expected = total if metric == 1 else np.sqrt(total)
+        np.fill_diagonal(expected, np.inf)
+        assert np.array_equal(distance, expected)
 
 
 @st.composite
@@ -361,12 +365,14 @@ def test_drift_tails_agree(case):
             assert np.array_equal(kept, positions.T[:, :, None] - positions.T[:, None, :])
             built = build_adjacency(config, params.decay, params.metric)
             for weights in (state.weights, built.weights):
-                # The diagonal is zeroed through a flat view, which a
-                # non-contiguous array would turn into a write to a copy.
+                # The distances' diagonal is set to +inf through a flat view,
+                # which a non-contiguous array would turn into a write to a copy.
                 assert weights.flags.c_contiguous
                 assert np.all(np.diag(weights) == 0.0)
             distances.append(_pairwise_distance(positions, params.metric)[0])
-            drifts.append(state.drift)
+            # The flow's error state: a zero gap divides before the drift checks for one.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                drifts.append(state.drift)
             assert np.all(np.isfinite(drifts[-1]))
     assert np.array_equal(*distances)
     assert np.array_equal(*drifts)
@@ -422,7 +428,7 @@ def test_far_apart_tails(metric, data):
             assert all(np.isfinite(gradient).all() for gradient in gradients)
             assert np.all(barrier_gradient(config, targets, silent) == 0.0)
             assert np.all(barrier_gradient(relabelled, targets, silent) == 0.0)
-            with np.errstate(over="ignore", invalid="ignore"):  # the flow's, as simulate sets it
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the flow's
                 drift = _evaluate(config, targets, params).drift
                 moved = _evaluate(relabelled, targets, params).drift
         error = np.abs(moved - drift[relabel]).max(initial=0.0)
@@ -502,7 +508,9 @@ def test_evaluation_arrays_meet_their_contracts(positions, decay, metric, far):
     config = RobotConfiguration(positions)
     params = ControllerParams(decay=decay, metric=metric, order=n, epsilons=(0.0,) * n)
     state = _evaluate(config, TargetSpectrum(np.zeros(n)), params)
-    state.drift  # the projection reuses the distances; it must not touch these
+    # The flow's error state: a coincident pair divides before the drift checks for one.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        state.drift  # the projection reuses the distances; it must not touch these
     assert state.chain is None  # it consumed the powers, so the state holds none
     weights, values = state.adjacency.weights, state.moment_vector.values
     for array in (weights, values):
