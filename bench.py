@@ -22,7 +22,8 @@ Per workload (round_trip, large_n, cli at seed 1):
 Per layer, a planar Euclidean team at s = 4 for n in 7, 10, 50, 200, 800 (the median of
 repeated calls, in microseconds, and their mean minor page faults): distances, weights, half
 chain and moments, evaluation and drift, and one accepted trial step (the state's drift and
-the candidate's evaluation).
+the candidate's evaluation), each from the start's positions as a flow lays them out; and at
+n = 7 and 10 the count of momentflow's Python frames per trial step (the same every run).
 
 Times are of the machine they ran on; the probe takes out only part of a shared host's drift
 from minute to minute, while the counters repeat exactly.  One BLAS thread, as in perfbench.
@@ -58,7 +59,8 @@ from momentflow import dynamics, gradient, network, scenarios  # noqa: E402
 SEED = 1
 ROUNDS = 5
 SIZES = (7, 10, 50, 200, 800)
-SMOKE_SIZES = (7, 10)
+SMOKE_SIZES = FRAME_SIZES = (7, 10)
+TRIAL_STEPS = 20  # for a frame count
 ORDER = 4
 LAYER_SECONDS = 0.2  # per layer and size, after MIN_REPEATS calls
 MIN_REPEATS = 5
@@ -199,17 +201,25 @@ def _timed(call, prepare, seconds):
     return {"us": statistics.median(samples) * 1e6, "minor_faults": faults / len(samples)}
 
 
+def _start(n):
+    """A seeded planar team of n robots, as large_n's is built: a goal with about one robot per
+    two unit areas, and the start it contracted by 0.95, evaluated as a flow's first state."""
+    rng = np.random.default_rng(n)
+    goal = rng.random((n, 2)) * np.sqrt(2.0 * n)
+    start = goal.mean(axis=0) + 0.95 * (goal - goal.mean(axis=0))
+    params = gradient.ControllerParams(decay=1.0, metric=2, order=ORDER)
+    targets = scenarios.target_from_formation(network.RobotConfiguration(goal), params)
+    with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs (network._quiet)
+        return dynamics._feasible_start(network.RobotConfiguration(start), targets, params)
+
+
 def layers(sizes, seconds):
-    """Per-layer medians for a seeded planar team of n robots, as large_n's is built: a goal
-    with about one robot per two unit areas, and the start it contracted by 0.95."""
+    """Per-layer medians for :func:`_start`'s team of n robots, from its positions as the flow
+    lays them out."""
     table = {}
     for n in sizes:
-        rng = np.random.default_rng(n)
-        goal = rng.random((n, 2)) * np.sqrt(2.0 * n)
-        start = goal.mean(axis=0) + 0.95 * (goal - goal.mean(axis=0))
-        params = gradient.ControllerParams(decay=1.0, metric=2, order=ORDER)
-        targets = scenarios.target_from_formation(network.RobotConfiguration(goal), params)
-        flow = gradient._Flow(targets, params, n, 2)
+        state = _start(n)
+        flow, start = state.flow, state.positions
         with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs (network._quiet)
             distance = network._pairwise_distance(start, 2)[0]
             weights = network._adjacency(distance, 1.0)
@@ -224,6 +234,28 @@ def layers(sizes, seconds):
             table[str(n)] = {name: _timed(call, prepare or (lambda: None), seconds)
                              for name, (call, prepare) in cases.items()}
     return table
+
+
+def frames_per_trial_step(n):
+    """momentflow's Python frames per trial step over TRIAL_STEPS trial steps from
+    :func:`_start`'s team of n robots, each at the dt the last one returned, counted with
+    ``sys.setprofile`` as tier-1's ``test_momentflow_frames_per_trial_step`` counts them."""
+    package, calls = str(Path(momentflow.__file__).parent) + os.sep, 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    state, dt, previous = _start(n), dynamics.DEFAULT_DT, sys.getprofile()
+    with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs (network._quiet)
+        sys.setprofile(profile)
+        try:
+            for _ in range(TRIAL_STEPS):
+                state, _, dt = dynamics._advance(state, dt)
+        finally:
+            sys.setprofile(previous)
+    return calls / TRIAL_STEPS
 
 
 def _blas_core():
@@ -289,6 +321,7 @@ def main(argv=None) -> int:
         "team": f"planar, Euclidean, c = 1, s = {ORDER}",
         "n": layers(SMOKE_SIZES if args.smoke else SIZES,
                     LAYER_SECONDS / 20 if args.smoke else LAYER_SECONDS),
+        "frames_per_trial_step": {str(n): frames_per_trial_step(n) for n in FRAME_SIZES},
     }
     result["bench_s"] = time.perf_counter() - began
     path = Path(args.out_dir) / f"BENCH_{args.label}.json"

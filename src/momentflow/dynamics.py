@@ -129,8 +129,8 @@ class SimulationSettings:
             raise ValueError(
                 f"cost_tolerance must be a positive real, got {self.cost_tolerance}"
             )
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be at least 1, got {self.record_every}")
+        if type(self.record_every) is not int or self.record_every < 1:  # a bool is no count
+            raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +237,7 @@ def _feasible_start(config, targets, params) -> _Evaluation:
     flow = _Flow(targets, params, *config.positions.shape)
     current = config
     for _ in range(_MAX_COMPRESSIONS):
-        state = _Evaluation(flow, current.positions, current)
+        state = _Evaluation(flow, np.asfortranarray(current.positions), current)  # see _advance
         if np.all(slack <= state.margins):
             return state
         vanished = np.array_equal(state.margins, -goal[1:])  # every moment is 0
@@ -289,16 +289,16 @@ def step(
 def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
     """:func:`step` from an evaluated state; the next state comes evaluated.
 
-    Runs under its caller's error state: a candidate that counts fewer finite
-    coordinates than it has is rejected unevaluated.  A candidate is evaluated
-    from its positions alone; its configuration is wrapped only if asked for.
+    Runs under its caller's error state: a candidate with a coordinate that is not finite (only
+    a sum of squares that is not finite tests each) is rejected unevaluated.  A candidate is
+    evaluated from its F-ordered positions alone; its configuration is wrapped only if asked for.
     """
     drift = state.drift
     if state.still:
         raise FlowStalled("the drift is exactly zero, so no step moves the robots")
     positions = state.positions + dt * drift
-    candidate = None
-    if np.count_nonzero(np.isfinite(positions)) == positions.size:
+    candidate, columns = None, positions.T
+    if math.isfinite(np.vdot(columns, columns)) or np.isfinite(positions).all():
         try:
             candidate = _Evaluation(state.flow, positions)
         except ValueError:  # a moment overflowed: no ceiling bounds a bare step()

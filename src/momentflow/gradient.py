@@ -311,18 +311,19 @@ class _Evaluation:
             diagonal = q.ravel()[flow.diagonal]  # a view: += writes q, with no copy back
             diagonal += coefficients[h - 1]
             weighted = _product(chain[-1], q, out=weighted)
-            coefficients = coefficients[: h - 1]
-        for k, (coefficient, power) in enumerate(zip(coefficients, chain)):
-            term = np.multiply(coefficient, power, out=power if k else q)
+            h -= 1  # A^h is spent, its coefficient is in Q
+        for k in range(h):  # A's term into Q, a spent power's into itself
+            term = np.multiply(coefficients[k], chain[k], out=chain[k] if k else q)
             weighted = term if weighted is None else np.add(weighted, term, out=weighted)
         mixed = np.multiply(weighted, self.weights, out=weighted)
         differences, self._differences = self._differences, None
-        if flow.metric == 1:  # rows_i = sum_j M'_ij D_ij
-            rows = np.vecdot(mixed, np.sign(differences, out=differences)).T
+        if flow.metric == 1:  # rows_i = sum_j M'_ij D_ij, as the (d, n) columns
+            rows = np.vecdot(mixed, np.sign(differences, out=differences))
         else:  # M / dist into the distances, whose +inf diagonal gives each self-term 0
-            rows = np.vecdot(np.divide(mixed, self._distance, out=self._distance), differences).T
+            rows = np.vecdot(np.divide(mixed, self._distance, out=self._distance), differences)
             self._distance = None
-            if not math.isfinite(np.add.reduce(rows, axis=None)):  # a far pair or a zero gap
+            if not (math.isfinite(np.vdot(rows, rows))  # finite squares bound every partial sum
+                    or math.isfinite(np.add.reduce(rows.T, axis=None))):  # a far pair or a zero gap
                 del differences, chain[1:]  # spent powers go; differences come again (the plan)
                 dist, differences = _pairwise_distance(self.positions, 2)
                 differences[:, dist == np.inf] = 0.0  # an inf x_i - x_j times its 0 weight is NaN
@@ -332,18 +333,24 @@ class _Evaluation:
                     top[top == 0.0] = 1.0  # a coincident pair stays at 0
                     dist[dist == 0.0] = top * np.sqrt(np.square(gaps / top).sum(axis=0))
                     dist[dist == 0.0] = np.inf
-                rows = np.vecdot(np.divide(mixed, dist, out=dist), differences).T
+                rows = np.vecdot(np.divide(mixed, dist, out=dist), differences)
         rows *= flow.scale
-        return rows
+        return rows.T
 
     @property
     def drift(self) -> np.ndarray:
         """The flow's velocity -grad(f + b) as an (n, d) array: one projection of the
         coefficients m_k - m_k* - eps_k / (m_k - m_k*)^3, formed in one pass."""
         if self._drift is None:
-            barrier_terms, shift = self._barrier_coefficients()
-            margins = [math.ldexp(m, -shift) for m in self.margins] if shift else self.margins
-            drift = self._project([*map(operator.sub, margins, barrier_terms)])
+            coefficients, shift = self.margins.copy(), 0  # an unguarded margin is its coefficient
+            for k, eps in self.flow.guarded:  # the common case: no cube leaves range, no overflow
+                margin = coefficients[k - 2]
+                if not 1e-100 < margin < 1e100 or (term := eps / margin**3) == math.inf:
+                    terms, shift = self._barrier_coefficients()  # raises, or scales by 2**-shift
+                    coefficients = [math.ldexp(m, -shift) - t for m, t in zip(self.margins, terms)]
+                    break
+                coefficients[k - 2] = margin - term
+            drift = self._project(coefficients)
             self._drift = np.ldexp(drift, shift, out=drift) if shift else drift
             self.still = not np.count_nonzero(self._drift)
         return self._drift

@@ -173,26 +173,32 @@ def _pairwise_distance(positions: np.ndarray, metric: int) -> tuple[np.ndarray, 
     ``metric`` (1 taxicab, 2 Euclidean) and error state, inf beyond float range, +inf on the
     diagonal (one strided write per call, whence the zero self-weights and self-terms); and
     the differences x_ir - x_jr as a C-contiguous (d, n, n) array, with a zero diagonal.
-    An (n, m, d) stack of m teams, robot-major, gives (m, n, n) and (d, m, n, n).
+    An (n, m, d) stack of m teams, robot-major, gives (m, n, n) and (d, m, n, n).  A flow's
+    F-ordered (n, d) positions are (d, n) C-ordered columns as they are, with no copy.
 
     Below ``_PRODUCT_TEAM`` robots the differences are one broadcast, from there on one batched
     BLAS product [x, 1] @ [1; -x] over every axis and team, whose entries x_i * 1 + 1 * (-x_j)
     hold two exact products and round once, to the float x_i - x_j gives (a zero may differ in
-    sign, which abs and square drop and a sum reads as 0).  The axes' squares (absolute values)
-    add up one at a time in axis order, bitwise ``np.add.reduce``, into an array of their own."""
+    sign, which abs and square drop and a sum reads as 0).  Their squares (absolute values) add
+    up in axis order into an array of their own: one small team's squared in one call, else
+    one axis at a time (one temporary, as the memory plans count)."""
     n = len(positions)
-    columns = positions.T.copy()  # C order, so that the differences are too
+    columns = np.ascontiguousarray(positions.T)  # C order, so that the differences are too
     if n < _PRODUCT_TEAM:
         differences = columns[..., :, None] - columns[..., None, :]
     else:
         left, right = np.ones((*columns.shape, 2)), np.ones((*columns.shape[:-1], 2, n))
         left[..., 0], right[..., 1, :] = columns, -columns
         differences = np.matmul(left, right)
-    total = np.abs(differences[0]) if metric == 1 else np.square(differences[0])
-    for axis in differences[1:]:
-        total += np.abs(axis) if metric == 1 else np.square(axis)
+    if n < _PRODUCT_TEAM and positions.ndim == 2:
+        total = np.add.reduce(np.abs(differences) if metric == 1 else np.square(differences), 0)
+        total.ravel()[:: n + 1] = np.inf  # the diagonal, whose square root is +inf
+    else:
+        total = np.abs(differences[0]) if metric == 1 else np.square(differences[0])
+        for axis in differences[1:]:
+            total += np.abs(axis) if metric == 1 else np.square(axis)
+        total.reshape(-1, n * n).T[:: n + 1] = np.inf  # each team's (i, j) sits in row i n + j
     distance = total if metric == 1 else np.sqrt(total, out=total)
-    distance.reshape(-1, n * n).T[:: n + 1] = np.inf  # each team's entry (i, j) sits in row i n + j
     return distance, differences
 
 
@@ -294,7 +300,7 @@ def _half_chain(weights: np.ndarray, plan) -> tuple[list[float], list[np.ndarray
         return moments + [np.vecdot(flat[i], flat[j]) / n for i, j in traces], chain
     for i, j in traces:
         moments.append(float(np.vdot(chain[i], chain[j])) / n)
-    if not all(map(math.isfinite, moments)):
+    if not math.isfinite(sum(moments)):  # a finite sum has no inf or NaN term
         _check_overflow(moments, "moment")
     return moments, chain
 

@@ -96,6 +96,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValueError("scenario name must be a nonempty string")
+        if type(self.n) is not int or type(self.d) is not int:  # a bool is no count (see _as)
+            raise ValueError(f"n and d must be integers, got n={self.n!r}, d={self.d!r}")
         if self.n < 2:
             raise ValueError(f"need at least 2 robots, got n={self.n}")
         if self.n > MAX_ROBOTS:
@@ -106,7 +108,7 @@ class Scenario:
             raise ValueError(
                 "exactly one of seed and initial_positions must be provided"
             )
-        if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0):
+        if self.seed is not None and (type(self.seed) is not int or self.seed < 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.initial_positions is not None:
             pos = RobotConfiguration(self.initial_positions).positions  # frozen already

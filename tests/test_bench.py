@@ -9,6 +9,7 @@ Core claims:
     - reading spectrum files recomputes no moments from a spectrum
     - no drift of round_trip or large_n forms its distances again: one
       ``gradient._pairwise_distance`` call per evaluation
+    - it counts momentflow's Python frames per trial step at n = 7 and 10
 """
 
 import json
@@ -49,3 +50,6 @@ def test_smoke(tmp_path):
     for row in table.values():
         assert set(row) == LAYERS
         assert all(cell["us"] > 0.0 and cell["minor_faults"] >= 0.0 for cell in row.values())
+    # At least _advance and the candidate's evaluation, distances, weights and half chain.
+    frames = result["layers"]["frames_per_trial_step"]
+    assert set(frames) == {"7", "10"} and all(count >= 5.0 for count in frames.values())

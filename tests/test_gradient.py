@@ -38,7 +38,11 @@ Core claims:
       over the distances (n = 8, 64 and 200, d = 1..3, s = 2, 4, 6); without
       a rare gap an evaluation and its drift form the distances once and
       reduce none of them, and with one the Euclidean drift forms them once
-      more
+      more; rows that are each finite but whose sum overflows take the
+      careful route too, and its drift is bitwise the fast route's, scaled
+    - the drift's coefficients, formed in one pass, are bitwise the margins
+      less the barrier gradient's coefficients, and a nonpositive guarded
+      margin raises InfeasibleStateError from the drift too
     - control_law, barrier_gradient, cost, barrier and simulate raise no
       warning on a team with a coincident pair, a gap of 1e-163 and a robot
       1e200 away, nor on one with a coincident pair only, and every drift
@@ -461,6 +465,8 @@ class TestBarrier:
             barrier(config, targets, params)
         with pytest.raises(InfeasibleStateError):
             barrier_gradient(config, targets, params)
+        with pytest.raises(InfeasibleStateError):  # the drift's one pass hands it to the check
+            gradient._evaluate(config, targets, params).drift
 
     def test_underflowing_margin_is_quietly_infinite(self):
         # Margins near 1e-131: 4k margin^2 and the cube underflow to 0.
@@ -561,6 +567,18 @@ class TestBarrierGradient:
                 numeric = finite_difference_gradient(barrier, config, targets, params)
                 assert np.all(np.isfinite(numeric))
                 assert np.abs(analytic - numeric).max() <= 1e-8 * np.abs(numeric).max()
+
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_drift_coefficients_in_one_pass(self, metric):
+        # The drift forms m_k - m_k* - eps_k / (m_k - m_k*)^3 in one pass: bitwise the projection
+        # of the margins less the barrier gradient's own coefficients (eps_3 = 0 leaves m_3's).
+        config = _tie_free_config(6, 2, 5)
+        params = _params(metric=metric, order=5, epsilons=(0.0, 1e-3, 0.0, 1e-4, 1e-5))
+        targets = _targets_below(config, params, fraction=0.9)
+        state, reference = (gradient._evaluate(config, targets, params) for _ in range(2))
+        terms, shift = reference._barrier_coefficients()
+        expected = reference._project([m - t for m, t in zip(reference.margins, terms)])
+        assert shift == 0 and state.drift.tobytes() == expected.tobytes()
 
     def test_overflowing_coefficient_beside_a_wide_margin(self):
         # A triangle of side 23 (weights 1e-10) with eps_2 = 1e225 and the m_2 margin at 1e-10
@@ -765,6 +783,27 @@ class TestReductions:
             assert len(checked) == 1
         assert np.all(np.isfinite(drifts[0])) and np.any(drifts[0])
         assert drifts[0].tobytes() == drifts[1].tobytes()
+
+    def test_overflowing_check_takes_the_careful_route_bitwise(self):
+        # Four robots at a unit square's corners, W = c A with c near the float limit: every
+        # row is finite, but two of them add up past it, so the check's sum overflows and the
+        # careful route runs.  It finds no far pair and no zero gap, so its drift is the fast
+        # route's at c / 16, scaled back by 16, bit for bit (each step scales exactly).
+        positions = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        params = ControllerParams(decay=1e-3, metric=2, order=2)
+        flow, calls, drifts = _Flow(TargetSpectrum([0.0, 0.0]), params, 4, 2), [], []
+
+        def counted(positions, metric):
+            calls.append(metric)
+            return network._pairwise_distance(positions, metric)
+
+        for coefficient in (8e307, 8e307 / 16):
+            with mock.patch.object(gradient, "_pairwise_distance", counted), \
+                    np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as flows run
+                drifts.append(_Evaluation(flow, positions)._project([coefficient]))
+        assert calls == [2, 2, 2]  # the careful route's distances, at 8e307 only
+        assert np.all(np.isfinite(drifts[0])) and np.abs(drifts[0]).min() > 1e304
+        assert drifts[0].tobytes() == np.ldexp(drifts[1], 4).tobytes()
 
     @pytest.mark.parametrize("metric", [1, 2])
     def test_distances_formed_once_and_never_scanned(self, metric):

@@ -5,7 +5,8 @@ Core claims:
     - TargetSpectrum validates structure and freezes arrays
     - Scenario enforces the seed-xor-positions rule, input shapes and the
       robot-count bound; explicit positions fail with RobotConfiguration's
-      own messages, and the scenario keeps a frozen copy
+      own messages, and the scenario keeps a frozen copy; n, d and seed are
+      integers, not floats or booleans
     - random_geometric_config is deterministic per seed and unit-box bounded,
       and refuses n < 2 and d < 1 with RobotConfiguration's messages
     - hexagon_formation is a regular hexagon with a central robot
@@ -145,6 +146,15 @@ class TestScenario:
             _valid_scenario(seed=-1)
         with pytest.raises(ValueError):
             _valid_scenario(seed=1.5)
+        # A boolean is not a seed (True would draw seed 1), as a file's is not.
+        with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got True$"):
+            _valid_scenario(seed=True)
+
+    @pytest.mark.parametrize("n, d", [(5.0, 2), (True, 2), (5, 2.0), (5, True)])
+    def test_counts_must_be_integers(self, n, d):
+        # Accepted, n = 5.0 would fail later, in the seeded draw, with a TypeError.
+        with pytest.raises(ValueError, match=f"^n and d must be integers, got n={n!r}, d={d!r}$"):
+            _valid_scenario(n=n, d=d)
 
     def test_rejects_bad_positions(self):
         with pytest.raises(ValueError):
