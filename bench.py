@@ -2,6 +2,7 @@
 trial step, per-layer times at five team sizes, and the Python, numpy and BLAS that ran them.
 
     python3 bench.py --label L [--smoke] [--out-dir DIR]
+    python3 bench.py --label L --against TREE [--workload W] [--pairs P] [--smoke] [--out-dir DIR]
 
 momentflow is imported from ``src/`` next to this file.  The workloads, their inputs and their
 output checks are ``perfbench/workloads.py`` and ``perfbench/oracle.py``, imported as they are.
@@ -22,8 +23,19 @@ Per workload (round_trip, large_n, cli at seed 1):
 Per layer, a planar Euclidean team at s = 4 for n in 7, 10, 50, 200, 800 (the median of
 repeated calls, in microseconds, and their mean minor page faults): distances, weights, half
 chain and moments, evaluation and drift, and one accepted trial step (the state's drift and
-the candidate's evaluation), each from the start's positions as a flow lays them out; and at
-n = 7 and 10 the count of momentflow's Python frames per trial step (the same every run).
+the candidate's evaluation), each from the start's positions as a flow lays them out; at
+n = 7 and 10 the count of momentflow's Python frames per trial step (the same every run); and
+at n = 8 for s = 3, 4 and 5, the orders round_trip runs, one trial step and its frames.
+
+With ``--against TREE`` it times one workload (default round_trip) in one process for this
+tree and for TREE, another checkout whose ``src/momentflow`` it imports as the package
+``momentflow_against``: P pairs (default 10), each running every operation once per tree, the
+trees in ABBA order, pair by pair.  Per operation label it reports the median of the paired
+ratios this / TREE of wall time, the pairs this tree won, TREE's quartiles, and whether every
+result hashed equal on both trees; the same for the whole round; and each tree's failed
+operations.  A record hashes sample by sample (t, positions, moments, cost, barrier), with its
+final positions, moments and eigenvalues, its counts and its termination; a CLI call hashes
+its status and output.
 
 Times are of the machine they ran on; the probe takes out only part of a shared host's drift
 from minute to minute, while the counters repeat exactly.  One BLAS thread, as in perfbench.
@@ -36,6 +48,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import ctypes  # noqa: E402
+import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -62,6 +76,8 @@ SIZES = (7, 10, 50, 200, 800)
 SMOKE_SIZES = FRAME_SIZES = (7, 10)
 TRIAL_STEPS = 20  # for a frame count
 ORDER = 4
+ORDER_TEAM, ORDERS = 8, (3, 4, 5)  # round_trip's orders, at one of its team sizes
+AGAINST = "momentflow_against"
 LAYER_SECONDS = 0.2  # per layer and size, after MIN_REPEATS calls
 MIN_REPEATS = 5
 MAX_REPEATS = 2000
@@ -123,21 +139,21 @@ class Counters:
 
 
 def _attempt(op):
-    """The monotonic (start, end) of ``op.call`` and ``op.check``'s outcome, judged as
-    perfbench judges it."""
+    """The monotonic (start, end) of ``op.call``, ``op.check``'s outcome, judged as perfbench
+    judges it, and the call's result (what it raised, if it raised)."""
     outcome = workloads.Outcome()
     start = time.monotonic()
     try:
         result = op.call()
     except Exception as exc:  # the program crashed: a failed operation
         outcome.failed(f"raised {type(exc).__name__}: {exc}")
-        return (start, time.monotonic()), outcome
+        return (start, time.monotonic()), outcome, outcome.problems[0]
     span = (start, time.monotonic())
     try:
-        return span, op.check(result)
+        return span, op.check(result), result
     except Exception as exc:  # unreadable output counts as wrong output
         outcome.wrong(f"output check raised {type(exc).__name__}: {exc}")
-        return span, outcome
+        return span, outcome, result
 
 
 def workload(name, smoke, rounds, workdir):
@@ -145,7 +161,7 @@ def workload(name, smoke, rounds, workdir):
     ops = workloads.WORKLOADS[name](momentflow, SEED, smoke, workdir)
     spans, failed, problems = [], 0, set()
     for _ in range(rounds):
-        attempts = [_attempt(op) for op in ops]
+        attempts = [_attempt(op)[:2] for op in ops]
         spans.append([span for span, _ in attempts])
         for op, (_, outcome) in zip(ops, attempts):
             failed += outcome.status != "ok"
@@ -201,16 +217,22 @@ def _timed(call, prepare, seconds):
     return {"us": statistics.median(samples) * 1e6, "minor_faults": faults / len(samples)}
 
 
-def _start(n):
+def _start(n, order=ORDER):
     """A seeded planar team of n robots, as large_n's is built: a goal with about one robot per
     two unit areas, and the start it contracted by 0.95, evaluated as a flow's first state."""
     rng = np.random.default_rng(n)
     goal = rng.random((n, 2)) * np.sqrt(2.0 * n)
     start = goal.mean(axis=0) + 0.95 * (goal - goal.mean(axis=0))
-    params = gradient.ControllerParams(decay=1.0, metric=2, order=ORDER)
+    params = gradient.ControllerParams(decay=1.0, metric=2, order=order)
     targets = scenarios.target_from_formation(network.RobotConfiguration(goal), params)
     with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs (network._quiet)
         return dynamics._feasible_start(network.RobotConfiguration(start), targets, params)
+
+
+def _trial_step(flow, start, seconds):
+    """One accepted trial step (the state's drift and the candidate's evaluation), timed."""
+    return _timed(lambda state: dynamics._advance(state, dynamics.DEFAULT_DT),
+                  lambda: gradient._Evaluation(flow, start), seconds)
 
 
 def layers(sizes, seconds):
@@ -224,19 +246,30 @@ def layers(sizes, seconds):
             distance = network._pairwise_distance(start, 2)[0]
             weights = network._adjacency(distance, 1.0)
             cases = {
-                "distances": (lambda _: network._pairwise_distance(start, 2), None),
-                "weights": (lambda _: network._adjacency(distance, 1.0), None),
-                "half_chain_moments": (lambda _: network._half_chain(weights, flow.plan), None),
-                "evaluation_drift": (lambda _: gradient._Evaluation(flow, start).drift, None),
-                "trial_step": (lambda state: dynamics._advance(state, dynamics.DEFAULT_DT),
-                               lambda: gradient._Evaluation(flow, start)),
+                "distances": lambda _: network._pairwise_distance(start, 2),
+                "weights": lambda _: network._adjacency(distance, 1.0),
+                "half_chain_moments": lambda _: network._half_chain(weights, flow.plan),
+                "evaluation_drift": lambda _: gradient._Evaluation(flow, start).drift,
             }
-            table[str(n)] = {name: _timed(call, prepare or (lambda: None), seconds)
-                             for name, (call, prepare) in cases.items()}
+            table[str(n)] = {name: _timed(call, lambda: None, seconds)
+                             for name, call in cases.items()}
+            table[str(n)]["trial_step"] = _trial_step(flow, start, seconds)
     return table
 
 
-def frames_per_trial_step(n):
+def by_order(seconds):
+    """At n = ORDER_TEAM, per order s in ORDERS: one trial step's median and its frames."""
+    table = {}
+    for order in ORDERS:
+        state = _start(ORDER_TEAM, order)
+        with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs (network._quiet)
+            step = _trial_step(state.flow, state.positions, seconds)
+        table[str(order)] = {"trial_step": step,
+                             "frames_per_trial_step": frames_per_trial_step(ORDER_TEAM, order)}
+    return table
+
+
+def frames_per_trial_step(n, order=ORDER):
     """momentflow's Python frames per trial step over TRIAL_STEPS trial steps from
     :func:`_start`'s team of n robots, each at the dt the last one returned, counted with
     ``sys.setprofile`` as tier-1's ``test_momentflow_frames_per_trial_step`` counts them."""
@@ -247,7 +280,7 @@ def frames_per_trial_step(n):
         if event == "call" and frame.f_code.co_filename.startswith(package):
             calls += 1
 
-    state, dt, previous = _start(n), dynamics.DEFAULT_DT, sys.getprofile()
+    state, dt, previous = _start(n, order), dynamics.DEFAULT_DT, sys.getprofile()
     with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs (network._quiet)
         sys.setprofile(profile)
         try:
@@ -256,6 +289,78 @@ def frames_per_trial_step(n):
         finally:
             sys.setprofile(previous)
     return calls / TRIAL_STEPS
+
+
+def _import_tree(tree):
+    """``tree``'s ``src/momentflow``, with its CLI, as the package AGAINST.  Its modules import
+    each other relatively, so they load under that name alone."""
+    source = Path(tree).resolve() / "src" / "momentflow"
+    if not (source / "__init__.py").is_file():
+        sys.exit(f"bench.py: no momentflow sources at {source}")
+    spec = importlib.util.spec_from_file_location(
+        AGAINST, source / "__init__.py", submodule_search_locations=[str(source)])
+    package = sys.modules[AGAINST] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{AGAINST}.cli")
+    return package
+
+
+def _digest(result):
+    """SHA-256 of an operation's result: a record's samples, final state, counts and
+    termination, or a CLI call's status and output."""
+    digest = hashlib.sha256()
+    if not hasattr(result, "samples"):
+        digest.update(repr(result).encode())
+        return digest.hexdigest()
+    for sample in result.samples:
+        digest.update(np.array([sample.t, sample.cost, sample.barrier]).tobytes())
+        digest.update(sample.configuration.positions.tobytes())
+        digest.update(sample.moments.values.tobytes())
+    for array in (result.final_configuration.positions, result.final_moments.values,
+                  result.final_eigenvalues, np.array([result.simulated_time])):
+        digest.update(array.tobytes())
+    digest.update(repr((result.accepted_steps, result.rejected_steps, result.termination_reason,
+                        result.termination_detail)).encode())
+    return digest.hexdigest()
+
+
+def _paired(this, other):
+    """The median ratio this / other over pairs, the pairs this won, other's quartiles."""
+    ratios = [a / b for a, b in zip(this, other)]
+    return {"ratio": statistics.median(ratios), "wins": sum(r < 1.0 for r in ratios),
+            "pairs": len(ratios), "against_quartiles_s": statistics.quantiles(other, n=4)}
+
+
+def against(tree, name, pairs, smoke, workdir):
+    """One workload's operations for this tree and ``tree``, in ABBA order pair by pair."""
+    packages = {"this": momentflow, "against": _import_tree(tree)}
+    ops = {key: workloads.WORKLOADS[name](package, SEED, smoke, workdir)  # one set of inputs
+           for key, package in packages.items()}
+    labels = [op.label for op in ops["this"]]
+    times = {key: {label: [0.0] * pairs for label in labels} for key in packages}
+    digests = {key: [set() for _ in labels] for key in packages}
+    failed = dict.fromkeys(packages, 0)
+    for pair in range(pairs):
+        for index, label in enumerate(labels):
+            for key in ("this", "against") if pair % 2 else ("against", "this"):
+                (start, end), outcome, result = _attempt(ops[key][index])
+                times[key][label][pair] += end - start
+                failed[key] += outcome.status != "ok"
+                digests[key][index].add(_digest(result))
+    equal = dict.fromkeys(labels, True)  # a label may name several operations (cli's)
+    for label, this, other in zip(labels, digests["this"], digests["against"]):
+        equal[label] &= this == other
+    rounds = {key: [sum(column) for column in zip(*times[key].values())] for key in packages}
+    return {
+        "against": str(Path(tree).resolve()),
+        "workload": name,
+        "pairs": pairs,
+        "operations": {label: {**_paired(times["this"][label], times["against"][label]),
+                               "records_equal": equal[label]} for label in times["this"]},
+        "round": {**_paired(rounds["this"], rounds["against"]),
+                  "records_equal": all(equal.values())},
+        "failed": failed,
+    }
 
 
 def _blas_core():
@@ -298,11 +403,27 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="perfbench's tiny inputs, one round, n = 7 and 10 only")
     parser.add_argument("--out-dir", default=str(ROOT), help="where to write (default: repo root)")
+    parser.add_argument("--against", metavar="TREE",
+                        help="time one workload here and in the checkout TREE, pair by pair")
+    parser.add_argument("--workload", default="round_trip", choices=sorted(workloads.WORKLOADS),
+                        help="the workload --against times (default: round_trip)")
+    parser.add_argument("--pairs", type=int, default=10, help="--against's pairs (default: 10)")
     args = parser.parse_args(argv)
     rounds = 1 if args.smoke else ROUNDS
     began = time.perf_counter()
     result = {"label": args.label, "seed": SEED, "smoke": args.smoke,
-              "environment": environment(), "workloads": {}}
+              "environment": environment()}
+    if args.against:
+        if args.pairs < 2:
+            parser.error("--pairs must be at least 2")
+        with tempfile.TemporaryDirectory(prefix="bench-") as scratch:
+            found = against(args.against, args.workload, args.pairs, args.smoke, Path(scratch))
+        result.update(found)
+        for label, row in [*result["operations"].items(), ("round", result["round"])]:
+            print(f"{label}: ratio {row['ratio']:.4f}, won {row['wins']}/{row['pairs']}, "
+                  f"records {'equal' if row['records_equal'] else 'DIFFER'}", file=sys.stderr)
+        return _write(result, args, began)
+    result["workloads"] = {}
     with tempfile.TemporaryDirectory(prefix="bench-") as scratch, speed.Probe() as probe:
         for name in workloads.WORKLOADS:
             workdir = Path(scratch) / name
@@ -322,7 +443,13 @@ def main(argv=None) -> int:
         "n": layers(SMOKE_SIZES if args.smoke else SIZES,
                     LAYER_SECONDS / 20 if args.smoke else LAYER_SECONDS),
         "frames_per_trial_step": {str(n): frames_per_trial_step(n) for n in FRAME_SIZES},
+        "by_order": {"team": f"planar, Euclidean, c = 1, n = {ORDER_TEAM}",
+                     "s": by_order(LAYER_SECONDS / 20 if args.smoke else LAYER_SECONDS)},
     }
+    return _write(result, args, began)
+
+
+def _write(result, args, began):
     result["bench_s"] = time.perf_counter() - began
     path = Path(args.out_dir) / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")

@@ -117,18 +117,18 @@ class SimulationSettings:
     record_every: int = DEFAULT_RECORD_EVERY
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.dt) or self.dt <= 0.0:
+        if isinstance(self.dt, bool) or not math.isfinite(self.dt) or self.dt <= 0.0:
             raise ValueError(f"dt must be a positive real, got {self.dt}")
         if self.dt < DEFAULT_MIN_STEP:
             raise ValueError(
                 f"dt {self.dt} must not be below the minimum step size {DEFAULT_MIN_STEP:g}"
             )
-        if not math.isfinite(self.max_time) or self.max_time <= 0.0:
-            raise ValueError(f"max_time must be a positive real, got {self.max_time}")
-        if not math.isfinite(self.cost_tolerance) or self.cost_tolerance <= 0.0:
-            raise ValueError(
-                f"cost_tolerance must be a positive real, got {self.cost_tolerance}"
-            )
+        horizon = self.max_time
+        if isinstance(horizon, bool) or not math.isfinite(horizon) or horizon <= 0.0:
+            raise ValueError(f"max_time must be a positive real, got {horizon}")
+        tolerance = self.cost_tolerance
+        if isinstance(tolerance, bool) or not math.isfinite(tolerance) or tolerance <= 0.0:
+            raise ValueError(f"cost_tolerance must be a positive real, got {tolerance}")
         if type(self.record_every) is not int or self.record_every < 1:  # a bool is no count
             raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
 
@@ -344,19 +344,15 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
             barrier=state.barrier,
         )
 
-    t = 0.0
-    dt = settings.dt
-    accepted = 0
-    rejected = 0
-    streak = 0
-    samples = [snapshot(t)]
-    reason = None
-    detail = ""
+    t, accepted, rejected, streak = 0.0, 0, 0, 0
+    dt = cap = settings.dt  # the settings are read once
+    horizon, tolerance, every = settings.max_time, settings.cost_tolerance, settings.record_every
+    samples, reason, detail = [snapshot(t)], None, ""
     while True:
-        if state.cost <= settings.cost_tolerance:
+        if state.cost <= tolerance:
             reason = "converged"
             break
-        remaining = settings.max_time - t
+        remaining = horizon - t
         if remaining < DEFAULT_MIN_STEP:
             reason = "horizon"
             break
@@ -364,7 +360,7 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
             reason = "stalled"
             detail = f"the budget of {MAX_TRIAL_STEPS:,} trial steps ran out at t = {t:.6g}"
             break
-        trial = min(dt, remaining)
+        trial = remaining if remaining < dt else dt  # min(dt, remaining)
         try:
             state, ok, dt_next = _advance(state, trial)
         except FlowStalled as exc:
@@ -372,13 +368,13 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
             detail = str(exc)
             break
         if ok:
-            t = min(t + trial, settings.max_time)
+            t = min(t + trial, horizon)
             accepted += 1
             streak += 1
             if streak >= _ACCEPTS_PER_DOUBLING:
-                dt = min(2.0 * dt, settings.dt)
+                dt = min(2.0 * dt, cap)
                 streak = 0
-            if accepted % settings.record_every == 0:
+            if accepted % every == 0:
                 samples.append(snapshot(t))
         else:
             dt = dt_next

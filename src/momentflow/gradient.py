@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -148,12 +147,12 @@ class ControllerParams:
     epsilons: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.decay) or self.decay <= 0.0:
+        if isinstance(self.decay, bool) or not math.isfinite(self.decay) or self.decay <= 0.0:
             raise ValueError(f"decay must be a positive real, got {self.decay}")
-        if self.metric not in (1, 2):
-            raise ValueError(f"metric must be 1 or 2, got {self.metric}")
-        if self.order < 2:
-            raise ValueError(f"order must be at least 2, got {self.order}")
+        if type(self.metric) is not int or self.metric not in (1, 2):  # a bool is no count
+            raise ValueError(f"metric must be 1 or 2, got {self.metric!r}")
+        if type(self.order) is not int or self.order < 2:
+            raise ValueError(f"order must be at least 2 and an integer, got {self.order!r}")
         eps = tuple(map(float, self.epsilons)) or (0.0,) + (DEFAULT_EPSILON,) * (self.order - 1)
         if len(eps) != self.order:
             raise ValueError(
@@ -207,7 +206,10 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
 
 class _Flow:
     """What every evaluation in one flow reads, derived once from (targets, params), n and d:
-    metric, decay, decay / n, slice ::n+1, goals m_k*, divisors 4k, guarded (k, eps_k), plan."""
+    metric, decay, scale = decay / n, slice ::n+1, the terms (m_k*, 4k, eps_k) for k = 2..s,
+    and the chain's plan.  A Euclidean drift's n d rows have a sum of squares above ``moving``
+    only if one r among them has r^2 > max((2**-1074 / scale)^2, 2**-1000) / 2 (the sum's
+    rounding takes less than half), so that r * scale does not round to 0: the drift moves."""
 
     def __init__(self, targets: TargetSpectrum, params: ControllerParams, n: int, d: int) -> None:
         if targets.order != params.order:
@@ -216,9 +218,10 @@ class _Flow:
             )
         self.metric, self.decay, self.scale = params.metric, params.decay, params.decay / n
         self.diagonal = slice(None, None, n + 1)
-        self.goal = targets.moments[1:].tolist()
-        self.divisors = [4.0 * k for k in range(2, params.order + 1)]
-        self.guarded = [(k, eps) for k, eps in enumerate(params.epsilons[1:], 2) if eps]
+        self.terms = [(goal, 4.0 * k, eps) for k, (goal, eps) in
+                      enumerate(zip(targets.moments[1:].tolist(), params.epsilons[1:]), 2)]
+        floor = max((2.0**-1074 / self.scale) ** 2, 2.0**-1000) if self.scale else math.inf
+        self.moving = n * d * floor
         self.plan = _chain_plan(params.order, n, d)
 
 
@@ -227,11 +230,12 @@ class _Evaluation:
 
     The weights come from one distance matrix, which :meth:`_project` reuses if Euclidean,
     as it does the coordinate differences; the half chain A..A^h, h = ceil(s/2), gives the
-    moments m_1..m_s, the margins m_k - m_k* (k = 2..s), the cost and the barrier, all
-    floats.  One :meth:`_project` gives any one gradient (the drift is kept, ``still`` if
-    it has no nonzero entry: all +-0, no NaN).  The configuration, adjacency and moment
-    vector are wrapped only when asked for.  Every sum runs in one fixed order (the cost's
-    left to right, not by 3.12's compensated ``sum``), so results are bitwise reproducible.
+    moments m_1..m_s, then one pass over the flow's terms (m_k*, 4k, eps_k) the margins
+    m_k - m_k* (k = 2..s), the cost and the barrier, all floats.  One :meth:`_project` gives
+    any one gradient (the drift is kept, ``still`` if it has no nonzero entry: all +-0, no
+    NaN).  The configuration, adjacency and moment vector are wrapped only when asked for.
+    Every sum runs in one fixed order (the cost's left to right, not by 3.12's compensated
+    ``sum``), so results are bitwise reproducible.
     """
 
     __slots__ = ("flow", "positions", "_config", "_distance", "_differences", "weights",
@@ -242,17 +246,16 @@ class _Evaluation:
         euclidean = flow.metric == 2
         distance, self._differences = _pairwise_distance(positions, flow.metric)
         self._distance = distance if euclidean else None
-        self.weights = _adjacency(distance, flow.decay, out=None if euclidean else distance)
+        self.weights = _adjacency(distance, flow.decay, None if euclidean else distance)
         self.moments, self.chain = _half_chain(self.weights, flow.plan)
-        margins = self.margins = list(map(operator.sub, self.moments[1:], flow.goal))
-        cost = barrier = 0.0
-        for margin, divisor in zip(margins, flow.divisors):
-            cost += margin * margin / divisor
+        margins, cost, barrier = [], 0.0, 0.0
         # An interior barrier: +inf where a guarded margin, or its term's divisor, is not positive.
-        for k, eps in flow.guarded:
-            margin = margins[k - 2]
-            barrier += eps / q if margin > 0 and (q := 4.0 * k * margin * margin) else np.inf
-        self.cost, self.barrier = cost, barrier
+        for moment, (goal, divisor, eps) in zip(self.moments[1:], flow.terms):
+            margins.append(margin := moment - goal)
+            cost += margin * margin / divisor
+            if eps:
+                barrier += eps / q if margin > 0 and (q := divisor * margin * margin) else np.inf
+        self.margins, self.cost, self.barrier = margins, cost, barrier
 
     @property
     def config(self) -> RobotConfiguration:
@@ -272,7 +275,8 @@ class _Evaluation:
         """eps_k / (m_k - m_k*)^3 / 2**shift for k = 2..s (0 where eps_k is 0) and shift: 0, or,
         if one overflows, the largest below 8; InfeasibleStateError on a guarded margin <= 0."""
         coefficients, shift = [0.0] * len(self.margins), 0
-        for k, eps in self.flow.guarded:
+        guarded = [(k, eps) for k, (_, _, eps) in enumerate(self.flow.terms, 2) if eps]
+        for k, eps in guarded:
             margin = self.margins[k - 2]
             if margin <= 0.0:
                 raise InfeasibleStateError(
@@ -283,8 +287,7 @@ class _Evaluation:
             cube = margin**3 if 1e-100 < margin < 1e100 else np.float64(margin) ** 3
             coefficients[k - 2] = eps / cube if cube else np.inf
         if np.inf in coefficients:  # eps = g 2^a over margin^3 = (f 2^e)^3
-            parts = [(k, *math.frexp(eps), *math.frexp(self.margins[k - 2]))
-                     for k, eps in self.flow.guarded]
+            parts = [(k, *math.frexp(eps), *math.frexp(self.margins[k - 2])) for k, eps in guarded]
             shift = max(a - 3 * e for _, _, a, _, e in parts)
             for k, g, a, f, e in parts:
                 coefficients[k - 2] = math.ldexp(g / f**3, a - 3 * e - shift)
@@ -298,31 +301,33 @@ class _Evaluation:
         for every team (taxicab: their signs; Euclidean: M / dist in the distances, whose +inf
         diagonal zeroes each self-term; only non-finite rows form them again, an inf difference
         counting 0 and a squared gap that underflowed re-taken from them at max-abs scale).
-        Once per evaluation: it overwrites the kept distances, differences and chain.
+        Once per evaluation: it overwrites the kept distances, differences and chain.  Fast
+        Euclidean rows whose sum of squares is above the flow's ``moving`` set ``still`` False.
         """
         flow = self.flow
         chain, self.chain = self.chain, None
-        h, q, weighted = len(chain), None, None
-        if tail := coefficients[h:]:  # the terms from A^h on, as A^h Q
-            q = np.multiply(tail[0], chain[0])
-            for coefficient, power in zip(tail[1:], chain[1:]):
-                weighted = np.multiply(coefficient, power, out=weighted)
+        h, count, q, weighted = len(chain), len(coefficients), None, None
+        if count > h:  # the terms from A^h on, as A^h Q
+            q = np.multiply(coefficients[h], chain[0])
+            for i in range(1, count - h):
+                weighted = np.multiply(coefficients[h + i], chain[i], weighted)
                 q += weighted
             diagonal = q.ravel()[flow.diagonal]  # a view: += writes q, with no copy back
             diagonal += coefficients[h - 1]
-            weighted = _product(chain[-1], q, out=weighted)
+            weighted = _product(chain[-1], q, weighted)
             h -= 1  # A^h is spent, its coefficient is in Q
         for k in range(h):  # A's term into Q, a spent power's into itself
-            term = np.multiply(coefficients[k], chain[k], out=chain[k] if k else q)
-            weighted = term if weighted is None else np.add(weighted, term, out=weighted)
-        mixed = np.multiply(weighted, self.weights, out=weighted)
+            term = np.multiply(coefficients[k], chain[k], chain[k] if k else q)
+            weighted = term if weighted is None else np.add(weighted, term, weighted)
+        mixed = np.multiply(weighted, self.weights, weighted)
         differences, self._differences = self._differences, None
         if flow.metric == 1:  # rows_i = sum_j M'_ij D_ij, as the (d, n) columns
-            rows = np.vecdot(mixed, np.sign(differences, out=differences))
+            rows = np.vecdot(mixed, np.sign(differences, differences))
         else:  # M / dist into the distances, whose +inf diagonal gives each self-term 0
-            rows = np.vecdot(np.divide(mixed, self._distance, out=self._distance), differences)
+            rows = np.vecdot(np.divide(mixed, self._distance, self._distance), differences)
             self._distance = None
-            if not (math.isfinite(np.vdot(rows, rows))  # finite squares bound every partial sum
+            squares = np.vdot(rows, rows)
+            if not (math.isfinite(squares)  # finite squares bound every partial sum
                     or math.isfinite(np.add.reduce(rows.T, axis=None))):  # a far pair or a zero gap
                 del differences, chain[1:]  # spent powers go; differences come again (the plan)
                 dist, differences = _pairwise_distance(self.positions, 2)
@@ -334,25 +339,27 @@ class _Evaluation:
                     dist[dist == 0.0] = top * np.sqrt(np.square(gaps / top).sum(axis=0))
                     dist[dist == 0.0] = np.inf
                 rows = np.vecdot(np.divide(mixed, dist, out=dist), differences)
+            elif squares > flow.moving:  # an entry survives rows *= scale: the drift moves
+                self.still = False
         rows *= flow.scale
         return rows.T
 
     @property
     def drift(self) -> np.ndarray:
         """The flow's velocity -grad(f + b) as an (n, d) array: one projection of the
-        coefficients m_k - m_k* - eps_k / (m_k - m_k*)^3, formed in one pass."""
+        coefficients m_k - m_k* - eps_k / (m_k - m_k*)^3, formed in one pass over the terms;
+        ``still`` unless the projection proved it moving or a count finds a nonzero entry."""
         if self._drift is None:
-            coefficients, shift = self.margins.copy(), 0  # an unguarded margin is its coefficient
-            for k, eps in self.flow.guarded:  # the common case: no cube leaves range, no overflow
-                margin = coefficients[k - 2]
-                if not 1e-100 < margin < 1e100 or (term := eps / margin**3) == math.inf:
+            coefficients, shift, self.still = [], 0, None
+            for margin, (_, _, eps) in zip(self.margins, self.flow.terms):  # in the common case
+                if eps and (not 1e-100 < margin < 1e100 or (term := eps / margin**3) == math.inf):
                     terms, shift = self._barrier_coefficients()  # raises, or scales by 2**-shift
                     coefficients = [math.ldexp(m, -shift) - t for m, t in zip(self.margins, terms)]
-                    break
-                coefficients[k - 2] = margin - term
+                    break  # a cube left range or a term overflowed
+                coefficients.append(margin - term if eps else margin)
             drift = self._project(coefficients)
             self._drift = np.ldexp(drift, shift, out=drift) if shift else drift
-            self.still = not np.count_nonzero(self._drift)
+            self.still = self.still is None and not np.count_nonzero(self._drift)
         return self._drift
 
 
@@ -460,11 +467,12 @@ def _stacked_values(field: Callable[..., float], teams: np.ndarray, targets: Tar
     flow, values = _Flow(targets, params, *teams.shape[1:]), []
     for chunk in np.split(teams, range(size, len(teams), size)):  # robot-major, (n, size, d)
         moments = _half_chain(_weights(chunk.swapaxes(0, 1), flow.decay, flow.metric), flow.plan)[0]
-        margins = list(map(operator.sub, moments[1:], flow.goal))
+        margins = [moment - goal for moment, (goal, _, _) in zip(moments[1:], flow.terms)]
+        pairs = list(zip(margins, flow.terms))
         if not np.isfinite(margins).all() or field is barrier and any(
-                (margins[k - 2] <= 0.0).any() for k, _ in flow.guarded):
+                (x <= 0.0).any() for x, (_, _, eps) in pairs if eps):
             return None
-        terms = ([eps / (4.0 * k * margins[k - 2] * margins[k - 2]) for k, eps in flow.guarded]
-                 if field is barrier else [x * x / q for x, q in zip(margins, flow.divisors)])
+        terms = ([eps / (q * x * x) for x, (_, q, eps) in pairs if eps] if field is barrier
+                 else [x * x / q for x, (_, q, _) in pairs])
         values.append(functools.reduce(np.add, terms, np.zeros(len(chunk))))  # eps / 0 is inf
     return np.concatenate(values)

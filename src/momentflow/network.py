@@ -198,7 +198,7 @@ def _pairwise_distance(positions: np.ndarray, metric: int) -> tuple[np.ndarray, 
         for axis in differences[1:]:
             total += np.abs(axis) if metric == 1 else np.square(axis)
         total.reshape(-1, n * n).T[:: n + 1] = np.inf  # each team's (i, j) sits in row i n + j
-    distance = total if metric == 1 else np.sqrt(total, out=total)
+    distance = total if metric == 1 else np.sqrt(total, total)
     return distance, differences
 
 
@@ -221,15 +221,15 @@ def _weights(positions: np.ndarray, decay: float, metric: int) -> np.ndarray:
     if metric not in (1, 2):
         raise ValueError(f"metric must be 1 or 2, got {metric}")
     distance = _pairwise_distance(positions, metric)[0]
-    return _adjacency(distance, decay, out=distance)
+    return _adjacency(distance, decay, distance)
 
 
 def _adjacency(distance: np.ndarray, decay: float, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-decay * distance), written to ``out`` if given, for (n, n) distances or an (m, n, n)
     stack.  Symmetric distances in [0, inf] with +inf on the diagonal give symmetric weights in
     [0, 1] with a zero diagonal: the :class:`WeightedAdjacency` contract by construction."""
-    weights = np.multiply(distance, -decay, out=out)
-    return np.exp(weights, out=weights)
+    weights = np.multiply(distance, -decay, out)
+    return np.exp(weights, weights)
 
 
 def _freeze(instance, field: str, array: np.ndarray):
@@ -242,7 +242,7 @@ def _freeze(instance, field: str, array: np.ndarray):
 
 def _product(left: np.ndarray, right: np.ndarray, out=None) -> np.ndarray:
     """left @ right into ``out``: the one n x n product (``x @ x.T`` is a BLAS syrk)."""
-    return np.matmul(left, right, out=out)
+    return np.matmul(left, right, out)
 
 
 def power_chain(adjacency: WeightedAdjacency, max_power: int) -> list[np.ndarray]:

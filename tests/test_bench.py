@@ -9,7 +9,10 @@ Core claims:
     - reading spectrum files recomputes no moments from a spectrum
     - no drift of round_trip or large_n forms its distances again: one
       ``gradient._pairwise_distance`` call per evaluation
-    - it counts momentflow's Python frames per trial step at n = 7 and 10
+    - it counts momentflow's Python frames per trial step at n = 7 and 10, and times one trial
+      step and counts its frames at n = 8 for s = 3, 4 and 5
+    - ``--against TREE`` times a workload here and in TREE, one process, pair by pair: against
+      this very tree every record hashes equal and no operation fails
 """
 
 import json
@@ -53,3 +56,23 @@ def test_smoke(tmp_path):
     # At least _advance and the candidate's evaluation, distances, weights and half chain.
     frames = result["layers"]["frames_per_trial_step"]
     assert set(frames) == {"7", "10"} and all(count >= 5.0 for count in frames.values())
+    orders = result["layers"]["by_order"]["s"]
+    assert set(orders) == {"3", "4", "5"}
+    for row in orders.values():
+        assert row["trial_step"]["us"] > 0.0 and row["frames_per_trial_step"] >= 5.0
+
+
+def test_against_this_tree(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench.py"), "--label", "pairs", "--smoke",
+         "--against", str(ROOT), "--pairs", "2", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads((tmp_path / "BENCH_pairs.json").read_text())
+    assert result["workload"] == "round_trip" and result["pairs"] == 2
+    assert result["failed"] == {"this": 0, "against": 0}
+    assert set(result["operations"]) == {"round_trip_04", "round_trip_08", "round_trip_10"}
+    for row in [*result["operations"].values(), result["round"]]:
+        assert row["records_equal"] and row["ratio"] > 0.0 and 0 <= row["wins"] <= 2
+        assert len(row["against_quartiles_s"]) == 3

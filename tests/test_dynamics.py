@@ -3,7 +3,8 @@ Unit tests for the closed-loop flow: feasibility, stepping, simulation.
 
 Core claims:
     - SimulationSettings and TrajectoryRecord validate their inputs;
-      record_every is a positive integer, not a float or a boolean
+      record_every is a positive integer, not a float or a boolean, and dt,
+      max_time and cost_tolerance are reals, not booleans
     - feasibility_margin returns m_k - m_k* for k = 2..s with correct signs
     - ensure_feasible returns feasible starts unchanged, repairs infeasible
       ones by centroid compression, holding one evaluation at a time, and
@@ -207,6 +208,19 @@ class TestSimulationSettings:
         message = f"^record_every must be a positive integer, got {record_every!r}$"
         with pytest.raises(ValueError, match=message):
             SimulationSettings(record_every=record_every)
+
+    def test_dt_is_a_real_not_a_bool(self):
+        # Accepted, True ran as a step of 1.0.
+        with pytest.raises(ValueError, match="^dt must be a positive real, got True$"):
+            SimulationSettings(dt=True)
+
+    def test_max_time_is_a_real_not_a_bool(self):
+        with pytest.raises(ValueError, match="^max_time must be a positive real, got True$"):
+            SimulationSettings(max_time=True)
+
+    def test_cost_tolerance_is_a_real_not_a_bool(self):
+        with pytest.raises(ValueError, match="^cost_tolerance must be a positive real, got True$"):
+            SimulationSettings(cost_tolerance=True)
 
 
 class TestTrajectoryRecord:
@@ -797,11 +811,11 @@ class TestEvaluationBudget:
         assert sum(isinstance(x, WeightedAdjacency) for x in built) == 1
 
     def test_momentflow_frames_per_trial_step(self):
-        # A small team's trial step is about 30 numpy calls on 7 x 7 arrays,
+        # A small team's trial step is about 26 numpy calls on 7 x 7 arrays,
         # so Python glue sets much of its time.  Count the Python frames that
         # momentflow's own code opens (numpy's wrappers vary with its
         # version) over hexagon7's pinned 969 trial steps, its start and its
-        # record included: 11.19 per trial step (10,843 frames, Python 3.11).
+        # record included: 11.19 per trial step (10,842 frames, Python 3.11).
         package = os.path.dirname(network.__file__) + os.sep
         calls = 0
 

@@ -2,7 +2,8 @@
 Unit tests for the cost, barrier, and analytic gradient machinery.
 
 Core claims:
-    - ControllerParams validates decay, metric, order, and barrier constants
+    - ControllerParams validates decay, metric, order, and barrier constants;
+      decay is a real and metric and order are ints, none of them a boolean
     - trace_derivative matches a central finite difference of tr(A^k) under
       a symmetric entry bump
     - moment_gradient matches the finite-difference oracle for both metrics
@@ -43,6 +44,13 @@ Core claims:
     - the drift's coefficients, formed in one pass, are bitwise the margins
       less the barrier gradient's coefficients, and a nonpositive guarded
       margin raises InfeasibleStateError from the drift too
+    - a drift is still exactly when it has no nonzero entry: on zero rows,
+      rows whose squares underflow, rows that the scale decay / n takes to 0,
+      the careful route's rows and a moving team; a Euclidean drift whose sum
+      of squares exceeds its flow's bound skips the count, and that bound
+      holds for every power of two at decays from 5e-324 to 1e300
+    - one pass over the flow's terms gives margins, cost and barrier bitwise
+      the three loops' on nonpositive, tiny, ordinary and huge margins
     - control_law, barrier_gradient, cost, barrier and simulate raise no
       warning on a team with a coincident pair, a gap of 1e-163 and a robot
       1e200 away, nor on one with a coincident pair only, and every drift
@@ -76,6 +84,8 @@ Core claims:
 
 import contextlib
 import math
+import operator
+import re
 import sys
 import tracemalloc
 import warnings
@@ -281,6 +291,25 @@ class TestControllerParams:
     def test_rejects_low_order(self):
         with pytest.raises(ValueError):
             ControllerParams(order=1)
+
+    def test_decay_is_a_real_not_a_bool(self):
+        with pytest.raises(ValueError, match="^decay must be a positive real, got True$"):
+            ControllerParams(decay=True)
+
+    @pytest.mark.parametrize("metric", [True, 2.0, np.int64(2)])
+    def test_metric_is_an_int_not_a_bool(self, metric):
+        # True ran as taxicab and 2.0 as Euclidean; a count is an int, as Scenario's n and d.
+        message = re.escape(f"metric must be 1 or 2, got {metric!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ControllerParams(metric=metric)
+
+    @pytest.mark.parametrize("epsilons", [(), (0.0, 1e-8, 1e-8)])
+    @pytest.mark.parametrize("order", [3.0, True])
+    def test_order_is_an_int_not_a_bool(self, order, epsilons):
+        # order=3.0 with three epsilons constructed, then raised TypeError in the first cost.
+        message = f"^order must be at least 2 and an integer, got {order!r}$"
+        with pytest.raises(ValueError, match=message):
+            ControllerParams(order=order, epsilons=epsilons)
 
     def test_rejects_bad_epsilons(self):
         with pytest.raises(ValueError):
@@ -875,6 +904,137 @@ class TestErrorState:
         assert all(map(math.isfinite, values))
         # Two drifts, then the flow's: one for each state it stepped from, all accepted.
         assert record.rejected_steps == 0 and len(checked) == 2 + record.accepted_steps > 2
+
+
+class TestStill:
+    """``still`` is ``not np.count_nonzero(drift)``, though a Euclidean drift whose rows' sum of
+    squares exceeds its flow's ``moving`` bound skips that count."""
+
+    @staticmethod
+    def _drift(positions, decay, margins, metric=2):
+        """A team's state with its margins replaced (no barrier), its drift, and the count calls
+        and distance matrices that the drift made."""
+        order, counted, formed = len(margins) + 1, [], []
+        params = ControllerParams(decay=decay, metric=metric, order=order, epsilons=(0.0,) * order)
+        config = RobotConfiguration(positions)
+        state = gradient._evaluate(config, TargetSpectrum(np.zeros(order)), params)
+        state.margins = list(margins)
+        count, distance = np.count_nonzero, gradient._pairwise_distance
+
+        def counting(array):
+            counted.append(array)
+            return count(array)
+
+        def forming(positions, metric):
+            formed.append(metric)
+            return distance(positions, metric)
+
+        with mock.patch.object(np, "count_nonzero", counting), \
+                mock.patch.object(gradient, "_pairwise_distance", forming), \
+                np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as flows run
+            drift = state.drift
+        assert state.still is (not np.count_nonzero(drift))
+        return state, drift, len(counted), len(formed)
+
+    _SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.5]]
+
+    @pytest.mark.parametrize("margin", [0.0, -0.0])
+    def test_zero_rows_are_still(self, margin):
+        state, drift, counts, _ = self._drift(self._SQUARE, 1.0, [margin, -0.0, margin])
+        assert state.still and not np.any(drift) and counts == 1
+
+    def test_rows_whose_squares_underflow_move(self):
+        # Rows near 1e-170: their squares underflow to 0, so no bound can prove them moving; at
+        # scale 1/4, exact, the drift's rows are 4 times the unscaled ones.
+        state, drift, counts, _ = self._drift(self._SQUARE, 1.0, [1e-170, 1e-170])
+        rows = 4.0 * drift
+        assert 0 < np.abs(rows).max() < 1e-169 and np.vdot(rows, rows) == 0.0
+        assert not state.still and counts == 1
+
+    def test_rows_the_scale_underflows_are_still(self):
+        # c = 1e-300 weighs every pair 1.0; rows near 1e-30 have squares near 1e-60 > 0, below
+        # the bound, and the scale 2.5e-301 takes every entry to 0: still, as the count says.
+        state, drift, counts, _ = self._drift(self._SQUARE, 1e-300, [1e-30, 1e-30])
+        twin = gradient._evaluate(RobotConfiguration(self._SQUARE), TargetSpectrum(np.zeros(3)),
+                                  ControllerParams(decay=1e-300, metric=2, order=3,
+                                                   epsilons=(0.0,) * 3))
+        twin.margins, twin.flow.scale = [1e-30, 1e-30], 1.0
+        squares = np.vdot(twin.drift, twin.drift)
+        assert 0.0 < squares <= state.flow.moving
+        assert state.still and not np.any(drift) and counts == 1
+
+    @pytest.mark.parametrize("positions, still", [
+        ([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], False),
+        ([[0.5, 0.5]] * 4, True),
+    ])
+    def test_careful_route_counts(self, positions, still):
+        # A coincident pair makes a NaN row: the careful route forms the distances again and
+        # its rows are counted, whatever their sum of squares was.
+        state, drift, counts, formed = self._drift(positions, 1.0, [0.5, 0.25])
+        assert state.still is still and counts == 1 and formed == 1
+
+    @pytest.mark.parametrize("metric, counts", [(2, 0), (1, 1)])
+    def test_a_moving_team(self, metric, counts):
+        # Euclidean: the sum of squares proves the drift moves, with no count.
+        state, drift, counted, formed = self._drift(self._SQUARE, 1.0, [0.5, 0.25], metric)
+        assert not state.still and np.all(np.isfinite(drift)) and (counted, formed) == (counts, 0)
+
+    @pytest.mark.parametrize("decay", [5e-324, 1e-320, 1e-300, 1e-250, 1e-170, 1e-100, 1.0,
+                                       1e100, 1e300])
+    @pytest.mark.parametrize("n, d", [(2, 1), (4, 2), (64, 3)])
+    def test_rows_above_the_bound_keep_an_entry(self, decay, n, d):
+        # Every power of two and three mantissas as one entry of the rows, or as all of them:
+        # where the sum of squares exceeds ``moving``, some entry times decay / n is nonzero.
+        flow = _Flow(TargetSpectrum([0.0, 0.0]), ControllerParams(decay=decay, metric=2), n, d)
+        if flow.scale == 0.0:  # decay / n underflowed: no drift moves
+            assert flow.moving == math.inf
+            return
+        for size in (1, n * d):
+            rows = np.zeros(n * d)
+            for exponent in range(-1074, 1024):
+                for mantissa in (1.0, 1.4142135623730951, 1.9999999999999998):
+                    rows[:size] = math.ldexp(mantissa, exponent)
+                    with np.errstate(over="ignore"):  # as flows run
+                        if np.vdot(rows, rows) > flow.moving:
+                            assert np.count_nonzero(rows * flow.scale), (size, exponent)
+
+
+class TestOnePassScalars:
+    @staticmethod
+    def _three_loops(moments, goal, epsilons):
+        """The cost and barrier as three loops formed them: margins, then the cost, then the
+        barrier over the guarded terms, each left to right."""
+        margins = list(map(operator.sub, moments[1:], goal[1:]))
+        cost = barrier = 0.0
+        for k, margin in enumerate(margins, 2):
+            cost += margin * margin / (4.0 * k)
+        for k, eps in enumerate(epsilons[1:], 2):
+            if eps:
+                margin = margins[k - 2]
+                barrier += eps / q if margin > 0 and (q := 4.0 * k * margin * margin) else np.inf
+        return margins, cost, barrier
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bitwise_the_three_loops(self, seed, monkeypatch):
+        # Margins nonpositive, tiny (4k m^2 underflows to 0), ordinary and huge (m^2 overflows),
+        # some goals 0 so that a tiny moment is its margin; constants 0, tiny, ordinary, huge.
+        rng = np.random.default_rng(seed)
+        order = int(rng.integers(2, 9))
+        kinds = rng.integers(0, 4, size=order)
+        magnitude = np.choose(kinds, [rng.uniform(0.0, 2.0, order), 10.0 ** rng.uniform(
+            -200, -155, order), rng.uniform(0.0, 5.0, order), 10.0 ** rng.uniform(150, 300, order)])
+        moments = (magnitude * np.where(kinds == 0, -1.0, 1.0)).tolist()
+        moments[0] = 0.0
+        goal = np.where(kinds % 2, 0.0, rng.uniform(0.0, 3.0, order))
+        goal[0] = 0.0
+        epsilons = (0.0, *map(float, rng.choice([0.0, 1e-300, 1e-9, 0.1, 1e300], order - 1)))
+        params = ControllerParams(decay=1.0, metric=2, order=order, epsilons=epsilons)
+        monkeypatch.setattr(gradient, "_half_chain", lambda weights, plan: (moments, [weights]))
+        state = _Evaluation(_Flow(TargetSpectrum(goal), params, 8, 2), np.ones((8, 2)))
+        expected = self._three_loops(moments, goal.tolist(), epsilons)
+        assert [float.hex(x) for x in state.margins] == [float.hex(x) for x in expected[0]]
+        assert float.hex(state.cost) == float.hex(expected[1])
+        assert float.hex(state.barrier) == float.hex(expected[2])
 
 
 # == 6. Finite-difference oracle =============================================
