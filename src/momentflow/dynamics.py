@@ -42,6 +42,7 @@ from .gradient import ControllerParams, TargetSpectrum, _evaluate, _Evaluation, 
 from .network import (
     MomentVector,
     RobotConfiguration,
+    _BOOLEANS,
     _freeze,
     _quiet,
     complete_graph_moments,
@@ -117,18 +118,14 @@ class SimulationSettings:
     record_every: int = DEFAULT_RECORD_EVERY
 
     def __post_init__(self) -> None:
-        if isinstance(self.dt, bool) or not math.isfinite(self.dt) or self.dt <= 0.0:
-            raise ValueError(f"dt must be a positive real, got {self.dt}")
+        for name in ("dt", "max_time", "cost_tolerance"):
+            value = getattr(self, name)
+            if isinstance(value, _BOOLEANS) or not math.isfinite(value) or value <= 0.0:
+                raise ValueError(f"{name} must be a positive real, got {value}")
         if self.dt < DEFAULT_MIN_STEP:
             raise ValueError(
                 f"dt {self.dt} must not be below the minimum step size {DEFAULT_MIN_STEP:g}"
             )
-        horizon = self.max_time
-        if isinstance(horizon, bool) or not math.isfinite(horizon) or horizon <= 0.0:
-            raise ValueError(f"max_time must be a positive real, got {horizon}")
-        tolerance = self.cost_tolerance
-        if isinstance(tolerance, bool) or not math.isfinite(tolerance) or tolerance <= 0.0:
-            raise ValueError(f"cost_tolerance must be a positive real, got {tolerance}")
         if type(self.record_every) is not int or self.record_every < 1:  # a bool is no count
             raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
 
@@ -278,9 +275,9 @@ def step(
     the unchanged dt; on rejection the original configuration and dt
     halved, clamped to ``DEFAULT_MIN_STEP``.  Raises :class:`FlowStalled`
     if dt is already at the floor and the trial still fails, or if the
-    drift is exactly zero, since then no step moves the robots.
+    drift is exactly zero, since then no step moves the robots (see _advance).
     """
-    if not np.isfinite(dt) or dt <= 0.0:
+    if isinstance(dt, _BOOLEANS) or not np.isfinite(dt) or dt <= 0.0:
         raise ValueError(f"dt must be a positive real, got {dt}")
     state, accepted, next_dt = _advance(_evaluate(config, targets, params), dt)
     return state.config, accepted, next_dt
@@ -292,10 +289,10 @@ def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
     Runs under its caller's error state: a candidate with a coordinate that is not finite (only
     a sum of squares that is not finite tests each) is rejected unevaluated.  A candidate is
     evaluated from its F-ordered positions alone; its configuration is wrapped only if asked for.
+    A zero drift leaves f + b as it was, bit for bit, so a stall is counted only on a rejected
+    trial or an accepted one whose f + b did not fall (a fall proves that the robots moved).
     """
     drift = state.drift
-    if state.still:
-        raise FlowStalled("the drift is exactly zero, so no step moves the robots")
     positions = state.positions + dt * drift
     candidate, columns = None, positions.T
     if math.isfinite(np.vdot(columns, columns)) or np.isfinite(positions).all():
@@ -303,15 +300,16 @@ def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
             candidate = _Evaluation(state.flow, positions)
         except ValueError:  # a moment overflowed: no ceiling bounds a bare step()
             pass
+    before = state.cost + state.barrier
     if candidate is not None and min(candidate.margins) > 0.0 and (
-        candidate.cost + candidate.barrier <= state.cost + state.barrier
-    ):
-        return candidate, True, dt
-    if dt <= DEFAULT_MIN_STEP:
-        raise FlowStalled(
-            f"no acceptable step at the minimum step size {DEFAULT_MIN_STEP:g}"
-        )
-    return state, False, max(dt / 2.0, DEFAULT_MIN_STEP)
+            after := candidate.cost + candidate.barrier) <= before:
+        if after < before or np.count_nonzero(drift):
+            return candidate, True, dt
+    elif np.count_nonzero(drift):
+        if dt <= DEFAULT_MIN_STEP:
+            raise FlowStalled(f"no acceptable step at the minimum step size {DEFAULT_MIN_STEP:g}")
+        return state, False, max(dt / 2.0, DEFAULT_MIN_STEP)
+    raise FlowStalled("the drift is exactly zero, so no step moves the robots")
 
 
 @_quiet

@@ -48,6 +48,7 @@ from .network import (
     MomentVector,
     RobotConfiguration,
     WeightedAdjacency,
+    _BOOLEANS,
     _adjacency,
     _chain_plan,
     _freeze,
@@ -147,7 +148,7 @@ class ControllerParams:
     epsilons: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if isinstance(self.decay, bool) or not math.isfinite(self.decay) or self.decay <= 0.0:
+        if isinstance(self.decay, _BOOLEANS) or not math.isfinite(self.decay) or self.decay <= 0.0:
             raise ValueError(f"decay must be a positive real, got {self.decay}")
         if type(self.metric) is not int or self.metric not in (1, 2):  # a bool is no count
             raise ValueError(f"metric must be 1 or 2, got {self.metric!r}")
@@ -207,9 +208,7 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
 class _Flow:
     """What every evaluation in one flow reads, derived once from (targets, params), n and d:
     metric, decay, scale = decay / n, slice ::n+1, the terms (m_k*, 4k, eps_k) for k = 2..s,
-    and the chain's plan.  A Euclidean drift's n d rows have a sum of squares above ``moving``
-    only if one r among them has r^2 > max((2**-1074 / scale)^2, 2**-1000) / 2 (the sum's
-    rounding takes less than half), so that r * scale does not round to 0: the drift moves."""
+    and the chain's plan."""
 
     def __init__(self, targets: TargetSpectrum, params: ControllerParams, n: int, d: int) -> None:
         if targets.order != params.order:
@@ -220,8 +219,6 @@ class _Flow:
         self.diagonal = slice(None, None, n + 1)
         self.terms = [(goal, 4.0 * k, eps) for k, (goal, eps) in
                       enumerate(zip(targets.moments[1:].tolist(), params.epsilons[1:]), 2)]
-        floor = max((2.0**-1074 / self.scale) ** 2, 2.0**-1000) if self.scale else math.inf
-        self.moving = n * d * floor
         self.plan = _chain_plan(params.order, n, d)
 
 
@@ -232,14 +229,13 @@ class _Evaluation:
     as it does the coordinate differences; the half chain A..A^h, h = ceil(s/2), gives the
     moments m_1..m_s, then one pass over the flow's terms (m_k*, 4k, eps_k) the margins
     m_k - m_k* (k = 2..s), the cost and the barrier, all floats.  One :meth:`_project` gives
-    any one gradient (the drift is kept, ``still`` if it has no nonzero entry: all +-0, no
-    NaN).  The configuration, adjacency and moment vector are wrapped only when asked for.
-    Every sum runs in one fixed order (the cost's left to right, not by 3.12's compensated
-    ``sum``), so results are bitwise reproducible.
+    any one gradient (the drift is kept).  The configuration, adjacency and moment vector
+    are wrapped only when asked for.  Every sum runs in one fixed order (the cost's left to
+    right, not by 3.12's compensated ``sum``), so results are bitwise reproducible.
     """
 
     __slots__ = ("flow", "positions", "_config", "_distance", "_differences", "weights",
-                 "chain", "moments", "margins", "cost", "barrier", "_drift", "still")
+                 "chain", "moments", "margins", "cost", "barrier", "_drift")
 
     def __init__(self, flow: _Flow, positions: np.ndarray, config=None) -> None:
         self.flow, self.positions, self._config, self._drift = flow, positions, config, None
@@ -299,10 +295,9 @@ class _Evaluation:
         From the half chain, W = sum_{p<h} c_p A^p + A^h (c_h I + sum_i c_(h+i) A^i):
         one product from s = 4 on.  The rows contract the kept differences x_i - x_j, exact
         for every team (taxicab: their signs; Euclidean: M / dist in the distances, whose +inf
-        diagonal zeroes each self-term; only non-finite rows form them again, an inf difference
-        counting 0 and a squared gap that underflowed re-taken from them at max-abs scale).
-        Once per evaluation: it overwrites the kept distances, differences and chain.  Fast
-        Euclidean rows whose sum of squares is above the flow's ``moving`` set ``still`` False.
+        diagonal zeroes each self-term; rows whose sum of squares is not finite form them again,
+        an inf difference counting 0 and an underflowed squared gap re-taken from them at max-abs
+        scale).  Once per evaluation: it overwrites the kept distances, differences and chain.
         """
         flow = self.flow
         chain, self.chain = self.chain, None
@@ -326,9 +321,7 @@ class _Evaluation:
         else:  # M / dist into the distances, whose +inf diagonal gives each self-term 0
             rows = np.vecdot(np.divide(mixed, self._distance, self._distance), differences)
             self._distance = None
-            squares = np.vdot(rows, rows)
-            if not (math.isfinite(squares)  # finite squares bound every partial sum
-                    or math.isfinite(np.add.reduce(rows.T, axis=None))):  # a far pair or a zero gap
+            if not math.isfinite(np.vdot(rows, rows)):  # a far pair, a zero gap or huge rows
                 del differences, chain[1:]  # spent powers go; differences come again (the plan)
                 dist, differences = _pairwise_distance(self.positions, 2)
                 differences[:, dist == np.inf] = 0.0  # an inf x_i - x_j times its 0 weight is NaN
@@ -339,18 +332,16 @@ class _Evaluation:
                     dist[dist == 0.0] = top * np.sqrt(np.square(gaps / top).sum(axis=0))
                     dist[dist == 0.0] = np.inf
                 rows = np.vecdot(np.divide(mixed, dist, out=dist), differences)
-            elif squares > flow.moving:  # an entry survives rows *= scale: the drift moves
-                self.still = False
         rows *= flow.scale
         return rows.T
 
     @property
     def drift(self) -> np.ndarray:
         """The flow's velocity -grad(f + b) as an (n, d) array: one projection of the
-        coefficients m_k - m_k* - eps_k / (m_k - m_k*)^3, formed in one pass over the terms;
-        ``still`` unless the projection proved it moving or a count finds a nonzero entry."""
+        coefficients m_k - m_k* - eps_k / (m_k - m_k*)^3, formed in one pass over the terms.
+        Whether it moves any robot is the trial step's question (see dynamics._advance)."""
         if self._drift is None:
-            coefficients, shift, self.still = [], 0, None
+            coefficients, shift = [], 0
             for margin, (_, _, eps) in zip(self.margins, self.flow.terms):  # in the common case
                 if eps and (not 1e-100 < margin < 1e100 or (term := eps / margin**3) == math.inf):
                     terms, shift = self._barrier_coefficients()  # raises, or scales by 2**-shift
@@ -359,7 +350,6 @@ class _Evaluation:
                 coefficients.append(margin - term if eps else margin)
             drift = self._project(coefficients)
             self._drift = np.ldexp(drift, shift, out=drift) if shift else drift
-            self.still = self.still is None and not np.count_nonzero(self._drift)
         return self._drift
 
 
@@ -436,7 +426,7 @@ def finite_difference_gradient(scalar_field: Callable[..., float], config: Robot
     and s before any team forms, bitwise as one team a call; any other field, or a stencil with
     a team that would raise, goes one team a call, as it raises.
     """
-    if not np.isfinite(step) or step <= 0.0:
+    if isinstance(step, _BOOLEANS) or not np.isfinite(step) or step <= 0.0:
         raise ValueError(f"step must be a positive real, got {step}")
     base = config.positions
     n, d = base.shape
@@ -456,7 +446,7 @@ def finite_difference_gradient(scalar_field: Callable[..., float], config: Robot
         return np.subtract(*values.reshape(n, d, 2).transpose(2, 0, 1)) / (2.0 * step)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+@_quiet
 def _stacked_values(field: Callable[..., float], teams: np.ndarray, targets: TargetSpectrum,
                     params: ControllerParams, size: int) -> Optional[np.ndarray]:
     """``field(RobotConfiguration(team), targets, params)`` for each team of an (m, n, d) stack,

@@ -70,6 +70,9 @@ _MAX_PLAN_BYTES = 9 * MAX_ROBOTS**2 * 8
 # a zero gap before it checks; private helpers, the trial step's too, run under the caller's.
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
+# A positive real is no boolean, Python's or numpy's, though both compare as 0 or 1.
+_BOOLEANS = (bool, np.bool_)
+
 
 @dataclass(frozen=True, eq=False)
 class RobotConfiguration:
@@ -216,7 +219,7 @@ def build_adjacency(config: RobotConfiguration, decay: float, metric: int) -> We
 
 def _weights(positions: np.ndarray, decay: float, metric: int) -> np.ndarray:
     """:func:`build_adjacency`'s checks of ``decay`` and ``metric``, then its weights."""
-    if not math.isfinite(decay) or decay <= 0.0:
+    if isinstance(decay, _BOOLEANS) or not math.isfinite(decay) or decay <= 0.0:
         raise ValueError(f"decay must be a positive real, got {decay}")
     if metric not in (1, 2):
         raise ValueError(f"metric must be 1 or 2, got {metric}")

@@ -45,6 +45,7 @@ from .gradient import DEFAULT_DECAY, ControllerParams, TargetSpectrum
 from .network import (
     MAX_ROBOTS,
     RobotConfiguration,
+    _BOOLEANS,
     _freeze,
     _max_planned_order,
     moments_and_eigenvalues,
@@ -140,7 +141,7 @@ def hexagon_formation(side_length: float = 1.0) -> RobotConfiguration:
     Vertex j sits at angle j*60 degrees and radius ``side_length`` from the
     center (for a regular hexagon the circumradius equals the side length).
     """
-    if not np.isfinite(side_length) or side_length <= 0.0:
+    if isinstance(side_length, _BOOLEANS) or not np.isfinite(side_length) or side_length <= 0.0:
         raise ValueError(f"side_length must be a positive real, got {side_length}")
     angles = np.arange(6) * np.pi / 3.0
     positions = np.zeros((7, 2))

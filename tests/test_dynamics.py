@@ -4,13 +4,15 @@ Unit tests for the closed-loop flow: feasibility, stepping, simulation.
 Core claims:
     - SimulationSettings and TrajectoryRecord validate their inputs;
       record_every is a positive integer, not a float or a boolean, and dt,
-      max_time and cost_tolerance are reals, not booleans
+      max_time and cost_tolerance are reals, not booleans, Python's or numpy's
     - feasibility_margin returns m_k - m_k* for k = 2..s with correct signs
     - ensure_feasible returns feasible starts unchanged, repairs infeasible
       ones by centroid compression, holding one evaluation at a time, and
       rejects unrealizable targets
     - step accepts exactly the feasible, potential-nonincreasing candidates,
-      halves dt on rejection, and stalls at the step-size floor
+      halves dt on rejection, and stalls at the step-size floor; its dt is a
+      real, not a boolean; an infeasible state with a zero drift stalls
+      rather than halving dt, under either metric
     - simulate terminates with the right reason (converged, horizon,
       stalled), keeps f + b nonincreasing and margins positive along the
       recorded trajectory, never runs past the horizon, and is
@@ -18,14 +20,15 @@ Core claims:
     - a run that spends MAX_TRIAL_STEPS trial steps without converging
       ends stalled and says so; one that converges on its last allowed
       trial step converges
-    - a start with exactly zero drift stalls without counting non-moves
+    - a start with exactly zero drift stalls without counting non-moves,
+      under either metric
     - simulate evaluates each configuration once: one distance matrix per
       start check and per trial step, the start's last check being the
       first state, and the presets keep their step counts
     - momentflow's own code opens at most about 11.7 Python frames per trial
       step on hexagon7, its start and record included
-    - a drift counts as still only if it has no nonzero entry: all -0.0
-      stalls, zeros and one NaN are rejected as a non-finite candidate
+    - a drift stalls the trial step only if it has no nonzero entry: all
+      -0.0 stalls, zeros and one NaN are rejected as a non-finite candidate
     - a trial step, accepted or rejected, wraps no moment vector,
       adjacency or configuration; the record wraps one moment vector per
       sample and one adjacency
@@ -221,6 +224,12 @@ class TestSimulationSettings:
     def test_cost_tolerance_is_a_real_not_a_bool(self):
         with pytest.raises(ValueError, match="^cost_tolerance must be a positive real, got True$"):
             SimulationSettings(cost_tolerance=True)
+
+    @pytest.mark.parametrize("name", ["dt", "max_time", "cost_tolerance"])
+    def test_a_real_is_not_a_numpy_bool(self, name):
+        # Accepted, np.True_ ran as 1.0.
+        with pytest.raises(ValueError, match=f"^{name} must be a positive real, got True$"):
+            SimulationSettings(**{name: np.True_})
 
 
 class TestTrajectoryRecord:
@@ -487,20 +496,32 @@ class TestStep:
 
     @pytest.mark.parametrize("value, still", [(-0.0, True), (np.nan, False)])
     def test_still_means_no_nonzero_entry(self, monkeypatch, value, still):
-        # A drift of -0.0 everywhere moves no robot: the state is still and
-        # the trial step stalls.  A drift of zeros and one NaN is not still:
-        # its candidate is not finite, so the step is rejected and dt halved.
+        # A drift of -0.0 everywhere moves no robot: the trial step stalls.
+        # A drift of zeros and one NaN is not still: its candidate is not
+        # finite, so the step is rejected and dt halved.
         config, targets, params = _two_robot_state(gap=1.0, target=0.05)
         drift = np.full(config.positions.shape, -0.0)
         drift[1, 0] = value
         monkeypatch.setattr(gradient._Evaluation, "_project", lambda state, coefficients: drift)
         state = gradient._evaluate(config, targets, params)
-        assert state.drift is drift and state.still is still
+        assert state.drift is drift
         if still:
             with pytest.raises(FlowStalled, match="drift is exactly zero"):
                 dynamics._advance(state, 0.05)
         else:
             assert dynamics._advance(state, 0.05) == (state, False, 0.025)
+
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_infeasible_zero_drift_stalls(self, metric):
+        # Three robots at one point, m_2 = 2 below its target 2.5, no barrier: the drift is
+        # exactly zero and the candidate, the state itself, is infeasible.  The rejected trial
+        # counts the drift and stalls rather than halving dt.
+        config = RobotConfiguration(np.full((3, 2), 0.5))
+        params = ControllerParams(decay=1.0, metric=metric, order=2, epsilons=(0.0, 0.0))
+        targets = TargetSpectrum([0.0, 2.5])
+        assert feasibility_margin(config, targets, params)[0] < 0.0
+        with pytest.raises(FlowStalled, match="drift is exactly zero"):
+            step(config, targets, params, 0.05)
 
     def test_stall_at_step_floor(self, monkeypatch):
         # Every trial is rejected: dt halves down to the floor, then stalls.
@@ -519,6 +540,13 @@ class TestStep:
         for dt in (0.0, -0.1, np.nan):
             with pytest.raises(ValueError):
                 step(config, targets, params, dt)
+
+    @pytest.mark.parametrize("dt", [True, np.True_])
+    def test_dt_is_a_real_not_a_bool(self, dt):
+        # Accepted, True ran as a step of 1.0.
+        config, targets, params = _two_robot_state()
+        with pytest.raises(ValueError, match="^dt must be a positive real, got True$"):
+            step(config, targets, params, dt)
 
 
 # == 5. Full simulation ======================================================
@@ -717,14 +745,15 @@ class TestSimulate:
         with pytest.raises(ValueError):
             record.final_eigenvalues[0] = 0.0
 
-    def test_zero_drift_start_stalls(self):
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_zero_drift_start_stalls(self, metric):
         # All robots coincident: every weight is 1 and every metric factor
         # is 0, so the drift is exactly zero and no step can move the team.
         scenario = Scenario(
             name="coincident",
             n=5,
             d=2,
-            params=_params(order=2),
+            params=_params(order=2, metric=metric),
             targets=TargetSpectrum([0.0, 1.0]),
             settings=SimulationSettings(max_time=10.0),
             initial_positions=np.full((5, 2), 0.5),

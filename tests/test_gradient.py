@@ -3,7 +3,8 @@ Unit tests for the cost, barrier, and analytic gradient machinery.
 
 Core claims:
     - ControllerParams validates decay, metric, order, and barrier constants;
-      decay is a real and metric and order are ints, none of them a boolean
+      decay is a real and metric and order are ints, none of them a boolean,
+      Python's or numpy's
     - trace_derivative matches a central finite difference of tr(A^k) under
       a symmetric entry bump
     - moment_gradient matches the finite-difference oracle for both metrics
@@ -39,16 +40,20 @@ Core claims:
       over the distances (n = 8, 64 and 200, d = 1..3, s = 2, 4, 6); without
       a rare gap an evaluation and its drift form the distances once and
       reduce none of them, and with one the Euclidean drift forms them once
-      more; rows that are each finite but whose sum overflows take the
+      more; rows that are each finite but whose squares overflow take the
       careful route too, and its drift is bitwise the fast route's, scaled
     - the drift's coefficients, formed in one pass, are bitwise the margins
       less the barrier gradient's coefficients, and a nonpositive guarded
       margin raises InfeasibleStateError from the drift too
-    - a drift is still exactly when it has no nonzero entry: on zero rows,
-      rows whose squares underflow, rows that the scale decay / n takes to 0,
-      the careful route's rows and a moving team; a Euclidean drift whose sum
-      of squares exceeds its flow's bound skips the count, and that bound
-      holds for every power of two at decays from 5e-324 to 1e300
+    - the trial step stalls on a drift exactly when it has no nonzero entry,
+      counting it only on a rejected trial or an accepted one whose f + b did
+      not fall: zero rows and rows that the scale decay / n takes to 0 stall;
+      rows whose squares underflow are accepted unmoved; NaN rows are
+      rejected with dt halved; the careful route's rows stall only for a
+      team at one point; a moving team's f + b falls with no count, under
+      either metric; at decays from 5e-324 to 1e300 and three team sizes,
+      rows of the least power of two that decay / n keeps go on (accepted
+      unmoved, or rejected where every margin is 0) and rows below it stall
     - one pass over the flow's terms gives margins, cost and barrier bitwise
       the three loops' on nonpositive, tiny, ordinary and huge margins
     - control_law, barrier_gradient, cost, barrier and simulate raise no
@@ -56,7 +61,7 @@ Core claims:
       1e200 away, nor on one with a coincident pair only, and every drift
       they form is the oracle's bit for bit
     - finite_difference_gradient is second-order accurate on a known field,
-      and passes its extra arguments to the field
+      passes its extra arguments to the field, and refuses a boolean step
     - a guarded margin so small that its cube or 4k margin^2 underflows
       gives an infinite barrier and barrier coefficient without a numpy
       warning (4 robots on a 150 x 150 square, targets at half their moments)
@@ -95,8 +100,8 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from momentflow import gradient, network
-from momentflow.dynamics import SimulationSettings, simulate
+from momentflow import dynamics, gradient, network
+from momentflow.dynamics import FlowStalled, SimulationSettings, simulate
 
 from momentflow.gradient import (
     DEFAULT_EPSILON,
@@ -295,6 +300,11 @@ class TestControllerParams:
     def test_decay_is_a_real_not_a_bool(self):
         with pytest.raises(ValueError, match="^decay must be a positive real, got True$"):
             ControllerParams(decay=True)
+
+    def test_decay_is_a_real_not_a_numpy_bool(self):
+        # Accepted, np.True_ ran as a decay of 1.0.
+        with pytest.raises(ValueError, match="^decay must be a positive real, got True$"):
+            ControllerParams(decay=np.True_)
 
     @pytest.mark.parametrize("metric", [True, 2.0, np.int64(2)])
     def test_metric_is_an_int_not_a_bool(self, metric):
@@ -815,9 +825,9 @@ class TestReductions:
 
     def test_overflowing_check_takes_the_careful_route_bitwise(self):
         # Four robots at a unit square's corners, W = c A with c near the float limit: every
-        # row is finite, but two of them add up past it, so the check's sum overflows and the
-        # careful route runs.  It finds no far pair and no zero gap, so its drift is the fast
-        # route's at c / 16, scaled back by 16, bit for bit (each step scales exactly).
+        # row is finite, but their squares overflow, so the check fails and the careful route
+        # runs, at c / 16 too.  It finds no far pair and no zero gap, so its drift is the fast
+        # route's at c / 2**600, scaled back, bit for bit (each step scales exactly).
         positions = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         params = ControllerParams(decay=1e-3, metric=2, order=2)
         flow, calls, drifts = _Flow(TargetSpectrum([0.0, 0.0]), params, 4, 2), [], []
@@ -826,13 +836,14 @@ class TestReductions:
             calls.append(metric)
             return network._pairwise_distance(positions, metric)
 
-        for coefficient in (8e307, 8e307 / 16):
+        for coefficient in (8e307, 8e307 / 16, 8e307 * 2.0**-600):
             with mock.patch.object(gradient, "_pairwise_distance", counted), \
                     np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as flows run
                 drifts.append(_Evaluation(flow, positions)._project([coefficient]))
-        assert calls == [2, 2, 2]  # the careful route's distances, at 8e307 only
+        assert calls == [2, 2, 2, 2, 2]  # the careful route's distances, at c and c / 16 only
         assert np.all(np.isfinite(drifts[0])) and np.abs(drifts[0]).min() > 1e304
         assert drifts[0].tobytes() == np.ldexp(drifts[1], 4).tobytes()
+        assert drifts[0].tobytes() == np.ldexp(drifts[2], 600).tobytes()
 
     @pytest.mark.parametrize("metric", [1, 2])
     def test_distances_formed_once_and_never_scanned(self, metric):
@@ -907,19 +918,22 @@ class TestErrorState:
 
 
 class TestStill:
-    """``still`` is ``not np.count_nonzero(drift)``, though a Euclidean drift whose rows' sum of
-    squares exceeds its flow's ``moving`` bound skips that count."""
+    """A drift is still exactly when it has no nonzero entry, and the trial step decides it:
+    ``dynamics._advance`` counts the drift's entries only on a rejected trial or an accepted
+    one whose f + b did not fall, and stalls on a count of 0."""
 
     @staticmethod
-    def _drift(positions, decay, margins, metric=2):
-        """A team's state with its margins replaced (no barrier), its drift, and the count calls
-        and distance matrices that the drift made."""
-        order, counted, formed = len(margins) + 1, [], []
+    def _advance(positions, decay, margins=None, metric=2, drift=None, dt=0.05):
+        """A team's state, its margins replaced if given (no barrier) and its drift if given;
+        then its trial step at dt, or the FlowStalled it raised; its drift; and the count calls
+        and distance matrices that the drift and the trial step made."""
+        order = 3 if margins is None else len(margins) + 1
         params = ControllerParams(decay=decay, metric=metric, order=order, epsilons=(0.0,) * order)
         config = RobotConfiguration(positions)
         state = gradient._evaluate(config, TargetSpectrum(np.zeros(order)), params)
-        state.margins = list(margins)
-        count, distance = np.count_nonzero, gradient._pairwise_distance
+        if margins is not None:
+            state.margins = list(margins)
+        count, distance, counted, formed = np.count_nonzero, gradient._pairwise_distance, [], []
 
         def counting(array):
             counted.append(array)
@@ -931,72 +945,116 @@ class TestStill:
 
         with mock.patch.object(np, "count_nonzero", counting), \
                 mock.patch.object(gradient, "_pairwise_distance", forming), \
+                mock.patch.object(_Evaluation, "_project", lambda state, coefficients: drift) \
+                if drift is not None else contextlib.nullcontext(), \
                 np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as flows run
-            drift = state.drift
-        assert state.still is (not np.count_nonzero(drift))
-        return state, drift, len(counted), len(formed)
+            rows = state.drift
+            formed.clear()  # the candidate's distances, not the drift's, from here on
+            try:
+                outcome = dynamics._advance(state, dt)
+            except FlowStalled as stall:
+                outcome = stall
+        return state, outcome, rows, len(counted), formed
+
+    @staticmethod
+    def _stalled(outcome):
+        return isinstance(outcome, FlowStalled) and "drift is exactly zero" in str(outcome)
+
+    @staticmethod
+    def _unmoved(state, outcome):
+        """Accepted, dt kept, with the state's positions and f + b."""
+        candidate, accepted, dt = outcome
+        return accepted and dt == 0.05 and np.array_equal(candidate.positions, state.positions) \
+            and candidate.cost + candidate.barrier == state.cost + state.barrier
 
     _SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.5]]
 
     @pytest.mark.parametrize("margin", [0.0, -0.0])
     def test_zero_rows_are_still(self, margin):
-        state, drift, counts, _ = self._drift(self._SQUARE, 1.0, [margin, -0.0, margin])
-        assert state.still and not np.any(drift) and counts == 1
+        # All +-0: the candidate is the state, accepted with f + b unchanged, so one count
+        # decides, and the step stalls.
+        state, outcome, drift, counts, _ = self._advance(self._SQUARE, 1.0, [margin, -0.0, margin])
+        assert not np.any(drift) and self._stalled(outcome) and counts == 1
 
     def test_rows_whose_squares_underflow_move(self):
-        # Rows near 1e-170: their squares underflow to 0, so no bound can prove them moving; at
-        # scale 1/4, exact, the drift's rows are 4 times the unscaled ones.
-        state, drift, counts, _ = self._drift(self._SQUARE, 1.0, [1e-170, 1e-170])
+        # Rows near 1e-170: their squares underflow to 0, yet they are no stall.  At scale 1/4,
+        # exact, the drift's rows are 4 times the unscaled ones; dt times them moves no
+        # coordinate of the square shifted off 0, so the step is accepted with f + b unchanged,
+        # after one count.
+        square = np.add(self._SQUARE, 1.0)
+        state, outcome, drift, counts, _ = self._advance(square, 1.0, [1e-170, 1e-170])
         rows = 4.0 * drift
         assert 0 < np.abs(rows).max() < 1e-169 and np.vdot(rows, rows) == 0.0
-        assert not state.still and counts == 1
+        assert self._unmoved(state, outcome) and counts == 1
 
     def test_rows_the_scale_underflows_are_still(self):
-        # c = 1e-300 weighs every pair 1.0; rows near 1e-30 have squares near 1e-60 > 0, below
-        # the bound, and the scale 2.5e-301 takes every entry to 0: still, as the count says.
-        state, drift, counts, _ = self._drift(self._SQUARE, 1e-300, [1e-30, 1e-30])
+        # c = 1e-300 weighs every pair 1.0; rows near 1e-30 are nonzero, and the scale 2.5e-301
+        # takes every entry to 0: a stall, as the count says.
+        state, outcome, drift, counts, _ = self._advance(self._SQUARE, 1e-300, [1e-30, 1e-30])
         twin = gradient._evaluate(RobotConfiguration(self._SQUARE), TargetSpectrum(np.zeros(3)),
                                   ControllerParams(decay=1e-300, metric=2, order=3,
                                                    epsilons=(0.0,) * 3))
         twin.margins, twin.flow.scale = [1e-30, 1e-30], 1.0
-        squares = np.vdot(twin.drift, twin.drift)
-        assert 0.0 < squares <= state.flow.moving
-        assert state.still and not np.any(drift) and counts == 1
+        assert np.all(twin.drift) and not np.any(drift)
+        assert self._stalled(outcome) and counts == 1
 
     @pytest.mark.parametrize("positions, still", [
         ([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], False),
         ([[0.5, 0.5]] * 4, True),
     ])
     def test_careful_route_counts(self, positions, still):
-        # A coincident pair makes a NaN row: the careful route forms the distances again and
-        # its rows are counted, whatever their sum of squares was.
-        state, drift, counts, formed = self._drift(positions, 1.0, [0.5, 0.25])
-        assert state.still is still and counts == 1 and formed == 1
+        # A coincident pair makes a NaN row: the careful route forms the distances again and its
+        # rows are finite.  The team with one pair is no stall: with the state's own margins its
+        # f + b falls, with no count; the team at one point has a zero drift and stalls.
+        state, outcome, drift, counts, _ = self._advance(positions, 1.0)
+        assert np.all(np.isfinite(drift)) and np.any(drift) is not still
+        if still:
+            assert self._stalled(outcome) and counts == 1
+        else:
+            candidate, accepted, dt = outcome
+            assert accepted and candidate.cost < state.cost and counts == 0
 
-    @pytest.mark.parametrize("metric, counts", [(2, 0), (1, 1)])
-    def test_a_moving_team(self, metric, counts):
-        # Euclidean: the sum of squares proves the drift moves, with no count.
-        state, drift, counted, formed = self._drift(self._SQUARE, 1.0, [0.5, 0.25], metric)
-        assert not state.still and np.all(np.isfinite(drift)) and (counted, formed) == (counts, 0)
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_a_moving_team(self, metric):
+        # A descent whose f + b falls needs no count, under either metric, and a candidate
+        # forms the distances once.
+        state, outcome, drift, counts, formed = self._advance(self._SQUARE, 1.0, metric=metric)
+        candidate, accepted, _ = outcome
+        assert accepted and candidate.cost + candidate.barrier < state.cost + state.barrier
+        assert np.all(np.isfinite(drift)) and (counts, formed) == (0, [metric])
+
+    def test_nan_rows_are_rejected(self):
+        # NaN coefficients make NaN rows, which are not still: the candidate is not finite, so
+        # the step is rejected, dt halved, after one count.
+        state, outcome, drift, counts, _ = self._advance(self._SQUARE, 1.0, [np.nan, np.nan])
+        assert np.isnan(drift).all() and outcome == (state, False, 0.025) and counts == 1
 
     @pytest.mark.parametrize("decay", [5e-324, 1e-320, 1e-300, 1e-250, 1e-170, 1e-100, 1.0,
                                        1e100, 1e300])
     @pytest.mark.parametrize("n, d", [(2, 1), (4, 2), (64, 3)])
     def test_rows_above_the_bound_keep_an_entry(self, decay, n, d):
-        # Every power of two and three mantissas as one entry of the rows, or as all of them:
-        # where the sum of squares exceeds ``moving``, some entry times decay / n is nonzero.
-        flow = _Flow(TargetSpectrum([0.0, 0.0]), ControllerParams(decay=decay, metric=2), n, d)
-        if flow.scale == 0.0:  # decay / n underflowed: no drift moves
-            assert flow.moving == math.inf
-            return
-        for size in (1, n * d):
-            rows = np.zeros(n * d)
-            for exponent in range(-1074, 1024):
-                for mantissa in (1.0, 1.4142135623730951, 1.9999999999999998):
-                    rows[:size] = math.ldexp(mantissa, exponent)
-                    with np.errstate(over="ignore"):  # as flows run
-                        if np.vdot(rows, rows) > flow.moving:
-                            assert np.count_nonzero(rows * flow.scale), (size, exponent)
+        # The bound is the least power of two that the drift's scale decay / n keeps nonzero.
+        # Rows of that power keep an entry: the step goes on, moving no robot, accepted where
+        # the team is feasible and rejected, dt halved, where c >= 1e100 takes every weight and
+        # so every margin to 0.  Rows of the power below it, or of any power where decay / n
+        # underflowed, scale to zeros, and the trial step stalls; both reach one count.
+        positions = np.random.default_rng(n).random((n, d))
+        scale = _Flow(TargetSpectrum([0.0, 0.0]), ControllerParams(decay=decay), n, d).scale
+        bound = next((e for e in range(-1074, 1024) if math.ldexp(1.0, e) * scale), None)
+        if bound is None:
+            assert scale == 0.0
+        else:
+            drift = np.full((n, d), math.ldexp(1.0, bound)) * scale
+            state, outcome, _, counts, _ = self._advance(positions, decay, [0.0], drift=drift)
+            assert np.all(drift) and counts == 1
+            if decay < 1e100:
+                assert self._unmoved(state, outcome)
+            else:
+                assert max(state.margins) == 0.0 and outcome == (state, False, 0.025)
+        for exponent in [1023] if bound is None else [bound - 1] * (bound > -1074):
+            drift = np.full((n, d), math.ldexp(1.0, exponent)) * scale
+            _, outcome, _, counts, _ = self._advance(positions, decay, [0.0], drift=drift)
+            assert not np.any(drift) and self._stalled(outcome) and counts == 1
 
 
 class TestOnePassScalars:
@@ -1072,6 +1130,13 @@ class TestFiniteDifferenceGradient:
             finite_difference_gradient(lambda c: 0.0, config, step=0.0)
         with pytest.raises(ValueError):
             finite_difference_gradient(lambda c: 0.0, config, step=-1e-6)
+
+    @pytest.mark.parametrize("step", [True, np.True_])
+    def test_step_is_a_real_not_a_bool(self, step):
+        # Accepted, True ran as a step of 1.0; np.True_ raised a TypeError from -step.
+        config = _tie_free_config(3, 2, 0)
+        with pytest.raises(ValueError, match="^step must be a positive real, got True$"):
+            finite_difference_gradient(lambda c: 0.0, config, step=step)
 
     def test_extra_arguments_reach_the_field(self):
         config = _tie_free_config(3, 2, 41)

@@ -14,7 +14,8 @@ Core claims:
       each team's one-team result bit for bit
     - build_adjacency reproduces exp(-decay * dist) with an exactly zero
       diagonal and off-diagonal entries in [0, 1], 0 where a weight
-      underflows, and rejects a metric other than 1 and 2
+      underflows, and rejects a metric other than 1 and 2 and a decay that
+      is not a positive real, a boolean among them
     - power_chain agrees with numpy matrix_power
     - spectral_moments has m_1 == 0 exactly, nonnegative entries, and agrees
       with the eigenvalue power-sum route to tight tolerance; that route
@@ -351,6 +352,13 @@ class TestBuildAdjacency:
         for decay in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 build_adjacency(config, decay, 2)
+
+    @pytest.mark.parametrize("decay", [True, np.True_])
+    def test_decay_is_a_real_not_a_bool(self, decay):
+        # Accepted, True ran as a decay of 1.0; np.True_ raised a TypeError from -decay.
+        config = _random_config(3, 2, 0)
+        with pytest.raises(ValueError, match="^decay must be a positive real, got True$"):
+            build_adjacency(config, decay, 2)
 
 
 # == 6. Matrix powers ========================================================

@@ -9,7 +9,8 @@ Core claims:
       integers, not floats or booleans
     - random_geometric_config is deterministic per seed and unit-box bounded,
       and refuses n < 2 and d < 1 with RobotConfiguration's messages
-    - hexagon_formation is a regular hexagon with a central robot
+    - hexagon_formation is a regular hexagon with a central robot, and its
+      side length is a positive real, not a boolean
     - target_from_formation reproduces the formation's own moments and
       spectrum, hence realizable targets
     - preset returns the two bundled scenarios, validated clean, with their
@@ -238,6 +239,12 @@ class TestHexagonFormation:
     def test_validation(self):
         with pytest.raises(ValueError):
             hexagon_formation(side_length=0.0)
+
+    @pytest.mark.parametrize("side_length", [True, np.True_])
+    def test_side_length_is_a_real_not_a_bool(self, side_length):
+        # Accepted, True drew a hexagon of side 1.0.
+        with pytest.raises(ValueError, match="^side_length must be a positive real, got True$"):
+            hexagon_formation(side_length)
 
 
 # == 5. Targets from formations ==============================================
