@@ -32,10 +32,13 @@ tree and for TREE, another checkout whose ``src/momentflow`` it imports as the p
 ``momentflow_against``: P pairs (default 10), each running every operation once per tree, the
 trees in ABBA order, pair by pair.  Per operation label it reports the median of the paired
 ratios this / TREE of wall time, the pairs this tree won, TREE's quartiles, and whether every
-result hashed equal on both trees; the same for the whole round; and each tree's failed
-operations.  A record hashes sample by sample (t, positions, moments, cost, barrier), with its
-final positions, moments and eigenvalues, its counts and its termination; a CLI call hashes
-its status and output.
+result hashed equal on both trees; the same for the whole round; each tree's failed
+operations; and, alternated the same way after the workload, one accepted trial step from
+``_start`` at n = 8 for s = 3, 4 and 5 and at n = 200 for s = 4 (``--smoke``: n = 8, s = 3),
+each row's median ratio of per-pair median microseconds, its wins and TREE's quartiles.  A
+record hashes sample by sample (t, positions, moments, cost, barrier), with its final
+positions, moments and eigenvalues, its counts and its termination; a CLI call hashes its
+status and output.
 
 Times are of the machine they ran on; the probe takes out only part of a shared host's drift
 from minute to minute, while the counters repeat exactly.  One BLAS thread, as in perfbench.
@@ -77,6 +80,7 @@ SMOKE_SIZES = FRAME_SIZES = (7, 10)
 TRIAL_STEPS = 20  # for a frame count
 ORDER = 4
 ORDER_TEAM, ORDERS = 8, (3, 4, 5)  # round_trip's orders, at one of its team sizes
+TRIAL_ROWS = ((ORDER_TEAM, 3), (ORDER_TEAM, 4), (ORDER_TEAM, 5), (200, ORDER))  # --against's
 AGAINST = "momentflow_against"
 LAYER_SECONDS = 0.2  # per layer and size, after MIN_REPEATS calls
 MIN_REPEATS = 5
@@ -217,22 +221,25 @@ def _timed(call, prepare, seconds):
     return {"us": statistics.median(samples) * 1e6, "minor_faults": faults / len(samples)}
 
 
-def _start(n, order=ORDER):
+def _start(n, order=ORDER, package=momentflow):
     """A seeded planar team of n robots, as large_n's is built: a goal with about one robot per
-    two unit areas, and the start it contracted by 0.95, evaluated as a flow's first state."""
+    two unit areas, and the start it contracted by 0.95, evaluated as a flow's first state by
+    ``package`` (this tree's momentflow, or the one ``--against`` names)."""
     rng = np.random.default_rng(n)
     goal = rng.random((n, 2)) * np.sqrt(2.0 * n)
     start = goal.mean(axis=0) + 0.95 * (goal - goal.mean(axis=0))
-    params = gradient.ControllerParams(decay=1.0, metric=2, order=order)
-    targets = scenarios.target_from_formation(network.RobotConfiguration(goal), params)
+    params = package.gradient.ControllerParams(decay=1.0, metric=2, order=order)
+    targets = package.scenarios.target_from_formation(
+        package.network.RobotConfiguration(goal), params)
     with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs (network._quiet)
-        return dynamics._feasible_start(network.RobotConfiguration(start), targets, params)
+        return package.dynamics._feasible_start(
+            package.network.RobotConfiguration(start), targets, params)
 
 
-def _trial_step(flow, start, seconds):
+def _trial_step(flow, start, seconds, package=momentflow):
     """One accepted trial step (the state's drift and the candidate's evaluation), timed."""
-    return _timed(lambda state: dynamics._advance(state, dynamics.DEFAULT_DT),
-                  lambda: gradient._Evaluation(flow, start), seconds)
+    return _timed(lambda state: package.dynamics._advance(state, package.dynamics.DEFAULT_DT),
+                  lambda: package.gradient._Evaluation(flow, start), seconds)
 
 
 def layers(sizes, seconds):
@@ -324,11 +331,11 @@ def _digest(result):
     return digest.hexdigest()
 
 
-def _paired(this, other):
+def _paired(this, other, unit="s"):
     """The median ratio this / other over pairs, the pairs this won, other's quartiles."""
     ratios = [a / b for a, b in zip(this, other)]
     return {"ratio": statistics.median(ratios), "wins": sum(r < 1.0 for r in ratios),
-            "pairs": len(ratios), "against_quartiles_s": statistics.quantiles(other, n=4)}
+            "pairs": len(ratios), f"against_quartiles_{unit}": statistics.quantiles(other, n=4)}
 
 
 def against(tree, name, pairs, smoke, workdir):
@@ -360,7 +367,28 @@ def against(tree, name, pairs, smoke, workdir):
         "round": {**_paired(rounds["this"], rounds["against"]),
                   "records_equal": all(equal.values())},
         "failed": failed,
+        "trial_steps": trial_steps_against(packages, pairs, smoke),
     }
+
+
+def trial_steps_against(packages, pairs, smoke):
+    """TRIAL_ROWS' trial steps for each tree, ABBA pair by pair: per row (n, s), the median of
+    each tree's per-pair median microseconds as ratios this / TREE, the pairs this tree won and
+    TREE's quartiles in microseconds."""
+    rows = TRIAL_ROWS[:1] if smoke else TRIAL_ROWS
+    seconds = LAYER_SECONDS / (20 if smoke else 4)
+    starts = {key: {row: _start(*row, package=package) for row in rows}
+              for key, package in packages.items()}
+    times = {key: {row: [] for row in rows} for key in packages}
+    for pair in range(pairs):
+        for row in rows:
+            for key in ("this", "against") if pair % 2 else ("against", "this"):
+                state = starts[key][row]
+                with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs
+                    step = _trial_step(state.flow, state.positions, seconds, packages[key])
+                times[key][row].append(step["us"])
+    return {f"n={n},s={order}": _paired(times["this"][n, order], times["against"][n, order],
+                                        "us") for n, order in rows}
 
 
 def _blas_core():
@@ -419,9 +447,12 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix="bench-") as scratch:
             found = against(args.against, args.workload, args.pairs, args.smoke, Path(scratch))
         result.update(found)
-        for label, row in [*result["operations"].items(), ("round", result["round"])]:
-            print(f"{label}: ratio {row['ratio']:.4f}, won {row['wins']}/{row['pairs']}, "
-                  f"records {'equal' if row['records_equal'] else 'DIFFER'}", file=sys.stderr)
+        for label, row in [*result["operations"].items(), ("round", result["round"]),
+                           *result["trial_steps"].items()]:
+            records = ("" if "records_equal" not in row else
+                       f", records {'equal' if row['records_equal'] else 'DIFFER'}")
+            print(f"{label}: ratio {row['ratio']:.4f}, won {row['wins']}/{row['pairs']}{records}",
+                  file=sys.stderr)
         return _write(result, args, began)
     result["workloads"] = {}
     with tempfile.TemporaryDirectory(prefix="bench-") as scratch, speed.Probe() as probe:

@@ -45,6 +45,7 @@ from .network import (
     _BOOLEANS,
     _freeze,
     _quiet,
+    _workspace,
     complete_graph_moments,
     eigenvalues,
 )
@@ -291,13 +292,17 @@ def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
     evaluated from its F-ordered positions alone; its configuration is wrapped only if asked for.
     A zero drift leaves f + b as it was, bit for bit, so a stall is counted only on a rejected
     trial or an accepted one whose f + b did not fall (a fall proves that the robots moved).
+    The state's drift comes first; the flow's first trial step then makes its workspace, and the
+    candidate's x + dt * v goes to the column slot that the state's positions are not in.
     """
-    drift = state.drift
-    positions = state.positions + dt * drift
-    candidate, columns = None, positions.T
-    if math.isfinite(np.vdot(columns, columns)) or np.isfinite(positions).all():
+    drift, flow, candidate = state.drift, state.flow, None
+    if flow.workspace is None:  # the flow's first trial step: its evaluations write there on
+        flow.workspace = _workspace(*drift.shape, flow.metric, flow.plan)
+    positions, flat = (slots := flow.workspace.slots)[state.positions is slots[0][0]]  # the other
+    np.add(state.positions, np.multiply(dt, drift, positions), positions)  # x + dt * v
+    if math.isfinite(flat.dot(flat)) or np.isfinite(positions).all():
         try:
-            candidate = _Evaluation(state.flow, positions)
+            candidate = _Evaluation(flow, positions)
         except ValueError:  # a moment overflowed: no ceiling bounds a bare step()
             pass
     before = state.cost + state.barrier

@@ -49,6 +49,7 @@ from .network import (
     RobotConfiguration,
     WeightedAdjacency,
     _BOOLEANS,
+    _INTEGERS,
     _adjacency,
     _chain_plan,
     _freeze,
@@ -175,8 +176,8 @@ def trace_derivative(adjacency: WeightedAdjacency, k: int, i: int, j: int) -> fl
     derivative is zero since the trace never touches off-diagonal entries.
     """
     n = adjacency.n
-    if k < 1:
-        raise ValueError(f"power k must be at least 1, got {k}")
+    if isinstance(k, bool) or not isinstance(k, _INTEGERS) or k < 1:
+        raise ValueError(f"power k must be an integer of at least 1, got {k!r}")
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"indices ({i}, {j}) out of range for n={n}")
     if i == j:
@@ -207,8 +208,8 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
 
 class _Flow:
     """What every evaluation in one flow reads, derived once from (targets, params), n and d:
-    metric, decay, scale = decay / n, slice ::n+1, the terms (m_k*, 4k, eps_k) for k = 2..s,
-    and the chain's plan."""
+    metric, decay, scale = decay / n, the terms (m_k*, 4k, eps_k) for k = 2..s, the chain's plan;
+    and the network._workspace they write from its first trial step on, with its holder's ticket."""
 
     def __init__(self, targets: TargetSpectrum, params: ControllerParams, n: int, d: int) -> None:
         if targets.order != params.order:
@@ -216,7 +217,7 @@ class _Flow:
                 f"targets carry {targets.order} moments but params.order is {params.order}"
             )
         self.metric, self.decay, self.scale = params.metric, params.decay, params.decay / n
-        self.diagonal = slice(None, None, n + 1)
+        self.workspace, self.ticket = None, 0
         self.terms = [(goal, 4.0 * k, eps) for k, (goal, eps) in
                       enumerate(zip(targets.moments[1:].tolist(), params.epsilons[1:]), 2)]
         self.plan = _chain_plan(params.order, n, d)
@@ -232,18 +233,23 @@ class _Evaluation:
     any one gradient (the drift is kept).  The configuration, adjacency and moment vector
     are wrapped only when asked for.  Every sum runs in one fixed order (the cost's left to
     right, not by 3.12's compensated ``sum``), so results are bitwise reproducible.
+
+    Once the flow has a workspace its arrays are there, valid until the flow's next evaluation;
+    only the positions (the caller's, or a column slot that the next candidate but one writes),
+    the drift and the floats outlive it.  If a later one took it, :meth:`_project` evaluates again.
     """
 
     __slots__ = ("flow", "positions", "_config", "_distance", "_differences", "weights",
-                 "chain", "moments", "margins", "cost", "barrier", "_drift")
+                 "chain", "moments", "margins", "cost", "barrier", "_drift", "_ticket")
 
     def __init__(self, flow: _Flow, positions: np.ndarray, config=None) -> None:
         self.flow, self.positions, self._config, self._drift = flow, positions, config, None
-        euclidean = flow.metric == 2
-        distance, self._differences = _pairwise_distance(positions, flow.metric)
+        work, euclidean = flow.workspace, flow.metric == 2  # no workspace: arrays of its own
+        self._ticket = flow.ticket = flow.ticket + (work is not None)  # the workspace's turns
+        distance, self._differences = _pairwise_distance(positions, flow.metric, work)
         self._distance = distance if euclidean else None
-        self.weights = _adjacency(distance, flow.decay, None if euclidean else distance)
-        self.moments, self.chain = _half_chain(self.weights, flow.plan)
+        self.weights = _adjacency(distance, flow.decay, work and work.chain[0])
+        self.moments, self.chain = _half_chain(self.weights, flow.plan, work)
         margins, cost, barrier = [], 0.0, 0.0
         # An interior barrier: +inf where a guarded margin, or its term's divisor, is not positive.
         for moment, (goal, divisor, eps) in zip(self.moments[1:], flow.terms):
@@ -255,13 +261,16 @@ class _Evaluation:
 
     @property
     def config(self) -> RobotConfiguration:
-        if self._config is None:
-            self._config = _freeze(object.__new__(RobotConfiguration), "positions", self.positions)
+        if self._config is None:  # a copy: the positions may be a column slot
+            self._config = _freeze(object.__new__(RobotConfiguration), "positions",
+                                   self.positions.copy("K"))
         return self._config
 
     @property
-    def adjacency(self) -> WeightedAdjacency:
-        return _freeze(object.__new__(WeightedAdjacency), "weights", self.weights)
+    def adjacency(self) -> WeightedAdjacency:  # copied, or formed again once another took them
+        weights = self.weights.copy() if self._ticket == self.flow.ticket else _weights(
+            self.positions, self.flow.decay, self.flow.metric)
+        return _freeze(object.__new__(WeightedAdjacency), "weights", weights)
 
     @property
     def moment_vector(self) -> MomentVector:
@@ -300,19 +309,22 @@ class _Evaluation:
         scale).  Once per evaluation: it overwrites the kept distances, differences and chain.
         """
         flow = self.flow
-        chain, self.chain = self.chain, None
+        if self._ticket != flow.ticket:  # a later evaluation took the workspace: evaluate again
+            self.__init__(flow, self.positions, self._config)
+        work, chain, self.chain = flow.workspace, self.chain, None  # scratch: Q and W
         h, count, q, weighted = len(chain), len(coefficients), None, None
         if count > h:  # the terms from A^h on, as A^h Q
-            q = np.multiply(coefficients[h], chain[0])
+            q = np.multiply(coefficients[h], chain[0], work and work.q)
             for i in range(1, count - h):
-                weighted = np.multiply(coefficients[h + i], chain[i], weighted)
+                weighted = np.multiply(coefficients[h + i], chain[i], work.w if work else weighted)
                 q += weighted
-            diagonal = q.ravel()[flow.diagonal]  # a view: += writes q, with no copy back
+            diagonal = work.q_diagonal if work else q.ravel()[:: len(q) + 1]  # += writes Q
             diagonal += coefficients[h - 1]
-            weighted = _product(chain[-1], q, weighted)
+            weighted = _product(chain[-1], q, work.w if work else weighted)
             h -= 1  # A^h is spent, its coefficient is in Q
-        for k in range(h):  # A's term into Q, a spent power's into itself
-            term = np.multiply(coefficients[k], chain[k], chain[k] if k else q)
+        for k in range(h):  # A's term into W, or Q once W holds A^h Q; a spent power's into itself
+            term = np.multiply(coefficients[k], chain[k],
+                               chain[k] if k else q if weighted is not None else work and work.w)
             weighted = term if weighted is None else np.add(weighted, term, weighted)
         mixed = np.multiply(weighted, self.weights, weighted)
         differences, self._differences = self._differences, None
@@ -323,7 +335,7 @@ class _Evaluation:
             self._distance = None
             if not math.isfinite(np.vdot(rows, rows)):  # a far pair, a zero gap or huge rows
                 del differences, chain[1:]  # spent powers go; differences come again (the plan)
-                dist, differences = _pairwise_distance(self.positions, 2)
+                dist, differences = _pairwise_distance(self.positions, 2, work)
                 differences[:, dist == np.inf] = 0.0  # an inf x_i - x_j times its 0 weight is NaN
                 if dist.min() == 0.0:  # a gap whose square underflowed takes its distance again
                     gaps = differences[:, dist == 0.0]

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -62,7 +63,7 @@ _PRODUCT_TEAM = 64
 
 # The largest team a scenario or positions file may hold, 134 MB per n x n float64 matrix.  An
 # order s plans ceil(s/2) + 4 + d of them (see _chain_plan), at most 9, 1.21 GB (so s <= 6 in the
-# plane there); at s = 4, d = 2 a flow peaks near 7.2 of them, about 960 MB.
+# plane there); a flow's workspace holds ceil(s/2) + 3 + d, 940 MB at s = 4, d = 2, and no more.
 MAX_ROBOTS = 4096
 _MAX_PLAN_BYTES = 9 * MAX_ROBOTS**2 * 8
 
@@ -70,8 +71,10 @@ _MAX_PLAN_BYTES = 9 * MAX_ROBOTS**2 * 8
 # a zero gap before it checks; private helpers, the trial step's too, run under the caller's.
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
-# A positive real is no boolean, Python's or numpy's, though both compare as 0 or 1.
+# A positive real is no boolean, Python's or numpy's, though both compare as 0 or 1; a count is
+# an integer, Python's or numpy's, and no boolean (Python's is an int, numpy's no np.integer).
 _BOOLEANS = (bool, np.bool_)
+_INTEGERS = (int, np.integer)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +174,8 @@ class MomentVector:
         return self.values.shape[0]
 
 
-def _pairwise_distance(positions: np.ndarray, metric: int) -> tuple[np.ndarray, np.ndarray]:
+def _pairwise_distance(positions: np.ndarray, metric: int,
+                       out=None) -> tuple[np.ndarray, np.ndarray]:
     """All (n, n) distances between the rows of an (n, d) array in the caller's checked
     ``metric`` (1 taxicab, 2 Euclidean) and error state, inf beyond float range, +inf on the
     diagonal (one strided write per call, whence the zero self-weights and self-terms); and
@@ -183,26 +187,56 @@ def _pairwise_distance(positions: np.ndarray, metric: int) -> tuple[np.ndarray, 
     BLAS product [x, 1] @ [1; -x] over every axis and team, whose entries x_i * 1 + 1 * (-x_j)
     hold two exact products and round once, to the float x_i - x_j gives (a zero may differ in
     sign, which abs and square drop and a sum reads as 0).  Their squares (absolute values) add
-    up in axis order into an array of their own: one small team's squared in one call, else
-    one axis at a time (one temporary, as the memory plans count)."""
+    up in axis order: a small team's squared in one call, else axis by axis via one temporary.
+    ``out``, a flow's :func:`_workspace`, takes them all through views formed once, else new."""
     n = len(positions)
     columns = np.ascontiguousarray(positions.T)  # C order, so that the differences are too
     if n < _PRODUCT_TEAM:
-        differences = columns[..., :, None] - columns[..., None, :]
+        left, right = out and out.operands.get(id(positions)) or (
+            columns[..., :, None], columns[..., None, :])
+        if out:  # x_i and x_j copied out to equal shapes: a subtraction with no iterator buffers
+            out.differences[...], out.squares[...] = left, right
+            left, right = out.differences, out.squares
+        differences = np.subtract(left, right, out and out.differences)
     else:
-        left, right = np.ones((*columns.shape, 2)), np.ones((*columns.shape[:-1], 2, n))
+        left, right = (out.left, out.right) if out else (
+            np.ones((*columns.shape, 2)), np.ones((*columns.shape[:-1], 2, n)))
         left[..., 0], right[..., 1, :] = columns, -columns
-        differences = np.matmul(left, right)
+        differences = np.matmul(left, right, out and out.differences)
+    square = np.abs if metric == 1 else np.square
     if n < _PRODUCT_TEAM and positions.ndim == 2:
-        total = np.add.reduce(np.abs(differences) if metric == 1 else np.square(differences), 0)
-        total.ravel()[:: n + 1] = np.inf  # the diagonal, whose square root is +inf
+        squares = square(differences, out and out.squares)
+        total = out.total if out else np.add.reduce(squares, 0)
+        for operands in out.sums if out else ():  # (s_0 + s_1) + s_2, as add.reduce adds
+            np.add(*operands)
     else:
-        total = np.abs(differences[0]) if metric == 1 else np.square(differences[0])
+        total = square(differences[0], out and out.total)
         for axis in differences[1:]:
-            total += np.abs(axis) if metric == 1 else np.square(axis)
-        total.reshape(-1, n * n).T[:: n + 1] = np.inf  # each team's (i, j) sits in row i n + j
+            total += square(axis, out and out.temporary)
+    # the diagonal, whose square root is +inf; each team's (i, j) sits in row i n + j
+    (out.diagonal if out else total.reshape(-1, n * n).T[:: n + 1]).fill(np.inf)
     distance = total if metric == 1 else np.sqrt(total, total)
     return distance, differences
+
+
+def _workspace(n: int, d: int, metric: int, plan) -> SimpleNamespace:
+    """A flow's arrays, each evaluation's in turn, and every view read through them: differences,
+    distances, weights (the distances' array if taxicab), A^2..A^h, a small team's squares (else
+    one temporary), the drift's Q and W, and two (d, n) column slots for candidates."""
+    total, columns = np.empty((n, n)), np.empty((2, d, n))
+    block = np.empty((d + 1 if n < _PRODUCT_TEAM else 2, n, n))  # W is the last: no square's
+    squares = block[:d] if d > 1 else total[None]  # one axis squares into the distances
+    chain = [total if metric == 1 else np.empty((n, n))] + [np.empty((n, n)) for _ in plan[0]]
+    flat, slots = [power.reshape(-1) for power in chain], [(c.T, c.reshape(-1)) for c in columns]
+    return SimpleNamespace(
+        differences=np.empty((d, n, n)), squares=squares, temporary=block[0], total=total,
+        sums=[(total if k else squares[0], square, total) for k, square in enumerate(squares[1:])],
+        diagonal=total.ravel()[:: n + 1], left=np.ones((d, n, 2)), right=np.ones((d, 2, n)),
+        slots=slots, operands={id(x): (c[:, :, None], c[:, None, :]) for (x, _), c in
+                               zip(slots, columns)},  # by the slots' own views, held there
+        chain=chain, traces=[(flat[i], flat[j]) for i, j in plan[1]],
+        products=[(chain[i], chain[j].mT, chain[k]) for k, (i, j) in enumerate(plan[0], 1)],
+        q=block[0], w=block[-1], q_diagonal=block[0].ravel()[:: n + 1])
 
 
 @_quiet
@@ -244,7 +278,10 @@ def _freeze(instance, field: str, array: np.ndarray):
 
 
 def _product(left: np.ndarray, right: np.ndarray, out=None) -> np.ndarray:
-    """left @ right into ``out``: the one n x n product (``x @ x.T`` is a BLAS syrk)."""
+    """left @ right into ``out``: the one n x n product (``x @ x.mT`` is a BLAS syrk), by np.dot,
+    bitwise and with less dispatch, for one team below ``_PRODUCT_TEAM``, else by np.matmul."""
+    if left.ndim == 2 and len(left) < _PRODUCT_TEAM:
+        return left.dot(right, out)
     return np.matmul(left, right, out)
 
 
@@ -254,8 +291,8 @@ def power_chain(adjacency: WeightedAdjacency, max_power: int) -> list[np.ndarray
     Entry k of the returned list is A^k (entry 1 is the read-only weight
     array itself), one dense product per power above the first.
     """
-    if max_power < 0:
-        raise ValueError(f"max_power must be nonnegative, got {max_power}")
+    if isinstance(max_power, bool) or not isinstance(max_power, _INTEGERS) or max_power < 0:
+        raise ValueError(f"max_power must be a nonnegative integer, got {max_power!r}")
     powers = itertools.accumulate([adjacency.weights] * max_power, _product)
     return [np.eye(adjacency.n), *powers]
 
@@ -275,8 +312,8 @@ def _chain_plan(order: int, n: int, d: int) -> tuple[list, list]:
     """Index pairs (i, j) of the half chain: A^k = chain[i] @ chain[j].T for k = 2..h,
     h = ceil(order/2), then n m_k = <chain[i], chain[j]> for k = 2..order; ValueError if the
     chain, weights, distances, drift temporaries and d differences outgrow _MAX_PLAN_BYTES."""
-    if not 1 <= order <= n:
-        raise ValueError(f"order must satisfy 1 <= order <= {n}, got {order}")
+    if isinstance(order, bool) or not isinstance(order, _INTEGERS) or not 1 <= order <= n:
+        raise ValueError(f"order must be an integer, 1 <= order <= {n}, got {order!r}")
     if (size := ((order + 1) // 2 + 4 + d) * 8 * n * n) > _MAX_PLAN_BYTES:
         raise ValueError(f"s = {order} needs {size / 1e9:.3g} GB of {n} x {n} arrays, over "
                          f"the {_MAX_PLAN_BYTES / 1e9:.3g} GB bound; a smaller s is needed")
@@ -284,24 +321,29 @@ def _chain_plan(order: int, n: int, d: int) -> tuple[list, list]:
     return products, [(k // 2 - 1, (k - 1) // 2) for k in range(2, order + 1)]
 
 
-def _half_chain(weights: np.ndarray, plan) -> tuple[list[float], list[np.ndarray]]:
+def _half_chain(weights: np.ndarray, plan, out=None) -> tuple[list[float], list[np.ndarray]]:
     """Moments m_1..m_s as floats with the half chain [A, ..., A^h], h = ceil(s/2).
 
     A is symmetric: m_2j = ||A^j||_F^2 / n, m_(2j+1) = <A^j, A^(j+1)> / n, and m_1 = 0.
     Each power is A^k = A^ceil(k/2) (A^floor(k/2))^T, a BLAS syrk for even k.
     ``plan`` is :func:`_chain_plan`'s; a moment that overflows raises ValueError, whose
     message :func:`_check_overflow` builds only then.  An (m, n, n) stack of weights gives
-    (m, n, n) powers and m_2..m_s as arrays of m, unchecked.
+    (m, n, n) powers and m_2..m_s as arrays of m, unchecked.  ``out``, a flow's
+    :func:`_workspace` whose chain starts with ``weights``, takes the powers.
     """
     n = weights.shape[-1]
     products, traces = plan
-    chain, moments = [weights], [0.0]
-    for left, right in products:
+    chain, moments = [*out.chain] if out else [weights], [0.0]  # a list of the caller's own
+    for operands in out.products if out else ():
+        _product(*operands)
+    for left, right in () if out else products:
         chain.append(_product(chain[left], chain[right].mT))
     if weights.ndim > 2:
         flat = [power.reshape(len(weights), -1) for power in chain]
         return moments + [np.vecdot(flat[i], flat[j]) / n for i, j in traces], chain
-    for i, j in traces:
+    for left, right in out.traces if out else ():  # flat views: ddot, as vdot takes
+        moments.append(float(left.dot(right)) / n)
+    for i, j in () if out else traces:
         moments.append(float(np.vdot(chain[i], chain[j])) / n)
     if not math.isfinite(sum(moments)):  # a finite sum has no inf or NaN term
         _check_overflow(moments, "moment")
@@ -348,8 +390,8 @@ def moments_from_eigenvalues(eigs, order: int) -> MomentVector:
         raise ValueError(f"need a 1-D array of at least 2 eigenvalues, got shape {lam.shape}")
     if not np.isfinite(lam).all():
         raise ValueError("eigenvalues must be finite")
-    if not 1 <= order <= lam.size:
-        raise ValueError(f"order must satisfy 1 <= order <= {lam.size}, got {order}")
+    if isinstance(order, bool) or not isinstance(order, _INTEGERS) or not 1 <= order <= lam.size:
+        raise ValueError(f"order must be an integer, 1 <= order <= {lam.size}, got {order!r}")
     powers = np.power(lam, np.arange(1.0, order + 1.0)[:, None])
     if order > 1:  # as lam**2 forms it: a square, where pow may differ by an ulp
         np.square(lam, out=powers[1])
@@ -371,10 +413,10 @@ def complete_graph_moments(n: int, order: int) -> MomentVector:
     k >= 2 (weights can only fall below 1), so these are the realizability
     ceilings for moment targets.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes, got n={n}")
-    if not 1 <= order <= n:
-        raise ValueError(f"order must satisfy 1 <= order <= {n}, got {order}")
+    if isinstance(n, bool) or not isinstance(n, _INTEGERS) or n < 2:
+        raise ValueError(f"need an integer count of at least 2 nodes, got n={n!r}")
+    if isinstance(order, bool) or not isinstance(order, _INTEGERS) or not 1 <= order <= n:
+        raise ValueError(f"order must be an integer, 1 <= order <= {n}, got {order!r}")
     k = np.arange(1, order + 1)
     values = (float(n - 1) ** k + (n - 1) * (-1.0) ** k) / n
     _check_overflow(values, f"the complete-graph (n = {n}) ceiling of")
@@ -404,8 +446,9 @@ def walk_weight_sum(adjacency: WeightedAdjacency, length: int, start: int, end: 
     are rejected.
     """
     n = adjacency.n
-    if not 1 <= length <= MAX_WALK_LENGTH:
-        raise ValueError(f"walk length must be in 1..{MAX_WALK_LENGTH}, got {length}")
+    if isinstance(length, bool) or not isinstance(length, _INTEGERS) or not (
+            1 <= length <= MAX_WALK_LENGTH):
+        raise ValueError(f"walk length must be an integer in 1..{MAX_WALK_LENGTH}, got {length!r}")
     if not (0 <= start < n and 0 <= end < n):
         raise ValueError(f"endpoints ({start}, {end}) out of range for n={n}")
     if n ** (length - 1) > WALK_ENUMERATION_LIMIT:

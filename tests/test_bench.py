@@ -12,7 +12,8 @@ Core claims:
     - it counts momentflow's Python frames per trial step at n = 7 and 10, and times one trial
       step and counts its frames at n = 8 for s = 3, 4 and 5
     - ``--against TREE`` times a workload here and in TREE, one process, pair by pair: against
-      this very tree every record hashes equal and no operation fails
+      this very tree every record hashes equal and no operation fails; it times trial steps
+      in both trees the same way, one row per team size and order
 """
 
 import json
@@ -76,3 +77,5 @@ def test_against_this_tree(tmp_path):
     for row in [*result["operations"].values(), result["round"]]:
         assert row["records_equal"] and row["ratio"] > 0.0 and 0 <= row["wins"] <= 2
         assert len(row["against_quartiles_s"]) == 3
+    (row,) = result["trial_steps"].values()  # --smoke: n = 8, s = 3 only
+    assert row["ratio"] > 0.0 and 0 <= row["wins"] <= 2 and len(row["against_quartiles_us"]) == 3

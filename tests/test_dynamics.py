@@ -897,11 +897,15 @@ class TestEvaluationBudget:
         # Seven robots keep their coordinate differences for the drift, which
         # (taxicab) writes signs into them.  Poison each set once its drift is
         # computed: a state that read them again, on a retry at dt/2 say,
-        # would take another drift.
+        # would take another drift.  The flow's workspace holds every state's
+        # set in turn, so before its drift each set must be its own state's,
+        # bit for bit, and no other evaluation's.
         project, consumed = gradient._Evaluation._project, []
 
         def poisoning(state, coefficients):
             differences = state._differences
+            own = network._pairwise_distance(state.positions, metric)[1]
+            assert differences.tobytes() == own.tobytes()
             rows = project(state, coefficients)
             assert state._differences is None
             consumed.append(differences)
@@ -914,7 +918,6 @@ class TestEvaluationBudget:
         assert record.rejected_steps > 0
         # One drift per state stepped from, each from its own differences.
         assert len(consumed) == sum(not known for _, known, _, _ in trials)
-        assert len({id(differences) for differences in consumed}) == len(consumed)
         # step evaluates every state afresh, so an array that a drift
         # overwrote while a state still read it would show as another
         # accept/reject sequence or other positions.
@@ -926,6 +929,66 @@ class TestEvaluationBudget:
             replayed.append(accepted)
         assert replayed == [accepted for _, _, accepted, _ in trials]
         assert np.array_equal(config.positions, record.final_configuration.positions)
+
+    @pytest.mark.parametrize("n", [48, network._PRODUCT_TEAM - 1, 200])
+    def test_warm_trial_steps_allocate_no_team_matrix(self, n):
+        # 200 warm trial steps of a planar Euclidean flow at s = 4, each at the
+        # dt the last returned, write the flow's workspace: the traced peak
+        # grows by less than one n x n array, and the workspace holds no more
+        # n x n arrays than the chain's plan counts.  At 48 robots and up one
+        # such array outweighs a step's own objects, its drift and numpy's
+        # per-call iterators, about 1 KB; 63 is the largest small team.
+        rng = np.random.default_rng(n)
+        goal = rng.random((n, 2)) * np.sqrt(2.0 * n)
+        start = goal.mean(axis=0) + 0.95 * (goal - goal.mean(axis=0))
+        params = ControllerParams(decay=1.0, metric=2, order=4)
+        targets = target_from_formation(RobotConfiguration(goal), params)
+        dt = dynamics.DEFAULT_DT
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as flows run
+            state = dynamics._feasible_start(RobotConfiguration(start), targets, params)
+            tracemalloc.start()
+            try:
+                for _ in range(2):
+                    state, _, dt = dynamics._advance(state, dt)
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                for _ in range(200):
+                    state, _, dt = dynamics._advance(state, dt)
+                growth = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert growth < 8 * n * n
+        owners, pending = {}, list(vars(state.flow.workspace).values())
+        while pending:  # every array the workspace holds, through its lists, tuples and dict
+            item = pending.pop()
+            if isinstance(item, np.ndarray):
+                owner = item if item.base is None else item.base
+                owners[id(owner)] = owner.nbytes
+            elif isinstance(item, (list, tuple, dict)):
+                pending.extend(item.values() if isinstance(item, dict) else item)
+        matrices = sum(size for size in owners.values() if size >= 8 * n * n)  # not (d, n) rows
+        assert matrices <= ((4 + 1) // 2 + 4 + 2) * 8 * n * n  # ceil(s/2) + 4 + d of them
+
+    @pytest.mark.parametrize("metric", [1, 2])
+    @pytest.mark.parametrize("order", range(2, 7))
+    def test_drift_after_a_later_evaluation_took_the_workspace(self, order, metric):
+        # Two evaluations of one flow share its workspace, as a stepped flow's
+        # do, and the later one holds it.  The earlier one's drift, asked next,
+        # is its own, bit for bit, and so is the later one's, asked after that.
+        scenario = _rejecting_scenario(order, metric)
+        targets, params = scenario.targets, scenario.params
+        first = ensure_feasible(scenario.initial_configuration(), targets, params)
+        second = RobotConfiguration(first.positions[::-1] * 1.01)
+        flow = gradient._Flow(targets, params, 7, 2)
+        flow.workspace = network._workspace(7, 2, metric, flow.plan)  # as _advance makes it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as flows run
+            earlier = gradient._Evaluation(flow, first.positions)
+            later = gradient._Evaluation(flow, second.positions)
+            drifts = [earlier.drift, later.drift]
+            own = [gradient._evaluate(config, targets, params).drift for config in (first, second)]
+        assert [drift.tobytes() for drift in drifts] == [drift.tobytes() for drift in own]
+        assert earlier.cost == gradient.cost(first, targets, params)
+        assert earlier.weights is later.weights  # the workspace's: the later one's arrays
 
 
 # == 7. A large team's stall =================================================

@@ -364,6 +364,14 @@ class TestTraceDerivative:
         with pytest.raises(ValueError):
             trace_derivative(adjacency, 2, 1, 1)
 
+    @pytest.mark.parametrize("k", [True, np.True_, 2.0])
+    def test_power_is_an_integer_not_a_bool(self, k):
+        adjacency = build_adjacency(_tie_free_config(4, 2, 3), 1.0, 2)
+        with pytest.raises(ValueError, match=r"^power k must be an integer of at least 1, got "):
+            trace_derivative(adjacency, k, 0, 1)
+        assert trace_derivative(adjacency, np.int64(2), 0, 1) == trace_derivative(
+            adjacency, 2, 0, 1)
+
 
 # == 3. Moment gradients =====================================================
 
@@ -699,8 +707,8 @@ class TestZeroDistances:
         targets = _targets_below(RobotConfiguration(positions), params, fraction=0.5)
         flow = _Flow(targets, params, n, 2)
 
-        def zero_diagonal(positions, metric):
-            distance, differences = network._pairwise_distance(positions, metric)
+        def zero_diagonal(positions, metric, out=None):
+            distance, differences = network._pairwise_distance(positions, metric, out)
             np.fill_diagonal(distance, 0.0)
             return distance, differences
 
@@ -832,9 +840,9 @@ class TestReductions:
         params = ControllerParams(decay=1e-3, metric=2, order=2)
         flow, calls, drifts = _Flow(TargetSpectrum([0.0, 0.0]), params, 4, 2), [], []
 
-        def counted(positions, metric):
+        def counted(positions, metric, out=None):
             calls.append(metric)
-            return network._pairwise_distance(positions, metric)
+            return network._pairwise_distance(positions, metric, out)
 
         for coefficient in (8e307, 8e307 / 16, 8e307 * 2.0**-600):
             with mock.patch.object(gradient, "_pairwise_distance", counted), \
@@ -864,9 +872,9 @@ class TestReductions:
                 inputs = [x.view(np.ndarray) if isinstance(x, Watched) else x for x in inputs]
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
-        def watched(positions, metric):
+        def watched(positions, metric, out=None):
             calls.append(metric)
-            distance, differences = pairwise_distance(positions, metric)
+            distance, differences = pairwise_distance(positions, metric, out)
             return distance.view(Watched), differences
 
         params = _params(metric=metric, order=4, epsilons=(0.0, 1e-3, 1e-3, 1e-3))
@@ -939,9 +947,9 @@ class TestStill:
             counted.append(array)
             return count(array)
 
-        def forming(positions, metric):
+        def forming(positions, metric, out=None):
             formed.append(metric)
-            return distance(positions, metric)
+            return distance(positions, metric, out)
 
         with mock.patch.object(np, "count_nonzero", counting), \
                 mock.patch.object(gradient, "_pairwise_distance", forming), \
@@ -1087,7 +1095,8 @@ class TestOnePassScalars:
         goal[0] = 0.0
         epsilons = (0.0, *map(float, rng.choice([0.0, 1e-300, 1e-9, 0.1, 1e300], order - 1)))
         params = ControllerParams(decay=1.0, metric=2, order=order, epsilons=epsilons)
-        monkeypatch.setattr(gradient, "_half_chain", lambda weights, plan: (moments, [weights]))
+        monkeypatch.setattr(gradient, "_half_chain",
+                            lambda weights, plan, out=None: (moments, [weights]))
         state = _Evaluation(_Flow(TargetSpectrum(goal), params, 8, 2), np.ones((8, 2)))
         expected = self._three_loops(moments, goal.tolist(), epsilons)
         assert [float.hex(x) for x in state.margins] == [float.hex(x) for x in expected[0]]

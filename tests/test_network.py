@@ -29,6 +29,13 @@ Core claims:
       team and upper-bounds the moments of every spread-out team
     - walk_weight_sum reproduces entries of A^k by direct enumeration, both
       of power_chain and of the half chain the flow's moments come from
+    - a count (an order, a power, a walk length, a node count) is an integer,
+      Python's or numpy's, and neither a boolean nor a float: spectral_moments,
+      power_chain, moments_from_eigenvalues, complete_graph_moments and
+      walk_weight_sum refuse one with a one-line ValueError
+    - the one n x n product equals np.matmul bit for bit for one team of
+      2 to _PRODUCT_TEAM + 8 robots, as a syrk x @ x.mT and a gemm, and for a
+      stack of three
 """
 
 import warnings
@@ -56,6 +63,7 @@ from momentflow.network import (
     _half_chain,
     _max_planned_order,
     _pairwise_distance,
+    _product,
     _PRODUCT_TEAM,
 )
 
@@ -576,3 +584,68 @@ class TestWalkWeightSum:
         adjacency = _random_adjacency(n, 1)
         with pytest.raises(ValueError):
             walk_weight_sum(adjacency, MAX_WALK_LENGTH, 0, 0)
+
+
+# == 11. Counts ================================================================
+
+_NOT_COUNTS = [True, np.True_, 2.0]
+
+
+class TestCounts:
+    # A count that is a boolean or a float is refused in one line, as ControllerParams.order
+    # is; numpy's integers are counts.
+    @pytest.mark.parametrize("order", _NOT_COUNTS)
+    def test_spectral_moments(self, order):
+        adjacency = _random_adjacency(4, 0)
+        with pytest.raises(ValueError, match=r"^order must be an integer, 1 <= order <= 4, got "):
+            spectral_moments(adjacency, order)
+        assert np.array_equal(spectral_moments(adjacency, np.int64(3)).values,
+                              spectral_moments(adjacency, 3).values)
+
+    @pytest.mark.parametrize("max_power", _NOT_COUNTS)
+    def test_power_chain(self, max_power):
+        adjacency = _random_adjacency(4, 0)
+        with pytest.raises(ValueError, match=r"^max_power must be a nonnegative integer, got "):
+            power_chain(adjacency, max_power)
+        assert len(power_chain(adjacency, np.int32(2))) == 3
+
+    @pytest.mark.parametrize("order", _NOT_COUNTS)
+    def test_moments_from_eigenvalues(self, order):
+        with pytest.raises(ValueError, match=r"^order must be an integer, 1 <= order <= 3, got "):
+            moments_from_eigenvalues([1.0, -0.5, -0.5], order)
+        assert moments_from_eigenvalues([1.0, -0.5, -0.5], np.int64(2)).order == 2
+
+    @pytest.mark.parametrize("count", _NOT_COUNTS)
+    def test_complete_graph_moments(self, count):
+        with pytest.raises(ValueError, match=r"^order must be an integer, 1 <= order <= 4, got "):
+            complete_graph_moments(4, count)
+        with pytest.raises(ValueError, match=r"^need an integer count of at least 2 nodes, got "):
+            complete_graph_moments(count, 1)
+        assert np.array_equal(complete_graph_moments(np.int64(4), np.int64(3)).values,
+                              complete_graph_moments(4, 3).values)
+
+    @pytest.mark.parametrize("length", _NOT_COUNTS)
+    def test_walk_weight_sum(self, length):
+        adjacency = _random_adjacency(4, 0)
+        with pytest.raises(ValueError, match=r"^walk length must be an integer in 1\.\.5, got "):
+            walk_weight_sum(adjacency, length, 0, 1)
+        assert walk_weight_sum(adjacency, np.int64(2), 0, 1) == walk_weight_sum(adjacency, 2, 0, 1)
+
+
+# == 12. The one n x n product ===============================================
+
+class TestProduct:
+    # Below _PRODUCT_TEAM one team's product is np.dot's, from there on and for stacks
+    # np.matmul's: the two agree bit for bit, as a syrk and as a gemm (CI runs this on a
+    # second BLAS kernel too).
+    @pytest.mark.parametrize("n", range(2, _PRODUCT_TEAM + 9))
+    def test_equals_matmul(self, n):
+        rng = np.random.default_rng(n)
+        x, y = rng.random((n, n)), rng.random((n, n))
+        out = np.empty((n, n))
+        for left, right in ((x, x.mT), (x, y)):
+            expected = np.matmul(left, right).tobytes()
+            assert _product(left, right).tobytes() == expected
+            assert _product(left, right, out) is out and out.tobytes() == expected
+        stack = rng.random((3, n, n))
+        assert _product(stack, stack.mT).tobytes() == np.matmul(stack, stack.mT).tobytes()
