@@ -46,6 +46,7 @@ from .network import (
     _freeze,
     _quiet,
     _workspace,
+    build_adjacency,
     complete_graph_moments,
     eigenvalues,
 )
@@ -292,8 +293,7 @@ def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
     evaluated from its F-ordered positions alone; its configuration is wrapped only if asked for.
     A zero drift leaves f + b as it was, bit for bit, so a stall is counted only on a rejected
     trial or an accepted one whose f + b did not fall (a fall proves that the robots moved).
-    The state's drift comes first; the flow's first trial step then makes its workspace, and the
-    candidate's x + dt * v goes to the column slot that the state's positions are not in.
+    The first trial step makes the flow's workspace; x + dt * v goes to the other column slot.
     """
     drift, flow, candidate = state.drift, state.flow, None
     if flow.workspace is None:  # the flow's first trial step: its evaluations write there on
@@ -335,8 +335,8 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     Identical scenarios produce bitwise-identical records: every quantity
     is computed by fixed-order numpy expressions from the seeded start.
     """
-    settings = scenario.settings
-    state = _feasible_start(scenario.initial_configuration(), scenario.targets, scenario.params)
+    settings, params = scenario.settings, scenario.params
+    state = _feasible_start(scenario.initial_configuration(), scenario.targets, params)
 
     def snapshot(t: float) -> TrajectorySample:
         return TrajectorySample(
@@ -387,12 +387,13 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     config = state.config
     if samples[-1].configuration is not config or samples[-1].t != t:
         samples.append(snapshot(t))
+    del state  # and its flow's workspace: the final weights are formed again, alone
 
     return TrajectoryRecord(
         samples=tuple(samples),
         final_configuration=config,
         final_moments=samples[-1].moments,
-        final_eigenvalues=eigenvalues(state.adjacency),
+        final_eigenvalues=eigenvalues(build_adjacency(config, params.decay, params.metric)),
         termination_reason=reason,
         accepted_steps=accepted,
         rejected_steps=rejected,

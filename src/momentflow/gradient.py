@@ -230,13 +230,11 @@ class _Evaluation:
     as it does the coordinate differences; the half chain A..A^h, h = ceil(s/2), gives the
     moments m_1..m_s, then one pass over the flow's terms (m_k*, 4k, eps_k) the margins
     m_k - m_k* (k = 2..s), the cost and the barrier, all floats.  One :meth:`_project` gives
-    any one gradient (the drift is kept).  The configuration, adjacency and moment vector
-    are wrapped only when asked for.  Every sum runs in one fixed order (the cost's left to
-    right, not by 3.12's compensated ``sum``), so results are bitwise reproducible.
-
-    Once the flow has a workspace its arrays are there, valid until the flow's next evaluation;
-    only the positions (the caller's, or a column slot that the next candidate but one writes),
-    the drift and the floats outlive it.  If a later one took it, :meth:`_project` evaluates again.
+    any one gradient (the drift is kept).  The configuration (a copy) and moment vector are
+    wrapped only when asked for.  Every sum runs in one fixed order (the cost's left to
+    right, not by 3.12's compensated ``sum``), so results are bitwise reproducible.  In the
+    flow's workspace its arrays last until the flow's next evaluation: only the positions, the
+    drift and the floats outlive it, and :meth:`_project` evaluates again if another took it.
     """
 
     __slots__ = ("flow", "positions", "_config", "_distance", "_differences", "weights",
@@ -248,7 +246,8 @@ class _Evaluation:
         self._ticket = flow.ticket = flow.ticket + (work is not None)  # the workspace's turns
         distance, self._differences = _pairwise_distance(positions, flow.metric, work)
         self._distance = distance if euclidean else None
-        self.weights = _adjacency(distance, flow.decay, work and work.chain[0])
+        self.weights = _adjacency(distance, flow.decay,
+                                  work and work.chain[0] if euclidean else distance)
         self.moments, self.chain = _half_chain(self.weights, flow.plan, work)
         margins, cost, barrier = [], 0.0, 0.0
         # An interior barrier: +inf where a guarded margin, or its term's divisor, is not positive.
@@ -265,12 +264,6 @@ class _Evaluation:
             self._config = _freeze(object.__new__(RobotConfiguration), "positions",
                                    self.positions.copy("K"))
         return self._config
-
-    @property
-    def adjacency(self) -> WeightedAdjacency:  # copied, or formed again once another took them
-        weights = self.weights.copy() if self._ticket == self.flow.ticket else _weights(
-            self.positions, self.flow.decay, self.flow.metric)
-        return _freeze(object.__new__(WeightedAdjacency), "weights", weights)
 
     @property
     def moment_vector(self) -> MomentVector:
@@ -306,7 +299,7 @@ class _Evaluation:
         for every team (taxicab: their signs; Euclidean: M / dist in the distances, whose +inf
         diagonal zeroes each self-term; rows whose sum of squares is not finite form them again,
         an inf difference counting 0 and an underflowed squared gap re-taken from them at max-abs
-        scale).  Once per evaluation: it overwrites the kept distances, differences and chain.
+        scale).  Once per evaluation: it overwrites the kept arrays and lets the weights go.
         """
         flow = self.flow
         if self._ticket != flow.ticket:  # a later evaluation took the workspace: evaluate again
@@ -326,7 +319,7 @@ class _Evaluation:
             term = np.multiply(coefficients[k], chain[k],
                                chain[k] if k else q if weighted is not None else work and work.w)
             weighted = term if weighted is None else np.add(weighted, term, weighted)
-        mixed = np.multiply(weighted, self.weights, weighted)
+        mixed, self.weights = np.multiply(weighted, self.weights, weighted), None  # the last read
         differences, self._differences = self._differences, None
         if flow.metric == 1:  # rows_i = sum_j M'_ij D_ij, as the (d, n) columns
             rows = np.vecdot(mixed, np.sign(differences, differences))

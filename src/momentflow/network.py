@@ -63,7 +63,7 @@ _PRODUCT_TEAM = 64
 
 # The largest team a scenario or positions file may hold, 134 MB per n x n float64 matrix.  An
 # order s plans ceil(s/2) + 4 + d of them (see _chain_plan), at most 9, 1.21 GB (so s <= 6 in the
-# plane there); a flow's workspace holds ceil(s/2) + 3 + d, 940 MB at s = 4, d = 2, and no more.
+# plane there); a flow's workspace holds ceil(s/2) + 3 + d; at s = 4, d = 2 a flow peaks near 7.1.
 MAX_ROBOTS = 4096
 _MAX_PLAN_BYTES = 9 * MAX_ROBOTS**2 * 8
 
@@ -71,10 +71,9 @@ _MAX_PLAN_BYTES = 9 * MAX_ROBOTS**2 * 8
 # a zero gap before it checks; private helpers, the trial step's too, run under the caller's.
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
-# A positive real is no boolean, Python's or numpy's, though both compare as 0 or 1; a count is
-# an integer, Python's or numpy's, and no boolean (Python's is an int, numpy's no np.integer).
+# A positive real is no boolean, Python's or numpy's, though both compare as 0 or 1.
 _BOOLEANS = (bool, np.bool_)
-_INTEGERS = (int, np.integer)
+_INTEGERS = (int, np.integer)  # a count's types, of which Python's bool must still be refused
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,13 +187,12 @@ def _pairwise_distance(positions: np.ndarray, metric: int,
     hold two exact products and round once, to the float x_i - x_j gives (a zero may differ in
     sign, which abs and square drop and a sum reads as 0).  Their squares (absolute values) add
     up in axis order: a small team's squared in one call, else axis by axis via one temporary.
-    ``out``, a flow's :func:`_workspace`, takes them all through views formed once, else new."""
+    ``out``, a flow's :func:`_workspace`, takes them all; without it each is a new array."""
     n = len(positions)
     columns = np.ascontiguousarray(positions.T)  # C order, so that the differences are too
     if n < _PRODUCT_TEAM:
-        left, right = out and out.operands.get(id(positions)) or (
-            columns[..., :, None], columns[..., None, :])
-        if out:  # x_i and x_j copied out to equal shapes: a subtraction with no iterator buffers
+        left, right = columns[..., :, None], columns[..., None, :]
+        if out:  # x_i and x_j copied out to full shape: a broadcast subtract allocates buffers
             out.differences[...], out.squares[...] = left, right
             left, right = out.differences, out.squares
         differences = np.subtract(left, right, out and out.differences)
@@ -213,30 +211,25 @@ def _pairwise_distance(positions: np.ndarray, metric: int,
         total = square(differences[0], out and out.total)
         for axis in differences[1:]:
             total += square(axis, out and out.temporary)
-    # the diagonal, whose square root is +inf; each team's (i, j) sits in row i n + j
-    (out.diagonal if out else total.reshape(-1, n * n).T[:: n + 1]).fill(np.inf)
+    (out.diagonal if out else total.reshape(-1, n * n).T[:: n + 1]).fill(np.inf)  # (i, i): +inf
     distance = total if metric == 1 else np.sqrt(total, total)
     return distance, differences
 
 
 def _workspace(n: int, d: int, metric: int, plan) -> SimpleNamespace:
-    """A flow's arrays, each evaluation's in turn, and every view read through them: differences,
-    distances, weights (the distances' array if taxicab), A^2..A^h, a small team's squares (else
-    one temporary), the drift's Q and W, and two (d, n) column slots for candidates."""
+    """A flow's arrays, each evaluation's in turn (differences, distances, weights, A^2..A^h,
+    squares or a temporary, Q, W, two (d, n) slots for candidates), and the views of them that a
+    step reads: a small team's sums' operands, two diagonals, flat powers and slots (see README)."""
     total, columns = np.empty((n, n)), np.empty((2, d, n))
     block = np.empty((d + 1 if n < _PRODUCT_TEAM else 2, n, n))  # W is the last: no square's
     squares = block[:d] if d > 1 else total[None]  # one axis squares into the distances
     chain = [total if metric == 1 else np.empty((n, n))] + [np.empty((n, n)) for _ in plan[0]]
-    flat, slots = [power.reshape(-1) for power in chain], [(c.T, c.reshape(-1)) for c in columns]
     return SimpleNamespace(
         differences=np.empty((d, n, n)), squares=squares, temporary=block[0], total=total,
         sums=[(total if k else squares[0], square, total) for k, square in enumerate(squares[1:])],
-        diagonal=total.ravel()[:: n + 1], left=np.ones((d, n, 2)), right=np.ones((d, 2, n)),
-        slots=slots, operands={id(x): (c[:, :, None], c[:, None, :]) for (x, _), c in
-                               zip(slots, columns)},  # by the slots' own views, held there
-        chain=chain, traces=[(flat[i], flat[j]) for i, j in plan[1]],
-        products=[(chain[i], chain[j].mT, chain[k]) for k, (i, j) in enumerate(plan[0], 1)],
-        q=block[0], w=block[-1], q_diagonal=block[0].ravel()[:: n + 1])
+        left=np.ones((d, n, 2)), right=np.ones((d, 2, n)), chain=chain, q=block[0], w=block[-1],
+        flat=[power.reshape(-1) for power in chain], diagonal=total.ravel()[:: n + 1],
+        q_diagonal=block[0].ravel()[:: n + 1], slots=[(c.T, c.reshape(-1)) for c in columns])
 
 
 @_quiet
@@ -278,8 +271,9 @@ def _freeze(instance, field: str, array: np.ndarray):
 
 
 def _product(left: np.ndarray, right: np.ndarray, out=None) -> np.ndarray:
-    """left @ right into ``out``: the one n x n product (``x @ x.mT`` is a BLAS syrk), by np.dot,
-    bitwise and with less dispatch, for one team below ``_PRODUCT_TEAM``, else by np.matmul."""
+    """left @ right into ``out``, the one n x n product (``x @ x.mT`` is a BLAS syrk): np.dot,
+    bitwise and with less dispatch, for one team below ``_PRODUCT_TEAM``, else np.matmul.  That
+    switch is reused, not tuned: at n = 40-63 np.dot's syrk was up to 12% slower (see README)."""
     if left.ndim == 2 and len(left) < _PRODUCT_TEAM:
         return left.dot(right, out)
     return np.matmul(left, right, out)
@@ -333,18 +327,15 @@ def _half_chain(weights: np.ndarray, plan, out=None) -> tuple[list[float], list[
     """
     n = weights.shape[-1]
     products, traces = plan
-    chain, moments = [*out.chain] if out else [weights], [0.0]  # a list of the caller's own
-    for operands in out.products if out else ():
-        _product(*operands)
-    for left, right in () if out else products:
-        chain.append(_product(chain[left], chain[right].mT))
+    chain, moments = [weights], [0.0]
+    for k, (left, right) in enumerate(products, 1):
+        chain.append(_product(chain[left], chain[right].mT, out and out.chain[k]))
     if weights.ndim > 2:
         flat = [power.reshape(len(weights), -1) for power in chain]
         return moments + [np.vecdot(flat[i], flat[j]) / n for i, j in traces], chain
-    for left, right in out.traces if out else ():  # flat views: ddot, as vdot takes
-        moments.append(float(left.dot(right)) / n)
-    for i, j in () if out else traces:
-        moments.append(float(np.vdot(chain[i], chain[j])) / n)
+    flat = out.flat if out else [*map(np.ndarray.ravel, chain)]  # ddot, as np.vdot calls
+    for i, j in traces:
+        moments.append(float(flat[i].dot(flat[j])) / n)
     if not math.isfinite(sum(moments)):  # a finite sum has no inf or NaN term
         _check_overflow(moments, "moment")
     return moments, chain

@@ -53,7 +53,9 @@ Core claims:
       far apart raises ValueError, whose message says which
     - 200 robots from a seeded unit-square start with targets from a 20 x 20
       formation stall after 23 rejected trial steps, and the record's final
-      eigenvalues and moments are bitwise those of its final configuration
+      eigenvalues and moments are bitwise those of its final configuration;
+      256 robots, stalled the same way or stopped at their horizon, peak
+      within their plan's n x n arrays
 """
 
 import dataclasses
@@ -800,8 +802,9 @@ class TestEvaluationBudget:
         trials = record.accepted_steps + record.rejected_steps
         assert record.rejected_steps > 0
         # One per check and one per candidate: the start's last check is the
-        # first state, and a drift reuses its state's distances.
-        assert len(distances) == trials + checks
+        # first state, and a drift reuses its state's distances.  The final
+        # eigenvalues read weights formed again from the final positions.
+        assert len(distances) == trials + checks + 1
 
     def test_trial_steps_wrap_nothing(self, monkeypatch):
         # Moment vectors, adjacencies and configurations are wrapped only for
@@ -959,13 +962,13 @@ class TestEvaluationBudget:
                 tracemalloc.stop()
         assert growth < 8 * n * n
         owners, pending = {}, list(vars(state.flow.workspace).values())
-        while pending:  # every array the workspace holds, through its lists, tuples and dict
+        while pending:  # every array the workspace holds, through its lists and tuples
             item = pending.pop()
             if isinstance(item, np.ndarray):
                 owner = item if item.base is None else item.base
                 owners[id(owner)] = owner.nbytes
-            elif isinstance(item, (list, tuple, dict)):
-                pending.extend(item.values() if isinstance(item, dict) else item)
+            elif isinstance(item, (list, tuple)):
+                pending.extend(item)
         matrices = sum(size for size in owners.values() if size >= 8 * n * n)  # not (d, n) rows
         assert matrices <= ((4 + 1) // 2 + 4 + 2) * 8 * n * n  # ceil(s/2) + 4 + d of them
 
@@ -984,11 +987,11 @@ class TestEvaluationBudget:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as flows run
             earlier = gradient._Evaluation(flow, first.positions)
             later = gradient._Evaluation(flow, second.positions)
+            assert earlier.weights is later.weights  # the workspace's: the later one's arrays
             drifts = [earlier.drift, later.drift]
             own = [gradient._evaluate(config, targets, params).drift for config in (first, second)]
         assert [drift.tobytes() for drift in drifts] == [drift.tobytes() for drift in own]
         assert earlier.cost == gradient.cost(first, targets, params)
-        assert earlier.weights is later.weights  # the workspace's: the later one's arrays
 
 
 # == 7. A large team's stall =================================================
@@ -1014,3 +1017,31 @@ class TestLargeTeamFlows:
         assert record.final_eigenvalues.tobytes() == expected.tobytes()
         assert record.final_moments.values.tobytes() == spectral_moments(
             build_adjacency(final, params.decay, params.metric), 4).values.tobytes()
+
+    @pytest.mark.parametrize("reason", ["stalled", "horizon"])
+    def test_whole_flow_stays_within_its_plan(self, reason):
+        # A whole flow of 256 robots peaks within the ceil(s/2) + 4 + d n x n
+        # arrays that _chain_plan admits: stalled at its start as the crowd
+        # above, or at its horizon after one accepted step, whose state still
+        # holds the workspace's arrays.  The final eigenvalues' weights come
+        # after the last state and its workspace are gone.
+        n, d, order = 256, 2, 4
+        params = ControllerParams(decay=1.0, metric=2, order=order)
+        rng = np.random.default_rng(0 if reason == "stalled" else n)
+        goal = rng.random((n, d)) * (20.0 if reason == "stalled" else np.sqrt(2.0 * n))
+        start = {"seed": 0} if reason == "stalled" else {
+            "initial_positions": goal.mean(axis=0) + 0.95 * (goal - goal.mean(axis=0))}
+        scenario = Scenario(name="crowd", n=n, d=d, params=params,
+                            targets=target_from_formation(RobotConfiguration(goal), params),
+                            settings=SimulationSettings(max_time=0.05), **start)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            record = simulate(scenario)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert record.termination_reason == reason
+        assert record.accepted_steps == (reason == "horizon")
+        assert peak <= (math.ceil(order / 2) + 4 + d) * n * n * 8
