@@ -190,15 +190,13 @@ def _pairwise_distance(positions: np.ndarray, metric: int,
     ``out``, a flow's :func:`_workspace`, takes them all; without it each is a new array."""
     n = len(positions)
     columns = np.ascontiguousarray(positions.T)  # C order, so that the differences are too
-    if n < _PRODUCT_TEAM:
-        left, right = columns[..., :, None], columns[..., None, :]
-        if out:  # x_i and x_j copied out to full shape: a broadcast subtract allocates buffers
-            out.differences[...], out.squares[...] = left, right
-            left, right = out.differences, out.squares
-        differences = np.subtract(left, right, out and out.differences)
+    if n < _PRODUCT_TEAM and out:  # x_i, x_j written out in full: a broadcast allocates buffers
+        out.lefts[...], out.rights[...] = columns, columns
+        differences = np.subtract(out.differences, out.squares, out.differences)
+    elif n < _PRODUCT_TEAM:
+        differences = columns[..., :, None] - columns[..., None, :]
     else:
-        left, right = (out.left, out.right) if out else (
-            np.ones((*columns.shape, 2)), np.ones((*columns.shape[:-1], 2, n)))
+        left, right = np.ones((*columns.shape, 2)), np.ones((*columns.shape[:-1], 2, n))
         left[..., 0], right[..., 1, :] = columns, -columns
         differences = np.matmul(left, right, out and out.differences)
     square = np.abs if metric == 1 else np.square
@@ -218,18 +216,19 @@ def _pairwise_distance(positions: np.ndarray, metric: int,
 
 def _workspace(n: int, d: int, metric: int, plan) -> SimpleNamespace:
     """A flow's arrays, each evaluation's in turn (differences, distances, weights, A^2..A^h,
-    squares or a temporary, Q, W, two (d, n) slots for candidates), and the views of them that a
-    step reads: a small team's sums' operands, two diagonals, flat powers and slots (see README)."""
-    total, columns = np.empty((n, n)), np.empty((2, d, n))
+    squares or a temporary, Q, W, two (d, n) candidate slots), and views of them formed once
+    (README): x_i's and x_j's targets, the sums' operands, two diagonals, flat powers and slots."""
+    total, columns, differences = np.empty((n, n)), np.empty((2, d, n)), np.empty((d, n, n))
     block = np.empty((d + 1 if n < _PRODUCT_TEAM else 2, n, n))  # W is the last: no square's
     squares = block[:d] if d > 1 else total[None]  # one axis squares into the distances
     chain = [total if metric == 1 else np.empty((n, n))] + [np.empty((n, n)) for _ in plan[0]]
     return SimpleNamespace(
-        differences=np.empty((d, n, n)), squares=squares, temporary=block[0], total=total,
+        differences=differences, squares=squares, temporary=block[0], total=total, chain=chain,
+        lefts=differences.transpose(2, 0, 1), rights=squares.transpose(1, 0, 2),  # (n, d, n)
         sums=[(total if k else squares[0], square, total) for k, square in enumerate(squares[1:])],
-        left=np.ones((d, n, 2)), right=np.ones((d, 2, n)), chain=chain, q=block[0], w=block[-1],
-        flat=[power.reshape(-1) for power in chain], diagonal=total.ravel()[:: n + 1],
-        q_diagonal=block[0].ravel()[:: n + 1], slots=[(c.T, c.reshape(-1)) for c in columns])
+        q=block[0], w=block[-1], flat=[power.reshape(-1) for power in chain],
+        diagonal=total.ravel()[:: n + 1], q_diagonal=block[0].ravel()[:: n + 1],
+        slots=[(c.T, c.reshape(-1)) for c in columns])
 
 
 @_quiet
