@@ -31,11 +31,14 @@ With ``--against TREE`` it times one workload (default round_trip) in one proces
 tree and for TREE, another checkout whose ``src/momentflow`` it imports as the package
 ``momentflow_against``: P pairs (default 10), each running every operation once per tree, the
 trees in ABBA order, pair by pair.  Per operation label it reports the median of the paired
-ratios this / TREE of wall time, the pairs this tree won, TREE's quartiles, and whether every
-result hashed equal on both trees; the same for the whole round; each tree's failed
-operations; and, alternated the same way after the workload, one accepted trial step from
-``_start`` at n = 8 for s = 3, 4 and 5 and at n = 200 for s = 4 (``--smoke``: n = 8, s = 3),
-each row's median ratio of per-pair median microseconds, its wins and TREE's quartiles.  A
+ratios this / TREE of wall time, the pairs this tree won, both trees' quartiles, whether the
+claim rule holds (``claim_rule_met``: this tree won at least 9 in 10 pairs, ties counting for
+neither, and TREE's median exceeds this tree's by more than TREE's interquartile range) and
+whether every result hashed equal on both trees; the same for the whole round; each tree's
+failed operations; and, alternated the same way after the workload, one accepted trial step
+from ``_start`` at n = 8 for s = 3, 4 and 5 and at n = 200 for s = 4 (``--smoke``: n = 8,
+s = 3), each row's median ratio of per-pair median microseconds, its wins, both trees'
+quartiles and the claim rule's verdict.  A
 record hashes sample by sample (t, positions, moments, cost, barrier), with its final
 positions, moments and eigenvalues, its counts and its termination; a CLI call hashes its
 status and output.
@@ -332,10 +335,16 @@ def _digest(result):
 
 
 def _paired(this, other, unit="s"):
-    """The median ratio this / other over pairs, the pairs this won, other's quartiles."""
+    """The median ratio this / other over pairs, the pairs this won (a tie counts for neither),
+    both trees' quartiles, and whether a claim of a gain would hold: this won at least nine
+    tenths of the pairs, and other's median exceeds this one's by more than other's IQR."""
     ratios = [a / b for a, b in zip(this, other)]
-    return {"ratio": statistics.median(ratios), "wins": sum(r < 1.0 for r in ratios),
-            "pairs": len(ratios), f"against_quartiles_{unit}": statistics.quantiles(other, n=4)}
+    wins = sum(r < 1.0 for r in ratios)
+    mine, theirs = statistics.quantiles(this, n=4), statistics.quantiles(other, n=4)  # [1]: median
+    met = wins >= 0.9 * len(ratios) and theirs[1] - mine[1] > theirs[2] - theirs[0]
+    return {"ratio": statistics.median(ratios), "wins": wins, "pairs": len(ratios),
+            f"against_quartiles_{unit}": theirs, f"this_quartiles_{unit}": mine,
+            "claim_rule_met": met}
 
 
 def against(tree, name, pairs, smoke, workdir):
@@ -373,8 +382,8 @@ def against(tree, name, pairs, smoke, workdir):
 
 def trial_steps_against(packages, pairs, smoke):
     """TRIAL_ROWS' trial steps for each tree, ABBA pair by pair: per row (n, s), the median of
-    each tree's per-pair median microseconds as ratios this / TREE, the pairs this tree won and
-    TREE's quartiles in microseconds."""
+    each tree's per-pair median microseconds as ratios this / TREE, the pairs this tree won,
+    both trees' quartiles in microseconds and the claim rule's verdict."""
     rows = TRIAL_ROWS[:1] if smoke else TRIAL_ROWS
     seconds = LAYER_SECONDS / (20 if smoke else 4)
     starts = {key: {row: _start(*row, package=package) for row in rows}
@@ -451,8 +460,9 @@ def main(argv=None) -> int:
                            *result["trial_steps"].items()]:
             records = ("" if "records_equal" not in row else
                        f", records {'equal' if row['records_equal'] else 'DIFFER'}")
-            print(f"{label}: ratio {row['ratio']:.4f}, won {row['wins']}/{row['pairs']}{records}",
-                  file=sys.stderr)
+            claim = "met" if row["claim_rule_met"] else "not met"
+            print(f"{label}: ratio {row['ratio']:.4f}, won {row['wins']}/{row['pairs']}, "
+                  f"claim rule {claim}{records}", file=sys.stderr)
         return _write(result, args, began)
     result["workloads"] = {}
     with tempfile.TemporaryDirectory(prefix="bench-") as scratch, speed.Probe() as probe:

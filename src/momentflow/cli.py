@@ -350,9 +350,7 @@ def _gradient_error(analytic: np.ndarray, field: Any, config: RobotConfiguration
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    n = args.n
-    d = args.d
-    trials = args.trials
+    n, d, trials = args.n, args.d, args.trials
     if n < 2 or d < 1 or trials < 0 or args.seed < 0:
         raise _Failure(EXIT_VALIDATION, "verify needs n >= 2, d >= 1, trials >= 0, seed >= 0")
     if n > _MAX_VERIFY_ROBOTS:
@@ -362,79 +360,59 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if trials == 0:
         print("warning: 0 trials requested; every check passes vacuously")
     rng = np.random.default_rng(args.seed)
-    order = min(5, n)
-    failures = 0
+    order = walk_n = min(5, n)
 
-    def report(check: str, worst: float, tol: float) -> None:
-        nonlocal failures
-        ok = worst < tol  # False for a NaN error, which np.maximum keeps
-        failures += 0 if ok else 1
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {check}: worst error {worst:.3e} (tolerance {tol:g})")
-
-    # Walk enumeration against matrix powers.
-    worst = 0.0
-    walk_n = min(n, 5)
-    for _ in range(trials):
+    def walks() -> list[float]:  # walk enumeration against one entry of each of A..A^4
         adjacency = _random_adjacency(rng, walk_n)
         chain = power_chain(adjacency, 4)
-        for k in range(1, 5):
-            i = int(rng.integers(walk_n))
-            j = int(rng.integers(walk_n))
-            direct = walk_weight_sum(adjacency, k, i, j)
-            worst = np.maximum(worst, abs(direct - chain[k][i, j]))
-    report("walk enumeration vs matrix powers", worst, 1e-12)
+        ends = [(int(rng.integers(walk_n)), int(rng.integers(walk_n))) for _ in range(4)]
+        return [abs(walk_weight_sum(adjacency, k, i, j) - chain[k][i, j])
+                for k, (i, j) in enumerate(ends, 1)]
 
-    # Trace derivative against finite differences in one matrix entry.
-    worst = 0.0
-    fd_step = 1e-6
-    for _ in range(trials):
-        adjacency = _random_adjacency(rng, n)
-        k = int(rng.integers(1, 7))
-        i, j = 0, 1 + int(rng.integers(n - 1))
-        analytic = trace_derivative(adjacency, k, i, j)
+    def trace() -> list[float]:  # the trace derivative against central differences in (0, j)
+        fd_step, adjacency = 1e-6, _random_adjacency(rng, n)
+        k, j = int(rng.integers(1, 7)), 1 + int(rng.integers(n - 1))
+        analytic = trace_derivative(adjacency, k, 0, j)
         bump = np.zeros((n, n))
-        bump[i, j] = bump[j, i] = fd_step
+        bump[0, j] = bump[j, 0] = fd_step
         upper = np.linalg.matrix_power(adjacency.weights + bump, k).trace()
         lower = np.linalg.matrix_power(adjacency.weights - bump, k).trace()
-        fd = (upper - lower) / (2.0 * fd_step)
-        worst = np.maximum(worst, abs(fd - analytic) / max(abs(analytic), 1.0))
-    report("trace derivative vs finite differences", worst, 1e-6)
+        return [abs((upper - lower) / (2.0 * fd_step) - analytic) / max(abs(analytic), 1.0)]
 
-    # Control law against finite differences of the cost, both metrics.
-    for metric in (1, 2):
-        worst = 0.0
-        params = ControllerParams(metric=metric, order=order)
-        for _ in range(trials):
-            config = _tie_free_config(rng, n, d)
-            targets = target_from_formation(_tie_free_config(rng, n, d), params)
-            analytic = control_law(config, targets, params)
-            if args.perturb:
-                with np.errstate(over="ignore"):
-                    analytic = analytic * (1.0 + args.perturb)
-            # The control law is minus the cost gradient.
-            error = _gradient_error(-analytic, cost, config, targets, params)
-            worst = np.maximum(worst, error)
-        report(f"control law vs cost gradient (metric {metric})", worst, 1e-5)
-
-    # Barrier gradient against finite differences, substantial constants.
-    worst = 0.0
-    eps = (0.0,) + tuple(0.05 * (k + 2) for k in range(order - 1))
-    params = ControllerParams(order=order, epsilons=eps)
-    for _ in range(trials):
+    def gradient(field: Any, params: ControllerParams) -> list[float]:
+        """The control law (minus the cost gradient) or the barrier gradient against ``field``'s
+        finite differences, toward a formation's moments or half the configuration's own."""
         config = _tie_free_config(rng, n, d)
-        current = target_from_formation(config, params)
-        targets = TargetSpectrum(current.moments * 0.5)
-        analytic = barrier_gradient(config, targets, params)
-        error = _gradient_error(analytic, barrier, config, targets, params)
-        worst = np.maximum(worst, error)
-    report("barrier gradient vs finite differences", worst, 1e-4)
+        if field is cost:
+            targets = target_from_formation(_tie_free_config(rng, n, d), params)
+            with np.errstate(over="ignore"):  # --perturb inflates the law, to inf if need be
+                analytic = -control_law(config, targets, params) * (1.0 + args.perturb)
+        else:
+            targets = TargetSpectrum(target_from_formation(config, params).moments * 0.5)
+            analytic = barrier_gradient(config, targets, params)
+        return [_gradient_error(analytic, field, config, targets, params)]
 
-    if failures:
-        print(f"{failures} check(s) failed")
-        return 1
-    print("all checks passed")
-    return 0
+    eps = (0.0,) + tuple(0.05 * (k + 2) for k in range(order - 1))  # substantial constants
+    checks = [  # label, tolerance, one trial's errors
+        ("walk enumeration vs matrix powers", 1e-12, walks),
+        ("trace derivative vs finite differences", 1e-6, trace),
+        *((f"control law vs cost gradient (metric {metric})", 1e-5,
+           functools.partial(gradient, cost, ControllerParams(metric=metric, order=order)))
+          for metric in (1, 2)),
+        ("barrier gradient vs finite differences", 1e-4,
+         functools.partial(gradient, barrier, ControllerParams(order=order, epsilons=eps))),
+    ]
+    failures = 0
+    for label, tol, trial in checks:
+        worst = 0.0
+        for _ in range(trials):
+            for error in trial():
+                worst = np.maximum(worst, error)  # np.maximum keeps a NaN error
+        ok = worst < tol  # False for a NaN
+        failures += not ok
+        print(f"{'PASS' if ok else 'FAIL'}  {label}: worst error {worst:.3e} (tolerance {tol:g})")
+    print(f"{failures} check(s) failed" if failures else "all checks passed")
+    return 1 if failures else 0
 
 
 # == spectrum ==============================================================

@@ -112,6 +112,8 @@ class SimulationSettings:
     max_time        simulated-time horizon
     cost_tolerance  stop once the cost falls to or below this value
     record_every    sample the trajectory every this many accepted steps
+
+    The three reals are stored as Python floats, whatever real type they came as.
     """
 
     dt: float = DEFAULT_DT
@@ -124,6 +126,7 @@ class SimulationSettings:
             value = getattr(self, name)
             if isinstance(value, _BOOLEANS) or not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be a positive real, got {value}")
+            object.__setattr__(self, name, float(value))
         if self.dt < DEFAULT_MIN_STEP:
             raise ValueError(
                 f"dt {self.dt} must not be below the minimum step size {DEFAULT_MIN_STEP:g}"
@@ -281,7 +284,7 @@ def step(
     """
     if isinstance(dt, _BOOLEANS) or not np.isfinite(dt) or dt <= 0.0:
         raise ValueError(f"dt must be a positive real, got {dt}")
-    state, accepted, next_dt = _advance(_evaluate(config, targets, params), dt)
+    state, accepted, next_dt = _advance(_evaluate(config, targets, params), float(dt))
     return state.config, accepted, next_dt
 
 

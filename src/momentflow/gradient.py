@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -135,7 +136,8 @@ class TargetSpectrum:
 class ControllerParams:
     """Fixed parameters of the moment controller.
 
-    decay        positive weight-decay constant of the adjacency model
+    decay        positive weight-decay constant of the adjacency model, stored as a
+                 Python float
     metric       1 (taxicab) or 2 (Euclidean) inter-robot distance
     order        highest controlled moment s; moments 2..s are steered
     epsilons     s barrier constants, epsilons[k-1] guarding moment k;
@@ -155,7 +157,10 @@ class ControllerParams:
             raise ValueError(f"metric must be 1 or 2, got {self.metric!r}")
         if type(self.order) is not int or self.order < 2:
             raise ValueError(f"order must be at least 2 and an integer, got {self.order!r}")
-        eps = tuple(map(float, self.epsilons)) or (0.0,) + (DEFAULT_EPSILON,) * (self.order - 1)
+        eps = tuple(self.epsilons)  # read once, as it may be an iterator
+        if any(map(isinstance, eps, repeat(_BOOLEANS))):  # True is no barrier constant of 1.0
+            raise ValueError(f"epsilons (barrier constants) must be reals, not booleans, got {eps}")
+        eps = tuple(map(float, eps)) or (0.0,) + (DEFAULT_EPSILON,) * (self.order - 1)
         if len(eps) != self.order:
             raise ValueError(
                 f"need {self.order} epsilons (barrier constants), got {len(eps)}"
@@ -164,6 +169,7 @@ class ControllerParams:
             raise ValueError("epsilons[0], the k=1 barrier constant, must be zero")
         if not all(map(math.isfinite, eps)) or min(eps) < 0.0:
             raise ValueError("epsilons (barrier constants) must be finite and nonnegative")
+        object.__setattr__(self, "decay", float(self.decay))
         object.__setattr__(self, "epsilons", eps)
 
 

@@ -13,7 +13,8 @@ Core claims:
       step and counts its frames at n = 8 for s = 3, 4 and 5
     - ``--against TREE`` times a workload here and in TREE, one process, pair by pair: against
       this very tree every record hashes equal and no operation fails; it times trial steps
-      in both trees the same way, one row per team size and order
+      in both trees the same way, one row per team size and order; every row carries both
+      trees' quartiles and the claim rule's boolean verdict, printed beside its ratio
 """
 
 import json
@@ -76,6 +77,9 @@ def test_against_this_tree(tmp_path):
     assert set(result["operations"]) == {"round_trip_04", "round_trip_08", "round_trip_10"}
     for row in [*result["operations"].values(), result["round"]]:
         assert row["records_equal"] and row["ratio"] > 0.0 and 0 <= row["wins"] <= 2
-        assert len(row["against_quartiles_s"]) == 3
+        assert len(row["against_quartiles_s"]) == len(row["this_quartiles_s"]) == 3
+        assert type(row["claim_rule_met"]) is bool
     (row,) = result["trial_steps"].values()  # --smoke: n = 8, s = 3 only
     assert row["ratio"] > 0.0 and 0 <= row["wins"] <= 2 and len(row["against_quartiles_us"]) == 3
+    assert len(row["this_quartiles_us"]) == 3 and type(row["claim_rule_met"]) is bool
+    assert done.stderr.count("claim rule ") == len(result["operations"]) + 2

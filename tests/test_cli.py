@@ -15,6 +15,10 @@ Core claims:
       before any work, and measures its errors against
       finite_difference_gradient's closure form exactly, of the cost and of
       the barrier, on both sides of the stacked route's chunk rule
+    - verify runs end to end at its edge instances (2 robots on a line, 3 in
+      space, 64 robots, whose stencil differences are one batched product),
+      printing its five checks in order; --perturb there fails exactly the
+      two control-law lines
     - main builds its parser once per process; repeated in-process calls
       parse, print help and apply -v exactly as one-shot calls do, and no
       call touches the root logger's handlers
@@ -1005,6 +1009,27 @@ class TestVerifyCommand:
             oracle = finite_difference_gradient(lambda c: field(c, targets, params), config)
             assert np.abs(oracle).max() > 0.0
             assert _gradient_error(oracle, field, config, targets, params) == 0.0
+
+    @pytest.mark.parametrize("argv, failing", [
+        # walk_n = 2, order 2, one barrier constant, and the trace check's j is always 1
+        (["--n", "2", "--d", "1", "--trials", "3"], ()),
+        (["--n", "2", "--d", "1", "--trials", "3", "--perturb", "1e-3"], (2, 3)),
+        (["--n", "3", "--d", "3", "--trials", "2"], ()),
+        (["--n", "64", "--trials", "1"], ()),  # the stencil's differences: one batched product
+    ])
+    def test_edge_instances(self, capsys, argv, failing):
+        labels = ["walk enumeration vs matrix powers", "trace derivative vs finite differences",
+                  "control law vs cost gradient (metric 1)",
+                  "control law vs cost gradient (metric 2)",
+                  "barrier gradient vs finite differences"]
+        assert main(["verify", *argv]) == (1 if failing else 0)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        *checks, last = captured.out.splitlines()
+        assert [line.split(": worst error ")[0] for line in checks] == [
+            f"{'FAIL' if index in failing else 'PASS'}  {label}"
+            for index, label in enumerate(labels)]
+        assert last == (f"{len(failing)} check(s) failed" if failing else "all checks passed")
 
     def test_zero_trials_warns(self, capsys):
         code = main(["verify", "--trials", "0"])

@@ -4,7 +4,8 @@ Unit tests for the closed-loop flow: feasibility, stepping, simulation.
 Core claims:
     - SimulationSettings and TrajectoryRecord validate their inputs;
       record_every is a positive integer, not a float or a boolean, and dt,
-      max_time and cost_tolerance are reals, not booleans, Python's or numpy's
+      max_time and cost_tolerance are reals, not booleans, Python's or numpy's,
+      stored as Python floats, so that a record's times are floats too
     - feasibility_margin returns m_k - m_k* for k = 2..s with correct signs
     - ensure_feasible returns feasible starts unchanged, repairs infeasible
       ones by centroid compression, holding one evaluation at a time, and
@@ -59,6 +60,7 @@ Core claims:
 """
 
 import dataclasses
+import json
 import math
 import os
 import sys
@@ -232,6 +234,23 @@ class TestSimulationSettings:
         # Accepted, np.True_ ran as 1.0.
         with pytest.raises(ValueError, match=f"^{name} must be a positive real, got True$"):
             SimulationSettings(**{name: np.True_})
+
+    def test_reals_are_stored_as_python_floats(self):
+        # Kept as given, np.float32(0.05) made rgg10's times np.float32, which json.dumps
+        # refused in its report, and step returned it as its next dt.
+        settings = SimulationSettings(dt=np.float32(0.05), max_time=np.float32(1e4),
+                                      cost_tolerance=np.float32(2e-4))
+        assert {type(getattr(settings, name)) for name in ("dt", "max_time", "cost_tolerance")
+                } == {float}
+        scenario = preset("rgg10")
+        scenario = dataclasses.replace(
+            scenario, settings=dataclasses.replace(scenario.settings, dt=np.float32(0.05)))
+        record = simulate(scenario)
+        times = [record.simulated_time, *(sample.t for sample in record.samples)]
+        assert {type(t) for t in times} == {float}
+        json.dumps(times)
+        config, targets, params = _two_robot_state()
+        assert type(step(config, targets, params, np.float32(0.05))[2]) is float
 
 
 class TestTrajectoryRecord:

@@ -3,8 +3,9 @@ Unit tests for the cost, barrier, and analytic gradient machinery.
 
 Core claims:
     - ControllerParams validates decay, metric, order, and barrier constants;
-      decay is a real and metric and order are ints, none of them a boolean,
-      Python's or numpy's
+      decay is a real, stored as a Python float, and metric and order are
+      ints, none of them a boolean, Python's or numpy's; nor is a barrier
+      constant
     - trace_derivative matches a central finite difference of tr(A^k) under
       a symmetric entry bump
     - moment_gradient matches the finite-difference oracle for both metrics
@@ -305,6 +306,19 @@ class TestControllerParams:
         # Accepted, np.True_ ran as a decay of 1.0.
         with pytest.raises(ValueError, match="^decay must be a positive real, got True$"):
             ControllerParams(decay=np.True_)
+
+    def test_decay_is_stored_as_a_python_float(self):
+        # Kept as given, np.float32 made a flow's decay / n a float32.
+        assert type(ControllerParams(decay=np.float32(2.0)).decay) is float
+        assert type(ControllerParams(decay=3).decay) is float
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_barrier_constant_is_a_real_not_a_bool(self, flag):
+        # Accepted, True ran as a barrier constant of 1.0.
+        message = re.escape(f"epsilons (barrier constants) must be reals, not booleans, got "
+                            f"{(0.0, flag, 1e-8)}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ControllerParams(order=3, epsilons=(0.0, flag, 1e-8))
 
     @pytest.mark.parametrize("metric", [True, 2.0, np.int64(2)])
     def test_metric_is_an_int_not_a_bool(self, metric):

@@ -53,10 +53,17 @@ Core claims:
       increases between samples, every margin stays positive, m_1 stays
       exactly zero and simulated_time never passes max_time, with the
       differences formed either way
+    - simulate, whose flow shares one workspace between its evaluations,
+      agrees bit for bit with a reference flow whose evaluations own their
+      arrays (termination, accepted and rejected counts, simulated_time,
+      every sample and the final positions), on short runs of 2-7 and
+      63-69 robots, both metrics, s = 2..6, coincident and far pairs, and a
+      trial-step budget of 400 that stiff flows spend
 
 Examples are derandomized and bounded, so every run draws the same ones.
 """
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -65,12 +72,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from momentflow import network
+from momentflow import dynamics, network
 from momentflow.dynamics import SimulationSettings, simulate
 from momentflow.gradient import (
     ControllerParams,
     TargetSpectrum,
     _evaluate,
+    _Evaluation,
     barrier_gradient,
     control_law,
     cost,
@@ -609,3 +617,90 @@ def test_flow_invariants_on_short_runs(case):
         assert sample.moments.values[0] == 0.0
         assert np.all(sample.moments.values[1:] - goal[1:] > 0.0)
     assert record.samples[-1].t == record.simulated_time <= scenario.settings.max_time
+
+
+def _sample_bytes(t, positions, moments, cost, barrier):
+    return b"".join(np.array(values).tobytes() for values in ([t, cost, barrier], positions,
+                                                               moments))
+
+
+@network._quiet
+def _reference_flow(scenario):
+    """simulate's outcome from a flow that never gets a workspace, so that every evaluation
+    owns its arrays: each candidate x + dt * v is a fresh array, and simulate's rules accept or
+    reject a trial step, double dt after five acceptances in a row and stop at the horizon."""
+    settings = scenario.settings
+    state = dynamics._feasible_start(scenario.initial_configuration(), scenario.targets,
+                                     scenario.params)  # its flow: only _advance adds a workspace
+    t, accepted, rejected, streak, dt, reason = 0.0, 0, 0, 0, settings.dt, None
+    samples = [(t, state)]
+    while reason is None:
+        remaining = settings.max_time - t
+        if state.cost <= settings.cost_tolerance:
+            reason = "converged"
+        elif remaining < dynamics.DEFAULT_MIN_STEP:
+            reason = "horizon"
+        elif accepted + rejected >= dynamics.MAX_TRIAL_STEPS:
+            reason = "stalled"
+        else:
+            trial, drift = min(dt, remaining), state.drift
+            positions, candidate = np.asfortranarray(state.positions + trial * drift), None
+            if np.isfinite(positions).all():
+                with contextlib.suppress(ValueError):  # a moment overflowed
+                    candidate = _Evaluation(state.flow, positions)
+            before, moved = state.cost + state.barrier, np.count_nonzero(drift)
+            if candidate is not None and min(candidate.margins) > 0.0 and (
+                    (after := candidate.cost + candidate.barrier) < before
+                    or after == before and moved):
+                state, t, accepted = candidate, min(t + trial, settings.max_time), accepted + 1
+                streak += 1
+                if streak == 5:
+                    dt, streak = min(2.0 * dt, settings.dt), 0
+                if accepted % settings.record_every == 0:
+                    samples.append((t, state))
+            elif moved and trial > dynamics.DEFAULT_MIN_STEP:
+                dt, rejected, streak = max(trial / 2.0, dynamics.DEFAULT_MIN_STEP), rejected + 1, 0
+            else:
+                reason = "stalled"
+    if samples[-1] != (t, state):
+        samples.append((t, state))
+    return reason, accepted, rejected, t, [
+        _sample_bytes(at, e.positions, e.moments, e.cost, e.barrier) for at, e in samples
+    ], state.positions.tobytes()
+
+
+@st.composite
+def _reference_cases(draw):
+    """A short flow on either side of ``network._PRODUCT_TEAM``: s = 2..6 (at most n), targets
+    from a drawn formation or a drawn share of the start's moments, and a start with a
+    coincident pair, a robot 800/c from the rest or neither."""
+    n = draw(st.integers(2, 7) | st.integers(network._PRODUCT_TEAM - 1, network._PRODUCT_TEAM + 5))
+    d = draw(st.integers(1, 3))
+    params = ControllerParams(decay=draw(st.floats(0.5, 2.0)), metric=draw(_METRIC),
+                              order=min(draw(st.integers(2, 6)), n))
+    start = draw(_tie_free_teams(n, d))
+    targets = target_from_formation(draw(_tie_free_teams(n, d)) if draw(st.booleans()) else
+                                    start, params)
+    targets = TargetSpectrum(targets.moments * draw(st.sampled_from([1.0, 0.9, 0.6])))
+    start = start.positions.copy()
+    pair = draw(st.sampled_from(["coincident", "far", None]))
+    if pair == "coincident":
+        start[1] = start[0]
+    elif pair == "far":
+        start[-1, 0] += 800.0 / params.decay + 1.0
+    settings = SimulationSettings(max_time=draw(st.floats(0.02, 1.0)),
+                                  record_every=draw(st.integers(1, 3)))
+    return Scenario(name="reference", n=n, d=d, params=params, targets=targets,
+                    settings=settings, initial_positions=start)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_reference_cases())
+def test_simulate_is_the_workspace_free_reference_flow(scenario):
+    with mock.patch.object(dynamics, "MAX_TRIAL_STEPS", 400):  # a stiff flow ends stalled
+        record, reference = simulate(scenario), _reference_flow(scenario)
+    assert (record.termination_reason, record.accepted_steps, record.rejected_steps,
+            record.simulated_time, [
+                _sample_bytes(s.t, s.configuration.positions, s.moments.values, s.cost, s.barrier)
+                for s in record.samples
+            ], record.final_configuration.positions.tobytes()) == reference
