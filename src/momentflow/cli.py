@@ -341,14 +341,6 @@ def _random_adjacency(rng: np.random.Generator, n: int) -> WeightedAdjacency:
     return WeightedAdjacency(weights)
 
 
-def _gradient_error(analytic: np.ndarray, field: Any, config: RobotConfiguration,
-                    targets: TargetSpectrum, params: ControllerParams) -> float:
-    """Relative error of ``analytic`` against ``field``'s finite_difference_gradient."""
-    fd = finite_difference_gradient(field, config, targets, params)
-    scale = max(float(np.abs(fd).max()), 1e-12)
-    return float(np.abs(analytic - fd).max()) / scale
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     n, d, trials = args.n, args.d, args.trials
     if n < 2 or d < 1 or trials < 0 or args.seed < 0:
@@ -390,7 +382,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             targets = TargetSpectrum(target_from_formation(config, params).moments * 0.5)
             analytic = barrier_gradient(config, targets, params)
-        return [_gradient_error(analytic, field, config, targets, params)]
+        fd = finite_difference_gradient(field, config, targets, params)
+        return [float(np.abs(analytic - fd).max()) / max(float(np.abs(fd).max()), 1e-12)]
 
     eps = (0.0,) + tuple(0.05 * (k + 2) for k in range(order - 1))  # substantial constants
     checks = [  # label, tolerance, one trial's errors

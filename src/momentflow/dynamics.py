@@ -296,7 +296,8 @@ def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
     evaluated from its F-ordered positions alone; its configuration is wrapped only if asked for.
     A zero drift leaves f + b as it was, bit for bit, so a stall is counted only on a rejected
     trial or an accepted one whose f + b did not fall (a fall proves that the robots moved).
-    The first trial step makes the flow's workspace; x + dt * v goes to the other column slot.
+    The first trial step makes the flow's workspace; x + dt * v goes to the other column slot,
+    so the state's drift is projected before the candidate's evaluation (see _Evaluation).
     """
     drift, flow, candidate = state.drift, state.flow, None
     if flow.workspace is None:  # the flow's first trial step: its evaluations write there on

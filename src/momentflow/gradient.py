@@ -215,7 +215,7 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
 class _Flow:
     """What every evaluation in one flow reads, derived once from (targets, params), n and d:
     metric, decay, scale = decay / n, the terms (m_k*, 4k, eps_k) for k = 2..s, the chain's plan;
-    and the network._workspace they write from its first trial step on, with its holder's ticket."""
+    and the network._workspace they write from its first trial step on (see _Evaluation)."""
 
     def __init__(self, targets: TargetSpectrum, params: ControllerParams, n: int, d: int) -> None:
         if targets.order != params.order:
@@ -223,7 +223,7 @@ class _Flow:
                 f"targets carry {targets.order} moments but params.order is {params.order}"
             )
         self.metric, self.decay, self.scale = params.metric, params.decay, params.decay / n
-        self.workspace, self.ticket = None, 0
+        self.workspace = None
         self.terms = [(goal, 4.0 * k, eps) for k, (goal, eps) in
                       enumerate(zip(targets.moments[1:].tolist(), params.epsilons[1:]), 2)]
         self.plan = _chain_plan(params.order, n, d)
@@ -239,17 +239,18 @@ class _Evaluation:
     any one gradient (the drift is kept).  The configuration (a copy) and moment vector are
     wrapped only when asked for.  Every sum runs in one fixed order (the cost's left to
     right, not by 3.12's compensated ``sum``), so results are bitwise reproducible.  In the
-    flow's workspace its arrays last until the flow's next evaluation: only the positions, the
-    drift and the floats outlive it, and :meth:`_project` evaluates again if another took it.
+    flow's workspace its arrays last until the flow's next evaluation, so an evaluation there is
+    projected before the flow evaluates again; only the positions, the drift and the floats
+    outlive it.  dynamics._advance keeps this by construction (a candidate's positions are the
+    state's x + dt * drift), and the workspace-free reference flow in the tests checks it.
     """
 
     __slots__ = ("flow", "positions", "_config", "_distance", "_differences", "weights",
-                 "chain", "moments", "margins", "cost", "barrier", "_drift", "_ticket")
+                 "chain", "moments", "margins", "cost", "barrier", "_drift")
 
     def __init__(self, flow: _Flow, positions: np.ndarray, config=None) -> None:
         self.flow, self.positions, self._config, self._drift = flow, positions, config, None
         work, euclidean = flow.workspace, flow.metric == 2  # no workspace: arrays of its own
-        self._ticket = flow.ticket = flow.ticket + (work is not None)  # the workspace's turns
         distance, self._differences = _pairwise_distance(positions, flow.metric, work)
         self._distance = distance if euclidean else None
         self.weights = _adjacency(distance, flow.decay,
@@ -305,11 +306,10 @@ class _Evaluation:
         for every team (taxicab: their signs; Euclidean: M / dist in the distances, whose +inf
         diagonal zeroes each self-term; rows whose sum of squares is not finite form them again,
         an inf difference counting 0 and an underflowed squared gap re-taken from them at max-abs
-        scale).  Once per evaluation: it overwrites the kept arrays and lets the weights go.
+        scale, and scaled by it where M / dist overflows).  Once per evaluation, before the
+        flow's next (see _Evaluation): it overwrites the kept arrays and lets the weights go.
         """
         flow = self.flow
-        if self._ticket != flow.ticket:  # a later evaluation took the workspace: evaluate again
-            self.__init__(flow, self.positions, self._config)
         work, chain, self.chain = flow.workspace, self.chain, None  # scratch: Q and W
         h, count, q, weighted = len(chain), len(coefficients), None, None
         if count > h:  # the terms from A^h on, as A^h Q
@@ -337,11 +337,17 @@ class _Evaluation:
                 dist, differences = _pairwise_distance(self.positions, 2, work)
                 differences[:, dist == np.inf] = 0.0  # an inf x_i - x_j times its 0 weight is NaN
                 if dist.min() == 0.0:  # a gap whose square underflowed takes its distance again
-                    gaps = differences[:, dist == 0.0]
+                    i, j = np.nonzero(dist == 0.0)
+                    gaps = differences[:, i, j]
                     top = np.abs(gaps).max(axis=0)
                     top[top == 0.0] = 1.0  # a coincident pair stays at 0
-                    dist[dist == 0.0] = top * np.sqrt(np.square(gaps / top).sum(axis=0))
+                    scaled = gaps / top
+                    dist[i, j] = top * (norm := np.sqrt(np.square(scaled).sum(axis=0)))
                     dist[dist == 0.0] = np.inf
+                    with np.errstate(over="ignore"):  # M / dist overflows: M / norm by gaps / top
+                        over = np.isinf(mixed[i, j] / dist[i, j])
+                    differences[:, i[over], j[over]] = scaled[:, over]
+                    dist[i[over], j[over]] = norm[over]
                 rows = np.vecdot(np.divide(mixed, dist, out=dist), differences)
         rows *= flow.scale
         return rows.T

@@ -16,9 +16,10 @@ Core claims:
       finite_difference_gradient's closure form exactly, of the cost and of
       the barrier, on both sides of the stacked route's chunk rule
     - verify runs end to end at its edge instances (2 robots on a line, 3 in
-      space, 64 robots, whose stencil differences are one batched product),
-      printing its five checks in order; --perturb there fails exactly the
-      two control-law lines
+      space, 64 robots, whose stencil differences are one batched product,
+      6 in space, and 63 in space, 68 on a line and 100 in space, on both
+      sides of the stacked route's chunk rule), printing its five checks in
+      order; --perturb there fails exactly the two control-law lines
     - main builds its parser once per process; repeated in-process calls
       parse, print help and apply -v exactly as one-shot calls do, and no
       call touches the root logger's handlers
@@ -59,9 +60,14 @@ Core claims:
       the table exits 2 with the reason that preset() raises
     - a null seed takes its default: beside positions the file runs as one
       without the key, and alone it needs a seed or positions
-    - ``python -m momentflow.cli`` hands main's status to the shell; a reader
+    - ``python -m momentflow.cli`` hands main's status to the shell: 128
+      robots at s = 6 (-v) and a team with a coincident pair and a pair whose
+      squared gap underflows run to their horizons (exit 1) after 54 + 11 and
+      552 + 95 trial steps, the latter with nothing on stderr; a reader
       that closes stdout early makes run, verify and spectrum exit 5 with no
       traceback, buffered or not
+    - run --set record_every=1 writes a header, the start and one CSV row
+      per accepted step, every line ending in CRLF
     - on generated files with one to three hostile schema values, max_time
       among them, run and spectrum exit 0..5 within 2 s under a budget of
       2,000 trial steps (a timer interrupts a call that overruns), without a
@@ -106,7 +112,6 @@ from momentflow.cli import (
     EXIT_STALLED,
     EXIT_UNREALIZABLE,
     EXIT_VALIDATION,
-    _gradient_error,
     _tie_free_config,
     apply_override,
     build_parser,
@@ -516,6 +521,14 @@ class TestRunCommand:
             report = json.load(handle)
         assert report["converged"] is True
         assert (tmp_path / "rgg10_trajectory.csv").exists()
+
+    def test_record_every_one_writes_a_row_per_sample(self, tmp_path, capsys):
+        # A header, the start and one row per accepted step, each line ending in CRLF.
+        argv = ["run", "--preset", "rgg10", "--set", "record_every=1", "-o", str(tmp_path)]
+        assert main(argv) == EXIT_CONVERGED
+        report = json.loads((tmp_path / "rgg10_report.json").read_text())
+        written = (tmp_path / "rgg10_trajectory.csv").read_bytes()
+        assert written.count(b"\r\n") == written.count(b"\n") == report["accepted_steps"] + 2 > 2
 
     def test_scenario_file_run(self, tmp_path, capsys):
         path = tmp_path / "quick.json"
@@ -1008,7 +1021,8 @@ class TestVerifyCommand:
         for field, targets in ((cost, far), (barrier, below)):
             oracle = finite_difference_gradient(lambda c: field(c, targets, params), config)
             assert np.abs(oracle).max() > 0.0
-            assert _gradient_error(oracle, field, config, targets, params) == 0.0
+            stacked = finite_difference_gradient(field, config, targets, params)
+            assert np.array_equal(oracle, stacked)
 
     @pytest.mark.parametrize("argv, failing", [
         # walk_n = 2, order 2, one barrier constant, and the trace check's j is always 1
@@ -1016,6 +1030,12 @@ class TestVerifyCommand:
         (["--n", "2", "--d", "1", "--trials", "3", "--perturb", "1e-3"], (2, 3)),
         (["--n", "3", "--d", "3", "--trials", "2"], ()),
         (["--n", "64", "--trials", "1"], ()),  # the stencil's differences: one batched product
+        (["--trials", "2", "--d", "3"], ()),
+        # The chunk rule's sides: 63 robots in space take one team a call, 68 on a line the
+        # largest stack (a batched product); 100 in space, the largest n, one team a call.
+        (["--n", "63", "--d", "3", "--trials", "1"], ()),
+        (["--n", "68", "--d", "1", "--trials", "1"], ()),
+        (["--n", "100", "--d", "3", "--trials", "1"], ()),
     ])
     def test_edge_instances(self, capsys, argv, failing):
         labels = ["walk enumeration vs matrix powers", "trace derivative vs finite differences",
@@ -1621,6 +1641,40 @@ def test_module_entry_point_exit_statuses(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert "target moments: 0, 3.11, 13.45, 71.6" in done.stdout
+
+
+def _crowd():
+    """128 robots at s = 6, 0.95 of the way from a 14 x 14 formation's centroid to it."""
+    rng = np.random.default_rng(7)
+    goal = 14.0 * rng.random((128, 2))
+    start = goal.mean(axis=0) + 0.95 * (goal - goal.mean(axis=0)) + rng.normal(0.0, 1e-3, (128, 2))
+    return {"name": "crowd", "n": 128, "d": 2, "z": 2, "s": 6, "max_time": 0.2,
+            "positions": start.tolist(), "targets": {"formation": {"type": "positions",
+            "parameters": {"positions": goal.tolist()}}}}
+
+
+_TOUCHING = {"name": "touching", "n": 7, "d": 2, "z": 2, "max_time": 0.05,
+             "positions": [[0, 0], [1e-163, 0], [1, 1], [1, 1], [2, 0], [0, 2], [2, 2]],
+             "targets": {"formation": {"type": "hexagon"}}}
+
+
+@pytest.mark.parametrize("data, verbose, steps", [
+    # The large-team kernels: the batched difference product, the half chain A..A^3 and the
+    # drift's product, each by matmul(..., out=) into the flow's workspace.
+    (_crowd(), ("-v",), (54, 11)),
+    # A coincident pair and a pair 1e-163 apart, whose squared gap underflows: the careful
+    # route forms their distances again, with nothing on stderr.
+    (_TOUCHING, (), (552, 95)),
+], ids=["crowd", "touching"])
+def test_module_entry_point_runs_to_its_horizon(tmp_path, data, verbose, steps):
+    path = tmp_path / "team.json"
+    path.write_text(json.dumps(data))
+    done = _module_cli(*verbose, "run", str(path), "-o", str(tmp_path))
+    assert done.returncode == EXIT_HORIZON, done.stderr
+    assert verbose or done.stderr == ""
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+    report = json.loads((tmp_path / f"{data['name']}_report.json").read_text())
+    assert (report["accepted_steps"], report["rejected_steps"]) == steps
 
 
 @pytest.mark.parametrize("command", [

@@ -991,27 +991,6 @@ class TestEvaluationBudget:
         matrices = sum(size for size in owners.values() if size >= 8 * n * n)  # not (d, n) rows
         assert matrices <= ((4 + 1) // 2 + 4 + 2) * 8 * n * n  # ceil(s/2) + 4 + d of them
 
-    @pytest.mark.parametrize("metric", [1, 2])
-    @pytest.mark.parametrize("order", range(2, 7))
-    def test_drift_after_a_later_evaluation_took_the_workspace(self, order, metric):
-        # Two evaluations of one flow share its workspace, as a stepped flow's
-        # do, and the later one holds it.  The earlier one's drift, asked next,
-        # is its own, bit for bit, and so is the later one's, asked after that.
-        scenario = _rejecting_scenario(order, metric)
-        targets, params = scenario.targets, scenario.params
-        first = ensure_feasible(scenario.initial_configuration(), targets, params)
-        second = RobotConfiguration(first.positions[::-1] * 1.01)
-        flow = gradient._Flow(targets, params, 7, 2)
-        flow.workspace = network._workspace(7, 2, metric, flow.plan)  # as _advance makes it
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as flows run
-            earlier = gradient._Evaluation(flow, first.positions)
-            later = gradient._Evaluation(flow, second.positions)
-            assert earlier.weights is later.weights  # the workspace's: the later one's arrays
-            drifts = [earlier.drift, later.drift]
-            own = [gradient._evaluate(config, targets, params).drift for config in (first, second)]
-        assert [drift.tobytes() for drift in drifts] == [drift.tobytes() for drift in own]
-        assert earlier.cost == gradient.cost(first, targets, params)
-
 
 # == 7. A large team's stall =================================================
 

@@ -757,16 +757,18 @@ class TestZeroDistances:
     def test_underflowing_square_keeps_its_direction(self):
         # A gap of 1e-170 squares to 0, yet the pair is not coincident: its
         # distance comes back from the kept differences, so it pulls as at
-        # 1e-150, in a team of 3 and in one that takes the product.
+        # 1e-150, in a team of 3 and in one that takes the product.  So does a
+        # subnormal gap, whose distance would overflow the division by it.
         params, targets = _params(order=2), TargetSpectrum([0.0, 0.01])
         for n in (3, network._PRODUCT_TEAM):
             rest = [[1.0 + i % 8, 1.0 + i // 8] for i in range(n - 2)]
-            drifts = [
+            reference, *drifts = [
                 control_law(RobotConfiguration([[0.0, 0.0], [gap, 0.0], *rest]), targets, params)
-                for gap in (1e-150, 1e-170)
+                for gap in (1e-150, 1e-170, 1e-310, 1e-320, 5e-324)
             ]
-            assert drifts[0][0, 0] != 0.0
-            assert np.allclose(*drifts, rtol=1e-12, atol=0.0)
+            assert reference[0, 0] != 0.0
+            for drift in drifts:
+                assert np.allclose(drift, reference, rtol=1e-12, atol=0.0)
 
 
 class TestMemory:

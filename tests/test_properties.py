@@ -328,9 +328,10 @@ def _tail_cases(draw):
 
     Robots are at least 0.4/n apart on every axis, but for coincident ones
     and, in half the teams, one pair 1e-12 to 1e-9 apart on every axis.  In
-    half the teams, robot 0 sits at the origin and another robot 1e-200 to
-    1e-163 from it on every axis, so that their squared gap underflows to 0;
-    those teams are not shifted, which would merge the two."""
+    half the teams, robot 0 sits at the origin and another robot 5e-324 to
+    1e-163 from it on every axis, so that their squared gap underflows to 0,
+    and a subnormal gap's distance would overflow the division by it; those
+    teams are not shifted, which would merge the two."""
     n = draw(st.integers(2, 12))
     d = draw(st.integers(1, 3))
     positions = draw(_tie_free_teams(n, d)).positions.copy()
@@ -341,7 +342,7 @@ def _tail_cases(draw):
         positions[draw(arrays(bool, n, elements=st.booleans()))] = positions[0]
     positions = positions[draw(st.permutations(range(n)))]
     if draw(st.booleans()):
-        tiny = st.one_of(st.floats(1e-200, 1e-163), st.floats(-1e-163, -1e-200))
+        tiny = st.one_of(st.floats(5e-324, 1e-163), st.floats(-1e-163, -5e-324))
         positions[0] = 0.0
         positions[draw(st.integers(1, n - 1))] = draw(arrays(float, d, elements=tiny))
     else:
