@@ -16,16 +16,16 @@ Per workload (round_trip, large_n, cli at seed 1):
             accepted and rejected trial steps; ``gradient._Evaluation`` constructions,
             ``network._product`` calls (patched in ``network`` and in ``gradient``, which
             imports it by name) and start compressions (evaluations in
-            ``dynamics._feasible_start`` after its first), in total and per trial step;
-            ``gradient._pairwise_distance`` calls per evaluation (1.0 where no drift found a
-            far pair or a zero gap and formed the distances again); and
+            ``dynamics._feasible_start`` after its first), in total and per trial step; and
             ``moments_from_eigenvalues`` calls per ``spectrum`` call
 Per layer, a planar Euclidean team at s = 4 for n in 7, 10, 50, 200, 800 (the median of
 repeated calls, in microseconds, and their mean minor page faults): distances, weights, half
 chain and moments, evaluation and drift, and one accepted trial step (the state's drift and
 the candidate's evaluation), each from the start's positions as a flow lays them out; at
-n = 7 and 10 the count of momentflow's Python frames per trial step (the same every run); and
-at n = 8 for s = 3, 4 and 5, the orders round_trip runs, one trial step and its frames.
+n = 7 and 10 the count of momentflow's Python frames per trial step (the same every run); at
+n = 8 for s = 3, 4 and 5, the orders round_trip runs, one trial step and its frames; and one
+trial step of a taxicab team at n = 200, s = 4.  Each trial step is the start's first, which
+is accepted (``accepted``, from one untimed call).
 
 With ``--against TREE`` it times one workload (default round_trip) in one process for this
 tree and for TREE, another checkout whose ``src/momentflow`` it imports as the package
@@ -36,12 +36,11 @@ claim rule holds (``claim_rule_met``: this tree won at least 9 in 10 pairs, ties
 neither, and TREE's median exceeds this tree's by more than TREE's interquartile range) and
 whether every result hashed equal on both trees; the same for the whole round; each tree's
 failed operations; and, alternated the same way after the workload, one accepted trial step
-from ``_start`` at n = 8 for s = 3, 4 and 5 and at n = 200 for s = 4 (``--smoke``: n = 8,
-s = 3), each row's median ratio of per-pair median microseconds, its wins, both trees'
-quartiles and the claim rule's verdict.  A
-record hashes sample by sample (t, positions, moments, cost, barrier), with its final
-positions, moments and eigenvalues, its counts and its termination; a CLI call hashes its
-status and output.
+from ``_start`` at n = 8 for s = 3, 4 and 5 and at n = 200 for s = 4, Euclidean and taxicab
+(``--smoke``: n = 8, s = 3), each row's median ratio of per-pair median microseconds, its
+wins, both trees' quartiles and the claim rule's verdict.  A record hashes sample by sample
+(t, positions, moments, cost, barrier), with its final positions, moments and eigenvalues,
+its counts and its termination; a CLI call hashes its status and output.
 
 Times are of the machine they ran on; the probe takes out only part of a shared host's drift
 from minute to minute, while the counters repeat exactly.  One BLAS thread, as in perfbench.
@@ -83,7 +82,8 @@ SMOKE_SIZES = FRAME_SIZES = (7, 10)
 TRIAL_STEPS = 20  # for a frame count
 ORDER = 4
 ORDER_TEAM, ORDERS = 8, (3, 4, 5)  # round_trip's orders, at one of its team sizes
-TRIAL_ROWS = ((ORDER_TEAM, 3), (ORDER_TEAM, 4), (ORDER_TEAM, 5), (200, ORDER))  # --against's
+TAXICAB_ROW = (200, ORDER, 1)  # (n, s, metric): large_n's team under the schema's default metric
+TRIAL_ROWS = (*((ORDER_TEAM, order, 2) for order in ORDERS), (200, ORDER, 2), TAXICAB_ROW)
 AGAINST = "momentflow_against"
 LAYER_SECONDS = 0.2  # per layer and size, after MIN_REPEATS calls
 MIN_REPEATS = 5
@@ -94,7 +94,7 @@ class Counters:
     """Counting wrappers around momentflow's private names, installed while in a ``with``."""
 
     def __init__(self):
-        self.counts = dict.fromkeys(("evaluations", "products", "distances", "start_compressions",
+        self.counts = dict.fromkeys(("evaluations", "products", "start_compressions",
                                      "moments_from_eigenvalues"), 0)
         self._patches = []
 
@@ -131,9 +131,6 @@ class Counters:
             finally:
                 counts["start_compressions"] += max(counts["evaluations"] - before - 1, 0)
         self._patch(dynamics, "_feasible_start", feasible_start)
-        distance = gradient._pairwise_distance  # the evaluation's and its drift's, not network's
-        self._patches.append((gradient, "_pairwise_distance", distance))
-        gradient._pairwise_distance = self._counted("distances", distance)
         init = gradient._Evaluation.__init__
         self._patches.append((gradient._Evaluation, "__init__", init))
         gradient._Evaluation.__init__ = self._counted("evaluations", init)
@@ -198,8 +195,6 @@ def workload(name, smoke, rounds, workdir):
             "start_compressions": counts["start_compressions"],
             "per_trial_step": {key: counts[key] / trial if trial else None
                                for key in ("evaluations", "products", "start_compressions")},
-            "distances_per_evaluation":
-                counts["distances"] / counts["evaluations"] if counts["evaluations"] else None,
             "spectrum_calls": spectrum_calls,
             "moments_from_eigenvalues_per_spectrum_call":
                 spectrum_moments / spectrum_calls if spectrum_calls else None,
@@ -224,14 +219,14 @@ def _timed(call, prepare, seconds):
     return {"us": statistics.median(samples) * 1e6, "minor_faults": faults / len(samples)}
 
 
-def _start(n, order=ORDER, package=momentflow):
+def _start(n, order=ORDER, metric=2, package=momentflow):
     """A seeded planar team of n robots, as large_n's is built: a goal with about one robot per
     two unit areas, and the start it contracted by 0.95, evaluated as a flow's first state by
     ``package`` (this tree's momentflow, or the one ``--against`` names)."""
     rng = np.random.default_rng(n)
     goal = rng.random((n, 2)) * np.sqrt(2.0 * n)
     start = goal.mean(axis=0) + 0.95 * (goal - goal.mean(axis=0))
-    params = package.gradient.ControllerParams(decay=1.0, metric=2, order=order)
+    params = package.gradient.ControllerParams(decay=1.0, metric=metric, order=order)
     targets = package.scenarios.target_from_formation(
         package.network.RobotConfiguration(goal), params)
     with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs (network._quiet)
@@ -240,9 +235,12 @@ def _start(n, order=ORDER, package=momentflow):
 
 
 def _trial_step(flow, start, seconds, package=momentflow):
-    """One accepted trial step (the state's drift and the candidate's evaluation), timed."""
-    return _timed(lambda state: package.dynamics._advance(state, package.dynamics.DEFAULT_DT),
-                  lambda: package.gradient._Evaluation(flow, start), seconds)
+    """One trial step (the state's drift and the candidate's evaluation), timed, and whether it
+    is accepted, from one untimed call first."""
+    dynamics, evaluation = package.dynamics, package.gradient._Evaluation
+    accepted = dynamics._advance(evaluation(flow, start), dynamics.DEFAULT_DT)[1]
+    return {**_timed(lambda state: dynamics._advance(state, dynamics.DEFAULT_DT),
+                     lambda: evaluation(flow, start), seconds), "accepted": accepted}
 
 
 def layers(sizes, seconds):
@@ -277,6 +275,15 @@ def by_order(seconds):
         table[str(order)] = {"trial_step": step,
                              "frames_per_trial_step": frames_per_trial_step(ORDER_TEAM, order)}
     return table
+
+
+def taxicab_trial_step(seconds):
+    """One trial step of TAXICAB_ROW's team, timed as :func:`by_order` times its rows."""
+    n, order, _ = TAXICAB_ROW
+    state = _start(*TAXICAB_ROW)
+    with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs (network._quiet)
+        step = _trial_step(state.flow, state.positions, seconds)
+    return {"team": f"planar, taxicab, c = 1, n = {n}, s = {order}", "trial_step": step}
 
 
 def frames_per_trial_step(n, order=ORDER):
@@ -396,8 +403,8 @@ def trial_steps_against(packages, pairs, smoke):
                 with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs
                     step = _trial_step(state.flow, state.positions, seconds, packages[key])
                 times[key][row].append(step["us"])
-    return {f"n={n},s={order}": _paired(times["this"][n, order], times["against"][n, order],
-                                        "us") for n, order in rows}
+    return {"n={},s={}".format(*row) + (",z=1" if row[2] == 1 else ""):
+            _paired(times["this"][row], times["against"][row], "us") for row in rows}
 
 
 def _blas_core():
@@ -486,6 +493,7 @@ def main(argv=None) -> int:
         "frames_per_trial_step": {str(n): frames_per_trial_step(n) for n in FRAME_SIZES},
         "by_order": {"team": f"planar, Euclidean, c = 1, n = {ORDER_TEAM}",
                      "s": by_order(LAYER_SECONDS / 20 if args.smoke else LAYER_SECONDS)},
+        "taxicab": taxicab_trial_step(LAYER_SECONDS / 20 if args.smoke else LAYER_SECONDS),
     }
     return _write(result, args, began)
 

@@ -232,12 +232,12 @@ class _Flow:
 class _Evaluation:
     """Everything a flow derives from one configuration, computed once.
 
-    The weights come from one distance matrix, which :meth:`_project` reuses if Euclidean,
-    as it does the coordinate differences; the half chain A..A^h, h = ceil(s/2), gives the
-    moments m_1..m_s, then one pass over the flow's terms (m_k*, 4k, eps_k) the margins
-    m_k - m_k* (k = 2..s), the cost and the barrier, all floats.  One :meth:`_project` gives
-    any one gradient (the drift is kept).  The configuration (a copy) and moment vector are
-    wrapped only when asked for.  Every sum runs in one fixed order (the cost's left to
+    The weights come from its one distance matrix, which :meth:`_project` reuses if Euclidean,
+    its careful route too, as it does the differences; the half chain A..A^h, h = ceil(s/2),
+    gives the moments m_1..m_s, then one pass over the flow's terms (m_k*, 4k, eps_k) the
+    margins m_k - m_k* (k = 2..s), the cost and the barrier, all floats.  One :meth:`_project`
+    gives any one gradient (the drift is kept).  The configuration (a copy) and moment vector
+    are wrapped only when asked for.  Every sum runs in one fixed order (the cost's left to
     right, not by 3.12's compensated ``sum``), so results are bitwise reproducible.  In the
     flow's workspace its arrays last until the flow's next evaluation, so an evaluation there is
     projected before the flow evaluates again; only the positions, the drift and the floats
@@ -302,39 +302,36 @@ class _Evaluation:
         """(decay / n) [(A o T_r) W]_ii, W = sum_k coefficients[k-2] A^(k-1).
 
         From the half chain, W = sum_{p<h} c_p A^p + A^h (c_h I + sum_i c_(h+i) A^i):
-        one product from s = 4 on.  The rows contract the kept differences x_i - x_j, exact
-        for every team (taxicab: their signs; Euclidean: M / dist in the distances, whose +inf
-        diagonal zeroes each self-term; rows whose sum of squares is not finite form them again,
-        an inf difference counting 0 and an underflowed squared gap re-taken from them at max-abs
-        scale, and scaled by it where M / dist overflows).  Once per evaluation, before the
-        flow's next (see _Evaluation): it overwrites the kept arrays and lets the weights go.
+        one product from s = 4 on, each term c_k A^k through Q.  The rows contract the kept
+        differences x_i - x_j, exact for every team (taxicab: their signs; Euclidean: M / dist
+        in Q, 0 for each self-term by the distances' +inf diagonal; rows whose sum of squares is
+        not finite come again from these distances and differences, corrected in place: an inf
+        difference counts 0, an underflowed squared gap is re-taken at max-abs scale, and scaled
+        by it where M / dist overflows).  Once per evaluation, before the flow's next (see
+        _Evaluation): it writes Q, W and the taxicab signs, and lets the weights go.
         """
-        flow = self.flow
-        work, chain, self.chain = flow.workspace, self.chain, None  # scratch: Q and W
-        h, count, q, weighted = len(chain), len(coefficients), None, None
+        flow, chain, self.chain = self.flow, self.chain, None
+        q, w = (work.q, work.w) if (work := flow.workspace) else np.empty((2, *chain[0].shape))
+        h, count, weighted = len(chain), len(coefficients), None
         if count > h:  # the terms from A^h on, as A^h Q
-            q = np.multiply(coefficients[h], chain[0], work and work.q)
+            np.multiply(coefficients[h], chain[0], q)
             for i in range(1, count - h):
-                weighted = np.multiply(coefficients[h + i], chain[i], work.w if work else weighted)
-                q += weighted
+                q += np.multiply(coefficients[h + i], chain[i], w)
             diagonal = work.q_diagonal if work else q.ravel()[:: len(q) + 1]  # += writes Q
             diagonal += coefficients[h - 1]
-            weighted = _product(chain[-1], q, work.w if work else weighted)
-            h -= 1  # A^h is spent, its coefficient is in Q
-        for k in range(h):  # A's term into W, or Q once W holds A^h Q; a spent power's into itself
-            term = np.multiply(coefficients[k], chain[k],
-                               chain[k] if k else q if weighted is not None else work and work.w)
+            weighted = _product(chain[-1], q, w)
+            h -= 1  # A^h's coefficient is in Q
+        for k in range(h):  # the first term into W, each one after it into Q and added to W
+            term = np.multiply(coefficients[k], chain[k], w if weighted is None else q)
             weighted = term if weighted is None else np.add(weighted, term, weighted)
         mixed, self.weights = np.multiply(weighted, self.weights, weighted), None  # the last read
         differences, self._differences = self._differences, None
         if flow.metric == 1:  # rows_i = sum_j M'_ij D_ij, as the (d, n) columns
             rows = np.vecdot(mixed, np.sign(differences, differences))
-        else:  # M / dist into the distances, whose +inf diagonal gives each self-term 0
-            rows = np.vecdot(np.divide(mixed, self._distance, self._distance), differences)
-            self._distance = None
+        else:  # M / dist into Q: the distances' +inf diagonal gives each self-term 0
+            dist, self._distance = self._distance, None
+            rows = np.vecdot(np.divide(mixed, dist, q), differences)
             if not math.isfinite(np.vdot(rows, rows)):  # a far pair, a zero gap or huge rows
-                del differences, chain[1:]  # spent powers go; differences come again (the plan)
-                dist, differences = _pairwise_distance(self.positions, 2, work)
                 differences[:, dist == np.inf] = 0.0  # an inf x_i - x_j times its 0 weight is NaN
                 if dist.min() == 0.0:  # a gap whose square underflowed takes its distance again
                     i, j = np.nonzero(dist == 0.0)
@@ -348,7 +345,7 @@ class _Evaluation:
                         over = np.isinf(mixed[i, j] / dist[i, j])
                     differences[:, i[over], j[over]] = scaled[:, over]
                     dist[i[over], j[over]] = norm[over]
-                rows = np.vecdot(np.divide(mixed, dist, out=dist), differences)
+                rows = np.vecdot(np.divide(mixed, dist, q), differences)
         rows *= flow.scale
         return rows.T
 

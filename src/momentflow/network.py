@@ -62,8 +62,8 @@ MAX_WALK_LENGTH = 5
 _PRODUCT_TEAM = 64
 
 # The largest team a scenario or positions file may hold, 134 MB per n x n float64 matrix.  An
-# order s plans ceil(s/2) + 4 + d of them (see _chain_plan), at most 9, 1.21 GB (so s <= 6 in the
-# plane there); a flow's workspace holds ceil(s/2) + 3 + d; at s = 4, d = 2 a flow peaks near 7.1.
+# order s plans ceil(s/2) + 4 + d of them (_chain_plan), at most 9, 1.21 GB (s <= 6 in the plane),
+# a workspace one fewer; a record's samples, n d floats and s moments each, come on top of them.
 MAX_ROBOTS = 4096
 _MAX_PLAN_BYTES = 9 * MAX_ROBOTS**2 * 8
 

@@ -7,10 +7,9 @@ Core claims:
       compression, and one candidate per trial step, so on round_trip and large_n the
       evaluations are the trial steps plus one per flow plus the compressions
     - reading spectrum files recomputes no moments from a spectrum
-    - no drift of round_trip or large_n forms its distances again: one
-      ``gradient._pairwise_distance`` call per evaluation
-    - it counts momentflow's Python frames per trial step at n = 7 and 10, and times one trial
-      step and counts its frames at n = 8 for s = 3, 4 and 5
+    - it counts momentflow's Python frames per trial step at n = 7 and 10, times one trial
+      step and counts its frames at n = 8 for s = 3, 4 and 5, and times one trial step of a
+      taxicab team at n = 200, s = 4; every timed trial step is accepted
     - ``--against TREE`` times a workload here and in TREE, one process, pair by pair: against
       this very tree every record hashes equal and no operation fails; it times trial steps
       in both trees the same way, one row per team size and order; every row carries both
@@ -46,14 +45,13 @@ def test_smoke(tmp_path):
             flows = found["operations"]
             trial = counters["accepted_steps"] + counters["rejected_steps"]
             assert counters["evaluations"] == trial + flows + counters["start_compressions"]
-            assert counters["distances_per_evaluation"] == 1.0
     cli = result["workloads"]["cli"]["counters"]
     assert cli["spectrum_calls"] == 7  # six files and the underflow positions
     assert cli["moments_from_eigenvalues_per_spectrum_call"] == 0.0
     table = result["layers"]["n"]
     assert set(table) == {"7", "10"}
     for row in table.values():
-        assert set(row) == LAYERS
+        assert set(row) == LAYERS and row["trial_step"]["accepted"] is True
         assert all(cell["us"] > 0.0 and cell["minor_faults"] >= 0.0 for cell in row.values())
     # At least _advance and the candidate's evaluation, distances, weights and half chain.
     frames = result["layers"]["frames_per_trial_step"]
@@ -62,6 +60,10 @@ def test_smoke(tmp_path):
     assert set(orders) == {"3", "4", "5"}
     for row in orders.values():
         assert row["trial_step"]["us"] > 0.0 and row["frames_per_trial_step"] >= 5.0
+        assert row["trial_step"]["accepted"] is True
+    taxicab = result["layers"]["taxicab"]
+    assert taxicab["team"] == "planar, taxicab, c = 1, n = 200, s = 4"
+    assert taxicab["trial_step"]["us"] > 0.0 and taxicab["trial_step"]["accepted"] is True
 
 
 def test_against_this_tree(tmp_path):

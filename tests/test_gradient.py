@@ -21,9 +21,10 @@ Core claims:
       team-size switch; so does a pair at x = 1.7e308, whose coordinate sum
       overflows, at 6 robots and at the switch (64), bitwise in every column
     - the distances' +inf diagonal gives the Euclidean drift its zero
-      self-terms: bitwise the drift of a careful route forced to mask a zero
-      diagonal with every other zero gap, below the team-size switch and at
-      it, with and without a coincident pair
+      self-terms: bitwise the drift of a careful route forced, by a zero
+      diagonal written into an evaluation's distances, to mask it with every
+      other zero gap, below the team-size switch and at it, with and without
+      a coincident pair
     - 60 robots in a 5 x 5 box with a pair 1e-6, 1e-9 or 1e-12 apart get
       the same drift, to 1e-12 relative on every entry, from either way of
       forming differences
@@ -38,11 +39,11 @@ Core claims:
       coincident pair and a gap of 1e-163 it is finite, nonzero, the same bit
       for bit from broadcast and from product differences and bitwise the
       rows of an oracle that finds those pairs by a max and a min reduction
-      over the distances (n = 8, 64 and 200, d = 1..3, s = 2, 4, 6); without
-      a rare gap an evaluation and its drift form the distances once and
-      reduce none of them, and with one the Euclidean drift forms them once
-      more; rows that are each finite but whose squares overflow take the
-      careful route too, and its drift is bitwise the fast route's, scaled
+      over the distances (n = 8, 64 and 200, d = 1..3, s = 2, 4, 6); an
+      evaluation and its drift form the distances once, on the careful route
+      too, and without a rare gap reduce none of them; rows that are each
+      finite but whose squares overflow take the careful route too, with no
+      second formation, and its drift is bitwise the fast route's, scaled
     - the drift's coefficients, formed in one pass, are bitwise the margins
       less the barrier gradient's coefficients, and a nonpositive guarded
       margin raises InfeasibleStateError from the drift too
@@ -708,9 +709,10 @@ class TestOverflowingTeam:
 
 
 class TestZeroDistances:
-    # Each robot's own term is 0 because its distance to itself is +inf.  The reference is
-    # forced down the careful route with a zero diagonal, which it masks as one more zero
-    # gap; the two agree bit for bit, with and without a coincident pair.
+    # Each robot's own term is 0 because its distance to itself is +inf.  The reference's
+    # distances get a zero diagonal after its weights are formed, so its NaN self-terms send
+    # it down the careful route, which masks the diagonal as one more zero gap; the two agree
+    # bit for bit, with and without a coincident pair.
     @pytest.mark.parametrize("coincident", [False, True])
     @pytest.mark.parametrize("n", [7, network._PRODUCT_TEAM])
     def test_masked_as_every_zero(self, n, coincident):
@@ -720,18 +722,11 @@ class TestZeroDistances:
         params = _params(order=2, epsilons=(0.0, 1e-3))
         targets = _targets_below(RobotConfiguration(positions), params, fraction=0.5)
         flow = _Flow(targets, params, n, 2)
-
-        def zero_diagonal(positions, metric, out=None):
-            distance, differences = network._pairwise_distance(positions, metric, out)
-            np.fill_diagonal(distance, 0.0)
-            return distance, differences
-
         every_zero = _Evaluation(flow, positions)
+        np.fill_diagonal(every_zero._distance, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):  # as the flow runs
             drift = _Evaluation(flow, positions).drift
-            with mock.patch.object(gradient, "_pairwise_distance", zero_diagonal), \
-                    mock.patch.object(math, "isfinite", lambda value: False):
-                reference = every_zero.drift
+            reference = every_zero.drift
         assert np.all(np.isfinite(drift)) and np.any(drift)
         assert drift.tobytes() == reference.tobytes()
         if coincident:  # the pair's own term is 0, so the two see the team alike
@@ -799,8 +794,8 @@ class TestMemory:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_careful_route_peak(self, d):
-        # The careful route forms the distances and differences again, once it has let the
-        # kept differences and the spent powers go.
+        # The careful route corrects the evaluation's own distances and differences in place,
+        # so it adds no n x n float array.
         positions = TestReductions._team(256, d, d)
         assert all(peak <= bound for peak, bound in self._peaks(positions, 2))
 
@@ -850,8 +845,9 @@ class TestReductions:
     def test_overflowing_check_takes_the_careful_route_bitwise(self):
         # Four robots at a unit square's corners, W = c A with c near the float limit: every
         # row is finite, but their squares overflow, so the check fails and the careful route
-        # runs, at c / 16 too.  It finds no far pair and no zero gap, so its drift is the fast
-        # route's at c / 2**600, scaled back, bit for bit (each step scales exactly).
+        # runs, at c / 16 too, on the distances each evaluation formed, once.  It finds no far
+        # pair and no zero gap, so its drift is the fast route's at c / 2**600, scaled back, bit
+        # for bit (each step scales exactly).
         positions = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         params = ControllerParams(decay=1e-3, metric=2, order=2)
         flow, calls, drifts = _Flow(TargetSpectrum([0.0, 0.0]), params, 4, 2), [], []
@@ -864,16 +860,16 @@ class TestReductions:
             with mock.patch.object(gradient, "_pairwise_distance", counted), \
                     np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as flows run
                 drifts.append(_Evaluation(flow, positions)._project([coefficient]))
-        assert calls == [2, 2, 2, 2, 2]  # the careful route's distances, at c and c / 16 only
+        assert calls == [2, 2, 2]  # one formation per evaluation, the careful route's too
         assert np.all(np.isfinite(drifts[0])) and np.abs(drifts[0]).min() > 1e304
         assert drifts[0].tobytes() == np.ldexp(drifts[1], 4).tobytes()
         assert drifts[0].tobytes() == np.ldexp(drifts[2], 600).tobytes()
 
     @pytest.mark.parametrize("metric", [1, 2])
     def test_distances_formed_once_and_never_scanned(self, metric):
-        # Without a rare gap, an evaluation and its drift form the distances once and reduce
-        # none of them; the every-rare-branch team forms them once more for the careful route,
-        # which only the Euclidean drift has.
+        # An evaluation and its drift form the distances once, the every-rare-branch team's
+        # too, whose Euclidean drift corrects them in place on its careful route; without a
+        # rare gap they reduce none of them.
         calls, reductions = [], []
         pairwise_distance = network._pairwise_distance
 
@@ -904,7 +900,7 @@ class TestReductions:
                     with mock.patch.object(gradient, "_pairwise_distance", watched), \
                             np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                         assert np.all(np.isfinite(_Evaluation(flow, team).drift))
-                    assert calls == [metric] * (1 + careful)
+                    assert calls == [metric]
                     assert careful or reductions == []
 
 
@@ -1027,7 +1023,7 @@ class TestStill:
         ([[0.5, 0.5]] * 4, True),
     ])
     def test_careful_route_counts(self, positions, still):
-        # A coincident pair makes a NaN row: the careful route forms the distances again and its
+        # A coincident pair makes a NaN row: the careful route corrects the distances and its
         # rows are finite.  The team with one pair is no stall: with the state's own margins its
         # f + b falls, with no count; the team at one point has a zero drift and stalls.
         state, outcome, drift, counts, _ = self._advance(positions, 1.0)
