@@ -1,5 +1,6 @@
 """Write BENCH_<label>.json: perfbench's workloads over a fixed number of rounds, counters per
-trial step, per-layer times at five team sizes, and the Python, numpy and BLAS that ran them.
+trial step, per-layer times at five team sizes, one trial step per row of ROWS, and the Python,
+numpy and BLAS that ran them.
 
     python3 bench.py --label L [--smoke] [--out-dir DIR]
     python3 bench.py --label L --against TREE [--workload W] [--pairs P] [--smoke] [--out-dir DIR]
@@ -18,14 +19,18 @@ Per workload (round_trip, large_n, cli at seed 1):
             imports it by name) and start compressions (evaluations in
             ``dynamics._feasible_start`` after its first), in total and per trial step; and
             ``moments_from_eigenvalues`` calls per ``spectrum`` call
-Per layer, a planar Euclidean team at s = 4 for n in 7, 10, 50, 200, 800 (the median of
-repeated calls, in microseconds, and their mean minor page faults): distances, weights, half
-chain and moments, evaluation and drift, and one accepted trial step (the state's drift and
-the candidate's evaluation), each from the start's positions as a flow lays them out; at
-n = 7 and 10 the count of momentflow's Python frames per trial step (the same every run); at
-n = 8 for s = 3, 4 and 5, the orders round_trip runs, one trial step and its frames; and one
-trial step of a taxicab team at n = 200, s = 4.  Each trial step is the start's first, which
-is accepted (``accepted``, from one untimed call).
+Per layer (``layers.n``), a planar Euclidean team at s = 4 for n in 7, 10, 50, 200, 800: the
+median of repeated calls, in microseconds, and their mean minor page faults, of distances,
+weights, half chain and moments, and evaluation and drift, from the start's positions as a
+flow lays them out.  Per row (``layers.rows``), a planar team labelled by n, order s and z = 1
+if taxicab (else Euclidean):
+  n=7,s=4  n=10,s=4  n=50,s=4  n=200,s=4  n=800,s=4   the size sweep
+  n=8,s=3  n=8,s=4  n=8,s=5                            round_trip's orders
+  n=200,s=4,z=1                                        large_n's team, taxicab
+one trial step (the state's drift and the candidate's evaluation), timed as a layer is, the
+start's first and accepted (``accepted``, from one untimed call), and momentflow's Python
+frames per trial step (the same every run).  ``--smoke``: perfbench's tiny inputs, one round,
+and every layer and row up to n = 200.
 
 With ``--against TREE`` it times one workload (default round_trip) in one process for this
 tree and for TREE, another checkout whose ``src/momentflow`` it imports as the package
@@ -35,12 +40,11 @@ ratios this / TREE of wall time, the pairs this tree won, both trees' quartiles,
 claim rule holds (``claim_rule_met``: this tree won at least 9 in 10 pairs, ties counting for
 neither, and TREE's median exceeds this tree's by more than TREE's interquartile range) and
 whether every result hashed equal on both trees; the same for the whole round; each tree's
-failed operations; and, alternated the same way after the workload, one accepted trial step
-from ``_start`` at n = 8 for s = 3, 4 and 5 and at n = 200 for s = 4, Euclidean and taxicab
-(``--smoke``: n = 8, s = 3), each row's median ratio of per-pair median microseconds, its
-wins, both trees' quartiles and the claim rule's verdict.  A record hashes sample by sample
-(t, positions, moments, cost, barrier), with its final positions, moments and eigenvalues,
-its counts and its termination; a CLI call hashes its status and output.
+failed operations; and, alternated the same way after the workload, every row's trial step
+(``--smoke``: the first row's) under the row's label, in per-pair median microseconds.  A
+record hashes sample by sample (t, positions, moments, cost, barrier), with its final
+positions, moments and eigenvalues, its counts and its termination; a CLI call hashes its
+status and output.
 
 Times are of the machine they ran on; the probe takes out only part of a shared host's drift
 from minute to minute, while the counters repeat exactly.  One BLAS thread, as in perfbench.
@@ -73,17 +77,17 @@ import momentflow  # noqa: E402
 import momentflow.cli  # noqa: E402,F401  (not imported by the package)
 import speed  # noqa: E402  (perfbench's machine-speed probe)
 import workloads  # noqa: E402  (perfbench's; it imports perfbench's oracle)
-from momentflow import dynamics, gradient, network, scenarios  # noqa: E402
+from momentflow import dynamics, gradient, network  # noqa: E402
 
 SEED = 1
 ROUNDS = 5
-SIZES = (7, 10, 50, 200, 800)
-SMOKE_SIZES = FRAME_SIZES = (7, 10)
-TRIAL_STEPS = 20  # for a frame count
 ORDER = 4
-ORDER_TEAM, ORDERS = 8, (3, 4, 5)  # round_trip's orders, at one of its team sizes
-TAXICAB_ROW = (200, ORDER, 1)  # (n, s, metric): large_n's team under the schema's default metric
-TRIAL_ROWS = (*((ORDER_TEAM, order, 2) for order in ORDERS), (200, ORDER, 2), TAXICAB_ROW)
+SIZES = (7, 10, 50, 200, 800)
+ROWS = (*((n, ORDER, 2) for n in SIZES),  # (n, s, metric): the size sweep,
+        *((8, order, 2) for order in (3, 4, 5)),  # round_trip's orders at one of its sizes,
+        (200, ORDER, 1))  # and large_n's team under the schema's default metric
+SMOKE_N = 200  # --smoke's largest team
+TRIAL_STEPS = 20  # for a frame count
 AGAINST = "momentflow_against"
 LAYER_SECONDS = 0.2  # per layer and size, after MIN_REPEATS calls
 MIN_REPEATS = 5
@@ -261,35 +265,17 @@ def layers(sizes, seconds):
             }
             table[str(n)] = {name: _timed(call, lambda: None, seconds)
                              for name, call in cases.items()}
-            table[str(n)]["trial_step"] = _trial_step(flow, start, seconds)
     return table
 
 
-def by_order(seconds):
-    """At n = ORDER_TEAM, per order s in ORDERS: one trial step's median and its frames."""
-    table = {}
-    for order in ORDERS:
-        state = _start(ORDER_TEAM, order)
-        with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs (network._quiet)
-            step = _trial_step(state.flow, state.positions, seconds)
-        table[str(order)] = {"trial_step": step,
-                             "frames_per_trial_step": frames_per_trial_step(ORDER_TEAM, order)}
-    return table
+def _label(n, order, metric):
+    return f"n={n},s={order}" + (",z=1" if metric == 1 else "")
 
 
-def taxicab_trial_step(seconds):
-    """One trial step of TAXICAB_ROW's team, timed as :func:`by_order` times its rows."""
-    n, order, _ = TAXICAB_ROW
-    state = _start(*TAXICAB_ROW)
-    with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs (network._quiet)
-        step = _trial_step(state.flow, state.positions, seconds)
-    return {"team": f"planar, taxicab, c = 1, n = {n}, s = {order}", "trial_step": step}
-
-
-def frames_per_trial_step(n, order=ORDER):
-    """momentflow's Python frames per trial step over TRIAL_STEPS trial steps from
-    :func:`_start`'s team of n robots, each at the dt the last one returned, counted with
-    ``sys.setprofile`` as tier-1's ``test_momentflow_frames_per_trial_step`` counts them."""
+def time_row(n, order, metric, seconds):
+    """A row of ROWS: :func:`_trial_step` from :func:`_start`'s team, and momentflow's Python
+    frames per trial step over TRIAL_STEPS from a second start, each at the dt the last one
+    returned, as tier-1's ``test_momentflow_frames_per_trial_step`` counts them."""
     package, calls = str(Path(momentflow.__file__).parent) + os.sep, 0
 
     def profile(frame, event, arg):
@@ -297,15 +283,17 @@ def frames_per_trial_step(n, order=ORDER):
         if event == "call" and frame.f_code.co_filename.startswith(package):
             calls += 1
 
-    state, dt, previous = _start(n, order), dynamics.DEFAULT_DT, sys.getprofile()
+    state = _start(n, order, metric)
     with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs (network._quiet)
+        step = _trial_step(state.flow, state.positions, seconds)
+        state, dt, previous = _start(n, order, metric), dynamics.DEFAULT_DT, sys.getprofile()
         sys.setprofile(profile)
         try:
             for _ in range(TRIAL_STEPS):
                 state, _, dt = dynamics._advance(state, dt)
         finally:
             sys.setprofile(previous)
-    return calls / TRIAL_STEPS
+    return {**step, "frames_per_trial_step": calls / TRIAL_STEPS}
 
 
 def _import_tree(tree):
@@ -383,15 +371,15 @@ def against(tree, name, pairs, smoke, workdir):
         "round": {**_paired(rounds["this"], rounds["against"]),
                   "records_equal": all(equal.values())},
         "failed": failed,
-        "trial_steps": trial_steps_against(packages, pairs, smoke),
+        "rows": rows_against(packages, pairs, smoke),
     }
 
 
-def trial_steps_against(packages, pairs, smoke):
-    """TRIAL_ROWS' trial steps for each tree, ABBA pair by pair: per row (n, s), the median of
-    each tree's per-pair median microseconds as ratios this / TREE, the pairs this tree won,
-    both trees' quartiles in microseconds and the claim rule's verdict."""
-    rows = TRIAL_ROWS[:1] if smoke else TRIAL_ROWS
+def rows_against(packages, pairs, smoke):
+    """ROWS' trial steps for each tree, ABBA pair by pair: per row's label, the median of each
+    tree's per-pair median microseconds as ratios this / TREE, the pairs this tree won, both
+    trees' quartiles in microseconds and the claim rule's verdict."""
+    rows = ROWS[:1] if smoke else ROWS
     seconds = LAYER_SECONDS / (20 if smoke else 4)
     starts = {key: {row: _start(*row, package=package) for row in rows}
               for key, package in packages.items()}
@@ -403,8 +391,7 @@ def trial_steps_against(packages, pairs, smoke):
                 with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs
                     step = _trial_step(state.flow, state.positions, seconds, packages[key])
                 times[key][row].append(step["us"])
-    return {"n={},s={}".format(*row) + (",z=1" if row[2] == 1 else ""):
-            _paired(times["this"][row], times["against"][row], "us") for row in rows}
+    return {_label(*row): _paired(times["this"][row], times["against"][row], "us") for row in rows}
 
 
 def _blas_core():
@@ -445,7 +432,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
     parser.add_argument("--smoke", action="store_true",
-                        help="perfbench's tiny inputs, one round, n = 7 and 10 only")
+                        help=f"perfbench's tiny inputs, one round, n up to {SMOKE_N} only")
     parser.add_argument("--out-dir", default=str(ROOT), help="where to write (default: repo root)")
     parser.add_argument("--against", metavar="TREE",
                         help="time one workload here and in the checkout TREE, pair by pair")
@@ -464,7 +451,7 @@ def main(argv=None) -> int:
             found = against(args.against, args.workload, args.pairs, args.smoke, Path(scratch))
         result.update(found)
         for label, row in [*result["operations"].items(), ("round", result["round"]),
-                           *result["trial_steps"].items()]:
+                           *result["rows"].items()]:
             records = ("" if "records_equal" not in row else
                        f", records {'equal' if row['records_equal'] else 'DIFFER'}")
             claim = "met" if row["claim_rule_met"] else "not met"
@@ -486,14 +473,12 @@ def main(argv=None) -> int:
         found["solve_s_wall"] = statistics.median(
             sum(end - start for start, end in round_spans) for round_spans in spans)
         print(f"{name}: solve_s {found['solve_s']:.4f}", file=sys.stderr)
+    seconds = LAYER_SECONDS / 20 if args.smoke else LAYER_SECONDS
+    limit = SMOKE_N if args.smoke else SIZES[-1]
     result["layers"] = {
-        "team": f"planar, Euclidean, c = 1, s = {ORDER}",
-        "n": layers(SMOKE_SIZES if args.smoke else SIZES,
-                    LAYER_SECONDS / 20 if args.smoke else LAYER_SECONDS),
-        "frames_per_trial_step": {str(n): frames_per_trial_step(n) for n in FRAME_SIZES},
-        "by_order": {"team": f"planar, Euclidean, c = 1, n = {ORDER_TEAM}",
-                     "s": by_order(LAYER_SECONDS / 20 if args.smoke else LAYER_SECONDS)},
-        "taxicab": taxicab_trial_step(LAYER_SECONDS / 20 if args.smoke else LAYER_SECONDS),
+        "team": f"planar, c = 1; n: Euclidean, s = {ORDER}; rows: as labelled, z = 1 taxicab",
+        "n": layers([n for n in SIZES if n <= limit], seconds),
+        "rows": {_label(*row): time_row(*row, seconds) for row in ROWS if row[0] <= limit},
     }
     return _write(result, args, began)
 

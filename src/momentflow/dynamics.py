@@ -15,12 +15,13 @@ and the run ends there once less than the step-size floor
 ``DEFAULT_MIN_STEP`` remains.  If the step size bottoms out at that floor
 and the trial step is still rejected, the flow has stalled; so has a state
 whose drift is exactly zero (all robots coincident, say), which no step
-moves, and so has a run that spends ``MAX_TRIAL_STEPS`` trial steps.  Each
-state is evaluated once, the start included, into floats: an accepted
-candidate's evaluation is the next state, and a configuration or
-moment vector is wrapped only for the record.  A weight that underflows to 0
-(robots about 745/decay or more apart) is an ordinary weight: a far-apart
-start is compressed like any other infeasible start.
+moves, and so has a run that spends ``MAX_TRIAL_STEPS`` trial steps or
+whose samples would outgrow ``network._MAX_PLAN_BYTES``.  Each state is
+evaluated once, the start included, into floats: an accepted candidate's
+evaluation is the next state, and a configuration or moment vector is
+wrapped only for the record.  A weight that underflows to 0 (robots about
+745/decay or more apart) is an ordinary weight: a far-apart start is
+compressed like any other infeasible start.
 
 Feasible starting points always exist whenever each target sits strictly
 below its coincident-configuration ceiling: contracting the team toward its
@@ -43,6 +44,7 @@ from .network import (
     MomentVector,
     RobotConfiguration,
     _BOOLEANS,
+    _MAX_PLAN_BYTES,
     _freeze,
     _quiet,
     _workspace,
@@ -152,8 +154,8 @@ class TrajectoryRecord:
 
     ``termination_reason`` is one of "converged" (cost reached tolerance),
     "horizon" (simulated time hit max_time first), or "stalled" (no
-    acceptable step at the minimum step size, a drift of exactly zero, or
-    ``MAX_TRIAL_STEPS`` trial steps spent).
+    acceptable step at the minimum step size, a drift of exactly zero,
+    ``MAX_TRIAL_STEPS`` trial steps spent, or a record at its bound).
     ``termination_detail`` says why a run stalled and is empty otherwise.
     ``samples`` always contains the initial state and the final state;
     intermediate samples appear every ``record_every`` accepted steps.
@@ -333,8 +335,8 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     before the horizon ("horizon"; trial steps are clamped so that
     ``simulated_time`` never exceeds ``max_time``), or no
     acceptable step exists at the minimum step size, the drift is exactly
-    zero or ``MAX_TRIAL_STEPS`` trial steps are spent ("stalled"); a stall is
-    recorded, with its reason, rather than raised.
+    zero, ``MAX_TRIAL_STEPS`` trial steps are spent or the record reaches its
+    bound ("stalled"); a stall is recorded, with its reason, rather than raised.
 
     Identical scenarios produce bitwise-identical records: every quantity
     is computed by fixed-order numpy expressions from the seeded start.
@@ -354,6 +356,7 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     t, accepted, rejected, streak = 0.0, 0, 0, 0
     dt = cap = settings.dt  # the settings are read once
     horizon, tolerance, every = settings.max_time, settings.cost_tolerance, settings.record_every
+    limit = _MAX_PLAN_BYTES // (8 * (state.positions.size + params.order))  # samples kept at most
     samples, reason, detail = [snapshot(t)], None, ""
     while True:
         if state.cost <= tolerance:
@@ -382,6 +385,12 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
                 dt = min(2.0 * dt, cap)
                 streak = 0
             if accepted % every == 0:
+                if len(samples) >= limit:
+                    reason = "stalled"
+                    detail = (f"the record's bound of {limit:,} samples, "
+                              f"{_MAX_PLAN_BYTES / 1e9:.3g} GB, was reached at t = {t:.6g} "
+                              f"with record_every = {every}")
+                    break
                 samples.append(snapshot(t))
         else:
             dt = dt_next

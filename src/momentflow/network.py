@@ -63,7 +63,7 @@ _PRODUCT_TEAM = 64
 
 # The largest team a scenario or positions file may hold, 134 MB per n x n float64 matrix.  An
 # order s plans ceil(s/2) + 4 + d of them (_chain_plan), at most 9, 1.21 GB (s <= 6 in the plane),
-# a workspace one fewer; a record's samples, n d floats and s moments each, come on top of them.
+# a workspace one fewer; a record's samples, n d + s floats each, come on top, also up to 1.21 GB.
 MAX_ROBOTS = 4096
 _MAX_PLAN_BYTES = 9 * MAX_ROBOTS**2 * 8
 

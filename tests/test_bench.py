@@ -1,4 +1,4 @@
-"""Smoke test of bench.py: perfbench's tiny inputs, one round, layers at n = 7 and 10.
+"""Smoke test of bench.py: perfbench's tiny inputs, one round, layers and rows up to n = 200.
 
 Core claims:
     - ``bench.py --smoke`` writes BENCH_<label>.json with every workload's solve_s, failures
@@ -7,13 +7,14 @@ Core claims:
       compression, and one candidate per trial step, so on round_trip and large_n the
       evaluations are the trial steps plus one per flow plus the compressions
     - reading spectrum files recomputes no moments from a spectrum
-    - it counts momentflow's Python frames per trial step at n = 7 and 10, times one trial
-      step and counts its frames at n = 8 for s = 3, 4 and 5, and times one trial step of a
-      taxicab team at n = 200, s = 4; every timed trial step is accepted
+    - it times the four kernel layers at each size, and one trial step of every row of
+      ``bench.ROWS`` up to n = 200 under the row's label, with its frames per trial step;
+      every timed trial step is accepted
     - ``--against TREE`` times a workload here and in TREE, one process, pair by pair: against
-      this very tree every record hashes equal and no operation fails; it times trial steps
-      in both trees the same way, one row per team size and order; every row carries both
-      trees' quartiles and the claim rule's boolean verdict, printed beside its ratio
+      this very tree every record hashes equal and no operation fails; it times the rows'
+      trial steps in both trees the same way, under the same labels (``--smoke``: the first
+      row); every row carries both trees' quartiles and the claim rule's boolean verdict,
+      printed beside its ratio
 """
 
 import json
@@ -22,7 +23,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = {"distances", "weights", "half_chain_moments", "evaluation_drift", "trial_step"}
+LAYERS = {"distances", "weights", "half_chain_moments", "evaluation_drift"}
+SMOKE_ROWS = ["n=7,s=4", "n=10,s=4", "n=50,s=4", "n=200,s=4", "n=8,s=3", "n=8,s=4", "n=8,s=5",
+              "n=200,s=4,z=1"]  # bench.ROWS but n = 800, in order
 
 
 def test_smoke(tmp_path):
@@ -49,21 +52,16 @@ def test_smoke(tmp_path):
     assert cli["spectrum_calls"] == 7  # six files and the underflow positions
     assert cli["moments_from_eigenvalues_per_spectrum_call"] == 0.0
     table = result["layers"]["n"]
-    assert set(table) == {"7", "10"}
+    assert set(table) == {"7", "10", "50", "200"}
     for row in table.values():
-        assert set(row) == LAYERS and row["trial_step"]["accepted"] is True
+        assert set(row) == LAYERS
         assert all(cell["us"] > 0.0 and cell["minor_faults"] >= 0.0 for cell in row.values())
+    rows = result["layers"]["rows"]
+    assert list(rows) == SMOKE_ROWS
     # At least _advance and the candidate's evaluation, distances, weights and half chain.
-    frames = result["layers"]["frames_per_trial_step"]
-    assert set(frames) == {"7", "10"} and all(count >= 5.0 for count in frames.values())
-    orders = result["layers"]["by_order"]["s"]
-    assert set(orders) == {"3", "4", "5"}
-    for row in orders.values():
-        assert row["trial_step"]["us"] > 0.0 and row["frames_per_trial_step"] >= 5.0
-        assert row["trial_step"]["accepted"] is True
-    taxicab = result["layers"]["taxicab"]
-    assert taxicab["team"] == "planar, taxicab, c = 1, n = 200, s = 4"
-    assert taxicab["trial_step"]["us"] > 0.0 and taxicab["trial_step"]["accepted"] is True
+    for row in rows.values():
+        assert row["accepted"] is True and row["us"] > 0.0 and row["minor_faults"] >= 0.0
+        assert row["frames_per_trial_step"] >= 5.0
 
 
 def test_against_this_tree(tmp_path):
@@ -81,7 +79,8 @@ def test_against_this_tree(tmp_path):
         assert row["records_equal"] and row["ratio"] > 0.0 and 0 <= row["wins"] <= 2
         assert len(row["against_quartiles_s"]) == len(row["this_quartiles_s"]) == 3
         assert type(row["claim_rule_met"]) is bool
-    (row,) = result["trial_steps"].values()  # --smoke: n = 8, s = 3 only
+    (label, row), = result["rows"].items()  # --smoke: the first row only
+    assert label == SMOKE_ROWS[0]
     assert row["ratio"] > 0.0 and 0 <= row["wins"] <= 2 and len(row["against_quartiles_us"]) == 3
     assert len(row["this_quartiles_us"]) == 3 and type(row["claim_rule_met"]) is bool
     assert done.stderr.count("claim rule ") == len(result["operations"]) + 2

@@ -73,7 +73,8 @@ Core claims:
       2,000 trial steps (a timer interrupts a call that overruns), without a
       traceback or warning, printing at most one stderr line unless every
       line is an ``invalid ...`` reason
-    - a run that spends its trial-step budget ends stalled (exit 4) and says so
+    - a run that spends its trial-step budget, or whose record reaches its
+      bound, ends stalled (exit 4) and says so
     - spectrum of 100 spread robots, whose differences are a BLAS product,
       prints the eigenvalues and power-sum moments of an independent oracle
     - spectrum prints pinned bytes for one file of each kind it reads
@@ -915,6 +916,18 @@ class TestRunCommand:
         assert report["termination_reason"] == "stalled"
         assert report["accepted_steps"] + report["rejected_steps"] == 100
         assert report["termination_detail"].startswith("the budget of 100 trial steps")
+
+    def test_record_bound_stall_says_why(self, tmp_path, capsys, monkeypatch):
+        # hexagon7 (n = 7, d = 2, s = 7) accepts 833 steps; room for 50 samples ends it.
+        monkeypatch.setattr("momentflow.dynamics._MAX_PLAN_BYTES", 50 * 8 * (7 * 2 + 7))
+        argv = ["run", "--preset", "hexagon7", "--set", "record_every=1", "-o", str(tmp_path)]
+        assert main(argv) == EXIT_STALLED
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert "the record's bound of 50 samples" in summary and "record_every = 1" in summary
+        report = json.loads((tmp_path / "hexagon7_report.json").read_text())
+        assert report["accepted_steps"] == 50
+        written = (tmp_path / "hexagon7_trajectory.csv").read_bytes()
+        assert written.count(b"\n") <= 52  # a header and at most 51 samples
 
     def test_stalled_exit(self, tmp_path, capsys, monkeypatch, quick_record):
         stalled = replace(quick_record, termination_reason="stalled")

@@ -20,7 +20,8 @@ Core claims:
       deterministic for identical scenarios
     - a run that spends MAX_TRIAL_STEPS trial steps without converging
       ends stalled and says so; one that converges on its last allowed
-      trial step converges
+      trial step converges; one whose next sample would take its record
+      past network._MAX_PLAN_BYTES ends stalled and says so
     - a start with exactly zero drift stalls without counting non-moves,
       under either metric
     - simulate evaluates each configuration once: one distance matrix per
@@ -687,6 +688,26 @@ class TestSimulate:
         assert record.termination_detail.startswith("the budget of 40 trial steps ran out at t = ")
         assert record.accepted_steps + record.rejected_steps == 40
         assert record.simulated_time > 0.0
+
+    def test_record_bound_ends_the_run(self, monkeypatch):
+        # With room for 50 samples of n d + s floats, a run that keeps one per accepted step
+        # stops at the step whose sample would be the 51st and records it as the end state;
+        # unbounded, the same run keeps 101 samples to its horizon.
+        scenario = dataclasses.replace(
+            _reachable_scenario(seed=1),
+            settings=SimulationSettings(max_time=5.0, cost_tolerance=1e-30, record_every=1),
+        )
+        free = simulate(scenario)
+        assert len(free.samples) > 51
+        monkeypatch.setattr(dynamics, "_MAX_PLAN_BYTES", 50 * 8 * (5 * 2 + 2))
+        record = simulate(scenario)
+        assert record.termination_reason == "stalled"
+        assert record.termination_detail.startswith("the record's bound of 50 samples, ")
+        assert "with record_every = 1" in record.termination_detail
+        assert record.accepted_steps == 50 and len(record.samples) == 51
+        assert record.samples[-1].configuration is record.final_configuration
+        assert np.array_equal(record.samples[49].configuration.positions,
+                              free.samples[49].configuration.positions)
 
     def test_budget_counts_trial_steps(self, monkeypatch):
         # A run that converges on its last allowed trial step converges; one
