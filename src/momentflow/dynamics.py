@@ -11,17 +11,17 @@ inside the feasible region
 and f + b never increases.  A trial step that violates either property is
 rejected and the step size halved; five consecutive acceptances double it
 back up to its initial value.  A trial step never runs past the horizon,
-and the run ends there once less than the step-size floor
-``DEFAULT_MIN_STEP`` remains.  If the step size bottoms out at that floor
+and the run ends there once less than the step-size floor, dt * 2**-23,
+remains.  If the step size bottoms out at that floor, 23 halvings below dt,
 and the trial step is still rejected, the flow has stalled; so has a state
 whose drift is exactly zero (all robots coincident, say), which no step
 moves, and so has a run that spends ``MAX_TRIAL_STEPS`` trial steps or
 whose samples would outgrow ``network._MAX_PLAN_BYTES``.  Each state is
 evaluated once, the start included, into floats: an accepted candidate's
 evaluation is the next state, and a configuration or moment vector is
-wrapped only for the record.  A weight that underflows to 0 (robots about
-745/decay or more apart) is an ordinary weight: a far-apart start is
-compressed like any other infeasible start.
+wrapped only for the record.  A weight of 0 (robots 745/decay apart, 354.2/decay in
+teams of 64 or more: network._adjacency) is an ordinary weight: a far-apart start is
+compressed like any other, and a robot with only such weights has a zero drift row.
 
 Feasible starting points always exist whenever each target sits strictly
 below its coincident-configuration ceiling: contracting the team toward its
@@ -67,7 +67,6 @@ __all__ = [
     "step",
     "simulate",
     "DEFAULT_DT",
-    "DEFAULT_MIN_STEP",
     "DEFAULT_COST_TOLERANCE",
     "DEFAULT_MAX_TIME",
     "DEFAULT_RECORD_EVERY",
@@ -75,7 +74,7 @@ __all__ = [
 ]
 
 DEFAULT_DT = 0.05
-DEFAULT_MIN_STEP = 1e-8
+_STEP_FLOOR = 1e-8  # a bare step()'s; a run's is relative to its dt (see simulate)
 # The barrier puts a floor of about sqrt(eps) * sum_k 1/(4k) under the
 # reachable cost (see momentflow.gradient.DEFAULT_EPSILON); the default
 # tolerance sits a comfortable factor above that floor so barrier-guarded
@@ -109,8 +108,7 @@ class FlowStalled(RuntimeError):
 class SimulationSettings:
     """Integrator knobs for the closed-loop flow.
 
-    dt              initial (and maximum) step size, at least the step-size
-                    floor DEFAULT_MIN_STEP
+    dt              initial (and maximum) step size
     max_time        simulated-time horizon
     cost_tolerance  stop once the cost falls to or below this value
     record_every    sample the trajectory every this many accepted steps
@@ -129,10 +127,6 @@ class SimulationSettings:
             if isinstance(value, _BOOLEANS) or not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be a positive real, got {value}")
             object.__setattr__(self, name, float(value))
-        if self.dt < DEFAULT_MIN_STEP:
-            raise ValueError(
-                f"dt {self.dt} must not be below the minimum step size {DEFAULT_MIN_STEP:g}"
-            )
         if type(self.record_every) is not int or self.record_every < 1:  # a bool is no count
             raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
 
@@ -246,7 +240,7 @@ def _feasible_start(config, targets, params) -> _Evaluation:
             return state
         vanished = np.array_equal(state.margins, -goal[1:])  # every moment is 0
         del state  # its n x n arrays go before the next try's come
-        positions = current.positions
+        positions = np.ascontiguousarray(current.positions)  # one summation order, any layout
         centroid = positions.mean(axis=0)
         if not np.isfinite(positions - centroid).all():  # its sum or an offset overflows
             centroid = positions.min(axis=0) / 2 + positions.max(axis=0) / 2
@@ -280,7 +274,7 @@ def step(
     whose positions are not finite is rejected too.  Returns
     ``(new_config, accepted, next_dt)``: on acceptance the candidate and
     the unchanged dt; on rejection the original configuration and dt
-    halved, clamped to ``DEFAULT_MIN_STEP``.  Raises :class:`FlowStalled`
+    halved, clamped to the floor 1e-8.  Raises :class:`FlowStalled`
     if dt is already at the floor and the trial still fails, or if the
     drift is exactly zero, since then no step moves the robots (see _advance).
     """
@@ -317,9 +311,10 @@ def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
         if after < before or np.count_nonzero(drift):
             return candidate, True, dt
     elif np.count_nonzero(drift):
-        if dt <= DEFAULT_MIN_STEP:
-            raise FlowStalled(f"no acceptable step at the minimum step size {DEFAULT_MIN_STEP:g}")
-        return state, False, max(dt / 2.0, DEFAULT_MIN_STEP)
+        floor = flow.floor or _STEP_FLOOR  # the run's (see simulate), or a bare step()'s
+        if dt <= floor:
+            raise FlowStalled(f"no acceptable step at the minimum step size {floor:g}")
+        return state, False, max(dt / 2.0, floor)
     raise FlowStalled("the drift is exactly zero, so no step moves the robots")
 
 
@@ -331,15 +326,17 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     or a seeded random draw) and is made feasible first; unrealizable
     targets surface as :class:`UnrealizableTargetsError` before any
     integration happens.  Runs until the cost reaches the tolerance
-    ("converged"), less than ``DEFAULT_MIN_STEP`` of simulated time remains
+    ("converged"), less than the step-size floor of simulated time remains
     before the horizon ("horizon"; trial steps are clamped so that
     ``simulated_time`` never exceeds ``max_time``), or no
-    acceptable step exists at the minimum step size, the drift is exactly
+    acceptable step exists at that floor, the drift is exactly
     zero, ``MAX_TRIAL_STEPS`` trial steps are spent or the record reaches its
     bound ("stalled"); a stall is recorded, with its reason, rather than raised.
 
     Identical scenarios produce bitwise-identical records: every quantity
     is computed by fixed-order numpy expressions from the seeded start.
+    The floor, dt * 2**-23, is relative to dt, so a run in another length unit takes the
+    same steps, bit for bit where the unit changes by a power of two (README).
     """
     settings, params = scenario.settings, scenario.params
     state = _feasible_start(scenario.initial_configuration(), scenario.targets, params)
@@ -354,7 +351,8 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
         )
 
     t, accepted, rejected, streak = 0.0, 0, 0, 0
-    dt = cap = settings.dt  # the settings are read once
+    dt = cap = settings.dt  # the settings are read once, the floor formed once
+    floor = state.flow.floor = cap * 2.0**-23  # so a stall takes 23 halvings from the cap
     horizon, tolerance, every = settings.max_time, settings.cost_tolerance, settings.record_every
     limit = _MAX_PLAN_BYTES // (8 * (state.positions.size + params.order))  # samples kept at most
     samples, reason, detail = [snapshot(t)], None, ""
@@ -363,7 +361,7 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
             reason = "converged"
             break
         remaining = horizon - t
-        if remaining < DEFAULT_MIN_STEP:
+        if remaining < floor:
             reason = "horizon"
             break
         if accepted + rejected >= MAX_TRIAL_STEPS:

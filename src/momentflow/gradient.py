@@ -68,7 +68,6 @@ __all__ = [
     "InfeasibleStateError",
     "DEFAULT_DECAY",
     "DEFAULT_EPSILON",
-    "DEFAULT_FD_STEP",
     "trace_derivative",
     "moment_gradient",
     "cost",
@@ -215,7 +214,8 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
 class _Flow:
     """What every evaluation in one flow reads, derived once from (targets, params), n and d:
     metric, decay, scale = decay / n, the terms (m_k*, 4k, eps_k) for k = 2..s, the chain's plan;
-    and the network._workspace they write from its first trial step on (see _Evaluation)."""
+    the network._workspace they write from its first trial step on (see _Evaluation); and the
+    step-size floor that dynamics.simulate sets for its run (None: a bare step's)."""
 
     def __init__(self, targets: TargetSpectrum, params: ControllerParams, n: int, d: int) -> None:
         if targets.order != params.order:
@@ -223,7 +223,7 @@ class _Flow:
                 f"targets carry {targets.order} moments but params.order is {params.order}"
             )
         self.metric, self.decay, self.scale = params.metric, params.decay, params.decay / n
-        self.workspace = None
+        self.workspace = self.floor = None
         self.terms = [(goal, 4.0 * k, eps) for k, (goal, eps) in
                       enumerate(zip(targets.moments[1:].tolist(), params.epsilons[1:]), 2)]
         self.plan = _chain_plan(params.order, n, d)

@@ -64,7 +64,6 @@ __all__ = [
     "SCHEMA",
     "scenario_from_dict",
     "positions_from_dict",
-    "EIGEN_CONSISTENCY_TOL",
     "MAX_DIMENSION",
 ]
 

@@ -2,7 +2,8 @@
 
 Core claims:
     - ``bench.py --smoke`` writes BENCH_<label>.json with every workload's solve_s, failures
-      and counters, the per-layer table and the environment, in well under 2 s
+      and counters, the per-layer table and the environment, in well under 2 s, into an
+      ``--out-dir`` that it makes; one it cannot make is refused in one line before any timing
     - the counters count what they name: a flow evaluates its start once, again after each
       compression, and one candidate per trial step, so on round_trip and large_n the
       evaluations are the trial steps plus one per flow plus the compressions
@@ -29,13 +30,14 @@ SMOKE_ROWS = ["n=7,s=4", "n=10,s=4", "n=50,s=4", "n=200,s=4", "n=8,s=3", "n=8,s=
 
 
 def test_smoke(tmp_path):
+    out = tmp_path / "not" / "yet"  # made by bench.py
     done = subprocess.run(
         [sys.executable, str(ROOT / "bench.py"), "--label", "smoke", "--smoke",
-         "--out-dir", str(tmp_path)],
+         "--out-dir", str(out)],
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    result = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    result = json.loads((out / "BENCH_smoke.json").read_text())
     assert result["label"] == "smoke" and result["smoke"] is True
     assert set(result["environment"]) >= {"python", "numpy", "blas", "blas_core"}
     assert set(result["workloads"]) == {"round_trip", "large_n", "cli"}
@@ -62,6 +64,18 @@ def test_smoke(tmp_path):
     for row in rows.values():
         assert row["accepted"] is True and row["us"] > 0.0 and row["minor_faults"] >= 0.0
         assert row["frames_per_trial_step"] >= 5.0
+
+
+def test_unusable_out_dir_is_refused_before_timing(tmp_path):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"  # below a file: no directory can be made there
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench.py"), "--label", "none", "--out-dir", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr == f"bench.py: --out-dir {out}: Not a directory\n"
+    assert done.stdout == ""
 
 
 def test_against_this_tree(tmp_path):

@@ -905,8 +905,8 @@ class TestRunCommand:
         assert "minimum step size" in report["termination_detail"]
 
     def test_budget_stall_says_why(self, tmp_path, capsys, monkeypatch):
-        # At dt = 1e-8, the step-size floor, rgg10 takes about 350,000 trial
-        # steps to converge; the budget ends the run first.
+        # At dt = 1e-8, rgg10 takes about 350,000 trial steps to converge;
+        # the budget ends the run first.
         monkeypatch.setattr("momentflow.dynamics.MAX_TRIAL_STEPS", 100)
         argv = ["run", "--preset", "rgg10", "--set", "dt=1e-8", "-o", str(tmp_path)]
         assert main(argv) == EXIT_STALLED

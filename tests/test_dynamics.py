@@ -17,7 +17,10 @@ Core claims:
     - simulate terminates with the right reason (converged, horizon,
       stalled), keeps f + b nonincreasing and margins positive along the
       recorded trajectory, never runs past the horizon, and is
-      deterministic for identical scenarios
+      deterministic for identical scenarios, whatever the memory layout of
+      an explicit start; its step-size floor is
+      dt * 2**-23, so a dt of 1e-9 runs and a stall from dt = 500 takes 23
+      rejected trial steps
     - a run that spends MAX_TRIAL_STEPS trial steps without converging
       ends stalled and says so; one that converges on its last allowed
       trial step converges; one whose next sample would take its record
@@ -58,6 +61,8 @@ Core claims:
       eigenvalues and moments are bitwise those of its final configuration;
       256 robots under either metric, stalled the same way or stopped at
       their horizon, peak within their plan's n x n arrays
+    - a robot whose every weight is below 2**-511, beside a coincident team,
+      leaves a drift of exactly zero: the run stalls at t = 0 and says so
 """
 
 import dataclasses
@@ -73,7 +78,6 @@ from pytest import approx
 
 from momentflow import dynamics, gradient, network
 from momentflow.dynamics import (
-    DEFAULT_MIN_STEP,
     FlowStalled,
     SimulationSettings,
     TrajectoryRecord,
@@ -195,14 +199,12 @@ def _two_robot_state(gap=1.0, target=0.05):
 class TestSimulationSettings:
     def test_defaults_are_consistent(self):
         settings = SimulationSettings()
-        assert DEFAULT_MIN_STEP <= settings.dt
+        assert 0.0 < settings.dt <= settings.max_time
         assert settings.cost_tolerance > 0.0
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SimulationSettings(dt=0.0)
-        with pytest.raises(ValueError):
-            SimulationSettings(dt=DEFAULT_MIN_STEP / 10.0)
         with pytest.raises(ValueError):
             SimulationSettings(max_time=0.0)
         with pytest.raises(ValueError):
@@ -550,10 +552,10 @@ class TestStep:
         _unbuildable_candidates(monkeypatch)
         config, targets, params = _two_robot_state(gap=1.0, target=0.05)
         dt = 500.0
-        while dt > DEFAULT_MIN_STEP:
+        while dt > dynamics._STEP_FLOOR:
             new_config, accepted, dt = step(config, targets, params, dt)
             assert not accepted and new_config is config
-        assert dt == DEFAULT_MIN_STEP
+        assert dt == dynamics._STEP_FLOOR == 1e-8
         with pytest.raises(FlowStalled, match="minimum step size"):
             step(config, targets, params, dt)
 
@@ -644,15 +646,47 @@ class TestSimulate:
         record = simulate(scenario)
         assert record.termination_reason == "horizon"
         assert record.simulated_time <= max_time
-        assert max_time - record.simulated_time < DEFAULT_MIN_STEP
+        floor = 0.05 * 2.0**-23  # the run's step-size floor
+        assert max_time - record.simulated_time < floor
         targets, params = scenario.targets, scenario.params
         for before, after in zip(record.samples, record.samples[1:]):
-            assert after.t - before.t >= DEFAULT_MIN_STEP
+            assert after.t - before.t >= floor
             drift = control_law(before.configuration, targets, params) - barrier_gradient(
                 before.configuration, targets, params
             )
             moved = after.configuration.positions - before.configuration.positions
             assert np.allclose(moved, (after.t - before.t) * drift, rtol=1e-9, atol=0.0)
+
+    def test_start_layout_leaves_the_record_as_it_is(self):
+        # A start given as an F-ordered array is the same start: its compressions take the
+        # centroid's sums in one order, so the record is the C-ordered start's, bit for bit.
+        # (numpy sums a contiguous column pairwise, from 8 robots on, and a strided one in turn.)
+        rng = np.random.default_rng(3)
+        params = _params(order=3)
+        targets = target_from_formation(RobotConfiguration(rng.random((20, 2))), params)
+        start = rng.random((20, 2)) * 4.0  # spread, so that it is compressed first
+        scenarios = [Scenario(name="layout", n=20, d=2, params=params, targets=targets,
+                              settings=SimulationSettings(max_time=0.5), initial_positions=x)
+                     for x in (start, np.asfortranarray(start))]
+        assert scenarios[1].initial_positions.flags.f_contiguous
+        c_order, f_order = map(simulate, scenarios)
+        assert not np.array_equal(c_order.samples[0].configuration.positions, start)
+        assert [(s.t, s.configuration.positions.tolist()) for s in f_order.samples] == [
+            (s.t, s.configuration.positions.tolist()) for s in c_order.samples]
+
+    def test_a_dt_below_1e_8_runs_to_its_horizon(self):
+        # No positive dt is refused: the step-size floor is dt * 2**-23, so a
+        # run at dt = 1e-9 takes its ten steps to the horizon like any other.
+        scenario = dataclasses.replace(
+            _reachable_scenario(seed=5),
+            settings=SimulationSettings(dt=1e-9, max_time=1e-8, cost_tolerance=1e-30),
+        )
+        record = simulate(scenario)
+        assert (record.termination_reason, record.termination_detail) == ("horizon", "")
+        assert (record.accepted_steps, record.rejected_steps) == (10, 0)
+        assert record.simulated_time == 1e-8
+        moved = record.final_configuration.positions - record.samples[0].configuration.positions
+        assert np.abs(moved).max() > 0.0
 
     def test_stall_is_reported_not_raised(self, monkeypatch):
         # Every trial step is rejected: dt halves from 500 down to its floor
@@ -670,18 +704,19 @@ class TestSimulate:
         )
         record = simulate(scenario)
         assert record.termination_reason == "stalled"
-        assert "minimum step size" in record.termination_detail
-        # 500 * 2**-k stays above 1e-8 for k = 0..35.
-        assert record.rejected_steps == 36
+        assert record.termination_detail == (
+            "no acceptable step at the minimum step size 5.96046e-05")
+        # 500 * 2**-k stays above the run's floor, 500 * 2**-23, for k = 0..22.
+        assert record.rejected_steps == 23
         assert record.accepted_steps == 0
 
     def test_trial_step_budget_ends_the_run(self, monkeypatch):
-        # At the step-size floor with a tolerance no run reaches, only the
-        # budget ends the run.
+        # At a tiny dt with a tolerance no run reaches, only the budget ends
+        # the run.
         monkeypatch.setattr(dynamics, "MAX_TRIAL_STEPS", 40)
         scenario = dataclasses.replace(
             _reachable_scenario(seed=1),
-            settings=SimulationSettings(dt=DEFAULT_MIN_STEP, cost_tolerance=1e-30),
+            settings=SimulationSettings(dt=1e-8, cost_tolerance=1e-30),
         )
         record = simulate(scenario)
         assert record.termination_reason == "stalled"
@@ -1016,6 +1051,28 @@ class TestEvaluationBudget:
 # == 7. A large team's stall =================================================
 
 class TestLargeTeamFlows:
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_stranded_robot_beside_a_still_team_stalls(self, metric):
+        # 63 robots at one point and one 360/c from them: its weights, e^-360, are below
+        # 2**-511 = sqrt(tiny) and so 0, and the coincident robots move none of each other.
+        # The drift is exactly zero, so the run stalls at once and says why.  Were the weights
+        # kept, their subnormal squares would leave a drift of about 2e-308 that moves no
+        # coordinate, and the run would take 200,000 accepted trial steps to its horizon.
+        n = network._PRODUCT_TEAM
+        positions = np.ones((n, 2))
+        positions[-1, 0] += 360.0
+        params = _params(order=3, metric=metric)
+        adjacency = build_adjacency(RobotConfiguration(positions), 1.0, metric)
+        assert not adjacency.weights[-1].any()
+        scenario = Scenario(name="stranded", n=n, d=2, params=params,
+                            targets=TargetSpectrum(0.5 * spectral_moments(adjacency, 3).values),
+                            settings=SimulationSettings(), initial_positions=positions)
+        record = simulate(scenario)
+        assert (record.termination_reason, record.accepted_steps, record.rejected_steps,
+                record.simulated_time) == ("stalled", 0, 0, 0.0)
+        assert record.termination_detail == "the drift is exactly zero, so no step moves the robots"
+        assert np.array_equal(record.final_configuration.positions, positions)
+
     def test_stalled_flow_records_its_own_spectrum(self):
         # 200 robots from a seeded unit-square start, with targets from a
         # formation in a 20 x 20 box, stall at t = 0.  None of the 23 rejected
@@ -1029,8 +1086,9 @@ class TestLargeTeamFlows:
         record = simulate(scenario)
         assert (record.termination_reason, record.accepted_steps, record.rejected_steps) == (
             "stalled", 0, 23)
+        # The floor is dt * 2**-23 at the default dt: 23 halvings from 0.05.
         assert record.termination_detail == (
-            f"no acceptable step at the minimum step size {DEFAULT_MIN_STEP:g}")
+            "no acceptable step at the minimum step size 5.96046e-09")
         final = record.final_configuration
         expected = network.eigenvalues(build_adjacency(final, params.decay, params.metric))
         assert record.final_eigenvalues.tobytes() == expected.tobytes()

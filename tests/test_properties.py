@@ -58,17 +58,31 @@ Core claims:
       arrays (termination, accepted and rejected counts, simulated_time,
       every sample and the final positions), on short runs of 2-7 and
       63-69 robots, both metrics, s = 2..6, coincident and far pairs, and a
-      trial-step budget of 400 that stiff flows spend
+      trial-step budget of 400 that stiff flows spend; its step-size floor
+      is dt * 2**-23
+    - the same flows in a length unit alpha = 2^-6 .. 2^6 times their own,
+      with axes reflected and, at d = 2, swapped, take the same trial steps:
+      the same counts and
+      termination, every sample's moments, cost and barrier bit for bit, and
+      positions and times exactly alpha and alpha^2 times the original's,
+      round-trip instance #02 at alpha = 1/4 included
+    - from _PRODUCT_TEAM robots on, the weights below 2**-511 are 0 and
+      nothing else moves: on teams with pairs 355/c to 745/c apart, on both
+      sides of that size, the moments agree with the unflushed ones to 1e-12
+      relative plus the bound k (n-1)^(k-1) 2**-511, the drift to 1e-12 of
+      its largest entry, and both bit for bit where no weight is below
+      2**-511
 
 Examples are derandomized and bounded, so every run draws the same ones.
 """
 
 import contextlib
+import dataclasses
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -97,7 +111,7 @@ from momentflow.network import (
     moments_from_eigenvalues,
     spectral_moments,
 )
-from momentflow.scenarios import Scenario, target_from_formation
+from momentflow.scenarios import Scenario, random_geometric_config, target_from_formation
 
 _PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 _UNIT = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -620,6 +634,49 @@ def test_flow_invariants_on_short_runs(case):
     assert record.samples[-1].t == record.simulated_time <= scenario.settings.max_time
 
 
+@st.composite
+def _band_cases(draw):
+    """A tie-free team in the unit cube whose drawn robots, never the first two, move 355/c to
+    745/c along axis 0, where their weights to the rest fall below 2**-511 = sqrt(tiny) or to
+    0; n on both sides of ``network._PRODUCT_TEAM``, s = 2..5, no barrier, and targets at half
+    the team's moments."""
+    n = draw(st.integers(3, 8) | st.integers(network._PRODUCT_TEAM - 2, network._PRODUCT_TEAM + 3))
+    d = draw(st.integers(1, 3))
+    order = min(draw(st.integers(2, 5)), n)
+    params = ControllerParams(decay=draw(st.floats(0.5, 2.0)), metric=draw(_METRIC), order=order,
+                              epsilons=(0.0,) * order)
+    positions = draw(_tie_free_teams(n, d)).positions.copy()
+    moved = np.concatenate([[False, False], draw(arrays(bool, n - 2, elements=st.booleans()))])
+    positions[moved, 0] += draw(st.floats(355.0, 745.0)) / params.decay
+    config = RobotConfiguration(positions)
+    adjacency = build_adjacency(config, params.decay, params.metric)
+    return config, TargetSpectrum(0.5 * spectral_moments(adjacency, order).values), params
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_band_cases())
+def test_weights_below_root_tiny_move_moments_and_drift_by_rounding(case):
+    # Every team flushes its weights below 2**-511, or none does: the weights differ in just
+    # those entries, and the moments and drift by at most 1e-12 relative, plus, for m_k, the
+    # bound k (n-1)^(k-1) 2**-511 on what the flushed weights carry; with none below 2**-511
+    # the two are bitwise alike.
+    config, targets, params = case
+    runs = []
+    for team in (2, 10**6):
+        with mock.patch.object(network, "_PRODUCT_TEAM", team):
+            state = _evaluate(config, targets, params)
+            runs.append((state.weights.copy(), state.moments, state.drift))  # drift: the last read
+    (flushed, moments, drift), (weights, kept, unflushed) = runs
+    tiny = (weights > 0.0) & (weights < 2.0**-511)
+    assert flushed.tobytes() == np.where(tiny, 0.0, weights).tobytes()
+    if not tiny.any():
+        assert (moments, drift.tobytes()) == (kept, unflushed.tobytes())
+    k = np.arange(1, params.order + 1)
+    bound = k * (config.n - 1.0) ** (k - 1) * 2.0**-511
+    assert np.all(np.abs(np.subtract(moments, kept)) <= 1e-12 * np.abs(kept) + bound)
+    assert np.abs(drift - unflushed).max() <= 1e-12 * np.abs(unflushed).max()
+
+
 def _sample_bytes(t, positions, moments, cost, barrier):
     return b"".join(np.array(values).tobytes() for values in ([t, cost, barrier], positions,
                                                                moments))
@@ -634,12 +691,13 @@ def _reference_flow(scenario):
     state = dynamics._feasible_start(scenario.initial_configuration(), scenario.targets,
                                      scenario.params)  # its flow: only _advance adds a workspace
     t, accepted, rejected, streak, dt, reason = 0.0, 0, 0, 0, settings.dt, None
+    floor = settings.dt * 2.0**-23  # the step-size floor, relative to dt
     samples = [(t, state)]
     while reason is None:
         remaining = settings.max_time - t
         if state.cost <= settings.cost_tolerance:
             reason = "converged"
-        elif remaining < dynamics.DEFAULT_MIN_STEP:
+        elif remaining < floor:
             reason = "horizon"
         elif accepted + rejected >= dynamics.MAX_TRIAL_STEPS:
             reason = "stalled"
@@ -659,8 +717,8 @@ def _reference_flow(scenario):
                     dt, streak = min(2.0 * dt, settings.dt), 0
                 if accepted % settings.record_every == 0:
                     samples.append((t, state))
-            elif moved and trial > dynamics.DEFAULT_MIN_STEP:
-                dt, rejected, streak = max(trial / 2.0, dynamics.DEFAULT_MIN_STEP), rejected + 1, 0
+            elif moved and trial > floor:
+                dt, rejected, streak = max(trial / 2.0, floor), rejected + 1, 0
             else:
                 reason = "stalled"
     if samples[-1] != (t, state):
@@ -705,3 +763,58 @@ def test_simulate_is_the_workspace_free_reference_flow(scenario):
                 _sample_bytes(s.t, s.configuration.positions, s.moments.values, s.cost, s.barrier)
                 for s in record.samples
             ], record.final_configuration.positions.tobytes()) == reference
+
+
+def _in_unit(scenario, alpha, flips, axes):
+    """``scenario`` with lengths times ``alpha``, its axes in the order ``axes`` and then the
+    ``flips`` ones reflected: positions so moved, decay over alpha, and dt and max_time times
+    alpha**2 (README)."""
+    settings, params = scenario.settings, scenario.params
+    return dataclasses.replace(
+        scenario, params=dataclasses.replace(params, decay=params.decay / alpha),
+        settings=dataclasses.replace(settings, dt=settings.dt * alpha**2,
+                                     max_time=settings.max_time * alpha**2),
+        seed=None, initial_positions=scenario.initial_configuration().positions[:, axes] *
+        np.where(flips, -alpha, alpha))
+
+
+def _outcome(record, floor, alpha=1.0, flips=False, axes=slice(None)):
+    """A record's termination, counts, simulated time, samples and final positions, with times
+    scaled by alpha**2 and positions moved as :func:`_in_unit` moves them (-0.0 and 0.0 compare
+    equal); a stall detail's time or step-size ``floor`` is written from the scaled float."""
+    signs, factor = np.where(flips, -alpha, alpha), alpha**2
+    t, detail = record.simulated_time, record.termination_detail
+    detail = detail.replace(f"t = {t:.6g}", f"t = {t * factor:.6g}").replace(
+        f"size {floor:g}", f"size {floor * factor:g}")
+    return (record.termination_reason, detail, record.accepted_steps, record.rejected_steps,
+            t * factor, [(s.t * factor, (s.configuration.positions[:, axes] * signs).tolist(),
+                          s.moments.values.tobytes(), s.cost, s.barrier) for s in record.samples],
+            (record.final_configuration.positions[:, axes] * signs).tolist())
+
+
+def _round_trip_02():
+    """Acceptance criterion 4's third instance, 7 robots at s = 5: 21,258 + 3,480 trial steps
+    to converge, while at alpha = 1/4 an absolute floor of 1e-8 stalled it after 7 + 20."""
+    params = ControllerParams(decay=1.0, metric=2, order=5, epsilons=(0.0,) + (1e-9,) * 4)
+    targets = target_from_formation(
+        RobotConfiguration(random_geometric_config(7, 2, 1002).positions * 0.5), params)
+    settings = SimulationSettings(cost_tolerance=(0.004 * targets.moments[-1]) ** 2 / 20.0,
+                                  max_time=300.0)
+    return Scenario(name="round_trip_02", n=7, d=2, params=params, targets=targets,
+                    settings=settings, seed=2002)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_reference_cases(), st.integers(-6, 6), arrays(bool, 3, elements=st.booleans()),
+       st.booleans())
+@example(_round_trip_02(), -2, np.array([False, True, False]), True)
+def test_flow_is_equivariant(scenario, k, flips, swap):
+    # A run in another length unit, alpha = 2**k, with axes reflected and, in the plane, swapped
+    # takes the same trial steps: every weight, moment, cost and barrier is the same float,
+    # every position and the drift move exactly, and the step-size floor, dt * 2**-23, scales
+    # as dt does.  Two axes' squares add the same either way round; three may not.
+    alpha, flips, floor = 2.0**k, flips[: scenario.d], scenario.settings.dt * 2.0**-23
+    axes = [1, 0] if swap and scenario.d == 2 else list(range(scenario.d))
+    with mock.patch.object(dynamics, "MAX_TRIAL_STEPS", 400):  # a stiff flow ends stalled
+        record, moved = simulate(scenario), simulate(_in_unit(scenario, alpha, flips, axes))
+    assert _outcome(moved, floor * alpha**2) == _outcome(record, floor, alpha, flips, axes)
