@@ -22,13 +22,11 @@ Per workload (round_trip, large_n, cli at seed 1):
 Per layer (``layers.n``), a planar Euclidean team at s = 4 for n in 7, 10, 50, 200, 800: the
 median of repeated calls, in microseconds, and their mean minor page faults, of distances,
 weights, half chain and moments, and evaluation and drift, from the start's positions as a
-flow lays them out.  Per row (``layers.rows``), a planar team labelled by n, order s, z = 1
-if taxicab (else Euclidean) and the gap its second half is moved by, if any:
+flow lays them out.  Per row (``layers.rows``), a planar team labelled by n, order s and z = 1
+if taxicab (else Euclidean):
   n=7,s=4  n=10,s=4  n=50,s=4  n=200,s=4  n=800,s=4   the size sweep
   n=8,s=3  n=8,s=4  n=8,s=5                            round_trip's orders
   n=200,s=4,z=1                                        large_n's team, taxicab
-  n=512,s=4,gap=720                                    spread_n: two clusters whose weights
-                                                       to each other are subnormal or 0
 one trial step (the state's drift and the candidate's evaluation), timed as a layer is, the
 start's first and accepted (``accepted``, from one untimed call), and momentflow's Python
 frames per trial step (the same every run).  ``--smoke``: perfbench's tiny inputs, one round,
@@ -95,8 +93,7 @@ ORDER = 4
 SIZES = (7, 10, 50, 200, 800)
 ROWS = (*((n, ORDER, 2) for n in SIZES),  # (n, s, metric): the size sweep,
         *((8, order, 2) for order in (3, 4, 5)),  # round_trip's orders at one of its sizes,
-        (200, ORDER, 1),  # large_n's team under the schema's default metric,
-        (512, ORDER, 2, 720.0))  # and spread_n, whose clusters' cross weights are subnormal
+        (200, ORDER, 1))  # and large_n's team under the schema's default metric
 SMOKE_N = 200  # --smoke's largest team
 TRIAL_STEPS = 20  # for a frame count
 AGAINST = "momentflow_against"
@@ -234,16 +231,13 @@ def _timed(call, prepare, seconds):
     return {"us": statistics.median(samples) * 1e6, "minor_faults": faults / len(samples)}
 
 
-def _start(n, order=ORDER, metric=2, gap=0.0, package=momentflow):
+def _start(n, order=ORDER, metric=2, package=momentflow):
     """A seeded planar team of n robots, as large_n's is built: a goal with about one robot per
-    two unit areas, and the start it contracted by 0.95, both with their second half moved
-    ``gap`` along x, evaluated as a flow's first state by ``package`` (this tree's momentflow,
-    or the one ``--against`` names)."""
+    two unit areas, and the start it contracted by 0.95, evaluated as a flow's first state by
+    ``package`` (this tree's momentflow, or the one ``--against`` names)."""
     rng = np.random.default_rng(n)
     goal = rng.random((n, 2)) * np.sqrt(2.0 * n)
     start = goal.mean(axis=0) + 0.95 * (goal - goal.mean(axis=0))
-    goal[n // 2 :, 0] += gap
-    start[n // 2 :, 0] += gap
     params = package.gradient.ControllerParams(decay=1.0, metric=metric, order=order)
     targets = package.scenarios.target_from_formation(
         package.network.RobotConfiguration(goal), params)
@@ -282,11 +276,11 @@ def layers(sizes, seconds):
     return table
 
 
-def _label(n, order, metric, gap=0.0):
-    return f"n={n},s={order}" + (",z=1" if metric == 1 else "") + (f",gap={gap:g}" if gap else "")
+def _label(n, order, metric):
+    return f"n={n},s={order}" + (",z=1" if metric == 1 else "")
 
 
-def time_row(seconds, *row):
+def time_row(n, order, metric, seconds):
     """A row of ROWS: :func:`_trial_step` from :func:`_start`'s team, and momentflow's Python
     frames per trial step over TRIAL_STEPS from a second start, each at the dt the last one
     returned, as tier-1's ``test_momentflow_frames_per_trial_step`` counts them."""
@@ -297,10 +291,10 @@ def time_row(seconds, *row):
         if event == "call" and frame.f_code.co_filename.startswith(package):
             calls += 1
 
-    state = _start(*row)
+    state = _start(n, order, metric)
     with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs (network._quiet)
         step = _trial_step(state.flow, state.positions, seconds)
-        state, dt, previous = _start(*row), dynamics.DEFAULT_DT, sys.getprofile()
+        state, dt, previous = _start(n, order, metric), dynamics.DEFAULT_DT, sys.getprofile()
         sys.setprofile(profile)
         try:
             for _ in range(TRIAL_STEPS):
@@ -499,7 +493,7 @@ def main(argv=None) -> int:
     result["layers"] = {
         "team": f"planar, c = 1; n: Euclidean, s = {ORDER}; rows: as labelled, z = 1 taxicab",
         "n": layers([n for n in SIZES if n <= limit], seconds),
-        "rows": {_label(*row): time_row(seconds, *row) for row in ROWS if row[0] <= limit},
+        "rows": {_label(*row): time_row(*row, seconds) for row in ROWS if row[0] <= limit},
     }
     return _write(result, args, began)
 

@@ -11,17 +11,19 @@ inside the feasible region
 and f + b never increases.  A trial step that violates either property is
 rejected and the step size halved; five consecutive acceptances double it
 back up to its initial value.  A trial step never runs past the horizon,
-and the run ends there once less than the step-size floor, dt * 2**-23,
-remains.  If the step size bottoms out at that floor, 23 halvings below dt,
-and the trial step is still rejected, the flow has stalled; so has a state
-whose drift is exactly zero (all robots coincident, say), which no step
-moves, and so has a run that spends ``MAX_TRIAL_STEPS`` trial steps or
-whose samples would outgrow ``network._MAX_PLAN_BYTES``.  Each state is
-evaluated once, the start included, into floats: an accepted candidate's
-evaluation is the next state, and a configuration or moment vector is
-wrapped only for the record.  A weight of 0 (robots 745/decay apart, 354.2/decay in
-teams of 64 or more: network._adjacency) is an ordinary weight: a far-apart start is
-compressed like any other, and a robot with only such weights has a zero drift row.
+and the run ends there once less than the step-size floor remains: 2**-23
+of the first trial step, min(dt, max_time), and never below the smallest
+normal float.  If the step size bottoms out at that floor, 23 halvings
+below the first trial step, and the trial step is still rejected, the flow
+has stalled; so has a state whose drift is exactly zero (all robots
+coincident, say), which no step moves, and so has a run that spends
+``MAX_TRIAL_STEPS`` trial steps or whose samples would outgrow
+``network._MAX_PLAN_BYTES``.  Each state is evaluated once, the start
+included, into floats: an accepted candidate's evaluation is the next
+state, and a configuration or moment vector is wrapped only for the
+record.  A weight that underflows to 0 (robots about 745/decay or more
+apart) is an ordinary weight: a far-apart start is compressed like any
+other infeasible start.
 
 Feasible starting points always exist whenever each target sits strictly
 below its coincident-configuration ceiling: contracting the team toward its
@@ -75,6 +77,7 @@ __all__ = [
 
 DEFAULT_DT = 0.05
 _STEP_FLOOR = 1e-8  # a bare step()'s; a run's is relative to its dt (see simulate)
+_TINY = np.finfo(float).tiny  # the smallest normal float, under a run's floor
 # The barrier puts a floor of about sqrt(eps) * sum_k 1/(4k) under the
 # reachable cost (see momentflow.gradient.DEFAULT_EPSILON); the default
 # tolerance sits a comfortable factor above that floor so barrier-guarded
@@ -284,8 +287,10 @@ def step(
     return state.config, accepted, next_dt
 
 
-def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
-    """:func:`step` from an evaluated state; the next state comes evaluated.
+def _advance(state: _Evaluation, dt: float,
+             floor: float = _STEP_FLOOR) -> tuple[_Evaluation, bool, float]:
+    """:func:`step` from an evaluated state, with the step-size ``floor`` (a run's, from
+    :func:`simulate`, or a bare step's); the next state comes evaluated.
 
     Runs under its caller's error state: a candidate with a coordinate that is not finite (only
     a sum of squares that is not finite tests each) is rejected unevaluated.  A candidate is
@@ -311,7 +316,6 @@ def _advance(state: _Evaluation, dt: float) -> tuple[_Evaluation, bool, float]:
         if after < before or np.count_nonzero(drift):
             return candidate, True, dt
     elif np.count_nonzero(drift):
-        floor = flow.floor or _STEP_FLOOR  # the run's (see simulate), or a bare step()'s
         if dt <= floor:
             raise FlowStalled(f"no acceptable step at the minimum step size {floor:g}")
         return state, False, max(dt / 2.0, floor)
@@ -335,8 +339,8 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
 
     Identical scenarios produce bitwise-identical records: every quantity
     is computed by fixed-order numpy expressions from the seeded start.
-    The floor, dt * 2**-23, is relative to dt, so a run in another length unit takes the
-    same steps, bit for bit where the unit changes by a power of two (README).
+    The floor, min(dt, max_time) * 2**-23 and at least the smallest normal float, scales as
+    dt does, so a run in another length unit takes the same steps (README).
     """
     settings, params = scenario.settings, scenario.params
     state = _feasible_start(scenario.initial_configuration(), scenario.targets, params)
@@ -352,8 +356,8 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
 
     t, accepted, rejected, streak = 0.0, 0, 0, 0
     dt = cap = settings.dt  # the settings are read once, the floor formed once
-    floor = state.flow.floor = cap * 2.0**-23  # so a stall takes 23 halvings from the cap
     horizon, tolerance, every = settings.max_time, settings.cost_tolerance, settings.record_every
+    floor = max(min(cap, horizon) * 2.0**-23, _TINY)  # 23 halvings from the first trial step
     limit = _MAX_PLAN_BYTES // (8 * (state.positions.size + params.order))  # samples kept at most
     samples, reason, detail = [snapshot(t)], None, ""
     while True:
@@ -370,7 +374,7 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
             break
         trial = remaining if remaining < dt else dt  # min(dt, remaining)
         try:
-            state, ok, dt_next = _advance(state, trial)
+            state, ok, dt_next = _advance(state, trial, floor)
         except FlowStalled as exc:
             reason = "stalled"
             detail = str(exc)

@@ -214,8 +214,7 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
 class _Flow:
     """What every evaluation in one flow reads, derived once from (targets, params), n and d:
     metric, decay, scale = decay / n, the terms (m_k*, 4k, eps_k) for k = 2..s, the chain's plan;
-    the network._workspace they write from its first trial step on (see _Evaluation); and the
-    step-size floor that dynamics.simulate sets for its run (None: a bare step's)."""
+    and the network._workspace they write from its first trial step on (see _Evaluation)."""
 
     def __init__(self, targets: TargetSpectrum, params: ControllerParams, n: int, d: int) -> None:
         if targets.order != params.order:
@@ -223,7 +222,7 @@ class _Flow:
                 f"targets carry {targets.order} moments but params.order is {params.order}"
             )
         self.metric, self.decay, self.scale = params.metric, params.decay, params.decay / n
-        self.workspace = self.floor = None
+        self.workspace = None
         self.terms = [(goal, 4.0 * k, eps) for k, (goal, eps) in
                       enumerate(zip(targets.moments[1:].tolist(), params.epsilons[1:]), 2)]
         self.plan = _chain_plan(params.order, n, d)

@@ -60,7 +60,6 @@ MAX_WALK_LENGTH = 5
 # 10.9/10.2 13.5/15.4 18.0/27.2 22.7/33.5.  z=2: d=1 8.5/5.9 10.4/9.2 13.4/13.4 15.5/15.9, d=2
 # 10.2/8.8 13.6/14.5 17.0/20.1 19.4/24.1, d=3 11.6/11.1 16.6/18.2 22.0/28.2 25.0/33.8.
 _PRODUCT_TEAM = 64
-_LOG_ROOT_TINY = math.log(2.0**-511)  # numpy's exp(x) < 2**-511 for exactly the x below it
 
 # The largest team a scenario or positions file may hold, 134 MB per n x n float64 matrix.  An
 # order s plans ceil(s/2) + 4 + d of them (_chain_plan), at most 9, 1.21 GB (s <= 6 in the plane),
@@ -120,8 +119,8 @@ class WeightedAdjacency:
     """Symmetric nonnegative weight matrix with a zero diagonal.
 
     Entries lie in [0, 1]: exp(-decay * dist) is one only for coincident robots and is exactly
-    zero 354.2/decay apart (745/decay below ``_PRODUCT_TEAM`` robots, see _adjacency) and on the
-    diagonal, where each robot is at +inf from itself: an edge of weight and derivative 0.
+    zero about 745/decay apart and on the diagonal, where each robot is at +inf from itself,
+    an edge whose weight and derivative are both 0; moments stay defined.
     """
 
     weights: np.ndarray
@@ -257,11 +256,8 @@ def _weights(positions: np.ndarray, decay: float, metric: int) -> np.ndarray:
 def _adjacency(distance: np.ndarray, decay: float, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-decay * distance), written to ``out`` if given, for (n, n) distances or an (m, n, n)
     stack.  Symmetric distances in [0, inf] with +inf on the diagonal give symmetric weights in
-    [0, 1] with a zero diagonal: the :class:`WeightedAdjacency` contract by construction.  From
-    ``_PRODUCT_TEAM`` robots on, weights below 2**-511 = sqrt(tiny) are 0 (README: BLAS)."""
+    [0, 1] with a zero diagonal: the :class:`WeightedAdjacency` contract by construction."""
     weights = np.multiply(distance, -decay, out)
-    if weights.shape[-1] >= _PRODUCT_TEAM:  # -inf where exp would give below 2**-511
-        np.copyto(weights, -np.inf, where=weights < _LOG_ROOT_TINY)
     return np.exp(weights, weights)
 
 

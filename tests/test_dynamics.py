@@ -18,9 +18,10 @@ Core claims:
       stalled), keeps f + b nonincreasing and margins positive along the
       recorded trajectory, never runs past the horizon, and is
       deterministic for identical scenarios, whatever the memory layout of
-      an explicit start; its step-size floor is
-      dt * 2**-23, so a dt of 1e-9 runs and a stall from dt = 500 takes 23
-      rejected trial steps
+      an explicit start; its step-size floor is 2**-23 of min(dt, max_time)
+      and at least the smallest normal float, so a dt of 1e-9 runs, a stall
+      from dt = 500 takes 23 rejected trial steps, a horizon below dt * 2**-23
+      is stepped to, and a subnormal dt ends its run
     - a run that spends MAX_TRIAL_STEPS trial steps without converging
       ends stalled and says so; one that converges on its last allowed
       trial step converges; one whose next sample would take its record
@@ -61,8 +62,6 @@ Core claims:
       eigenvalues and moments are bitwise those of its final configuration;
       256 robots under either metric, stalled the same way or stopped at
       their horizon, peak within their plan's n x n arrays
-    - a robot whose every weight is below 2**-511, beside a coincident team,
-      leaves a drift of exactly zero: the run stalls at t = 0 and says so
 """
 
 import dataclasses
@@ -165,9 +164,9 @@ def _recorded_advances(monkeypatch, products=None):
     trials = []
     advance = dynamics._advance
 
-    def recorded(state, dt):
+    def recorded(state, dt, *floor):
         known, before = state._drift is not None, len(products or ())
-        result = advance(state, dt)
+        result = advance(state, dt, *floor)
         trials.append((dt, known, result[1], len(products or ()) - before))
         return result
 
@@ -688,6 +687,37 @@ class TestSimulate:
         moved = record.final_configuration.positions - record.samples[0].configuration.positions
         assert np.abs(moved).max() > 0.0
 
+    def test_a_horizon_below_dt_s_floor_is_stepped_to(self):
+        # The floor is 2**-23 of the first trial step, min(dt, max_time): a
+        # horizon of 1e-7 at dt = 1, below dt * 2**-23, is reached in one step.
+        scenario = dataclasses.replace(
+            _reachable_scenario(seed=5),
+            settings=SimulationSettings(dt=1.0, max_time=1e-7, cost_tolerance=1e-30),
+        )
+        record = simulate(scenario)
+        assert (record.termination_reason, record.termination_detail) == ("horizon", "")
+        assert (record.accepted_steps, record.rejected_steps) == (1, 0)
+        assert record.simulated_time == 1e-7
+
+    def test_a_subnormal_dt_ends_its_run(self, monkeypatch):
+        # At dt = 2**-1060, dt * 2**-23 is 0; the floor is held at the smallest
+        # normal float instead.  A horizon below it ends the run at once, and a
+        # rejected trial step stalls there, where a floor of 0 took zero-length
+        # trial steps until the budget ran out.
+        monkeypatch.setattr(dynamics, "MAX_TRIAL_STEPS", 40)
+        dt, base = 2.0**-1060, _reachable_scenario(seed=5)
+
+        def outcome(max_time):
+            record = simulate(dataclasses.replace(base, settings=SimulationSettings(
+                dt=dt, max_time=max_time, cost_tolerance=1e-30)))
+            return (record.termination_reason, record.termination_detail,
+                    record.accepted_steps, record.rejected_steps, record.simulated_time)
+
+        assert outcome(4 * dt) == ("horizon", "", 0, 0, 0.0)
+        _unbuildable_candidates(monkeypatch)
+        assert outcome(1.0) == (
+            "stalled", "no acceptable step at the minimum step size 2.22507e-308", 0, 0, 0.0)
+
     def test_stall_is_reported_not_raised(self, monkeypatch):
         # Every trial step is rejected: dt halves from 500 down to its floor
         # and the trial there fails too.
@@ -897,9 +927,9 @@ class TestEvaluationBudget:
         advance = dynamics._advance
         per_trial = []
 
-        def recorded(state, dt):
+        def recorded(*args):
             before = len(built)
-            result = advance(state, dt)
+            result = advance(*args)
             per_trial.append((result[1], built[before:]))
             return result
 
@@ -1051,28 +1081,6 @@ class TestEvaluationBudget:
 # == 7. A large team's stall =================================================
 
 class TestLargeTeamFlows:
-    @pytest.mark.parametrize("metric", [1, 2])
-    def test_stranded_robot_beside_a_still_team_stalls(self, metric):
-        # 63 robots at one point and one 360/c from them: its weights, e^-360, are below
-        # 2**-511 = sqrt(tiny) and so 0, and the coincident robots move none of each other.
-        # The drift is exactly zero, so the run stalls at once and says why.  Were the weights
-        # kept, their subnormal squares would leave a drift of about 2e-308 that moves no
-        # coordinate, and the run would take 200,000 accepted trial steps to its horizon.
-        n = network._PRODUCT_TEAM
-        positions = np.ones((n, 2))
-        positions[-1, 0] += 360.0
-        params = _params(order=3, metric=metric)
-        adjacency = build_adjacency(RobotConfiguration(positions), 1.0, metric)
-        assert not adjacency.weights[-1].any()
-        scenario = Scenario(name="stranded", n=n, d=2, params=params,
-                            targets=TargetSpectrum(0.5 * spectral_moments(adjacency, 3).values),
-                            settings=SimulationSettings(), initial_positions=positions)
-        record = simulate(scenario)
-        assert (record.termination_reason, record.accepted_steps, record.rejected_steps,
-                record.simulated_time) == ("stalled", 0, 0, 0.0)
-        assert record.termination_detail == "the drift is exactly zero, so no step moves the robots"
-        assert np.array_equal(record.final_configuration.positions, positions)
-
     def test_stalled_flow_records_its_own_spectrum(self):
         # 200 robots from a seeded unit-square start, with targets from a
         # formation in a 20 x 20 box, stall at t = 0.  None of the 23 rejected

@@ -16,9 +16,6 @@ Core claims:
       diagonal and off-diagonal entries in [0, 1], 0 where a weight
       underflows, and rejects a metric other than 1 and 2 and a decay that
       is not a positive real, a boolean among them
-    - from _PRODUCT_TEAM robots on, exactly the weights below 2**-511 =
-      sqrt(tiny) are 0: an exponent below _LOG_ROOT_TINY is the exact test
-      of exp(x) < 2**-511 on the 2,001 floats around it
     - power_chain agrees with numpy matrix_power
     - spectral_moments has m_1 == 0 exactly, nonnegative entries, and agrees
       with the eigenvalue power-sum route to tight tolerance; that route
@@ -67,7 +64,6 @@ from momentflow.network import (
     _max_planned_order,
     _pairwise_distance,
     _product,
-    _LOG_ROOT_TINY,
     _PRODUCT_TEAM,
 )
 
@@ -358,31 +354,6 @@ class TestBuildAdjacency:
         config = RobotConfiguration([[1.0, 2.0], [1.0, 2.0], [4.0, 0.0]])
         adjacency = build_adjacency(config, 1.0, 2)
         assert adjacency.weights[0, 1] == 1.0
-
-    @pytest.mark.parametrize("n", [_PRODUCT_TEAM - 1, _PRODUCT_TEAM])
-    @pytest.mark.parametrize("metric", [1, 2])
-    def test_weights_below_root_tiny_are_zero_from_the_product_team_on(self, n, metric):
-        # A robot 350, 360 or 800 from a team in a unit box: e^-350 is above 2**-511, e^-360
-        # below it, and e^-800 underflows.  From _PRODUCT_TEAM robots on, the weights below
-        # 2**-511 are 0; every other weight is exp(-decay * dist), as it is in a smaller team.
-        positions = np.random.default_rng(n).random((n, 2))
-        positions[-3:] = [[350.0, 0.0], [-360.0, 0.0], [0.0, 800.0]]
-        config = RobotConfiguration(positions)
-        weights = build_adjacency(config, 1.0, metric).weights
-        with np.errstate(under="ignore"):
-            expected = np.exp(-_distances(config, metric))
-        np.fill_diagonal(expected, 0.0)
-        tiny = expected < 2.0**-511
-        assert tiny[-2, :-3].all() and not tiny[-3, :-3].any()
-        if n >= _PRODUCT_TEAM:
-            expected[tiny] = 0.0
-        assert weights.tobytes() == expected.tobytes()
-
-    def test_root_tiny_exponent_is_exact(self):
-        # exp(x) < 2**-511 exactly for the x below _LOG_ROOT_TINY, on the 2,001 floats around it.
-        bits = np.array([_LOG_ROOT_TINY]).view(np.int64) + np.arange(-1000, 1001)
-        exponents = bits.view(np.float64)
-        assert np.array_equal(np.exp(exponents) < 2.0**-511, exponents < _LOG_ROOT_TINY)
 
     def test_rejects_bad_decay(self):
         config = _random_config(3, 2, 0)
