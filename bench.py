@@ -30,7 +30,8 @@ if taxicab (else Euclidean):
 one trial step (the state's drift and the candidate's evaluation), timed as a layer is, the
 start's first and accepted (``accepted``, from one untimed call), and momentflow's Python
 frames per trial step (the same every run).  ``--smoke``: perfbench's tiny inputs, one round,
-and every layer and row up to n = 200.
+and every layer and row up to n = 200.  In every file, ``code.src_lines``: the lines of each
+``src/momentflow`` module and their ``total``, the size of ``src/`` that the counters sit beside.
 
 With ``--against TREE`` it times one workload (default round_trip) in one process for this
 tree and for TREE, another checkout whose ``src/momentflow`` it imports as the package
@@ -423,6 +424,13 @@ def _blas_core():
     return None
 
 
+def src_lines():
+    """Lines of each module of ``src/momentflow`` by file name, and their ``total``."""
+    lines = {path.name: len(path.read_text().splitlines())
+             for path in sorted((ROOT / "src" / "momentflow").glob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
+
+
 def environment():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -458,7 +466,7 @@ def main(argv=None) -> int:
     rounds = 1 if args.smoke else ROUNDS
     began = time.perf_counter()
     result = {"label": args.label, "seed": SEED, "smoke": args.smoke,
-              "environment": environment()}
+              "environment": environment(), "code": {"src_lines": src_lines()}}
     if args.against:
         if args.pairs < 2:
             parser.error("--pairs must be at least 2")

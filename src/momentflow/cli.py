@@ -126,15 +126,13 @@ def apply_override(data: dict[str, Any], assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    *branches, leaf = path.split(".")
     node = data
-    parts = path.split(".")
-    for part in parts[:-1]:
-        nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[part] = nxt
-        node = nxt
-    node[parts[-1]] = value
+    for part in branches:
+        if not isinstance(node.get(part), dict):
+            node[part] = {}
+        node = node[part]
+    node[leaf] = value
 
 
 # == run outputs ===========================================================
@@ -310,12 +308,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"trial {index} (seed {trial.seed}):")
         trial_dir = out_dir / f"trial_{index:03d}"
         outcomes.append(_exit_status(_run_one, trial, trial_dir, args.verbose))
-    converged = sum(1 for code in outcomes if code == EXIT_CONVERGED)
-    print(f"{converged}/{trials} trials converged")
-    for code in outcomes:
-        if code != EXIT_CONVERGED:
-            return code
-    return EXIT_CONVERGED
+    print(f"{outcomes.count(EXIT_CONVERGED)}/{trials} trials converged")
+    return next((code for code in outcomes if code != EXIT_CONVERGED), EXIT_CONVERGED)
 
 
 # == verify ================================================================

@@ -16,9 +16,9 @@ of the first trial step, min(dt, max_time), and never below the smallest
 normal float.  If the step size bottoms out at that floor, 23 halvings
 below the first trial step, and the trial step is still rejected, the flow
 has stalled; so has a state whose drift is exactly zero (all robots
-coincident, say), which no step moves, and so has a run that spends
-``MAX_TRIAL_STEPS`` trial steps or whose samples would outgrow
-``network._MAX_PLAN_BYTES``.  Each state is evaluated once, the start
+coincident, say) or whose accepted step of the full dt moves no robot, and so
+has a run that spends ``MAX_TRIAL_STEPS`` trial steps or whose samples would
+outgrow ``network._MAX_PLAN_BYTES``.  Each state is evaluated once, the start
 included, into floats: an accepted candidate's evaluation is the next
 state, and a configuration or moment vector is wrapped only for the
 record.  A weight that underflows to 0 (robots about 745/decay or more
@@ -45,9 +45,9 @@ from .gradient import ControllerParams, TargetSpectrum, _evaluate, _Evaluation, 
 from .network import (
     MomentVector,
     RobotConfiguration,
-    _BOOLEANS,
     _MAX_PLAN_BYTES,
     _freeze,
+    _positive_real,
     _quiet,
     _workspace,
     build_adjacency,
@@ -126,10 +126,7 @@ class SimulationSettings:
 
     def __post_init__(self) -> None:
         for name in ("dt", "max_time", "cost_tolerance"):
-            value = getattr(self, name)
-            if isinstance(value, _BOOLEANS) or not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be a positive real, got {value}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _positive_real(getattr(self, name), name))
         if type(self.record_every) is not int or self.record_every < 1:  # a bool is no count
             raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
 
@@ -151,8 +148,8 @@ class TrajectoryRecord:
 
     ``termination_reason`` is one of "converged" (cost reached tolerance),
     "horizon" (simulated time hit max_time first), or "stalled" (no
-    acceptable step at the minimum step size, a drift of exactly zero,
-    ``MAX_TRIAL_STEPS`` trial steps spent, or a record at its bound).
+    acceptable step at the minimum step size, a drift of exactly zero, a step of the full
+    dt that moved no robot, ``MAX_TRIAL_STEPS`` trial steps spent, or a record at its bound).
     ``termination_detail`` says why a run stalled and is empty otherwise.
     ``samples`` always contains the initial state and the final state;
     intermediate samples appear every ``record_every`` accepted steps.
@@ -175,8 +172,7 @@ class TrajectoryRecord:
             )
         if not self.samples:
             raise ValueError("a trajectory record needs at least one sample")
-        eigs = np.array(self.final_eigenvalues, dtype=float)
-        _freeze(self, "final_eigenvalues", eigs)
+        _freeze(self, "final_eigenvalues", np.array(self.final_eigenvalues, dtype=float))
         object.__setattr__(self, "samples", tuple(self.samples))
 
 
@@ -281,9 +277,8 @@ def step(
     if dt is already at the floor and the trial still fails, or if the
     drift is exactly zero, since then no step moves the robots (see _advance).
     """
-    if isinstance(dt, _BOOLEANS) or not np.isfinite(dt) or dt <= 0.0:
-        raise ValueError(f"dt must be a positive real, got {dt}")
-    state, accepted, next_dt = _advance(_evaluate(config, targets, params), float(dt))
+    dt = _positive_real(dt, "dt")
+    state, accepted, next_dt = _advance(_evaluate(config, targets, params), dt)
     return state.config, accepted, next_dt
 
 
@@ -332,10 +327,10 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     integration happens.  Runs until the cost reaches the tolerance
     ("converged"), less than the step-size floor of simulated time remains
     before the horizon ("horizon"; trial steps are clamped so that
-    ``simulated_time`` never exceeds ``max_time``), or no
-    acceptable step exists at that floor, the drift is exactly
-    zero, ``MAX_TRIAL_STEPS`` trial steps are spent or the record reaches its
-    bound ("stalled"); a stall is recorded, with its reason, rather than raised.
+    ``simulated_time`` never exceeds ``max_time``), or no acceptable step exists at that floor,
+    the drift is exactly zero, an accepted step of the full dt moves no coordinate (nor will any
+    after it), ``MAX_TRIAL_STEPS`` trial steps are spent or the record reaches its bound
+    ("stalled"); a stall is recorded, with its reason, rather than raised.
 
     Identical scenarios produce bitwise-identical records: every quantity
     is computed by fixed-order numpy expressions from the seeded start.
@@ -374,7 +369,7 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
             break
         trial = remaining if remaining < dt else dt  # min(dt, remaining)
         try:
-            state, ok, dt_next = _advance(state, trial, floor)
+            before, (state, ok, dt_next) = state, _advance(state, trial, floor)
         except FlowStalled as exc:
             reason = "stalled"
             detail = str(exc)
@@ -382,6 +377,10 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
         if ok:
             t = min(t + trial, horizon)
             accepted += 1
+            if state.cost + state.barrier == before.cost + before.barrier and trial == cap and (
+                    np.array_equal(state.positions, before.positions)):  # nor will any later step
+                reason, detail = "stalled", f"a trial step of the full dt = {cap:g} moved no robot"
+                break
             streak += 1
             if streak >= _ACCEPTS_PER_DOUBLING:
                 dt = min(2.0 * dt, cap)
@@ -402,7 +401,7 @@ def simulate(scenario: "Scenario") -> TrajectoryRecord:
     config = state.config
     if samples[-1].configuration is not config or samples[-1].t != t:
         samples.append(snapshot(t))
-    del state  # and its flow's workspace: the final weights are formed again, alone
+    state = before = None  # and their flow's workspace: the final weights are formed again, alone
 
     return TrajectoryRecord(
         samples=tuple(samples),

@@ -55,7 +55,9 @@ from .network import (
     _chain_plan,
     _freeze,
     _half_chain,
+    _metric,
     _pairwise_distance,
+    _positive_real,
     _product,
     _quiet,
     _weights,
@@ -150,10 +152,8 @@ class ControllerParams:
     epsilons: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if isinstance(self.decay, _BOOLEANS) or not math.isfinite(self.decay) or self.decay <= 0.0:
-            raise ValueError(f"decay must be a positive real, got {self.decay}")
-        if type(self.metric) is not int or self.metric not in (1, 2):  # a bool is no count
-            raise ValueError(f"metric must be 1 or 2, got {self.metric!r}")
+        object.__setattr__(self, "decay", _positive_real(self.decay, "decay"))
+        _metric(self.metric)
         if type(self.order) is not int or self.order < 2:
             raise ValueError(f"order must be at least 2 and an integer, got {self.order!r}")
         eps = tuple(self.epsilons)  # read once, as it may be an iterator
@@ -168,7 +168,6 @@ class ControllerParams:
             raise ValueError("epsilons[0], the k=1 barrier constant, must be zero")
         if not all(map(math.isfinite, eps)) or min(eps) < 0.0:
             raise ValueError("epsilons (barrier constants) must be finite and nonnegative")
-        object.__setattr__(self, "decay", float(self.decay))
         object.__setattr__(self, "epsilons", eps)
 
 
@@ -439,8 +438,7 @@ def finite_difference_gradient(scalar_field: Callable[..., float], config: Robot
     and s before any team forms, bitwise as one team a call; any other field, or a stencil with
     a team that would raise, goes one team a call, as it raises.
     """
-    if isinstance(step, _BOOLEANS) or not np.isfinite(step) or step <= 0.0:
-        raise ValueError(f"step must be a positive real, got {step}")
+    step = _positive_real(step, "step")
     base = config.positions
     n, d = base.shape
     values = None

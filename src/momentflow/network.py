@@ -71,9 +71,32 @@ _MAX_PLAN_BYTES = 9 * MAX_ROBOTS**2 * 8
 # a zero gap before it checks; private helpers, the trial step's too, run under the caller's.
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
-# A positive real is no boolean, Python's or numpy's, though both compare as 0 or 1.
 _BOOLEANS = (bool, np.bool_)
 _INTEGERS = (int, np.integer)  # a count's types, of which Python's bool must still be refused
+
+
+def _positive_real(value, name: str) -> float:
+    """``value`` as a Python float if a positive real, else ValueError naming ``name``: no boolean,
+    Python's or numpy's, though both compare as 0 or 1, but a number that math converts (one
+    term's exact fsum: no string, no array of two values), finite and above 0."""
+    try:
+        if not isinstance(value, _BOOLEANS) and 0.0 < (real := math.fsum((value,))) < math.inf:
+            return real
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a positive real, got {value}")
+
+
+def _metric(metric) -> None:
+    """ValueError unless ``metric`` is the int 1 (taxicab) or 2 (Euclidean), not a bool or float."""
+    if type(metric) is not int or metric not in (1, 2):
+        raise ValueError(f"metric must be 1 or 2, got {metric!r}")
+
+
+def _moment_order(order, n: int) -> None:
+    """ValueError unless ``order`` is an integer, Python's (no bool) or numpy's, in 1..n."""
+    if isinstance(order, bool) or not isinstance(order, _INTEGERS) or not 1 <= order <= n:
+        raise ValueError(f"order must be an integer, 1 <= order <= {n}, got {order!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,10 +268,8 @@ def build_adjacency(config: RobotConfiguration, decay: float, metric: int) -> We
 
 def _weights(positions: np.ndarray, decay: float, metric: int) -> np.ndarray:
     """:func:`build_adjacency`'s checks of ``decay`` and ``metric``, then its weights."""
-    if isinstance(decay, _BOOLEANS) or not math.isfinite(decay) or decay <= 0.0:
-        raise ValueError(f"decay must be a positive real, got {decay}")
-    if metric not in (1, 2):
-        raise ValueError(f"metric must be 1 or 2, got {metric}")
+    decay = _positive_real(decay, "decay")
+    _metric(metric)
     distance = _pairwise_distance(positions, metric)[0]
     return _adjacency(distance, decay, distance)
 
@@ -305,13 +326,12 @@ def _chain_plan(order: int, n: int, d: int) -> tuple[list, list]:
     """Index pairs (i, j) of the half chain: A^k = chain[i] @ chain[j].T for k = 2..h,
     h = ceil(order/2), then n m_k = <chain[i], chain[j]> for k = 2..order; ValueError if the
     chain, weights, distances, drift temporaries and d differences outgrow _MAX_PLAN_BYTES."""
-    if isinstance(order, bool) or not isinstance(order, _INTEGERS) or not 1 <= order <= n:
-        raise ValueError(f"order must be an integer, 1 <= order <= {n}, got {order!r}")
+    _moment_order(order, n)
     if (size := ((order + 1) // 2 + 4 + d) * 8 * n * n) > _MAX_PLAN_BYTES:
         raise ValueError(f"s = {order} needs {size / 1e9:.3g} GB of {n} x {n} arrays, over "
                          f"the {_MAX_PLAN_BYTES / 1e9:.3g} GB bound; a smaller s is needed")
-    products = [((k - 1) // 2, k // 2 - 1) for k in range(2, (order + 3) // 2)]
-    return products, [(k // 2 - 1, (k - 1) // 2) for k in range(2, order + 1)]
+    halves = (np.arange(order) // 2).tolist()  # 0, 0, 1, 1, ...: each pair is two neighbours
+    return [*zip(halves[1:(order + 1) // 2], halves)], [*zip(halves, halves[1:])]
 
 
 def _half_chain(weights: np.ndarray, plan, out=None) -> tuple[list[float], list[np.ndarray]]:
@@ -380,8 +400,7 @@ def moments_from_eigenvalues(eigs, order: int) -> MomentVector:
         raise ValueError(f"need a 1-D array of at least 2 eigenvalues, got shape {lam.shape}")
     if not np.isfinite(lam).all():
         raise ValueError("eigenvalues must be finite")
-    if isinstance(order, bool) or not isinstance(order, _INTEGERS) or not 1 <= order <= lam.size:
-        raise ValueError(f"order must be an integer, 1 <= order <= {lam.size}, got {order!r}")
+    _moment_order(order, lam.size)
     powers = np.power(lam, np.arange(1.0, order + 1.0)[:, None])
     if order > 1:  # as lam**2 forms it: a square, where pow may differ by an ulp
         np.square(lam, out=powers[1])
@@ -405,8 +424,7 @@ def complete_graph_moments(n: int, order: int) -> MomentVector:
     """
     if isinstance(n, bool) or not isinstance(n, _INTEGERS) or n < 2:
         raise ValueError(f"need an integer count of at least 2 nodes, got n={n!r}")
-    if isinstance(order, bool) or not isinstance(order, _INTEGERS) or not 1 <= order <= n:
-        raise ValueError(f"order must be an integer, 1 <= order <= {n}, got {order!r}")
+    _moment_order(order, n)
     k = np.arange(1, order + 1)
     values = (float(n - 1) ** k + (n - 1) * (-1.0) ** k) / n
     _check_overflow(values, f"the complete-graph (n = {n}) ceiling of")
@@ -446,13 +464,7 @@ def walk_weight_sum(adjacency: WeightedAdjacency, length: int, start: int, end: 
             f"enumerating {n}**{length - 1} walks exceeds the "
             f"{WALK_ENUMERATION_LIMIT} limit"
         )
-    w = adjacency.weights
-    total = 0.0
-    for interior in itertools.product(range(n), repeat=length - 1):
-        weight = 1.0
-        node = start
-        for nxt in interior:
-            weight *= w[node, nxt]
-            node = nxt
-        total += weight * w[node, end]
+    w, total = adjacency.weights, 0.0
+    for interior in itertools.product(range(n), repeat=length - 1):  # each walk's product in order
+        total += math.prod(map(w.__getitem__, itertools.pairwise((start, *interior, end))))
     return total

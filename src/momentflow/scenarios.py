@@ -45,9 +45,9 @@ from .gradient import DEFAULT_DECAY, ControllerParams, TargetSpectrum
 from .network import (
     MAX_ROBOTS,
     RobotConfiguration,
-    _BOOLEANS,
     _freeze,
     _max_planned_order,
+    _positive_real,
     moments_and_eigenvalues,
     moments_from_eigenvalues,
 )
@@ -140,8 +140,7 @@ def hexagon_formation(side_length: float = 1.0) -> RobotConfiguration:
     Vertex j sits at angle j*60 degrees and radius ``side_length`` from the
     center (for a regular hexagon the circumradius equals the side length).
     """
-    if isinstance(side_length, _BOOLEANS) or not np.isfinite(side_length) or side_length <= 0.0:
-        raise ValueError(f"side_length must be a positive real, got {side_length}")
+    side_length = _positive_real(side_length, "side_length")
     angles = np.arange(6) * np.pi / 3.0
     positions = np.zeros((7, 2))
     positions[1:, 0] = side_length * np.cos(angles)
@@ -231,16 +230,13 @@ def _violations(scenario: Scenario, check_reference: bool) -> list[str]:
     out: list[str] = []
     if scenario.d > MAX_DIMENSION:
         out.append(f"spatial dimension d={scenario.d} exceeds {MAX_DIMENSION}")
-    params = scenario.params
-    targets = scenario.targets
+    params, targets = scenario.params, scenario.targets
     if params.order > scenario.n:
-        out.append(
-            f"moment order s={params.order} exceeds robot count n={scenario.n}"
-        )
+        out.append(f"moment order s={params.order} exceeds robot count n={scenario.n}")
     goal = targets.moments
     if goal[0] != 0.0:
         out.append(f"m_1* must be exactly 0, got {goal[0]:.6g}")
-    for k in range(2, targets.order + 1, 2):
+    for k in range(2, len(goal) + 1, 2):
         if goal[k - 1] < 0.0:
             out.append(f"even-order target m_{k}* = {goal[k - 1]:.6g} is negative")
     eigs = targets.reference_eigenvalues
@@ -346,10 +342,8 @@ _FORMATIONS = {
 # differ between the two file forms and are checked where each is read.
 _RANGES = {
     "c": (lambda c: 0.0 < c < np.inf, "must be positive and finite"),
-    "z": (lambda z: z in (1, 2), "must be 1 or 2"),
-    "targets.formation.type": (
-        lambda name: name in _FORMATIONS, f"must be one of {sorted(_FORMATIONS)}"
-    ),
+    "z": ((1, 2).__contains__, "must be 1 or 2"),
+    "targets.formation.type": (_FORMATIONS.__contains__, f"must be one of {sorted(_FORMATIONS)}"),
 }
 
 
@@ -430,9 +424,9 @@ def _resolve_targets(
         if config.d > d:  # a formation in fewer dimensions embeds, one in more does not
             raise ValueError(
                 f"formation has d={config.d} coordinates but the scenario declares d={d}")
-        order = config.n if order is None else order
-        if order > config.n:
-            raise ValueError(f"s={order} exceeds the formation's {config.n} robots")
+        order = n if order is None else order
+        if order > n:
+            raise ValueError(f"s={order} exceeds the formation's {n} robots")
         # target_from_formation's values, without the ControllerParams it would need.
         params = parts["params"]
         moments, eigs = moments_and_eigenvalues(config, params["decay"], params["metric"], order)
@@ -509,9 +503,10 @@ def positions_from_dict(
         config = RobotConfiguration(fields["positions"])
     except ValueError as exc:
         return None, [str(exc)]
-    if config.n > MAX_ROBOTS:
-        return None, [f"need at most {MAX_ROBOTS} robots, got n={config.n}"]
-    order = _max_planned_order(*config.positions.shape) if fields["s"] is None else fields["s"]
-    if not 1 <= order <= config.n:
-        return None, [f"field 's' must be in 1..{config.n}, got {order}"]
+    n, d = config.positions.shape
+    if n > MAX_ROBOTS:
+        return None, [f"need at most {MAX_ROBOTS} robots, got n={n}"]
+    order = _max_planned_order(n, d) if fields["s"] is None else fields["s"]
+    if not 1 <= order <= n:
+        return None, [f"field 's' must be in 1..{n}, got {order}"]
     return (config, fields["c"], fields["z"], order), []

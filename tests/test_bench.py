@@ -2,8 +2,9 @@
 
 Core claims:
     - ``bench.py --smoke`` writes BENCH_<label>.json with every workload's solve_s, failures
-      and counters, the per-layer table and the environment, in well under 2 s, into an
-      ``--out-dir`` that it makes; one it cannot make is refused in one line before any timing
+      and counters, the per-layer table, the environment and the line count of each
+      ``src/momentflow`` module with their total, in well under 2 s, into an ``--out-dir`` that
+      it makes; one it cannot make is refused in one line before any timing
     - the counters count what they name: a flow evaluates its start once, again after each
       compression, and one candidate per trial step, so on round_trip and large_n the
       evaluations are the trial steps plus one per flow plus the compressions
@@ -40,6 +41,10 @@ def test_smoke(tmp_path):
     result = json.loads((out / "BENCH_smoke.json").read_text())
     assert result["label"] == "smoke" and result["smoke"] is True
     assert set(result["environment"]) >= {"python", "numpy", "blas", "blas_core"}
+    modules = sorted((ROOT / "src" / "momentflow").glob("*.py"))
+    lines = {path.name: len(path.read_text().splitlines()) for path in modules}
+    assert result["code"]["src_lines"] == {**lines, "total": sum(lines.values())}
+    assert "network.py" in lines and result["code"]["src_lines"]["total"] > 1000
     assert set(result["workloads"]) == {"round_trip", "large_n", "cli"}
     for name, found in result["workloads"].items():
         counters = found["counters"]

@@ -27,7 +27,8 @@ Core claims:
       trial step converges; one whose next sample would take its record
       past network._MAX_PLAN_BYTES ends stalled and says so
     - a start with exactly zero drift stalls without counting non-moves,
-      under either metric
+      under either metric; so does, after one accepted trial step, a team
+      whose step of the full dt moves no coordinate and leaves f + b as it was
     - simulate evaluates each configuration once: one distance matrix per
       start check and per trial step, the start's last check being the
       first state, and the presets keep their step counts
@@ -68,6 +69,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import tracemalloc
 
@@ -193,6 +195,19 @@ def _two_robot_state(gap=1.0, target=0.05):
     return config, targets, params
 
 
+def _refusal(name, value):
+    """The one-line refusal of ``value`` as the positive real ``name``, as a pattern."""
+    return f"^{re.escape(f'{name} must be a positive real, got {value}')}$"
+
+
+def _refuses_non_reals(make, name):
+    """``make(name=value)`` refuses None, a numeric string and an array of two reals with its
+    one-line message, where each raised a TypeError before."""
+    for value in (None, "0.1", np.array([0.1, 0.2])):
+        with pytest.raises(ValueError, match=_refusal(name, value)):
+            make(**{name: value})
+
+
 # == 1. Settings and record validation =======================================
 
 class TestSimulationSettings:
@@ -222,14 +237,17 @@ class TestSimulationSettings:
         # Accepted, True ran as a step of 1.0.
         with pytest.raises(ValueError, match="^dt must be a positive real, got True$"):
             SimulationSettings(dt=True)
+        _refuses_non_reals(SimulationSettings, "dt")
 
     def test_max_time_is_a_real_not_a_bool(self):
         with pytest.raises(ValueError, match="^max_time must be a positive real, got True$"):
             SimulationSettings(max_time=True)
+        _refuses_non_reals(SimulationSettings, "max_time")
 
     def test_cost_tolerance_is_a_real_not_a_bool(self):
         with pytest.raises(ValueError, match="^cost_tolerance must be a positive real, got True$"):
             SimulationSettings(cost_tolerance=True)
+        _refuses_non_reals(SimulationSettings, "cost_tolerance")
 
     @pytest.mark.parametrize("name", ["dt", "max_time", "cost_tolerance"])
     def test_a_real_is_not_a_numpy_bool(self, name):
@@ -564,11 +582,12 @@ class TestStep:
             with pytest.raises(ValueError):
                 step(config, targets, params, dt)
 
-    @pytest.mark.parametrize("dt", [True, np.True_])
+    @pytest.mark.parametrize("dt", [True, np.True_, None, "0.1", np.array([0.1, 0.2])])
     def test_dt_is_a_real_not_a_bool(self, dt):
-        # Accepted, True ran as a step of 1.0.
+        # Accepted, True ran as a step of 1.0; None and "0.1" raised a TypeError, and the array
+        # numpy's ambiguous-truth ValueError.
         config, targets, params = _two_robot_state()
-        with pytest.raises(ValueError, match="^dt must be a positive real, got True$"):
+        with pytest.raises(ValueError, match=_refusal("dt", dt)):
             step(config, targets, params, dt)
 
 
@@ -871,6 +890,24 @@ class TestSimulate:
         assert record.accepted_steps == 0
         assert record.rejected_steps == 0
         assert record.simulated_time == 0.0
+
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_stranded_robot_stalls(self, metric):
+        # One robot 360 from 63 coincident ones: its weights, e^-360, are below sqrt(tiny), so
+        # the drift is nonzero but too small to move any coordinate at the full dt.  The run
+        # took 1,000 accepted trial steps to its horizon of 50, moving nothing.
+        positions = np.array([[1.0, 1.0]] * 63 + [[361.0, 1.0]])
+        params = _params(order=2, metric=metric)
+        goal = target_from_formation(RobotConfiguration(positions), params).moments
+        scenario = Scenario(
+            name="stranded", n=64, d=2, params=params, targets=TargetSpectrum(goal * 0.5),
+            settings=SimulationSettings(max_time=50.0), initial_positions=positions,
+        )
+        record = simulate(scenario)
+        assert record.termination_reason == "stalled"
+        assert record.termination_detail == "a trial step of the full dt = 0.05 moved no robot"
+        assert (record.accepted_steps, record.rejected_steps) == (1, 0)
+        assert np.array_equal(record.final_configuration.positions, positions)
 
 
 # == 6. One evaluation per configuration =====================================

@@ -300,8 +300,11 @@ class TestControllerParams:
             ControllerParams(order=1)
 
     def test_decay_is_a_real_not_a_bool(self):
-        with pytest.raises(ValueError, match="^decay must be a positive real, got True$"):
-            ControllerParams(decay=True)
+        # None, "0.1" and the array raised a TypeError.
+        for decay in (True, None, "0.1", np.array([0.1, 0.2])):
+            message = f"^{re.escape(f'decay must be a positive real, got {decay}')}$"
+            with pytest.raises(ValueError, match=message):
+                ControllerParams(decay=decay)
 
     def test_decay_is_a_real_not_a_numpy_bool(self):
         # Accepted, np.True_ ran as a decay of 1.0.
@@ -1152,11 +1155,13 @@ class TestFiniteDifferenceGradient:
         with pytest.raises(ValueError):
             finite_difference_gradient(lambda c: 0.0, config, step=-1e-6)
 
-    @pytest.mark.parametrize("step", [True, np.True_])
+    @pytest.mark.parametrize("step", [True, np.True_, None, "0.1", np.array([0.1, 0.2])])
     def test_step_is_a_real_not_a_bool(self, step):
-        # Accepted, True ran as a step of 1.0; np.True_ raised a TypeError from -step.
+        # Accepted, True ran as a step of 1.0; np.True_, None and "0.1" raised a TypeError, and
+        # the array numpy's ambiguous-truth ValueError.
         config = _tie_free_config(3, 2, 0)
-        with pytest.raises(ValueError, match="^step must be a positive real, got True$"):
+        message = f"^{re.escape(f'step must be a positive real, got {step}')}$"
+        with pytest.raises(ValueError, match=message):
             finite_difference_gradient(lambda c: 0.0, config, step=step)
 
     def test_extra_arguments_reach_the_field(self):

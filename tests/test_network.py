@@ -38,6 +38,7 @@ Core claims:
       stack of three
 """
 
+import re
 import warnings
 from unittest import mock
 
@@ -54,6 +55,7 @@ from momentflow.network import (
     build_adjacency,
     complete_graph_moments,
     eigenvalues,
+    moments_and_eigenvalues,
     moments_from_eigenvalues,
     power_chain,
     spectral_moments,
@@ -258,9 +260,16 @@ class TestPairwiseDistance:
         )
 
     def test_rejects_unknown_metric(self):
+        # Both ran True, 2.0 and np.int64(2), which ControllerParams refuses, as metrics 1 and 2.
         config = _random_config(3, 2, 0)
         with pytest.raises(ValueError, match=r"^metric must be 1 or 2, got 3$"):
             build_adjacency(config, 1.0, 3)
+        for metric in (3, True, 2.0, np.int64(2)):
+            message = f"^{re.escape(f'metric must be 1 or 2, got {metric!r}')}$"
+            with pytest.raises(ValueError, match=message):
+                build_adjacency(config, 1.0, metric)
+            with pytest.raises(ValueError, match=message):
+                moments_and_eigenvalues(config, 1.0, metric, 2)
 
     # The taxicab sum 3.4e308 overflows, and so does the squared offset 1e400.
     # The pair alone subtracts by broadcasting; in a team of _PRODUCT_TEAM
@@ -361,11 +370,13 @@ class TestBuildAdjacency:
             with pytest.raises(ValueError):
                 build_adjacency(config, decay, 2)
 
-    @pytest.mark.parametrize("decay", [True, np.True_])
+    @pytest.mark.parametrize("decay", [True, np.True_, None, "0.1", np.array([0.1, 0.2])])
     def test_decay_is_a_real_not_a_bool(self, decay):
-        # Accepted, True ran as a decay of 1.0; np.True_ raised a TypeError from -decay.
+        # Accepted, True ran as a decay of 1.0; np.True_, None and "0.1" raised a TypeError, and
+        # the array numpy's ambiguous-truth ValueError.
         config = _random_config(3, 2, 0)
-        with pytest.raises(ValueError, match="^decay must be a positive real, got True$"):
+        message = f"^{re.escape(f'decay must be a positive real, got {decay}')}$"
+        with pytest.raises(ValueError, match=message):
             build_adjacency(config, decay, 2)
 
 

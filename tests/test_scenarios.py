@@ -32,6 +32,7 @@ Core claims:
 
 import dataclasses
 import json
+import re
 import tracemalloc
 from functools import reduce
 from unittest import mock
@@ -240,10 +241,12 @@ class TestHexagonFormation:
         with pytest.raises(ValueError):
             hexagon_formation(side_length=0.0)
 
-    @pytest.mark.parametrize("side_length", [True, np.True_])
+    @pytest.mark.parametrize("side_length", [True, np.True_, None, "0.1", np.array([0.1, 0.2])])
     def test_side_length_is_a_real_not_a_bool(self, side_length):
-        # Accepted, True drew a hexagon of side 1.0.
-        with pytest.raises(ValueError, match="^side_length must be a positive real, got True$"):
+        # Accepted, True drew a hexagon of side 1.0; None and "0.1" raised a TypeError, and the
+        # array numpy's ambiguous-truth ValueError.
+        message = f"^{re.escape(f'side_length must be a positive real, got {side_length}')}$"
+        with pytest.raises(ValueError, match=message):
             hexagon_formation(side_length)
 
 
