@@ -15,8 +15,8 @@ Per workload (round_trip, large_n, cli at seed 1):
   failed    operations that raised or failed their check, over the timed rounds, and why
   counters  one more round, with counting wrappers patched in from outside ``src/``:
             accepted and rejected trial steps; ``gradient._Evaluation`` constructions,
-            ``network._product`` calls (patched in ``network`` and in ``gradient``, which
-            imports it by name) and start compressions (evaluations in
+            n x n products (each function that ``network._product_of`` returns is wrapped, so
+            a flow's workspace binds counted ones) and start compressions (evaluations in
             ``dynamics._feasible_start`` after its first), in total and per trial step; and
             ``moments_from_eigenvalues`` calls per ``spectrum`` call
 Per layer (``layers.n``), a planar Euclidean team at s = 4 for n in 7, 10, 50, 200, 800: the
@@ -132,7 +132,9 @@ class Counters:
 
     def __enter__(self):
         counts = self.counts
-        self._patch(network, "_product", self._counted("products", network._product))
+        product_of = network._product_of  # each n x n product's function, a flow's bound too
+        self._patch(network, "_product_of",
+                    lambda left: self._counted("products", product_of(left)))
         self._patch(network, "moments_from_eigenvalues", self._counted(
             "moments_from_eigenvalues", network.moments_from_eigenvalues))
         start = dynamics._feasible_start

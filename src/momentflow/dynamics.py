@@ -297,7 +297,7 @@ def _advance(state: _Evaluation, dt: float,
     """
     drift, flow, candidate = state.drift, state.flow, None
     if flow.workspace is None:  # the flow's first trial step: its evaluations write there on
-        flow.workspace = _workspace(*drift.shape, flow.metric, flow.plan)
+        flow.workspace = _workspace(*drift.shape, flow.metric, flow.decay, flow.plan)
     positions, flat = (slots := flow.workspace.slots)[state.positions is slots[0][0]]  # the other
     np.add(state.positions, np.multiply(dt, drift, positions), positions)  # x + dt * v
     if math.isfinite(flat.dot(flat)) or np.isfinite(positions).all():

@@ -53,12 +53,13 @@ from .network import (
     _INTEGERS,
     _adjacency,
     _chain_plan,
+    _check_overflow,
+    _drift_calls,
     _freeze,
     _half_chain,
     _metric,
     _pairwise_distance,
     _positive_real,
-    _product,
     _quiet,
     _weights,
     power_chain,
@@ -159,7 +160,10 @@ class ControllerParams:
         eps = tuple(self.epsilons)  # read once, as it may be an iterator
         if any(map(isinstance, eps, repeat(_BOOLEANS))):  # True is no barrier constant of 1.0
             raise ValueError(f"epsilons (barrier constants) must be reals, not booleans, got {eps}")
-        eps = tuple(map(float, eps)) or (0.0,) + (DEFAULT_EPSILON,) * (self.order - 1)
+        try:  # one term's exact fsum each, as network._positive_real reads a real: no string
+            eps = tuple(map(math.fsum, zip(eps))) or (0.0,) + (DEFAULT_EPSILON,) * (self.order - 1)
+        except (TypeError, OverflowError):
+            raise ValueError(f"epsilons (barrier constants) must be reals, got {eps}") from None
         if len(eps) != self.order:
             raise ValueError(
                 f"need {self.order} epsilons (barrier constants), got {len(eps)}"
@@ -233,14 +237,14 @@ class _Evaluation:
     The weights come from its one distance matrix, which :meth:`_project` reuses if Euclidean,
     its careful route too, as it does the differences; the half chain A..A^h, h = ceil(s/2),
     gives the moments m_1..m_s, then one pass over the flow's terms (m_k*, 4k, eps_k) the
-    margins m_k - m_k* (k = 2..s), the cost and the barrier, all floats.  One :meth:`_project`
-    gives any one gradient (the drift is kept).  The configuration (a copy) and moment vector
-    are wrapped only when asked for.  Every sum runs in one fixed order (the cost's left to
-    right, not by 3.12's compensated ``sum``), so results are bitwise reproducible.  In the
-    flow's workspace its arrays last until the flow's next evaluation, so an evaluation there is
-    projected before the flow evaluates again; only the positions, the drift and the floats
-    outlive it.  dynamics._advance keeps this by construction (a candidate's positions are the
-    state's x + dt * drift), and the workspace-free reference flow in the tests checks it.
+    margins m_k - m_k* (k = 2..s), the cost and the barrier, all floats, each sum in one fixed
+    order (not by 3.12's compensated ``sum``).  One :meth:`_project` gives any one gradient.
+    The configuration (a copy) and moment vector are wrapped only when asked for.
+    Once the flow has a workspace (network._workspace), this and the drift run its bound calls,
+    in this one frame each; its arrays last until the flow's next evaluation, so an evaluation
+    there is projected before the flow evaluates again, and only its positions, drift and floats
+    outlive it: dynamics._advance forms x + dt * drift first, and the tests' workspace-free
+    reference flow checks it bit for bit.
     """
 
     __slots__ = ("flow", "positions", "_config", "_distance", "_differences", "weights",
@@ -248,12 +252,21 @@ class _Evaluation:
 
     def __init__(self, flow: _Flow, positions: np.ndarray, config=None) -> None:
         self.flow, self.positions, self._config, self._drift = flow, positions, config, None
-        work, euclidean = flow.workspace, flow.metric == 2  # no workspace: arrays of its own
-        distance, self._differences = _pairwise_distance(positions, flow.metric, work)
-        self._distance = distance if euclidean else None
-        self.weights = _adjacency(distance, flow.decay,
-                                  work and work.chain[0] if euclidean else distance)
-        self.moments, self.chain = _half_chain(self.weights, flow.plan, work)
+        if work := flow.workspace:  # its calls, bound once, into its arrays (network._workspace)
+            work.lefts[...] = work.rights[...] = positions.T
+            for call, operands in work.calls:  # distances, weights, half chain
+                call(*operands)
+            distance, self._differences, self.chain, self.weights = work.formed
+            self.moments, n = [0.0], len(positions)
+            for dot, flat in work.pairs:  # n m_k = <A^i, A^j>, one ddot of two flat powers
+                self.moments.append(float(dot(flat)) / n)
+            if not math.isfinite(sum(self.moments)):  # as network._half_chain checks
+                _check_overflow(self.moments, "moment")
+        else:  # arrays of its own: the weights overwrite taxicab distances
+            distance, self._differences = _pairwise_distance(positions, flow.metric)
+            self.weights = _adjacency(distance, flow.decay, None if flow.metric == 2 else distance)
+            self.moments, self.chain = _half_chain(self.weights, flow.plan)
+        self._distance = distance if flow.metric == 2 else None
         margins, cost, barrier = [], 0.0, 0.0
         # An interior barrier: +inf where a guarded margin, or its term's divisor, is not positive.
         for moment, (goal, divisor, eps) in zip(self.moments[1:], flow.terms):
@@ -308,22 +321,13 @@ class _Evaluation:
         by it where M / dist overflows).  Once per evaluation, before the flow's next (see
         _Evaluation): it writes Q, W and the taxicab signs, and lets the weights go.
         """
-        flow, chain, self.chain = self.flow, self.chain, None
-        q, w = (work.q, work.w) if (work := flow.workspace) else np.empty((2, *chain[0].shape))
-        h, count, weighted = len(chain), len(coefficients), None
-        if count > h:  # the terms from A^h on, as A^h Q
-            np.multiply(coefficients[h], chain[0], q)
-            for i in range(1, count - h):
-                q += np.multiply(coefficients[h + i], chain[i], w)
-            diagonal = work.q_diagonal if work else q.ravel()[:: len(q) + 1]  # += writes Q
-            diagonal += coefficients[h - 1]
-            weighted = _product(chain[-1], q, w)
-            h -= 1  # A^h's coefficient is in Q
-        for k in range(h):  # the first term into W, each one after it into Q and added to W
-            term = np.multiply(coefficients[k], chain[k], w if weighted is None else q)
-            weighted = term if weighted is None else np.add(weighted, term, weighted)
-        mixed, self.weights = np.multiply(weighted, self.weights, weighted), None  # the last read
-        differences, self._differences = self._differences, None
+        flow, chain, work, self.chain = self.flow, self.chain, self.flow.workspace, None
+        q, mixed, buffer, calls = work.drift if work and chain is work.formed[2] else _drift_calls(
+            chain, *np.empty((2, *chain[0].shape)), len(coefficients))  # the workspace's or its own
+        buffer[...] = coefficients
+        for call, operands in calls:  # W through Q, then M = A o W: the weights' last read
+            call(*operands)
+        differences, self._differences, self.weights = self._differences, None, None
         if flow.metric == 1:  # rows_i = sum_j M'_ij D_ij, as the (d, n) columns
             rows = np.vecdot(mixed, np.sign(differences, differences))
         else:  # M / dist into Q: the distances' +inf diagonal gives each self-term 0

@@ -13,8 +13,9 @@ of A is identically zero and m_1 is always zero; because A is entrywise
 nonnegative every moment is nonnegative as well.
 
 Distances and coordinate differences come from one function: one broadcast below
-``_PRODUCT_TEAM`` robots, from there on one batched BLAS product, bitwise alike.  It,
-the weights and the half chain also take an (n, m, d) stack of teams, bitwise per team.
+``_PRODUCT_TEAM`` robots, from there on one batched BLAS product, bitwise alike.  It, the
+weights and the half chain serve one-shot calls, a flow's start and an (n, m, d) stack of
+teams, bitwise per team; a flow's trial steps make the same calls, bound in its workspace.
 
 Entries of A^k admit a combinatorial reading: [A^k]_ij is the total weight
 of all length-k walks from i to j, where the weight of a walk is the product
@@ -25,6 +26,7 @@ route.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -196,8 +198,7 @@ class MomentVector:
         return self.values.shape[0]
 
 
-def _pairwise_distance(positions: np.ndarray, metric: int,
-                       out=None) -> tuple[np.ndarray, np.ndarray]:
+def _pairwise_distance(positions: np.ndarray, metric: int) -> tuple[np.ndarray, np.ndarray]:
     """All (n, n) distances between the rows of an (n, d) array in the caller's checked
     ``metric`` (1 taxicab, 2 Euclidean) and error state, inf beyond float range, +inf on the
     diagonal (one strided write per call, whence the zero self-weights and self-terms); and
@@ -206,52 +207,80 @@ def _pairwise_distance(positions: np.ndarray, metric: int,
     F-ordered (n, d) positions are (d, n) C-ordered columns as they are, with no copy.
 
     Below ``_PRODUCT_TEAM`` robots the differences are one broadcast, from there on one batched
-    BLAS product [x, 1] @ [1; -x] over every axis and team, whose entries x_i * 1 + 1 * (-x_j)
+    BLAS product [x, -1] @ [1; x] over every axis and team, whose entries x_i * 1 + (-1) * x_j
     hold two exact products and round once, to the float x_i - x_j gives (a zero may differ in
     sign, which abs and square drop and a sum reads as 0).  Their squares (absolute values) add
-    up in axis order: a small team's squared in one call, else axis by axis via one temporary.
-    ``out``, a flow's :func:`_workspace`, takes them all; without it each is a new array."""
+    up in axis order: a small team's squared in one call, else axis by axis.  All are new."""
     n = len(positions)
     columns = np.ascontiguousarray(positions.T)  # C order, so that the differences are too
-    if n < _PRODUCT_TEAM and out:  # x_i, x_j written out in full: a broadcast allocates buffers
-        out.lefts[...], out.rights[...] = columns, columns
-        differences = np.subtract(out.differences, out.squares, out.differences)
-    elif n < _PRODUCT_TEAM:
+    if n < _PRODUCT_TEAM:
         differences = columns[..., :, None] - columns[..., None, :]
     else:
-        left, right = np.ones((*columns.shape, 2)), np.ones((*columns.shape[:-1], 2, n))
-        left[..., 0], right[..., 1, :] = columns, -columns
-        differences = np.matmul(left, right, out and out.differences)
+        left, right = np.full((*columns.shape, 2), -1.0), np.ones((*columns.shape[:-1], 2, n))
+        left[..., 0], right[..., 1, :] = columns, columns
+        differences = np.matmul(left, right)
     square = np.abs if metric == 1 else np.square
     if n < _PRODUCT_TEAM and positions.ndim == 2:
-        squares = square(differences, out and out.squares)
-        total = out.total if out else np.add.reduce(squares, 0)
-        for operands in out.sums if out else ():  # (s_0 + s_1) + s_2, as add.reduce adds
-            np.add(*operands)
+        total = np.add.reduce(square(differences), 0)
     else:
-        total = square(differences[0], out and out.total)
+        total = square(differences[0])
         for axis in differences[1:]:
-            total += square(axis, out and out.temporary)
-    (out.diagonal if out else total.reshape(-1, n * n).T[:: n + 1]).fill(np.inf)  # (i, i): +inf
+            total += square(axis)
+    total.reshape(-1, n * n).T[:: n + 1].fill(np.inf)  # (i, i): +inf
     distance = total if metric == 1 else np.sqrt(total, total)
     return distance, differences
 
 
-def _workspace(n: int, d: int, metric: int, plan) -> SimpleNamespace:
+def _workspace(n: int, d: int, metric: int, decay: float, plan) -> SimpleNamespace:
     """A flow's arrays, each evaluation's in turn (differences, distances, weights, A^2..A^h,
-    squares or a temporary, Q, W, two (d, n) candidate slots), and views of them formed once
-    (README): x_i's and x_j's targets, the sums' operands, two diagonals, flat powers and slots."""
+    squares or a temporary, Q, W, two (d, n) candidate slots), and its calls bound once (README):
+    with x in the lefts and rights, ``calls`` (:func:`_pairwise_distance`'s route, the weights,
+    the half chain) form ``formed`` = (distances, differences, chain, weights), ``pairs`` the
+    traces' operands; ``drift`` is :func:`_drift_calls`'s."""
     total, columns, differences = np.empty((n, n)), np.empty((2, d, n)), np.empty((d, n, n))
     block = np.empty((d + 1 if n < _PRODUCT_TEAM else 2, n, n))  # W is the last: no square's
-    squares = block[:d] if d > 1 else total[None]  # one axis squares into the distances
     chain = [total if metric == 1 else np.empty((n, n))] + [np.empty((n, n)) for _ in plan[0]]
+    square, flat = np.abs if metric == 1 else np.square, [power.reshape(-1) for power in chain]
+    if n < _PRODUCT_TEAM:  # x_i, x_j written out in full: a broadcast allocates buffers
+        squares = block[:d] if d > 1 else total[None]  # one axis squares into the distances
+        lefts, rights = differences.transpose(2, 0, 1), squares.transpose(1, 0, 2)  # (n, d, n)
+        calls = [(np.subtract, (differences, squares, differences)),
+                 (square, (differences, squares))]  # then (s_0 + s_1) + s_2, as add.reduce adds
+        calls += [(np.add, (total if k else squares[0], axis, total))
+                  for k, axis in enumerate(squares[1:])]
+    else:  # [x, -1] @ [1; x], then axis by axis through a temporary
+        left, right = np.full((d, n, 2), -1.0), np.ones((d, 2, n))
+        lefts, rights, calls = left[..., 0], right[..., 1, :], [
+            (np.matmul, (left, right, differences)), (square, (differences[0], total))]
+        for axis in differences[1:]:
+            calls += [(square, (axis, block[0])), (np.add, (total, block[0], total))]
+    calls += [(total.ravel()[:: n + 1].fill, (np.inf,))]  # (i, i): +inf
+    calls += [(np.sqrt, (total, total))] * (metric == 2)
+    calls += [(np.multiply, (total, np.array(-decay), chain[0])), (np.exp, (chain[0], chain[0]))]
+    calls += [(_product_of(chain[i]), (chain[j].T, out)) for (i, j), out in zip(plan[0], chain[1:])]
     return SimpleNamespace(
-        differences=differences, squares=squares, temporary=block[0], total=total, chain=chain,
-        lefts=differences.transpose(2, 0, 1), rights=squares.transpose(1, 0, 2),  # (n, d, n)
-        sums=[(total if k else squares[0], square, total) for k, square in enumerate(squares[1:])],
-        q=block[0], w=block[-1], flat=[power.reshape(-1) for power in chain],
-        diagonal=total.ravel()[:: n + 1], q_diagonal=block[0].ravel()[:: n + 1],
-        slots=[(c.T, c.reshape(-1)) for c in columns])
+        lefts=lefts, rights=rights, calls=calls,
+        pairs=[(flat[i].dot, flat[j]) for i, j in plan[1]],
+        formed=(total, differences, chain, chain[0]),
+        drift=_drift_calls(chain, block[0], block[-1], len(plan[1])),
+        slots=[(c.T, c.ravel()) for c in columns])
+
+
+def _drift_calls(chain: list, q: np.ndarray, w: np.ndarray, count: int) -> tuple:
+    """(Q, W, a buffer of count = s - 1 coefficients, calls): W = sum_k c_k A^(k-1) from the half
+    chain [A, ..., A^h] as gradient._Evaluation._project sets out, then M = A o W into W, by
+    (function, operands) calls that read each c_k from a 0-d view of the buffer (README)."""
+    h, coefficients, diagonal = len(chain), np.empty(count), q.ravel()[:: len(q) + 1]
+    c = [coefficients[k, ...] for k in range(count)]
+    calls, terms = [(np.multiply, (c[0], chain[0], w))], range(1, h)  # s = 2, 3: W from c_2 A
+    if count > h:  # the terms from A^h on as A^h Q, A^h's own on Q's diagonal, then the others
+        calls, terms = [(np.multiply, (c[h], chain[0], q))], range(h - 1)
+        for i in range(1, count - h):
+            calls += [(np.multiply, (c[h + i], chain[i], w)), (np.add, (q, w, q))]
+        calls += [(np.add, (diagonal, c[h - 1], diagonal)), (_product_of(chain[-1]), (q, w))]
+    for k in terms:  # each into Q, added to W
+        calls += [(np.multiply, (c[k], chain[k], q)), (np.add, (w, q, w))]
+    return q, w, coefficients, calls + [(np.multiply, (w, chain[0], w))]
 
 
 @_quiet
@@ -290,13 +319,13 @@ def _freeze(instance, field: str, array: np.ndarray):
     return instance
 
 
-def _product(left: np.ndarray, right: np.ndarray, out=None) -> np.ndarray:
-    """left @ right into ``out``, the one n x n product (``x @ x.mT`` is a BLAS syrk): np.dot,
-    bitwise and with less dispatch, for one team below ``_PRODUCT_TEAM``, else np.matmul.  That
-    switch is reused, not tuned: at n = 40-63 np.dot's syrk was up to 12% slower (see README)."""
+def _product_of(left: np.ndarray):
+    """left @ right as a function of (right, out=None), the one n x n product (``x @ x.mT`` is a
+    BLAS syrk): ``left.dot``, np.dot's bitwise with less dispatch, for one team below
+    ``_PRODUCT_TEAM``, else np.matmul, not tuned: at n = 40-63 np.dot was up to 12% slower."""
     if left.ndim == 2 and len(left) < _PRODUCT_TEAM:
-        return left.dot(right, out)
-    return np.matmul(left, right, out)
+        return left.dot
+    return functools.partial(np.matmul, left)
 
 
 def power_chain(adjacency: WeightedAdjacency, max_power: int) -> list[np.ndarray]:
@@ -307,7 +336,7 @@ def power_chain(adjacency: WeightedAdjacency, max_power: int) -> list[np.ndarray
     """
     if isinstance(max_power, bool) or not isinstance(max_power, _INTEGERS) or max_power < 0:
         raise ValueError(f"max_power must be a nonnegative integer, got {max_power!r}")
-    powers = itertools.accumulate([adjacency.weights] * max_power, _product)
+    powers = itertools.accumulate([adjacency.weights] * max_power, lambda a, w: _product_of(a)(w))
     return [np.eye(adjacency.n), *powers]
 
 
@@ -334,25 +363,24 @@ def _chain_plan(order: int, n: int, d: int) -> tuple[list, list]:
     return [*zip(halves[1:(order + 1) // 2], halves)], [*zip(halves, halves[1:])]
 
 
-def _half_chain(weights: np.ndarray, plan, out=None) -> tuple[list[float], list[np.ndarray]]:
+def _half_chain(weights: np.ndarray, plan) -> tuple[list[float], list[np.ndarray]]:
     """Moments m_1..m_s as floats with the half chain [A, ..., A^h], h = ceil(s/2).
 
     A is symmetric: m_2j = ||A^j||_F^2 / n, m_(2j+1) = <A^j, A^(j+1)> / n, and m_1 = 0.
     Each power is A^k = A^ceil(k/2) (A^floor(k/2))^T, a BLAS syrk for even k.
     ``plan`` is :func:`_chain_plan`'s; a moment that overflows raises ValueError, whose
     message :func:`_check_overflow` builds only then.  An (m, n, n) stack of weights gives
-    (m, n, n) powers and m_2..m_s as arrays of m, unchecked.  ``out``, a flow's
-    :func:`_workspace` whose chain starts with ``weights``, takes the powers.
+    (m, n, n) powers and m_2..m_s as arrays of m, unchecked.  Each power is a new array.
     """
     n = weights.shape[-1]
     products, traces = plan
     chain, moments = [weights], [0.0]
-    for k, (left, right) in enumerate(products, 1):
-        chain.append(_product(chain[left], chain[right].mT, out and out.chain[k]))
+    for left, right in products:
+        chain.append(_product_of(chain[left])(chain[right].mT))
     if weights.ndim > 2:
         flat = [power.reshape(len(weights), -1) for power in chain]
         return moments + [np.vecdot(flat[i], flat[j]) / n for i, j in traces], chain
-    flat = out.flat if out else [*map(np.ndarray.ravel, chain)]  # ddot, as np.vdot calls
+    flat = [*map(np.ndarray.ravel, chain)]  # ddot, as np.vdot calls
     for i, j in traces:
         moments.append(float(flat[i].dot(flat[j])) / n)
     if not math.isfinite(sum(moments)):  # a finite sum has no inf or NaN term

@@ -65,10 +65,11 @@ def test_smoke(tmp_path):
         assert all(cell["us"] > 0.0 and cell["minor_faults"] >= 0.0 for cell in row.values())
     rows = result["layers"]["rows"]
     assert list(rows) == SMOKE_ROWS
-    # At least _advance and the candidate's evaluation, distances, weights and half chain.
+    # At least _advance and the candidate's evaluation, whose distances, weights and half chain
+    # are calls bound in the flow's workspace.
     for row in rows.values():
         assert row["accepted"] is True and row["us"] > 0.0 and row["minor_faults"] >= 0.0
-        assert row["frames_per_trial_step"] >= 5.0
+        assert row["frames_per_trial_step"] >= 2.0
 
 
 def test_unusable_out_dir_is_refused_before_timing(tmp_path):

@@ -176,6 +176,22 @@ def _recorded_advances(monkeypatch, products=None):
     return trials
 
 
+def _count_bound_formations(monkeypatch, formed):
+    """Append to ``formed`` each time an evaluation in a flow's workspace forms its distances:
+    its first bound call, the one that writes the differences, is wrapped as the workspace is
+    made (network._pairwise_distance counts the evaluations of arrays of their own)."""
+    workspace = dynamics._workspace
+
+    def bound(*args):
+        work = workspace(*args)
+        function, operands = work.calls[0]
+        assert operands[-1] is work.formed[1]  # the differences
+        work.calls[0] = (lambda *a: formed.append(a) or function(*a)), operands
+        return work
+
+    monkeypatch.setattr(dynamics, "_workspace", bound)
+
+
 def _unbuildable_candidates(monkeypatch):
     """Make every trial step's candidate unbuildable, so every step is rejected.
 
@@ -931,6 +947,7 @@ class TestEvaluationBudget:
 
         for module in (network, gradient):
             monkeypatch.setattr(module, "_pairwise_distance", counted)
+        _count_bound_formations(monkeypatch, distances)
         # rgg10 is Euclidean, its start needs one compression, and it
         # rejects steps as well as accepting them.
         scenario = preset("rgg10")
@@ -989,7 +1006,7 @@ class TestEvaluationBudget:
         # so Python glue sets much of its time.  Count the Python frames that
         # momentflow's own code opens (numpy's wrappers vary with its
         # version) over hexagon7's pinned 969 trial steps, its start and its
-        # record included: 11.19 per trial step (10,842 frames, Python 3.11).
+        # record included: 4.35 per trial step (4,216 frames, Python 3.11).
         package = os.path.dirname(network.__file__) + os.sep
         calls = 0
 
@@ -1006,21 +1023,21 @@ class TestEvaluationBudget:
             sys.setprofile(previous)
         trials = record.accepted_steps + record.rejected_steps
         assert trials == 969
-        # At least _advance and the candidate's evaluation, distances, weights
-        # and half chain per trial step; at most the measured count + 0.5.
-        assert 5 * trials <= calls <= 11.69 * trials
+        # At least _advance and the candidate's evaluation per trial step (its
+        # distances, weights and half chain are calls bound in the flow's
+        # workspace, which open none); at most the measured count + 0.5.
+        assert 2 * trials <= calls <= 4.85 * trials
 
     @pytest.mark.parametrize("order", range(2, 8))
     def test_products_per_trial_step(self, order, monkeypatch):
         products = []
-        product = network._product
+        product_of = network._product_of
 
-        def counted(*args, **kwargs):
-            products.append(args[0].shape)
-            return product(*args, **kwargs)
+        def counted(left):  # each product's function, also those a flow's workspace binds
+            product = product_of(left)
+            return lambda *args: products.append(left.shape) or product(*args)
 
-        for module in (network, gradient):
-            monkeypatch.setattr(module, "_product", counted)
+        monkeypatch.setattr(network, "_product_of", counted)
         trials = _recorded_advances(monkeypatch, products)
         record = simulate(_rejecting_scenario(order, metric=2))
         assert record.accepted_steps > 0 and record.rejected_steps > 0

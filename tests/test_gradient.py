@@ -324,6 +324,15 @@ class TestControllerParams:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ControllerParams(order=3, epsilons=(0.0, flag, 1e-8))
 
+    @pytest.mark.parametrize("constant", ["1e-8", None, 1j, np.array([1e-8, 1e-8])],
+                             ids=["string", "none", "complex", "array"])
+    def test_barrier_constant_is_a_real(self, constant):
+        # The string was stored as the float 1e-08; the others raised a bare TypeError.
+        epsilons = (0.0, constant, 1e-8)
+        message = re.escape(f"epsilons (barrier constants) must be reals, got {epsilons}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ControllerParams(order=3, epsilons=epsilons)
+
     @pytest.mark.parametrize("metric", [True, 2.0, np.int64(2)])
     def test_metric_is_an_int_not_a_bool(self, metric):
         # True ran as taxicab and 2.0 as Euclidean; a count is an int, as Scenario's n and d.
@@ -855,9 +864,9 @@ class TestReductions:
         params = ControllerParams(decay=1e-3, metric=2, order=2)
         flow, calls, drifts = _Flow(TargetSpectrum([0.0, 0.0]), params, 4, 2), [], []
 
-        def counted(positions, metric, out=None):
+        def counted(positions, metric):
             calls.append(metric)
-            return network._pairwise_distance(positions, metric, out)
+            return network._pairwise_distance(positions, metric)
 
         for coefficient in (8e307, 8e307 / 16, 8e307 * 2.0**-600):
             with mock.patch.object(gradient, "_pairwise_distance", counted), \
@@ -887,9 +896,9 @@ class TestReductions:
                 inputs = [x.view(np.ndarray) if isinstance(x, Watched) else x for x in inputs]
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
-        def watched(positions, metric, out=None):
+        def watched(positions, metric):
             calls.append(metric)
-            distance, differences = pairwise_distance(positions, metric, out)
+            distance, differences = pairwise_distance(positions, metric)
             return distance.view(Watched), differences
 
         params = _params(metric=metric, order=4, epsilons=(0.0, 1e-3, 1e-3, 1e-3))
@@ -957,17 +966,25 @@ class TestStill:
         if margins is not None:
             state.margins = list(margins)
         count, distance, counted, formed = np.count_nonzero, gradient._pairwise_distance, [], []
+        workspace = dynamics._workspace
 
         def counting(array):
             counted.append(array)
             return count(array)
 
-        def forming(positions, metric, out=None):
+        def forming(positions, metric):
             formed.append(metric)
-            return distance(positions, metric, out)
+            return distance(positions, metric)
+
+        def bound(*args):  # a candidate in the workspace forms them by its first bound call
+            work = workspace(*args)
+            function, operands = work.calls[0]
+            work.calls[0] = (lambda *a: formed.append(metric) or function(*a)), operands
+            return work
 
         with mock.patch.object(np, "count_nonzero", counting), \
                 mock.patch.object(gradient, "_pairwise_distance", forming), \
+                mock.patch.object(dynamics, "_workspace", bound), \
                 mock.patch.object(_Evaluation, "_project", lambda state, coefficients: drift) \
                 if drift is not None else contextlib.nullcontext(), \
                 np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as flows run

@@ -65,7 +65,7 @@ from momentflow.network import (
     _half_chain,
     _max_planned_order,
     _pairwise_distance,
-    _product,
+    _product_of,
     _PRODUCT_TEAM,
 )
 
@@ -656,7 +656,7 @@ class TestProduct:
         out = np.empty((n, n))
         for left, right in ((x, x.mT), (x, y)):
             expected = np.matmul(left, right).tobytes()
-            assert _product(left, right).tobytes() == expected
-            assert _product(left, right, out) is out and out.tobytes() == expected
+            assert _product_of(left)(right).tobytes() == expected
+            assert _product_of(left)(right, out) is out and out.tobytes() == expected
         stack = rng.random((3, n, n))
-        assert _product(stack, stack.mT).tobytes() == np.matmul(stack, stack.mT).tobytes()
+        assert _product_of(stack)(stack.mT).tobytes() == np.matmul(stack, stack.mT).tobytes()

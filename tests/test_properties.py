@@ -17,7 +17,7 @@ Core claims:
       underflow to 0, so build_adjacency need not re-run them; the moments
       of such teams match the eigenvalue power sums
     - both ways of forming coordinate differences, numpy's broadcast and
-      the product [x, 1] @ [1; -x], give bit-identical distances on teams
+      the product [x, -1] @ [1; x], give bit-identical distances on teams
       on either side of the switch between them, with magnitudes from
       1e-300 to 1e300, tied coordinates, coincident robots and differences
       that overflow to inf
