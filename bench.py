@@ -17,13 +17,16 @@ Per workload (round_trip, large_n, cli at seed 1):
             accepted and rejected trial steps; ``gradient._Evaluation`` constructions,
             n x n products (each function that ``network._product_of`` returns is wrapped, so
             a flow's workspace binds counted ones) and start compressions (evaluations in
-            ``dynamics._feasible_start`` after its first), in total and per trial step; and
-            ``moments_from_eigenvalues`` calls per ``spectrum`` call
+            ``dynamics._feasible_start`` after its first), in total and per trial step;
+            ``moments_from_eigenvalues`` calls per ``spectrum`` call; and Python frames per
+            ``spectrum`` call (``frames_per_spectrum_call``): ``cli.main``'s own and every one
+            it opens but the counting wrappers', which repeats exactly for one Python and numpy
 Per layer (``layers.n``), a planar Euclidean team at s = 4 for n in 7, 10, 50, 200, 800: the
 median of repeated calls, in microseconds, and their mean minor page faults, of distances,
 weights, half chain and moments, and evaluation and drift, from the start's positions as a
-flow lays them out.  Per row (``layers.rows``), a planar team labelled by n, order s and z = 1
-if taxicab (else Euclidean):
+flow lays them out.  The first three time the one-shot route, which ``spectrum`` and a flow's
+start take; evaluation and drift run in the flow's workspace, as a trial step's do.  Per row
+(``layers.rows``), a planar team labelled by n, order s and z = 1 if taxicab (else Euclidean):
   n=7,s=4  n=10,s=4  n=50,s=4  n=200,s=4  n=800,s=4   the size sweep
   n=8,s=3  n=8,s=4  n=8,s=5                            round_trip's orders
   n=200,s=4,z=1                                        large_n's team, taxicab
@@ -108,7 +111,8 @@ class Counters:
 
     def __init__(self):
         self.counts = dict.fromkeys(("evaluations", "products", "start_compressions",
-                                     "moments_from_eigenvalues"), 0)
+                                     "moments_from_eigenvalues", "frames"), 0)
+        self.profiling = False  # while set, count every Python frame that cli.main opens
         self._patches = []
 
     def _counted(self, key, fn):
@@ -146,6 +150,20 @@ class Counters:
             finally:
                 counts["start_compressions"] += max(counts["evaluations"] - before - 1, 0)
         self._patch(dynamics, "_feasible_start", feasible_start)
+        main = momentflow.cli.main
+
+        def profile(frame, event, arg):  # not this class's own wrappers
+            counts["frames"] += event == "call" and frame.f_code.co_filename != __file__
+
+        def profiled(argv):  # main, with its own frame and every one it opens counted
+            if not self.profiling:
+                return main(argv)
+            sys.setprofile(profile)
+            try:
+                return main(argv)
+            finally:
+                sys.setprofile(None)
+        self._patch(momentflow.cli, "main", profiled)
         init = gradient._Evaluation.__init__
         self._patches.append((gradient._Evaluation, "__init__", init))
         gradient._Evaluation.__init__ = self._counted("evaluations", init)
@@ -189,9 +207,10 @@ def workload(name, smoke, rounds, workdir):
     with Counters() as counters:
         for op in ops:
             before = counters.counts["moments_from_eigenvalues"]
+            counters.profiling = op.label.startswith("spectrum")
             outcome = _attempt(op)[1]
             accepted, rejected = accepted + outcome.accepted, rejected + outcome.rejected
-            if op.label.startswith("spectrum"):
+            if counters.profiling:
                 spectrum_calls += 1
                 spectrum_moments += counters.counts["moments_from_eigenvalues"] - before
     counts = counters.counts
@@ -213,6 +232,8 @@ def workload(name, smoke, rounds, workdir):
             "spectrum_calls": spectrum_calls,
             "moments_from_eigenvalues_per_spectrum_call":
                 spectrum_moments / spectrum_calls if spectrum_calls else None,
+            "frames_per_spectrum_call":
+                counts["frames"] / spectrum_calls if spectrum_calls else None,
         },
     }
 
@@ -260,11 +281,12 @@ def _trial_step(flow, start, seconds, package=momentflow):
 
 def layers(sizes, seconds):
     """Per-layer medians for :func:`_start`'s team of n robots, from its positions as the flow
-    lays them out."""
+    lays them out: the one-shot route's layers, then a trial step's bound calls (see above)."""
     table = {}
     for n in sizes:
         state = _start(n)
         flow, start = state.flow, state.positions
+        flow.workspace = network._workspace(n, 2, 2, 1.0, flow.plan)  # as a first trial step
         with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs (network._quiet)
             distance = network._pairwise_distance(start, 2)[0]
             weights = network._adjacency(distance, 1.0)

@@ -260,7 +260,7 @@ def _load(command: str, path: Optional[str], preset_name: Optional[str]) -> dict
     if preset_name is not None:
         return preset_data(preset_name)
     try:
-        with open(path, "rb") as handle:
+        with open(path, "rb", buffering=0) as handle:  # unbuffered: one read of the whole file
             raw = handle.read()
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot read file: {exc}") from exc
@@ -435,7 +435,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``momentflow`` parser, built on first use and shared by every call."""
+    """The ``momentflow`` parser, built once and shared; ``commands`` maps names to sub-parsers."""
     parser = argparse.ArgumentParser(
         prog="momentflow",
         description=(
@@ -520,11 +520,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset", choices=PRESET_NAMES, help="use a bundled scenario instead"
     )
     spectrum.set_defaults(handler=cmd_spectrum)
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv, parser = sys.argv[1:] if argv is None else argv, build_parser()
+    # A named command parses once, in its own sub-parser; the root parser takes all the rest.
+    command = parser.commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, True)
+    if rest:
+        args = parser.parse_args(argv)
+    else:
+        args.verbose, args.command = False, argv[0]
     start = time.perf_counter()
     try:
         code = _exit_status(args.handler, args)

@@ -351,7 +351,7 @@ def spectral_moments(adjacency: WeightedAdjacency, order: int) -> MomentVector:
     return _freeze(object.__new__(MomentVector), "values", np.array(moments))
 
 
-def _chain_plan(order: int, n: int, d: int) -> tuple[list, list]:
+def _chain_plan(order: int, n: int, d: int) -> tuple[tuple, tuple]:
     """Index pairs (i, j) of the half chain: A^k = chain[i] @ chain[j].T for k = 2..h,
     h = ceil(order/2), then n m_k = <chain[i], chain[j]> for k = 2..order; ValueError if the
     chain, weights, distances, drift temporaries and d differences outgrow _MAX_PLAN_BYTES."""
@@ -359,8 +359,13 @@ def _chain_plan(order: int, n: int, d: int) -> tuple[list, list]:
     if (size := ((order + 1) // 2 + 4 + d) * 8 * n * n) > _MAX_PLAN_BYTES:
         raise ValueError(f"s = {order} needs {size / 1e9:.3g} GB of {n} x {n} arrays, over "
                          f"the {_MAX_PLAN_BYTES / 1e9:.3g} GB bound; a smaller s is needed")
+    return _order_plan(int(order))  # the pairs depend on s alone: one shared plan of tuples
+
+
+@functools.lru_cache(maxsize=64)
+def _order_plan(order: int) -> tuple[tuple, tuple]:
     halves = (np.arange(order) // 2).tolist()  # 0, 0, 1, 1, ...: each pair is two neighbours
-    return [*zip(halves[1:(order + 1) // 2], halves)], [*zip(halves, halves[1:])]
+    return tuple(zip(halves[1:(order + 1) // 2], halves)), tuple(zip(halves, halves[1:]))
 
 
 def _half_chain(weights: np.ndarray, plan) -> tuple[list[float], list[np.ndarray]]:

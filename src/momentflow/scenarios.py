@@ -325,13 +325,8 @@ SCHEMA: dict[str, tuple[type, Any, str]] = {
 _PARTS = {"targets": TargetSpectrum, "params": ControllerParams, "settings": SimulationSettings}
 # SCHEMA's attribute paths split once: (file key, owning part, keyword); "" is the Scenario.
 _FIELDS = tuple((key, *attribute.rpartition(".")[::2]) for key, (*_, attribute) in SCHEMA.items())
-# A positions file's rows of SCHEMA.
-_POSITIONS_FILE = {key: SCHEMA[key] for key in ("positions", "c", "z", "s")}
 
-# The targets block, a formation block, and per formation type its
-# constructor and the table of its parameters.
-_TARGETS = {"moments": (list, None), "formation": (dict, None)}
-_FORMATION = {"type": (str, _REQUIRED), "parameters": (dict, {})}
+# Per formation type its constructor and the rows of its parameters (a table, below).
 _FORMATIONS = {
     "hexagon": (hexagon_formation, {"side_length": (float, 1.0)}),
     "positions": (RobotConfiguration, {"positions": (np.ndarray, _REQUIRED)}),
@@ -347,19 +342,34 @@ _RANGES = {
 }
 
 
-def _read(data: dict, table: dict, problems: list[str], prefix: str = "") -> dict[str, Any]:
-    """The fields of ``table`` in ``data``, converted, with defaults filled in.
+def _table(rows: dict[str, tuple], prefix: str = "") -> tuple[str, frozenset, tuple]:
+    """(prefix, keys, rows) of ``rows``, each row (key, kind, default, path, _RANGES rule)."""
+    return prefix, frozenset(rows), tuple(
+        (key, kind, default, prefix + key, _RANGES.get(prefix + key))
+        for key, (kind, default, *_) in rows.items())
+
+
+# Tables formed once: scenario and positions files, the targets and formation blocks, formations.
+_SCENARIO_FILE = _table(SCHEMA)
+_POSITIONS_FILE = _table({key: SCHEMA[key] for key in ("positions", "c", "z", "s")})
+_TARGETS = _table({"moments": (list, None), "formation": (dict, None)}, "targets.")
+_FORMATION = _table({"type": (str, _REQUIRED), "parameters": (dict, {})}, "targets.formation.")
+_FORMATIONS.update({name: (make, _table(rows, "targets.formation.parameters."))
+                    for name, (make, rows) in _FORMATIONS.items()})
+
+
+def _read(data: dict, table: tuple[str, frozenset, tuple], problems: list[str]) -> dict[str, Any]:
+    """The fields of a :func:`_table` in ``data``, converted, with defaults filled in.
 
     Unknown and missing required keys, values of the wrong kind and values
     outside ``_RANGES`` are appended to ``problems``.  A JSON null in a
     number field stands for its default.
     """
-    unknown = set(data) - set(table)
-    if unknown:
+    prefix, known, rows = table
+    if unknown := data.keys() - known:
         problems.append(f"unknown fields: {sorted(prefix + key for key in unknown)}")
     values = {}
-    for key, (kind, default, *_) in table.items():
-        path = prefix + key
+    for key, kind, default, path, rule in rows:
         value = data.get(key)
         if value is None and (key not in data or kind in (int, float)):
             if default is _REQUIRED:
@@ -371,7 +381,6 @@ def _read(data: dict, table: dict, problems: list[str], prefix: str = "") -> dic
         except (TypeError, ValueError, OverflowError):
             problems.append(f"field {path!r} must be {_WANTED[kind]}, got {value!r:.40}")
             continue
-        rule = _RANGES.get(path)
         if rule is not None and not rule[0](values[key]):
             problems.append(f"field {path!r} {rule[1]}, got {values[key]!r:.40}")
     return values
@@ -388,7 +397,7 @@ def _resolve_targets(
     moments and spectrum, up to order ``s``, which defaults to n.
     """
     block = parts[""]["targets"]
-    targets = _read(block, _TARGETS, problems, "targets.")
+    targets = _read(block, _TARGETS, problems)
     if ("moments" in block) == ("formation" in block):
         problems.append("targets must contain exactly one of 'moments' and 'formation'")
     if problems:
@@ -408,13 +417,11 @@ def _resolve_targets(
             "reference_eigenvalues cannot accompany formation targets; "
             "the formation's own spectrum is used"
         )
-    formation = _read(targets["formation"], _FORMATION, problems, "targets.formation.")
+    formation = _read(targets["formation"], _FORMATION, problems)
     if problems:
         return None
     make, table = _FORMATIONS[formation["type"]]
-    parameters = _read(
-        formation["parameters"], table, problems, "targets.formation.parameters."
-    )
+    parameters = _read(formation["parameters"], table, problems)
     if problems:
         return None
     try:
@@ -450,7 +457,7 @@ def scenario_from_dict(data: Any) -> tuple[Optional[Scenario], list[str]]:
     if not isinstance(data, dict):
         return None, ["scenario data must be a JSON object"]
     problems: list[str] = []
-    fields = _read(data, SCHEMA, problems)
+    fields = _read(data, _SCENARIO_FILE, problems)
     if (data.get("seed") is None) == ("positions" not in data):
         problems.append("exactly one of 'seed' and 'positions' is required")
     if fields.get("s") is not None and fields["s"] < 2:

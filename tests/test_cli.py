@@ -1420,14 +1420,33 @@ class TestSharedParser:
 
     @pytest.mark.parametrize("argv", [
         ["--help"], ["run", "--help"], ["verify", "--help"], ["spectrum", "--help"],
+        ["spectrum", "a", "b"], ["spectrum", "--bogus"], ["spectrum", "--preset", "nosuch"],
+        ["run", "--trials", "x"], ["-v", "spectrum", "--preset", "rgg10"],
+        ["spectrum", "--preset", "rgg10"], [], ["nosuch"], ["spec"],
     ])
-    def test_help_matches_fresh_parser(self, capsys, argv):
+    def test_help_matches_fresh_parser(self, monkeypatch, capsys, argv):
+        # main parses a named command in that command's own sub-parser, and the rest in the
+        # root parser: either way what a fresh root parser returns, prints and exits with.
         assert main(["spectrum", "--preset", "rgg10"]) == 0
         capsys.readouterr()
-        shared = _help_text(main, argv, capsys)
-        fresh = _help_text(build_parser.__wrapped__().parse_args, argv, capsys)
-        assert shared == fresh
-        assert shared.startswith("usage: momentflow")
+        parsed = []
+        monkeypatch.setattr("momentflow.cli._exit_status",
+                            lambda handler, args: parsed.append(vars(args)) or 0)
+
+        def outcome(parse):
+            try:
+                result = parse(argv)
+            except SystemExit as exit_info:
+                result = exit_info.code
+            return result, *capsys.readouterr()
+
+        shared = outcome(main)
+        fresh = outcome(build_parser.__wrapped__().parse_args)
+        if isinstance(fresh[0], argparse.Namespace):
+            assert parsed == [vars(fresh[0])] and shared[0] == 0
+        else:
+            assert parsed == [] and shared == fresh
+            assert (shared[1] if shared[0] == 0 else shared[2]).startswith("usage: momentflow")
 
     @pytest.mark.parametrize("verbose_first", [False, True])
     def test_verbose_applies_per_call(self, capsys, verbose_first):

@@ -449,6 +449,23 @@ class TestSpectralMoments:
                                r"arrays, over the 1\.21 GB bound; a smaller s is needed$"):
                 _chain_plan(order, 4096, d)
 
+    def test_plan_is_shared_and_checked_per_call(self):
+        # One plan per order, of tuples, so that no caller can change it for the others; the
+        # order and the memory bound are checked on every call, after a plan of the same order
+        # was made, and on the second call too.
+        for order in (True, 2.0):
+            _chain_plan(int(order), 4, 2)
+            with pytest.raises(ValueError, match="^order must be an integer"):
+                _chain_plan(order, 4, 2)
+        plan = _chain_plan(3, 5, 2)
+        assert _chain_plan(np.int64(3), 5, 2) is plan is _chain_plan(3, 7, 1)
+        assert plan == (((0, 0),), ((0, 0), (0, 1)))
+        assert all(type(part) is tuple for part in (*plan, *plan[0], *plan[1]))
+        _chain_plan(5, 8, 3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^s = 5 needs 1\.34 GB of 4096 x 4096 "):
+                _chain_plan(5, 4096, 3)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_largest_planned_order(self, d):
         # Finite moments up to about 1,660 robots, the memory bound from there on.
