@@ -24,8 +24,9 @@ Per workload (round_trip, large_n, cli at seed 1):
 Per layer (``layers.n``), a planar Euclidean team at s = 4 for n in 7, 10, 50, 200, 800: the
 median of repeated calls, in microseconds, and their mean minor page faults, of distances,
 weights, half chain and moments, and evaluation and drift, from the start's positions as a
-flow lays them out.  The first three time the one-shot route, which ``spectrum`` and a flow's
-start take; evaluation and drift run in the flow's workspace, as a trial step's do.  Per row
+flow lays them out.  The first three time the one-shot route, which ``spectrum`` and a
+stacked stencil take; evaluation and drift run in the flow's workspace, as every evaluation of
+a flow does, its start's too.  Per row
 (``layers.rows``), a planar team labelled by n, order s and z = 1 if taxicab (else Euclidean):
   n=7,s=4  n=10,s=4  n=50,s=4  n=200,s=4  n=800,s=4   the size sweep
   n=8,s=3  n=8,s=4  n=8,s=5                            round_trip's orders
@@ -281,12 +282,12 @@ def _trial_step(flow, start, seconds, package=momentflow):
 
 def layers(sizes, seconds):
     """Per-layer medians for :func:`_start`'s team of n robots, from its positions as the flow
-    lays them out: the one-shot route's layers, then a trial step's bound calls (see above)."""
+    lays them out: the one-shot route's layers, then the bound calls of the start's workspace,
+    as a trial step runs them (see above)."""
     table = {}
     for n in sizes:
         state = _start(n)
         flow, start = state.flow, state.positions
-        flow.workspace = network._workspace(n, 2, 2, 1.0, flow.plan)  # as a first trial step
         with np.errstate(over="ignore", invalid="ignore"):  # as the flow runs (network._quiet)
             distance = network._pairwise_distance(start, 2)[0]
             weights = network._adjacency(distance, 1.0)

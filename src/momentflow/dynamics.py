@@ -49,7 +49,6 @@ from .network import (
     _freeze,
     _positive_real,
     _quiet,
-    _workspace,
     build_adjacency,
     complete_graph_moments,
     eigenvalues,
@@ -213,7 +212,8 @@ def ensure_feasible(
 
 
 def _feasible_start(config, targets, params) -> _Evaluation:
-    """:func:`ensure_feasible`, returning the evaluation of the configuration it returns."""
+    """:func:`ensure_feasible`, returning the evaluation of the configuration it returns: each
+    try is an evaluation in one flow, whose first makes the workspace that the run goes on in."""
     goal = targets.moments
     ceilings = complete_graph_moments(config.n, targets.order).values
     gaps = ceilings[1:] - goal[1:]
@@ -237,15 +237,13 @@ def _feasible_start(config, targets, params) -> _Evaluation:
         state = _Evaluation(flow, np.asfortranarray(current.positions), current)  # see _advance
         if np.all(slack <= state.margins):
             return state
-        vanished = np.array_equal(state.margins, -goal[1:])  # every moment is 0
-        del state  # its n x n arrays go before the next try's come
         positions = np.ascontiguousarray(current.positions)  # one summation order, any layout
         centroid = positions.mean(axis=0)
         if not np.isfinite(positions - centroid).all():  # its sum or an offset overflows
             centroid = positions.min(axis=0) / 2 + positions.max(axis=0) / 2
         offsets = positions - centroid
         reach = min(params.decay * np.abs(offsets).sum(axis=1).max(), np.finfo(float).max)
-        if reach > _JUMP_REACH and vanished:
+        if reach > _JUMP_REACH and np.array_equal(state.margins, -goal[1:]):  # every moment is 0
             pulled = (_JUMP_REACH / reach) * positions  # reach is finite, so this is not 0
         else:
             pulled = centroid + _COMPRESSION_FACTOR * offsets
@@ -292,12 +290,10 @@ def _advance(state: _Evaluation, dt: float,
     evaluated from its F-ordered positions alone; its configuration is wrapped only if asked for.
     A zero drift leaves f + b as it was, bit for bit, so a stall is counted only on a rejected
     trial or an accepted one whose f + b did not fall (a fall proves that the robots moved).
-    The first trial step makes the flow's workspace; x + dt * v goes to the other column slot,
-    so the state's drift is projected before the candidate's evaluation (see _Evaluation).
+    x + dt * v goes to the workspace's column slot that the state does not hold, so the state's
+    drift is projected before the candidate's evaluation (see _Evaluation).
     """
     drift, flow, candidate = state.drift, state.flow, None
-    if flow.workspace is None:  # the flow's first trial step: its evaluations write there on
-        flow.workspace = _workspace(*drift.shape, flow.metric, flow.decay, flow.plan)
     positions, flat = (slots := flow.workspace.slots)[state.positions is slots[0][0]]  # the other
     np.add(state.positions, np.multiply(dt, drift, positions), positions)  # x + dt * v
     if math.isfinite(flat.dot(flat)) or np.isfinite(positions).all():

@@ -51,17 +51,16 @@ from .network import (
     WeightedAdjacency,
     _BOOLEANS,
     _INTEGERS,
-    _adjacency,
     _chain_plan,
     _check_overflow,
-    _drift_calls,
     _freeze,
     _half_chain,
+    _index_pair,
     _metric,
-    _pairwise_distance,
     _positive_real,
     _quiet,
     _weights,
+    _workspace,
     power_chain,
 )
 
@@ -186,8 +185,7 @@ def trace_derivative(adjacency: WeightedAdjacency, k: int, i: int, j: int) -> fl
     n = adjacency.n
     if isinstance(k, bool) or not isinstance(k, _INTEGERS) or k < 1:
         raise ValueError(f"power k must be an integer of at least 1, got {k!r}")
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"indices ({i}, {j}) out of range for n={n}")
+    _index_pair(i, j, n, "indices")
     if i == j:
         raise ValueError("diagonal entries are structurally zero; no derivative there")
     return 2.0 * k * power_chain(adjacency, k - 1)[k - 1][i, j]
@@ -217,7 +215,7 @@ def moment_gradient(config: RobotConfiguration, params: ControllerParams, k: int
 class _Flow:
     """What every evaluation in one flow reads, derived once from (targets, params), n and d:
     metric, decay, scale = decay / n, the terms (m_k*, 4k, eps_k) for k = 2..s, the chain's plan;
-    and the network._workspace they write from its first trial step on (see _Evaluation)."""
+    and the network._workspace its first evaluation makes and each writes (see _Evaluation)."""
 
     def __init__(self, targets: TargetSpectrum, params: ControllerParams, n: int, d: int) -> None:
         if targets.order != params.order:
@@ -240,32 +238,29 @@ class _Evaluation:
     margins m_k - m_k* (k = 2..s), the cost and the barrier, all floats, each sum in one fixed
     order (not by 3.12's compensated ``sum``).  One :meth:`_project` gives any one gradient.
     The configuration (a copy) and moment vector are wrapped only when asked for.
-    Once the flow has a workspace (network._workspace), this and the drift run its bound calls,
-    in this one frame each; its arrays last until the flow's next evaluation, so an evaluation
-    there is projected before the flow evaluates again, and only its positions, drift and floats
-    outlive it: dynamics._advance forms x + dt * drift first, and the tests' workspace-free
-    reference flow checks it bit for bit.
+    This and the drift run the bound calls of the flow's workspace (network._workspace, made by
+    its first evaluation) in this one frame each; its arrays last until the flow's next
+    evaluation, so an evaluation is projected before the flow evaluates again, and only its
+    positions, drift and floats outlive it: dynamics._advance forms x + dt * drift first, and
+    the tests' reference flow, whose every evaluation has a flow of its own, checks it.
     """
 
-    __slots__ = ("flow", "positions", "_config", "_distance", "_differences", "weights",
-                 "chain", "moments", "margins", "cost", "barrier", "_drift")
+    __slots__ = ("flow", "positions", "_config", "_distance", "_differences", "moments",
+                 "margins", "cost", "barrier", "_drift")
 
     def __init__(self, flow: _Flow, positions: np.ndarray, config=None) -> None:
         self.flow, self.positions, self._config, self._drift = flow, positions, config, None
-        if work := flow.workspace:  # its calls, bound once, into its arrays (network._workspace)
-            work.lefts[...] = work.rights[...] = positions.T
-            for call, operands in work.calls:  # distances, weights, half chain
-                call(*operands)
-            distance, self._differences, self.chain, self.weights = work.formed
-            self.moments, n = [0.0], len(positions)
-            for dot, flat in work.pairs:  # n m_k = <A^i, A^j>, one ddot of two flat powers
-                self.moments.append(float(dot(flat)) / n)
-            if not math.isfinite(sum(self.moments)):  # as network._half_chain checks
-                _check_overflow(self.moments, "moment")
-        else:  # arrays of its own: the weights overwrite taxicab distances
-            distance, self._differences = _pairwise_distance(positions, flow.metric)
-            self.weights = _adjacency(distance, flow.decay, None if flow.metric == 2 else distance)
-            self.moments, self.chain = _half_chain(self.weights, flow.plan)
+        if (work := flow.workspace) is None:  # the flow's first evaluation makes it
+            work = flow.workspace = _workspace(*positions.shape, flow.metric, flow.decay, flow.plan)
+        work.lefts[...] = work.rights[...] = positions.T
+        for call, operands in work.calls:  # distances, weights, half chain, bound once
+            call(*operands)
+        distance, self._differences = work.formed
+        self.moments, n = [0.0], len(positions)
+        for dot, flat in work.pairs:  # n m_k = <A^i, A^j>, one ddot of two flat powers
+            self.moments.append(float(dot(flat)) / n)
+        if not math.isfinite(sum(self.moments)):  # as network._half_chain checks
+            _check_overflow(self.moments, "moment")
         self._distance = distance if flow.metric == 2 else None
         margins, cost, barrier = [], 0.0, 0.0
         # An interior barrier: +inf where a guarded margin, or its term's divisor, is not positive.
@@ -319,15 +314,13 @@ class _Evaluation:
         not finite come again from these distances and differences, corrected in place: an inf
         difference counts 0, an underflowed squared gap is re-taken at max-abs scale, and scaled
         by it where M / dist overflows).  Once per evaluation, before the flow's next (see
-        _Evaluation): it writes Q, W and the taxicab signs, and lets the weights go.
+        _Evaluation): it writes Q, W and the taxicab signs over the workspace's arrays.
         """
-        flow, chain, work, self.chain = self.flow, self.chain, self.flow.workspace, None
-        q, mixed, buffer, calls = work.drift if work and chain is work.formed[2] else _drift_calls(
-            chain, *np.empty((2, *chain[0].shape)), len(coefficients))  # the workspace's or its own
+        flow, (q, mixed, buffer, calls) = self.flow, self.flow.workspace.drift
         buffer[...] = coefficients
         for call, operands in calls:  # W through Q, then M = A o W: the weights' last read
             call(*operands)
-        differences, self._differences, self.weights = self._differences, None, None
+        differences, self._differences = self._differences, None
         if flow.metric == 1:  # rows_i = sum_j M'_ij D_ij, as the (d, n) columns
             rows = np.vecdot(mixed, np.sign(differences, differences))
         else:  # M / dist into Q: the distances' +inf diagonal gives each self-term 0

@@ -14,8 +14,8 @@ nonnegative every moment is nonnegative as well.
 
 Distances and coordinate differences come from one function: one broadcast below
 ``_PRODUCT_TEAM`` robots, from there on one batched BLAS product, bitwise alike.  It, the
-weights and the half chain serve one-shot calls, a flow's start and an (n, m, d) stack of
-teams, bitwise per team; a flow's trial steps make the same calls, bound in its workspace.
+weights and the half chain serve one-shot calls and an (n, m, d) stack of teams, bitwise per
+team; every evaluation of a flow makes the same calls, bound in the workspace its first makes.
 
 Entries of A^k admit a combinatorial reading: [A^k]_ij is the total weight
 of all length-k walks from i to j, where the weight of a walk is the product
@@ -99,6 +99,12 @@ def _moment_order(order, n: int) -> None:
     """ValueError unless ``order`` is an integer, Python's (no bool) or numpy's, in 1..n."""
     if isinstance(order, bool) or not isinstance(order, _INTEGERS) or not 1 <= order <= n:
         raise ValueError(f"order must be an integer, 1 <= order <= {n}, got {order!r}")
+
+
+def _index_pair(i, j, n: int, name: str) -> None:
+    """ValueError unless i and j are integers, Python's (no bool) or numpy's, in 0..n-1."""
+    if not all(not isinstance(k, bool) and isinstance(k, _INTEGERS) and 0 <= k < n for k in (i, j)):
+        raise ValueError(f"{name} ({i}, {j}) must be integers in 0..{n - 1}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +209,7 @@ def _pairwise_distance(positions: np.ndarray, metric: int) -> tuple[np.ndarray, 
     ``metric`` (1 taxicab, 2 Euclidean) and error state, inf beyond float range, +inf on the
     diagonal (one strided write per call, whence the zero self-weights and self-terms); and
     the differences x_ir - x_jr as a C-contiguous (d, n, n) array, with a zero diagonal.
-    An (n, m, d) stack of m teams, robot-major, gives (m, n, n) and (d, m, n, n).  A flow's
-    F-ordered (n, d) positions are (d, n) C-ordered columns as they are, with no copy.
+    An (n, m, d) stack of m teams, robot-major, gives (m, n, n) and (d, m, n, n).
 
     Below ``_PRODUCT_TEAM`` robots the differences are one broadcast, from there on one batched
     BLAS product [x, -1] @ [1; x] over every axis and team, whose entries x_i * 1 + (-1) * x_j
@@ -235,8 +240,10 @@ def _workspace(n: int, d: int, metric: int, decay: float, plan) -> SimpleNamespa
     """A flow's arrays, each evaluation's in turn (differences, distances, weights, A^2..A^h,
     squares or a temporary, Q, W, two (d, n) candidate slots), and its calls bound once (README):
     with x in the lefts and rights, ``calls`` (:func:`_pairwise_distance`'s route, the weights,
-    the half chain) form ``formed`` = (distances, differences, chain, weights), ``pairs`` the
-    traces' operands; ``drift`` is :func:`_drift_calls`'s."""
+    the half chain) form ``formed`` = (distances, differences), ``pairs`` the traces' operands;
+    ``drift`` is (Q, W, a buffer of s - 1 coefficients, calls): W = sum_k c_k A^(k-1) from the
+    half chain [A, ..., A^h] as gradient._Evaluation._project sets out, then M = A o W into W,
+    by calls that read each c_k from a 0-d view of the buffer."""
     total, columns, differences = np.empty((n, n)), np.empty((2, d, n)), np.empty((d, n, n))
     block = np.empty((d + 1 if n < _PRODUCT_TEAM else 2, n, n))  # W is the last: no square's
     chain = [total if metric == 1 else np.empty((n, n))] + [np.empty((n, n)) for _ in plan[0]]
@@ -258,29 +265,22 @@ def _workspace(n: int, d: int, metric: int, decay: float, plan) -> SimpleNamespa
     calls += [(np.sqrt, (total, total))] * (metric == 2)
     calls += [(np.multiply, (total, np.array(-decay), chain[0])), (np.exp, (chain[0], chain[0]))]
     calls += [(_product_of(chain[i]), (chain[j].T, out)) for (i, j), out in zip(plan[0], chain[1:])]
+    q, w, h, count = block[0], block[-1], len(chain), len(plan[1])
+    coefficients, diagonal = np.empty(count), q.ravel()[:: n + 1]
+    c = [coefficients[k, ...] for k in range(count)]
+    drift, terms = [(np.multiply, (c[0], chain[0], w))], range(1, h)  # s = 2, 3: W from c_2 A
+    if count > h:  # the terms from A^h on as A^h Q, A^h's own on Q's diagonal, then the others
+        drift, terms = [(np.multiply, (c[h], chain[0], q))], range(h - 1)
+        for i in range(1, count - h):
+            drift += [(np.multiply, (c[h + i], chain[i], w)), (np.add, (q, w, q))]
+        drift += [(np.add, (diagonal, c[h - 1], diagonal)), (_product_of(chain[-1]), (q, w))]
+    for k in terms:  # each into Q, added to W
+        drift += [(np.multiply, (c[k], chain[k], q)), (np.add, (w, q, w))]
     return SimpleNamespace(
         lefts=lefts, rights=rights, calls=calls,
-        pairs=[(flat[i].dot, flat[j]) for i, j in plan[1]],
-        formed=(total, differences, chain, chain[0]),
-        drift=_drift_calls(chain, block[0], block[-1], len(plan[1])),
-        slots=[(c.T, c.ravel()) for c in columns])
-
-
-def _drift_calls(chain: list, q: np.ndarray, w: np.ndarray, count: int) -> tuple:
-    """(Q, W, a buffer of count = s - 1 coefficients, calls): W = sum_k c_k A^(k-1) from the half
-    chain [A, ..., A^h] as gradient._Evaluation._project sets out, then M = A o W into W, by
-    (function, operands) calls that read each c_k from a 0-d view of the buffer (README)."""
-    h, coefficients, diagonal = len(chain), np.empty(count), q.ravel()[:: len(q) + 1]
-    c = [coefficients[k, ...] for k in range(count)]
-    calls, terms = [(np.multiply, (c[0], chain[0], w))], range(1, h)  # s = 2, 3: W from c_2 A
-    if count > h:  # the terms from A^h on as A^h Q, A^h's own on Q's diagonal, then the others
-        calls, terms = [(np.multiply, (c[h], chain[0], q))], range(h - 1)
-        for i in range(1, count - h):
-            calls += [(np.multiply, (c[h + i], chain[i], w)), (np.add, (q, w, q))]
-        calls += [(np.add, (diagonal, c[h - 1], diagonal)), (_product_of(chain[-1]), (q, w))]
-    for k in terms:  # each into Q, added to W
-        calls += [(np.multiply, (c[k], chain[k], q)), (np.add, (w, q, w))]
-    return q, w, coefficients, calls + [(np.multiply, (w, chain[0], w))]
+        pairs=[(flat[i].dot, flat[j]) for i, j in plan[1]], formed=(total, differences),
+        drift=(q, w, coefficients, drift + [(np.multiply, (w, chain[0], w))]),
+        slots=[(x.T, x.ravel()) for x in columns])
 
 
 @_quiet
@@ -490,8 +490,7 @@ def walk_weight_sum(adjacency: WeightedAdjacency, length: int, start: int, end: 
     if isinstance(length, bool) or not isinstance(length, _INTEGERS) or not (
             1 <= length <= MAX_WALK_LENGTH):
         raise ValueError(f"walk length must be an integer in 1..{MAX_WALK_LENGTH}, got {length!r}")
-    if not (0 <= start < n and 0 <= end < n):
-        raise ValueError(f"endpoints ({start}, {end}) out of range for n={n}")
+    _index_pair(start, end, n, "endpoints")
     if n ** (length - 1) > WALK_ENUMERATION_LIMIT:
         raise ValueError(
             f"enumerating {n}**{length - 1} walks exceeds the "

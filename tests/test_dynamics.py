@@ -177,10 +177,10 @@ def _recorded_advances(monkeypatch, products=None):
 
 
 def _count_bound_formations(monkeypatch, formed):
-    """Append to ``formed`` each time an evaluation in a flow's workspace forms its distances:
-    its first bound call, the one that writes the differences, is wrapped as the workspace is
-    made (network._pairwise_distance counts the evaluations of arrays of their own)."""
-    workspace = dynamics._workspace
+    """Append to ``formed`` each time an evaluation forms its distances: its first bound call,
+    the one that writes the differences, is wrapped as the flow's first evaluation makes its
+    workspace (network._pairwise_distance counts the one-shot calls)."""
+    workspace = gradient._workspace
 
     def bound(*args):
         work = workspace(*args)
@@ -189,7 +189,7 @@ def _count_bound_formations(monkeypatch, formed):
         work.calls[0] = (lambda *a: formed.append(a) or function(*a)), operands
         return work
 
-    monkeypatch.setattr(dynamics, "_workspace", bound)
+    monkeypatch.setattr(gradient, "_workspace", bound)
 
 
 def _unbuildable_candidates(monkeypatch):
@@ -945,8 +945,7 @@ class TestEvaluationBudget:
             distances.append(args)
             return pairwise_distance(*args)
 
-        for module in (network, gradient):
-            monkeypatch.setattr(module, "_pairwise_distance", counted)
+        monkeypatch.setattr(network, "_pairwise_distance", counted)
         _count_bound_formations(monkeypatch, distances)
         # rgg10 is Euclidean, its start needs one compression, and it
         # rejects steps as well as accepting them.

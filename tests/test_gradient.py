@@ -7,7 +7,8 @@ Core claims:
       ints, none of them a boolean, Python's or numpy's; nor is a barrier
       constant
     - trace_derivative matches a central finite difference of tr(A^k) under
-      a symmetric entry bump
+      a symmetric entry bump, and refuses an index that is a boolean or a
+      float in one line, as it refuses one outside 0..n-1
     - moment_gradient matches the finite-difference oracle for both metrics
     - cost is the hand formula, zero exactly at the target, and control_law
       equals its negative gradient (checked against finite differences and
@@ -206,6 +207,32 @@ def _checked_against_max_min_route():
         yield checked
 
 
+@contextlib.contextmanager
+def _spied_workspaces(*spies):
+    """Within the block each workspace that a flow's first evaluation makes goes through each
+    of ``spies`` (a function of the workspace) before that evaluation writes it."""
+    workspace = gradient._workspace
+
+    def spied(*args):
+        work = workspace(*args)
+        for spy in spies:
+            spy(work)
+        return work
+
+    with mock.patch.object(gradient, "_workspace", spied):
+        yield
+
+
+def _formations_into(formed, label):
+    """A spy that appends ``label`` to ``formed`` each time an evaluation in its workspace forms
+    its distances: the first bound call, the one that writes the differences."""
+    def spy(work):
+        function, operands = work.calls[0]
+        assert operands[-1] is work.formed[1]  # the differences
+        work.calls[0] = (lambda *a: formed.append(label) or function(*a)), operands
+    return spy
+
+
 # Four robots so far apart that their moments (about 1e-131 and below) leave margins whose
 # squares underflow.
 _FAR_TEAM = RobotConfiguration([[0.0, 0.0], [150.0, 0.0], [0.0, 150.0], [150.0, 150.0]])
@@ -398,6 +425,16 @@ class TestTraceDerivative:
             trace_derivative(adjacency, k, 0, 1)
         assert trace_derivative(adjacency, np.int64(2), 0, 1) == trace_derivative(
             adjacency, 2, 0, 1)
+
+    @pytest.mark.parametrize("index", [True, np.True_, 1.5, 1.0, np.float64(1.0)])
+    def test_indices_are_integers_not_bools_or_floats(self, index):
+        # A bool would index A^(k-1) as a mask and a float fail as numpy's IndexError.
+        adjacency = build_adjacency(_tie_free_config(4, 2, 3), 1.0, 2)
+        for i, j in ((index, 0), (0, index)):
+            with pytest.raises(ValueError, match=r"^indices \(.+\) must be integers in 0\.\.3$"):
+                trace_derivative(adjacency, 2, i, j)
+        assert trace_derivative(adjacency, 2, np.int64(1), np.int32(0)) == trace_derivative(
+            adjacency, 2, 1, 0)
 
 
 # == 3. Moment gradients =====================================================
@@ -733,11 +770,10 @@ class TestZeroDistances:
             positions[1] = positions[0]
         params = _params(order=2, epsilons=(0.0, 1e-3))
         targets = _targets_below(RobotConfiguration(positions), params, fraction=0.5)
-        flow = _Flow(targets, params, n, 2)
-        every_zero = _Evaluation(flow, positions)
+        every_zero = _Evaluation(_Flow(targets, params, n, 2), positions)  # its own workspace
         np.fill_diagonal(every_zero._distance, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):  # as the flow runs
-            drift = _Evaluation(flow, positions).drift
+            drift = _Evaluation(_Flow(targets, params, n, 2), positions).drift
             reference = every_zero.drift
         assert np.all(np.isfinite(drift)) and np.any(drift)
         assert drift.tobytes() == reference.tobytes()
@@ -754,11 +790,10 @@ class TestZeroDistances:
         config = RobotConfiguration(positions)
         params = _params(order=4, epsilons=(0.0, 1e-3, 1e-3, 1e-3))
         targets = _targets_below(config, params, fraction=0.5)
-        flow = _Flow(targets, params, 60, 2)
-        with mock.patch.object(network, "_PRODUCT_TEAM", 2):
-            product = _Evaluation(flow, positions).drift
+        with mock.patch.object(network, "_PRODUCT_TEAM", 2):  # a flow's first evaluation
+            product = _Evaluation(_Flow(targets, params, 60, 2), positions).drift  # binds it
         with mock.patch.object(network, "_PRODUCT_TEAM", 61):
-            broadcast = _Evaluation(flow, positions).drift
+            broadcast = _Evaluation(_Flow(targets, params, 60, 2), positions).drift
         assert np.allclose(product, broadcast, rtol=1e-12, atol=0.0)
 
     def test_underflowing_square_keeps_its_direction(self):
@@ -843,13 +878,12 @@ class TestReductions:
         # (the oracle), from broadcast and from product differences alike.
         params = _params(order=order, epsilons=(0.0,) + (1e-3,) * (order - 1))
         team = self._team(n, d, n)
-        flow = _Flow(_targets_below(RobotConfiguration(team), params, 0.3), params, n, d)
-        drifts = []
+        targets, drifts = _targets_below(RobotConfiguration(team), params, 0.3), []
         for switch in (n + 1, 2):  # broadcast differences, then the product's
             with mock.patch.object(network, "_PRODUCT_TEAM", switch), \
                     _checked_against_max_min_route() as checked, \
                     np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as flows run
-                drifts.append(_Evaluation(flow, team).drift)
+                drifts.append(_Evaluation(_Flow(targets, params, n, d), team).drift)
             assert len(checked) == 1
         assert np.all(np.isfinite(drifts[0])) and np.any(drifts[0])
         assert drifts[0].tobytes() == drifts[1].tobytes()
@@ -863,13 +897,8 @@ class TestReductions:
         positions = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         params = ControllerParams(decay=1e-3, metric=2, order=2)
         flow, calls, drifts = _Flow(TargetSpectrum([0.0, 0.0]), params, 4, 2), [], []
-
-        def counted(positions, metric):
-            calls.append(metric)
-            return network._pairwise_distance(positions, metric)
-
         for coefficient in (8e307, 8e307 / 16, 8e307 * 2.0**-600):
-            with mock.patch.object(gradient, "_pairwise_distance", counted), \
+            with _spied_workspaces(_formations_into(calls, 2)), \
                     np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as flows run
                 drifts.append(_Evaluation(flow, positions)._project([coefficient]))
         assert calls == [2, 2, 2]  # one formation per evaluation, the careful route's too
@@ -883,7 +912,6 @@ class TestReductions:
         # too, whose Euclidean drift corrects them in place on its careful route; without a
         # rare gap they reduce none of them.
         calls, reductions = [], []
-        pairwise_distance = network._pairwise_distance
 
         class Watched(np.ndarray):
             """Distances that log each reduction over them."""
@@ -896,10 +924,17 @@ class TestReductions:
                 inputs = [x.view(np.ndarray) if isinstance(x, Watched) else x for x in inputs]
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
-        def watched(positions, metric):
-            calls.append(metric)
-            distance, differences = pairwise_distance(positions, metric)
-            return distance.view(Watched), differences
+        def watched(work):  # the distances, wherever a call or an evaluation reads them
+            distance = work.formed[0]
+            seen = distance.view(Watched)
+
+            def swap(operands):
+                return tuple(seen if x is distance else x for x in operands)
+
+            work.calls = [(function, swap(operands)) for function, operands in work.calls]
+            q, w, buffer, drift = work.drift
+            work.drift = q, w, buffer, [(function, swap(operands)) for function, operands in drift]
+            work.formed = seen, work.formed[1]
 
         params = _params(metric=metric, order=4, epsilons=(0.0, 1e-3, 1e-3, 1e-3))
         for n in (8, network._PRODUCT_TEAM, 200):
@@ -909,7 +944,7 @@ class TestReductions:
                     flow = _Flow(_targets_below(RobotConfiguration(team), params, 0.3),
                                  params, n, d)
                     del calls[:], reductions[:]
-                    with mock.patch.object(gradient, "_pairwise_distance", watched), \
+                    with _spied_workspaces(watched, _formations_into(calls, metric)), \
                             np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                         assert np.all(np.isfinite(_Evaluation(flow, team).drift))
                     assert calls == [metric]
@@ -965,31 +1000,18 @@ class TestStill:
         state = gradient._evaluate(config, TargetSpectrum(np.zeros(order)), params)
         if margins is not None:
             state.margins = list(margins)
-        count, distance, counted, formed = np.count_nonzero, gradient._pairwise_distance, [], []
-        workspace = dynamics._workspace
+        count, counted, formed = np.count_nonzero, [], []
+        _formations_into(formed, metric)(state.flow.workspace)  # the state's made it
 
         def counting(array):
             counted.append(array)
             return count(array)
 
-        def forming(positions, metric):
-            formed.append(metric)
-            return distance(positions, metric)
-
-        def bound(*args):  # a candidate in the workspace forms them by its first bound call
-            work = workspace(*args)
-            function, operands = work.calls[0]
-            work.calls[0] = (lambda *a: formed.append(metric) or function(*a)), operands
-            return work
-
         with mock.patch.object(np, "count_nonzero", counting), \
-                mock.patch.object(gradient, "_pairwise_distance", forming), \
-                mock.patch.object(dynamics, "_workspace", bound), \
                 mock.patch.object(_Evaluation, "_project", lambda state, coefficients: drift) \
                 if drift is not None else contextlib.nullcontext(), \
                 np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as flows run
             rows = state.drift
-            formed.clear()  # the candidate's distances, not the drift's, from here on
             try:
                 outcome = dynamics._advance(state, dt)
             except FlowStalled as stall:
@@ -1127,9 +1149,16 @@ class TestOnePassScalars:
         goal[0] = 0.0
         epsilons = (0.0, *map(float, rng.choice([0.0, 1e-300, 1e-9, 0.1, 1e300], order - 1)))
         params = ControllerParams(decay=1.0, metric=2, order=order, epsilons=epsilons)
-        monkeypatch.setattr(gradient, "_half_chain",
-                            lambda weights, plan, out=None: (moments, [weights]))
+        workspace = gradient._workspace
+
+        def injected(*args):  # each trace pair gives 8 m_k, which the evaluation divides by n = 8
+            work = workspace(*args)
+            work.pairs = [((lambda _, m=moment: 8.0 * m), None) for moment in moments[1:]]
+            return work
+
+        monkeypatch.setattr(gradient, "_workspace", injected)
         state = _Evaluation(_Flow(TargetSpectrum(goal), params, 8, 2), np.ones((8, 2)))
+        assert [float.hex(x) for x in state.moments] == [float.hex(x) for x in moments]
         expected = self._three_loops(moments, goal.tolist(), epsilons)
         assert [float.hex(x) for x in state.margins] == [float.hex(x) for x in expected[0]]
         assert float.hex(state.cost) == float.hex(expected[1])

@@ -32,7 +32,8 @@ Core claims:
     - a count (an order, a power, a walk length, a node count) is an integer,
       Python's or numpy's, and neither a boolean nor a float: spectral_moments,
       power_chain, moments_from_eigenvalues, complete_graph_moments and
-      walk_weight_sum refuse one with a one-line ValueError
+      walk_weight_sum refuse one with a one-line ValueError; so does
+      walk_weight_sum an endpoint that is a boolean or a float
     - the one n x n product equals np.matmul bit for bit for one team of
       2 to _PRODUCT_TEAM + 8 robots, as a syrk x @ x.mT and a gemm, and for a
       stack of three
@@ -605,6 +606,16 @@ class TestWalkWeightSum:
             walk_weight_sum(adjacency, 2, -1, 0)
         with pytest.raises(ValueError):
             walk_weight_sum(adjacency, 2, 0, 3)
+
+    @pytest.mark.parametrize("index", [True, np.True_, 1.5, 1.0, np.float64(1.0)])
+    def test_endpoints_are_integers_not_bools_or_floats(self, index):
+        # A bool would index the weights as a mask and a float fail as numpy's IndexError.
+        adjacency = _random_adjacency(3, 0)
+        for start, end in ((index, 0), (0, index)):
+            with pytest.raises(ValueError, match=r"^endpoints \(.+\) must be integers in 0\.\.2$"):
+                walk_weight_sum(adjacency, 2, start, end)
+        assert walk_weight_sum(adjacency, 2, np.int64(1), np.int32(0)) == walk_weight_sum(
+            adjacency, 2, 1, 0)
 
     def test_enumeration_limit(self):
         n = 40

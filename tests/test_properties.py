@@ -42,10 +42,13 @@ Core claims:
       match the eigenvalue power sums up to s = _max_planned_order(n, 0) on
       teams of up to 40 robots, coincident or far-apart ones included, and
       on a gathered and a spread team of 200 at s = 134
-    - an _Evaluation's weights and moments, built without the
-      constructors, are read-only, finite, pass those constructors' checks
-      and match build_adjacency and the traces of matrix powers, also after
-      its drift is computed
+    - an _Evaluation's distances, differences, weights and moments, from
+      the bound calls of its flow's workspace, are bitwise those of the
+      one-shot kernels (_pairwise_distance, _adjacency, _half_chain), from
+      broadcast and from product differences, d = 1..3, both metrics, with
+      coincident, far and nearly coincident robots; its moment vector, built
+      without the constructor, is read-only, finite, passes its checks and
+      matches the traces of matrix powers, also after its drift is computed
     - the drift equals control_law - barrier_gradient to 1e-12 relative;
       a shift by 2^20 moves it by at most 1e-7 relative, and by at most
       1e-12 when the team sits on a 2^-20 grid, where the shift is exact
@@ -54,8 +57,8 @@ Core claims:
       exactly zero and simulated_time never passes max_time, with the
       differences formed either way
     - simulate, whose flow shares one workspace between its evaluations,
-      agrees bit for bit with a reference flow whose evaluations own their
-      arrays (termination, accepted and rejected counts, simulated_time,
+      agrees bit for bit with a reference flow that evaluates each state in
+      a fresh flow, so that its evaluations own their arrays (termination, accepted and rejected counts, simulated_time,
       every sample and the final positions), on short runs of 2-7 and
       63-69 robots, both metrics, s = 2..6, coincident and far pairs, and a
       trial-step budget of 400 that stiff flows spend; its step-size floor
@@ -80,13 +83,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from momentflow import dynamics, network
+from momentflow import dynamics, gradient, network
 from momentflow.dynamics import SimulationSettings, simulate
 from momentflow.gradient import (
     ControllerParams,
     TargetSpectrum,
     _evaluate,
     _Evaluation,
+    _Flow,
     barrier_gradient,
     control_law,
     cost,
@@ -97,6 +101,8 @@ from momentflow.network import (
     MomentVector,
     RobotConfiguration,
     WeightedAdjacency,
+    _adjacency,
+    _half_chain,
     _max_planned_order,
     _pairwise_distance,
     build_adjacency,
@@ -365,27 +371,55 @@ def _tail_cases(draw):
     return positions, targets, params
 
 
+@network._quiet
+def _one_shot_evaluation(positions, targets, params):
+    """``positions`` evaluated in a fresh flow, whose first evaluation binds its workspace: its
+    distances (as its weights are formed from them), differences, weights and moments are
+    checked to be bitwise those of network's one-shot kernels _pairwise_distance, _adjacency and
+    _half_chain."""
+    formed, workspace = [], gradient._workspace
+
+    def spied(*args):  # the call that forms the weights from the distances copies them first
+        work = workspace(*args)
+        k = next(k for k, (function, operands) in enumerate(work.calls)
+                 if function is np.multiply and operands[0] is work.formed[0])
+        function, operands = work.calls[k]
+        work.calls[k] = (lambda *a: formed.append(a[0].copy()) or function(*a)), operands
+        return work
+
+    with mock.patch.object(gradient, "_workspace", spied):
+        state = _evaluate(RobotConfiguration(positions), targets, params)
+    distance, differences = _pairwise_distance(positions, params.metric)
+    weights = _adjacency(distance, params.decay)
+    assert [x.tobytes() for x in (formed[0], state._differences)] == [
+        x.tobytes() for x in (distance, differences)]
+    assert state.flow.workspace.pairs[0][1].tobytes() == weights.tobytes()  # <A, A>'s operand
+    moments = _half_chain(weights, state.flow.plan)[0]
+    assert list(map(float.hex, state.moments)) == list(map(float.hex, moments))
+    return state
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_tail_cases())
 def test_drift_tails_agree(case):
     # The drift contracts the kept differences: a broadcast below the switch,
     # one batched BLAS product at or above it.  Each is forced by patching
-    # the switch.
+    # the switch.  Either way an evaluation forms bitwise the one-shot kernels' arrays.
     positions, targets, params = case
     config = RobotConfiguration(positions)
     distances, drifts = [], []
     for team in (len(positions) + 1, 2):  # broadcast, then the product
         with mock.patch.object(network, "_PRODUCT_TEAM", team):
-            state = _evaluate(config, targets, params)
+            state = _one_shot_evaluation(positions, targets, params)
             kept = state._differences  # in the order the contraction reads them
             assert kept.flags.c_contiguous
             assert np.array_equal(kept, positions.T[:, :, None] - positions.T[:, None, :])
-            built = build_adjacency(config, params.decay, params.metric)
-            for weights in (state.weights, built.weights):
-                # The distances' diagonal is set to +inf through a flat view,
-                # which a non-contiguous array would turn into a write to a copy.
-                assert weights.flags.c_contiguous
-                assert np.all(np.diag(weights) == 0.0)
+            # The distances' diagonal is set to +inf through a flat view, which a
+            # non-contiguous array would turn into a write to a copy; the evaluation's
+            # weights are bitwise these.
+            weights = build_adjacency(config, params.decay, params.metric).weights
+            assert weights.flags.c_contiguous
+            assert np.all(np.diag(weights) == 0.0)
             distances.append(_pairwise_distance(positions, params.metric)[0])
             # The flow's error state: a zero gap divides before the drift checks for one.
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -524,19 +558,20 @@ def test_evaluation_arrays_meet_their_contracts(positions, decay, metric, far):
     n = len(positions)
     config = RobotConfiguration(positions)
     params = ControllerParams(decay=decay, metric=metric, order=n, epsilons=(0.0,) * n)
-    state = _evaluate(config, TargetSpectrum(np.zeros(n)), params)
-    # The flow's error state: a coincident pair divides before the drift checks for one.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        state.drift  # the projection reuses the distances; it must not touch these
-    assert state.chain is None  # it consumed the powers, so the state holds none
-    values = state.moment_vector.values
-    assert not values.flags.writeable
-    assert np.isfinite(values).all()
-    assert np.array_equal(MomentVector(values).values, values)
     weights = build_adjacency(config, decay, metric).weights
     powers = [np.linalg.matrix_power(weights, k) for k in range(1, n + 1)]
     traces = np.array([power.trace() for power in powers]) / n
-    assert np.all(np.abs(values - traces) <= 1e-12 * np.maximum(1.0, np.abs(traces)))
+    for team in (n + 1, 2):  # broadcast differences, then the product's
+        with mock.patch.object(network, "_PRODUCT_TEAM", team):
+            state = _one_shot_evaluation(positions, TargetSpectrum(np.zeros(n)), params)
+        # The flow's error state: a coincident pair divides before the drift checks for one.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            state.drift  # the projection reuses the distances; it must not touch these
+        values = state.moment_vector.values
+        assert not values.flags.writeable
+        assert np.isfinite(values).all()
+        assert np.array_equal(MomentVector(values).values, values)
+        assert np.all(np.abs(values - traces) <= 1e-12 * np.maximum(1.0, np.abs(traces)))
 
 
 @st.composite
@@ -635,12 +670,13 @@ def _sample_bytes(t, positions, moments, cost, barrier):
 
 @network._quiet
 def _reference_flow(scenario):
-    """simulate's outcome from a flow that never gets a workspace, so that every evaluation
-    owns its arrays: each candidate x + dt * v is a fresh array, and simulate's rules accept or
-    reject a trial step, double dt after five acceptances in a row and stop at the horizon."""
-    settings = scenario.settings
-    state = dynamics._feasible_start(scenario.initial_configuration(), scenario.targets,
-                                     scenario.params)  # its flow: only _advance adds a workspace
+    """simulate's outcome from evaluations that own their arrays: each candidate x + dt * v is a
+    fresh array, evaluated in a fresh flow and so in a workspace of its own, and simulate's rules
+    accept or reject a trial step, double dt after five acceptances in a row and stop at the
+    horizon.  simulate evaluates every state in one workspace, so it agrees bit for bit only if
+    it projects each state's drift before it evaluates the next candidate."""
+    settings, targets, params = scenario.settings, scenario.targets, scenario.params
+    state = dynamics._feasible_start(scenario.initial_configuration(), targets, params)
     t, accepted, rejected, streak, dt, reason = 0.0, 0, 0, 0, settings.dt, None
     floor = max(min(settings.dt, settings.max_time) * 2.0**-23, np.finfo(float).tiny)
     samples = [(t, state)]
@@ -657,7 +693,7 @@ def _reference_flow(scenario):
             positions, candidate = np.asfortranarray(state.positions + trial * drift), None
             if np.isfinite(positions).all():
                 with contextlib.suppress(ValueError):  # a moment overflowed
-                    candidate = _Evaluation(state.flow, positions)
+                    candidate = _Evaluation(_Flow(targets, params, *positions.shape), positions)
             before, moved = state.cost + state.barrier, np.count_nonzero(drift)
             if candidate is not None and min(candidate.margins) > 0.0 and (
                     (after := candidate.cost + candidate.barrier) < before
